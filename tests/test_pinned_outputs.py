@@ -1,0 +1,135 @@
+"""Seeded outputs pinned byte for byte.
+
+The swapper's output is a pure function of (dataset, p, seed).  These
+SHA-256 digests were recorded before the storage of ``Dataset`` became
+columnar and must never change: a faster path that alters one RNG draw,
+the stratum order or a table cell fails here.
+
+Run ``python tests/test_pinned_outputs.py`` to print the digests the
+current code produces, in the layout of the tables below.
+"""
+
+import hashlib
+
+import pytest
+
+from permuswap import PsaParams, run_psa_details
+from permuswap.cli import main as cli_main
+from permuswap.synth import StratumSpec, synthesize
+
+from conftest import make_dataset
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _datasets():
+    """Named inputs: empty, one stratum, a constant stratum, many strata, 200k records."""
+    return {
+        "empty": make_dataset([], (2, 2, 2)),
+        "one_stratum": synthesize([StratumSpec(40)], 3, 4, seed=5),
+        "constant_stratum": synthesize(
+            [StratumSpec(30, mixed=False), StratumSpec(12)], 2, 3, seed=6
+        ),
+        "many_strata": synthesize(
+            [StratumSpec(n % 9) for n in range(300)], 2, 5, seed=7
+        ),
+        "records_200k": synthesize([StratumSpec(2000)] * 100, 2, 14, seed=8),
+    }
+
+
+# (dataset, p, seed) -> (sha256 of table.canonical_string(), sha256 of the mapping)
+RUN_PSA_DIGESTS = {
+    ("empty", 0.5, 0): (
+        "7be5436650162cea065a868656caa8e01c89204728bc13b75056ee4fd6e43df8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    ("one_stratum", 0.05, 0): (
+        "b0706e700e1ac7eacef775b5bee7c82f4503c02abe949713c4be9b3c6acb66a1",
+        "18c817dae6b1850c26989f5b96aabce152efd83ed2a5cf8c205f280a4f9ac125",
+    ),
+    ("one_stratum", 0.5, 11): (
+        "d5773621e981b69fb9d65e9d345bdf392a3d71f906cc6f2b35aa5a082b377cd2",
+        "7bb52ccb9d88390a3cfea6f7252323b0fa9ecf6d1a1bb1ea3a291875a08c9059",
+    ),
+    ("one_stratum", 1.0, 3): (
+        "fb87b7d8590640ce121312fc133faa76b030d715c1196b050db831b3a1383be8",
+        "61cffd88d7e90123ae91e6cb7ebdb3bceae4438dad3f41fe7d00d405290c8e8d",
+    ),
+    ("constant_stratum", 0.5, 2): (
+        "479679dd328081998726a779cfda337a402d231696b4d43249a528b13ce708e7",
+        "56c7b0977446dd85513f5a655dd78f4b52ec609715d3b1666b3cd23327a1f144",
+    ),
+    ("many_strata", 0.3, -1): (
+        "c61297624d7a34c59863aa4abf75abb7606326eb6cf2d6bd072c3e8d3d259f0b",
+        "5c40d887bf0605ac0e94332f75b4ad3a4fd343390f849232be2a3364d2576d7e",
+    ),
+    ("many_strata", 0.0, 4): (
+        "07c7759e1fa56c8dd9d825a212b9e0d63be3e8f7ceb1d880d17a488b89cc29ed",
+        "121dab5990d09611e2ff20f9e701703c3f54fc34f5cb44aa70e306ace8d495c5",
+    ),
+    ("records_200k", 0.05, 2**64 + 9): (
+        "bbe0638538dc984f1156a58e9fbae0871ea3d28c3d9475c524b0df5e5e86e9cd",
+        "142a1b4ad56d69629aa67933bb2291750e2679c553c672fa85526be72e72e5f6",
+    ),
+}
+
+# CLI output files -> sha256 of their bytes
+CLI_DIGESTS = {
+    "table.csv": "0dbfc3d82f3f30b093a555b68f925cd85f9c696c0cacadfc7510ab3ff94ada02",
+    "run.json": "69f24dfad9f11073eb971ff627c942367a3d0467934dc7f7c8419deb5eb1cc8d",
+    "utility.json": "74f89d9c0522d1da08d92051a32a7b42727171dae2199499f455506995927796",
+}
+
+
+def _run_digests(x, p, seed):
+    run = run_psa_details(x, PsaParams(p, seed))
+    mapping = ",".join(map(str, run.permutation.mapping))
+    return _sha(run.table.canonical_string().encode()), _sha(mapping.encode())
+
+
+def _cli_outputs(work):
+    """Run synth, swap and utility through the CLI; return the output files' bytes."""
+    data, roles = work / "data.csv", work / "roles.json"
+    steps = [
+        ["synth", "--strata", "300,0,1,250,40", "--constant", "4",
+         "--hold-levels", "3", "--swap-levels", "5", "--seed", "12",
+         "--out", data, "--roles-out", roles],
+        ["swap", "--input", data, "--roles", roles, "--p", "0.2", "--seed", "99",
+         "--out", work / "table.csv", "--sidecar", work / "run.json"],
+        ["utility", "--input", data, "--roles", roles, "--rates", "0.05,0.5",
+         "--reps", "7", "--seed", "13", "--format", "json",
+         "--out", work / "utility.json"],
+    ]
+    for argv in steps:
+        assert cli_main([str(a) for a in argv]) == 0
+    return {name: (work / name).read_bytes() for name in CLI_DIGESTS}
+
+
+@pytest.fixture(scope="module")
+def datasets():
+    return _datasets()
+
+
+@pytest.mark.parametrize("case", sorted(RUN_PSA_DIGESTS, key=repr), ids=repr)
+def test_run_psa_outputs_pinned(datasets, case):
+    name, p, seed = case
+    assert _run_digests(datasets[name], p, seed) == RUN_PSA_DIGESTS[case]
+
+
+def test_cli_outputs_pinned(tmp_path):
+    outputs = _cli_outputs(tmp_path)
+    assert {name: _sha(data) for name, data in outputs.items()} == CLI_DIGESTS
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
+    xs = _datasets()
+    for case in RUN_PSA_DIGESTS:
+        print(f"    {case!r}: {_run_digests(xs[case[0]], case[1], case[2])!r},")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in _cli_outputs(Path(tmp)).items():
+            print(f"    {name!r}: {_sha(data)!r},")
