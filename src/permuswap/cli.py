@@ -120,7 +120,7 @@ def _cmd_swap(args: argparse.Namespace) -> int:
     sidecar = {
         "p": _json_value(float(rate)),
         "seed": params.seed,
-        "record_count": len(x.records),
+        "record_count": len(x),
         "b": b,
         "epsilon": _json_value(result.epsilon),
         "regime": result.regime,
@@ -434,8 +434,33 @@ def _cmd_utility(args: argparse.Namespace) -> int:
 # parser
 
 
+def _config_value(action: argparse.Action, key: str, value: object) -> object:
+    """Convert one config value the way argparse converts the flag's argument."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise CliError(f"config.{key}: expected true or false, got {value!r}")
+        return value
+    if value is None:
+        return value
+    converted = value
+    if action.type is not None:
+        try:
+            converted = action.type(str(value))
+        except (TypeError, ValueError) as exc:
+            raise CliError(
+                f"config.{key}: expected {action.type.__name__}, got {value!r}"
+            ) from exc
+    if action.choices is not None and converted not in action.choices:
+        raise CliError(f"config.{key}: {value!r} is not one of {list(action.choices)}")
+    return converted
+
+
 def _apply_config(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    """Fill unset options from a JSON config; explicit flags win."""
+    """Fill unset options from a JSON config; explicit flags win.
+
+    Each value goes through its option's argparse ``type``, as if it
+    had been given on the command line.
+    """
     if not getattr(args, "config", None):
         return
     try:
@@ -449,13 +474,14 @@ def _apply_config(args: argparse.Namespace, argv: Sequence[str]) -> None:
         for token in argv
         if token.startswith("--")
     }
+    actions = {action.dest: action for action in args.subparser._actions}
     for key, value in raw.items():
         dest = key.replace("-", "_")
-        if dest in {"command", "func", "config"} or not hasattr(args, dest):
+        if dest in {"config", "help"} or dest not in actions:
             raise CliError(f"config.{key}: unknown option for this subcommand")
         if dest in explicit:
             continue
-        setattr(args, dest, value)
+        setattr(args, dest, _config_value(actions[dest], key, value))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -542,6 +568,8 @@ def _build_parser() -> argparse.ArgumentParser:
     util.add_argument("--out", default=None)
     util.set_defaults(func=_cmd_utility)
 
+    for subparser in sub.choices.values():
+        subparser.set_defaults(subparser=subparser)
     return parser
 
 

@@ -1,10 +1,19 @@
 """Categorical microdata after role cross-classification.
 
 Every record is a triple of dense 0-based category indices
-``(match, hold, swap)``.  A :class:`Dataset` keeps its records in order
-(the swapper needs stable positions), but all public equality and
-distance semantics are multiset-level: two datasets that differ only by
-record order are equal, at distance zero, and in the same universe.
+``(match, hold, swap)``.  A :class:`Dataset` stores its records
+columnar, as one read-only ``(n, 3)`` int64 array ``Dataset.codes``
+(column 0 match, 1 hold, 2 swap), and every library path (validation,
+tabulation, grouping, the swapper, ingest and CSV writing) works on
+that array with numpy.  ``Dataset.records`` is a tuple of
+:class:`Record` built from the codes on first access and then cached;
+it is meant for small instances only (the exact oracle, tests, demos),
+and no hot path touches it.
+
+A dataset keeps its records in order (the swapper needs stable
+positions), but all public equality and distance semantics are
+multiset-level: two datasets that differ only by record order are
+equal, at distance zero, and in the same universe.
 
 The fully saturated contingency table ``counts[m, h, s]`` determines a
 dataset up to record order and is the output type of the swapping
@@ -17,9 +26,11 @@ Degenerate shapes (an axis of size zero, or no records) are legal and
 all operations return zero/empty results for them.
 """
 
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Union
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -32,6 +43,7 @@ __all__ = [
     "SwapInvariants",
     "DomainMismatchError",
     "tabulate",
+    "tabulate_columns",
     "swap_invariants",
     "l1_distance",
     "hamming_distance",
@@ -39,6 +51,7 @@ __all__ = [
     "max_stratum_b",
     "dataset_from_table",
     "stratum_indices",
+    "stratum_order",
 ]
 
 
@@ -87,51 +100,78 @@ class DatasetSchema:
     swap_labels: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """Ordered records over a fixed domain.
+def _flat_cells(m: np.ndarray, h: np.ndarray, s: np.ndarray, domain: Domain) -> np.ndarray:
+    """Row-major cell index of each record (m slowest, s fastest)."""
+    return np.ravel_multi_index((m, h, s), domain.shape)
 
-    Equality and hashing are multiset-level (record order ignored,
-    schema ignored); the stored order only matters to permutation
-    bookkeeping inside the swapper.
+
+@dataclass(frozen=True, eq=False, init=False)
+class Dataset:
+    """Ordered records over a fixed domain, stored as one int64 array.
+
+    ``records`` may be an ``(n, 3)`` integer array or any sequence of
+    ``(match, hold, swap)`` triples; the dataset keeps a read-only copy
+    in ``codes``.  Equality and hashing are multiset-level (record order
+    ignored, schema ignored); the stored order only matters to
+    permutation bookkeeping inside the swapper.
     """
 
-    records: tuple[Record, ...]
+    codes: np.ndarray
     domain: Domain
-    schema: Union[DatasetSchema, None] = field(default=None, compare=False)
+    schema: Union[DatasetSchema, None]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "records", tuple(Record(*r) for r in self.records)
-        )
-        mx, hx, sx = self.domain
-        for i, rec in enumerate(self.records):
-            if not (0 <= rec.m < mx and 0 <= rec.h < hx and 0 <= rec.s < sx):
-                raise ValueError(
-                    f"record {i} = {tuple(rec)} outside domain {tuple(self.domain)}"
-                )
+    def __init__(
+        self,
+        records: Union[np.ndarray, Sequence[tuple[int, int, int]]],
+        domain: tuple[int, int, int],
+        schema: Union[DatasetSchema, None] = None,
+    ) -> None:
+        codes = np.array(records, dtype=np.int64)
+        if codes.size == 0:
+            codes = codes.reshape(0, 3)
+        if codes.ndim != 2 or codes.shape[1] != 3:
+            raise ValueError(
+                f"records must be (match, hold, swap) triples, got shape {codes.shape}"
+            )
+        domain = Domain(*domain)
+        bad = ((codes < 0) | (codes >= domain.shape)).any(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(
+                f"record {i} = {tuple(codes[i].tolist())} outside domain {tuple(domain)}"
+            )
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "schema", schema)
+
+    @cached_property
+    def records(self) -> tuple[Record, ...]:
+        """The records as :class:`Record` tuples; for small instances only."""
+        return tuple(map(Record._make, self.codes.tolist()))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.codes)
+
+    def _sorted_cells(self) -> np.ndarray:
+        return np.sort(_flat_cells(*self.codes.T, self.domain))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self.domain == other.domain and sorted(self.records) == sorted(
-            other.records
+        return self.domain == other.domain and bool(
+            np.array_equal(self._sorted_cells(), other._sorted_cells())
         )
 
     def __hash__(self) -> int:
-        return hash((self.domain, tuple(sorted(self.records))))
+        return hash((self.domain, self._sorted_cells().tobytes()))
 
     def reordered(self, order: Iterable[int]) -> "Dataset":
         """Same multiset with records listed in the given position order."""
-        order = list(order)
-        if sorted(order) != list(range(len(self.records))):
+        order = np.array(list(order), dtype=np.int64)
+        if not np.array_equal(np.sort(order), np.arange(len(self))):
             raise ValueError("order must be a permutation of record positions")
-        return Dataset(
-            tuple(self.records[i] for i in order), self.domain, self.schema
-        )
+        return Dataset(self.codes[order], self.domain, self.schema)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,13 +291,17 @@ def _as_table(data: TableLike) -> ContingencyTable:
     raise TypeError(f"expected Dataset or ContingencyTable, got {type(data)!r}")
 
 
+def tabulate_columns(
+    m: np.ndarray, h: np.ndarray, s: np.ndarray, domain: Domain
+) -> ContingencyTable:
+    """Count records given as three code columns into the M x H x S table."""
+    cells = np.bincount(_flat_cells(m, h, s, domain), minlength=domain.cells)
+    return ContingencyTable(cells.reshape(domain.shape))
+
+
 def tabulate(x: Dataset) -> ContingencyTable:
     """Count records into the fully saturated M x H x S table."""
-    counts = np.zeros(x.domain.shape, dtype=np.int64)
-    if x.records:
-        arr = np.asarray(x.records, dtype=np.int64)
-        np.add.at(counts, (arr[:, 0], arr[:, 1], arr[:, 2]), 1)
-    return ContingencyTable(counts)
+    return tabulate_columns(*x.codes.T, x.domain)
 
 
 def swap_invariants(data: TableLike) -> SwapInvariants:
@@ -309,28 +353,33 @@ def max_stratum_b(data: TableLike) -> int:
     is 0 when every stratum is constant (or empty).
     """
     t = _as_table(data)
-    best = 0
     sizes = t.counts.sum(axis=(1, 2))
-    peaks = t.counts.max(axis=(1, 2)) if t.domain.cells else sizes * 0
-    for m in range(t.domain.match):
-        n_m = int(sizes[m])
-        if n_m >= 2 and int(peaks[m]) < n_m:
-            best = max(best, n_m)
-    return best
+    peaks = t.counts.max(axis=(1, 2), initial=0)
+    mixed = (sizes >= 2) & (peaks < sizes)
+    return int(sizes[mixed].max(initial=0))
 
 
 def dataset_from_table(table: ContingencyTable) -> Dataset:
     """Canonical dataset for a table: records sorted ascending."""
-    records = []
     counts = table.counts
-    for m, h, s in np.argwhere(counts):
-        records.extend([Record(int(m), int(h), int(s))] * int(counts[m, h, s]))
-    return Dataset(tuple(records), table.domain)
+    flat = np.repeat(np.arange(counts.size), counts.ravel())
+    return Dataset(np.column_stack(np.unravel_index(flat, counts.shape)), table.domain)
+
+
+def stratum_order(x: Dataset) -> tuple[np.ndarray, list[int]]:
+    """Record positions sorted stably by match category, plus stratum bounds.
+
+    Stratum ``m`` holds positions ``order[bounds[m]:bounds[m + 1]]``, in
+    input order.
+    """
+    m = x.codes[:, 0]
+    sizes = np.bincount(m, minlength=x.domain.match).tolist()
+    return np.argsort(m, kind="stable"), list(itertools.accumulate(sizes, initial=0))
 
 
 def stratum_indices(x: Dataset) -> dict[int, list[int]]:
     """Record positions grouped by match category, in input order."""
-    groups: dict[int, list[int]] = {m: [] for m in range(x.domain.match)}
-    for i, rec in enumerate(x.records):
-        groups[rec.m].append(i)
-    return groups
+    order, bounds = stratum_order(x)
+    return {
+        m: order[bounds[m] : bounds[m + 1]].tolist() for m in range(x.domain.match)
+    }

@@ -47,6 +47,7 @@ from .dataset import (
     stratum_indices,
     swap_invariants,
     tabulate,
+    tabulate_columns,
 )
 from .swapping import (
     Permutation,
@@ -434,9 +435,9 @@ def connecting_permutation(x: Dataset, x_prime: Dataset) -> Permutation:
     """
     if not same_universe(x, x_prime):
         raise UniverseMismatchError("pair does not share invariants")
-    if len(x.records) != len(x_prime.records):
+    if len(x) != len(x_prime):
         raise ValueError("datasets must have equal record counts")
-    n = len(x.records)
+    n = len(x)
     mapping = list(range(n))
     by_stratum_prime: dict[int, list[Record]] = {}
     for rec in x_prime.records:
@@ -502,16 +503,17 @@ def min_connecting_derangement(
     Independent of :func:`connecting_permutation`; used to cross-check
     it on small instances.
     """
-    n = len(x.records)
-    if n != len(x_prime.records):
+    n = len(x)
+    if n != len(x_prime):
         return None
     if n > max_records:
         raise EnumerationBudgetError(f"brute force is capped at {max_records} records")
     target = tabulate(x_prime)
+    m, h, s = x.codes.T
     best: Union[int, None] = None
     for raw in itertools.permutations(range(n)):
         perm = Permutation(raw)
-        if tabulate(apply_permutation(perm, x)) == target:
+        if tabulate_columns(m, h, s[list(raw)], x.domain) == target:
             k = perm.derange_count
             if best is None or k < best:
                 best = k

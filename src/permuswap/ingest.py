@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
-from .dataset import Dataset, DatasetSchema, Domain, Record
+import numpy as np
+
+from .dataset import Dataset, DatasetSchema, Domain
 
 __all__ = [
     "LoadError",
@@ -130,39 +132,50 @@ def load_roles(path: Union[str, Path]) -> RoleAssignment:
 
 
 def read_csv_columns(path: Union[str, Path]) -> dict[str, list[str]]:
-    """Read an unquoted CSV into ordered columns keyed by header name."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    """Read an unquoted CSV into ordered columns keyed by header name.
+
+    Blank lines are skipped; error messages give 1-based line numbers
+    that count them.  Field counts are checked for all lines first, so
+    the rows can be split in one pass and sliced into columns.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise LoadError(f"{path}: missing header row")
     header = lines[0].split(",")
     if len(set(header)) != len(header):
         raise LoadError(f"{path}: duplicate column names in header")
-    columns: dict[str, list[str]] = {name: [] for name in header}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line == "":
-            continue
-        fields = line.split(",")
-        if len(fields) != len(header):
-            raise LoadError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}"
-            )
-        for name, value in zip(header, fields):
-            columns[name].append(value)
-    return columns
+    width = len(header)
+    rows = list(filter(None, lines[1:]))
+    if list(map(str.count, rows, itertools.repeat(","))).count(width - 1) != len(rows):
+        for lineno, line in enumerate(lines[1:], start=2):
+            if line and line.count(",") != width - 1:
+                raise LoadError(
+                    f"{path}:{lineno}: expected {width} fields, got {line.count(',') + 1}"
+                )
+    body = ",".join(rows)
+    # free the per-line strings before splitting into per-field ones
+    del lines, rows
+    fields = body.split(",") if body else []
+    return {name: fields[j::width] for j, name in enumerate(header)}
 
 
-def _column_categories(
+def _column_codes(
     name: str, values: Sequence[str], roles: RoleAssignment
-) -> tuple[str, ...]:
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Category codes of one column plus its category labels."""
+    seen = set(values)
     declared = roles.categories.get(name)
     if declared is None:
-        return tuple(sorted(set(values)))
-    allowed = set(declared)
-    for value in values:
-        if value not in allowed:
+        cats = tuple(sorted(seen))
+    else:
+        unseen = seen.difference(declared)
+        if unseen:
+            value = next(v for v in values if v in unseen)
             raise LoadError(f"column {name!r}: label {value!r} not in declared categories")
-    return declared
+        cats = declared
+    lookup = {label: idx for idx, label in enumerate(cats)}
+    codes = np.fromiter(map(lookup.__getitem__, values), dtype=np.int64, count=len(values))
+    return codes, cats
 
 
 def _axis(
@@ -170,32 +183,24 @@ def _axis(
     names: tuple[str, ...],
     roles: RoleAssignment,
     n_rows: int,
-) -> tuple[int, list[int], tuple[str, ...]]:
-    """Collapse one role's columns to (size, per-row index, labels)."""
+) -> tuple[int, np.ndarray, tuple[str, ...]]:
+    """Collapse one role's columns to (size, per-row code, labels).
+
+    Later columns vary fastest: the code is ``sum(code_j * stride_j)``.
+    """
     if not names:
-        return 1, [0] * n_rows, (CONSTANT_MATCH_LABEL,)
-    per_col_cats = [_column_categories(c, columns[c], roles) for c in names]
-    sizes = [len(cats) for cats in per_col_cats]
-    axis_size = 1
-    for sz in sizes:
-        axis_size *= sz
-    strides = [1] * len(names)
-    for i in range(len(names) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    positions = [
-        {label: idx for idx, label in enumerate(cats)} for cats in per_col_cats
-    ]
-    indices = []
-    for row in range(n_rows):
-        code = 0
-        for j, col in enumerate(names):
-            code += positions[j][columns[col][row]] * strides[j]
-        indices.append(code)
+        return 1, np.zeros(n_rows, dtype=np.int64), (CONSTANT_MATCH_LABEL,)
+    axis_codes = np.zeros(n_rows, dtype=np.int64)
+    per_col_cats = []
+    for col in names:
+        codes, cats = _column_codes(col, columns[col], roles)
+        axis_codes = axis_codes * len(cats) + codes
+        per_col_cats.append(cats)
     labels = tuple(
         COMPOSITE_LABEL_SEP.join(parts)
         for parts in itertools.product(*per_col_cats)
     )
-    return axis_size, indices, labels
+    return len(labels), axis_codes, labels
 
 
 def cross_classify(
@@ -213,12 +218,9 @@ def cross_classify(
         raise LoadError("columns have unequal lengths")
     n_rows = lengths.pop() if lengths else 0
 
-    m_size, m_idx, m_labels = _axis(columns, roles.match, roles, n_rows)
-    h_size, h_idx, h_labels = _axis(columns, roles.hold, roles, n_rows)
-    s_size, s_idx, s_labels = _axis(columns, roles.swap, roles, n_rows)
-    records = tuple(
-        Record(m_idx[i], h_idx[i], s_idx[i]) for i in range(n_rows)
-    )
+    m_size, m_codes, m_labels = _axis(columns, roles.match, roles, n_rows)
+    h_size, h_codes, h_labels = _axis(columns, roles.hold, roles, n_rows)
+    s_size, s_codes, s_labels = _axis(columns, roles.swap, roles, n_rows)
     schema = DatasetSchema(
         match_columns=roles.match,
         hold_columns=roles.hold,
@@ -227,7 +229,8 @@ def cross_classify(
         hold_labels=h_labels,
         swap_labels=s_labels,
     )
-    return Dataset(records, Domain(m_size, h_size, s_size), schema)
+    codes = np.column_stack((m_codes, h_codes, s_codes))
+    return Dataset(codes, Domain(m_size, h_size, s_size), schema)
 
 
 def load_dataset(
@@ -272,7 +275,10 @@ def write_dataset_csv(
             _check_label(value)
     for name in column_names:
         _check_label(name)
-    lines = [",".join(column_names)]
-    for rec in x.records:
-        lines.append(f"{m_labels[rec.m]},{h_labels[rec.h]},{s_labels[rec.s]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = [
+        np.array(labels, dtype=object)[x.codes[:, axis]].tolist()
+        for axis, labels in enumerate((m_labels, h_labels, s_labels))
+    ]
+    rows = map(",".join, zip(*columns))
+    text = "\n".join(itertools.chain([",".join(column_names)], rows))
+    Path(path).write_text(text + "\n", encoding="utf-8")

@@ -17,6 +17,13 @@ under parallel execution.
 Derangements are sampled by rejection from uniform permutations of the
 selected set (accept iff no fixed point, expected < e retries), which
 is exactly uniform over derangements.
+
+The swapper works on the columnar ``Dataset.codes`` array: strata come
+from one stable argsort of the match column, each stratum's draws fill
+a numpy position mapping, and the output table is counted directly
+from the columns ``(m, h, s[mapping])``.  No :class:`Record` is built
+and no swapped :class:`Dataset` is materialized; only
+:func:`apply_permutation` builds one, for callers that want it.
 """
 
 import math
@@ -27,7 +34,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .budget import derangement_count
-from .dataset import ContingencyTable, Dataset, Record, stratum_indices, tabulate
+from .dataset import ContingencyTable, Dataset, stratum_order, tabulate_columns
 
 __all__ = [
     "PsaParams",
@@ -105,9 +112,10 @@ class Permutation:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        mapping = tuple(int(j) for j in self.mapping)
+        mapping = tuple(map(int, self.mapping))
         object.__setattr__(self, "mapping", mapping)
-        if sorted(mapping) != list(range(len(mapping))):
+        n = len(mapping)
+        if n and (min(mapping) < 0 or max(mapping) >= n or len(set(mapping)) != n):
             raise ValueError("mapping is not a bijection on record positions")
 
     def __len__(self) -> int:
@@ -128,14 +136,11 @@ class Permutation:
 
 def apply_permutation(perm: Permutation, x: Dataset) -> Dataset:
     """Permute swap values only: record i becomes (m_i, h_i, s_g(i))."""
-    if len(perm) != len(x.records):
+    if len(perm) != len(x):
         raise ValueError("permutation length does not match record count")
-    recs = x.records
-    return Dataset(
-        tuple(Record(r.m, r.h, recs[j].s) for r, j in zip(recs, perm.mapping)),
-        x.domain,
-        x.schema,
-    )
+    codes = x.codes.copy()
+    codes[:, 2] = x.codes[list(perm.mapping), 2]
+    return Dataset(codes, x.domain, x.schema)
 
 
 class SelectionResult(NamedTuple):
@@ -164,7 +169,7 @@ def select_records(
         mask = rng.random(n) < p
         hits = int(mask.sum())
         if hits != 1:
-            return SelectionResult(tuple(int(i) for i in np.flatnonzero(mask)), retries)
+            return SelectionResult(tuple(np.flatnonzero(mask).tolist()), retries)
         retries += 1
 
 
@@ -183,7 +188,7 @@ def sample_derangement(k: int, rng: np.random.Generator) -> tuple[int, ...]:
     while True:
         perm = rng.permutation(k)
         if not np.any(perm == positions):
-            return tuple(int(j) for j in perm)
+            return tuple(perm.tolist())
 
 
 def stratum_permutation_prob(k_g: int, n: int, p: RateLike) -> Fraction:
@@ -228,28 +233,28 @@ class SwapRun:
 
 def run_psa_details(x: Dataset, params: PsaParams) -> SwapRun:
     """Run the swapper and keep the realized permutation and rates."""
-    n = len(x.records)
-    mapping = list(range(n))
+    n = len(x)
+    m, h, s = x.codes.T
+    order, bounds = stratum_order(x)
+    mapping = np.arange(n)
     selected_total = 0
     retries_total = 0
-    for m, idx in sorted(stratum_indices(x).items()):
-        if len(idx) < 2:
+    for stratum, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if hi - lo < 2:
             continue
-        rng = _stratum_rng(params.seed, m)
+        idx = order[lo:hi]
+        rng = _stratum_rng(params.seed, stratum)
         selection = select_records(len(idx), params.p, rng)
         retries_total += selection.retries
         selected_total += len(selection.indices)
         local = sample_derangement(len(selection.indices), rng)
-        for pos, target in zip(selection.indices, local):
-            mapping[idx[pos]] = idx[selection.indices[target]]
-    perm = Permutation(tuple(mapping))
-    swapped = apply_permutation(perm, x)
-    changed = sum(
-        1 for a, b in zip(x.records, swapped.records) if a.s != b.s
-    )
+        chosen = idx[list(selection.indices)]
+        mapping[chosen] = chosen[list(local)]
+    swapped = s[mapping]
+    changed = int(np.count_nonzero(swapped != s))
     return SwapRun(
-        table=tabulate(swapped),
-        permutation=perm,
+        table=tabulate_columns(m, h, swapped, x.domain),
+        permutation=Permutation(mapping.tolist()),
         selected_count=selected_total,
         selection_retries=retries_total,
         raw_selection_rate=selected_total / n if n else 0.0,

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, DatasetSchema, Domain, Record
+from .dataset import Dataset, DatasetSchema, Domain
 from .ingest import default_axis_labels
 
 __all__ = ["StratumSpec", "synthesize"]
@@ -43,7 +43,7 @@ def synthesize(
     """Generate one record stream per stratum spec."""
     if hold_levels < 1 or swap_levels < 1:
         raise ValueError("hold and swap axes need at least one level")
-    records: list[Record] = []
+    blocks: list[np.ndarray] = []
     for m, spec in enumerate(strata):
         rng = np.random.default_rng([int(seed) & (2**64 - 1), m])
         if spec.mixed:
@@ -54,22 +54,16 @@ def synthesize(
                     raise ValueError(
                         "a mixed stratum of size >= 2 needs at least two (hold, swap) cells"
                     )
-                distinct = any(
-                    (hs[i], ss[i]) != (hs[0], ss[0]) for i in range(1, spec.size)
-                )
-                if not distinct:
+                if not np.any((hs != hs[0]) | (ss != ss[0])):
                     # force one differing record so the stratum stays mixed
                     if swap_levels > 1:
                         ss[1] = (ss[1] + 1) % swap_levels
                     else:
                         hs[1] = (hs[1] + 1) % hold_levels
-            records.extend(
-                Record(m, int(h), int(s)) for h, s in zip(hs, ss)
-            )
         else:
-            h = int(rng.integers(0, hold_levels))
-            s = int(rng.integers(0, swap_levels))
-            records.extend(Record(m, h, s) for _ in range(spec.size))
+            hs = np.full(spec.size, rng.integers(0, hold_levels))
+            ss = np.full(spec.size, rng.integers(0, swap_levels))
+        blocks.append(np.column_stack((np.full(spec.size, m), hs, ss)))
     domain = Domain(len(strata), hold_levels, swap_levels)
     schema = DatasetSchema(
         match_columns=("match",),
@@ -79,4 +73,4 @@ def synthesize(
         hold_labels=default_axis_labels("h", domain.hold),
         swap_labels=default_axis_labels("s", domain.swap),
     )
-    return Dataset(tuple(records), domain, schema)
+    return Dataset(np.concatenate(blocks) if blocks else (), domain, schema)

@@ -400,6 +400,38 @@ class TestConfigFile:
         run_cli(["synth", "--strata", "5,2", "--seed", "3", "--out", b])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_config_string_reps_converted(self, synth_files, tmp_path, capsys):
+        csv, roles = synth_files
+        config = tmp_path / "utility.json"
+        config.write_text(json.dumps({"reps": "5"}))
+        code = run_cli(
+            ["utility", "--config", config, "--input", csv, "--roles", roles, "--rates", "0.5"]
+        )
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6
+
+    def test_config_string_max_records_converted(self, tmp_path, capsys):
+        config = tmp_path / "verify.json"
+        config.write_text(json.dumps({"max_records": "3"}))
+        code = run_cli(["verify", "--sweep", "--config", config, "--domain", "1,2,2"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "result=pass"
+
+    @pytest.mark.parametrize(
+        "argv, entry",
+        [
+            (["synth", "--strata", "3"], {"seed": "abc"}),
+            (["budget", "--p", "0.5", "--b", "2"], {"format": "xml"}),
+            (["verify"], {"sweep": "yes"}),
+        ],
+    )
+    def test_config_bad_value_names_key(self, tmp_path, capsys, argv, entry):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(entry))
+        code = run_cli(argv + ["--config", config, "--out", tmp_path / "out.txt"])
+        assert code == 2
+        assert f"config.{next(iter(entry))}:" in capsys.readouterr().err
+
 
 class TestEnvironmentSeed:
     def test_env_var_supplies_default_seed(self, tmp_path, monkeypatch):

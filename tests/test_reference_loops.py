@@ -1,0 +1,277 @@
+"""The columnar code against the per-record loops it replaced.
+
+Each ``ref_*`` function below is the loop version of a library function,
+kept here as the reference.  The arithmetic is integer counting and
+indexing in both, so results must be exactly equal, on random small
+datasets that include zero-size axes.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from permuswap import (
+    Dataset,
+    Domain,
+    LoadError,
+    PsaParams,
+    Record,
+    RoleAssignment,
+    apply_permutation,
+    cross_classify,
+    dataset_from_table,
+    read_csv_columns,
+    run_psa_details,
+    tabulate,
+    write_dataset_csv,
+)
+from permuswap.dataset import stratum_indices
+from permuswap.ingest import COMPOSITE_LABEL_SEP, CONSTANT_MATCH_LABEL
+
+# ---------------------------------------------------------------------------
+# reference loops
+
+
+def ref_tabulate(records, domain):
+    counts = np.zeros(tuple(domain), dtype=np.int64)
+    for m, h, s in records:
+        counts[m, h, s] += 1
+    return counts
+
+
+def ref_stratum_indices(records, domain):
+    groups = {m: [] for m in range(domain[0])}
+    for i, rec in enumerate(records):
+        groups[rec[0]].append(i)
+    return groups
+
+
+def ref_dataset_from_table(counts):
+    records = []
+    for m, h, s in np.argwhere(counts):
+        records.extend([Record(int(m), int(h), int(s))] * int(counts[m, h, s]))
+    return records
+
+
+def ref_equal(a_records, a_domain, b_records, b_domain):
+    return tuple(a_domain) == tuple(b_domain) and sorted(map(tuple, a_records)) == sorted(
+        map(tuple, b_records)
+    )
+
+
+def ref_axis(columns, names, categories, n_rows):
+    if not names:
+        return 1, [0] * n_rows, (CONSTANT_MATCH_LABEL,)
+    per_col_cats = []
+    for name in names:
+        declared = categories.get(name)
+        if declared is None:
+            per_col_cats.append(tuple(sorted(set(columns[name]))))
+            continue
+        for value in columns[name]:
+            if value not in declared:
+                raise LoadError(f"column {name!r}: label {value!r} not in declared categories")
+        per_col_cats.append(tuple(declared))
+    sizes = [len(cats) for cats in per_col_cats]
+    strides = [1] * len(names)
+    for i in range(len(names) - 2, -1, -1):
+        strides[i] = strides[i + 1] * sizes[i + 1]
+    positions = [{label: idx for idx, label in enumerate(cats)} for cats in per_col_cats]
+    indices = []
+    for row in range(n_rows):
+        code = 0
+        for j, col in enumerate(names):
+            code += positions[j][columns[col][row]] * strides[j]
+        indices.append(code)
+    labels = tuple(COMPOSITE_LABEL_SEP.join(p) for p in itertools.product(*per_col_cats))
+    return int(np.prod(sizes)), indices, labels
+
+
+def ref_cross_classify(columns, roles):
+    n_rows = len(next(iter(columns.values())))
+    axes = [
+        ref_axis(columns, names, roles.categories, n_rows)
+        for names in (roles.match, roles.hold, roles.swap)
+    ]
+    records = [Record(*codes) for codes in zip(*(axis[1] for axis in axes))]
+    return records, Domain(*(axis[0] for axis in axes)), tuple(axis[2] for axis in axes)
+
+
+def ref_read_csv_columns(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise LoadError(f"{path}: missing header row")
+    header = lines[0].split(",")
+    if len(set(header)) != len(header):
+        raise LoadError(f"{path}: duplicate column names in header")
+    columns = {name: [] for name in header}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line == "":
+            continue
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise LoadError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+        for name, value in zip(header, fields):
+            columns[name].append(value)
+    return columns
+
+
+def ref_write_lines(records, labels, column_names=("match", "hold", "swap")):
+    lines = [",".join(column_names)]
+    for m, h, s in records:
+        lines.append(f"{labels[0][m]},{labels[1][h]},{labels[2][s]}")
+    return "\n".join(lines) + "\n"
+
+
+def outcome(fn, *args):
+    """The function's result, or its exception's type and message."""
+    try:
+        return fn(*args)
+    except LoadError as exc:
+        return ("LoadError", str(exc))
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+@st.composite
+def record_lists(draw, max_records=8, max_level=3):
+    """(records, domain) with every axis in 0..max_level; a zero axis forces no records."""
+    domain = Domain(*(draw(st.integers(0, max_level)) for _ in range(3)))
+    if domain.cells == 0:
+        return [], domain
+    cell = st.tuples(*(st.integers(0, n - 1) for n in domain))
+    return draw(st.lists(cell, max_size=max_records)), domain
+
+
+def datasets(**kwargs):
+    return record_lists(**kwargs).map(lambda rd: Dataset(rd[0], rd[1]))
+
+
+LABELS = ("a", "b", "c", "d")
+
+
+@st.composite
+def role_columns(draw):
+    """Columns plus a role assignment with multi-column roles and declared categories."""
+    n_rows = draw(st.integers(0, 6))
+    names = iter(f"c{i}" for i in range(6))
+    roles = {
+        role: tuple(itertools.islice(names, draw(st.integers(lo, 2))))
+        for role, lo in (("match", 0), ("hold", 1), ("swap", 1))
+    }
+    columns, categories = {}, {}
+    for name in roles["match"] + roles["hold"] + roles["swap"]:
+        columns[name] = draw(st.lists(st.sampled_from(LABELS[:3]), min_size=n_rows, max_size=n_rows))
+        if draw(st.booleans()):
+            # a declared list may omit a used label or add an unused one
+            categories[name] = tuple(draw(st.permutations(LABELS))[: draw(st.integers(1, 4))])
+    return columns, RoleAssignment(categories=categories, **roles)
+
+
+# ---------------------------------------------------------------------------
+# equality with the reference loops
+
+
+@given(record_lists())
+def test_tabulate_matches_loop(rd):
+    records, domain = rd
+    assert np.array_equal(tabulate(Dataset(records, domain)).counts, ref_tabulate(records, domain))
+
+
+@given(record_lists())
+def test_stratum_indices_matches_loop(rd):
+    records, domain = rd
+    assert stratum_indices(Dataset(records, domain)) == ref_stratum_indices(records, domain)
+
+
+@given(datasets())
+def test_dataset_from_table_matches_loop(x):
+    table = tabulate(x)
+    y = dataset_from_table(table)
+    assert list(y.records) == ref_dataset_from_table(table.counts)
+    assert y.domain == x.domain
+
+
+@given(record_lists(max_records=4, max_level=2), record_lists(max_records=4, max_level=2))
+def test_equality_and_hash_match_multiset_loop(a, b):
+    x, y = Dataset(*a), Dataset(*b)
+    assert (x == y) == ref_equal(a[0], a[1], b[0], b[1])
+    if x == y:
+        assert hash(x) == hash(y)
+    shuffled = Dataset(list(reversed(a[0])), a[1])
+    assert x == shuffled and hash(x) == hash(shuffled)
+
+
+@settings(max_examples=200)
+@given(role_columns())
+def test_cross_classify_matches_loop(case):
+    columns, roles = case
+    got = outcome(cross_classify, columns, roles)
+    want = outcome(ref_cross_classify, columns, roles)
+    if isinstance(want, tuple) and want[0] == "LoadError":
+        assert got == want
+        return
+    records, domain, labels = want
+    assert list(got.records) == records
+    assert got.domain == domain
+    assert (got.schema.match_labels, got.schema.hold_labels, got.schema.swap_labels) == labels
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.just(""),
+            st.lists(st.sampled_from(["x", "yy", ""]), min_size=1, max_size=4).map(",".join),
+        ),
+        max_size=6,
+    ),
+    st.sampled_from(["\n", "\r\n"]),
+)
+def test_read_csv_columns_matches_loop(tmp_path_factory, body, newline):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_text(newline.join(["a,b,c"] + body), encoding="utf-8", newline="")
+    assert outcome(read_csv_columns, path) == outcome(ref_read_csv_columns, path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(record_lists(max_level=3))
+def test_write_dataset_csv_matches_loop(tmp_path_factory, rd):
+    records, domain = rd
+    path = tmp_path_factory.mktemp("out") / "data.csv"
+    write_dataset_csv(Dataset(records, domain), path)
+    labels = [[f"{prefix}{i}" for i in range(n)] for prefix, n in zip("mhs", domain)]
+    assert path.read_text(encoding="utf-8") == ref_write_lines(records, labels)
+
+
+# ---------------------------------------------------------------------------
+# swapper consistency
+
+
+@settings(max_examples=100)
+@given(
+    datasets(max_records=10),
+    st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    st.integers(-(2**64), 2**64),
+)
+def test_run_table_is_the_permuted_dataset_table(x, p, seed):
+    run = run_psa_details(x, PsaParams(p, seed))
+    swapped = apply_permutation(run.permutation, x)
+    assert run.table == tabulate(swapped)
+    changed = sum(1 for a, b in zip(x.records, swapped.records) if a.s != b.s)
+    assert run.effective_swap_rate == (changed / len(x) if len(x) else 0.0)
+
+
+@pytest.mark.parametrize("bad", [(0, -1, 0), (0, 2, 0), (1, 0, 0), (0, 0, 3)])
+def test_out_of_domain_record_named_by_index(bad):
+    records = [(0, 0, 0), (0, 1, 2), bad, (0, 0, 1)]
+    message = rf"record 2 = \({bad[0]}, {bad[1]}, {bad[2]}\) outside domain \(1, 2, 3\)"
+    with pytest.raises(ValueError, match=message):
+        Dataset(records, Domain(1, 2, 3))
+    with pytest.raises(ValueError, match=message):
+        Dataset(np.array(records), Domain(1, 2, 3))
