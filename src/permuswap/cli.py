@@ -245,10 +245,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ]
     if not p_values:
         raise CliError("p-values: at least one rate is required")
+    if args.max_enumeration < 1:
+        raise CliError(
+            f"max-enumeration: the budget must be a positive integer, got {args.max_enumeration}"
+        )
     if args.sweep:
         domain = _parse_int_list(args.domain, "domain")
         if len(domain) != 3:
             raise CliError("domain: expected M,H,S")
+        if min(domain) < 1:
+            raise CliError(f"domain: every axis needs at least one level, got {args.domain!r}")
+        if args.max_records < 0:
+            raise CliError(f"max-records: must be non-negative, got {args.max_records}")
         interior = [p for p in p_values if 0 < p < 1]
         if not interior:
             raise CliError("p-values: the sweep needs rates strictly inside (0, 1)")

@@ -1,12 +1,19 @@
-"""Exact brute-force verification of the swapper's guarantee.
+"""Exact verification of the swapper's guarantee.
 
-On desk-size instances the swapper's full output distribution can be
-enumerated in exact rational arithmetic: per stratum, every permutation
-has a closed-form probability (see
-:func:`permuswap.swapping.stratum_permutation_prob`), strata are
-independent, and the output table is a deterministic function of the
-composite permutation.  Logarithms are the only real-valued step and
-are applied after all exact comparisons.
+On desk-size instances the swapper's full output distribution is
+computed in exact rational arithmetic.  Strata are independent, and
+within a stratum a permutation's probability depends only on how many
+records it moves (see :func:`permuswap.swapping.stratum_permutation_prob`)
+while its output table depends only on its flow matrix: how many
+records of each (hold, swap) class receive each swap value.  So no
+permutation is walked.  Per stratum, the flow matrices are enumerated
+like margin-constrained tables, the permutations realizing each one are
+counted in closed form by their number of moved records, and the
+resulting rate-free histogram is evaluated at each rate.  Histograms and
+evaluated laws are cached by stratum counts for the length of one
+public call, so a sweep or a universe report shares them across its
+datasets and rates.  Logarithms are the only real-valued step and are
+applied after all exact comparisons.
 
 With the exact distributions in hand, the Lipschitz condition
 
@@ -16,8 +23,11 @@ is checked table by table for every same-universe pair; the sup over
 events of a finite discrete pair of distributions is attained on an
 atom, so the multiplicative distance reduces to the max over atoms.
 
-Enumeration is guarded: the oracle refuses to report a verdict on a
-partially explored space and raises instead.
+The guard ``max_permutations`` bounds the composite permutation space
+the law is a sum over: the product of n! over the strata of at least
+two records (of the derangement counts d(n) at p = 1).  It is checked
+before any work, and the oracle raises rather than report a verdict on
+an instance above it.
 """
 
 import itertools
@@ -40,14 +50,12 @@ from .dataset import (
     Domain,
     Record,
     SwapInvariants,
-    dataset_from_table,
     hamming_distance,
     max_stratum_b,
     same_universe,
     stratum_indices,
     swap_invariants,
     tabulate,
-    tabulate_columns,
 )
 from .swapping import (
     Permutation,
@@ -132,41 +140,106 @@ class ExactDistribution:
         return self.probs.get(table.canonical_key(), Fraction(0))
 
 
-def _stratum_hs_distribution(
-    records_m: Sequence[Record], domain: Domain, rate: Fraction
+def _fixed_point_counts(n: int, r: int) -> list[int]:
+    """Bijections from an n-set onto an n-set that share r elements,
+    counted by their number j of fixed points (list index j):
+    C(r, j) * sum_i (-1)^i C(r-j, i) (n-j-i)!."""
+    return [
+        math.comb(r, j)
+        * sum(
+            (-1) ** i * math.comb(r - j, i) * math.factorial(n - j - i)
+            for i in range(r - j + 1)
+        )
+        for j in range(r + 1)
+    ]
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def _stratum_histogram(
+    counts: tuple[int, ...], swap_levels: int
+) -> dict[tuple[int, ...], list[int]]:
+    """Rate-free law of one stratum, given its flattened H x S counts.
+
+    Maps each output H x S table to a list whose entry k is the number
+    of the stratum's permutations that move k records and release that
+    table.  The output depends only on the permutation's flow matrix F,
+    where F[(h,s), s'] counts the class-(h,s) records that receive swap
+    value s'.  The permutations realizing F are a multinomial per class
+    (which of its records receive which value) times, per s', the
+    bijections from the receivers of s' onto its donors, counted by
+    fixed points.  Each F is realized by at least one of the n!
+    permutations, so the flow enumeration's n! cap never binds; the
+    caller's guard bounds the work.
+    """
+    sx = swap_levels
+    n = sum(counts)
+    classes = [(divmod(c, sx), v) for c, v in enumerate(counts) if v]
+    donors = [sum(counts[s::sx]) for s in range(sx)]
+    class_ways = math.prod(math.factorial(v) for _, v in classes)
+    hist: dict[tuple[int, ...], list[int]] = {}
+    flows = _tables_with_margins([v for _, v in classes], donors, math.factorial(n))
+    for flow in flows:
+        table = [0] * len(counts)
+        flow_ways = 1
+        stay = [0] * sx
+        for i, ((h, s), _) in enumerate(classes):
+            row = flow[i * sx : (i + 1) * sx]
+            for s2, f in enumerate(row):
+                table[h * sx + s2] += f
+                flow_ways *= math.factorial(f)
+            stay[s] += row[s]
+        by_fixed = [class_ways // flow_ways]
+        for s2 in range(sx):
+            by_fixed = _convolve(by_fixed, _fixed_point_counts(donors[s2], stay[s2]))
+        by_moved = hist.setdefault(tuple(table), [0] * (n + 1))
+        for fixed, ways in enumerate(by_fixed):
+            by_moved[n - fixed] += ways
+    return hist
+
+
+def _stratum_law(
+    counts: tuple[int, ...],
+    swap_levels: int,
+    rate: Fraction,
+    cache: dict,
 ) -> dict[tuple[int, ...], Fraction]:
-    """Output law of one stratum as flattened H x S count tuples."""
-    n = len(records_m)
-    hx, sx = domain.hold, domain.swap
-    holds = [r.h for r in records_m]
-    swaps = [r.s for r in records_m]
+    """Output law of one stratum as flattened H x S count tuples.
 
-    def table_key(perm: Sequence[int]) -> tuple[int, ...]:
-        cells = [0] * (hx * sx)
-        for i in range(n):
-            cells[holds[i] * sx + swaps[perm[i]]] += 1
-        return tuple(cells)
-
-    result: dict[tuple[int, ...], Fraction] = {}
+    ``cache`` holds the rate-free histogram under ``counts`` and the
+    evaluated law under ``(counts, rate)``.
+    """
+    law = cache.get((counts, rate))
+    if law is not None:
+        return law
     if rate == 0:
-        result[table_key(range(n))] = Fraction(1)
-        return result
-    if rate == 1:
-        weight = Fraction(1, derangement_count(n))
-        for perm in itertools.permutations(range(n)):
-            if any(perm[i] == i for i in range(n)):
-                continue
-            key = table_key(perm)
-            result[key] = result.get(key, Fraction(0)) + weight
-        return result
-    weights: dict[int, Fraction] = {}
-    for perm in itertools.permutations(range(n)):
-        k = sum(1 for i in range(n) if perm[i] != i)
-        if k not in weights:
-            weights[k] = stratum_permutation_prob(k, n, rate)
-        key = table_key(perm)
-        result[key] = result.get(key, Fraction(0)) + weights[k]
-    return result
+        law = {counts: Fraction(1)}
+    else:
+        hist = cache.get(counts)
+        if hist is None:
+            hist = cache[counts] = _stratum_histogram(counts, swap_levels)
+        n = sum(counts)
+        if rate == 1:
+            full = derangement_count(n)
+            law = {t: Fraction(c[n], full) for t, c in hist.items() if c[n]}
+        else:
+            # no permutation moves exactly one record: entry 1 is always 0
+            weights = [
+                Fraction(0) if k == 1 else stratum_permutation_prob(k, n, rate)
+                for k in range(n + 1)
+            ]
+            law = {
+                t: sum(c * w for c, w in zip(by_moved, weights) if c)
+                for t, by_moved in hist.items()
+            }
+    cache[(counts, rate)] = law
+    return law
 
 
 def exact_psa_distribution(
@@ -174,23 +247,34 @@ def exact_psa_distribution(
     p: RateLike,
     max_permutations: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> ExactDistribution:
-    """Enumerate the swapper's exact output distribution on x.
+    """The swapper's exact output distribution on x.
 
     The rate is taken as an exact rational.  The endpoints are handled
     by their degenerate selection laws: p = 0 releases the input table
     with probability one, p = 1 applies a uniform derangement of each
     whole stratum of size >= 2.
     """
+    return _psa_distribution(tabulate(x), p, max_permutations, {})
+
+
+def _psa_distribution(
+    table: ContingencyTable, p: RateLike, max_permutations: int, cache: dict
+) -> ExactDistribution:
     rate = to_exact_rate(p)
     if not 0 <= rate <= 1:
         raise ValueError("rate must lie in [0, 1]")
-    domain = x.domain
-    groups = stratum_indices(x)
-    active = [(m, idx) for m, idx in sorted(groups.items()) if len(idx) >= 2]
+    domain = table.domain
+    cells = domain.hold * domain.swap
+    flat = table.canonical_key()
+    active = []
+    for m in range(domain.match):
+        counts = flat[m * cells : (m + 1) * cells]
+        if sum(counts) >= 2:
+            active.append((m * cells, counts))
 
     total = 1
-    for _, idx in active:
-        n = len(idx)
+    for _, counts in active:
+        n = sum(counts)
         if rate == 1:
             total *= derangement_count(n)
         elif rate != 0:
@@ -200,29 +284,15 @@ def exact_psa_distribution(
                 f"{total} composite permutations exceed the budget of {max_permutations}"
             )
 
-    base = np.zeros(domain.shape, dtype=np.int64)
-    active_set = {m for m, _ in active}
-    for rec in x.records:
-        if rec.m not in active_set:
-            base[rec.m, rec.h, rec.s] += 1
-    base_flat = [int(c) for c in base.ravel()]
-
-    stratum_dists = [
-        _stratum_hs_distribution([x.records[i] for i in idx], domain, rate)
-        for _, idx in active
-    ]
-    hx, sx = domain.hold, domain.swap
+    laws = [_stratum_law(counts, domain.swap, rate, cache) for _, counts in active]
     probs: dict[tuple[int, ...], Fraction] = {}
-    for combo in itertools.product(*(d.items() for d in stratum_dists)):
-        flat = list(base_flat)
+    for combo in itertools.product(*(law.items() for law in laws)):
+        key = list(flat)
         prob = Fraction(1)
-        for (m, _), (skey, weight) in zip(active, combo):
+        for (offset, _), (stratum_key, weight) in zip(active, combo):
+            key[offset : offset + cells] = stratum_key
             prob *= weight
-            offset = m * hx * sx
-            for c, cnt in enumerate(skey):
-                flat[offset + c] += cnt
-        key = tuple(flat)
-        probs[key] = probs.get(key, Fraction(0)) + prob
+        probs[tuple(key)] = prob
     return ExactDistribution(domain, probs)
 
 
@@ -314,16 +384,18 @@ def max_probability_ratio(
     """Largest atom-wise probability ratio (both directions), exact.
 
     Returns None when the supports differ (the distance is infinite);
-    otherwise the ratio >= 1 and an atom attaining it.
+    otherwise the ratio >= 1 and the atom with the smallest canonical
+    key among those attaining it, whatever the order of ``probs``.
     """
     if p_dist.domain != q_dist.domain:
         raise ValueError("distributions live over different domains")
     if set(p_dist.probs) != set(q_dist.probs):
         return None
+    keys = sorted(p_dist.probs)
     best: Fraction = Fraction(1)
-    witness = next(iter(p_dist.probs))
-    for key, pv in p_dist.probs.items():
-        qv = q_dist.probs[key]
+    witness = keys[0]
+    for key in keys:
+        pv, qv = p_dist.probs[key], q_dist.probs[key]
         ratio = pv / qv if pv >= qv else qv / pv
         if ratio > best:
             best, witness = ratio, key
@@ -399,14 +471,20 @@ def measured_optimal_epsilon(
 ) -> float:
     """The exact pointwise-optimal budget of one universe at rate p:
     the max over pairs of multiplicative distance per unit Hamming."""
+    return _measured_optimal_epsilon(universe, p, max_permutations, {})
+
+
+def _measured_optimal_epsilon(
+    universe: Sequence[ContingencyTable],
+    p: RateLike,
+    max_permutations: int,
+    cache: dict,
+) -> float:
     tables = list(universe)
     if len(tables) <= 1:
         return 0.0
     rate = to_exact_rate(p)
-    dists = [
-        exact_psa_distribution(dataset_from_table(t), rate, max_permutations)
-        for t in tables
-    ]
+    dists = [_psa_distribution(t, rate, max_permutations, cache) for t in tables]
     best = 0.0
     for i in range(len(tables)):
         for j in range(i + 1, len(tables)):
@@ -508,13 +586,19 @@ def min_connecting_derangement(
         return None
     if n > max_records:
         raise EnumerationBudgetError(f"brute force is capped at {max_records} records")
-    target = tabulate(x_prime)
-    m, h, s = x.codes.T
+    target = list(tabulate(x_prime).canonical_key())
+    _, hx, sx = x.domain
+    # flat cell of record i after it receives record j's swap value:
+    # rows[i] + swaps[j]
+    rows = [(m * hx + h) * sx for m, h, _ in x.records]
+    swaps = [s for _, _, s in x.records]
     best: Union[int, None] = None
     for raw in itertools.permutations(range(n)):
-        perm = Permutation(raw)
-        if tabulate_columns(m, h, s[list(raw)], x.domain) == target:
-            k = perm.derange_count
+        cells = [0] * len(target)
+        for row, j in zip(rows, raw):
+            cells[row + swaps[j]] += 1
+        if cells == target:
+            k = sum(1 for i, j in enumerate(raw) if i != j)
             if best is None or k < best:
                 best = k
     return best
@@ -680,24 +764,26 @@ def dp_sweep(
     universes: list[UniverseCheck] = []
     pair_checks = 0
     connecting_checks = 0
+    cache: dict = {}
 
     for inv, members in groups.items():
         b = max_stratum_b(members[0])
         if invariant_stratum_bound(inv) != b:
             failures.append(f"b mismatch between dataset and margins for {inv}")
-        universe_keys = {tabulate(d).canonical_key() for d in members}
+        tables = [tabulate(d) for d in members]
+        universe_keys = {t.canonical_key() for t in tables}
         measured_by_p: dict[float, float] = {}
         budget_by_p: dict[float, float] = {}
         for rate in rates:
             budget = psa_budget(float(rate), b)
             dists = [
-                exact_psa_distribution(d, rate, max_permutations) for d in members
+                _psa_distribution(t, rate, max_permutations, cache) for t in tables
             ]
-            for d, dist in zip(members, dists):
+            for t, dist in zip(tables, dists):
                 if set(dist.probs) != universe_keys:
                     failures.append(
                         f"support differs from universe at p={rate} for "
-                        f"{tabulate(d).canonical_string()}"
+                        f"{t.canonical_string()}"
                     )
             measured = 0.0
             for i in range(len(members)):
@@ -791,11 +877,12 @@ def universe_report(
     reports can mark them rather than fail."""
     universe = enumerate_universe(x, max_permutations)
     b = max_stratum_b(x)
+    cache: dict = {}
     rows = []
     for p in p_values:
         rate = to_exact_rate(p)
         budget = psa_budget(float(rate), b)
-        measured = measured_optimal_epsilon(universe, rate, max_permutations)
+        measured = _measured_optimal_epsilon(universe, rate, max_permutations, cache)
         endpoint = rate in (0, 1)
         passed = measured <= budget.epsilon + LOG_SLACK
         rows.append(

@@ -312,6 +312,23 @@ class TestVerifyCommand:
     def test_validation_error(self):
         assert run_cli(["verify", "--p-values", "1/2"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--sweep", "--max-records", "-1"], "max-records"),
+            (["--sweep", "--domain", "0,2,2"], "domain"),
+            (["--sweep", "--max-enumeration", "-5"], "max-enumeration"),
+            (["--input", FIXTURES / "witness_odds.csv", "--roles",
+              FIXTURES / "witness_odds.roles.json", "--max-enumeration", "-5"], "max-enumeration"),
+        ],
+    )
+    def test_out_of_range_flags_name_their_key(self, capsys, flags, key):
+        code = run_cli(["verify", "--p-values", "1/2"] + flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: {key}:")
+        assert captured.out == ""
+
     def test_detected_violation_exits_three(self, capsys, monkeypatch):
         """An understated budget must be caught by the sweep and turn
         into the verification-failure exit code."""

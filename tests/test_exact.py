@@ -25,6 +25,7 @@ from permuswap import (
 )
 from permuswap.dataset import Domain
 from permuswap.exact import (
+    ExactDistribution,
     applicable_lower_bounds,
     dp_sweep,
     enumerate_small_datasets,
@@ -80,6 +81,16 @@ class TestExactDistribution:
         universe = {t.canonical_key() for t in enumerate_universe(x)}
         dist = exact_psa_distribution(x, Fraction(3, 10))
         assert set(dist.probs) == universe
+
+    def test_rate_one_budget_counts_derangements(self):
+        """At p = 1 the guard counts the d(4) = 9 derangements, not the
+        4! = 24 flow matrices of four distinct records."""
+        x = make_dataset([(0, i, i) for i in range(4)], (1, 4, 4))
+        dist = exact_psa_distribution(x, 1, max_permutations=9)
+        assert len(dist.probs) == 9
+        assert set(dist.probs.values()) == {Fraction(1, 9)}
+        with pytest.raises(EnumerationBudgetError):
+            exact_psa_distribution(x, 1, max_permutations=8)
 
     def test_enumeration_guard(self):
         x = make_dataset([(0, 0, 0), (0, 1, 1)] * 6, (1, 2, 2))
@@ -157,6 +168,17 @@ class TestMultDistance:
                 p_e = sum(p_dist.probs[k] for k in event)
                 q_e = sum(q_dist.probs[k] for k in event)
                 assert abs(math.log(p_e / q_e)) <= atom_max + 1e-12
+
+
+    def test_ratio_witness_ignores_insertion_order(self):
+        """Tied atoms resolve to the smallest canonical key."""
+        domain = Domain(1, 1, 2)
+        p = {(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 4), (1, 1): Fraction(1, 4)}
+        q = {(2, 0): Fraction(1, 4), (0, 2): Fraction(1, 2), (1, 1): Fraction(1, 4)}
+        q_dist = ExactDistribution(domain, q)
+        for order in ([(2, 0), (0, 2), (1, 1)], [(1, 1), (0, 2), (2, 0)]):
+            p_dist = ExactDistribution(domain, {key: p[key] for key in order})
+            assert max_probability_ratio(p_dist, q_dist) == (Fraction(2), (0, 2))
 
 
 class TestVerifyDp:
@@ -344,6 +366,20 @@ class TestSweep:
         )
         assert report.connecting_checks > 0
         assert report.all_pass
+
+    def test_universe_report_reaches_ten_record_stratum(self):
+        """10! permutations per table: within the default guard, and the
+        measured optimum sits between the lower bounds and the budget."""
+        x = make_dataset([(0, 0, 0)] * 3 + [(0, 0, 1)] * 2 + [(0, 1, 0)] * 2 + [(0, 1, 1)] * 3, (1, 2, 2))
+        inv = swap_invariants(x)
+        assert inv.mh[0].tolist() == inv.ms[0].tolist() == [5, 5]
+        rows = universe_report(x, [Fraction(1, 10), Fraction(1, 2)])
+        for row in rows:
+            assert row.b == 10 and row.universe_size == 6
+            assert row.passed
+            assert 0 < row.measured_optimal <= row.budget_epsilon + 1e-12
+            for bound, condition in applicable_lower_bounds(inv, row.p):
+                assert row.measured_optimal >= bound - 1e-12, condition
 
     def test_universe_report_rows(self, two_record_pair):
         x, _ = two_record_pair

@@ -1,12 +1,13 @@
-"""The columnar code against the per-record loops it replaced.
+"""The columnar code and the exact oracle against the loops they replaced.
 
 Each ``ref_*`` function below is the loop version of a library function,
-kept here as the reference.  The arithmetic is integer counting and
-indexing in both, so results must be exactly equal, on random small
-datasets that include zero-size axes.
+kept here as the reference.  The arithmetic is integer counting,
+indexing and exact rationals in both, so results must be exactly equal,
+on random small datasets that include zero-size axes.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,11 +24,14 @@ from permuswap import (
     apply_permutation,
     cross_classify,
     dataset_from_table,
+    exact_psa_distribution,
     read_csv_columns,
     run_psa_details,
+    stratum_permutation_prob,
     tabulate,
     write_dataset_csv,
 )
+from permuswap.budget import derangement_count
 from permuswap.dataset import stratum_indices
 from permuswap.ingest import COMPOSITE_LABEL_SEP, CONSTANT_MATCH_LABEL
 
@@ -124,6 +128,69 @@ def ref_write_lines(records, labels, column_names=("match", "hold", "swap")):
     for m, h, s in records:
         lines.append(f"{labels[0][m]},{labels[1][h]},{labels[2][s]}")
     return "\n".join(lines) + "\n"
+
+
+def ref_stratum_hs_distribution(records_m, domain, rate):
+    """Output law of one stratum as flattened H x S count tuples, by
+    walking all n! permutations."""
+    n = len(records_m)
+    hx, sx = domain.hold, domain.swap
+    holds = [r.h for r in records_m]
+    swaps = [r.s for r in records_m]
+
+    def table_key(perm):
+        cells = [0] * (hx * sx)
+        for i in range(n):
+            cells[holds[i] * sx + swaps[perm[i]]] += 1
+        return tuple(cells)
+
+    result = {}
+    if rate == 0:
+        result[table_key(range(n))] = Fraction(1)
+        return result
+    if rate == 1:
+        weight = Fraction(1, derangement_count(n))
+        for perm in itertools.permutations(range(n)):
+            if any(perm[i] == i for i in range(n)):
+                continue
+            key = table_key(perm)
+            result[key] = result.get(key, Fraction(0)) + weight
+        return result
+    weights = {}
+    for perm in itertools.permutations(range(n)):
+        k = sum(1 for i in range(n) if perm[i] != i)
+        if k not in weights:
+            weights[k] = stratum_permutation_prob(k, n, rate)
+        key = table_key(perm)
+        result[key] = result.get(key, Fraction(0)) + weights[k]
+    return result
+
+
+def ref_exact_distribution(x, rate):
+    """The whole dataset's law: strata of two or more records are
+    independent, and the rest keep their counts."""
+    domain = x.domain
+    active = [(m, idx) for m, idx in sorted(stratum_indices(x).items()) if len(idx) >= 2]
+    active_set = {m for m, _ in active}
+    base = [0] * domain.cells
+    for rec in x.records:
+        if rec.m not in active_set:
+            base[(rec.m * domain.hold + rec.h) * domain.swap + rec.s] += 1
+    stratum_dists = [
+        ref_stratum_hs_distribution([x.records[i] for i in idx], domain, rate) for _, idx in active
+    ]
+    cells = domain.hold * domain.swap
+    probs = {}
+    for combo in itertools.product(*(d.items() for d in stratum_dists)):
+        flat = list(base)
+        prob = Fraction(1)
+        for (m, _), (skey, weight) in zip(active, combo):
+            prob *= weight
+            for c, cnt in enumerate(skey):
+                flat[m * cells + c] += cnt
+        key = tuple(flat)
+        probs[key] = probs.get(key, Fraction(0)) + prob
+    return probs
 
 
 def outcome(fn, *args):
@@ -247,6 +314,38 @@ def test_write_dataset_csv_matches_loop(tmp_path_factory, rd):
     write_dataset_csv(Dataset(records, domain), path)
     labels = [[f"{prefix}{i}" for i in range(n)] for prefix, n in zip("mhs", domain)]
     assert path.read_text(encoding="utf-8") == ref_write_lines(records, labels)
+
+
+@st.composite
+def oracle_datasets(draw):
+    """1-2 strata over H, S in 1..3, with up to 6 records per stratum."""
+    domain = Domain(draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    cell = st.tuples(st.integers(0, domain.hold - 1), st.integers(0, domain.swap - 1))
+    records = [
+        Record(m, h, s)
+        for m in range(domain.match)
+        for h, s in draw(st.lists(cell, max_size=6))
+    ]
+    return Dataset(records, domain)
+
+
+ORACLE_RATES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=1000),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_datasets(), ORACLE_RATES)
+def test_exact_distribution_matches_permutation_walk(x, rate):
+    assert exact_psa_distribution(x, rate).probs == ref_exact_distribution(x, rate)
+
+
+@pytest.mark.parametrize("rate", [Fraction(1, 10), Fraction(1, 2), Fraction(1)])
+def test_exact_distribution_matches_walk_on_eight_record_stratum(rate):
+    # two records in each cell of one 1x2x2 stratum
+    x = Dataset([Record(0, h, s) for h in range(2) for s in range(2) for _ in range(2)], Domain(1, 2, 2))
+    assert exact_psa_distribution(x, rate).probs == ref_exact_distribution(x, rate)
 
 
 # ---------------------------------------------------------------------------
