@@ -287,6 +287,19 @@ class TestConnectingPermutation:
         assert tabulate(apply_permutation(rho, a)) == tabulate(b)
 
 
+# applicable lower bounds at rates 1/10, 1/2 and 9/10, as (value, condition)
+_SELECTION_ODDS = [
+    (-2.197224577336219, "selection-odds"),
+    (0.0, "selection-odds"),
+    (2.1972245773362196, "selection-odds"),
+]
+_RATIO_B2 = [
+    (2.197224577336219, "derangement-ratio"),
+    (0.0, "derangement-ratio"),
+    (-2.1972245773362196, "derangement-ratio"),
+]
+
+
 class TestWitnessStructure:
     def test_odds_bound_predicate(self):
         x, expected = load_fixture("witness_odds")
@@ -306,6 +319,44 @@ class TestWitnessStructure:
         assert not odds_bound_applies(inv)
         assert not ratio_bound_applies(inv)
         assert invariant_stratum_bound(inv) == 0
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            assert applicable_lower_bounds(inv, p) == []
+
+    @pytest.mark.parametrize(
+        "name, pinned",
+        [
+            ("witness_odds", [[odds] for odds in _SELECTION_ODDS]),
+            ("witness_two_record", [list(pair) for pair in zip(_SELECTION_ODDS, _RATIO_B2)]),
+            ("witness_rate_zero", [list(pair) for pair in zip(_SELECTION_ODDS, _RATIO_B2)]),
+            ("witness_rate_one", [list(pair) for pair in zip(_SELECTION_ODDS, _RATIO_B2)]),
+            (
+                "witness_ratio_b4",
+                [
+                    [_SELECTION_ODDS[0], (3.295836866004329, "derangement-ratio")],
+                    [_SELECTION_ODDS[1], (1.0986122886681098, "derangement-ratio")],
+                    [_SELECTION_ODDS[2], (-1.0986122886681098, "derangement-ratio")],
+                ],
+            ),
+            (
+                "witness_ratio_b6",
+                [
+                    [(3.88847720166122, "derangement-ratio")],
+                    [(1.6912526243250012, "derangement-ratio")],
+                    [(-0.5059719530112183, "derangement-ratio")],
+                ],
+            ),
+        ],
+    )
+    def test_applicable_lower_bounds_pinned(self, name, pinned):
+        x, _ = load_fixture(name)
+        inv = swap_invariants(x)
+        for p in (0.0, 1.0):
+            assert applicable_lower_bounds(inv, p) == [(math.inf, "degenerate-rate")]
+        for p, expected in zip((0.1, 0.5, 0.9), pinned):
+            got = applicable_lower_bounds(inv, p)
+            assert [condition for _, condition in got] == [c for _, c in expected]
+            for (value, _), (want, _) in zip(got, expected):
+                assert value == pytest.approx(want, abs=1e-12)
 
 
 class TestWitnessFixtures:
