@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 from . import budget as budget_mod
 from . import exact as exact_mod
-from .dataset import Dataset, Domain, max_stratum_b, swap_invariants, tabulate
+from .dataset import Dataset, Domain, invariant_stratum_bound, max_stratum_b, swap_invariants
 from .ingest import LoadError, load_dataset, load_roles, write_dataset_csv
 from .swapping import PsaParams, run_psa_details, to_exact_rate
 from .synth import StratumSpec, synthesize
@@ -105,7 +105,7 @@ def _cmd_swap(args: argparse.Namespace) -> int:
     params = PsaParams(float(rate), args.seed)
     run = run_psa_details(x, params)
     inv = swap_invariants(x)
-    b = max_stratum_b(x)
+    b = invariant_stratum_bound(inv)
     result = budget_mod.psa_budget(float(rate), b)
 
     lines = ["m,h,s,count"]

@@ -49,6 +49,7 @@ __all__ = [
     "hamming_distance",
     "same_universe",
     "max_stratum_b",
+    "invariant_stratum_bound",
     "dataset_from_table",
     "stratum_indices",
     "stratum_order",
@@ -280,6 +281,22 @@ class SwapInvariants:
         )
 
 
+def invariant_stratum_bound(inv: SwapInvariants) -> int:
+    """The stratum bound b: the largest stratum holding two records with
+    different values, computed from the released margins alone.
+
+    A stratum's records are all identical iff both its margin rows are
+    concentrated on one category (this covers strata of 0 or 1 records),
+    so every member of a universe shares the same b, and b is 0 when
+    every stratum is constant.
+    """
+    sizes = inv.stratum_sizes
+    constant = (inv.mh.max(axis=1, initial=0) == sizes) & (
+        inv.ms.max(axis=1, initial=0) == sizes
+    )
+    return int(sizes[~constant].max(initial=0))
+
+
 TableLike = Union[Dataset, ContingencyTable]
 
 
@@ -347,16 +364,9 @@ def same_universe(x: TableLike, y: TableLike) -> bool:
 
 
 def max_stratum_b(data: TableLike) -> int:
-    """Largest stratum containing two records with different values.
-
-    Strata whose records are all identical do not count, so the result
-    is 0 when every stratum is constant (or empty).
-    """
-    t = _as_table(data)
-    sizes = t.counts.sum(axis=(1, 2))
-    peaks = t.counts.max(axis=(1, 2), initial=0)
-    mixed = (sizes >= 2) & (peaks < sizes)
-    return int(sizes[mixed].max(initial=0))
+    """The stratum bound b of a dataset or table, from its released
+    margins; see :func:`invariant_stratum_bound`."""
+    return invariant_stratum_bound(swap_invariants(data))
 
 
 def dataset_from_table(table: ContingencyTable) -> Dataset:

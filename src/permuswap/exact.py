@@ -23,6 +23,12 @@ is checked table by table for every same-universe pair; the sup over
 events of a finite discrete pair of distributions is attained on an
 atom, so the multiplicative distance reduces to the max over atoms.
 
+The rest of a universe's structure is a function of its margins: the
+stratum bound b, which :func:`permuswap.budget.psa_lower_bounds` have a
+witness there, and a permutation moving exactly d_Ham records between
+two members (by direct matching), which the sweep cross-checks against
+a brute-force minimum capped at 8 records.
+
 The guard ``max_permutations`` bounds the composite permutation space
 the law is a sum over: the product of n! over the strata of at least
 two records (of the derangement counts d(n) at p = 1).  It is checked
@@ -40,9 +46,10 @@ import numpy as np
 
 from .budget import (
     BudgetResult,
+    LowerBound,
     derangement_count,
-    log_derangement_ratio,
     psa_budget,
+    psa_lower_bounds,
 )
 from .dataset import (
     ContingencyTable,
@@ -51,9 +58,9 @@ from .dataset import (
     Record,
     SwapInvariants,
     hamming_distance,
+    invariant_stratum_bound,
     max_stratum_b,
     same_universe,
-    stratum_indices,
     swap_invariants,
     tabulate,
 )
@@ -93,6 +100,8 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
+# record cap of the brute-force connecting check, which walks n! permutations
+_BRUTE_FORCE_CAP = 8
 # slack for the single real-valued step (the final logarithm)
 LOG_SLACK = 1e-12
 
@@ -504,76 +513,39 @@ def _measured_optimal_epsilon(
 
 def connecting_permutation(x: Dataset, x_prime: Dataset) -> Permutation:
     """A permutation deranging exactly d_Ham(x, x') records that maps
-    x's table onto x'`s.
+    x's table onto that of x'.
 
-    Construction: within each stratum, restrict to the multiset
-    difference, then repeatedly find cells (h1,s1) and (h2,s2) carrying
-    surplus with a deficit at (h2,s1) and swap the two implicated
-    records; each step shrinks the l1 gap by 2 or 4.
+    Construction by direct matching: take from each cell (m,h,s) of x
+    its surplus over x' as *movers* (the first such records in position
+    order).  Because n_mh. is shared, the surplus of row (m,h) equals
+    its deficit, so each mover of (m,h,s) is paired with a deficit cell
+    (m,h,s') and must receive swap value s'.  Because n_m.s is shared,
+    stratum m has as many movers that need s' as movers whose own swap
+    value is s', so each mover takes the value of a distinct mover with
+    swap value s'.  No cell is both surplus and deficit, so s' != s:
+    every mover moves and no other record does, which is exactly
+    d_Ham records.
     """
     if not same_universe(x, x_prime):
         raise UniverseMismatchError("pair does not share invariants")
-    if len(x) != len(x_prime):
-        raise ValueError("datasets must have equal record counts")
-    n = len(x)
-    mapping = list(range(n))
-    by_stratum_prime: dict[int, list[Record]] = {}
-    for rec in x_prime.records:
-        by_stratum_prime.setdefault(rec.m, []).append(rec)
-
-    for m, idx in stratum_indices(x).items():
-        records_here = [x.records[i] for i in idx]
-        records_there = by_stratum_prime.get(m, [])
-        # per-cell surpluses: tracked positions in x and targets in x'
-        count_here: dict[tuple[int, int], int] = {}
-        for rec in records_here:
-            count_here[(rec.h, rec.s)] = count_here.get((rec.h, rec.s), 0) + 1
-        count_there: dict[tuple[int, int], int] = {}
-        for rec in records_there:
-            count_there[(rec.h, rec.s)] = count_there.get((rec.h, rec.s), 0) + 1
-        surplus = {
-            cell: count_here.get(cell, 0) - count_there.get(cell, 0)
-            for cell in set(count_here) | set(count_there)
-        }
-        tracked: list[int] = []
-        budget_per_cell = {c: v for c, v in surplus.items() if v > 0}
-        for i in idx:
-            rec = x.records[i]
-            cell = (rec.h, rec.s)
-            if budget_per_cell.get(cell, 0) > 0:
-                budget_per_cell[cell] -= 1
-                tracked.append(i)
-        current = {i: x.records[i].s for i in tracked}
-
-        def gap() -> dict[tuple[int, int], int]:
-            counts: dict[tuple[int, int], int] = dict()
-            for i in tracked:
-                cell = (x.records[i].h, current[i])
-                counts[cell] = counts.get(cell, 0) + 1
-            out = {}
-            for cell in set(counts) | {c for c, v in surplus.items() if v < 0}:
-                out[cell] = counts.get(cell, 0) - max(-surplus.get(cell, 0), 0)
-            return out
-
-        a = gap()
-        while any(v != 0 for v in a.values()):
-            (h1, s1) = next(c for c, v in a.items() if v > 0)
-            h2 = next(h for (h, s), v in a.items() if s == s1 and v < 0)
-            s2 = next(s for (h, s), v in a.items() if h == h2 and v > 0)
-            i = next(
-                i for i in tracked if x.records[i].h == h1 and current[i] == s1
-            )
-            j = next(
-                j for j in tracked if x.records[j].h == h2 and current[j] == s2
-            )
-            current[i], current[j] = current[j], current[i]
-            mapping[i], mapping[j] = mapping[j], mapping[i]
-            a = gap()
-    return Permutation(tuple(mapping))
+    diff = (tabulate(x).counts - tabulate(x_prime).counts).ravel()
+    cells = np.ravel_multi_index(tuple(x.codes.T), x.domain.shape)
+    order = np.argsort(cells, kind="stable")
+    by_cell = cells[order]
+    rank = np.arange(len(x)) - np.searchsorted(by_cell, by_cell)
+    movers = order[rank < np.maximum(diff, 0)[by_cell]]
+    # movers and deficit slots both come sorted by cell, with equal counts per (m, h)
+    targets = np.repeat(np.arange(diff.size), np.maximum(-diff, 0))
+    target_m, _, target_s = np.unravel_index(targets, x.domain.shape)
+    receivers = movers[np.lexsort((target_s, target_m))]
+    donors = movers[np.lexsort((x.codes[movers, 2], x.codes[movers, 0]))]
+    mapping = np.arange(len(x))
+    mapping[receivers] = donors
+    return Permutation(mapping.tolist())
 
 
 def min_connecting_derangement(
-    x: Dataset, x_prime: Dataset, max_records: int = 8
+    x: Dataset, x_prime: Dataset, max_records: int = _BRUTE_FORCE_CAP
 ) -> Union[int, None]:
     """Brute-force minimum derangement count over all permutations g
     with C(g(x)) = C(x'); None when no permutation connects the pair.
@@ -608,37 +580,12 @@ def min_connecting_derangement(
 # lower-bound witness structure
 
 
-def invariant_stratum_bound(inv: SwapInvariants) -> int:
-    """The stratum bound b computed from margins alone.
-
-    A stratum holds two differing records iff its margins are not
-    concentrated on a single (h, s) cell; every member of a universe
-    therefore shares the same b.
-    """
-    best = 0
-    sizes = inv.stratum_sizes
-    for m in range(inv.mh.shape[0]):
-        n_m = int(sizes[m])
-        if n_m < 2:
-            continue
-        concentrated = (
-            int(inv.mh[m].max(initial=0)) == n_m
-            and int(inv.ms[m].max(initial=0)) == n_m
-        )
-        if not concentrated:
-            best = max(best, n_m)
-    return best
-
-
 def odds_bound_applies(inv: SwapInvariants) -> bool:
     """Universe structure forcing a budget of at least ln(o): some
     stratum of size >= 2 whose margins are all 0 or 1 (no vacuous
     permutations exist there)."""
-    sizes = inv.stratum_sizes
-    for m in range(inv.mh.shape[0]):
-        if sizes[m] >= 2 and inv.mh[m].max(initial=0) <= 1 and inv.ms[m].max(initial=0) <= 1:
-            return True
-    return False
+    small = (inv.mh.max(axis=1, initial=0) <= 1) & (inv.ms.max(axis=1, initial=0) <= 1)
+    return bool((small & (inv.stratum_sizes >= 2)).any())
 
 
 def ratio_bound_applies(inv: SwapInvariants) -> bool:
@@ -649,36 +596,35 @@ def ratio_bound_applies(inv: SwapInvariants) -> bool:
     b = invariant_stratum_bound(inv)
     if b < 2 or b == 3:
         return False
-    sizes = inv.stratum_sizes
-    for m in range(inv.mh.shape[0]):
-        if int(sizes[m]) != b:
-            continue
-        mh, ms = inv.mh[m], inv.ms[m]
-        if int((mh == 1).sum()) < 2 or int((ms == 1).sum()) < 2:
-            continue
-        if b == 2:
-            return True
-        if mh.max(initial=0) <= b / 2 - 1 and ms.max(initial=0) <= b / 2 - 1:
-            return True
-    return False
+    # at b = 2 the two singletons already cap every margin at 1
+    cap = max(b / 2 - 1, 1)
+    rows = (
+        (inv.stratum_sizes == b)
+        & ((inv.mh == 1).sum(axis=1) >= 2)
+        & ((inv.ms == 1).sum(axis=1) >= 2)
+        & (inv.mh.max(axis=1, initial=0) <= cap)
+        & (inv.ms.max(axis=1, initial=0) <= cap)
+    )
+    return bool(rows.any())
 
 
-def applicable_lower_bounds(inv: SwapInvariants, p: float) -> list[tuple[float, str]]:
-    """Lower bounds whose witness structure this universe exhibits."""
-    bounds: list[tuple[float, str]] = []
-    if p in (0.0, 1.0):
-        if invariant_stratum_bound(inv) > 0:
-            bounds.append((math.inf, "degenerate-rate"))
-        return bounds
-    log_o = math.log(p) - math.log1p(-p)
-    if odds_bound_applies(inv):
-        bounds.append((log_o, "selection-odds"))
-    if ratio_bound_applies(inv):
-        b = invariant_stratum_bound(inv)
-        bounds.append(
-            (0.5 * log_derangement_ratio(b) - log_o, "derangement-ratio")
-        )
-    return bounds
+def _witnessed(inv: SwapInvariants, b: int) -> set[str]:
+    """Conditions of :func:`permuswap.budget.psa_lower_bounds` whose
+    witness structure the universe of bound b exhibits, at any rate."""
+    holds = {
+        "degenerate-rate": b > 0,
+        "selection-odds": odds_bound_applies(inv),
+        "derangement-ratio": ratio_bound_applies(inv),
+    }
+    return {condition for condition, held in holds.items() if held}
+
+
+def applicable_lower_bounds(inv: SwapInvariants, p: float) -> list[LowerBound]:
+    """The entries of :func:`permuswap.budget.psa_lower_bounds` whose
+    witness structure this universe exhibits."""
+    b = invariant_stratum_bound(inv)
+    witnessed = _witnessed(inv, b)
+    return [bound for bound in psa_lower_bounds(p, b) if bound.condition in witnessed]
 
 
 # ---------------------------------------------------------------------------
@@ -752,8 +698,21 @@ def dp_sweep(
     between the applicable lower bounds and the closed-form budget.
     Optionally each same-universe pair is also connected by an explicit
     permutation deranging exactly d_Ham records, cross-checked against
-    brute-force search.
+    brute-force search; a max_records above its cap of 8 then raises
+    EnumerationBudgetError up front if some universe could exceed it.
     """
+    domain = Domain(*domain)
+    if (
+        check_connecting
+        and max_records > _BRUTE_FORCE_CAP
+        and domain.match >= 1
+        and min(domain.hold, domain.swap) >= 2
+    ):
+        # some universe then holds two datasets of max_records records
+        raise EnumerationBudgetError(
+            f"the connecting check's brute force is capped at {_BRUTE_FORCE_CAP} "
+            f"records, below max_records={max_records}"
+        )
     rates = tuple(to_exact_rate(p) for p in p_values)
     datasets = enumerate_small_datasets(domain, max_records)
     groups: dict[SwapInvariants, list[Dataset]] = {}
@@ -767,9 +726,8 @@ def dp_sweep(
     cache: dict = {}
 
     for inv, members in groups.items():
-        b = max_stratum_b(members[0])
-        if invariant_stratum_bound(inv) != b:
-            failures.append(f"b mismatch between dataset and margins for {inv}")
+        b = invariant_stratum_bound(inv)
+        witnessed = _witnessed(inv, b)
         tables = [tabulate(d) for d in members]
         universe_keys = {t.canonical_key() for t in tables}
         measured_by_p: dict[float, float] = {}
@@ -803,44 +761,41 @@ def dp_sweep(
                         )
             measured_by_p[float(rate)] = measured
             budget_by_p[float(rate)] = budget.epsilon
-            for bound, condition in applicable_lower_bounds(inv, float(rate)):
-                if measured < bound - LOG_SLACK:
+            for bound, condition in psa_lower_bounds(float(rate), b):
+                if condition in witnessed and measured < bound - LOG_SLACK:
                     failures.append(
                         f"lower bound violated at p={rate}: measured {measured} < "
                         f"{bound} ({condition}) in universe of "
                         f"{tabulate(members[0]).canonical_string()}"
                     )
         if check_connecting:
-            for i in range(len(members)):
-                for j in range(len(members)):
-                    if i == j:
-                        continue
-                    connecting_checks += 1
-                    d_ham = hamming_distance(members[i], members[j])
-                    rho = connecting_permutation(members[i], members[j])
-                    moved = tabulate(apply_permutation(rho, members[i]))
-                    if moved != tabulate(members[j]):
-                        failures.append(
-                            f"connecting permutation misses the target for pair "
-                            f"({i},{j}) in universe of "
-                            f"{tabulate(members[0]).canonical_string()}"
-                        )
-                    if rho.derange_count != d_ham:
-                        failures.append(
-                            f"connecting permutation deranges {rho.derange_count} "
-                            f"records, expected {d_ham}"
-                        )
-                    brute = min_connecting_derangement(members[i], members[j])
-                    if brute != d_ham:
-                        failures.append(
-                            f"brute-force minimum {brute} disagrees with d_Ham {d_ham}"
-                        )
+            for i, j in itertools.permutations(range(len(members)), 2):
+                connecting_checks += 1
+                d_ham = hamming_distance(members[i], members[j])
+                rho = connecting_permutation(members[i], members[j])
+                moved = tabulate(apply_permutation(rho, members[i]))
+                if moved != tabulate(members[j]):
+                    failures.append(
+                        f"connecting permutation misses the target for pair "
+                        f"({i},{j}) in universe of "
+                        f"{tabulate(members[0]).canonical_string()}"
+                    )
+                if rho.derange_count != d_ham:
+                    failures.append(
+                        f"connecting permutation deranges {rho.derange_count} "
+                        f"records, expected {d_ham}"
+                    )
+                brute = min_connecting_derangement(members[i], members[j])
+                if brute != d_ham:
+                    failures.append(
+                        f"brute-force minimum {brute} disagrees with d_Ham {d_ham}"
+                    )
         universes.append(
             UniverseCheck(b=b, size=len(members), measured=measured_by_p, budget=budget_by_p)
         )
 
     return SweepReport(
-        domain=Domain(*domain),
+        domain=domain,
         max_records=max_records,
         p_values=rates,
         universe_count=len(groups),

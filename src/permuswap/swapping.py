@@ -26,14 +26,13 @@ and no swapped :class:`Dataset` is materialized; only
 :func:`apply_permutation` builds one, for callers that want it.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .budget import derangement_count
+from .budget import _validate_rate, derangement_count
 from .dataset import ContingencyTable, Dataset, stratum_order, tabulate_columns
 
 __all__ = [
@@ -70,13 +69,6 @@ def to_exact_rate(p: RateLike) -> Fraction:
     if isinstance(p, str):
         return Fraction(p)
     raise TypeError(f"cannot interpret {p!r} as a rate")
-
-
-def _validate_rate(p: float) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0 or math.isnan(p):
-        raise ValueError(f"swap rate must lie in [0, 1], got {p}")
-    return p
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .dataset import Dataset, DatasetSchema, Domain
 from .ingest import default_axis_labels
+from .swapping import _normalized_seed
 
 __all__ = ["StratumSpec", "synthesize"]
 
@@ -45,7 +46,7 @@ def synthesize(
         raise ValueError("hold and swap axes need at least one level")
     blocks: list[np.ndarray] = []
     for m, spec in enumerate(strata):
-        rng = np.random.default_rng([int(seed) & (2**64 - 1), m])
+        rng = np.random.default_rng([_normalized_seed(seed), m])
         if spec.mixed:
             hs = rng.integers(0, hold_levels, size=spec.size)
             ss = rng.integers(0, swap_levels, size=spec.size)

@@ -23,7 +23,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .dataset import ContingencyTable, Dataset, DomainMismatchError, tabulate
-from .swapping import PsaParams, run_psa
+from .swapping import PsaParams, _normalized_seed, run_psa
 
 __all__ = [
     "FiveNumberSummary",
@@ -108,7 +108,7 @@ class UtilityReport:
 
 
 def _replication_seed(seed: int, rate_index: int, rep_index: int) -> int:
-    entropy = [int(seed) & (2**64 - 1), rate_index, rep_index]
+    entropy = [_normalized_seed(seed), rate_index, rep_index]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 

@@ -313,6 +313,14 @@ class TestWitnessStructure:
             assert invariant_stratum_bound(inv) == expected["b"] == max_stratum_b(x)
             assert ratio_bound_applies(inv), name
 
+    def test_ratio_bound_needs_two_singletons_on_each_side(self):
+        # b = 6 with every margin <= b/2 - 1, but one side has no singleton
+        cells = [(0, 0), (1, 1), (2, 2), (2, 0), (3, 1), (3, 2)]
+        for records in (cells, [(s, h) for h, s in cells]):
+            inv = swap_invariants(make_dataset([(0, h, s) for h, s in records], (1, 4, 4)))
+            assert invariant_stratum_bound(inv) == 6
+            assert not ratio_bound_applies(inv)
+
     def test_concentrated_stratum_triggers_nothing(self):
         x = make_dataset([(0, 0, 0)] * 3, (1, 2, 2))
         inv = swap_invariants(x)

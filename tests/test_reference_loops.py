@@ -1,7 +1,8 @@
 """The columnar code and the exact oracle against the loops they replaced.
 
-Each ``ref_*`` function below is the loop version of a library function,
-kept here as the reference.  The arithmetic is integer counting,
+Each ``ref_*`` function below is the loop version of a library function
+(for the stratum bound b, the table reading that the margin formula
+replaced), kept here as the reference.  The arithmetic is integer counting,
 indexing and exact rationals in both, so results must be exactly equal,
 on random small datasets that include zero-size axes.
 """
@@ -22,17 +23,21 @@ from permuswap import (
     Record,
     RoleAssignment,
     apply_permutation,
+    connecting_permutation,
     cross_classify,
     dataset_from_table,
     exact_psa_distribution,
+    hamming_distance,
+    max_stratum_b,
     read_csv_columns,
     run_psa_details,
     stratum_permutation_prob,
+    swap_invariants,
     tabulate,
     write_dataset_csv,
 )
 from permuswap.budget import derangement_count
-from permuswap.dataset import stratum_indices
+from permuswap.dataset import invariant_stratum_bound, stratum_indices
 from permuswap.ingest import COMPOSITE_LABEL_SEP, CONSTANT_MATCH_LABEL
 
 # ---------------------------------------------------------------------------
@@ -51,6 +56,15 @@ def ref_stratum_indices(records, domain):
     for i, rec in enumerate(records):
         groups[rec[0]].append(i)
     return groups
+
+
+def ref_max_stratum_b(counts):
+    """b read off the table: the largest stratum whose peak cell holds
+    fewer than all of its records."""
+    sizes = counts.sum(axis=(1, 2))
+    peaks = counts.max(axis=(1, 2), initial=0)
+    mixed = (sizes >= 2) & (peaks < sizes)
+    return int(sizes[mixed].max(initial=0))
 
 
 def ref_dataset_from_table(counts):
@@ -257,6 +271,14 @@ def test_stratum_indices_matches_loop(rd):
 
 
 @given(datasets())
+def test_stratum_bound_matches_table_reading(x):
+    table = tabulate(x)
+    b = ref_max_stratum_b(table.counts)
+    assert max_stratum_b(x) == max_stratum_b(table) == b
+    assert invariant_stratum_bound(swap_invariants(x)) == b
+
+
+@given(datasets())
 def test_dataset_from_table_matches_loop(x):
     table = tabulate(x)
     y = dataset_from_table(table)
@@ -364,6 +386,27 @@ def test_run_table_is_the_permuted_dataset_table(x, p, seed):
     assert run.table == tabulate(swapped)
     changed = sum(1 for a, b in zip(x.records, swapped.records) if a.s != b.s)
     assert run.effective_swap_rate == (changed / len(x) if len(x) else 0.0)
+
+
+@st.composite
+def swapped_pairs(draw):
+    """x over several strata with up to 40 records, and x' = the
+    swapper's output on x, reordered."""
+    domain = Domain(draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    cell = st.tuples(*(st.integers(0, n - 1) for n in domain))
+    x = Dataset(draw(st.lists(cell, max_size=40)), domain)
+    params = PsaParams(draw(st.sampled_from([0.2, 0.5, 0.9, 1.0])), draw(st.integers(0, 2**32)))
+    swapped = apply_permutation(run_psa_details(x, params).permutation, x)
+    return x, swapped.reordered(draw(st.permutations(range(len(x)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(swapped_pairs())
+def test_connecting_permutation_on_swapper_pairs(pair):
+    x, x_prime = pair
+    rho = connecting_permutation(x, x_prime)
+    assert tabulate(apply_permutation(rho, x)) == tabulate(x_prime)
+    assert rho.derange_count == hamming_distance(x, x_prime)
 
 
 @pytest.mark.parametrize("bad", [(0, -1, 0), (0, 2, 0), (1, 0, 0), (0, 0, 3)])
