@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permuswap import (
     EnumerationBudgetError,
@@ -23,6 +26,7 @@ from permuswap import (
     tabulate,
     verify_dp,
 )
+from permuswap import exact
 from permuswap.dataset import Domain
 from permuswap.exact import (
     ExactDistribution,
@@ -279,6 +283,29 @@ class TestConnectingPermutation:
                     checked += 1
         assert checked > 0
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_brute_force_minimum_is_symmetric(self, data):
+        """The minimum is the same both ways: the inverse of a connecting
+        g, relabelled through the multiset match, connects x' to x and
+        moves the same records.  Drawn pairs share a universe: x' takes
+        the swap values of x permuted within each stratum."""
+        domain = data.draw(st.tuples(*(st.integers(1, 3) for _ in range(3))))
+        cells = list(itertools.product(*(range(n) for n in domain)))
+        recs = data.draw(st.lists(st.sampled_from(cells), max_size=6))
+        rank = data.draw(st.permutations(range(len(recs))))
+        swapped = list(recs)
+        for m in range(domain[0]):
+            positions = [i for i, r in enumerate(recs) if r[0] == m]
+            donors = sorted(positions, key=rank.__getitem__)
+            for i, j in zip(positions, donors):
+                swapped[i] = (recs[i][0], recs[i][1], recs[j][2])
+        x = make_dataset(recs, domain)
+        y = make_dataset([swapped[i] for i in rank], domain)
+        forward = min_connecting_derangement(x, y)
+        assert forward == min_connecting_derangement(y, x)
+        assert forward == hamming_distance(x, y)
+
     def test_multi_stratum_pair(self):
         a = make_dataset([(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)], (2, 2, 2))
         b = make_dataset([(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)], (2, 2, 2))
@@ -425,6 +452,20 @@ class TestSweep:
         )
         assert report.connecting_checks > 0
         assert report.all_pass
+
+    def test_brute_force_cap_boundary(self, monkeypatch):
+        """A sweep at the cap runs; one record above it is refused before
+        any dataset is enumerated."""
+        monkeypatch.setattr(exact, "_BRUTE_FORCE_CAP", 3)
+        report = dp_sweep(Domain(1, 2, 2), max_records=3, p_values=[Fraction(1, 2)])
+        assert report.all_pass and report.connecting_checks > 0
+
+        def no_enumeration(*args):
+            raise AssertionError("datasets enumerated before the cap check")
+
+        monkeypatch.setattr(exact, "enumerate_small_datasets", no_enumeration)
+        with pytest.raises(EnumerationBudgetError, match="capped at 3 records"):
+            dp_sweep(Domain(1, 2, 2), max_records=4, p_values=[Fraction(1, 2)])
 
     def test_universe_report_reaches_ten_record_stratum(self):
         """10! permutations per table: within the default guard, and the

@@ -5,16 +5,24 @@ SHA-256 digests were recorded before the storage of ``Dataset`` became
 columnar and must never change: a faster path that alters one RNG draw,
 the stratum order or a table cell fails here.
 
+The exhaustive sweep is pinned the same way: its counts and failures
+as values, and every universe's b, size, measured optimum and budget
+per rate (as ``repr`` floats) as one digest, so a faster sweep must
+reproduce each float bit for bit.
+
 Run ``python tests/test_pinned_outputs.py`` to print the digests the
 current code produces, in the layout of the tables below.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
 from permuswap import PsaParams, run_psa_details
 from permuswap.cli import main as cli_main
+from permuswap.dataset import Domain
+from permuswap.exact import dp_sweep
 from permuswap.synth import StratumSpec, synthesize
 
 from conftest import make_dataset
@@ -107,6 +115,43 @@ def _cli_outputs(work):
     return {name: (work / name).read_bytes() for name in CLI_DIGESTS}
 
 
+SWEEP_RATES = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
+
+# (domain, max_records) -> (universes, datasets, pair checks, connecting
+# checks, failures, sha256 of the per-universe lines of _sweep_lines)
+SWEEP_PINS = {
+    ((1, 2, 3), 5): (
+        266, 462, 882, 588, (),
+        "14ea614c52bc0c3eaf342333ef8b7a7652572102e3f932fde224be3873371d2c",
+    ),
+    ((2, 2, 2), 4): (
+        406, 495, 282, 188, (),
+        "19f6cee7c29b1e2edbb723f125906724bd6c6da9b823d18c357f7d92b1c4d267",
+    ),
+}
+
+
+def _sweep_lines(report) -> str:
+    return "".join(
+        f"{u.b} {u.size} "
+        + " ".join(f"{p!r}:{u.measured[p]!r}:{u.budget[p]!r}" for p in u.measured)
+        + "\n"
+        for u in report.universes
+    )
+
+
+def _sweep_pin(domain, max_records):
+    report = dp_sweep(Domain(*domain), max_records, SWEEP_RATES)
+    return (
+        report.universe_count,
+        report.dataset_count,
+        report.pair_checks,
+        report.connecting_checks,
+        report.failures,
+        _sha(_sweep_lines(report).encode()),
+    )
+
+
 @pytest.fixture(scope="module")
 def datasets():
     return _datasets()
@@ -123,6 +168,11 @@ def test_cli_outputs_pinned(tmp_path):
     assert {name: _sha(data) for name, data in outputs.items()} == CLI_DIGESTS
 
 
+@pytest.mark.parametrize("case", sorted(SWEEP_PINS), ids=repr)
+def test_sweep_report_pinned(case):
+    assert _sweep_pin(*case) == SWEEP_PINS[case]
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path
@@ -133,3 +183,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in _cli_outputs(Path(tmp)).items():
             print(f"    {name!r}: {_sha(data)!r},")
+    for case in (((2, 2, 2), 4), ((1, 2, 3), 5)):
+        print(f"    {case!r}: {_sweep_pin(*case)!r},")
