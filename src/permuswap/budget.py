@@ -325,7 +325,7 @@ def _data_path(name: str) -> Path:
 
 def _read_table(path: Union[str, Path], n_cols: int) -> list[list[str]]:
     rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")

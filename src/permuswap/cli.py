@@ -472,7 +472,7 @@ def _apply_config(args: argparse.Namespace, argv: Sequence[str]) -> None:
     if not getattr(args, "config", None):
         return
     try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise CliError(f"config: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):

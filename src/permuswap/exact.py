@@ -36,8 +36,10 @@ before any work, and the oracle raises rather than report a verdict on
 an instance above it.
 """
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -221,8 +223,10 @@ def _stratum_law(
 ) -> dict[tuple[int, ...], Fraction]:
     """Output law of one stratum as flattened H x S count tuples.
 
-    ``cache`` holds the rate-free histogram under ``counts`` and the
-    evaluated law under ``(counts, rate)``.
+    ``cache`` holds the rate-free histogram under ``counts``, the
+    evaluated law under ``(counts, rate)`` and the per-moved-count weights
+    of an n-record stratum under ``(n, rate)``.  The rate of a weight key
+    lies strictly inside (0, 1), so it is never equal to a count tuple.
     """
     law = cache.get((counts, rate))
     if law is not None:
@@ -238,11 +242,13 @@ def _stratum_law(
             full = derangement_count(n)
             law = {t: Fraction(c[n], full) for t, c in hist.items() if c[n]}
         else:
-            # no permutation moves exactly one record: entry 1 is always 0
-            weights = [
-                Fraction(0) if k == 1 else stratum_permutation_prob(k, n, rate)
-                for k in range(n + 1)
-            ]
+            weights = cache.get((n, rate))
+            if weights is None:
+                # no permutation moves exactly one record: entry 1 is always 0
+                weights = cache[(n, rate)] = [
+                    Fraction(0) if k == 1 else stratum_permutation_prob(k, n, rate)
+                    for k in range(n + 1)
+                ]
             law = {
                 t: sum(c * w for c, w in zip(by_moved, weights) if c)
                 for t, by_moved in hist.items()
@@ -293,15 +299,15 @@ def _psa_distribution(
                 f"{total} composite permutations exceed the budget of {max_permutations}"
             )
 
+    if not active:
+        return ExactDistribution(domain, {flat: Fraction(1)})
     laws = [_stratum_law(counts, domain.swap, rate, cache) for _, counts in active]
     probs: dict[tuple[int, ...], Fraction] = {}
     for combo in itertools.product(*(law.items() for law in laws)):
         key = list(flat)
-        prob = Fraction(1)
-        for (offset, _), (stratum_key, weight) in zip(active, combo):
+        for (offset, _), (stratum_key, _) in zip(active, combo):
             key[offset : offset + cells] = stratum_key
-            prob *= weight
-        probs[tuple(key)] = prob
+        probs[tuple(key)] = functools.reduce(operator.mul, (w for _, w in combo))
     return ExactDistribution(domain, probs)
 
 
@@ -700,6 +706,16 @@ def dp_sweep(
     permutation deranging exactly d_Ham records, cross-checked against
     brute-force search; a max_records above its cap of 8 then raises
     EnumerationBudgetError up front if some universe could exceed it.
+
+    Each piece of work is done once: every dataset is tabulated once and
+    its table serves the grouping, the distributions and the connecting
+    check's target; d_Ham is computed once per unordered pair, before
+    the rates; stratum laws and weights are shared through one cache.
+    The brute-force minimum runs once per unordered pair and serves both
+    orders.  It is symmetric: if g connects x to x' moving k records,
+    then x' is x with its swap values permuted by g, so relabelling the
+    records of x' through that match turns g^-1 into a permutation that
+    connects x' to x and moves the same k records.
     """
     domain = Domain(*domain)
     if (
@@ -715,9 +731,10 @@ def dp_sweep(
         )
     rates = tuple(to_exact_rate(p) for p in p_values)
     datasets = enumerate_small_datasets(domain, max_records)
-    groups: dict[SwapInvariants, list[Dataset]] = {}
+    groups: dict[SwapInvariants, list[tuple[Dataset, ContingencyTable]]] = {}
     for d in datasets:
-        groups.setdefault(swap_invariants(d), []).append(d)
+        table = tabulate(d)
+        groups.setdefault(swap_invariants(table), []).append((d, table))
 
     failures: list[str] = []
     universes: list[UniverseCheck] = []
@@ -725,11 +742,16 @@ def dp_sweep(
     connecting_checks = 0
     cache: dict = {}
 
-    for inv, members in groups.items():
+    for inv, entries in groups.items():
+        members = [d for d, _ in entries]
+        tables = [t for _, t in entries]
         b = invariant_stratum_bound(inv)
         witnessed = _witnessed(inv, b)
-        tables = [tabulate(d) for d in members]
         universe_keys = {t.canonical_key() for t in tables}
+        d_hams = {
+            (i, j): hamming_distance(tables[i], tables[j])
+            for i, j in itertools.combinations(range(len(tables)), 2)
+        }
         measured_by_p: dict[float, float] = {}
         budget_by_p: dict[float, float] = {}
         for rate in rates:
@@ -744,21 +766,19 @@ def dp_sweep(
                         f"{t.canonical_string()}"
                     )
             measured = 0.0
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    d_ham = hamming_distance(members[i], members[j])
-                    if d_ham == 0:
-                        continue
-                    pair_checks += 1
-                    value = mult_distance(dists[i], dists[j]) / d_ham
-                    measured = max(measured, value)
-                    if value > budget.epsilon + LOG_SLACK:
-                        failures.append(
-                            f"budget exceeded at p={rate}: measured {value} > "
-                            f"{budget.epsilon} for pair "
-                            f"{tabulate(members[i]).canonical_string()} vs "
-                            f"{tabulate(members[j]).canonical_string()}"
-                        )
+            for (i, j), d_ham in d_hams.items():
+                if d_ham == 0:
+                    continue
+                pair_checks += 1
+                value = mult_distance(dists[i], dists[j]) / d_ham
+                measured = max(measured, value)
+                if value > budget.epsilon + LOG_SLACK:
+                    failures.append(
+                        f"budget exceeded at p={rate}: measured {value} > "
+                        f"{budget.epsilon} for pair "
+                        f"{tables[i].canonical_string()} vs "
+                        f"{tables[j].canonical_string()}"
+                    )
             measured_by_p[float(rate)] = measured
             budget_by_p[float(rate)] = budget.epsilon
             for bound, condition in psa_lower_bounds(float(rate), b):
@@ -766,29 +786,33 @@ def dp_sweep(
                     failures.append(
                         f"lower bound violated at p={rate}: measured {measured} < "
                         f"{bound} ({condition}) in universe of "
-                        f"{tabulate(members[0]).canonical_string()}"
+                        f"{tables[0].canonical_string()}"
                     )
         if check_connecting:
+            brute: dict[tuple[int, int], Union[int, None]] = {}
             for i, j in itertools.permutations(range(len(members)), 2):
                 connecting_checks += 1
-                d_ham = hamming_distance(members[i], members[j])
+                pair = (min(i, j), max(i, j))
+                d_ham = d_hams[pair]
                 rho = connecting_permutation(members[i], members[j])
                 moved = tabulate(apply_permutation(rho, members[i]))
-                if moved != tabulate(members[j]):
+                if moved != tables[j]:
                     failures.append(
                         f"connecting permutation misses the target for pair "
                         f"({i},{j}) in universe of "
-                        f"{tabulate(members[0]).canonical_string()}"
+                        f"{tables[0].canonical_string()}"
                     )
                 if rho.derange_count != d_ham:
                     failures.append(
                         f"connecting permutation deranges {rho.derange_count} "
                         f"records, expected {d_ham}"
                     )
-                brute = min_connecting_derangement(members[i], members[j])
-                if brute != d_ham:
+                # symmetric, so (j, i) reuses the minimum found for (i, j)
+                if pair not in brute:
+                    brute[pair] = min_connecting_derangement(members[i], members[j])
+                if brute[pair] != d_ham:
                     failures.append(
-                        f"brute-force minimum {brute} disagrees with d_Ham {d_ham}"
+                        f"brute-force minimum {brute[pair]} disagrees with d_Ham {d_ham}"
                     )
         universes.append(
             UniverseCheck(b=b, size=len(members), measured=measured_by_p, budget=budget_by_p)

@@ -99,9 +99,10 @@ class RoleAssignment:
 
 
 def load_roles(path: Union[str, Path]) -> RoleAssignment:
-    """Read a role-assignment config from JSON."""
+    """Read a role-assignment config from JSON (a leading UTF-8
+    byte-order mark is dropped)."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise LoadError(f"roles file {path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
@@ -134,11 +135,13 @@ def load_roles(path: Union[str, Path]) -> RoleAssignment:
 def read_csv_columns(path: Union[str, Path]) -> dict[str, list[str]]:
     """Read an unquoted CSV into ordered columns keyed by header name.
 
-    Blank lines are skipped; error messages give 1-based line numbers
-    that count them.  Field counts are checked for all lines first, so
-    the rows can be split in one pass and sliced into columns.
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is
+    dropped, and CRLF line ends are accepted.  Blank lines are skipped;
+    error messages give 1-based line numbers that count them.  Field
+    counts are checked for all lines first, so the rows can be split in
+    one pass and sliced into columns.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     if not lines:
         raise LoadError(f"{path}: missing header row")
     header = lines[0].split(",")

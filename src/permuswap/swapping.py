@@ -88,10 +88,6 @@ def _normalized_seed(seed: int) -> int:
     return int(seed) & (2**64 - 1)
 
 
-def _stratum_rng(seed: int, m: int) -> np.random.Generator:
-    return np.random.default_rng([_normalized_seed(seed), int(m)])
-
-
 @dataclass(frozen=True)
 class Permutation:
     """A bijection g on record positions; position i takes the swap
@@ -158,10 +154,9 @@ def select_records(
     p = _validate_rate(p)
     retries = 0
     while True:
-        mask = rng.random(n) < p
-        hits = int(mask.sum())
-        if hits != 1:
-            return SelectionResult(tuple(np.flatnonzero(mask).tolist()), retries)
+        hits = np.flatnonzero(rng.random(n) < p)
+        if len(hits) != 1:
+            return SelectionResult(tuple(hits.tolist()), retries)
         retries += 1
 
 
@@ -179,7 +174,7 @@ def sample_derangement(k: int, rng: np.random.Generator) -> tuple[int, ...]:
     positions = np.arange(k)
     while True:
         perm = rng.permutation(k)
-        if not np.any(perm == positions):
+        if not (perm == positions).any():
             return tuple(perm.tolist())
 
 
@@ -228,6 +223,7 @@ def run_psa_details(x: Dataset, params: PsaParams) -> SwapRun:
     n = len(x)
     m, h, s = x.codes.T
     order, bounds = stratum_order(x)
+    seed = _normalized_seed(params.seed)
     mapping = np.arange(n)
     selected_total = 0
     retries_total = 0
@@ -235,7 +231,8 @@ def run_psa_details(x: Dataset, params: PsaParams) -> SwapRun:
         if hi - lo < 2:
             continue
         idx = order[lo:hi]
-        rng = _stratum_rng(params.seed, stratum)
+        # one substream per stratum, keyed by (seed, match index)
+        rng = np.random.default_rng([seed, stratum])
         selection = select_records(len(idx), params.p, rng)
         retries_total += selection.retries
         selected_total += len(selection.indices)

@@ -21,6 +21,7 @@ from permuswap import (
     swap_rates_for_budget,
     zcdp_to_approx_dp,
 )
+from permuswap.budget import _data_path
 
 
 def altsum_derangements(k):
@@ -350,6 +351,12 @@ class TestCensusReport:
                 assert row.epsilon_by_rate[rate] == pytest.approx(
                     published, abs=0.01
                 ), (row.b, rate)
+
+    def test_constants_with_byte_order_mark(self, tmp_path):
+        shipped = _data_path("census_zcdp.tsv")
+        bom = tmp_path / "bom.tsv"
+        bom.write_bytes(b"\xef\xbb\xbf" + shipped.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_census_zcdp_rows(bom) == load_census_zcdp_rows()
 
     def test_malformed_constants_rejected(self, tmp_path):
         bad = tmp_path / "bad.tsv"

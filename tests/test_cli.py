@@ -88,6 +88,21 @@ class TestSwap:
             m, h, s, count = (int(v) for v in line.split(","))
             assert expected.counts[m, h, s] == count
 
+    def test_byte_order_mark_and_crlf_input(self, synth_files, tmp_path):
+        """A spreadsheet export (UTF-8 byte-order mark, CRLF) swaps like the plain file."""
+        csv, roles = synth_files
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + csv.read_bytes().replace(b"\n", b"\r\n"))
+        tables = []
+        for source in (csv, bom):
+            out = tmp_path / f"{source.stem}.table.csv"
+            code = run_cli(
+                ["swap", "--input", source, "--roles", roles, "--p", "0.4", "--seed", "5", "--out", out]
+            )
+            assert code == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+
     def test_byte_identical_reruns(self, synth_files, tmp_path):
         csv, roles = synth_files
         blobs = []
@@ -427,6 +442,13 @@ class TestConfigFile:
         assert run_cli(["budget", "--config", config, "--b", "0"]) == 0
         fields = capsys.readouterr().out.splitlines()[1].split(",")
         assert fields[5] == "zero-b"
+
+    def test_config_with_byte_order_mark(self, tmp_path, capsys):
+        config = tmp_path / "budget.json"
+        config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"p": "0.05", "b": 3948028}).encode())
+        assert run_cli(["budget", "--config", config]) == 0
+        fields = capsys.readouterr().out.splitlines()[1].split(",")
+        assert float(fields[4]) == pytest.approx(18.13, abs=0.01)
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "budget.json"

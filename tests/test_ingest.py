@@ -16,6 +16,14 @@ from permuswap import (
 )
 from permuswap.synth import StratumSpec
 
+from conftest import FIXTURES
+
+
+def _bom_crlf_copy(src, dest):
+    """Write src as a spreadsheet export would: a UTF-8 byte-order mark and CRLF line ends."""
+    dest.write_bytes(b"\xef\xbb\xbf" + src.read_bytes().replace(b"\n", b"\r\n"))
+    return dest
+
 
 class TestCrossClassify:
     def test_two_hold_columns_collapse_lexicographically(self):
@@ -129,6 +137,14 @@ class TestCsvReading:
         assert cols["a"] == ["1", "3"]
 
 
+    def test_byte_order_mark_and_crlf_load_like_plain(self, tmp_path):
+        plain = FIXTURES / "witness_odds.csv"
+        bom = _bom_crlf_copy(plain, tmp_path / "bom.csv")
+        assert read_csv_columns(bom) == read_csv_columns(plain)
+        roles = load_roles(FIXTURES / "witness_odds.roles.json")
+        assert load_dataset(bom, roles) == load_dataset(plain, roles)
+
+
 class TestRolesFile:
     def test_errors_reference_offending_key(self, tmp_path):
         path = tmp_path / "roles.json"
@@ -141,6 +157,11 @@ class TestRolesFile:
         path.write_text(json.dumps({"hold": ["h"], "swap": ["s"], "extra": 1}))
         with pytest.raises(LoadError, match="roles.extra"):
             load_roles(path)
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        plain = FIXTURES / "witness_odds.roles.json"
+        bom = _bom_crlf_copy(plain, tmp_path / "roles.json")
+        assert load_roles(bom) == load_roles(plain)
 
     def test_round_trips(self, tmp_path):
         path = tmp_path / "roles.json"
