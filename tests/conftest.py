@@ -12,6 +12,12 @@ def make_dataset(records, domain):
     return Dataset(tuple(Record(*r) for r in records), Domain(*domain))
 
 
+def bom_crlf_copy(src, dest):
+    """Write src as a spreadsheet export would: a UTF-8 byte-order mark and CRLF line ends."""
+    dest.write_bytes(b"\xef\xbb\xbf" + src.read_bytes().replace(b"\n", b"\r\n"))
+    return dest
+
+
 def load_fixture(name):
     """Fixture dataset plus its expected-bound annotation."""
     dataset = load_dataset(

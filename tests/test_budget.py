@@ -23,6 +23,8 @@ from permuswap import (
 )
 from permuswap.budget import _data_path
 
+from conftest import bom_crlf_copy
+
 
 def altsum_derangements(k):
     """Independent oracle: d(k) = k! * sum_j (-1)^j / j!, exact."""
@@ -354,8 +356,7 @@ class TestCensusReport:
 
     def test_constants_with_byte_order_mark(self, tmp_path):
         shipped = _data_path("census_zcdp.tsv")
-        bom = tmp_path / "bom.tsv"
-        bom.write_bytes(b"\xef\xbb\xbf" + shipped.read_bytes().replace(b"\n", b"\r\n"))
+        bom = bom_crlf_copy(shipped, tmp_path / "bom.tsv")
         assert load_census_zcdp_rows(bom) == load_census_zcdp_rows()
 
     def test_malformed_constants_rejected(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from permuswap import load_dataset, load_roles, max_stratum_b, psa_budget, tabulate
 from permuswap.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, bom_crlf_copy
 
 
 def run_cli(args):
@@ -91,8 +91,7 @@ class TestSwap:
     def test_byte_order_mark_and_crlf_input(self, synth_files, tmp_path):
         """A spreadsheet export (UTF-8 byte-order mark, CRLF) swaps like the plain file."""
         csv, roles = synth_files
-        bom = tmp_path / "bom.csv"
-        bom.write_bytes(b"\xef\xbb\xbf" + csv.read_bytes().replace(b"\n", b"\r\n"))
+        bom = bom_crlf_copy(csv, tmp_path / "bom.csv")
         tables = []
         for source in (csv, bom):
             out = tmp_path / f"{source.stem}.table.csv"
@@ -444,8 +443,9 @@ class TestConfigFile:
         assert fields[5] == "zero-b"
 
     def test_config_with_byte_order_mark(self, tmp_path, capsys):
-        config = tmp_path / "budget.json"
-        config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"p": "0.05", "b": 3948028}).encode())
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({"p": "0.05", "b": 3948028}))
+        config = bom_crlf_copy(plain, tmp_path / "budget.json")
         assert run_cli(["budget", "--config", config]) == 0
         fields = capsys.readouterr().out.splitlines()[1].split(",")
         assert float(fields[4]) == pytest.approx(18.13, abs=0.01)

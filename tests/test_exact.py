@@ -467,6 +467,29 @@ class TestSweep:
         with pytest.raises(EnumerationBudgetError, match="capped at 3 records"):
             dp_sweep(Domain(1, 2, 2), max_records=4, p_values=[Fraction(1, 2)])
 
+    def test_sweep_does_per_pair_and_per_rate_work_once(self, monkeypatch):
+        """One d_Ham and one brute-force minimum per unordered pair, and
+        each permutation weight once per (k, n, rate)."""
+        calls = {
+            "hamming_distance": [],
+            "min_connecting_derangement": [],
+            "stratum_permutation_prob": [],
+        }
+        for name, args_seen in calls.items():
+            def counted(*args, _fn=getattr(exact, name), _seen=args_seen):
+                _seen.append(args)
+                return _fn(*args)
+
+            monkeypatch.setattr(exact, name, counted)
+        report = dp_sweep(Domain(2, 2, 2), max_records=4, p_values=[Fraction(1, 10), Fraction(1, 2)])
+        pairs = report.connecting_checks // 2
+        assert report.all_pass and pairs > 0
+        assert len(calls["hamming_distance"]) == pairs == report.pair_checks // 2
+        brute = [frozenset(map(id, args)) for args in calls["min_connecting_derangement"]]
+        assert len(brute) == len(set(brute)) == pairs
+        weights = calls["stratum_permutation_prob"]
+        assert len(weights) == len(set(weights)) > 0
+
     def test_universe_report_reaches_ten_record_stratum(self):
         """10! permutations per table: within the default guard, and the
         measured optimum sits between the lower bounds and the budget."""

@@ -16,13 +16,7 @@ from permuswap import (
 )
 from permuswap.synth import StratumSpec
 
-from conftest import FIXTURES
-
-
-def _bom_crlf_copy(src, dest):
-    """Write src as a spreadsheet export would: a UTF-8 byte-order mark and CRLF line ends."""
-    dest.write_bytes(b"\xef\xbb\xbf" + src.read_bytes().replace(b"\n", b"\r\n"))
-    return dest
+from conftest import FIXTURES, bom_crlf_copy
 
 
 class TestCrossClassify:
@@ -136,10 +130,9 @@ class TestCsvReading:
         cols = read_csv_columns(path)
         assert cols["a"] == ["1", "3"]
 
-
     def test_byte_order_mark_and_crlf_load_like_plain(self, tmp_path):
         plain = FIXTURES / "witness_odds.csv"
-        bom = _bom_crlf_copy(plain, tmp_path / "bom.csv")
+        bom = bom_crlf_copy(plain, tmp_path / "bom.csv")
         assert read_csv_columns(bom) == read_csv_columns(plain)
         roles = load_roles(FIXTURES / "witness_odds.roles.json")
         assert load_dataset(bom, roles) == load_dataset(plain, roles)
@@ -160,7 +153,7 @@ class TestRolesFile:
 
     def test_byte_order_mark_dropped(self, tmp_path):
         plain = FIXTURES / "witness_odds.roles.json"
-        bom = _bom_crlf_copy(plain, tmp_path / "roles.json")
+        bom = bom_crlf_copy(plain, tmp_path / "roles.json")
         assert load_roles(bom) == load_roles(plain)
 
     def test_round_trips(self, tmp_path):
