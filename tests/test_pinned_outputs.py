@@ -120,6 +120,10 @@ SWEEP_RATES = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
 # (domain, max_records) -> (universes, datasets, pair checks, connecting
 # checks, failures, sha256 of the per-universe lines of _sweep_lines)
 SWEEP_PINS = {
+    ((1, 2, 2), 8): (
+        285, 495, 888, 592, (),
+        "50a4320cc8dd35018be047b02e98e5f2b618cf810a8bce260cdbf291c338f1a5",
+    ),
     ((1, 2, 3), 5): (
         266, 462, 882, 588, (),
         "14ea614c52bc0c3eaf342333ef8b7a7652572102e3f932fde224be3873371d2c",
@@ -183,5 +187,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in _cli_outputs(Path(tmp)).items():
             print(f"    {name!r}: {_sha(data)!r},")
-    for case in (((2, 2, 2), 4), ((1, 2, 3), 5)):
+    for case in (((2, 2, 2), 4), ((1, 2, 3), 5), ((1, 2, 2), 8)):
         print(f"    {case!r}: {_sweep_pin(*case)!r},")
