@@ -264,7 +264,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             domain=Domain(*domain),
             max_records=args.max_records,
             p_values=interior,
-            check_connecting=True,
             max_permutations=args.max_enumeration,
         )
         lines = [

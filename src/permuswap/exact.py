@@ -27,7 +27,8 @@ The rest of a universe's structure is a function of its margins: the
 stratum bound b, which :func:`permuswap.budget.psa_lower_bounds` have a
 witness there, and a permutation moving exactly d_Ham records between
 two members (by direct matching), which the sweep cross-checks against
-a brute-force minimum capped at 8 records.
+the fewest records any permutation moves between them, read off the
+same rate-free stratum histograms.
 
 The guard ``max_permutations`` bounds the composite permutation space
 the law is a sum over: the product of n! over the strata of at least
@@ -86,7 +87,6 @@ __all__ = [
     "verify_dp",
     "measured_optimal_epsilon",
     "connecting_permutation",
-    "min_connecting_derangement",
     "odds_bound_applies",
     "ratio_bound_applies",
     "applicable_lower_bounds",
@@ -102,8 +102,6 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
-# record cap of the brute-force connecting check, which walks n! permutations
-_BRUTE_FORCE_CAP = 8
 # slack for the single real-valued step (the final logarithm)
 LOG_SLACK = 1e-12
 
@@ -532,9 +530,15 @@ def connecting_permutation(x: Dataset, x_prime: Dataset) -> Permutation:
     every mover moves and no other record does, which is exactly
     d_Ham records.
     """
-    if not same_universe(x, x_prime):
+    table, target = tabulate(x), tabulate(x_prime)
+    if not same_universe(table, target):
         raise UniverseMismatchError("pair does not share invariants")
-    diff = (tabulate(x).counts - tabulate(x_prime).counts).ravel()
+    return _connecting_permutation(x, table.counts - target.counts)
+
+
+def _connecting_permutation(x: Dataset, diff: np.ndarray) -> Permutation:
+    """:func:`connecting_permutation` for a same-universe pair, given C(x) - C(x')."""
+    diff = diff.ravel()
     cells = np.ravel_multi_index(tuple(x.codes.T), x.domain.shape)
     order = np.argsort(cells, kind="stable")
     by_cell = cells[order]
@@ -550,14 +554,36 @@ def connecting_permutation(x: Dataset, x_prime: Dataset) -> Permutation:
     return Permutation(mapping.tolist())
 
 
+def _min_moves(
+    table: ContingencyTable, target: ContingencyTable, cache: dict
+) -> Union[int, None]:
+    """Fewest records a within-stratum permutation moves to carry
+    ``table`` onto ``target``, or None: per differing stratum, the first
+    nonzero entry of its cached histogram at the target's stratum."""
+    cells = table.domain.hold * table.domain.swap
+    flat, goal = table.canonical_key(), target.canonical_key()
+    total = 0
+    for lo in range(0, len(flat), cells):
+        counts, want = flat[lo : lo + cells], goal[lo : lo + cells]
+        if counts == want:
+            continue
+        hist = cache.get(counts)
+        if hist is None:
+            hist = cache[counts] = _stratum_histogram(counts, table.domain.swap)
+        if want not in hist:
+            return None
+        total += next(k for k, c in enumerate(hist[want]) if c)
+    return total
+
+
 def min_connecting_derangement(
-    x: Dataset, x_prime: Dataset, max_records: int = _BRUTE_FORCE_CAP
+    x: Dataset, x_prime: Dataset, max_records: int = 8
 ) -> Union[int, None]:
     """Brute-force minimum derangement count over all permutations g
     with C(g(x)) = C(x'); None when no permutation connects the pair.
 
-    Independent of :func:`connecting_permutation`; used to cross-check
-    it on small instances.
+    Walks all n! permutations.  The library no longer calls it; tests and
+    the benchmark hold the sweep's connecting minimum against it.
     """
     n = len(x)
     if n != len(x_prime):
@@ -692,7 +718,6 @@ def dp_sweep(
         Fraction(7, 10),
         Fraction(9, 10),
     ),
-    check_connecting: bool = True,
     max_permutations: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> SweepReport:
     """Exhaustive verification over every small dataset and universe.
@@ -702,33 +727,17 @@ def dp_sweep(
     distribution sums to one and (for interior rates) has the whole
     universe as support; the universe's pointwise-optimal budget sits
     between the applicable lower bounds and the closed-form budget.
-    Optionally each same-universe pair is also connected by an explicit
-    permutation deranging exactly d_Ham records, cross-checked against
-    brute-force search; a max_records above its cap of 8 then raises
-    EnumerationBudgetError up front if some universe could exceed it.
+    Each ordered same-universe pair is connected by an explicit
+    permutation deranging exactly d_Ham records, and, independently, the
+    fewest records a within-stratum permutation moves between them, read
+    off the stratum histograms, equals d_Ham (which no permutation beats).
 
     Each piece of work is done once: every dataset is tabulated once and
-    its table serves the grouping, the distributions and the connecting
-    check's target; d_Ham is computed once per unordered pair, before
-    the rates; stratum laws and weights are shared through one cache.
-    The brute-force minimum runs once per unordered pair and serves both
-    orders.  It is symmetric: if g connects x to x' moving k records,
-    then x' is x with its swap values permuted by g, so relabelling the
-    records of x' through that match turns g^-1 into a permutation that
-    connects x' to x and moves the same k records.
+    its table serves the grouping, the distributions and both connecting
+    checks; d_Ham is computed once per unordered pair, before the rates;
+    stratum histograms, laws and weights are shared through one cache.
     """
     domain = Domain(*domain)
-    if (
-        check_connecting
-        and max_records > _BRUTE_FORCE_CAP
-        and domain.match >= 1
-        and min(domain.hold, domain.swap) >= 2
-    ):
-        # some universe then holds two datasets of max_records records
-        raise EnumerationBudgetError(
-            f"the connecting check's brute force is capped at {_BRUTE_FORCE_CAP} "
-            f"records, below max_records={max_records}"
-        )
     rates = tuple(to_exact_rate(p) for p in p_values)
     datasets = enumerate_small_datasets(domain, max_records)
     groups: dict[SwapInvariants, list[tuple[Dataset, ContingencyTable]]] = {}
@@ -788,32 +797,25 @@ def dp_sweep(
                         f"{bound} ({condition}) in universe of "
                         f"{tables[0].canonical_string()}"
                     )
-        if check_connecting:
-            brute: dict[tuple[int, int], Union[int, None]] = {}
-            for i, j in itertools.permutations(range(len(members)), 2):
-                connecting_checks += 1
-                pair = (min(i, j), max(i, j))
-                d_ham = d_hams[pair]
-                rho = connecting_permutation(members[i], members[j])
-                moved = tabulate(apply_permutation(rho, members[i]))
-                if moved != tables[j]:
-                    failures.append(
-                        f"connecting permutation misses the target for pair "
-                        f"({i},{j}) in universe of "
-                        f"{tables[0].canonical_string()}"
-                    )
-                if rho.derange_count != d_ham:
-                    failures.append(
-                        f"connecting permutation deranges {rho.derange_count} "
-                        f"records, expected {d_ham}"
-                    )
-                # symmetric, so (j, i) reuses the minimum found for (i, j)
-                if pair not in brute:
-                    brute[pair] = min_connecting_derangement(members[i], members[j])
-                if brute[pair] != d_ham:
-                    failures.append(
-                        f"brute-force minimum {brute[pair]} disagrees with d_Ham {d_ham}"
-                    )
+        for i, j in itertools.permutations(range(len(members)), 2):
+            connecting_checks += 1
+            d_ham = d_hams[min(i, j), max(i, j)]
+            rho = _connecting_permutation(members[i], tables[i].counts - tables[j].counts)
+            moved = tabulate(apply_permutation(rho, members[i]))
+            if moved != tables[j]:
+                failures.append(
+                    f"connecting permutation misses the target for pair "
+                    f"({i},{j}) in universe of "
+                    f"{tables[0].canonical_string()}"
+                )
+            if rho.derange_count != d_ham:
+                failures.append(
+                    f"connecting permutation deranges {rho.derange_count} "
+                    f"records, expected {d_ham}"
+                )
+            fewest = _min_moves(tables[i], tables[j], cache)
+            if fewest != d_ham:
+                failures.append(f"connecting minimum {fewest} disagrees with d_Ham {d_ham}")
         universes.append(
             UniverseCheck(b=b, size=len(members), measured=measured_by_p, budget=budget_by_p)
         )

@@ -202,7 +202,6 @@ def sweep_report():
             Fraction(7, 10),
             Fraction(9, 10),
         ),
-        check_connecting=True,
     )
 
 

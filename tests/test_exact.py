@@ -19,7 +19,6 @@ from permuswap import (
     max_probability_ratio,
     max_stratum_b,
     measured_optimal_epsilon,
-    min_connecting_derangement,
     mult_distance,
     psa_budget,
     swap_invariants,
@@ -34,6 +33,7 @@ from permuswap.exact import (
     dp_sweep,
     enumerate_small_datasets,
     invariant_stratum_bound,
+    min_connecting_derangement,
     odds_bound_applies,
     ratio_bound_applies,
     universe_report,
@@ -280,8 +280,14 @@ class TestConnectingPermutation:
                     assert rho.derange_count == d_ham
                     assert tabulate(apply_permutation(rho, a)) == tabulate(b)
                     assert min_connecting_derangement(a, b) == d_ham
+                    assert exact._min_moves(tabulate(a), tabulate(b), {}) == d_ham
                     checked += 1
         assert checked > 0
+        # one stratum: across universes no permutation connects a pair
+        for a, b in itertools.combinations([g[0] for g in groups.values()], 2):
+            if len(a) == len(b):
+                assert min_connecting_derangement(a, b) is None
+                assert exact._min_moves(tabulate(a), tabulate(b), {}) is None
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -289,7 +295,8 @@ class TestConnectingPermutation:
         """The minimum is the same both ways: the inverse of a connecting
         g, relabelled through the multiset match, connects x' to x and
         moves the same records.  Drawn pairs share a universe: x' takes
-        the swap values of x permuted within each stratum."""
+        the swap values of x permuted within each stratum.  The histogram
+        minimum the sweep uses agrees with the brute force."""
         domain = data.draw(st.tuples(*(st.integers(1, 3) for _ in range(3))))
         cells = list(itertools.product(*(range(n) for n in domain)))
         recs = data.draw(st.lists(st.sampled_from(cells), max_size=6))
@@ -305,6 +312,7 @@ class TestConnectingPermutation:
         forward = min_connecting_derangement(x, y)
         assert forward == min_connecting_derangement(y, x)
         assert forward == hamming_distance(x, y)
+        assert forward == exact._min_moves(tabulate(x), tabulate(y), {})
 
     def test_multi_stratum_pair(self):
         a = make_dataset([(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)], (2, 2, 2))
@@ -453,27 +461,17 @@ class TestSweep:
         assert report.connecting_checks > 0
         assert report.all_pass
 
-    def test_brute_force_cap_boundary(self, monkeypatch):
-        """A sweep at the cap runs; one record above it is refused before
-        any dataset is enumerated."""
-        monkeypatch.setattr(exact, "_BRUTE_FORCE_CAP", 3)
-        report = dp_sweep(Domain(1, 2, 2), max_records=3, p_values=[Fraction(1, 2)])
-        assert report.all_pass and report.connecting_checks > 0
-
-        def no_enumeration(*args):
-            raise AssertionError("datasets enumerated before the cap check")
-
-        monkeypatch.setattr(exact, "enumerate_small_datasets", no_enumeration)
-        with pytest.raises(EnumerationBudgetError, match="capped at 3 records"):
-            dp_sweep(Domain(1, 2, 2), max_records=4, p_values=[Fraction(1, 2)])
-
     def test_sweep_does_per_pair_and_per_rate_work_once(self, monkeypatch):
-        """One d_Ham and one brute-force minimum per unordered pair, and
-        each permutation weight once per (k, n, rate)."""
+        """One d_Ham per unordered pair, each permutation weight once per
+        (k, n, rate), one histogram per stratum, shared by the
+        distributions and the connecting minimum, no brute force, and one
+        table per dataset plus one per connecting permutation's target."""
         calls = {
             "hamming_distance": [],
             "min_connecting_derangement": [],
             "stratum_permutation_prob": [],
+            "_stratum_histogram": [],
+            "tabulate": [],
         }
         for name, args_seen in calls.items():
             def counted(*args, _fn=getattr(exact, name), _seen=args_seen):
@@ -485,10 +483,19 @@ class TestSweep:
         pairs = report.connecting_checks // 2
         assert report.all_pass and pairs > 0
         assert len(calls["hamming_distance"]) == pairs == report.pair_checks // 2
-        brute = [frozenset(map(id, args)) for args in calls["min_connecting_derangement"]]
-        assert len(brute) == len(set(brute)) == pairs
+        assert calls["min_connecting_derangement"] == []
         weights = calls["stratum_permutation_prob"]
         assert len(weights) == len(set(weights)) > 0
+        assert len(calls["tabulate"]) == report.dataset_count + report.connecting_checks
+        strata = {
+            tuple(row)
+            for d in enumerate_small_datasets(Domain(2, 2, 2), 4)
+            for row in tabulate(d).counts.reshape(2, 4).tolist()
+            if sum(row) >= 2
+        }
+        histograms = [counts for counts, _ in calls["_stratum_histogram"]]
+        assert len(histograms) == len(set(histograms))
+        assert set(histograms) == strata
 
     def test_universe_report_reaches_ten_record_stratum(self):
         """10! permutations per table: within the default guard, and the

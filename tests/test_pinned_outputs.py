@@ -124,6 +124,10 @@ SWEEP_PINS = {
         285, 495, 888, 592, (),
         "50a4320cc8dd35018be047b02e98e5f2b618cf810a8bce260cdbf291c338f1a5",
     ),
+    ((1, 2, 2), 10): (
+        506, 1001, 2373, 1582, (),
+        "47a920815f0da6e1e52d74ae2b071cb715b852d9f32a0997a5d48a2ae061af04",
+    ),
     ((1, 2, 3), 5): (
         266, 462, 882, 588, (),
         "14ea614c52bc0c3eaf342333ef8b7a7652572102e3f932fde224be3873371d2c",
@@ -187,5 +191,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in _cli_outputs(Path(tmp)).items():
             print(f"    {name!r}: {_sha(data)!r},")
-    for case in (((2, 2, 2), 4), ((1, 2, 3), 5), ((1, 2, 2), 8)):
+    for case in (((2, 2, 2), 4), ((1, 2, 3), 5), ((1, 2, 2), 8), ((1, 2, 2), 10)):
         print(f"    {case!r}: {_sweep_pin(*case)!r},")
