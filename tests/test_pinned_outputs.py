@@ -5,6 +5,10 @@ SHA-256 digests were recorded before the storage of ``Dataset`` became
 columnar and must never change: a faster path that alters one RNG draw,
 the stratum order or a table cell fails here.
 
+The CLI's reports (budget, curve, verify, tda-report, utility and the
+synth roles file) are pinned the same way, so a rewrite of the code
+that formats them must reproduce every byte.
+
 The exhaustive sweep is pinned the same way: its counts and failures
 as values, and every universe's b, size, measured optimum and budget
 per rate (as ``repr`` floats) as one digest, so a faster sweep must
@@ -14,7 +18,9 @@ Run ``python tests/test_pinned_outputs.py`` to print the digests the
 current code produces, in the layout of the tables below.
 """
 
+import contextlib
 import hashlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -25,7 +31,7 @@ from permuswap.dataset import Domain
 from permuswap.exact import dp_sweep
 from permuswap.synth import StratumSpec, synthesize
 
-from conftest import make_dataset
+from conftest import FIXTURES, make_dataset
 
 
 def _sha(data: bytes) -> str:
@@ -115,6 +121,50 @@ def _cli_outputs(work):
     return {name: (work / name).read_bytes() for name in CLI_DIGESTS}
 
 
+# CLI report -> sha256 of its stdout (for synth, of the --roles-out file);
+# {fixtures} and {work} stand for the fixture and a scratch directory
+REPORT_DIGESTS = {
+    "budget --p 0.1 --b 5":
+        "f3bf3ba42c2430489c0e5c0c2cdf068f31b26a6f50d8577e9be1ebe85e3db4fc",
+    "budget --p 0 --b 5":
+        "ca30cfac5a4c3dd566cf3411b70372ff6715d8c48cceb7bfad9d42b4c060ebb4",
+    "budget --p 1 --b 0 --format json":
+        "3fc16859ea1437d0bcc50ddb638cfd176e9738ac2e4d840ded40382239495897",
+    "budget --table5":
+        "6b3df1f5c92b8d0b71598ea36f94a75a08b59bc2ff731c8eb106aa5cc12d1d12",
+    "budget --table5 --format json":
+        "031860cd9e0156b9b4e797240be50a467ae07dfff4733fe4a8d5287beea0ee84",
+    "curve --b 2,5,40":
+        "b4b270bd7e502185733c2a226fb0a431f40d60879447bff3d0182813af0f82cd",
+    "curve --b 4 --p-values 0,1/3,1":
+        "b3e4a6b492db0d18ba1b5915088db3dca8e891a875173f4b8aaa8dc56b22a8d4",
+    "verify --input {fixtures}/witness_odds.csv --roles {fixtures}/witness_odds.roles.json"
+    " --p-values 0,1/10,1/2,1":
+        "20494987eb8a5f912560a3928892c7b6b9b9eece497f47e58b2c864e6ace686a",
+    "tda-report":
+        "ec986e53eab3fe148c67c869699558d62f1fa6691205d67dae83cca068b3f1ae",
+    "tda-report --format json":
+        "957c440423e224575085fd7b252b1498651d92bc1ac98056f7d7d38c9b5d06c3",
+    "utility --input {fixtures}/witness_ratio_b4.csv --roles {fixtures}/witness_ratio_b4.roles.json"
+    " --rates 0.05,1/3,1 --reps 4 --seed 5":
+        "a66a6855fc75f6dfd12bbf145855b87c5b33c03bc44752dd196067ad371ee133",
+    "synth --strata 5,0,3 --constant 2 --hold-levels 3 --swap-levels 4 --seed 9"
+    " --out {work}/data.csv --roles-out {work}/roles.json":
+        "6703048eed6e2e6edeb4e5424ef3ccdff6b2617881f095169075ce0e43e168c1",
+}
+
+
+def _report_bytes(command, work):
+    """Run one CLI report in-process; return the bytes it writes."""
+    argv = command.format(fixtures=FIXTURES, work=work).split()
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli_main(argv) == 0
+    if "--roles-out" in argv:
+        return (work / "roles.json").read_bytes()
+    return stdout.getvalue().encode()
+
+
 SWEEP_RATES = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
 
 # (domain, max_records) -> (universes, datasets, pair checks, connecting
@@ -176,6 +226,11 @@ def test_cli_outputs_pinned(tmp_path):
     assert {name: _sha(data) for name, data in outputs.items()} == CLI_DIGESTS
 
 
+@pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
+def test_cli_reports_pinned(tmp_path, command):
+    assert _sha(_report_bytes(command, tmp_path)) == REPORT_DIGESTS[command]
+
+
 @pytest.mark.parametrize("case", sorted(SWEEP_PINS), ids=repr)
 def test_sweep_report_pinned(case):
     assert _sweep_pin(*case) == SWEEP_PINS[case]
@@ -191,5 +246,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in _cli_outputs(Path(tmp)).items():
             print(f"    {name!r}: {_sha(data)!r},")
+        for command in REPORT_DIGESTS:
+            print(f"    {command!r}: {_sha(_report_bytes(command, Path(tmp)))!r},")
     for case in (((2, 2, 2), 4), ((1, 2, 3), 5), ((1, 2, 2), 8), ((1, 2, 2), 10)):
         print(f"    {case!r}: {_sweep_pin(*case)!r},")
