@@ -10,9 +10,11 @@ Writes long-format data to utility_mape.csv, ready for any boxplot
 tool.
 """
 
+from pathlib import Path
+
 from permuswap import utility_experiment
 from permuswap.synth import StratumSpec, synthesize
-from permuswap.utility import write_utility_csv
+from permuswap.utility import utility_csv
 
 RATES = [0.01, 0.05, 0.10, 0.25, 0.50]
 
@@ -33,7 +35,7 @@ def main():
             f"{r.rate:>6.2f} {s.minimum:>8.4f} {s.q1:>8.4f} {s.median:>8.4f} "
             f"{s.q3:>8.4f} {s.maximum:>8.4f} {s.mean:>8.4f}"
         )
-    write_utility_csv(reports, "utility_mape.csv")
+    Path("utility_mape.csv").write_text(utility_csv(reports), encoding="utf-8")
     print("\nwrote utility_mape.csv (rate, rep, mape)")
     print(f"conventions: {reports[0].metadata['zero_cells']};")
     print(f"             {reports[0].metadata['quartiles']}")

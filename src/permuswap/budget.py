@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Union
 
 __all__ = [
     "BudgetResult",
@@ -297,6 +297,8 @@ def group_privacy_doubled(
 # 2020 Census constants and the comparison report
 
 DEFAULT_DELTA = 1e-10
+# the swap rates of the counterfactual table (the paper's Table 5)
+COUNTERFACTUAL_RATES = (0.05, 0.5)
 _COMPOSITION_MECHANISM = "composition"
 
 
@@ -359,14 +361,14 @@ def load_counterfactual_rows(
     """Load the shipped swapping counterfactual table (b per scheme)."""
     path = _data_path("census_psa_counterfactual.tsv") if path is None else Path(path)
     rows = []
-    for match_vars, swap_vars, b, stratum, eps05, eps50 in _read_table(path, 6):
+    for match_vars, swap_vars, b, stratum, *published in _read_table(path, 6):
         rows.append(
             CounterfactualRow(
                 match_vars=match_vars,
                 swap_vars=swap_vars,
                 b=int(b),
                 largest_stratum=stratum,
-                published_epsilon={0.05: float(eps05), 0.5: float(eps50)},
+                published_epsilon=dict(zip(COUNTERFACTUAL_RATES, map(float, published))),
             )
         )
     return rows
@@ -417,7 +419,6 @@ def census2020_report(
     delta: float = DEFAULT_DELTA,
     zcdp_path: Union[str, Path, None] = None,
     counterfactual_path: Union[str, Path, None] = None,
-    swap_rates: Sequence[float] = (0.05, 0.5),
 ) -> CensusComparisonReport:
     """Recompute the 2020 privacy-loss accounting from the constants file.
 
@@ -511,7 +512,7 @@ def census2020_report(
     counterfactual = []
     for cf in load_counterfactual_rows(counterfactual_path):
         eps_by_rate = {
-            rate: psa_budget(rate, cf.b).epsilon for rate in swap_rates
+            rate: psa_budget(rate, cf.b).epsilon for rate in COUNTERFACTUAL_RATES
         }
         counterfactual.append(
             CounterfactualBudget(

@@ -1,10 +1,14 @@
-"""Command-line surface: swap, budget, curve, verify, tda-report, synth.
+"""Command-line surface: swap, budget, curve, verify, tda-report, synth, utility.
 
 Every subcommand is deterministic given its full flag set (the seed
-defaults to the PERMUSWAP_SEED environment variable, then 0).  Numeric
-output uses fixed 6-decimal formatting and infinity serializes as the
-string "inf" in both CSV and JSON, so golden-file comparisons are
-stable byte for byte.
+defaults to the PERMUSWAP_SEED environment variable, then 0), and each
+writes its report through one emitter, so golden-file comparisons are
+stable byte for byte.  A CSV field goes through ``_cell``: a float at
+6 decimals, infinity as "inf", a bool in lower case, None as "-",
+anything else with ``str``.  JSON goes through ``_emit_json`` (two-space
+indent, sorted keys), with floats rounded to 6 decimals and infinity as
+the string "inf".  The one exception is ``swap``'s count table, which
+formats its many rows with one f-string each.
 
 Exit codes: 0 success; 2 validation failure (bad flags, bad config,
 bad data); 3 verification failure (a checked guarantee did not hold);
@@ -12,13 +16,14 @@ bad data); 3 verification failure (a checked guarantee did not hold);
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from . import budget as budget_mod
 from . import exact as exact_mod
@@ -26,7 +31,7 @@ from .dataset import Dataset, Domain, invariant_stratum_bound, max_stratum_b, sw
 from .ingest import LoadError, load_dataset, load_roles, write_dataset_csv
 from .swapping import PsaParams, run_psa_details, to_exact_rate
 from .synth import StratumSpec, synthesize
-from .utility import utility_experiment, utility_json, utility_rows
+from .utility import utility_csv, utility_experiment, utility_json
 
 __all__ = ["main"]
 
@@ -49,17 +54,37 @@ def fmt(value: float) -> str:
     return f"{value:.{FLOAT_DIGITS}f}"
 
 
-def _json_value(value: float) -> Union[float, str]:
-    if math.isinf(value):
-        return "inf"
-    return round(value, FLOAT_DIGITS)
+def _cell(value: object) -> str:
+    """One CSV field of a report."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return fmt(value)
+    return "-" if value is None else str(value)
+
+
+def _rows(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    return "\n".join([",".join(header), *(",".join(map(_cell, row)) for row in rows)])
+
+
+def _json_value(value: object) -> object:
+    """A float rounded for JSON (infinity as "inf"); anything else as is."""
+    if not isinstance(value, float):
+        return value
+    return "inf" if math.isinf(value) else round(value, FLOAT_DIGITS)
 
 
 def _emit(text: str, out: Union[str, None]) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        Path(out).write_text(text, encoding="utf-8")
+
+
+def _emit_json(payload: object, out: Union[str, None]) -> None:
+    _emit(json.dumps(payload, indent=2, sort_keys=True), out)
 
 
 def _default_seed() -> int:
@@ -100,22 +125,18 @@ def _load_input(args: argparse.Namespace) -> Dataset:
 def _cmd_swap(args: argparse.Namespace) -> int:
     if args.p is None:
         raise CliError("p: a swap rate is required")
-    x = _load_input(args)
     rate = _parse_rate(args.p, "p")
+    x = _load_input(args)
     params = PsaParams(float(rate), args.seed)
     run = run_psa_details(x, params)
     inv = swap_invariants(x)
     b = invariant_stratum_bound(inv)
     result = budget_mod.psa_budget(float(rate), b)
 
-    lines = ["m,h,s,count"]
-    counts = run.table.counts
-    mx, hx, sx = run.table.domain
-    for m in range(mx):
-        for h in range(hx):
-            for s in range(sx):
-                lines.append(f"{m},{h},{s},{int(counts[m, h, s])}")
-    _emit("\n".join(lines), args.out)
+    # one f-string per cell: the table can have a few hundred thousand rows
+    cells = itertools.product(*map(range, run.table.domain))
+    lines = [f"{m},{h},{s},{count}" for (m, h, s), count in zip(cells, run.table.canonical_key())]
+    _emit("\n".join(["m,h,s,count", *lines]), args.out)
 
     sidecar = {
         "p": _json_value(float(rate)),
@@ -139,7 +160,7 @@ def _cmd_swap(args: argparse.Namespace) -> int:
         },
     }
     if args.sidecar:
-        _emit(json.dumps(sidecar, indent=2, sort_keys=True), args.sidecar)
+        _emit_json(sidecar, args.sidecar)
     return EXIT_OK
 
 
@@ -147,62 +168,37 @@ def _cmd_swap(args: argparse.Namespace) -> int:
 # budget
 
 
-def _budget_rows(args: argparse.Namespace) -> list[dict[str, object]]:
-    rows: list[dict[str, object]] = []
+BUDGET_COLUMNS = ("match", "swap", "b", "p", "epsilon", "regime")
+
+
+def _budget_rows(args: argparse.Namespace) -> list[tuple[object, ...]]:
+    """Rows under BUDGET_COLUMNS: the counterfactual schemes, or one (p, b)."""
     if args.table5:
+        rows = []
         for row in budget_mod.load_counterfactual_rows(args.counterfactual):
-            for rate in (0.05, 0.5):
+            for rate in budget_mod.COUNTERFACTUAL_RATES:
                 res = budget_mod.psa_budget(rate, row.b)
-                rows.append(
-                    {
-                        "match": row.match_vars,
-                        "swap": row.swap_vars,
-                        "b": row.b,
-                        "p": rate,
-                        "epsilon": res.epsilon,
-                        "regime": res.regime,
-                    }
-                )
+                rows.append((row.match_vars, row.swap_vars, row.b, rate, res.epsilon, res.regime))
         return rows
     if args.p is None:
         raise CliError("p: --p is required unless --table5 is given")
-    rate = _parse_rate(args.p, "p")
+    rate = float(_parse_rate(args.p, "p"))
     if args.b is not None:
         b = args.b
     elif args.input:
         b = max_stratum_b(_load_input(args))
     else:
         raise CliError("b: give --b directly or --input/--roles to derive it")
-    res = budget_mod.psa_budget(float(rate), b)
-    rows.append(
-        {
-            "match": "-",
-            "swap": "-",
-            "b": b,
-            "p": float(rate),
-            "epsilon": res.epsilon,
-            "regime": res.regime,
-        }
-    )
-    return rows
+    res = budget_mod.psa_budget(rate, b)
+    return [("-", "-", b, rate, res.epsilon, res.regime)]
 
 
 def _cmd_budget(args: argparse.Namespace) -> int:
     rows = _budget_rows(args)
     if args.format == "json":
-        payload = [
-            {**row, "p": _json_value(float(row["p"])), "epsilon": _json_value(row["epsilon"])}
-            for row in rows
-        ]
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+        _emit_json([dict(zip(BUDGET_COLUMNS, map(_json_value, row))) for row in rows], args.out)
     else:
-        lines = ["match,swap,b,p,epsilon,regime"]
-        for row in rows:
-            lines.append(
-                f"{row['match']},{row['swap']},{row['b']},{fmt(float(row['p']))},"
-                f"{fmt(row['epsilon'])},{row['regime']}"
-            )
-        _emit("\n".join(lines), args.out)
+        _emit(_rows(BUDGET_COLUMNS, rows), args.out)
     return EXIT_OK
 
 
@@ -224,14 +220,12 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         if count < 2:
             raise CliError("p-grid: need at least 2 grid points")
         grid = [i / (count + 1) for i in range(1, count + 1)]
-    lines = ["b,p,epsilon,kind"]
+    rows = []
     for b in b_values:
-        for p in grid:
-            res = budget_mod.psa_budget(p, b)
-            lines.append(f"{b},{fmt(p)},{fmt(res.epsilon)},curve")
+        rows.extend((b, p, budget_mod.psa_budget(p, b).epsilon, "curve") for p in grid)
         eps_min, p_min = budget_mod.min_budget(b)
-        lines.append(f"{b},{fmt(p_min)},{fmt(eps_min)},minimum")
-    _emit("\n".join(lines), args.out)
+        rows.append((b, p_min, eps_min, "minimum"))
+    _emit(_rows(("b", "p", "epsilon", "kind"), rows), args.out)
     return EXIT_OK
 
 
@@ -278,17 +272,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     x = _load_input(args)
     rows = exact_mod.universe_report(x, p_values, args.max_enumeration)
-    lines = ["p,b,universe_size,budget_epsilon,measured_optimal,passed,expected_infinite"]
-    failed = False
-    for row in rows:
-        lines.append(
-            f"{fmt(row.p)},{row.b},{row.universe_size},{fmt(row.budget_epsilon)},"
-            f"{fmt(row.measured_optimal)},{str(row.passed).lower()},"
-            f"{str(row.expected_infinite).lower()}"
-        )
-        failed = failed or not row.passed
-    _emit("\n".join(lines), args.out)
-    return EXIT_VERIFICATION if failed else EXIT_OK
+    columns = (
+        "p", "b", "universe_size", "budget_epsilon", "measured_optimal", "passed", "expected_infinite",
+    )
+    _emit(_rows(columns, ([getattr(row, c) for c in columns] for row in rows)), args.out)
+    return EXIT_OK if all(row.passed for row in rows) else EXIT_VERIFICATION
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +303,11 @@ def _cmd_tda_report(args: argparse.Namespace) -> int:
                 for p in report.products
             ],
             "noise_stage_totals": [
-                {"label": t.label, "rho_squared": round(t.rho_squared, 6), "epsilon": _json_value(t.epsilon)}
+                {
+                    "label": t.label,
+                    "rho_squared": _json_value(t.rho_squared),
+                    "epsilon": _json_value(t.epsilon),
+                }
                 for t in report.noise_stage_totals
             ],
             "topdown_total": {
@@ -329,7 +321,7 @@ def _cmd_tda_report(args: argparse.Namespace) -> int:
                 "published_epsilon": report.overall.published_epsilon,
             },
             "group_privacy": {
-                "rho_squared": round(report.group_privacy_rho_squared, 6),
+                "rho_squared": _json_value(report.group_privacy_rho_squared),
                 "epsilon": _json_value(report.group_privacy_epsilon),
             },
             "counterfactual": [
@@ -345,35 +337,32 @@ def _cmd_tda_report(args: argparse.Namespace) -> int:
             ],
             "notes": list(report.notes),
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+        _emit_json(payload, args.out)
         return EXIT_OK
 
-    lines = [f"zCDP budgets and conversions at delta={report.delta:g}", ""]
-    lines.append("label,rho_squared,epsilon,published_epsilon,deviation")
-    for p in report.products + report.noise_stage_totals + (
-        report.topdown_total,
-        report.overall,
-    ):
-        pub = "-" if p.published_epsilon is None else fmt(p.published_epsilon)
-        dev = "-" if p.deviation is None else fmt(p.deviation)
-        lines.append(f"{p.label},{fmt(p.rho_squared)},{fmt(p.epsilon)},{pub},{dev}")
-    lines.append("")
-    lines.append(
+    converted = report.products + report.noise_stage_totals + (report.topdown_total, report.overall)
+    counterfactual = [
+        (c.match_vars, c.swap_vars, c.b, rate, c.epsilon_by_rate[rate],
+         c.published_by_rate.get(rate, math.nan))
+        for c in report.counterfactual
+        for rate in sorted(c.epsilon_by_rate)
+    ]
+    lines = [
+        f"zCDP budgets and conversions at delta={report.delta:g}",
+        "",
+        _rows(
+            ("label", "rho_squared", "epsilon", "published_epsilon", "deviation"),
+            [(c.label, c.rho_squared, c.epsilon, c.published_epsilon, c.deviation) for c in converted],
+        ),
+        "",
         f"group privacy (two records per unit): rho_squared={fmt(report.group_privacy_rho_squared)} "
-        f"epsilon={fmt(report.group_privacy_epsilon)}"
-    )
-    lines.append("")
-    lines.append("counterfactual swapping schemes")
-    lines.append("match,swap,b,p,epsilon,published")
-    for c in report.counterfactual:
-        for rate in sorted(c.epsilon_by_rate):
-            lines.append(
-                f"{c.match_vars},{c.swap_vars},{c.b},{fmt(rate)},"
-                f"{fmt(c.epsilon_by_rate[rate])},{fmt(c.published_by_rate.get(rate, float('nan')))}"
-            )
-    lines.append("")
-    for note in report.notes:
-        lines.append(f"note: {note}")
+        f"epsilon={fmt(report.group_privacy_epsilon)}",
+        "",
+        "counterfactual swapping schemes",
+        _rows(("match", "swap", "b", "p", "epsilon", "published"), counterfactual),
+        "",
+        *(f"note: {note}" for note in report.notes),
+    ]
     _emit("\n".join(lines), args.out)
     return EXIT_OK
 
@@ -411,7 +400,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
                 "swap": list(x.schema.swap_labels),
             },
         }
-        _emit(json.dumps(roles, indent=2, sort_keys=True), args.roles_out)
+        _emit_json(roles, args.roles_out)
     return EXIT_OK
 
 
@@ -420,20 +409,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_utility(args: argparse.Namespace) -> int:
-    if args.rates is None:
-        raise CliError("rates: at least one rate is required")
-    x = _load_input(args)
-    rates = [float(_parse_rate(tok, "rates")) for tok in args.rates.split(",") if tok]
+    rates = [float(_parse_rate(tok, "rates")) for tok in (args.rates or "").split(",") if tok]
     if not rates:
         raise CliError("rates: at least one rate is required")
-    reports = utility_experiment(x, rates, args.reps, args.seed)
-    if args.format == "json":
-        _emit(utility_json(reports), args.out)
-    else:
-        lines = ["rate,rep,mape"]
-        for rate, rep, value in utility_rows(reports):
-            lines.append(f"{fmt(rate)},{rep},{fmt(value)}")
-        _emit("\n".join(lines), args.out)
+    reports = utility_experiment(_load_input(args), rates, args.reps, args.seed)
+    _emit(utility_json(reports) if args.format == "json" else utility_csv(reports), args.out)
     return EXIT_OK
 
 

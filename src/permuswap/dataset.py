@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "tabulate",
     "tabulate_columns",
     "swap_invariants",
-    "l1_distance",
     "hamming_distance",
     "same_universe",
     "max_stratum_b",
@@ -167,13 +166,6 @@ class Dataset:
     def __hash__(self) -> int:
         return hash((self.domain, self._sorted_cells().tobytes()))
 
-    def reordered(self, order: Iterable[int]) -> "Dataset":
-        """Same multiset with records listed in the given position order."""
-        order = np.array(list(order), dtype=np.int64)
-        if not np.array_equal(np.sort(order), np.arange(len(self))):
-            raise ValueError("order must be a permutation of record positions")
-        return Dataset(self.codes[order], self.domain, self.schema)
-
 
 @dataclass(frozen=True, eq=False)
 class ContingencyTable:
@@ -204,7 +196,7 @@ class ContingencyTable:
         return int(self.counts.sum())
 
     def canonical_key(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in self.counts.ravel())
+        return tuple(self.counts.ravel().tolist())
 
     def canonical_string(self) -> str:
         mx, hx, sx = self.counts.shape
@@ -336,12 +328,6 @@ def _require_same_domain(a: TableLike, b: TableLike) -> tuple[ContingencyTable, 
     return ta, tb
 
 
-def l1_distance(x: TableLike, y: TableLike) -> int:
-    """Cell-wise l1 distance between the saturated tables."""
-    tx, ty = _require_same_domain(x, y)
-    return int(np.abs(tx.counts - ty.counts).sum())
-
-
 def hamming_distance(x: TableLike, y: TableLike) -> Union[int, float]:
     """Record-level Hamming distance: half the l1 distance.
 
@@ -359,8 +345,8 @@ def hamming_distance(x: TableLike, y: TableLike) -> Union[int, float]:
 
 def same_universe(x: TableLike, y: TableLike) -> bool:
     """True iff both datasets share the released margin vector."""
-    _require_same_domain(x, y)
-    return swap_invariants(x) == swap_invariants(y)
+    tx, ty = _require_same_domain(x, y)
+    return swap_invariants(tx) == swap_invariants(ty)
 
 
 def max_stratum_b(data: TableLike) -> int:

@@ -138,9 +138,6 @@ class ExactDistribution:
     def support(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.probs))
 
-    def tables(self) -> tuple[ContingencyTable, ...]:
-        return tuple(self.table_for(key) for key in self.support())
-
     def table_for(self, key: tuple[int, ...]) -> ContingencyTable:
         arr = np.asarray(key, dtype=np.int64).reshape(self.domain.shape)
         return ContingencyTable(arr)

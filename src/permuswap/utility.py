@@ -17,8 +17,7 @@ deterministic function of its inputs.
 import json
 import statistics
 from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -30,8 +29,7 @@ __all__ = [
     "UtilityReport",
     "mape",
     "utility_experiment",
-    "utility_rows",
-    "write_utility_csv",
+    "utility_csv",
     "utility_json",
 ]
 
@@ -117,7 +115,6 @@ def utility_experiment(
     rates: Sequence[float],
     reps: int,
     seed: int,
-    margin: str = "match",
 ) -> list[UtilityReport]:
     """Run the swapper ``reps`` times per rate and summarize the errors."""
     if reps < 1:
@@ -128,7 +125,7 @@ def utility_experiment(
         values = []
         for rep_index in range(reps):
             params = PsaParams(rate, _replication_seed(seed, rate_index, rep_index))
-            values.append(mape(base, run_psa(x, params), margin=margin))
+            values.append(mape(base, run_psa(x, params)))
         reports.append(
             UtilityReport(
                 rate=float(rate),
@@ -138,27 +135,21 @@ def utility_experiment(
                 metadata={
                     "zero_cells": ZERO_CELL_RULE,
                     "quartiles": QUARTILE_RULE,
-                    "margin": margin,
+                    "margin": "match",
                 },
             )
         )
     return reports
 
 
-def utility_rows(reports: Sequence[UtilityReport]) -> list[tuple[float, int, float]]:
-    """Long-format (rate, replication, mape) rows for plotting."""
-    rows = []
+def utility_csv(reports: Sequence[UtilityReport]) -> str:
+    """Long-format ``rate,rep,mape`` CSV text, one line per replication,
+    newline-terminated."""
+    lines = ["rate,rep,mape"]
     for report in reports:
         for rep_index, value in enumerate(report.mape_values):
-            rows.append((report.rate, rep_index, value))
-    return rows
-
-
-def write_utility_csv(reports: Sequence[UtilityReport], path: Union[str, Path]) -> None:
-    lines = ["rate,rep,mape"]
-    for rate, rep, value in utility_rows(reports):
-        lines.append(f"{rate:.6f},{rep},{value:.6f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            lines.append(f"{report.rate:.6f},{rep_index},{value:.6f}")
+    return "\n".join(lines) + "\n"
 
 
 def utility_json(reports: Sequence[UtilityReport]) -> str:

@@ -23,7 +23,7 @@ def load_fixture(name):
     dataset = load_dataset(
         FIXTURES / f"{name}.csv", load_roles(FIXTURES / f"{name}.roles.json")
     )
-    expected = json.loads((FIXTURES / f"{name}.expected.json").read_text())
+    expected = json.loads((FIXTURES / f"{name}.expected.json").read_text(encoding="utf-8"))
     return dataset, expected
 
 

@@ -361,6 +361,6 @@ class TestCensusReport:
 
     def test_malformed_constants_rejected(self, tmp_path):
         bad = tmp_path / "bad.tsv"
-        bad.write_text("only\ttwo\n")
+        bad.write_text("only\ttwo\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_census_zcdp_rows(bad)

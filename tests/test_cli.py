@@ -82,7 +82,7 @@ class TestSwap:
         assert code == 0
         x = load_dataset(csv, load_roles(roles))
         expected = tabulate(x)
-        lines = out.read_text().splitlines()
+        lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "m,h,s,count"
         for line in lines[1:]:
             m, h, s, count = (int(v) for v in line.split(","))
@@ -138,7 +138,7 @@ class TestSwap:
                 "--seed", "5", "--out", tmp_path / "t.csv", "--sidecar", side,
             ]
         )
-        payload = json.loads(side.read_text())
+        payload = json.loads(side.read_text(encoding="utf-8"))
         assert payload["b"] == 6
         expected = psa_budget(0.25, 6).epsilon
         assert payload["epsilon"] == pytest.approx(expected, abs=1e-6)
@@ -170,7 +170,7 @@ class TestSwap:
             ]
         )
         assert code == 0
-        payload = json.loads(side.read_text())
+        payload = json.loads(side.read_text(encoding="utf-8"))
         assert payload["b"] == 264331
         assert payload["epsilon"] == pytest.approx(17.08, abs=0.005)
         # the realized selection rate concentrates near p
@@ -415,24 +415,40 @@ class TestUtilityCommand:
         assert all(l.endswith(",0.000000") for l in zero_rows)
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["swap", "--p", "2"], "p"),
+        (["utility", "--rates", "0.5,2"], "rates"),
+        (["utility", "--rates", ","], "rates"),
+    ],
+)
+def test_flags_checked_before_input_is_read(tmp_path, capsys, argv, key):
+    """A bad rate is reported by its key, even when the input file is missing."""
+    roles = FIXTURES / "witness_odds.roles.json"
+    code = run_cli(argv + ["--input", tmp_path / "missing.csv", "--roles", roles])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}:")
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         config = tmp_path / "budget.json"
-        config.write_text(json.dumps({"p": "0.05", "b": 3948028}))
+        config.write_text(json.dumps({"p": "0.05", "b": 3948028}), encoding="utf-8")
         assert run_cli(["budget", "--config", config]) == 0
         fields = capsys.readouterr().out.splitlines()[1].split(",")
         assert float(fields[4]) == pytest.approx(18.13, abs=0.01)
 
     def test_explicit_flags_override_config(self, tmp_path, capsys):
         config = tmp_path / "budget.json"
-        config.write_text(json.dumps({"p": "0.05", "b": 3948028}))
+        config.write_text(json.dumps({"p": "0.05", "b": 3948028}), encoding="utf-8")
         assert run_cli(["budget", "--config", config, "--b", "0"]) == 0
         fields = capsys.readouterr().out.splitlines()[1].split(",")
         assert fields[5] == "zero-b"
 
     def test_config_with_byte_order_mark(self, tmp_path, capsys):
         plain = tmp_path / "plain.json"
-        plain.write_text(json.dumps({"p": "0.05", "b": 3948028}))
+        plain.write_text(json.dumps({"p": "0.05", "b": 3948028}), encoding="utf-8")
         config = bom_crlf_copy(plain, tmp_path / "budget.json")
         assert run_cli(["budget", "--config", config]) == 0
         fields = capsys.readouterr().out.splitlines()[1].split(",")
@@ -440,12 +456,12 @@ class TestConfigFile:
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "budget.json"
-        config.write_text(json.dumps({"teapot": 418}))
+        config.write_text(json.dumps({"teapot": 418}), encoding="utf-8")
         assert run_cli(["budget", "--config", config, "--p", "0.5", "--b", "2"]) == 2
 
     def test_config_seed_feeds_synth(self, tmp_path):
         config = tmp_path / "synth.json"
-        config.write_text(json.dumps({"seed": 3, "strata": "5,2"}))
+        config.write_text(json.dumps({"seed": 3, "strata": "5,2"}), encoding="utf-8")
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         run_cli(["synth", "--config", config, "--out", a])
@@ -455,7 +471,7 @@ class TestConfigFile:
     def test_config_string_reps_converted(self, synth_files, tmp_path, capsys):
         csv, roles = synth_files
         config = tmp_path / "utility.json"
-        config.write_text(json.dumps({"reps": "5"}))
+        config.write_text(json.dumps({"reps": "5"}), encoding="utf-8")
         code = run_cli(
             ["utility", "--config", config, "--input", csv, "--roles", roles, "--rates", "0.5"]
         )
@@ -464,7 +480,7 @@ class TestConfigFile:
 
     def test_config_string_max_records_converted(self, tmp_path, capsys):
         config = tmp_path / "verify.json"
-        config.write_text(json.dumps({"max_records": "3"}))
+        config.write_text(json.dumps({"max_records": "3"}), encoding="utf-8")
         code = run_cli(["verify", "--sweep", "--config", config, "--domain", "1,2,2"])
         assert code == 0
         assert capsys.readouterr().out.splitlines()[-1] == "result=pass"
@@ -479,7 +495,7 @@ class TestConfigFile:
     )
     def test_config_bad_value_names_key(self, tmp_path, capsys, argv, entry):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(entry))
+        config.write_text(json.dumps(entry), encoding="utf-8")
         code = run_cli(argv + ["--config", config, "--out", tmp_path / "out.txt"])
         assert code == 2
         assert f"config.{next(iter(entry))}:" in capsys.readouterr().err
@@ -509,6 +525,7 @@ def test_module_entry_point_runs():
         [sys.executable, "-m", "permuswap", "budget", "--p", "0.5", "--b", "10"],
         capture_output=True,
         text=True,
+        encoding="utf-8",
     )
     assert proc.returncode == 0
     assert "low-p" in proc.stdout

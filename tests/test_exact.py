@@ -26,7 +26,8 @@ from permuswap import (
     verify_dp,
 )
 from permuswap import exact
-from permuswap.dataset import Domain
+from permuswap import dataset as dataset_module
+from permuswap.dataset import Dataset, Domain
 from permuswap.exact import (
     ExactDistribution,
     applicable_lower_bounds,
@@ -188,7 +189,8 @@ class TestMultDistance:
 class TestVerifyDp:
     def test_reordered_pair_measures_zero(self):
         x = make_dataset([(0, 0, 0), (0, 1, 1), (0, 1, 0)], (1, 2, 2))
-        verdict = verify_dp(x, x.reordered([2, 1, 0]), Fraction(1, 3), psa_budget(1 / 3, 3))
+        reordered = Dataset(x.codes[[2, 1, 0]], x.domain)
+        verdict = verify_dp(x, reordered, Fraction(1, 3), psa_budget(1 / 3, 3))
         assert verdict.measured == 0.0
         assert verdict.passed
 
@@ -199,6 +201,22 @@ class TestVerifyDp:
         assert verdict.measured == pytest.approx(math.log(2), abs=1e-12)
         assert verdict.bound == pytest.approx(math.log(6), abs=1e-12)
         assert verdict.passed
+
+    def test_tabulates_each_dataset_three_times(self, two_record_pair, monkeypatch):
+        """Once each for the universe check, the Hamming distance and the
+        distribution."""
+        calls = []
+
+        def counted(x, _tabulate=dataset_module.tabulate):
+            calls.append(x)
+            return _tabulate(x)
+
+        monkeypatch.setattr(dataset_module, "tabulate", counted)
+        monkeypatch.setattr(exact, "tabulate", counted)
+        x, swapped = two_record_pair
+        assert verify_dp(x, swapped, Fraction(1, 3), psa_budget(1 / 3, 2)).passed
+        assert len(calls) == 6
+        assert sum(c is x for c in calls) == sum(c is swapped for c in calls) == 3
 
     def test_universe_mismatch_rejected(self):
         x = make_dataset([(0, 0, 0)], (1, 2, 2))
@@ -249,7 +267,7 @@ class TestMeasuredOptimal:
 class TestConnectingPermutation:
     def test_reorder_gives_identity(self):
         x = make_dataset([(0, 0, 0), (0, 1, 1), (0, 0, 1)], (1, 2, 2))
-        rho = connecting_permutation(x, x.reordered([2, 0, 1]))
+        rho = connecting_permutation(x, Dataset(x.codes[[2, 0, 1]], x.domain))
         assert rho.is_identity
 
     def test_single_swap_pair_gives_transposition(self, two_record_pair):

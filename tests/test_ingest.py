@@ -108,25 +108,25 @@ class TestCrossClassify:
 class TestCsvReading:
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n1,2,3\n")
+        path.write_text("a,b\n1,2\n1,2,3\n", encoding="utf-8")
         with pytest.raises(LoadError, match="bad.csv:3"):
             read_csv_columns(path)
 
     def test_duplicate_header_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
-        path.write_text("a,a\n1,2\n")
+        path.write_text("a,a\n1,2\n", encoding="utf-8")
         with pytest.raises(LoadError, match="duplicate"):
             read_csv_columns(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("")
+        path.write_text("", encoding="utf-8")
         with pytest.raises(LoadError, match="header"):
             read_csv_columns(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "ok.csv"
-        path.write_text("a,b\n1,2\n\n3,4\n")
+        path.write_text("a,b\n1,2\n\n3,4\n", encoding="utf-8")
         cols = read_csv_columns(path)
         assert cols["a"] == ["1", "3"]
 
@@ -141,13 +141,13 @@ class TestCsvReading:
 class TestRolesFile:
     def test_errors_reference_offending_key(self, tmp_path):
         path = tmp_path / "roles.json"
-        path.write_text(json.dumps({"hold": "notalist", "swap": ["s"]}))
+        path.write_text(json.dumps({"hold": "notalist", "swap": ["s"]}), encoding="utf-8")
         with pytest.raises(LoadError, match="roles.hold"):
             load_roles(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "roles.json"
-        path.write_text(json.dumps({"hold": ["h"], "swap": ["s"], "extra": 1}))
+        path.write_text(json.dumps({"hold": ["h"], "swap": ["s"], "extra": 1}), encoding="utf-8")
         with pytest.raises(LoadError, match="roles.extra"):
             load_roles(path)
 
@@ -166,7 +166,8 @@ class TestRolesFile:
                     "swap": ["s"],
                     "categories": {"m": ["a", "b"]},
                 }
-            )
+            ),
+            encoding="utf-8",
         )
         roles = load_roles(path)
         assert roles.match == ("m",)

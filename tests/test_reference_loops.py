@@ -397,7 +397,8 @@ def swapped_pairs(draw):
     x = Dataset(draw(st.lists(cell, max_size=40)), domain)
     params = PsaParams(draw(st.sampled_from([0.2, 0.5, 0.9, 1.0])), draw(st.integers(0, 2**32)))
     swapped = apply_permutation(run_psa_details(x, params).permutation, x)
-    return x, swapped.reordered(draw(st.permutations(range(len(x)))))
+    order = draw(st.permutations(range(len(x))))
+    return x, Dataset(swapped.codes[list(order)], domain)
 
 
 @settings(max_examples=150, deadline=None)

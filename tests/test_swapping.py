@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permuswap import (
+    Dataset,
     Permutation,
     PsaParams,
     apply_permutation,
@@ -246,7 +247,7 @@ class TestDistributionalCorrectness:
         x = make_dataset(
             [(0, 0, 0), (0, 1, 1), (0, 0, 1), (1, 0, 0), (1, 1, 1)], (2, 2, 2)
         )
-        shuffled = x.reordered([4, 2, 0, 3, 1])
+        shuffled = Dataset(x.codes[[4, 2, 0, 3, 1]], x.domain)
         p = Fraction(2, 5)
         assert exact_psa_distribution(x, p).probs == exact_psa_distribution(
             shuffled, p

@@ -16,9 +16,8 @@ from permuswap.synth import StratumSpec, synthesize
 from permuswap.utility import (
     FiveNumberSummary,
     _summarize,
+    utility_csv,
     utility_json,
-    utility_rows,
-    write_utility_csv,
 )
 
 from conftest import make_dataset
@@ -131,16 +130,17 @@ class TestEmission:
     def test_long_format_rows(self):
         x = synthesize([StratumSpec(6)], 2, 2, seed=0)
         reports = utility_experiment(x, rates=[0.2, 0.4], reps=3, seed=1)
-        rows = utility_rows(reports)
-        assert len(rows) == 6
-        assert rows[0][0] == 0.2 and rows[-1][0] == 0.4
+        text = utility_csv(reports)
+        assert text.endswith("\n")
+        lines = text.splitlines()
+        assert lines[0] == "rate,rep,mape"
+        assert len(lines) == 7
+        assert lines[1].startswith("0.200000,0,") and lines[-1].startswith("0.400000,2,")
 
-    def test_csv_and_json(self, tmp_path):
+    def test_csv_and_json(self):
         x = synthesize([StratumSpec(6)], 2, 2, seed=0)
         reports = utility_experiment(x, rates=[0.2], reps=2, seed=1)
-        path = tmp_path / "utility.csv"
-        write_utility_csv(reports, path)
-        lines = path.read_text().splitlines()
+        lines = utility_csv(reports).splitlines()
         assert lines[0] == "rate,rep,mape"
         assert len(lines) == 3
         payload = json.loads(utility_json(reports))
