@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from permuswap import load_dataset, load_roles, max_stratum_b, psa_budget, tabulate
+from permuswap.budget import _data_path
 from permuswap.cli import main
 
 from conftest import FIXTURES, bom_crlf_copy
@@ -396,6 +397,30 @@ class TestTdaReport:
 
     def test_missing_constants_file(self, tmp_path):
         assert run_cli(["tda-report", "--constants", tmp_path / "nope.tsv"]) == 2
+
+    @pytest.mark.parametrize(
+        "product, rho_squared, message",
+        [
+            ("PL+DHC", "15.3", "TopDown rows sum to"),
+            ("2020-overall", "55.4", "products sum to"),
+            ("2020-overall", None, "missing the composite reference rows"),
+        ],
+    )
+    def test_inconsistent_constants_rejected(self, tmp_path, capsys, product, rho_squared, message):
+        """A copy of the shipped constants with one composite row changed
+        (or deleted, when rho_squared is None) fails the composition check."""
+        lines = []
+        for line in _data_path("census_zcdp.tsv").read_text(encoding="utf-8").splitlines():
+            fields = line.split("\t")
+            if fields[0] == product:
+                if rho_squared is None:
+                    continue
+                fields[3] = rho_squared
+            lines.append("\t".join(fields))
+        constants = tmp_path / "census_zcdp.tsv"
+        constants.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli(["tda-report", "--constants", constants]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestUtilityCommand:
