@@ -26,7 +26,7 @@ is a first-class value and serializes as the string "inf" everywhere.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, NamedTuple, Union
@@ -48,7 +48,6 @@ __all__ = [
     "CensusProductRow",
     "CounterfactualRow",
     "ConvertedBudget",
-    "CounterfactualBudget",
     "CensusComparisonReport",
     "load_census_zcdp_rows",
     "load_counterfactual_rows",
@@ -242,6 +241,9 @@ def optimality_gap_f(b: int) -> float:
 # ---------------------------------------------------------------------------
 # zCDP accounting
 
+# the delta of the 2020 Census's (epsilon, delta) conversions
+DEFAULT_DELTA = 1e-10
+
 
 @dataclass(frozen=True)
 class ZcdpBudget:
@@ -285,7 +287,7 @@ def compose_zcdp(
 
 
 def group_privacy_doubled(
-    rho_squared: float, delta: float = 1e-10
+    rho_squared: float, delta: float = DEFAULT_DELTA
 ) -> tuple[float, float]:
     """Budget seen by a unit contributing two records: rho doubles, so
     rho^2 quadruples.  Returns (doubled rho^2, converted epsilon)."""
@@ -296,7 +298,6 @@ def group_privacy_doubled(
 # ---------------------------------------------------------------------------
 # 2020 Census constants and the comparison report
 
-DEFAULT_DELTA = 1e-10
 # the swap rates of the counterfactual table (the paper's Table 5)
 COUNTERFACTUAL_RATES = (0.05, 0.5)
 _COMPOSITION_MECHANISM = "composition"
@@ -314,11 +315,20 @@ class CensusProductRow:
 
 @dataclass(frozen=True)
 class CounterfactualRow:
+    """One swapping scheme of the paper's Table 5: the stratum bound b
+    of its largest stratum, the swapper's budget at each of
+    ``COUNTERFACTUAL_RATES`` and the paper's figure at the same rates."""
+
     match_vars: str
     swap_vars: str
     b: int
     largest_stratum: str
-    published_epsilon: dict[float, float] = field(default_factory=dict)
+    budgets: dict[float, BudgetResult]
+    published_by_rate: dict[float, float]
+
+    @property
+    def epsilon_by_rate(self) -> dict[float, float]:
+        return {rate: res.epsilon for rate, res in self.budgets.items()}
 
 
 def _data_path(name: str) -> Path:
@@ -358,7 +368,8 @@ def load_census_zcdp_rows(path: Union[str, Path, None] = None) -> list[CensusPro
 def load_counterfactual_rows(
     path: Union[str, Path, None] = None,
 ) -> list[CounterfactualRow]:
-    """Load the shipped swapping counterfactual table (b per scheme)."""
+    """Load the shipped swapping counterfactual table (b per scheme)
+    and compute each scheme's budgets at ``COUNTERFACTUAL_RATES``."""
     path = _data_path("census_psa_counterfactual.tsv") if path is None else Path(path)
     rows = []
     for match_vars, swap_vars, b, stratum, *published in _read_table(path, 6):
@@ -368,7 +379,8 @@ def load_counterfactual_rows(
                 swap_vars=swap_vars,
                 b=int(b),
                 largest_stratum=stratum,
-                published_epsilon=dict(zip(COUNTERFACTUAL_RATES, map(float, published))),
+                budgets={rate: psa_budget(rate, int(b)) for rate in COUNTERFACTUAL_RATES},
+                published_by_rate=dict(zip(COUNTERFACTUAL_RATES, map(float, published))),
             )
         )
     return rows
@@ -390,16 +402,6 @@ class ConvertedBudget:
 
 
 @dataclass(frozen=True)
-class CounterfactualBudget:
-    match_vars: str
-    swap_vars: str
-    b: int
-    largest_stratum: str
-    epsilon_by_rate: dict[float, float]
-    published_by_rate: dict[float, float]
-
-
-@dataclass(frozen=True)
 class CensusComparisonReport:
     """The 2020 accounting: per-product conversions, composed totals,
     group-privacy illustration, and the swapping counterfactual."""
@@ -411,7 +413,7 @@ class CensusComparisonReport:
     overall: ConvertedBudget
     group_privacy_rho_squared: float
     group_privacy_epsilon: float
-    counterfactual: tuple[CounterfactualBudget, ...]
+    counterfactual: tuple[CounterfactualRow, ...]
     notes: tuple[str, ...]
 
 
@@ -422,10 +424,13 @@ def census2020_report(
 ) -> CensusComparisonReport:
     """Recompute the 2020 privacy-loss accounting from the constants file.
 
-    Composition is checked against the shipped composite rows; every
-    published epsilon is recomputed with the conversion formula and the
-    deviation reported (the PL household row is known to deviate by
-    about 0.09 because its rho^2 was rounded upstream).
+    Each rho^2 in the report (every product, the two noise-stage totals
+    and the composite rows PL+DHC and 2020-overall) is converted to
+    epsilon at ``delta``.  Each composite row is checked against the sum
+    of its parts before it is converted.  A published epsilon more than
+    0.02 from its conversion gets a note (the PL household row deviates
+    by about 0.09 because its rho^2 was rounded upstream).  The
+    counterfactual is the rows of :func:`load_counterfactual_rows`.
     """
     rows = load_census_zcdp_rows(zcdp_path)
     mechanisms = [r for r in rows if r.mechanism != _COMPOSITION_MECHANISM]
@@ -433,97 +438,46 @@ def census2020_report(
     if "PL+DHC" not in composites or "2020-overall" not in composites:
         raise ValueError("constants file is missing the composite reference rows")
 
-    notes: list[str] = []
-    products = []
-    for row in mechanisms:
-        eps = zcdp_to_approx_dp(row.rho_squared, delta)
-        conv = ConvertedBudget(
-            label=f"{row.product}/{row.unit_resolution}",
-            rho_squared=row.rho_squared,
-            epsilon=eps,
-            published_epsilon=row.published_epsilon,
-            note=row.invariants_note,
+    def converted(
+        label: str, rho_squared: float, published: Union[float, None] = None, note: str = ""
+    ) -> ConvertedBudget:
+        epsilon = zcdp_to_approx_dp(rho_squared, delta)
+        return ConvertedBudget(label, rho_squared, epsilon, published, note)
+
+    def checked_composite(product: str, parts: list[float], what: str) -> ConvertedBudget:
+        row = composites[product]
+        total = compose_zcdp(parts).rho_squared
+        if abs(total - row.rho_squared) > 1e-9:
+            raise ValueError(f"{what} sum to {total}, constants file says {row.rho_squared}")
+        return converted(product, row.rho_squared, row.published_epsilon, row.invariants_note)
+
+    products = tuple(
+        converted(
+            f"{r.product}/{r.unit_resolution}", r.rho_squared, r.published_epsilon, r.invariants_note
         )
-        products.append(conv)
-        if conv.deviation is not None and abs(conv.deviation) > 0.02:
-            notes.append(
-                f"{conv.label}: published epsilon {row.published_epsilon} differs from "
-                f"the conversion of rho^2={row.rho_squared} ({eps:.4f}); the published "
-                "value was computed upstream from an unrounded rho^2"
-            )
+        for r in mechanisms
+    )
+    notes = [
+        f"{c.label}: published epsilon {c.published_epsilon} differs from "
+        f"the conversion of rho^2={c.rho_squared} ({c.epsilon:.4f}); the published "
+        "value was computed upstream from an unrounded rho^2"
+        for c in products
+        if c.deviation is not None and abs(c.deviation) > 0.02
+    ]
 
     topdown_rows = [r for r in mechanisms if r.mechanism == "TopDown"]
-    pl_rows = [r for r in topdown_rows if r.product == "PL"]
-    pl_noise = compose_zcdp([r.rho_squared for r in pl_rows], label="PL noise stage")
-    dhc_rows = [r for r in topdown_rows if r.product == "DHC"]
+    pl_noise = compose_zcdp(r.rho_squared for r in topdown_rows if r.product == "PL").rho_squared
     # the DHC run post-processes its own noisy measurements together with
     # the already-released PL file, so the PL budget composes in
     dhc_total = compose_zcdp(
-        [r.rho_squared for r in dhc_rows] + [pl_noise.rho_squared, 0.0],
-        label="DHC incl. PL",
-    )
-    noise_totals = (
-        ConvertedBudget(
-            label="PL noise stage",
-            rho_squared=pl_noise.rho_squared,
-            epsilon=zcdp_to_approx_dp(pl_noise.rho_squared, delta),
-            published_epsilon=None,
-        ),
-        ConvertedBudget(
-            label="DHC incl. PL",
-            rho_squared=dhc_total.rho_squared,
-            epsilon=zcdp_to_approx_dp(dhc_total.rho_squared, delta),
-            published_epsilon=None,
-        ),
-    )
+        [r.rho_squared for r in topdown_rows if r.product == "DHC"] + [pl_noise, 0.0]
+    ).rho_squared
+    noise_totals = (converted("PL noise stage", pl_noise), converted("DHC incl. PL", dhc_total))
 
-    td_published = composites["PL+DHC"]
-    td_sum = compose_zcdp([r.rho_squared for r in topdown_rows]).rho_squared
-    if abs(td_sum - td_published.rho_squared) > 1e-9:
-        raise ValueError(
-            f"TopDown rows sum to {td_sum}, constants file says {td_published.rho_squared}"
-        )
-    topdown_total = ConvertedBudget(
-        label="PL+DHC",
-        rho_squared=td_published.rho_squared,
-        epsilon=zcdp_to_approx_dp(td_published.rho_squared, delta),
-        published_epsilon=td_published.published_epsilon,
-        note=td_published.invariants_note,
-    )
-
-    overall_published = composites["2020-overall"]
+    topdown_total = checked_composite("PL+DHC", [r.rho_squared for r in topdown_rows], "TopDown rows")
     non_topdown = [r.rho_squared for r in mechanisms if r.mechanism != "TopDown"]
-    overall_sum = compose_zcdp([td_published.rho_squared] + non_topdown).rho_squared
-    if abs(overall_sum - overall_published.rho_squared) > 1e-9:
-        raise ValueError(
-            f"products sum to {overall_sum}, constants file says "
-            f"{overall_published.rho_squared}"
-        )
-    overall = ConvertedBudget(
-        label="2020-overall",
-        rho_squared=overall_published.rho_squared,
-        epsilon=zcdp_to_approx_dp(overall_published.rho_squared, delta),
-        published_epsilon=overall_published.published_epsilon,
-        note=overall_published.invariants_note,
-    )
-
+    overall = checked_composite("2020-overall", [topdown_total.rho_squared] + non_topdown, "products")
     gp_rho2, gp_eps = group_privacy_doubled(overall.rho_squared, delta)
-
-    counterfactual = []
-    for cf in load_counterfactual_rows(counterfactual_path):
-        eps_by_rate = {
-            rate: psa_budget(rate, cf.b).epsilon for rate in COUNTERFACTUAL_RATES
-        }
-        counterfactual.append(
-            CounterfactualBudget(
-                match_vars=cf.match_vars,
-                swap_vars=cf.swap_vars,
-                b=cf.b,
-                largest_stratum=cf.largest_stratum,
-                epsilon_by_rate=eps_by_rate,
-                published_by_rate=dict(cf.published_epsilon),
-            )
-        )
 
     notes.append(
         "swapping budgets cover every product derived from the swapped file; "
@@ -531,12 +485,12 @@ def census2020_report(
     )
     return CensusComparisonReport(
         delta=delta,
-        products=tuple(products),
+        products=products,
         noise_stage_totals=noise_totals,
         topdown_total=topdown_total,
         overall=overall,
         group_privacy_rho_squared=gp_rho2,
         group_privacy_epsilon=gp_eps,
-        counterfactual=tuple(counterfactual),
+        counterfactual=tuple(load_counterfactual_rows(counterfactual_path)),
         notes=tuple(notes),
     )

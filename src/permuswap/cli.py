@@ -174,12 +174,11 @@ BUDGET_COLUMNS = ("match", "swap", "b", "p", "epsilon", "regime")
 def _budget_rows(args: argparse.Namespace) -> list[tuple[object, ...]]:
     """Rows under BUDGET_COLUMNS: the counterfactual schemes, or one (p, b)."""
     if args.table5:
-        rows = []
-        for row in budget_mod.load_counterfactual_rows(args.counterfactual):
-            for rate in budget_mod.COUNTERFACTUAL_RATES:
-                res = budget_mod.psa_budget(rate, row.b)
-                rows.append((row.match_vars, row.swap_vars, row.b, rate, res.epsilon, res.regime))
-        return rows
+        return [
+            (row.match_vars, row.swap_vars, row.b, rate, res.epsilon, res.regime)
+            for row in budget_mod.load_counterfactual_rows(args.counterfactual)
+            for rate, res in row.budgets.items()
+        ]
     if args.p is None:
         raise CliError("p: --p is required unless --table5 is given")
     rate = float(_parse_rate(args.p, "p"))
@@ -483,7 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="JSON file supplying default option values; explicit flags override",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.set_defaults(_common=common)
 
     swap = sub.add_parser(
         "swap",

@@ -455,15 +455,17 @@ def verify_dp(
     rate = to_exact_rate(p)
     if not 0 < rate < 1:
         raise ValueError("verification needs 0 < p < 1")
-    if not same_universe(x, x_prime):
+    table, table_prime = tabulate(x), tabulate(x_prime)
+    if not same_universe(table, table_prime):
         raise UniverseMismatchError(
             "pair does not share invariants; the guarantee does not apply"
         )
-    d_ham = hamming_distance(x, x_prime)
+    d_ham = hamming_distance(table, table_prime)
     if d_ham == 0:
         return DpVerdict(0.0, budget.epsilon, (x, x_prime, None), True)
-    p_dist = exact_psa_distribution(x, rate, max_permutations)
-    q_dist = exact_psa_distribution(x_prime, rate, max_permutations)
+    cache: dict = {}
+    p_dist = _psa_distribution(table, rate, max_permutations, cache)
+    q_dist = _psa_distribution(table_prime, rate, max_permutations, cache)
     hit = max_probability_ratio(p_dist, q_dist)
     if hit is None:
         return DpVerdict(math.inf, budget.epsilon, (x, x_prime, None), False)

@@ -257,12 +257,9 @@ def _check_label(value: str) -> str:
     return value
 
 
-def write_dataset_csv(
-    x: Dataset,
-    path: Union[str, Path],
-    column_names: tuple[str, str, str] = ("match", "hold", "swap"),
-) -> None:
-    """Write one record per line using schema labels when available.
+def write_dataset_csv(x: Dataset, path: Union[str, Path]) -> None:
+    """Write one record per line, under the header ``match,hold,swap``,
+    using schema labels when available.
 
     Datasets without a schema get zero-padded default labels, which
     round-trip through :func:`load_dataset` with inferred categories
@@ -276,12 +273,10 @@ def write_dataset_csv(
     for labels in (m_labels, h_labels, s_labels):
         for value in labels:
             _check_label(value)
-    for name in column_names:
-        _check_label(name)
     columns = [
         np.array(labels, dtype=object)[x.codes[:, axis]].tolist()
         for axis, labels in enumerate((m_labels, h_labels, s_labels))
     ]
     rows = map(",".join, zip(*columns))
-    text = "\n".join(itertools.chain([",".join(column_names)], rows))
+    text = "\n".join(itertools.chain(["match,hold,swap"], rows))
     Path(path).write_text(text + "\n", encoding="utf-8")

@@ -33,8 +33,6 @@ __all__ = [
     "utility_json",
 ]
 
-_AXIS_FOR_MARGIN = {"match": 0, "hold": 1, "swap": 2}
-
 ZERO_CELL_RULE = "cells with zero true count are excluded from the average"
 QUARTILE_RULE = (
     "quartiles are medians of the lower/upper halves "
@@ -42,25 +40,17 @@ QUARTILE_RULE = (
 )
 
 
-def mape(
-    true_table: ContingencyTable,
-    swapped_table: ContingencyTable,
-    margin: str = "match",
-) -> float:
-    """Cell-wise mean absolute percentage error of a collapsed table.
+def mape(true_table: ContingencyTable, swapped_table: ContingencyTable) -> float:
+    """Cell-wise mean absolute percentage error of the ``n_.hs`` counts.
 
-    ``margin`` names the axis to collapse; collapsing the match axis
-    compares the ``n_.hs`` counts, the tabulation that swapping
-    actually perturbs.  Collapsing hold or swap instead compares a
-    released margin family, which any run preserves exactly.
+    Collapsing the match axis gives the tabulation that swapping
+    actually perturbs; the released margins ``n_mh.`` and ``n_m.s``
+    are preserved by every run, so their error is always zero.
     """
-    if margin not in _AXIS_FOR_MARGIN:
-        raise ValueError(f"margin must be one of {sorted(_AXIS_FOR_MARGIN)}")
     if true_table.domain != swapped_table.domain:
         raise DomainMismatchError("tables live over different domains")
-    axis = _AXIS_FOR_MARGIN[margin]
-    true_counts = true_table.counts.sum(axis=axis)
-    swapped_counts = swapped_table.counts.sum(axis=axis)
+    true_counts = true_table.counts.sum(axis=0)
+    swapped_counts = swapped_table.counts.sum(axis=0)
     mask = true_counts > 0
     if not bool(mask.any()):
         raise ValueError("all true cells are zero; the error is undefined")

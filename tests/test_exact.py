@@ -202,9 +202,9 @@ class TestVerifyDp:
         assert verdict.bound == pytest.approx(math.log(6), abs=1e-12)
         assert verdict.passed
 
-    def test_tabulates_each_dataset_three_times(self, two_record_pair, monkeypatch):
-        """Once each for the universe check, the Hamming distance and the
-        distribution."""
+    def test_tabulates_each_dataset_once(self, two_record_pair, monkeypatch):
+        """One table per dataset serves the universe check, the Hamming
+        distance and the distribution."""
         calls = []
 
         def counted(x, _tabulate=dataset_module.tabulate):
@@ -215,8 +215,8 @@ class TestVerifyDp:
         monkeypatch.setattr(exact, "tabulate", counted)
         x, swapped = two_record_pair
         assert verify_dp(x, swapped, Fraction(1, 3), psa_budget(1 / 3, 2)).passed
-        assert len(calls) == 6
-        assert sum(c is x for c in calls) == sum(c is swapped for c in calls) == 3
+        assert len(calls) == 2
+        assert sum(c is x for c in calls) == sum(c is swapped for c in calls) == 1
 
     def test_universe_mismatch_rejected(self):
         x = make_dataset([(0, 0, 0)], (1, 2, 2))

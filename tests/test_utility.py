@@ -5,10 +5,7 @@ import pytest
 
 from permuswap import (
     ContingencyTable,
-    PsaParams,
     mape,
-    run_psa,
-    tabulate,
     utility_experiment,
 )
 from permuswap.dataset import DomainMismatchError
@@ -52,18 +49,6 @@ class TestMape:
         with pytest.raises(DomainMismatchError):
             mape(table([[[1]]]), table([[[1, 0]]]))
 
-    def test_invariant_margins_always_zero(self):
-        x = synthesize([StratumSpec(9), StratumSpec(6)], 3, 4, seed=4)
-        base = tabulate(x)
-        for seed in range(10):
-            out = run_psa(x, PsaParams(0.7, seed=seed))
-            assert mape(base, out, margin="swap") == 0.0  # n_mh. untouched
-            assert mape(base, out, margin="hold") == 0.0  # n_m.s untouched
-
-    def test_unknown_margin_rejected(self):
-        t = table([[[1, 0], [0, 1]]])
-        with pytest.raises(ValueError):
-            mape(t, t, margin="diagonal")
 
 
 class TestSummary:
