@@ -250,13 +250,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise CliError(f"domain: every axis needs at least one level, got {args.domain!r}")
         if args.max_records < 0:
             raise CliError(f"max-records: must be non-negative, got {args.max_records}")
-        interior = [p for p in p_values if 0 < p < 1]
-        if not interior:
-            raise CliError("p-values: the sweep needs rates strictly inside (0, 1)")
+        outside = [str(p) for p in p_values if not 0 < p < 1]
+        if outside:
+            raise CliError(
+                f"p-values: the sweep needs rates strictly inside (0, 1), got {','.join(outside)}"
+            )
         report = exact_mod.dp_sweep(
             domain=Domain(*domain),
             max_records=args.max_records,
-            p_values=interior,
+            p_values=p_values,
             max_permutations=args.max_enumeration,
         )
         lines = [

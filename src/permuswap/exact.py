@@ -1,19 +1,25 @@
 """Exact verification of the swapper's guarantee.
 
 On desk-size instances the swapper's full output distribution is
-computed in exact rational arithmetic.  Strata are independent, and
-within a stratum a permutation's probability depends only on how many
-records it moves (see :func:`permuswap.swapping.stratum_permutation_prob`)
-while its output table depends only on its flow matrix: how many
-records of each (hold, swap) class receive each swap value.  So no
-permutation is walked.  Per stratum, the flow matrices are enumerated
-like margin-constrained tables, the permutations realizing each one are
+computed in exact arithmetic.  Strata are independent, and within a
+stratum a permutation's probability depends only on how many records it
+moves (see :func:`permuswap.swapping.stratum_permutation_prob`) while
+its output table depends only on its flow matrix: how many records of
+each (hold, swap) class receive each swap value.  So no permutation is
+walked.  Per stratum, the flow matrices are enumerated like
+margin-constrained tables, the permutations realizing each one are
 counted in closed form by their number of moved records, and the
-resulting rate-free histogram is evaluated at each rate.  Histograms and
-evaluated laws are cached by stratum counts for the length of one
+resulting rate-free histogram is evaluated at each rate.
+
+A law is held as integer numerators over one denominator.  With
+p = a/c, the weight of a permutation moving k records is an integer
+over a denominator that depends only on the stratum size n and the
+rate, so every member of a universe, sharing its stratum sizes, shares
+the composite denominator; only the public
+:class:`ExactDistribution` turns the numerators into fractions.
+Histograms, stratum laws and weights are cached for the length of one
 public call, so a sweep or a universe report shares them across its
-datasets and rates.  Logarithms are the only real-valued step and are
-applied after all exact comparisons.
+datasets and rates.
 
 With the exact distributions in hand, the Lipschitz condition
 
@@ -22,6 +28,9 @@ With the exact distributions in hand, the Lipschitz condition
 is checked table by table for every same-universe pair; the sup over
 events of a finite discrete pair of distributions is attained on an
 atom, so the multiplicative distance reduces to the max over atoms.
+The largest atom ratio is found by integer cross-multiplication and
+reduced to a ``Fraction`` once per pair; its logarithm, the only
+real-valued step, is taken after all exact comparisons.
 
 The rest of a universe's structure is a function of its margins: the
 stratum bound b, which :func:`permuswap.budget.psa_lower_bounds` have a
@@ -71,7 +80,6 @@ from .swapping import (
     Permutation,
     RateLike,
     apply_permutation,
-    stratum_permutation_prob,
     to_exact_rate,
 )
 
@@ -146,18 +154,19 @@ class ExactDistribution:
         return self.probs.get(table.canonical_key(), Fraction(0))
 
 
-def _fixed_point_counts(n: int, r: int) -> list[int]:
+@functools.cache
+def _fixed_point_counts(n: int, r: int) -> tuple[int, ...]:
     """Bijections from an n-set onto an n-set that share r elements,
-    counted by their number j of fixed points (list index j):
+    counted by their number j of fixed points (index j):
     C(r, j) * sum_i (-1)^i C(r-j, i) (n-j-i)!."""
-    return [
+    return tuple(
         math.comb(r, j)
         * sum(
             (-1) ** i * math.comb(r - j, i) * math.factorial(n - j - i)
             for i in range(r - j + 1)
         )
         for j in range(r + 1)
-    ]
+    )
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -210,46 +219,136 @@ def _stratum_histogram(
     return hist
 
 
-def _stratum_law(
-    counts: tuple[int, ...],
-    swap_levels: int,
-    rate: Fraction,
-    cache: dict,
-) -> dict[tuple[int, ...], Fraction]:
-    """Output law of one stratum as flattened H x S count tuples.
+def _histogram(counts: tuple[int, ...], swap_levels: int, cache: dict) -> dict:
+    """:func:`_stratum_histogram`, held in ``cache`` under ``counts``."""
+    hist = cache.get(counts)
+    if hist is None:
+        hist = cache[counts] = _stratum_histogram(counts, swap_levels)
+    return hist
 
-    ``cache`` holds the rate-free histogram under ``counts``, the
-    evaluated law under ``(counts, rate)`` and the per-moved-count weights
-    of an n-record stratum under ``(n, rate)``.  The rate of a weight key
-    lies strictly inside (0, 1), so it is never equal to a count tuple.
+
+def _stratum_weights(n: int, rate: Fraction) -> tuple[list[int], int]:
+    """:func:`permuswap.swapping.stratum_permutation_prob` for k = 0..n
+    at 0 < rate < 1, as integer numerators over one denominator.
+
+    With p = a/c and L = lcm(d(0), d(2), ..., d(n)), a permutation
+    moving k records has weight a^k (c-a)^(n-k) L/d(k) over
+    L (c^n - n a (c-a)^(n-1)).  No permutation moves exactly one
+    record, so entry 1 is 0.
     """
-    law = cache.get((counts, rate))
-    if law is not None:
-        return law
-    if rate == 0:
-        law = {counts: Fraction(1)}
-    else:
-        hist = cache.get(counts)
-        if hist is None:
-            hist = cache[counts] = _stratum_histogram(counts, swap_levels)
+    a, c = rate.numerator, rate.denominator
+    d = [derangement_count(k) for k in range(n + 1)]
+    lcm = math.lcm(*(d[k] for k in range(n + 1) if k != 1))
+    weights = [
+        0 if k == 1 else a**k * (c - a) ** (n - k) * (lcm // d[k]) for k in range(n + 1)
+    ]
+    return weights, lcm * (c**n - n * a * (c - a) ** (n - 1))
+
+
+def _law(
+    table: ContingencyTable, p: RateLike, max_permutations: int, cache: dict
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """The swapper's exact output law on ``table`` at rate p: integer
+    numerators by canonical table key, and their common denominator.
+
+    p = 0 releases the input table with probability one; p = 1 applies
+    a uniform derangement of each whole stratum of size >= 2, so a
+    stratum's numerators are its histogram's all-moved entries over
+    d(n).  The composite denominator is the product of the strata's,
+    which depend only on the stratum sizes and the rate, so every
+    member of a universe shares it.  With p = a/c, ``cache`` holds the
+    rate-free histogram under ``counts``, each stratum law under
+    ``(counts, a, c)`` and the weights of an n-record stratum under
+    ``(n, p)``; the rate of a weight key lies strictly inside (0, 1), so
+    that key is never equal to a count tuple.
+    """
+    rate = to_exact_rate(p)
+    a, c = rate.numerator, rate.denominator
+    if not 0 <= a <= c:
+        raise ValueError("rate must lie in [0, 1]")
+    domain = table.domain
+    cells = domain.hold * domain.swap
+    flat = table.canonical_key()
+    active = []
+    for lo in range(0, len(flat), cells):
+        counts = flat[lo : lo + cells]
+        if sum(counts) >= 2:
+            active.append((lo, counts))
+    if a == 0 or not active:
+        return {flat: 1}, 1
+
+    total = 1
+    for _, counts in active:
         n = sum(counts)
-        if rate == 1:
-            full = derangement_count(n)
-            law = {t: Fraction(c[n], full) for t, c in hist.items() if c[n]}
-        else:
-            weights = cache.get((n, rate))
-            if weights is None:
-                # no permutation moves exactly one record: entry 1 is always 0
-                weights = cache[(n, rate)] = [
-                    Fraction(0) if k == 1 else stratum_permutation_prob(k, n, rate)
-                    for k in range(n + 1)
-                ]
-            law = {
-                t: sum(c * w for c, w in zip(by_moved, weights) if c)
-                for t, by_moved in hist.items()
-            }
-    cache[(counts, rate)] = law
-    return law
+        total *= derangement_count(n) if a == c else math.factorial(n)
+        if total > max_permutations:
+            raise EnumerationBudgetError(
+                f"{total} composite permutations exceed the budget of {max_permutations}"
+            )
+
+    nums = {flat: 1}
+    denom = 1
+    for lo, counts in active:
+        law = cache.get((counts, a, c))
+        if law is None:
+            n = sum(counts)
+            if a == c:
+                # only the derangements of all n records
+                weights, w_denom = [0] * n + [1], derangement_count(n)
+            else:
+                if (n, rate) not in cache:
+                    cache[n, rate] = _stratum_weights(n, rate)
+                weights, w_denom = cache[n, rate]
+            numerators = (
+                (t, sum(map(operator.mul, by_moved, weights)))
+                for t, by_moved in _histogram(counts, domain.swap, cache).items()
+            )
+            law = cache[counts, a, c] = {t: v for t, v in numerators if v}, w_denom
+        stratum, stratum_denom = law
+        hi = lo + cells
+        nums = {
+            key[:lo] + t + key[hi:]: v * u
+            for key, v in nums.items()
+            for t, u in stratum.items()
+        }
+        denom *= stratum_denom
+    if min(nums.values()) <= 0:
+        raise ValueError("probabilities must be positive rationals")
+    if sum(nums.values()) != denom:
+        raise ValueError("probabilities must sum to exactly one")
+    return nums, denom
+
+
+def _largest_ratio(
+    nums: Mapping[tuple[int, ...], int], other: Mapping[tuple[int, ...], int]
+) -> Union[tuple[Fraction, tuple[int, ...]], None]:
+    """:func:`max_probability_ratio` of two laws at one rate, given their
+    numerators.  Equal supports mean equal margins, so equal stratum
+    sizes and one shared denominator: each atom ratio is a ratio of
+    numerators.  They are compared by cross-multiplication and the
+    largest is reduced once, at the end."""
+    if nums.keys() != other.keys():
+        return None
+    best_num = best_den = 1
+    witness = None
+    for key, u in nums.items():
+        v = other[key]
+        if u < v:
+            u, v = v, u
+        above, below = u * best_den, best_num * v
+        if above > below:
+            best_num, best_den, witness = u, v, key
+        elif above == below and (witness is None or key < witness):
+            witness = key
+    return Fraction(best_num, best_den), witness
+
+
+def _log_ratio(hit: Union[tuple[Fraction, tuple[int, ...]], None]) -> float:
+    """The log of a largest ratio, infinite when the supports differ."""
+    if hit is None:
+        return math.inf
+    ratio, _ = hit
+    return math.log(ratio.numerator) - math.log(ratio.denominator)
 
 
 def exact_psa_distribution(
@@ -264,46 +363,8 @@ def exact_psa_distribution(
     with probability one, p = 1 applies a uniform derangement of each
     whole stratum of size >= 2.
     """
-    return _psa_distribution(tabulate(x), p, max_permutations, {})
-
-
-def _psa_distribution(
-    table: ContingencyTable, p: RateLike, max_permutations: int, cache: dict
-) -> ExactDistribution:
-    rate = to_exact_rate(p)
-    if not 0 <= rate <= 1:
-        raise ValueError("rate must lie in [0, 1]")
-    domain = table.domain
-    cells = domain.hold * domain.swap
-    flat = table.canonical_key()
-    active = []
-    for m in range(domain.match):
-        counts = flat[m * cells : (m + 1) * cells]
-        if sum(counts) >= 2:
-            active.append((m * cells, counts))
-
-    total = 1
-    for _, counts in active:
-        n = sum(counts)
-        if rate == 1:
-            total *= derangement_count(n)
-        elif rate != 0:
-            total *= math.factorial(n)
-        if total > max_permutations:
-            raise EnumerationBudgetError(
-                f"{total} composite permutations exceed the budget of {max_permutations}"
-            )
-
-    if not active:
-        return ExactDistribution(domain, {flat: Fraction(1)})
-    laws = [_stratum_law(counts, domain.swap, rate, cache) for _, counts in active]
-    probs: dict[tuple[int, ...], Fraction] = {}
-    for combo in itertools.product(*(law.items() for law in laws)):
-        key = list(flat)
-        for (offset, _), (stratum_key, _) in zip(active, combo):
-            key[offset : offset + cells] = stratum_key
-        probs[tuple(key)] = functools.reduce(operator.mul, (w for _, w in combo))
-    return ExactDistribution(domain, probs)
+    nums, denom = _law(tabulate(x), p, max_permutations, {})
+    return ExactDistribution(x.domain, {key: Fraction(v, denom) for key, v in nums.items()})
 
 
 def _tables_with_margins(
@@ -421,11 +482,7 @@ def mult_distance(
     on an atom, so this is the log of the largest atom-wise ratio;
     infinite when the supports differ.
     """
-    hit = max_probability_ratio(p_dist, q_dist)
-    if hit is None:
-        return math.inf
-    ratio, _ = hit
-    return math.log(ratio.numerator) - math.log(ratio.denominator)
+    return _log_ratio(max_probability_ratio(p_dist, q_dist))
 
 
 @dataclass(frozen=True)
@@ -464,16 +521,15 @@ def verify_dp(
     if d_ham == 0:
         return DpVerdict(0.0, budget.epsilon, (x, x_prime, None), True)
     cache: dict = {}
-    p_dist = _psa_distribution(table, rate, max_permutations, cache)
-    q_dist = _psa_distribution(table_prime, rate, max_permutations, cache)
-    hit = max_probability_ratio(p_dist, q_dist)
+    hit = _largest_ratio(
+        *(_law(t, rate, max_permutations, cache)[0] for t in (table, table_prime))
+    )
     if hit is None:
         return DpVerdict(math.inf, budget.epsilon, (x, x_prime, None), False)
-    ratio, key = hit
-    measured = (math.log(ratio.numerator) - math.log(ratio.denominator)) / d_ham
-    witness_table = p_dist.table_for(key)
+    measured = _log_ratio(hit) / d_ham
+    witness = np.asarray(hit[1], dtype=np.int64).reshape(table.counts.shape)
     passed = measured <= budget.epsilon + LOG_SLACK
-    return DpVerdict(measured, budget.epsilon, (x, x_prime, witness_table), passed)
+    return DpVerdict(measured, budget.epsilon, (x, x_prime, ContingencyTable(witness)), passed)
 
 
 def measured_optimal_epsilon(
@@ -483,30 +539,35 @@ def measured_optimal_epsilon(
 ) -> float:
     """The exact pointwise-optimal budget of one universe at rate p:
     the max over pairs of multiplicative distance per unit Hamming."""
-    return _measured_optimal_epsilon(universe, p, max_permutations, {})
+    tables = list(universe)
+    return _measured_optimal_epsilon(tables, _distances(tables), p, max_permutations, {})
+
+
+def _distances(tables: Sequence[ContingencyTable]) -> dict[tuple[int, int], Union[int, float]]:
+    """d_Ham of every unordered pair (i, j), i < j."""
+    return {
+        (i, j): hamming_distance(tables[i], tables[j])
+        for i, j in itertools.combinations(range(len(tables)), 2)
+    }
 
 
 def _measured_optimal_epsilon(
-    universe: Sequence[ContingencyTable],
+    tables: Sequence[ContingencyTable],
+    d_hams: Mapping[tuple[int, int], Union[int, float]],
     p: RateLike,
     max_permutations: int,
     cache: dict,
 ) -> float:
-    tables = list(universe)
     if len(tables) <= 1:
         return 0.0
-    rate = to_exact_rate(p)
-    dists = [_psa_distribution(t, rate, max_permutations, cache) for t in tables]
+    laws = [_law(t, p, max_permutations, cache)[0] for t in tables]
     best = 0.0
-    for i in range(len(tables)):
-        for j in range(i + 1, len(tables)):
-            d_ham = hamming_distance(tables[i], tables[j])
-            if d_ham == 0:
-                continue
-            value = mult_distance(dists[i], dists[j]) / d_ham
-            best = max(best, value)
-            if math.isinf(best):
-                return best
+    for (i, j), d_ham in d_hams.items():
+        if d_ham == 0:
+            continue
+        best = max(best, _log_ratio(_largest_ratio(laws[i], laws[j])) / d_ham)
+        if math.isinf(best):
+            return best
     return best
 
 
@@ -566,9 +627,7 @@ def _min_moves(
         counts, want = flat[lo : lo + cells], goal[lo : lo + cells]
         if counts == want:
             continue
-        hist = cache.get(counts)
-        if hist is None:
-            hist = cache[counts] = _stratum_histogram(counts, table.domain.swap)
+        hist = _histogram(counts, table.domain.swap, cache)
         if want not in hist:
             return None
         total += next(k for k, c in enumerate(hist[want]) if c)
@@ -732,12 +791,24 @@ def dp_sweep(
     off the stratum histograms, equals d_Ham (which no permutation beats).
 
     Each piece of work is done once: every dataset is tabulated once and
-    its table serves the grouping, the distributions and both connecting
-    checks; d_Ham is computed once per unordered pair, before the rates;
-    stratum histograms, laws and weights are shared through one cache.
+    its table serves the grouping, the laws and both connecting checks;
+    d_Ham is computed once per unordered pair, before the rates; the
+    budget and lower bounds once per (rate, b), both functions of the
+    float rate; stratum histograms, laws and weights are shared through
+    one cache.
+
+    Every rate must lie strictly inside (0, 1): at an endpoint the
+    budget is infinite and the laws are degenerate, so nothing is
+    checked.
     """
     domain = Domain(*domain)
     rates = tuple(to_exact_rate(p) for p in p_values)
+    outside = [str(rate) for rate in rates if not 0 < rate < 1]
+    if outside:
+        raise ValueError(
+            f"the sweep needs rates strictly inside (0, 1), got {', '.join(outside)}"
+        )
+    floats = [float(rate) for rate in rates]
     datasets = enumerate_small_datasets(domain, max_records)
     groups: dict[SwapInvariants, list[tuple[Dataset, ContingencyTable]]] = {}
     for d in datasets:
@@ -749,6 +820,7 @@ def dp_sweep(
     pair_checks = 0
     connecting_checks = 0
     cache: dict = {}
+    bounds: dict[tuple[float, int], tuple[BudgetResult, list[LowerBound]]] = {}
 
     for inv, entries in groups.items():
         members = [d for d, _ in entries]
@@ -756,19 +828,16 @@ def dp_sweep(
         b = invariant_stratum_bound(inv)
         witnessed = _witnessed(inv, b)
         universe_keys = {t.canonical_key() for t in tables}
-        d_hams = {
-            (i, j): hamming_distance(tables[i], tables[j])
-            for i, j in itertools.combinations(range(len(tables)), 2)
-        }
+        d_hams = _distances(tables)
         measured_by_p: dict[float, float] = {}
         budget_by_p: dict[float, float] = {}
-        for rate in rates:
-            budget = psa_budget(float(rate), b)
-            dists = [
-                _psa_distribution(t, rate, max_permutations, cache) for t in tables
-            ]
-            for t, dist in zip(tables, dists):
-                if set(dist.probs) != universe_keys:
+        for rate, p in zip(rates, floats):
+            if (p, b) not in bounds:
+                bounds[p, b] = psa_budget(p, b), psa_lower_bounds(p, b)
+            budget, lower = bounds[p, b]
+            laws = [_law(t, rate, max_permutations, cache)[0] for t in tables]
+            for t, nums in zip(tables, laws):
+                if nums.keys() != universe_keys:
                     failures.append(
                         f"support differs from universe at p={rate} for "
                         f"{t.canonical_string()}"
@@ -778,7 +847,7 @@ def dp_sweep(
                 if d_ham == 0:
                     continue
                 pair_checks += 1
-                value = mult_distance(dists[i], dists[j]) / d_ham
+                value = _log_ratio(_largest_ratio(laws[i], laws[j])) / d_ham
                 measured = max(measured, value)
                 if value > budget.epsilon + LOG_SLACK:
                     failures.append(
@@ -787,9 +856,9 @@ def dp_sweep(
                         f"{tables[i].canonical_string()} vs "
                         f"{tables[j].canonical_string()}"
                     )
-            measured_by_p[float(rate)] = measured
-            budget_by_p[float(rate)] = budget.epsilon
-            for bound, condition in psa_lower_bounds(float(rate), b):
+            measured_by_p[p] = measured
+            budget_by_p[p] = budget.epsilon
+            for bound, condition in lower:
                 if condition in witnessed and measured < bound - LOG_SLACK:
                     failures.append(
                         f"lower bound violated at p={rate}: measured {measured} < "
@@ -856,13 +925,14 @@ def universe_report(
     outcome (the budget is infinite there too); rows carry a flag so
     reports can mark them rather than fail."""
     universe = enumerate_universe(x, max_permutations)
+    d_hams = _distances(universe)
     b = max_stratum_b(x)
     cache: dict = {}
     rows = []
     for p in p_values:
         rate = to_exact_rate(p)
         budget = psa_budget(float(rate), b)
-        measured = _measured_optimal_epsilon(universe, rate, max_permutations, cache)
+        measured = _measured_optimal_epsilon(universe, d_hams, rate, max_permutations, cache)
         endpoint = rate in (0, 1)
         passed = measured <= budget.epsilon + LOG_SLACK
         rows.append(

@@ -344,6 +344,16 @@ class TestVerifyCommand:
         assert captured.err.startswith(f"error: {key}:")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("rates, outside", [("0,1/2", "0"), ("1/10,1,1/2", "1")])
+    def test_sweep_rejects_endpoint_rates(self, capsys, rates, outside):
+        """An endpoint rate is refused, not dropped from the sweep."""
+        code = run_cli(["verify", "--sweep", "--domain", "1,2,2", "--max-records", "2", "--p-values", rates])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: p-values:")
+        assert captured.err.rstrip().endswith(f"got {outside}")
+        assert captured.out == ""
+
     # 1,1,2 and 2,1,3 have one hold or swap level: every universe is a singleton
     @pytest.mark.parametrize("domain", ["1,2,2", "1,1,2", "2,1,3"])
     def test_sweep_runs_past_eight_records(self, capsys, domain):

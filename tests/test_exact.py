@@ -13,6 +13,7 @@ from permuswap import (
     UniverseMismatchError,
     apply_permutation,
     connecting_permutation,
+    derangement_count,
     enumerate_universe,
     exact_psa_distribution,
     hamming_distance,
@@ -21,6 +22,7 @@ from permuswap import (
     measured_optimal_epsilon,
     mult_distance,
     psa_budget,
+    stratum_permutation_prob,
     swap_invariants,
     tabulate,
     verify_dp,
@@ -29,6 +31,7 @@ from permuswap import exact
 from permuswap import dataset as dataset_module
 from permuswap.dataset import Dataset, Domain
 from permuswap.exact import (
+    DEFAULT_ENUMERATION_BUDGET,
     ExactDistribution,
     applicable_lower_bounds,
     dp_sweep,
@@ -101,6 +104,97 @@ class TestExactDistribution:
         x = make_dataset([(0, 0, 0), (0, 1, 1)] * 6, (1, 2, 2))
         with pytest.raises(EnumerationBudgetError):
             exact_psa_distribution(x, Fraction(1, 2), max_permutations=1000)
+
+
+INTERIOR_RATES = st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(
+    lambda r: 0 < r < 1
+)
+
+
+def _same_universe_pair(data, domain, max_size):
+    """A drawn dataset x and a member x' of its universe: x' takes the
+    swap values of x permuted within each stratum, with its records in
+    a drawn order."""
+    cells = list(itertools.product(*(range(n) for n in domain)))
+    recs = data.draw(st.lists(st.sampled_from(cells), max_size=max_size))
+    rank = data.draw(st.permutations(range(len(recs))))
+    swapped = list(recs)
+    for m in range(domain[0]):
+        positions = [i for i, r in enumerate(recs) if r[0] == m]
+        donors = sorted(positions, key=rank.__getitem__)
+        for i, j in zip(positions, donors):
+            swapped[i] = (recs[i][0], recs[i][1], recs[j][2])
+    return make_dataset(recs, domain), make_dataset([swapped[i] for i in rank], domain)
+
+
+class TestIntegerLaw:
+    """The oracle's laws are integer numerators over one denominator per
+    stratum size and rate; these hold them to the Fraction formulas."""
+
+    @staticmethod
+    def _check_weights(rate):
+        for n in range(2, 13):
+            weights, denom = exact._stratum_weights(n, rate)
+            assert weights[1] == 0
+            for k in range(n + 1):
+                if k != 1:
+                    assert Fraction(weights[k], denom) == stratum_permutation_prob(k, n, rate)
+
+    @pytest.mark.parametrize(
+        "rate", [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), Fraction(199, 259)]
+    )
+    def test_weights_match_fraction_formula(self, rate):
+        self._check_weights(rate)
+
+    @settings(max_examples=30, deadline=None)
+    @given(INTERIOR_RATES)
+    def test_weights_match_fraction_formula_at_drawn_rate(self, rate):
+        self._check_weights(rate)
+
+    def test_stratum_laws_sum_to_their_denominators(self):
+        """One stratum per table, so each law is a stratum law; its
+        denominator depends only on the stratum size and the rate."""
+        rates = [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), Fraction(199, 259), Fraction(1)]
+        cache: dict = {}
+        checked = 0
+        for d in enumerate_small_datasets(Domain(1, 2, 3), 6):
+            n = len(d)
+            for rate in rates:
+                nums, denom = exact._law(tabulate(d), rate, DEFAULT_ENUMERATION_BUDGET, cache)
+                assert min(nums.values()) > 0
+                assert sum(nums.values()) == denom
+                if n < 2:
+                    assert denom == 1
+                elif rate == 1:
+                    assert denom == derangement_count(n)
+                else:
+                    assert denom == exact._stratum_weights(n, rate)[1]
+                checked += 1
+        assert checked == 924 * len(rates)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), INTERIOR_RATES)
+    def test_pair_comparison_matches_fraction_distance(self, data, rate):
+        """Same-universe members share the denominator, and the integer
+        comparison gives mult_distance bit for bit; verify_dp reports the
+        witness max_probability_ratio picks (the smallest key among the
+        maximizers)."""
+        x, y = _same_universe_pair(data, (2, 2, 3), 6)
+        cache: dict = {}
+        law_x = exact._law(tabulate(x), rate, DEFAULT_ENUMERATION_BUDGET, cache)
+        law_y = exact._law(tabulate(y), rate, DEFAULT_ENUMERATION_BUDGET, cache)
+        assert law_x[1] == law_y[1]
+        p_dist, q_dist = exact_psa_distribution(x, rate), exact_psa_distribution(y, rate)
+        distance = mult_distance(p_dist, q_dist)
+        assert exact._log_ratio(exact._largest_ratio(law_x[0], law_y[0])) == distance
+        verdict = verify_dp(x, y, rate, psa_budget(float(rate), max_stratum_b(x)))
+        _, _, witness = verdict.witness
+        d_ham = hamming_distance(x, y)
+        if d_ham == 0:
+            assert witness is None
+        else:
+            assert verdict.measured == distance / d_ham
+            assert witness == p_dist.table_for(max_probability_ratio(p_dist, q_dist)[1])
 
 
 class TestEnumerateUniverse:
@@ -176,14 +270,19 @@ class TestMultDistance:
 
 
     def test_ratio_witness_ignores_insertion_order(self):
-        """Tied atoms resolve to the smallest canonical key."""
+        """Tied atoms resolve to the smallest canonical key, also in the
+        oracle's integer comparison (numerators over 4)."""
         domain = Domain(1, 1, 2)
         p = {(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 4), (1, 1): Fraction(1, 4)}
         q = {(2, 0): Fraction(1, 4), (0, 2): Fraction(1, 2), (1, 1): Fraction(1, 4)}
         q_dist = ExactDistribution(domain, q)
+        q_nums = {key: int(v * 4) for key, v in q.items()}
         for order in ([(2, 0), (0, 2), (1, 1)], [(1, 1), (0, 2), (2, 0)]):
             p_dist = ExactDistribution(domain, {key: p[key] for key in order})
             assert max_probability_ratio(p_dist, q_dist) == (Fraction(2), (0, 2))
+            p_nums = {key: int(p[key] * 4) for key in order}
+            assert exact._largest_ratio(p_nums, q_nums) == (Fraction(2), (0, 2))
+            assert exact._largest_ratio(q_nums, p_nums) == (Fraction(2), (0, 2))
 
 
 class TestVerifyDp:
@@ -312,21 +411,10 @@ class TestConnectingPermutation:
     def test_brute_force_minimum_is_symmetric(self, data):
         """The minimum is the same both ways: the inverse of a connecting
         g, relabelled through the multiset match, connects x' to x and
-        moves the same records.  Drawn pairs share a universe: x' takes
-        the swap values of x permuted within each stratum.  The histogram
-        minimum the sweep uses agrees with the brute force."""
+        moves the same records.  Drawn pairs share a universe.  The
+        histogram minimum the sweep uses agrees with the brute force."""
         domain = data.draw(st.tuples(*(st.integers(1, 3) for _ in range(3))))
-        cells = list(itertools.product(*(range(n) for n in domain)))
-        recs = data.draw(st.lists(st.sampled_from(cells), max_size=6))
-        rank = data.draw(st.permutations(range(len(recs))))
-        swapped = list(recs)
-        for m in range(domain[0]):
-            positions = [i for i, r in enumerate(recs) if r[0] == m]
-            donors = sorted(positions, key=rank.__getitem__)
-            for i, j in zip(positions, donors):
-                swapped[i] = (recs[i][0], recs[i][1], recs[j][2])
-        x = make_dataset(recs, domain)
-        y = make_dataset([swapped[i] for i in rank], domain)
+        x, y = _same_universe_pair(data, domain, 6)
         forward = min_connecting_derangement(x, y)
         assert forward == min_connecting_derangement(y, x)
         assert forward == hamming_distance(x, y)
@@ -480,14 +568,14 @@ class TestSweep:
         assert report.all_pass
 
     def test_sweep_does_per_pair_and_per_rate_work_once(self, monkeypatch):
-        """One d_Ham per unordered pair, each permutation weight once per
-        (k, n, rate), one histogram per stratum, shared by the
-        distributions and the connecting minimum, no brute force, and one
-        table per dataset plus one per connecting permutation's target."""
+        """One d_Ham per unordered pair, one integer weight vector per
+        (n, rate), one histogram per stratum, shared by the laws and the
+        connecting minimum, no brute force, and one table per dataset
+        plus one per connecting permutation's target."""
         calls = {
             "hamming_distance": [],
             "min_connecting_derangement": [],
-            "stratum_permutation_prob": [],
+            "_stratum_weights": [],
             "_stratum_histogram": [],
             "tabulate": [],
         }
@@ -497,13 +585,12 @@ class TestSweep:
                 return _fn(*args)
 
             monkeypatch.setattr(exact, name, counted)
-        report = dp_sweep(Domain(2, 2, 2), max_records=4, p_values=[Fraction(1, 10), Fraction(1, 2)])
+        rates = [Fraction(1, 10), Fraction(1, 2)]
+        report = dp_sweep(Domain(2, 2, 2), max_records=4, p_values=rates)
         pairs = report.connecting_checks // 2
         assert report.all_pass and pairs > 0
         assert len(calls["hamming_distance"]) == pairs == report.pair_checks // 2
         assert calls["min_connecting_derangement"] == []
-        weights = calls["stratum_permutation_prob"]
-        assert len(weights) == len(set(weights)) > 0
         assert len(calls["tabulate"]) == report.dataset_count + report.connecting_checks
         strata = {
             tuple(row)
@@ -511,9 +598,36 @@ class TestSweep:
             for row in tabulate(d).counts.reshape(2, 4).tolist()
             if sum(row) >= 2
         }
+        weights = calls["_stratum_weights"]
+        assert len(weights) == len(set(weights))
+        assert set(weights) == {(sum(counts), rate) for counts in strata for rate in rates}
         histograms = [counts for counts, _ in calls["_stratum_histogram"]]
         assert len(histograms) == len(set(histograms))
         assert set(histograms) == strata
+
+    @pytest.mark.parametrize("rates", [[0], [1], [Fraction(1, 2), 1]])
+    def test_sweep_rejects_endpoint_rates(self, rates):
+        """At p = 0 or 1 the budget is infinite and the laws degenerate,
+        so the sweep refuses before any work instead of reporting
+        spurious lower-bound failures."""
+        with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+            dp_sweep(Domain(1, 2, 2), 3, rates)
+
+    def test_ratio_witness_at_b10_meets_its_bound(self):
+        """The derangement-ratio witness at b = 10 (one 4x4 stratum, 1, 1,
+        4, 4 on the diagonal) with the guard lifted: the measured optimum
+        equals the ratio bound and stays within the budget."""
+        x = make_dataset([(0, 0, 0), (0, 1, 1)] + [(0, 2, 2)] * 4 + [(0, 3, 3)] * 4, (1, 4, 4))
+        p = Fraction(199, 259)
+        (row,) = universe_report(x, [p], max_permutations=10**40)
+        assert (row.b, row.universe_size) == (10, 126)
+        (bound,) = applicable_lower_bounds(swap_invariants(x), float(p))
+        assert bound.condition == "derangement-ratio"
+        assert bound.value == pytest.approx(1.0509412017891107, abs=1e-15)
+        assert row.measured_optimal == pytest.approx(bound.value, abs=1e-12)
+        assert row.budget_epsilon == pytest.approx(1.1989602625023918, abs=1e-15)
+        assert row.measured_optimal <= row.budget_epsilon
+        assert row.passed
 
     def test_universe_report_reaches_ten_record_stratum(self):
         """10! permutations per table: within the default guard, and the
