@@ -1,13 +1,13 @@
 """Exact verification of the swapper's guarantee.
 
 On desk-size instances the swapper's full output distribution is
-computed in exact arithmetic.  Strata are independent, and within a
-stratum a permutation's probability depends only on how many records it
-moves (see :func:`permuswap.swapping.stratum_permutation_prob`) while
-its output table depends only on its flow matrix: how many records of
-each (hold, swap) class receive each swap value.  So no permutation is
-walked.  Per stratum, the flow matrices are enumerated like
-margin-constrained tables, the permutations realizing each one are
+computed in exact rational arithmetic.  Strata are independent, and
+within a stratum a permutation's probability depends only on how many
+records it moves (see :func:`permuswap.swapping.stratum_permutation_prob`)
+while its output table depends only on its flow matrix: how many
+records of each (hold, swap) class receive each swap value.  So no
+permutation is walked.  Per stratum, the flow matrices are enumerated
+like margin-constrained tables, the permutations realizing each one are
 counted in closed form by their number of moved records, and the
 resulting rate-free histogram is evaluated at each rate.
 
