@@ -781,10 +781,10 @@ def dp_sweep(
     """Exhaustive verification over every small dataset and universe.
 
     For each universe and each rate: every ordered pair satisfies the
-    Lipschitz condition at the universe's budget; every exact
-    distribution sums to one and (for interior rates) has the whole
-    universe as support; the universe's pointwise-optimal budget sits
-    between the applicable lower bounds and the closed-form budget.
+    Lipschitz condition at the universe's budget; every exact law sums
+    to one and has the whole universe as support; the universe's
+    pointwise-optimal budget sits between the applicable lower bounds
+    and the closed-form budget.
     Each ordered same-universe pair is connected by an explicit
     permutation deranging exactly d_Ham records, and, independently, the
     fewest records a within-stratum permutation moves between them, read
