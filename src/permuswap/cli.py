@@ -413,6 +413,8 @@ def _cmd_utility(args: argparse.Namespace) -> int:
     rates = [float(_parse_rate(tok, "rates")) for tok in (args.rates or "").split(",") if tok]
     if not rates:
         raise CliError("rates: at least one rate is required")
+    if args.reps < 1:
+        raise CliError(f"reps: at least one replication is required, got {args.reps}")
     reports = utility_experiment(_load_input(args), rates, args.reps, args.seed)
     _emit(utility_json(reports) if args.format == "json" else utility_csv(reports), args.out)
     return EXIT_OK

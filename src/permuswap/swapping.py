@@ -24,11 +24,18 @@ a numpy position mapping, and the output table is counted directly
 from the columns ``(m, h, s[mapping])``.  No :class:`Record` is built
 and no swapped :class:`Dataset` is materialized; only
 :func:`apply_permutation` builds one, for callers that want it.
+
+The draws themselves are one loop, ``_draw_mapping``, over the stratum
+spans of :func:`~permuswap.dataset.stratum_order`.  :func:`run_psa_details`
+is that loop plus the output table; the utility runner computes the
+spans once per dataset and calls the same loop once per replication,
+so both realize the same permutation for the same seed.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -100,7 +107,7 @@ class Permutation:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        mapping = tuple(map(int, self.mapping))
+        mapping = tuple(map(operator.index, self.mapping))
         object.__setattr__(self, "mapping", mapping)
         n = len(mapping)
         if n and (min(mapping) < 0 or max(mapping) >= n or len(set(mapping)) != n):
@@ -138,6 +145,27 @@ class SelectionResult(NamedTuple):
     retries: int
 
 
+def _select(n: int, p: float, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    # the draws of select_records, with n >= 2 and p already checked
+    retries = 0
+    while True:
+        hits = np.flatnonzero(rng.random(n) < p)
+        if len(hits) != 1:
+            return hits, retries
+        retries += 1
+
+
+def _derange(k: int, rng: np.random.Generator) -> np.ndarray:
+    # the draws of sample_derangement, with k != 1 already checked
+    positions = np.arange(k)
+    if k == 0:
+        return positions
+    while True:
+        perm = rng.permutation(k)
+        if not (perm == positions).any():
+            return perm
+
+
 def select_records(
     stratum_size: int, p: float, rng: np.random.Generator
 ) -> SelectionResult:
@@ -148,16 +176,11 @@ def select_records(
     0 < p < 1 the loop terminates with probability one; there is no
     iteration cap, but the retry count is reported for diagnostics.
     """
-    n = int(stratum_size)
+    n = operator.index(stratum_size)
     if n < 2:
         raise ValueError("selection needs a stratum of at least two records")
-    p = _validate_rate(p)
-    retries = 0
-    while True:
-        hits = np.flatnonzero(rng.random(n) < p)
-        if len(hits) != 1:
-            return SelectionResult(tuple(hits.tolist()), retries)
-        retries += 1
+    hits, retries = _select(n, _validate_rate(p), rng)
+    return SelectionResult(tuple(hits.tolist()), retries)
 
 
 def sample_derangement(k: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -166,16 +189,10 @@ def sample_derangement(k: int, rng: np.random.Generator) -> tuple[int, ...]:
     k = 1 is a contract violation: the selection stage never produces a
     single selected record.
     """
-    k = int(k)
+    k = operator.index(k)
     if k == 1:
         raise ValueError("no derangement of a single record exists")
-    if k == 0:
-        return ()
-    positions = np.arange(k)
-    while True:
-        perm = rng.permutation(k)
-        if not (perm == positions).any():
-            return tuple(perm.tolist())
+    return tuple(_derange(k, rng).tolist())
 
 
 def stratum_permutation_prob(k_g: int, n: int, p: RateLike) -> Fraction:
@@ -218,35 +235,45 @@ class SwapRun:
     effective_swap_rate: float
 
 
+def _draw_mapping(
+    spans: tuple[np.ndarray, Sequence[int]], p: float, seed: int
+) -> tuple[np.ndarray, int, int]:
+    """The swapper's draws over the stratum spans of ``stratum_order``.
+
+    Returns the position mapping (position i takes the swap value of
+    position ``mapping[i]``), the records selected and the selection
+    redraws.  ``p`` must already be validated.
+    """
+    order, bounds = spans
+    seed = _normalized_seed(seed)
+    mapping = np.arange(len(order))
+    selected = retries = 0
+    for stratum, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if hi - lo < 2:
+            continue
+        # one substream per stratum, keyed by (seed, match index)
+        rng = np.random.default_rng([seed, stratum])
+        hits, redraws = _select(hi - lo, p, rng)
+        selected += len(hits)
+        retries += redraws
+        chosen = order[lo:hi][hits]
+        mapping[chosen] = chosen[_derange(len(hits), rng)]
+    return mapping, selected, retries
+
+
 def run_psa_details(x: Dataset, params: PsaParams) -> SwapRun:
     """Run the swapper and keep the realized permutation and rates."""
     n = len(x)
     m, h, s = x.codes.T
-    order, bounds = stratum_order(x)
-    seed = _normalized_seed(params.seed)
-    mapping = np.arange(n)
-    selected_total = 0
-    retries_total = 0
-    for stratum, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        if hi - lo < 2:
-            continue
-        idx = order[lo:hi]
-        # one substream per stratum, keyed by (seed, match index)
-        rng = np.random.default_rng([seed, stratum])
-        selection = select_records(len(idx), params.p, rng)
-        retries_total += selection.retries
-        selected_total += len(selection.indices)
-        local = sample_derangement(len(selection.indices), rng)
-        chosen = idx[list(selection.indices)]
-        mapping[chosen] = chosen[list(local)]
+    mapping, selected, retries = _draw_mapping(stratum_order(x), params.p, params.seed)
     swapped = s[mapping]
     changed = int(np.count_nonzero(swapped != s))
     return SwapRun(
         table=tabulate_columns(m, h, swapped, x.domain),
         permutation=Permutation(mapping.tolist()),
-        selected_count=selected_total,
-        selection_retries=retries_total,
-        raw_selection_rate=selected_total / n if n else 0.0,
+        selected_count=selected,
+        selection_retries=retries,
+        raw_selection_rate=selected / n if n else 0.0,
         effective_swap_rate=changed / n if n else 0.0,
     )
 

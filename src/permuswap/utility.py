@@ -12,6 +12,15 @@ replications at several swap rates.  Each replication gets its own seed
 derived from (seed, rate index, replication index), so rates are
 decoupled, replications are independent, and the whole report is a
 deterministic function of its inputs.
+
+What depends only on the dataset is computed once per experiment: the
+stratum spans, the true ``n_.hs`` counts and their positive cells, and
+each rate's validation.  A replication then runs only the swapper's
+draw loop (the one :func:`~permuswap.swapping.run_psa_details` runs),
+checks the drawn mapping is a bijection, counts the swapped ``n_.hs``
+with one ``bincount`` and averages the error with the kernel that
+:func:`mape` uses, so its value equals
+``mape(tabulate(x), run_psa(x, PsaParams(rate, replication seed)))``.
 """
 
 import json
@@ -21,8 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import ContingencyTable, Dataset, DomainMismatchError, tabulate
-from .swapping import PsaParams, _normalized_seed, run_psa
+from .budget import _validate_rate
+from .dataset import ContingencyTable, Dataset, DomainMismatchError, stratum_order, tabulate
+from .swapping import Permutation, _draw_mapping, _normalized_seed
 
 __all__ = [
     "FiveNumberSummary",
@@ -40,6 +50,19 @@ QUARTILE_RULE = (
 )
 
 
+def _positive_cells(true_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positive true counts and their mask; the error averages over these."""
+    mask = true_counts > 0
+    if not bool(mask.any()):
+        raise ValueError("all true cells are zero; the error is undefined")
+    return true_counts[mask], mask
+
+
+def _mape(true_positive: np.ndarray, mask: np.ndarray, swapped_counts: np.ndarray) -> float:
+    errors = np.abs(true_positive - swapped_counts[mask]) / true_positive
+    return float(errors.mean())
+
+
 def mape(true_table: ContingencyTable, swapped_table: ContingencyTable) -> float:
     """Cell-wise mean absolute percentage error of the ``n_.hs`` counts.
 
@@ -49,13 +72,8 @@ def mape(true_table: ContingencyTable, swapped_table: ContingencyTable) -> float
     """
     if true_table.domain != swapped_table.domain:
         raise DomainMismatchError("tables live over different domains")
-    true_counts = true_table.counts.sum(axis=0)
-    swapped_counts = swapped_table.counts.sum(axis=0)
-    mask = true_counts > 0
-    if not bool(mask.any()):
-        raise ValueError("all true cells are zero; the error is undefined")
-    errors = np.abs(true_counts[mask] - swapped_counts[mask]) / true_counts[mask]
-    return float(errors.mean())
+    true_positive, mask = _positive_cells(true_table.counts.sum(axis=0))
+    return _mape(true_positive, mask, swapped_table.counts.sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -109,16 +127,24 @@ def utility_experiment(
     """Run the swapper ``reps`` times per rate and summarize the errors."""
     if reps < 1:
         raise ValueError("at least one replication is required")
-    base = tabulate(x)
+    checked = [_validate_rate(rate) for rate in rates]
+    spans = stratum_order(x)
+    _, h, s = x.codes.T
+    hs_cell = h * x.domain.swap
+    true_counts = tabulate(x).counts.sum(axis=0).ravel()
+    true_positive, mask = _positive_cells(true_counts)
     reports = []
-    for rate_index, rate in enumerate(rates):
+    for rate_index, p in enumerate(checked):
         values = []
         for rep_index in range(reps):
-            params = PsaParams(rate, _replication_seed(seed, rate_index, rep_index))
-            values.append(mape(base, run_psa(x, params)))
+            rep_seed = _replication_seed(seed, rate_index, rep_index)
+            mapping, _, _ = _draw_mapping(spans, p, rep_seed)
+            Permutation(mapping.tolist())  # the bijection check run_psa_details makes
+            swapped = np.bincount(hs_cell + s[mapping], minlength=len(true_counts))
+            values.append(_mape(true_positive, mask, swapped))
         reports.append(
             UtilityReport(
-                rate=float(rate),
+                rate=p,
                 replications=reps,
                 mape_values=tuple(values),
                 summary=_summarize(values),

@@ -449,6 +449,12 @@ class TestUtilityCommand:
         zero_rows = [l for l in lines[1:] if l.startswith("0.000000,")]
         assert all(l.endswith(",0.000000") for l in zero_rows)
 
+    def test_zero_reps_named_by_key(self, synth_files, capsys):
+        csv, roles = synth_files
+        code = run_cli(["utility", "--input", csv, "--roles", roles, "--rates", "0.5", "--reps", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: reps: at least one replication is required, got 0\n"
+
 
 @pytest.mark.parametrize(
     "argv, key",
@@ -456,10 +462,12 @@ class TestUtilityCommand:
         (["swap", "--p", "2"], "p"),
         (["utility", "--rates", "0.5,2"], "rates"),
         (["utility", "--rates", ","], "rates"),
+        (["utility", "--rates", "0.5", "--reps", "0"], "reps"),
+        (["utility", "--rates", "0.5", "--reps", "-3"], "reps"),
     ],
 )
 def test_flags_checked_before_input_is_read(tmp_path, capsys, argv, key):
-    """A bad rate is reported by its key, even when the input file is missing."""
+    """A bad flag is reported by its key, even when the input file is missing."""
     roles = FIXTURES / "witness_odds.roles.json"
     code = run_cli(argv + ["--input", tmp_path / "missing.csv", "--roles", roles])
     assert code == 2

@@ -28,17 +28,23 @@ from permuswap import (
     dataset_from_table,
     exact_psa_distribution,
     hamming_distance,
+    mape,
     max_stratum_b,
     read_csv_columns,
+    run_psa,
     run_psa_details,
+    sample_derangement,
+    select_records,
     stratum_permutation_prob,
     swap_invariants,
     tabulate,
+    utility_experiment,
     write_dataset_csv,
 )
 from permuswap.budget import derangement_count
 from permuswap.dataset import invariant_stratum_bound, stratum_indices
 from permuswap.ingest import COMPOSITE_LABEL_SEP, CONSTANT_MATCH_LABEL
+from permuswap.utility import QUARTILE_RULE, ZERO_CELL_RULE, UtilityReport, _summarize
 
 # ---------------------------------------------------------------------------
 # reference loops
@@ -205,6 +211,46 @@ def ref_exact_distribution(x, rate):
         key = tuple(flat)
         probs[key] = probs.get(key, Fraction(0)) + prob
     return probs
+
+
+def ref_draw_mapping(x, p, seed):
+    """The swapper's documented draws: per stratum of at least two records,
+    in match order, ``default_rng([seed & (2**64-1), m])`` feeds the
+    selection and then the derangement of the selected positions."""
+    mapping = list(range(len(x)))
+    for m, idx in sorted(stratum_indices(x).items()):
+        if len(idx) < 2:
+            continue
+        rng = np.random.default_rng([seed & (2**64 - 1), m])
+        selection = select_records(len(idx), p, rng)
+        local = sample_derangement(len(selection.indices), rng)
+        for pos, target in zip(selection.indices, local):
+            mapping[idx[pos]] = idx[selection.indices[target]]
+    return tuple(mapping)
+
+
+def ref_utility_experiment(x, rates, reps, seed):
+    """The loop utility_experiment ran before it shared its per-dataset
+    set-up: a full swapper run, its table and ``mape`` per replication,
+    under the seed hashed from (seed, rate index, replication index)."""
+    base = tabulate(x)
+    reports = []
+    for rate_index, rate in enumerate(rates):
+        values = []
+        for rep_index in range(reps):
+            entropy = [seed & (2**64 - 1), rate_index, rep_index]
+            rep_seed = int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+            values.append(mape(base, run_psa(x, PsaParams(rate, rep_seed))))
+        reports.append(
+            UtilityReport(
+                rate=float(rate),
+                replications=reps,
+                mape_values=tuple(values),
+                summary=_summarize(values),
+                metadata={"zero_cells": ZERO_CELL_RULE, "quartiles": QUARTILE_RULE, "margin": "match"},
+            )
+        )
+    return reports
 
 
 def outcome(fn, *args):
@@ -386,6 +432,49 @@ def test_run_table_is_the_permuted_dataset_table(x, p, seed):
     assert run.table == tabulate(swapped)
     changed = sum(1 for a, b in zip(x.records, swapped.records) if a.s != b.s)
     assert run.effective_swap_rate == (changed / len(x) if len(x) else 0.0)
+
+
+@st.composite
+def stratified_datasets(draw):
+    """Up to 4 strata of 0-5 records each, every one either constant
+    (one repeated cell) or mixed (cells drawn freely)."""
+    domain = Domain(draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    cell = st.tuples(st.integers(0, domain.hold - 1), st.integers(0, domain.swap - 1))
+    records = []
+    for m in range(domain.match):
+        size = draw(st.integers(0, 5))
+        if draw(st.booleans()):
+            cells = [draw(cell)] * size
+        else:
+            cells = draw(st.lists(cell, min_size=size, max_size=size))
+        records += [(m, h, s) for h, s in cells]
+    order = draw(st.permutations(range(len(records))))
+    return Dataset([records[i] for i in order], domain)
+
+
+SEEDS = st.one_of(
+    st.integers(-(2**64), -1), st.integers(0, 2**63 - 1), st.integers(2**63, 2**64 + 2**40)
+)
+RATES = st.one_of(st.sampled_from([0.0, 1.0, 0.05, 0.5]), st.floats(0, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stratified_datasets(), st.lists(RATES, min_size=1, max_size=3), st.integers(1, 4), SEEDS)
+def test_utility_experiment_matches_per_run_loop(x, rates, reps, seed):
+    def result(fn):
+        try:
+            return fn(x, rates, reps, seed)
+        except ValueError as exc:
+            return ("ValueError", str(exc))
+
+    assert result(utility_experiment) == result(ref_utility_experiment)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stratified_datasets(), RATES, SEEDS)
+def test_swapper_draws_match_documented_substreams(x, p, seed):
+    run = run_psa_details(x, PsaParams(p, seed))
+    assert run.permutation.mapping == ref_draw_mapping(x, p, seed)
 
 
 @st.composite

@@ -51,6 +51,17 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation((0, 0, 1))
 
+    @pytest.mark.parametrize("mapping", [[0.9, 1.2], [0.0, 1.0], ["1", "0"], np.array([1.0, 0.0])])
+    def test_non_integer_entries_rejected(self, mapping):
+        """Entries are not truncated or parsed: 0.9 is not position 0."""
+        with pytest.raises(TypeError):
+            Permutation(mapping)
+
+    def test_integer_like_entries_become_python_ints(self):
+        perm = Permutation(np.array([1, 0, 2]))
+        assert perm.mapping == (1, 0, 2)
+        assert all(type(i) is int for i in perm.mapping)
+
     def test_derange_count(self):
         assert Permutation((1, 0, 2)).derange_count == 2
         assert Permutation.identity(4).derange_count == 0
@@ -83,6 +94,15 @@ class TestSelectRecords:
         with pytest.raises(ValueError):
             select_records(1, 0.5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("size", [2.9, 2.0, "3"])
+    def test_non_integer_size_rejected(self, size):
+        with pytest.raises(TypeError):
+            select_records(size, 0.5, np.random.default_rng(0))
+
+    def test_numpy_integer_size_draws_as_int(self):
+        a = select_records(np.int64(5), 0.5, np.random.default_rng(3))
+        assert a == select_records(5, 0.5, np.random.default_rng(3))
+
     def test_never_exactly_one_selected(self):
         rng = np.random.default_rng(42)
         for _ in range(2000):
@@ -110,6 +130,11 @@ class TestSampleDerangement:
     def test_single_record_is_contract_violation(self):
         with pytest.raises(ValueError):
             sample_derangement(1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2"])
+    def test_non_integer_count_rejected(self, k):
+        with pytest.raises(TypeError):
+            sample_derangement(k, np.random.default_rng(0))
 
     def test_pair_always_transposes(self):
         rng = np.random.default_rng(5)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from permuswap import (
     mape,
     utility_experiment,
 )
+from permuswap import dataset, swapping, utility
 from permuswap.dataset import DomainMismatchError
 from permuswap.synth import StratumSpec, synthesize
 from permuswap.utility import (
@@ -93,6 +95,25 @@ class TestExperiment:
         x = synthesize([StratumSpec(4)], 2, 2, seed=0)
         with pytest.raises(ValueError):
             utility_experiment(x, rates=[0.1], reps=0, seed=0)
+
+    @pytest.mark.parametrize("rates, reps", [([0.5], 1), ([0.0, 0.05, 0.5, 1.0], 9)])
+    def test_per_dataset_work_done_once(self, monkeypatch, rates, reps):
+        """The stratum spans and the true table are computed once per
+        experiment, whatever the rates and replications; no replication
+        builds a full M x H x S table."""
+        x = synthesize([StratumSpec(6), StratumSpec(1), StratumSpec(4, mixed=False)], 3, 3, seed=4)
+        calls = Counter()
+        for name in ("stratum_order", "tabulate", "tabulate_columns"):
+            def counted(*args, _fn=getattr(dataset, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            for module in (dataset, swapping, utility):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        reports = utility_experiment(x, rates, reps, seed=3)
+        assert [len(r.mape_values) for r in reports] == [reps] * len(rates)
+        assert calls == {"stratum_order": 1, "tabulate": 1, "tabulate_columns": 1}
 
     def test_metadata_records_conventions(self):
         x = synthesize([StratumSpec(6)], 2, 2, seed=0)
