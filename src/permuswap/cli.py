@@ -8,7 +8,7 @@ stable byte for byte.  A CSV field goes through ``_cell``: a float at
 anything else with ``str``.  JSON goes through ``_emit_json`` (two-space
 indent, sorted keys), with floats rounded to 6 decimals and infinity as
 the string "inf".  The one exception is ``swap``'s count table, which
-formats its many rows with one f-string each.
+formats all its rows with one ``%``-format.
 
 Exit codes: 0 success; 2 validation failure (bad flags, bad config,
 bad data); 3 verification failure (a checked guarantee did not hold);
@@ -16,7 +16,6 @@ bad data); 3 verification failure (a checked guarantee did not hold);
 """
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -24,6 +23,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from . import budget as budget_mod
 from . import exact as exact_mod
@@ -133,10 +134,11 @@ def _cmd_swap(args: argparse.Namespace) -> int:
     b = invariant_stratum_bound(inv)
     result = budget_mod.psa_budget(float(rate), b)
 
-    # one f-string per cell: the table can have a few hundred thousand rows
-    cells = itertools.product(*map(range, run.table.domain))
-    lines = [f"{m},{h},{s},{count}" for (m, h, s), count in zip(cells, run.table.canonical_key())]
-    _emit("\n".join(["m,h,s,count", *lines]), args.out)
+    # one %-format over the flat (m, h, s, count) rows: the table can have a
+    # few hundred thousand of them
+    counts = run.table.counts
+    rows = np.column_stack((*np.indices(counts.shape).reshape(3, -1), counts.ravel()))
+    _emit("m,h,s,count\n" + "%d,%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist()), args.out)
 
     sidecar = {
         "p": _json_value(float(rate)),
@@ -455,6 +457,8 @@ def _apply_config(args: argparse.Namespace, argv: Sequence[str]) -> None:
         return
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
+    except UnicodeDecodeError:
+        raise CliError(f"config file {args.config}: not valid UTF-8") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"config: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):

@@ -87,7 +87,7 @@ class PsaParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", _validate_rate(self.p))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", operator.index(self.seed))
 
 
 def _normalized_seed(seed: int) -> int:
@@ -201,8 +201,8 @@ def stratum_permutation_prob(k_g: int, n: int, p: RateLike) -> Fraction:
 
         p^k (1-p)^(n-k) / ((1 - n p (1-p)^(n-1)) d(k))
     """
-    k = int(k_g)
-    n = int(n)
+    k = operator.index(k_g)
+    n = operator.index(n)
     if n < 0 or k > n:
         raise ValueError("derange count cannot exceed stratum size")
     if k == 1:

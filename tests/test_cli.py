@@ -184,6 +184,29 @@ class TestSwap:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("bom, newline", [(b"", b"\n"), (b"\xef\xbb\xbf", b"\r\n")])
+    def test_non_utf8_input_names_file_and_line(self, synth_files, tmp_path, capsys, bom, newline):
+        """The line number counts the blank line, as the field-count error does."""
+        csv, roles = synth_files
+        header, first, second = csv.read_bytes().splitlines()[:3]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(bom + newline.join([header, first, b"", second + b"\xff", b""]))
+        code = run_cli(
+            ["swap", "--input", bad, "--roles", roles, "--p", "0.4", "--out", tmp_path / "t.csv"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}:4: not valid UTF-8\n"
+
+    def test_non_utf8_roles_file_named(self, synth_files, tmp_path, capsys):
+        csv, _ = synth_files
+        roles = tmp_path / "roles.json"
+        roles.write_bytes(b'{"hold": ["hold"], "swap": ["sw\xffap"]}')
+        code = run_cli(
+            ["swap", "--input", csv, "--roles", roles, "--p", "0.4", "--out", tmp_path / "t.csv"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: roles file {roles}: not valid UTF-8\n"
+
 
 class TestBudgetCommand:
     def test_direct_pair(self, capsys):
@@ -496,6 +519,12 @@ class TestConfigFile:
         assert run_cli(["budget", "--config", config]) == 0
         fields = capsys.readouterr().out.splitlines()[1].split(",")
         assert float(fields[4]) == pytest.approx(18.13, abs=0.01)
+
+    def test_non_utf8_config_named(self, tmp_path, capsys):
+        config = tmp_path / "budget.json"
+        config.write_bytes(b'{"p": "0.\xff5", "b": 3}')
+        assert run_cli(["budget", "--config", config]) == 2
+        assert capsys.readouterr().err == f"error: config file {config}: not valid UTF-8\n"
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "budget.json"

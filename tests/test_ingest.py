@@ -210,3 +210,18 @@ class TestWriting:
         bad = Dataset(x.records, x.domain, bad_schema)
         with pytest.raises(LoadError, match="comma"):
             write_dataset_csv(bad, tmp_path / "bad.csv")
+
+    @pytest.mark.parametrize("label", ["m\n0", "m\r0", "m\x0c0", "m\u20280", "m\x850"])
+    def test_line_break_label_rejected_on_write(self, tmp_path, label):
+        """Every break the reader splits lines at, not only \\n and \\r."""
+        x = synthesize([StratumSpec(2)], 2, 2, seed=0)
+        schema = x.schema.__class__(
+            match_columns=("match",),
+            hold_columns=("hold",),
+            swap_columns=("swap",),
+            match_labels=(label,),
+            hold_labels=("h0", "h1"),
+            swap_labels=("s0", "s1"),
+        )
+        with pytest.raises(LoadError, match="newlines are not writable"):
+            write_dataset_csv(Dataset(x.records, x.domain, schema), tmp_path / "bad.csv")

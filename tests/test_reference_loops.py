@@ -28,6 +28,7 @@ from permuswap import (
     dataset_from_table,
     exact_psa_distribution,
     hamming_distance,
+    load_dataset,
     mape,
     max_stratum_b,
     read_csv_columns,
@@ -279,7 +280,9 @@ def datasets(**kwargs):
     return record_lists(**kwargs).map(lambda rd: Dataset(rd[0], rd[1]))
 
 
-LABELS = ("a", "b", "c", "d")
+# non-ASCII, a lone surrogate, longer than one 8-byte word, empty, and
+# prefixes that differ only by a trailing NUL
+LABELS = ("a", "a\x00", "", "\ud800", "ab", "é", "€uro-label-9", "b")
 
 
 @st.composite
@@ -293,10 +296,10 @@ def role_columns(draw):
     }
     columns, categories = {}, {}
     for name in roles["match"] + roles["hold"] + roles["swap"]:
-        columns[name] = draw(st.lists(st.sampled_from(LABELS[:3]), min_size=n_rows, max_size=n_rows))
+        columns[name] = draw(st.lists(st.sampled_from(LABELS[:5]), min_size=n_rows, max_size=n_rows))
         if draw(st.booleans()):
             # a declared list may omit a used label or add an unused one
-            categories[name] = tuple(draw(st.permutations(LABELS))[: draw(st.integers(1, 4))])
+            categories[name] = tuple(draw(st.permutations(LABELS))[: draw(st.integers(1, 6))])
     return columns, RoleAssignment(categories=categories, **roles)
 
 
@@ -357,21 +360,112 @@ def test_cross_classify_matches_loop(case):
     assert (got.schema.match_labels, got.schema.hold_labels, got.schema.swap_labels) == labels
 
 
+# every break of str.splitlines that can end a line of a CSV file
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# what a file can hold: LABELS without the lone surrogate, plus NUL runs
+CSV_LABELS = ("a", "a\x00", "a\x00\x00", "", "\x00", "ab", "é", "€uro-label-9", "\U0001f600", "ééééé", "b")
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(
         st.one_of(
             st.just(""),
-            st.lists(st.sampled_from(["x", "yy", ""]), min_size=1, max_size=4).map(",".join),
+            st.lists(st.sampled_from(["x", "yy", "", "é", "a\x00"]), min_size=1, max_size=4).map(",".join),
         ),
         max_size=6,
     ),
-    st.sampled_from(["\n", "\r\n"]),
+    st.sampled_from(LINE_BREAKS),
 )
 def test_read_csv_columns_matches_loop(tmp_path_factory, body, newline):
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     path.write_text(newline.join(["a,b,c"] + body), encoding="utf-8", newline="")
     assert outcome(read_csv_columns, path) == outcome(ref_read_csv_columns, path)
+
+
+@st.composite
+def csv_cases(draw):
+    """(text, roles, bom): a CSV with multi-column roles, declared
+    categories, blank lines, any line break, and now and then a ragged
+    row or a column the roles do not name."""
+    names = iter(f"c{i}" for i in range(6))
+    roles = {
+        role: tuple(itertools.islice(names, draw(st.integers(lo, 2))))
+        for role, lo in (("match", 0), ("hold", 1), ("swap", 1))
+    }
+    role_names = list(roles["match"] + roles["hold"] + roles["swap"])
+    header = draw(st.sampled_from([role_names, role_names + ["extra"], role_names[1:]]))
+    header = draw(st.permutations(header))
+    alphabets, categories = {}, {}
+    for name in header:
+        alphabets[name] = draw(st.lists(st.sampled_from(CSV_LABELS), min_size=1, max_size=4, unique=True))
+        if draw(st.booleans()):
+            # a declared list may omit a used label or add an unused one
+            pool = draw(st.permutations(alphabets[name] + [draw(st.sampled_from(CSV_LABELS))]))
+            categories[name] = tuple(dict.fromkeys(pool[: draw(st.integers(1, len(pool)))]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+            continue
+        row = [draw(st.sampled_from(alphabets[name])) for name in header]
+        if draw(st.integers(0, 19)) == 0:
+            row.append("x")
+        lines.append(",".join(row))
+    newline = draw(st.sampled_from(LINE_BREAKS))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    known = set(role_names)
+    categories = {name: cats for name, cats in categories.items() if name in known}
+    return text, RoleAssignment(categories=categories, **roles), draw(st.booleans())
+
+
+def dataset_parts(x):
+    return x.codes.tolist(), x.domain, x.schema
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_cases())
+def test_load_dataset_matches_reference_parse(tmp_path_factory, case):
+    """load_dataset reads a file as the per-line reference split plus
+    cross_classify does: same codes, domain and labels, or the same error."""
+    text, roles, bom = case
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    want_columns = outcome(ref_read_csv_columns, path)
+    want = outcome(lambda: dataset_parts(cross_classify(ref_read_csv_columns(path), roles)))
+    if bom:
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert outcome(read_csv_columns, path) == want_columns
+    assert outcome(lambda: dataset_parts(load_dataset(path, roles))) == want
+
+
+def test_inferred_categories_follow_python_sort():
+    """Code-point order, which the UTF-8 bytes and their surrogatepass
+    encoding both keep: NUL-padded prefixes, multi-word labels, a lone
+    surrogate between U+D7FF and U+E000, and labels of 256 bytes or
+    more, whose length takes two bytes of the sort key."""
+    values = ["ab", "a\x00", "a", "", "\x00", "a\x00\x00", "\ue000", "\ud800", "\ud7ff", "é" * 9, "é" * 8 + "a"]
+    values += ["x" * 303, "x" * 302 + "y", "x" * 302, "x" * 255, "x" * 255 + "\x00"]
+    columns = {"h": values, "s": ["0"] * len(values)}
+    x = cross_classify(columns, RoleAssignment(match=(), hold=("h",), swap=("s",)))
+    assert x.schema.hold_labels == tuple(sorted(set(values)))
+    assert [x.schema.hold_labels[h] for h in x.codes[:, 1]] == values
+
+
+@pytest.mark.parametrize("newline", LINE_BREAKS)
+def test_line_breaks_blank_lines_and_bom(tmp_path, newline):
+    """Every str.splitlines break ends a line; blank lines are skipped
+    but counted, and a byte-order mark is dropped."""
+    path = tmp_path / "data.csv"
+    text = newline.join(["a,b", "", "é,€uro-label-9", "", ",a\x00", "x,y,z"])
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    with pytest.raises(LoadError, match=r"data\.csv:6: expected 2 fields, got 3$"):
+        read_csv_columns(path)
+    path.write_bytes(b"\xef\xbb\xbf" + text.rsplit(newline, 1)[0].encode("utf-8") + newline.encode("utf-8"))
+    assert read_csv_columns(path) == {"a": ["é", ""], "b": ["€uro-label-9", "a\x00"]}
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8").replace("€".encode("utf-8"), b"\xe2\x82"))
+    with pytest.raises(LoadError, match=r"data\.csv:3: not valid UTF-8$"):
+        read_csv_columns(path)
 
 
 @settings(max_examples=50, deadline=None)

@@ -184,6 +184,28 @@ class TestStratumPermutationProb:
         with pytest.raises(ValueError):
             stratum_permutation_prob(0, 2, 0)
 
+    @pytest.mark.parametrize("k_g, n", [(2.7, 3), ("2", 3), (2, 3.0), (2, "3")])
+    def test_non_integer_counts_rejected(self, k_g, n):
+        """Counts are not truncated or parsed: 2.7 is not 2."""
+        with pytest.raises(TypeError):
+            stratum_permutation_prob(k_g, n, Fraction(1, 2))
+
+    def test_numpy_integer_counts_accepted(self):
+        got = stratum_permutation_prob(np.int64(2), np.int32(3), Fraction(1, 2))
+        assert got == stratum_permutation_prob(2, 3, Fraction(1, 2))
+
+
+class TestPsaParams:
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "2"])
+    def test_non_integer_seed_rejected(self, seed):
+        """The seed is not truncated or parsed: 1.5 does not run as seed 1."""
+        with pytest.raises(TypeError):
+            PsaParams(0.5, seed=seed)
+
+    def test_numpy_integer_seed_becomes_python_int(self):
+        params = PsaParams(0.5, seed=np.uint64(2**63 + 5))
+        assert params.seed == 2**63 + 5 and type(params.seed) is int
+
 
 class TestRunPsa:
     def test_p_zero_is_identity(self):
