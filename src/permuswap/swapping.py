@@ -12,7 +12,12 @@ are preserved by construction.
 Randomness is drawn from a named substream per stratum, keyed by
 (seed, match index), so the output is a pure function of (dataset,
 params) no matter in which order strata are processed and bit-identical
-under parallel execution.
+under parallel execution.  The keys of every caller (the swapper, the
+utility runner and the synthesizer) are listed in the README: each key
+gives exactly the stream ``np.random.default_rng(key)`` gives.  One call
+derives its keys' PCG64 states in vectorized passes of up to
+``_KEYS_PER_PASS`` keys (``_seed_words``, a numpy port of
+``SeedSequence``) and sets one generator to each state in turn.
 
 Derangements are sampled by rejection from uniform permutations of the
 selected set (accept iff no fixed point, expected < e retries), which
@@ -35,7 +40,7 @@ so both realize the same permutation for the same seed.
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -92,7 +97,128 @@ class PsaParams:
 
 def _normalized_seed(seed: int) -> int:
     # two's-complement wrap keeps SeedSequence entropy non-negative
-    return int(seed) & (2**64 - 1)
+    return operator.index(seed) & (2**64 - 1)
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx), vectorized over
+# keys.  Each hashmix call xors with one power of MULT_A and multiplies by
+# the next, in a call order fixed by the key's word count alone, so every
+# constant is computed here.  The arithmetic is uint32 and wraps by design;
+# the constants are numpy uint32 so that value-based casting (numpy 1) and
+# NEP 50 (numpy 2) both keep it in uint32.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_MAX_KEY_INTS = 8
+_MAX_STATE_WORDS = 8  # PCG64 takes four uint64 words
+_XSHIFT = np.uint32(16)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+
+
+def _powers(init: int, mult: int, count: int) -> np.ndarray:
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32).reshape(-1, 1)
+
+
+# calls 0-3 fill the pool; calls 4-15 mix each pool word into the other
+# three (the source row gets a dummy constant and keeps its value); every
+# later entropy word w takes calls 4w to 4w + 3
+_HASH_A = _powers(0x43B0D7E5, 0x931E8875, 8 * _MAX_KEY_INTS + 1)
+_FILL_A = (_HASH_A[0:4], _HASH_A[1:5])
+_MIX_A = []
+for _src in range(_POOL_SIZE):
+    _calls = [4 + 3 * _src + d - (d > _src) if d != _src else 0 for d in range(_POOL_SIZE)]
+    _MIX_A.append((_HASH_A[_calls], _HASH_A[[c + 1 for c in _calls]]))
+del _src, _calls
+# generate_state reads the pool cyclically
+_CYCLE = np.arange(_MAX_STATE_WORDS) % _POOL_SIZE
+_HASH_B = _powers(0x8B51F9DD, 0x58F38DED, _MAX_STATE_WORDS + 1)
+# PCG64 seeding (pcg_setseq_128_srandom_r) with the default multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = 2**128 - 1
+# seed keys derived per pass, which bounds the memory a pass takes
+_KEYS_PER_PASS = 1 << 14
+
+
+def _hashmix(value: np.ndarray, consts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    value = (value ^ consts[0]) * consts[1]
+    return value ^ (value >> _XSHIFT)
+
+
+def _seed_words(keys: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(key).generate_state(n_words)`` for every row of ``keys``.
+
+    ``keys`` is an (n, k) uint64 array, one key of k <= 8 ints per row.
+    Each int enters the entropy as one uint32 word, or as two (low word
+    first) when it is 2**32 or more, as numpy converts it.  Returns
+    (n_words, n) uint32 words, one column per key.
+    """
+    n, k = keys.shape
+    if k > _MAX_KEY_INTS:
+        raise ValueError(f"a seed key holds at most {_MAX_KEY_INTS} ints")
+    high = keys >> np.uint64(32)
+    width = 1 + (high != 0)
+    end = np.cumsum(width, axis=1)
+    start = (end - width).T
+    words = np.zeros((max(2 * k, _POOL_SIZE), n), dtype=np.uint32)
+    cols = np.arange(n)
+    # a one-word int's zero high word lands where the next int's low word
+    # then overwrites it, or past the key's end
+    words[start + 1, cols] = high.T
+    words[start, cols] = keys.T
+    pool = _hashmix(words[:_POOL_SIZE], _FILL_A)
+    for src, consts in enumerate(_MIX_A):
+        mixed = _MIX_MULT_L * pool - _MIX_MULT_R * _hashmix(pool[src], consts)
+        mixed ^= mixed >> _XSHIFT
+        mixed[src] = pool[src]
+        pool = mixed
+    length = end[:, -1]
+    for w in range(_POOL_SIZE, length.max(initial=0)):
+        consts = (_HASH_A[4 * w : 4 * w + 4], _HASH_A[4 * w + 1 : 4 * w + 5])
+        mixed = _MIX_MULT_L * pool - _MIX_MULT_R * _hashmix(words[w], consts)
+        mixed ^= mixed >> _XSHIFT
+        pool = np.where(w < length, mixed, pool)
+    return _hashmix(pool[_CYCLE[:n_words]], (_HASH_B[:n_words], _HASH_B[1 : n_words + 1]))
+
+
+def _seed_uint64(keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(key).generate_state(1, np.uint64)[0]`` for every key."""
+    low, high = _seed_words(keys, 2).astype(np.uint64)
+    return low | high << np.uint64(32)
+
+
+def _pcg64_states(keys: np.ndarray) -> list[dict]:
+    """The ``PCG64.state`` that ``PCG64(key)`` leaves, for every key.
+
+    The 128-bit step runs on Python ints, one key at a time: the state
+    setter takes Python ints, and building them costs more than the
+    arithmetic.
+    """
+    words = _seed_words(keys, _MAX_STATE_WORDS).astype(np.uint64)
+    # generate_state(4, np.uint64) is seed high, seed low, inc high, inc low
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in (words[0::2] | words[1::2] << np.uint64(32)).T.tolist():
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = (((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        states.append(
+            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        )
+    return states
+
+
+def _stream_states(seeds: np.ndarray, strata: Sequence[int]) -> Iterator[dict]:
+    """The state of substream ``(seed, m)`` for each seed of the uint64
+    array ``seeds`` and, within it, each stratum index ``m`` in ``strata``.
+
+    Each pass derives up to ``_KEYS_PER_PASS`` states at once.
+    """
+    strata = np.asarray(strata, dtype=np.uint64)
+    total = len(seeds) * len(strata)
+    for lo in range(0, total, _KEYS_PER_PASS):
+        seed_index, stratum_index = np.divmod(np.arange(lo, min(lo + _KEYS_PER_PASS, total)), len(strata))
+        yield from _pcg64_states(np.stack((seeds[seed_index], strata[stratum_index]), axis=1))
 
 
 @dataclass(frozen=True)
@@ -235,24 +361,35 @@ class SwapRun:
     effective_swap_rate: float
 
 
+def _active_strata(bounds: Sequence[int]) -> list[int]:
+    """The strata of at least two records, the only ones that draw."""
+    return [m for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi - lo >= 2]
+
+
 def _draw_mapping(
-    spans: tuple[np.ndarray, Sequence[int]], p: float, seed: int
+    spans: tuple[np.ndarray, Sequence[int]],
+    strata: Sequence[int],
+    p: float,
+    states: Iterator[dict],
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, int, int]:
     """The swapper's draws over the stratum spans of ``stratum_order``.
 
-    Returns the position mapping (position i takes the swap value of
-    position ``mapping[i]``), the records selected and the selection
-    redraws.  ``p`` must already be validated.
+    ``strata`` is ``_active_strata(bounds)``.  ``states`` yields each
+    stratum's substream state in turn (see ``_stream_states``), and the
+    PCG64 ``rng`` is set to it before the stratum's draws; ``states`` may
+    run on into later calls.  Returns the position mapping (position i
+    takes the swap value of position ``mapping[i]``), the records
+    selected and the selection redraws.  ``p`` must already be validated.
     """
     order, bounds = spans
-    seed = _normalized_seed(seed)
     mapping = np.arange(len(order))
     selected = retries = 0
-    for stratum, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        if hi - lo < 2:
-            continue
-        # one substream per stratum, keyed by (seed, match index)
-        rng = np.random.default_rng([seed, stratum])
+    bit_generator = rng.bit_generator
+    # zip takes the stratum first, so it takes no state past the last one
+    for m, state in zip(strata, states):
+        bit_generator.state = state
+        lo, hi = bounds[m], bounds[m + 1]
         hits, redraws = _select(hi - lo, p, rng)
         selected += len(hits)
         retries += redraws
@@ -261,11 +398,19 @@ def _draw_mapping(
     return mapping, selected, retries
 
 
+def _stream_generator() -> np.random.Generator:
+    # the seed is never drawn from: each stratum sets its own state first
+    return np.random.Generator(np.random.PCG64(0))
+
+
 def run_psa_details(x: Dataset, params: PsaParams) -> SwapRun:
     """Run the swapper and keep the realized permutation and rates."""
     n = len(x)
     m, h, s = x.codes.T
-    mapping, selected, retries = _draw_mapping(stratum_order(x), params.p, params.seed)
+    spans = stratum_order(x)
+    strata = _active_strata(spans[1])
+    states = _stream_states(np.array([_normalized_seed(params.seed)], dtype=np.uint64), strata)
+    mapping, selected, retries = _draw_mapping(spans, strata, params.p, states, _stream_generator())
     swapped = s[mapping]
     changed = int(np.count_nonzero(swapped != s))
     return SwapRun(

@@ -6,13 +6,15 @@ size >= 2 is guaranteed to contain two records with different
 *constant* stratum holds identical records and never does, no matter
 how large.  The largest mixed stratum therefore pins b exactly.
 
-Records are drawn from a named substream per stratum, so output is a
-pure function of (specs, domain sizes, seed).  Labels are zero-padded,
-which makes written CSVs round-trip through ingestion (inferred
-category order is lexicographic, and zero-padded labels sort like their
-indices).
+Stratum m draws from the substream keyed (seed, m), the stream
+``np.random.default_rng(key)`` gives, with the strata's states derived
+in batched passes; so output is a pure function of (specs, domain
+sizes, seed).  Labels are zero-padded, which makes written CSVs
+round-trip through ingestion (inferred category order is
+lexicographic, and zero-padded labels sort like their indices).
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .dataset import Dataset, DatasetSchema, Domain
 from .ingest import default_axis_labels
-from .swapping import _normalized_seed
+from .swapping import _normalized_seed, _stream_generator, _stream_states
 
 __all__ = ["StratumSpec", "synthesize"]
 
@@ -31,6 +33,7 @@ class StratumSpec:
     mixed: bool = True
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "size", operator.index(self.size))
         if self.size < 0:
             raise ValueError("stratum size must be non-negative")
 
@@ -45,8 +48,11 @@ def synthesize(
     if hold_levels < 1 or swap_levels < 1:
         raise ValueError("hold and swap axes need at least one level")
     blocks: list[np.ndarray] = []
-    for m, spec in enumerate(strata):
-        rng = np.random.default_rng([_normalized_seed(seed), m])
+    seeds = np.array([_normalized_seed(seed)], dtype=np.uint64)
+    rng = _stream_generator()
+    states = _stream_states(seeds, range(len(strata)))
+    for m, (spec, state) in enumerate(zip(strata, states)):
+        rng.bit_generator.state = state
         if spec.mixed:
             hs = rng.integers(0, hold_levels, size=spec.size)
             ss = rng.integers(0, swap_levels, size=spec.size)

@@ -9,9 +9,12 @@ the rule is recorded in the report metadata.
 
 Repeated-run experiments summarize the metric across independent
 replications at several swap rates.  Each replication gets its own seed
-derived from (seed, rate index, replication index), so rates are
-decoupled, replications are independent, and the whole report is a
-deterministic function of its inputs.
+from the key (seed, rate index, replication index), and its stratum m
+draws from the key (replication seed, m), so rates are decoupled,
+replications are independent, and the whole report is a deterministic
+function of its inputs.  Each key gives the stream
+``np.random.default_rng(key)`` gives (see the README); a rate's
+replication seeds and substream states are derived in batched passes.
 
 What depends only on the dataset is computed once per experiment: the
 stratum spans, the true ``n_.hs`` counts and their positive cells, and
@@ -32,7 +35,16 @@ import numpy as np
 
 from .budget import _validate_rate
 from .dataset import ContingencyTable, Dataset, DomainMismatchError, stratum_order, tabulate
-from .swapping import Permutation, _draw_mapping, _normalized_seed
+from .swapping import (
+    _KEYS_PER_PASS,
+    Permutation,
+    _active_strata,
+    _draw_mapping,
+    _normalized_seed,
+    _seed_uint64,
+    _stream_generator,
+    _stream_states,
+)
 
 __all__ = [
     "FiveNumberSummary",
@@ -113,11 +125,6 @@ class UtilityReport:
     metadata: dict[str, str]
 
 
-def _replication_seed(seed: int, rate_index: int, rep_index: int) -> int:
-    entropy = [_normalized_seed(seed), rate_index, rep_index]
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
 def utility_experiment(
     x: Dataset,
     rates: Sequence[float],
@@ -128,7 +135,10 @@ def utility_experiment(
     if reps < 1:
         raise ValueError("at least one replication is required")
     checked = [_validate_rate(rate) for rate in rates]
+    seed = _normalized_seed(seed)
     spans = stratum_order(x)
+    strata = _active_strata(spans[1])
+    rng = _stream_generator()
     _, h, s = x.codes.T
     hs_cell = h * x.domain.swap
     true_counts = tabulate(x).counts.sum(axis=0).ravel()
@@ -136,12 +146,17 @@ def utility_experiment(
     reports = []
     for rate_index, p in enumerate(checked):
         values = []
-        for rep_index in range(reps):
-            rep_seed = _replication_seed(seed, rate_index, rep_index)
-            mapping, _, _ = _draw_mapping(spans, p, rep_seed)
-            Permutation(mapping.tolist())  # the bijection check run_psa_details makes
-            swapped = np.bincount(hs_cell + s[mapping], minlength=len(true_counts))
-            values.append(_mape(true_positive, mask, swapped))
+        for first in range(0, reps, _KEYS_PER_PASS):
+            keys = np.empty((min(_KEYS_PER_PASS, reps - first), 3), dtype=np.uint64)
+            keys[:, 0] = seed
+            keys[:, 1] = rate_index
+            keys[:, 2] = np.arange(first, first + len(keys))
+            states = _stream_states(_seed_uint64(keys), strata)
+            for _ in range(len(keys)):
+                mapping, _, _ = _draw_mapping(spans, strata, p, states, rng)
+                Permutation(mapping.tolist())  # the bijection check run_psa_details makes
+                swapped = np.bincount(hs_cell + s[mapping], minlength=len(true_counts))
+                values.append(_mape(true_positive, mask, swapped))
         reports.append(
             UtilityReport(
                 rate=p,

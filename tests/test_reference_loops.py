@@ -45,6 +45,7 @@ from permuswap import (
 from permuswap.budget import derangement_count
 from permuswap.dataset import invariant_stratum_bound, stratum_indices
 from permuswap.ingest import COMPOSITE_LABEL_SEP, CONSTANT_MATCH_LABEL
+from permuswap.synth import StratumSpec, synthesize
 from permuswap.utility import QUARTILE_RULE, ZERO_CELL_RULE, UtilityReport, _summarize
 
 # ---------------------------------------------------------------------------
@@ -252,6 +253,34 @@ def ref_utility_experiment(x, rates, reps, seed):
             )
         )
     return reports
+
+
+def ref_synthesize(specs, hold_levels, swap_levels, seed):
+    """synthesize's documented draws: stratum m draws from
+    ``default_rng([seed & (2**64-1), m])``, its hold then its swap codes
+    (one of each for a constant stratum).  Returns the records and the
+    domain, or the error's type and message."""
+    if hold_levels < 1 or swap_levels < 1:
+        return ("ValueError", "hold and swap axes need at least one level")
+    records = []
+    for m, spec in enumerate(specs):
+        rng = np.random.default_rng([seed & (2**64 - 1), m])
+        if not spec.mixed:
+            h, s = int(rng.integers(0, hold_levels)), int(rng.integers(0, swap_levels))
+            records += [[m, h, s]] * spec.size
+            continue
+        hs = rng.integers(0, hold_levels, size=spec.size).tolist()
+        ss = rng.integers(0, swap_levels, size=spec.size).tolist()
+        if spec.size >= 2:
+            if hold_levels * swap_levels < 2:
+                return ("ValueError", "a mixed stratum of size >= 2 needs at least two (hold, swap) cells")
+            if len(set(zip(hs, ss))) == 1:
+                if swap_levels > 1:
+                    ss[1] = (ss[1] + 1) % swap_levels
+                else:
+                    hs[1] = (hs[1] + 1) % hold_levels
+        records += [[m, h, s] for h, s in zip(hs, ss)]
+    return records, (len(specs), hold_levels, swap_levels)
 
 
 def outcome(fn, *args):
@@ -569,6 +598,36 @@ def test_utility_experiment_matches_per_run_loop(x, rates, reps, seed):
 def test_swapper_draws_match_documented_substreams(x, p, seed):
     run = run_psa_details(x, PsaParams(p, seed))
     assert run.permutation.mapping == ref_draw_mapping(x, p, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.builds(StratumSpec, st.integers(0, 6), st.booleans()), max_size=5),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    SEEDS,
+)
+def test_synthesize_draws_match_documented_substreams(specs, hold_levels, swap_levels, seed):
+    try:
+        x = synthesize(specs, hold_levels, swap_levels, seed)
+    except ValueError as exc:
+        assert ref_synthesize(specs, hold_levels, swap_levels, seed) == ("ValueError", str(exc))
+        return
+    assert (x.codes.tolist(), tuple(x.domain)) == ref_synthesize(specs, hold_levels, swap_levels, seed)
+
+
+def test_substreams_derived_in_several_passes(monkeypatch):
+    """States derived a few keys per pass, with passes that split one
+    seed's strata and one replication block's seeds, give the same draws."""
+    from permuswap import swapping, utility
+
+    for module in (swapping, utility):
+        monkeypatch.setattr(module, "_KEYS_PER_PASS", 3)
+    specs = [StratumSpec(n % 5, mixed=n % 3 > 0) for n in range(11)]
+    assert (synthesize(specs, 2, 3, 9).codes.tolist(), (11, 2, 3)) == ref_synthesize(specs, 2, 3, 9)
+    x = synthesize(specs, 2, 3, 4)
+    assert run_psa_details(x, PsaParams(0.6, 5)).permutation.mapping == ref_draw_mapping(x, 0.6, 5)
+    assert utility_experiment(x, [0.3, 0.9], 7, 8) == ref_utility_experiment(x, [0.3, 0.9], 7, 8)
 
 
 @st.composite

@@ -26,7 +26,9 @@ from permuswap import (
     to_exact_rate,
 )
 from permuswap.budget import derangement_count
+from permuswap.swapping import _pcg64_states, _seed_uint64, _seed_words, _stream_generator
 from permuswap.synth import StratumSpec, synthesize
+from permuswap.utility import utility_experiment
 
 from conftest import make_dataset
 
@@ -205,6 +207,93 @@ class TestPsaParams:
     def test_numpy_integer_seed_becomes_python_int(self):
         params = PsaParams(0.5, seed=np.uint64(2**63 + 5))
         assert params.seed == 2**63 + 5 and type(params.seed) is int
+
+
+class TestSeedArguments:
+    """synthesize and utility_experiment take seeds as PsaParams does."""
+
+    @staticmethod
+    def synth(seed):
+        return synthesize([StratumSpec(6), StratumSpec(3, mixed=False)], 2, 3, seed=seed).codes.tolist()
+
+    @staticmethod
+    def utility(seed):
+        return utility_experiment(synthesize([StratumSpec(6)], 2, 2), [0.5], 3, seed=seed)
+
+    @pytest.mark.parametrize("entry", ["synth", "utility"])
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "2"])
+    def test_non_integer_seed_rejected(self, entry, seed):
+        """The seed is not truncated or parsed: 1.5 does not run as seed 1."""
+        with pytest.raises(TypeError):
+            getattr(self, entry)(seed)
+
+    @pytest.mark.parametrize("entry", ["synth", "utility"])
+    def test_numpy_integer_seed_equals_python_int(self, entry):
+        run = getattr(self, entry)
+        assert run(np.uint64(2**63 + 5)) == run(2**63 + 5)
+
+    def test_non_integer_stratum_size_rejected(self):
+        with pytest.raises(TypeError):
+            StratumSpec(size=2.5)
+
+
+# key ints of one and of two 32-bit words, 0 and the bounds included
+KEY_INTS = st.one_of(
+    st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.sampled_from([2**32, 2**64 - 1])
+)
+
+
+@st.composite
+def key_batches(draw):
+    """1-6 keys of the same number (1-8) of ints.  Keys longer than the
+    four-word pool come up, and a batch can mix keys of different word
+    counts."""
+    width = draw(st.integers(1, 8))
+    keys = draw(st.lists(st.lists(KEY_INTS, min_size=width, max_size=width), min_size=1, max_size=6))
+    return keys, np.array(keys, dtype=np.uint64)
+
+
+class TestSeedKernel:
+    """The vectorized SeedSequence and PCG64 seeding against numpy's own."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(key_batches(), st.integers(1, 4))
+    def test_generate_state_matches_seed_sequence(self, batch, n):
+        keys, array = batch
+        words = _seed_words(array, 2 * n).astype(np.uint64)
+        got = words[0::2] | words[1::2] << np.uint64(32)
+        first = _seed_uint64(array)
+        for column, key in enumerate(keys):
+            expected = np.random.SeedSequence(key).generate_state(n, np.uint64)
+            assert got[:, column].tolist() == expected.tolist()
+            assert int(first[column]) == int(expected[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(key_batches())
+    def test_pcg64_state_matches_seeding(self, batch):
+        keys, array = batch
+        assert _pcg64_states(array) == [np.random.PCG64(key).state for key in keys]
+
+    @settings(max_examples=100, deadline=None)
+    @given(key_batches(), st.integers(0, 20))
+    def test_reseated_generator_draws_as_fresh(self, batch, size):
+        """One generator re-seated key after key draws what default_rng(key)
+        draws, even after a draw that leaves half a 64-bit word buffered."""
+        keys, array = batch
+
+        def draws(gen):
+            return (
+                gen.integers(0, 2**31, size=3, dtype=np.int32).tolist(),
+                gen.random(size).tolist(),
+                gen.permutation(size).tolist(),
+                gen.integers(0, 7, size=size).tolist(),
+            )
+
+        rng = _stream_generator()
+        for key, state in zip(keys, _pcg64_states(array)):
+            rng.random(1, dtype=np.float32)
+            rng.bit_generator.state = state
+            assert draws(rng) == draws(np.random.default_rng(key))
 
 
 class TestRunPsa:
