@@ -26,6 +26,7 @@ is a first-class value and serializes as the string "inf" everywhere.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -69,7 +70,7 @@ def derangement_count(k: int) -> int:
     Computed by the recurrence d(k) = k d(k-1) + (-1)^k with exact
     integers; d(0) = 1, d(1) = 0.
     """
-    k = int(k)
+    k = operator.index(k)
     if k < 0:
         raise ValueError("derangement numbers are defined for k >= 0")
     while len(_derangements) <= k:
@@ -85,7 +86,7 @@ def log_derangement_ratio(b: int) -> float:
     universe realizes that ratio, so it is rejected rather than
     returned.
     """
-    b = int(b)
+    b = operator.index(b)
     if b < 2:
         raise ValueError("the derangement ratio needs b >= 2")
     if b == 3:

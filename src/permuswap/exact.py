@@ -30,7 +30,11 @@ events of a finite discrete pair of distributions is attained on an
 atom, so the multiplicative distance reduces to the max over atoms.
 The largest atom ratio is found by integer cross-multiplication and
 reduced to a ``Fraction`` once per pair; its logarithm, the only
-real-valued step, is taken after all exact comparisons.
+real-valued step, is taken after all exact comparisons.  One kernel
+does this: the public ``Fraction`` API (:func:`max_probability_ratio`,
+and so :func:`mult_distance`) puts both laws over the lcm of their
+atoms' denominators and calls it too, and the sweep and the measured
+optimum share one loop over a universe's pairs.
 
 The rest of a universe's structure is a function of its margins: the
 stratum bound b, which :func:`permuswap.budget.psa_lower_bounds` have a
@@ -52,7 +56,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -67,7 +71,6 @@ from .dataset import (
     ContingencyTable,
     Dataset,
     Domain,
-    Record,
     SwapInvariants,
     hamming_distance,
     invariant_stratum_bound,
@@ -370,7 +373,9 @@ def exact_psa_distribution(
 def _tables_with_margins(
     row_sums: Sequence[int], col_sums: Sequence[int], max_tables: int
 ) -> list[tuple[int, ...]]:
-    """All non-negative integer H x S tables with the given margins."""
+    """All non-negative integer H x S tables with the given margins,
+    flattened row-major, in lexicographic order: each free cell counts
+    up, and a row's last cell is set by the ones before it."""
     hx, sx = len(row_sums), len(col_sums)
     if sum(row_sums) != sum(col_sums):
         return []
@@ -417,36 +422,30 @@ def enumerate_universe(
     x: Union[Dataset, ContingencyTable],
     max_tables: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> tuple[ContingencyTable, ...]:
-    """All tables over the same domain sharing x's released margins.
+    """All tables over the same domain sharing x's released margins, in
+    canonical-key order.
 
     Strata are independent under fixed margins, so the universe is the
-    per-stratum cross product of margin-constrained H x S tables.
+    per-stratum cross product of margin-constrained H x S tables.  Each
+    stratum's tables come in lexicographic order and a canonical key is
+    the strata's keys in match order, so the product is in key order.
     """
     inv = swap_invariants(x)
-    table = x if isinstance(x, ContingencyTable) else tabulate(x)
-    domain = table.domain
+    domain = Domain(*inv.mh.shape, inv.ms.shape[1])
     per_stratum: list[list[tuple[int, ...]]] = []
     total = 1
     for m in range(domain.match):
-        options = _tables_with_margins(
-            [int(v) for v in inv.mh[m]], [int(v) for v in inv.ms[m]], max_tables
-        )
+        options = _tables_with_margins(inv.mh[m].tolist(), inv.ms[m].tolist(), max_tables)
         total *= len(options)
         if total > max_tables:
             raise EnumerationBudgetError(
                 f"universe size exceeds the budget of {max_tables}"
             )
         per_stratum.append(options)
-
-    tables = []
-    for combo in itertools.product(*per_stratum):
-        counts = np.zeros(domain.shape, dtype=np.int64)
-        for m, flat in enumerate(combo):
-            counts[m] = np.asarray(flat, dtype=np.int64).reshape(
-                domain.hold, domain.swap
-            )
-        tables.append(ContingencyTable(counts))
-    return tuple(sorted(tables, key=lambda t: t.canonical_key()))
+    return tuple(
+        ContingencyTable(np.array(combo, dtype=np.int64).reshape(domain.shape))
+        for combo in itertools.product(*per_stratum)
+    )
 
 
 def max_probability_ratio(
@@ -457,20 +456,18 @@ def max_probability_ratio(
     Returns None when the supports differ (the distance is infinite);
     otherwise the ratio >= 1 and the atom with the smallest canonical
     key among those attaining it, whatever the order of ``probs``.
+    Both laws are put over the lcm of their atoms' denominators and
+    compared by :func:`_largest_ratio`.
     """
     if p_dist.domain != q_dist.domain:
         raise ValueError("distributions live over different domains")
-    if set(p_dist.probs) != set(q_dist.probs):
-        return None
-    keys = sorted(p_dist.probs)
-    best: Fraction = Fraction(1)
-    witness = keys[0]
-    for key in keys:
-        pv, qv = p_dist.probs[key], q_dist.probs[key]
-        ratio = pv / qv if pv >= qv else qv / pv
-        if ratio > best:
-            best, witness = ratio, key
-    return best, witness
+    atoms = (*p_dist.probs.values(), *q_dist.probs.values())
+    denom = math.lcm(*(v.denominator for v in atoms))
+    p_nums, q_nums = (
+        {key: v.numerator * (denom // v.denominator) for key, v in dist.probs.items()}
+        for dist in (p_dist, q_dist)
+    )
+    return _largest_ratio(p_nums, q_nums)
 
 
 def mult_distance(
@@ -551,6 +548,17 @@ def _distances(tables: Sequence[ContingencyTable]) -> dict[tuple[int, int], Unio
     }
 
 
+def _pair_epsilons(
+    laws: Sequence[Mapping[tuple[int, ...], int]],
+    d_hams: Mapping[tuple[int, int], Union[int, float]],
+) -> Iterator[tuple[int, int, float]]:
+    """Multiplicative distance per unit of d_Ham, ``(i, j, value)``, for
+    each pair of one universe's laws at one rate with d_Ham > 0."""
+    for (i, j), d_ham in d_hams.items():
+        if d_ham:
+            yield i, j, _log_ratio(_largest_ratio(laws[i], laws[j])) / d_ham
+
+
 def _measured_optimal_epsilon(
     tables: Sequence[ContingencyTable],
     d_hams: Mapping[tuple[int, int], Union[int, float]],
@@ -561,14 +569,7 @@ def _measured_optimal_epsilon(
     if len(tables) <= 1:
         return 0.0
     laws = [_law(t, p, max_permutations, cache)[0] for t in tables]
-    best = 0.0
-    for (i, j), d_ham in d_hams.items():
-        if d_ham == 0:
-            continue
-        best = max(best, _log_ratio(_largest_ratio(laws[i], laws[j])) / d_ham)
-        if math.isinf(best):
-            return best
-    return best
+    return max((value for _, _, value in _pair_epsilons(laws, d_hams)), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +653,8 @@ def min_connecting_derangement(
     _, hx, sx = x.domain
     # flat cell of record i after it receives record j's swap value:
     # rows[i] + swaps[j]
-    rows = [(m * hx + h) * sx for m, h, _ in x.records]
-    swaps = [s for _, _, s in x.records]
+    rows = ((x.codes[:, 0] * hx + x.codes[:, 1]) * sx).tolist()
+    swaps = x.codes[:, 2].tolist()
     best: Union[int, None] = None
     for raw in itertools.permutations(range(n)):
         cells = [0] * len(target)
@@ -726,12 +727,7 @@ def enumerate_small_datasets(domain: Domain, max_records: int) -> list[Dataset]:
     deduplicated up to record order (one canonical representative per
     multiset)."""
     domain = Domain(*domain)
-    cells = [
-        Record(m, h, s)
-        for m in range(domain.match)
-        for h in range(domain.hold)
-        for s in range(domain.swap)
-    ]
+    cells = list(itertools.product(*map(range, domain)))
     datasets = []
     for n in range(max_records + 1):
         for combo in itertools.combinations_with_replacement(cells, n):
@@ -843,11 +839,8 @@ def dp_sweep(
                         f"{t.canonical_string()}"
                     )
             measured = 0.0
-            for (i, j), d_ham in d_hams.items():
-                if d_ham == 0:
-                    continue
+            for i, j, value in _pair_epsilons(laws, d_hams):
                 pair_checks += 1
-                value = _log_ratio(_largest_ratio(laws[i], laws[j])) / d_ham
                 measured = max(measured, value)
                 if value > budget.epsilon + LOG_SLACK:
                     failures.append(

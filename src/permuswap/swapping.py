@@ -14,10 +14,13 @@ Randomness is drawn from a named substream per stratum, keyed by
 params) no matter in which order strata are processed and bit-identical
 under parallel execution.  The keys of every caller (the swapper, the
 utility runner and the synthesizer) are listed in the README: each key
-gives exactly the stream ``np.random.default_rng(key)`` gives.  One call
-derives its keys' PCG64 states in vectorized passes of up to
+gives exactly the stream ``np.random.default_rng(key)`` gives.  Every
+caller draws through one iterator, ``_substreams``: it wraps seeds to 64
+bits, derives the keys' PCG64 states in vectorized passes of up to
 ``_KEYS_PER_PASS`` keys (``_seed_words``, a numpy port of
-``SeedSequence``) and sets one generator to each state in turn.
+``SeedSequence``) as the draws reach them, and sets one generator to
+each state in turn.  The utility runner's replication seeds come from
+``_replication_seeds``, in passes of the same size.
 
 Derangements are sampled by rejection from uniform permutations of the
 selected set (accept iff no fixed point, expected < e retries), which
@@ -26,7 +29,7 @@ is exactly uniform over derangements.
 The swapper works on the columnar ``Dataset.codes`` array: strata come
 from one stable argsort of the match column, each stratum's draws fill
 a numpy position mapping, and the output table is counted directly
-from the columns ``(m, h, s[mapping])``.  No :class:`Record` is built
+from the columns ``(m, h, s[mapping])``.  No per-record object is built
 and no swapped :class:`Dataset` is materialized; only
 :func:`apply_permutation` builds one, for callers that want it.
 
@@ -37,10 +40,11 @@ spans once per dataset and calls the same loop once per replication,
 so both realize the same permutation for the same seed.
 """
 
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -208,17 +212,43 @@ def _pcg64_states(keys: np.ndarray) -> list[dict]:
     return states
 
 
-def _stream_states(seeds: np.ndarray, strata: Sequence[int]) -> Iterator[dict]:
-    """The state of substream ``(seed, m)`` for each seed of the uint64
-    array ``seeds`` and, within it, each stratum index ``m`` in ``strata``.
+def _substreams(seeds: Iterable[int], strata: Sequence[int]) -> Iterator[np.random.Generator]:
+    """Substream ``(seed, m)`` for each of ``seeds`` and, within it, each
+    stratum index ``m`` in ``strata``.
 
-    Each pass derives up to ``_KEYS_PER_PASS`` states at once.
+    Every item is the same PCG64 generator, set to the substream's state
+    as it is yielded.  Seeds wrap to 64 bits; the first is checked on the
+    call.  Seeds are taken and states derived as the items are used, in
+    passes of at most ``_KEYS_PER_PASS`` keys.
     """
+    seeds = iter(seeds)
+    seeds = itertools.chain([_normalized_seed(seed) for seed in itertools.islice(seeds, 1)], seeds)
     strata = np.asarray(strata, dtype=np.uint64)
-    total = len(seeds) * len(strata)
-    for lo in range(0, total, _KEYS_PER_PASS):
-        seed_index, stratum_index = np.divmod(np.arange(lo, min(lo + _KEYS_PER_PASS, total)), len(strata))
-        yield from _pcg64_states(np.stack((seeds[seed_index], strata[stratum_index]), axis=1))
+    per_pass = max(1, _KEYS_PER_PASS // max(len(strata), 1))
+    # never drawn from before a state is set
+    rng = np.random.Generator(np.random.PCG64(0))
+
+    def seated() -> Iterator[np.random.Generator]:
+        while block := [_normalized_seed(seed) for seed in itertools.islice(seeds, per_pass)]:
+            block = np.array(block, dtype=np.uint64)
+            keys = np.column_stack((block.repeat(len(strata)), np.tile(strata, len(block))))
+            for lo in range(0, len(keys), _KEYS_PER_PASS):
+                for state in _pcg64_states(keys[lo : lo + _KEYS_PER_PASS]):
+                    rng.bit_generator.state = state
+                    yield rng
+
+    return seated()
+
+
+def _replication_seeds(seed: int, rate_index: int, reps: int) -> Iterator[int]:
+    """The utility runner's replication seeds: the first uint64 word of
+    key ``(seed, rate_index, r)`` for r < ``reps``, derived in passes of
+    at most ``_KEYS_PER_PASS`` keys."""
+    prefix = np.array([_normalized_seed(seed), rate_index], dtype=np.uint64)
+    for first in range(0, reps, _KEYS_PER_PASS):
+        rows = np.arange(first, min(first + _KEYS_PER_PASS, reps), dtype=np.uint64)
+        keys = np.column_stack((np.broadcast_to(prefix, (len(rows), 2)), rows))
+        yield from _seed_uint64(keys).tolist()
 
 
 @dataclass(frozen=True)
@@ -370,25 +400,21 @@ def _draw_mapping(
     spans: tuple[np.ndarray, Sequence[int]],
     strata: Sequence[int],
     p: float,
-    states: Iterator[dict],
-    rng: np.random.Generator,
+    streams: Iterator[np.random.Generator],
 ) -> tuple[np.ndarray, int, int]:
     """The swapper's draws over the stratum spans of ``stratum_order``.
 
-    ``strata`` is ``_active_strata(bounds)``.  ``states`` yields each
-    stratum's substream state in turn (see ``_stream_states``), and the
-    PCG64 ``rng`` is set to it before the stratum's draws; ``states`` may
-    run on into later calls.  Returns the position mapping (position i
-    takes the swap value of position ``mapping[i]``), the records
-    selected and the selection redraws.  ``p`` must already be validated.
+    ``strata`` is ``_active_strata(bounds)``, and ``streams`` yields each
+    stratum's substream in turn (see ``_substreams``); it may run on into
+    later calls.  Returns the position mapping (position i takes the swap
+    value of position ``mapping[i]``), the records selected and the
+    selection redraws.  ``p`` must already be validated.
     """
     order, bounds = spans
     mapping = np.arange(len(order))
     selected = retries = 0
-    bit_generator = rng.bit_generator
-    # zip takes the stratum first, so it takes no state past the last one
-    for m, state in zip(strata, states):
-        bit_generator.state = state
+    # zip takes the stratum first, so it takes no stream past the last one
+    for m, rng in zip(strata, streams):
         lo, hi = bounds[m], bounds[m + 1]
         hits, redraws = _select(hi - lo, p, rng)
         selected += len(hits)
@@ -398,19 +424,13 @@ def _draw_mapping(
     return mapping, selected, retries
 
 
-def _stream_generator() -> np.random.Generator:
-    # the seed is never drawn from: each stratum sets its own state first
-    return np.random.Generator(np.random.PCG64(0))
-
-
 def run_psa_details(x: Dataset, params: PsaParams) -> SwapRun:
     """Run the swapper and keep the realized permutation and rates."""
     n = len(x)
     m, h, s = x.codes.T
     spans = stratum_order(x)
     strata = _active_strata(spans[1])
-    states = _stream_states(np.array([_normalized_seed(params.seed)], dtype=np.uint64), strata)
-    mapping, selected, retries = _draw_mapping(spans, strata, params.p, states, _stream_generator())
+    mapping, selected, retries = _draw_mapping(spans, strata, params.p, _substreams([params.seed], strata))
     swapped = s[mapping]
     changed = int(np.count_nonzero(swapped != s))
     return SwapRun(

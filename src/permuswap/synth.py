@@ -7,9 +7,9 @@ size >= 2 is guaranteed to contain two records with different
 how large.  The largest mixed stratum therefore pins b exactly.
 
 Stratum m draws from the substream keyed (seed, m), the stream
-``np.random.default_rng(key)`` gives, with the strata's states derived
-in batched passes; so output is a pure function of (specs, domain
-sizes, seed).  Labels are zero-padded, which makes written CSVs
+``np.random.default_rng(key)`` gives, through the swapper's
+``_substreams``; so output is a pure function of (specs, domain sizes,
+seed).  Labels are zero-padded, which makes written CSVs
 round-trip through ingestion (inferred category order is
 lexicographic, and zero-padded labels sort like their indices).
 """
@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataset import Dataset, DatasetSchema, Domain
 from .ingest import default_axis_labels
-from .swapping import _normalized_seed, _stream_generator, _stream_states
+from .swapping import _substreams
 
 __all__ = ["StratumSpec", "synthesize"]
 
@@ -48,11 +48,8 @@ def synthesize(
     if hold_levels < 1 or swap_levels < 1:
         raise ValueError("hold and swap axes need at least one level")
     blocks: list[np.ndarray] = []
-    seeds = np.array([_normalized_seed(seed)], dtype=np.uint64)
-    rng = _stream_generator()
-    states = _stream_states(seeds, range(len(strata)))
-    for m, (spec, state) in enumerate(zip(strata, states)):
-        rng.bit_generator.state = state
+    streams = _substreams([seed], range(len(strata)))
+    for m, (spec, rng) in enumerate(zip(strata, streams)):
         if spec.mixed:
             hs = rng.integers(0, hold_levels, size=spec.size)
             ss = rng.integers(0, swap_levels, size=spec.size)

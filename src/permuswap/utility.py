@@ -13,8 +13,10 @@ from the key (seed, rate index, replication index), and its stratum m
 draws from the key (replication seed, m), so rates are decoupled,
 replications are independent, and the whole report is a deterministic
 function of its inputs.  Each key gives the stream
-``np.random.default_rng(key)`` gives (see the README); a rate's
-replication seeds and substream states are derived in batched passes.
+``np.random.default_rng(key)`` gives (see the README).  A rate's
+replication seeds and their substreams come from the swapper's
+seeding, ``_replication_seeds`` and ``_substreams``, derived pass by
+pass as the replications reach them.
 
 What depends only on the dataset is computed once per experiment: the
 stratum spans, the true ``n_.hs`` counts and their positive cells, and
@@ -35,16 +37,7 @@ import numpy as np
 
 from .budget import _validate_rate
 from .dataset import ContingencyTable, Dataset, DomainMismatchError, stratum_order, tabulate
-from .swapping import (
-    _KEYS_PER_PASS,
-    Permutation,
-    _active_strata,
-    _draw_mapping,
-    _normalized_seed,
-    _seed_uint64,
-    _stream_generator,
-    _stream_states,
-)
+from .swapping import Permutation, _active_strata, _draw_mapping, _replication_seeds, _substreams
 
 __all__ = [
     "FiveNumberSummary",
@@ -135,28 +128,21 @@ def utility_experiment(
     if reps < 1:
         raise ValueError("at least one replication is required")
     checked = [_validate_rate(rate) for rate in rates]
-    seed = _normalized_seed(seed)
     spans = stratum_order(x)
     strata = _active_strata(spans[1])
-    rng = _stream_generator()
     _, h, s = x.codes.T
     hs_cell = h * x.domain.swap
     true_counts = tabulate(x).counts.sum(axis=0).ravel()
     true_positive, mask = _positive_cells(true_counts)
     reports = []
     for rate_index, p in enumerate(checked):
+        streams = _substreams(_replication_seeds(seed, rate_index, reps), strata)
         values = []
-        for first in range(0, reps, _KEYS_PER_PASS):
-            keys = np.empty((min(_KEYS_PER_PASS, reps - first), 3), dtype=np.uint64)
-            keys[:, 0] = seed
-            keys[:, 1] = rate_index
-            keys[:, 2] = np.arange(first, first + len(keys))
-            states = _stream_states(_seed_uint64(keys), strata)
-            for _ in range(len(keys)):
-                mapping, _, _ = _draw_mapping(spans, strata, p, states, rng)
-                Permutation(mapping.tolist())  # the bijection check run_psa_details makes
-                swapped = np.bincount(hs_cell + s[mapping], minlength=len(true_counts))
-                values.append(_mape(true_positive, mask, swapped))
+        for _ in range(reps):
+            mapping, _, _ = _draw_mapping(spans, strata, p, streams)
+            Permutation(mapping.tolist())  # the bijection check run_psa_details makes
+            swapped = np.bincount(hs_cell + s[mapping], minlength=len(true_counts))
+            values.append(_mape(true_positive, mask, swapped))
         reports.append(
             UtilityReport(
                 rate=p,

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +65,15 @@ class TestDerangements:
         with pytest.raises(ValueError):
             derangement_count(-1)
 
+    @pytest.mark.parametrize("k", [2.5, 4.9, 4.0, "4"])
+    def test_non_integer_rejected(self, k):
+        """k is not truncated: 2.5 is not 2, 4.9 is not 4."""
+        with pytest.raises(TypeError):
+            derangement_count(k)
+
+    def test_numpy_integer_accepted(self):
+        assert derangement_count(np.int64(4)) == derangement_count(np.uint8(4)) == 9
+
 
 class TestLogDerangementRatio:
     def test_b2_is_zero(self):
@@ -79,6 +89,15 @@ class TestLogDerangementRatio:
     def test_below_two_rejected(self):
         with pytest.raises(ValueError):
             log_derangement_ratio(1)
+
+    @pytest.mark.parametrize("b", [4.5, 2.5, 4.0, "4"])
+    def test_non_integer_rejected(self, b):
+        """b is not truncated: 4.5 does not give ln 9."""
+        with pytest.raises(TypeError):
+            log_derangement_ratio(b)
+
+    def test_numpy_integer_accepted(self):
+        assert log_derangement_ratio(np.int32(4)) == log_derangement_ratio(4)
 
     def test_asymptotic_matches_exact_big_integers(self):
         for b in (26, 40, 100):

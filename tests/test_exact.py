@@ -44,6 +44,7 @@ from permuswap.exact import (
 )
 
 from conftest import load_fixture, make_dataset
+from test_reference_loops import ref_max_probability_ratio
 
 
 class TestExactDistribution:
@@ -176,17 +177,22 @@ class TestIntegerLaw:
     @given(st.data(), INTERIOR_RATES)
     def test_pair_comparison_matches_fraction_distance(self, data, rate):
         """Same-universe members share the denominator, and the integer
-        comparison gives mult_distance bit for bit; verify_dp reports the
-        witness max_probability_ratio picks (the smallest key among the
-        maximizers)."""
+        comparison of their numerators, max_probability_ratio and
+        mult_distance all agree with the Fraction loop over the public
+        laws; verify_dp reports that loop's witness (the smallest key
+        among the maximizers)."""
         x, y = _same_universe_pair(data, (2, 2, 3), 6)
         cache: dict = {}
         law_x = exact._law(tabulate(x), rate, DEFAULT_ENUMERATION_BUDGET, cache)
         law_y = exact._law(tabulate(y), rate, DEFAULT_ENUMERATION_BUDGET, cache)
         assert law_x[1] == law_y[1]
         p_dist, q_dist = exact_psa_distribution(x, rate), exact_psa_distribution(y, rate)
-        distance = mult_distance(p_dist, q_dist)
-        assert exact._log_ratio(exact._largest_ratio(law_x[0], law_y[0])) == distance
+        reference = ref_max_probability_ratio(p_dist, q_dist)
+        assert exact._largest_ratio(law_x[0], law_y[0]) == reference
+        assert max_probability_ratio(p_dist, q_dist) == reference
+        ratio, key = reference
+        distance = math.log(ratio.numerator) - math.log(ratio.denominator)
+        assert mult_distance(p_dist, q_dist) == distance
         verdict = verify_dp(x, y, rate, psa_budget(float(rate), max_stratum_b(x)))
         _, _, witness = verdict.witness
         d_ham = hamming_distance(x, y)
@@ -194,7 +200,7 @@ class TestIntegerLaw:
             assert witness is None
         else:
             assert verdict.measured == distance / d_ham
-            assert witness == p_dist.table_for(max_probability_ratio(p_dist, q_dist)[1])
+            assert witness == p_dist.table_for(key)
 
 
 class TestEnumerateUniverse:

@@ -12,12 +12,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permuswap import (
     Dataset,
     Domain,
+    ExactDistribution,
     LoadError,
     PsaParams,
     Record,
@@ -26,14 +27,17 @@ from permuswap import (
     connecting_permutation,
     cross_classify,
     dataset_from_table,
+    enumerate_universe,
     exact_psa_distribution,
     hamming_distance,
     load_dataset,
     mape,
+    max_probability_ratio,
     max_stratum_b,
     read_csv_columns,
     run_psa,
     run_psa_details,
+    same_universe,
     sample_derangement,
     select_records,
     stratum_permutation_prob,
@@ -213,6 +217,37 @@ def ref_exact_distribution(x, rate):
         key = tuple(flat)
         probs[key] = probs.get(key, Fraction(0)) + prob
     return probs
+
+
+def ref_max_probability_ratio(p_dist, q_dist):
+    """max_probability_ratio as a loop over the atoms in key order, in
+    Fraction arithmetic: the first key of the largest ratio wins."""
+    if p_dist.domain != q_dist.domain:
+        raise ValueError("distributions live over different domains")
+    if set(p_dist.probs) != set(q_dist.probs):
+        return None
+    keys = sorted(p_dist.probs)
+    best = Fraction(1)
+    witness = keys[0]
+    for key in keys:
+        pv, qv = p_dist.probs[key], q_dist.probs[key]
+        ratio = pv / qv if pv >= qv else qv / pv
+        if ratio > best:
+            best, witness = ratio, key
+    return best, witness
+
+
+def ref_universe_keys(x):
+    """Canonical keys of every table sharing x's margins, sorted, found
+    by tabulating every dataset of len(x) records over x's domain."""
+    table = tabulate(x)
+    cells = list(itertools.product(*map(range, x.domain)))
+    keys = set()
+    for combo in itertools.combinations_with_replacement(cells, len(x)):
+        other = tabulate(Dataset(combo, x.domain))
+        if same_universe(table, other):
+            keys.add(other.canonical_key())
+    return sorted(keys)
 
 
 def ref_draw_mapping(x, p, seed):
@@ -539,6 +574,67 @@ def test_exact_distribution_matches_walk_on_eight_record_stratum(rate):
     assert exact_psa_distribution(x, rate).probs == ref_exact_distribution(x, rate)
 
 
+@st.composite
+def distribution_pairs(draw):
+    """Two hand-built laws over up to four of nine keys.  Weights in 1..3
+    make tied atoms and unequal denominators common; one-atom supports,
+    differing supports and different domains come up too."""
+    keys = list(itertools.product(range(3), repeat=2))
+
+    def law(support):
+        weights = draw(st.lists(st.integers(1, 3), min_size=len(support), max_size=len(support)))
+        order = draw(st.permutations(range(len(support))))
+        return {support[i]: Fraction(weights[i], sum(weights)) for i in order}
+
+    support = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True))
+    other = draw(st.one_of(st.just(support), st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True)))
+    domains = draw(st.sampled_from([(Domain(1, 1, 9),) * 2, (Domain(1, 1, 9), Domain(1, 3, 3))]))
+    return ExactDistribution(domains[0], law(support)), ExactDistribution(domains[1], law(other))
+
+
+def _law(domain, probs):
+    return ExactDistribution(Domain(*domain), {key: Fraction(v) for key, v in probs.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(distribution_pairs())
+@example((_law((1, 1, 2), {(1, 0): "1/3", (0, 1): "2/3"}), _law((1, 1, 2), {(0, 1): "1/3", (1, 0): "2/3"})))
+@example((_law((1, 1, 2), {(0, 1): 1}), _law((1, 1, 2), {(0, 1): 1})))
+@example((_law((1, 1, 3), {(0, 0, 1): "1/7", (1, 0, 0): "6/7"}), _law((1, 1, 3), {(1, 0, 0): "2/5", (0, 0, 1): "3/5"})))
+@example((_law((1, 1, 2), {(0, 1): 1}), _law((1, 1, 2), {(1, 0): 1})))
+@example((_law((1, 1, 2), {(0, 1): 1}), _law((1, 2, 1), {(0, 1): 1})))
+def test_max_probability_ratio_matches_fraction_loop(pair):
+    """Through the integer kernel, the ratio, the smallest-key witness,
+    None on differing supports and ValueError on differing domains are
+    those of the Fraction loop."""
+    p_dist, q_dist = pair
+    if p_dist.domain != q_dist.domain:
+        for fn in (max_probability_ratio, ref_max_probability_ratio):
+            with pytest.raises(ValueError, match="different domains"):
+                fn(p_dist, q_dist)
+    else:
+        assert max_probability_ratio(p_dist, q_dist) == ref_max_probability_ratio(p_dist, q_dist)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.builds(Domain, st.integers(2, 3), st.integers(1, 2), st.integers(1, 2)).flatmap(
+        lambda domain: st.tuples(
+            st.just(domain),
+            st.lists(st.tuples(*(st.integers(0, n - 1) for n in domain)), max_size=4),
+        )
+    )
+)
+def test_enumerate_universe_is_the_sorted_universe(case):
+    """Over two or three strata the universe comes out complete, in
+    canonical-key order, from a dataset or from its table."""
+    domain, records = case
+    x = Dataset(records, domain)
+    expected = ref_universe_keys(x)
+    assert [t.canonical_key() for t in enumerate_universe(x)] == expected
+    assert [t.canonical_key() for t in enumerate_universe(tabulate(x))] == expected
+
+
 # ---------------------------------------------------------------------------
 # swapper consistency
 
@@ -619,10 +715,9 @@ def test_synthesize_draws_match_documented_substreams(specs, hold_levels, swap_l
 def test_substreams_derived_in_several_passes(monkeypatch):
     """States derived a few keys per pass, with passes that split one
     seed's strata and one replication block's seeds, give the same draws."""
-    from permuswap import swapping, utility
+    from permuswap import swapping
 
-    for module in (swapping, utility):
-        monkeypatch.setattr(module, "_KEYS_PER_PASS", 3)
+    monkeypatch.setattr(swapping, "_KEYS_PER_PASS", 3)
     specs = [StratumSpec(n % 5, mixed=n % 3 > 0) for n in range(11)]
     assert (synthesize(specs, 2, 3, 9).codes.tolist(), (11, 2, 3)) == ref_synthesize(specs, 2, 3, 9)
     x = synthesize(specs, 2, 3, 4)

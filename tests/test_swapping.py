@@ -26,7 +26,15 @@ from permuswap import (
     to_exact_rate,
 )
 from permuswap.budget import derangement_count
-from permuswap.swapping import _pcg64_states, _seed_uint64, _seed_words, _stream_generator
+from permuswap.dataset import stratum_order, tabulate_columns
+from permuswap.swapping import (
+    _active_strata,
+    _draw_mapping,
+    _pcg64_states,
+    _seed_uint64,
+    _seed_words,
+    _substreams,
+)
 from permuswap.synth import StratumSpec, synthesize
 from permuswap.utility import utility_experiment
 
@@ -289,11 +297,35 @@ class TestSeedKernel:
                 gen.integers(0, 7, size=size).tolist(),
             )
 
-        rng = _stream_generator()
+        rng = np.random.Generator(np.random.PCG64(0))
         for key, state in zip(keys, _pcg64_states(array)):
             rng.random(1, dtype=np.float32)
             rng.bit_generator.state = state
             assert draws(rng) == draws(np.random.default_rng(key))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.one_of(KEY_INTS, st.integers(-(2**64), -1)), min_size=1, max_size=3),
+        st.lists(KEY_INTS, max_size=3),
+        st.integers(0, 20),
+    )
+    def test_substreams_draw_as_fresh(self, seeds, strata, size):
+        """Substream (seed, m) draws what default_rng((seed mod 2**64, m))
+        draws, even after the previous substream's draws left half a
+        64-bit word buffered."""
+        streams = _substreams(seeds, strata)
+        keys = [(seed % 2**64, m) for seed in seeds for m in strata]
+        for key, rng in zip(keys, streams):
+            expected = np.random.default_rng(key)
+            assert rng.permutation(size).tolist() == expected.permutation(size).tolist()
+            assert rng.random(size).tolist() == expected.random(size).tolist()
+            rng.random(1, dtype=np.float32)
+        assert next(streams, None) is None
+
+    @pytest.mark.parametrize("seed", [1.5, "2"])
+    def test_substreams_check_the_seed_on_the_call(self, seed):
+        with pytest.raises(TypeError):
+            _substreams([seed], [])
 
 
 class TestRunPsa:
@@ -351,7 +383,37 @@ class TestRunPsa:
         assert run_psa(x, PsaParams(0.5, seed=seed)).total == 5
 
 
+def run_psa_counts(x, p, seeds):
+    """Counter of ``run_psa(x, PsaParams(p, seed)).canonical_key()`` over
+    ``seeds``, drawn through one substream pass and the swapper's draw loop
+    rather than one ``run_psa`` call (and seeding pass) per seed."""
+    spans = stratum_order(x)
+    strata = _active_strata(spans[1])
+    streams = _substreams(seeds, strata)
+    rate = PsaParams(p).p
+    mappings = Counter(tuple(_draw_mapping(spans, strata, rate, streams)[0].tolist()) for _ in seeds)
+    m, h, s = x.codes.T
+    counts = Counter()
+    for mapping, count in mappings.items():
+        counts[tabulate_columns(m, h, s[list(mapping)], x.domain).canonical_key()] += count
+    return counts
+
+
 class TestDistributionalCorrectness:
+    @pytest.mark.parametrize(
+        "records, domain, p",
+        [
+            ([(0, 0, 0), (0, 1, 1)], (1, 2, 2), 0.5),
+            ([(0, 0, 0), (0, 1, 1), (0, 0, 1)], (1, 2, 2), float(Fraction(1, 3))),
+            ([(0, 0, 0), (0, 1, 1), (0, 0, 1), (1, 0, 0), (1, 1, 1), (2, 1, 0)], (3, 2, 2), 0.7),
+        ],
+    )
+    def test_batched_counts_equal_per_call_runs(self, records, domain, p):
+        x = make_dataset(records, domain)
+        seeds = range(1000)
+        expected = Counter(run_psa(x, PsaParams(p, seed=seed)).canonical_key() for seed in seeds)
+        assert run_psa_counts(x, p, seeds) == expected
+
     def test_two_record_pair_fifty_fifty(self, two_record_pair):
         """At p = 1/2 the two-record stratum keeps or swaps its table
         with probability 1/2 each; 1e5 runs must sit inside 3-sigma."""
@@ -359,10 +421,7 @@ class TestDistributionalCorrectness:
         keep = tabulate(x).canonical_key()
         swap = tabulate(swapped).canonical_key()
         trials = 100_000
-        counts = Counter(
-            run_psa(x, PsaParams(0.5, seed=seed)).canonical_key()
-            for seed in range(trials)
-        )
+        counts = run_psa_counts(x, 0.5, range(trials))
         assert set(counts) == {keep, swap}
         assert three_sigma_band(counts[keep], trials, 0.5)
 
@@ -371,10 +430,7 @@ class TestDistributionalCorrectness:
         p = Fraction(1, 3)
         oracle = exact_psa_distribution(x, p)
         trials = 20_000
-        counts = Counter(
-            run_psa(x, PsaParams(float(p), seed=seed)).canonical_key()
-            for seed in range(trials)
-        )
+        counts = run_psa_counts(x, float(p), range(trials))
         assert set(counts) <= set(oracle.probs)
         for key, prob in oracle.probs.items():
             assert three_sigma_band(counts[key], trials, float(prob)), key
