@@ -100,6 +100,17 @@ class DatasetSchema:
     swap_labels: tuple[str, ...] = ()
 
 
+def _integer_array(data, what: str) -> np.ndarray:
+    """``data`` as a numpy array whose dtype is integer or bool (or that
+    is empty); a float, string or object dtype would be truncated or
+    parsed by the int64 cast, so it is refused, as ``operator.index``
+    refuses such scalars."""
+    arr = np.asarray(data)
+    if arr.dtype.kind not in "biu" and arr.size:
+        raise TypeError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr
+
+
 def _flat_cells(m: np.ndarray, h: np.ndarray, s: np.ndarray, domain: Domain) -> np.ndarray:
     """Row-major cell index of each record (m slowest, s fastest)."""
     return np.ravel_multi_index((m, h, s), domain.shape)
@@ -126,7 +137,8 @@ class Dataset:
         domain: tuple[int, int, int],
         schema: Union[DatasetSchema, None] = None,
     ) -> None:
-        codes = np.array(records, dtype=np.int64)
+        codes = _integer_array(records, "records")
+        codes = codes.astype(np.int64, copy=codes is records)
         if codes.size == 0:
             codes = codes.reshape(0, 3)
         if codes.ndim != 2 or codes.shape[1] != 3:
@@ -179,7 +191,8 @@ class ContingencyTable:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.counts, dtype=np.int64)
+        arr = _integer_array(self.counts, "contingency counts")
+        arr = np.ascontiguousarray(arr, dtype=np.int64)
         if arr.ndim != 3:
             raise ValueError(f"expected a 3-way tensor, got shape {arr.shape}")
         if (arr < 0).any():
@@ -226,8 +239,8 @@ class SwapInvariants:
     ms: np.ndarray
 
     def __post_init__(self) -> None:
-        mh = np.ascontiguousarray(self.mh, dtype=np.int64)
-        ms = np.ascontiguousarray(self.ms, dtype=np.int64)
+        mh = np.ascontiguousarray(_integer_array(self.mh, "margins"), dtype=np.int64)
+        ms = np.ascontiguousarray(_integer_array(self.ms, "margins"), dtype=np.int64)
         if mh.ndim != 2 or ms.ndim != 2 or mh.shape[0] != ms.shape[0]:
             raise ValueError("margins must be M x H and M x S matrices")
         if not np.array_equal(mh.sum(axis=1), ms.sum(axis=1)):

@@ -43,18 +43,31 @@ two members (by direct matching), which the sweep cross-checks against
 the fewest records any permutation moves between them, read off the
 same rate-free stratum histograms.
 
+The swapper never reads a label, so relabelling the hold values or the
+swap values within one stratum, or permuting the strata, carries the
+law of a table onto the law of the relabelled table, atom by atom: a
+composite law is the product of its strata's laws, and each depends on
+its own H x S counts alone.  d_Ham, b, the universe size, the support,
+the witnessed lower bounds and the fewest records moved are per-stratum
+sums or maxima of quantities no relabelling changes.  So
+:func:`dp_sweep` checks the first universe of each relabelling orbit
+and copies its summary to the others, whose checks would compute the
+same integers and so the same floats; its pair counts still count every
+pair covered.
+
 The guard ``max_permutations`` bounds the composite permutation space
 the law is a sum over: the product of n! over the strata of at least
 two records (of the derangement counts d(n) at p = 1).  It is checked
 before any work, and the oracle raises rather than report a verdict on
-an instance above it.
+an instance above it.  The sweep holds the number of datasets it would
+build, C(cells + max_records, max_records), to the same bound.
 """
 
 import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -762,6 +775,93 @@ class SweepReport:
         return not self.failures
 
 
+def _orbit_key(inv: SwapInvariants) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The relabelling orbit of a universe: each stratum's hold and swap
+    margins as sorted rows, and the strata as a sorted sequence.  Two
+    universes share it exactly when relabelling the hold values and the
+    swap values of each stratum, and permuting the strata, carries one
+    onto the other."""
+    rows = (map(tuple, np.sort(margins, axis=1).tolist()) for margins in (inv.mh, inv.ms))
+    return tuple(sorted(zip(*rows)))
+
+
+def _check_universe(
+    inv: SwapInvariants,
+    entries: Sequence[tuple[Dataset, ContingencyTable]],
+    rates: Sequence[Fraction],
+    max_permutations: int,
+    cache: dict,
+    bounds: dict[tuple[float, int], tuple[BudgetResult, list[LowerBound]]],
+) -> tuple[UniverseCheck, int, int, list[str]]:
+    """Every check :func:`dp_sweep` makes on one universe: its summary,
+    the pairs it checks against the budget over all rates, the ordered
+    pairs it connects, and the failures it finds."""
+    members = [d for d, _ in entries]
+    tables = [t for _, t in entries]
+    b = invariant_stratum_bound(inv)
+    witnessed = _witnessed(inv, b)
+    universe_keys = {t.canonical_key() for t in tables}
+    d_hams = _distances(tables)
+    failures: list[str] = []
+    pair_checks = 0
+    connecting_checks = 0
+    measured_by_p: dict[float, float] = {}
+    budget_by_p: dict[float, float] = {}
+    for rate in rates:
+        p = float(rate)
+        if (p, b) not in bounds:
+            bounds[p, b] = psa_budget(p, b), psa_lower_bounds(p, b)
+        budget, lower = bounds[p, b]
+        laws = [_law(t, rate, max_permutations, cache)[0] for t in tables]
+        for t, nums in zip(tables, laws):
+            if nums.keys() != universe_keys:
+                failures.append(
+                    f"support differs from universe at p={rate} for "
+                    f"{t.canonical_string()}"
+                )
+        measured = 0.0
+        for i, j, value in _pair_epsilons(laws, d_hams):
+            pair_checks += 1
+            measured = max(measured, value)
+            if value > budget.epsilon + LOG_SLACK:
+                failures.append(
+                    f"budget exceeded at p={rate}: measured {value} > "
+                    f"{budget.epsilon} for pair "
+                    f"{tables[i].canonical_string()} vs "
+                    f"{tables[j].canonical_string()}"
+                )
+        measured_by_p[p] = measured
+        budget_by_p[p] = budget.epsilon
+        for bound, condition in lower:
+            if condition in witnessed and measured < bound - LOG_SLACK:
+                failures.append(
+                    f"lower bound violated at p={rate}: measured {measured} < "
+                    f"{bound} ({condition}) in universe of "
+                    f"{tables[0].canonical_string()}"
+                )
+    for i, j in itertools.permutations(range(len(members)), 2):
+        connecting_checks += 1
+        d_ham = d_hams[min(i, j), max(i, j)]
+        rho = _connecting_permutation(members[i], tables[i].counts - tables[j].counts)
+        moved = tabulate(apply_permutation(rho, members[i]))
+        if moved != tables[j]:
+            failures.append(
+                f"connecting permutation misses the target for pair "
+                f"({i},{j}) in universe of "
+                f"{tables[0].canonical_string()}"
+            )
+        if rho.derange_count != d_ham:
+            failures.append(
+                f"connecting permutation deranges {rho.derange_count} "
+                f"records, expected {d_ham}"
+            )
+        fewest = _min_moves(tables[i], tables[j], cache)
+        if fewest != d_ham:
+            failures.append(f"connecting minimum {fewest} disagrees with d_Ham {d_ham}")
+    check = UniverseCheck(b=b, size=len(members), measured=measured_by_p, budget=budget_by_p)
+    return check, pair_checks, connecting_checks, failures
+
+
 def dp_sweep(
     domain: Domain = Domain(2, 2, 2),
     max_records: int = 4,
@@ -786,6 +886,23 @@ def dp_sweep(
     fewest records a within-stratum permutation moves between them, read
     off the stratum histograms, equals d_Ham (which no permutation beats).
 
+    Universes are checked once per relabelling orbit.  Relabelling the
+    hold values or the swap values within one stratum, or permuting the
+    strata, maps a universe onto another and each of its tables' laws
+    onto the relabelled tables' laws atom by atom, since the swapper
+    never reads a label and a composite law is the product of its
+    strata's laws.  d_Ham, b, the universe size, the support, the
+    witnessed lower bounds and the fewest records moved are per-stratum
+    sums or maxima of relabelling-invariant quantities.  So the first
+    universe of each orbit (in grouping order) is checked in full, and
+    the later members receive a copy of its :class:`UniverseCheck`: the
+    same integers give the same floats.  When the first universe of an
+    orbit records a failure, every later member is checked in full too,
+    so a failing sweep lists each failure where it occurs.
+    ``pair_checks`` and ``connecting_checks`` count the pairs covered,
+    copied universes included: C(size, 2) per rate and size * (size - 1)
+    per universe, as if every universe had been checked.
+
     Each piece of work is done once: every dataset is tabulated once and
     its table serves the grouping, the laws and both connecting checks;
     d_Ham is computed once per unordered pair, before the rates; the
@@ -795,7 +912,9 @@ def dp_sweep(
 
     Every rate must lie strictly inside (0, 1): at an endpoint the
     budget is infinite and the laws are degenerate, so nothing is
-    checked.
+    checked.  ``max_permutations`` bounds the datasets built as well:
+    the C(cells + max_records, max_records) of them are counted, and
+    refused with :class:`EnumerationBudgetError`, before any is built.
     """
     domain = Domain(*domain)
     rates = tuple(to_exact_rate(p) for p in p_values)
@@ -804,7 +923,12 @@ def dp_sweep(
         raise ValueError(
             f"the sweep needs rates strictly inside (0, 1), got {', '.join(outside)}"
         )
-    floats = [float(rate) for rate in rates]
+    dataset_total = math.comb(domain.cells + max(max_records, 0), max(max_records, 0))
+    if dataset_total > max_permutations:
+        raise EnumerationBudgetError(
+            f"{dataset_total} datasets of at most {max_records} records exceed the "
+            f"budget of {max_permutations}"
+        )
     datasets = enumerate_small_datasets(domain, max_records)
     groups: dict[SwapInvariants, list[tuple[Dataset, ContingencyTable]]] = {}
     for d in datasets:
@@ -817,69 +941,19 @@ def dp_sweep(
     connecting_checks = 0
     cache: dict = {}
     bounds: dict[tuple[float, int], tuple[BudgetResult, list[LowerBound]]] = {}
+    first_of_orbit: dict[tuple, tuple[UniverseCheck, int, int, list[str]]] = {}
 
     for inv, entries in groups.items():
-        members = [d for d, _ in entries]
-        tables = [t for _, t in entries]
-        b = invariant_stratum_bound(inv)
-        witnessed = _witnessed(inv, b)
-        universe_keys = {t.canonical_key() for t in tables}
-        d_hams = _distances(tables)
-        measured_by_p: dict[float, float] = {}
-        budget_by_p: dict[float, float] = {}
-        for rate, p in zip(rates, floats):
-            if (p, b) not in bounds:
-                bounds[p, b] = psa_budget(p, b), psa_lower_bounds(p, b)
-            budget, lower = bounds[p, b]
-            laws = [_law(t, rate, max_permutations, cache)[0] for t in tables]
-            for t, nums in zip(tables, laws):
-                if nums.keys() != universe_keys:
-                    failures.append(
-                        f"support differs from universe at p={rate} for "
-                        f"{t.canonical_string()}"
-                    )
-            measured = 0.0
-            for i, j, value in _pair_epsilons(laws, d_hams):
-                pair_checks += 1
-                measured = max(measured, value)
-                if value > budget.epsilon + LOG_SLACK:
-                    failures.append(
-                        f"budget exceeded at p={rate}: measured {value} > "
-                        f"{budget.epsilon} for pair "
-                        f"{tables[i].canonical_string()} vs "
-                        f"{tables[j].canonical_string()}"
-                    )
-            measured_by_p[p] = measured
-            budget_by_p[p] = budget.epsilon
-            for bound, condition in lower:
-                if condition in witnessed and measured < bound - LOG_SLACK:
-                    failures.append(
-                        f"lower bound violated at p={rate}: measured {measured} < "
-                        f"{bound} ({condition}) in universe of "
-                        f"{tables[0].canonical_string()}"
-                    )
-        for i, j in itertools.permutations(range(len(members)), 2):
-            connecting_checks += 1
-            d_ham = d_hams[min(i, j), max(i, j)]
-            rho = _connecting_permutation(members[i], tables[i].counts - tables[j].counts)
-            moved = tabulate(apply_permutation(rho, members[i]))
-            if moved != tables[j]:
-                failures.append(
-                    f"connecting permutation misses the target for pair "
-                    f"({i},{j}) in universe of "
-                    f"{tables[0].canonical_string()}"
-                )
-            if rho.derange_count != d_ham:
-                failures.append(
-                    f"connecting permutation deranges {rho.derange_count} "
-                    f"records, expected {d_ham}"
-                )
-            fewest = _min_moves(tables[i], tables[j], cache)
-            if fewest != d_ham:
-                failures.append(f"connecting minimum {fewest} disagrees with d_Ham {d_ham}")
-        universes.append(
-            UniverseCheck(b=b, size=len(members), measured=measured_by_p, budget=budget_by_p)
-        )
+        orbit = _orbit_key(inv)
+        result = first_of_orbit.get(orbit)
+        if result is None or result[3]:
+            result = _check_universe(inv, entries, rates, max_permutations, cache, bounds)
+            first_of_orbit.setdefault(orbit, result)
+        check, pairs, connecting, found = result
+        universes.append(replace(check, measured=dict(check.measured), budget=dict(check.budget)))
+        pair_checks += pairs
+        connecting_checks += connecting
+        failures += found
 
     return SweepReport(
         domain=domain,

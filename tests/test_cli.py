@@ -347,6 +347,29 @@ class TestVerifyCommand:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("budget, code", [(1000, 4), (1287, 0)])
+    def test_sweep_guard_counts_datasets_first(self, capsys, monkeypatch, budget, code):
+        """2x2x2 with up to 5 records has C(8 + 5, 5) = 1,287 datasets:
+        a budget below that exits 4 before one is built."""
+        import permuswap.exact as exact_mod
+
+        if code == 4:
+            def unbuilt(*args):
+                raise AssertionError("datasets built past the guard")
+
+            monkeypatch.setattr(exact_mod, "enumerate_small_datasets", unbuilt)
+        argv = [
+            "verify", "--sweep", "--domain", "2,2,2", "--max-records", "5",
+            "--p-values", "1/2", "--max-enumeration", str(budget),
+        ]
+        assert run_cli(argv) == code
+        captured = capsys.readouterr()
+        if code == 4:
+            assert captured.err.startswith("error: enumeration guard: 1287 datasets")
+            assert captured.out == ""
+        else:
+            assert captured.out.endswith("result=pass\n")
+
     def test_validation_error(self):
         assert run_cli(["verify", "--p-values", "1/2"]) == 2
 

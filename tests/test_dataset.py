@@ -213,6 +213,35 @@ class TestDatasetSemantics:
         with pytest.raises(ValueError):
             ContingencyTable(np.array([[[-1]]]))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Dataset([(0, 0, 1.7)], (1, 2, 2)),
+            lambda: Dataset([(0, 0, "1")], (1, 2, 2)),
+            lambda: Dataset(np.array([[0, 0, 1]], dtype=object), (1, 2, 2)),
+            lambda: Dataset(np.array([[0.0, 0.0, 1.0]]), (1, 2, 2)),
+            lambda: ContingencyTable(np.array([[[1.5, 0.2]]])),
+            lambda: ContingencyTable(np.array([[["1", "0"]]])),
+            lambda: dataset_module.SwapInvariants(mh=np.array([[1.0, 1.0]]), ms=np.array([[1, 1]])),
+            lambda: dataset_module.SwapInvariants(mh=np.array([[1, 1]]), ms=np.array([["1", "1"]])),
+        ],
+    )
+    def test_non_integer_input_rejected(self, build):
+        """The int64 cast would truncate 1.7 to 1 and parse "1", so a
+        float, string or object dtype is refused instead."""
+        with pytest.raises(TypeError, match="must be integers"):
+            build()
+
+    def test_integer_and_bool_input_accepted(self):
+        x = Dataset(np.array([[0, 1, 1]], dtype=np.uint8), (1, 2, 2))
+        assert x.codes.dtype == np.int64 and x.codes.tolist() == [[0, 1, 1]]
+        assert Dataset(np.array([[False, True, True]]), (1, 2, 2)) == x
+        assert Dataset([], (1, 2, 2)).codes.shape == (0, 3)
+        table = ContingencyTable(np.array([[[True, False]]]))
+        assert table.counts.dtype == np.int64 and table.canonical_key() == (1, 0)
+        inv = dataset_module.SwapInvariants(mh=np.array([[1, 1]], dtype=np.int32), ms=np.array([[2, 0]]))
+        assert inv.mh.dtype == np.int64
+
     def test_canonical_serialization(self):
         t = tabulate(make_dataset([(0, 0, 0), (0, 1, 1)], (1, 2, 2)))
         assert t.canonical_key() == (1, 0, 0, 1)

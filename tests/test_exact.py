@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,7 @@ from permuswap import (
 )
 from permuswap import exact
 from permuswap import dataset as dataset_module
-from permuswap.dataset import Dataset, Domain
+from permuswap.dataset import ContingencyTable, Dataset, Domain
 from permuswap.exact import (
     DEFAULT_ENUMERATION_BUDGET,
     ExactDistribution,
@@ -559,6 +560,78 @@ class TestWitnessFixtures:
         assert measured <= psa_budget(float(p), 6).epsilon + 1e-12
 
 
+def _relabel(counts, strata, holds, swaps):
+    """The table with stratum m moved to strata[m], and within it hold
+    value h renamed holds[m][h] and swap value s renamed swaps[m][s]."""
+    out = np.zeros_like(counts)
+    for m, h, s in itertools.product(*map(range, counts.shape)):
+        out[strata[m], holds[m][h], swaps[m][s]] = counts[m, h, s]
+    return out
+
+
+def _group(domain):
+    """Every relabelling of the sweep's symmetry group over the domain."""
+    mx, hx, sx = domain
+    per_stratum = list(
+        itertools.product(itertools.permutations(range(hx)), itertools.permutations(range(sx)))
+    )
+    for strata in itertools.permutations(range(mx)):
+        for labels in itertools.product(per_stratum, repeat=mx):
+            yield strata, [h for h, _ in labels], [s for _, s in labels]
+
+
+def _brute_force_orbit(table):
+    """The smallest margins over the relabellings of a universe's table:
+    one value per relabelling orbit of universes."""
+    images = []
+    for sigma in _group(table.domain):
+        inv = swap_invariants(ContingencyTable(_relabel(table.counts, *sigma)))
+        images.append((inv.mh.tolist(), inv.ms.tolist()))
+    return repr(min(images))
+
+
+@st.composite
+def _relabellings(draw, domain):
+    mx, hx, sx = domain
+    strata = draw(st.permutations(range(mx)))
+    holds = [draw(st.permutations(range(hx))) for _ in range(mx)]
+    swaps = [draw(st.permutations(range(sx))) for _ in range(mx)]
+    return strata, holds, swaps
+
+
+class TestRelabelling:
+    """The theorem behind the sweep's orbit reduction: relabelling the
+    hold and swap values of each stratum, and permuting the strata,
+    carries the law of a table onto the law of the relabelled table and
+    leaves every quantity the sweep checks unchanged."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), INTERIOR_RATES)
+    def test_relabelling_commutes_with_the_law(self, data, rate):
+        domain = Domain(
+            data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        )
+        x, x_prime = _same_universe_pair(data, domain, max_size=6)
+        sigma = data.draw(_relabellings(domain))
+        t, t_prime = tabulate(x), tabulate(x_prime)
+        u, u_prime = (ContingencyTable(_relabel(a.counts, *sigma)) for a in (t, t_prime))
+
+        def relabel_key(key):
+            counts = np.asarray(key, dtype=np.int64).reshape(domain.shape)
+            return tuple(_relabel(counts, *sigma).ravel().tolist())
+
+        nums, denom = exact._law(t, rate, DEFAULT_ENUMERATION_BUDGET, {})
+        expected = {relabel_key(key): v for key, v in nums.items()}, denom
+        assert exact._law(u, rate, DEFAULT_ENUMERATION_BUDGET, {}) == expected
+        assert hamming_distance(u, u_prime) == hamming_distance(t, t_prime)
+        assert exact._min_moves(u, u_prime, {}) == exact._min_moves(t, t_prime, {})
+        inv, inv_u = swap_invariants(t), swap_invariants(u)
+        b = invariant_stratum_bound(inv)
+        assert invariant_stratum_bound(inv_u) == b
+        assert exact._witnessed(inv_u, b) == exact._witnessed(inv, b)
+        assert exact._orbit_key(inv_u) == exact._orbit_key(inv)
+
+
 class TestSweep:
     def test_small_sweep_passes(self):
         report = dp_sweep(Domain(2, 2, 2), max_records=3, p_values=[Fraction(3, 10)])
@@ -574,10 +647,24 @@ class TestSweep:
         assert report.all_pass
 
     def test_sweep_does_per_pair_and_per_rate_work_once(self, monkeypatch):
-        """One d_Ham per unordered pair, one integer weight vector per
-        (n, rate), one histogram per stratum, shared by the laws and the
-        connecting minimum, no brute force, and one table per dataset
-        plus one per connecting permutation's target."""
+        """The sweep checks the first universe of each relabelling orbit
+        (found here by brute force over the group) and copies its check
+        to the others.  Over those first universes: one d_Ham per
+        unordered pair, one integer weight vector per (n, rate), one
+        histogram per stratum, shared by the laws and the connecting
+        minimum, no brute force, and one table per dataset plus one per
+        connecting permutation's target.  The reported counts cover
+        every universe."""
+        domain = Domain(2, 2, 2)
+        universes: dict = {}
+        for d in enumerate_small_datasets(domain, 4):
+            universes.setdefault(swap_invariants(d), []).append(tabulate(d))
+        firsts: dict = {}
+        for tables in universes.values():
+            firsts.setdefault(_brute_force_orbit(tables[0]), tables)
+        assert (len(universes), len(firsts)) == (406, 38)
+        assert len({exact._orbit_key(inv) for inv in universes}) == len(firsts)
+
         calls = {
             "hamming_distance": [],
             "min_connecting_derangement": [],
@@ -592,16 +679,20 @@ class TestSweep:
 
             monkeypatch.setattr(exact, name, counted)
         rates = [Fraction(1, 10), Fraction(1, 2)]
-        report = dp_sweep(Domain(2, 2, 2), max_records=4, p_values=rates)
-        pairs = report.connecting_checks // 2
-        assert report.all_pass and pairs > 0
-        assert len(calls["hamming_distance"]) == pairs == report.pair_checks // 2
+        report = dp_sweep(domain, max_records=4, p_values=rates)
+        assert report.all_pass
+        sizes = [len(tables) for tables in universes.values()]
+        assert report.pair_checks == len(rates) * sum(math.comb(n, 2) for n in sizes)
+        assert report.connecting_checks == sum(n * (n - 1) for n in sizes)
+        checked = [len(tables) for tables in firsts.values()]
+        assert len(calls["hamming_distance"]) == sum(math.comb(n, 2) for n in checked)
         assert calls["min_connecting_derangement"] == []
-        assert len(calls["tabulate"]) == report.dataset_count + report.connecting_checks
+        assert len(calls["tabulate"]) == report.dataset_count + sum(n * (n - 1) for n in checked)
         strata = {
             tuple(row)
-            for d in enumerate_small_datasets(Domain(2, 2, 2), 4)
-            for row in tabulate(d).counts.reshape(2, 4).tolist()
+            for tables in firsts.values()
+            for table in tables
+            for row in table.counts.reshape(2, 4).tolist()
             if sum(row) >= 2
         }
         weights = calls["_stratum_weights"]

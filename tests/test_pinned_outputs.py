@@ -186,6 +186,10 @@ SWEEP_PINS = {
         406, 495, 282, 188, (),
         "19f6cee7c29b1e2edbb723f125906724bd6c6da9b823d18c357f7d92b1c4d267",
     ),
+    ((2, 2, 3), 6): (
+        10131, 18564, 41220, 27480, (),
+        "785495b3dbabf21b7f8c2976b0ff6ad955868611a2a2608dfe7e6be6c01b50c9",
+    ),
 }
 
 
@@ -248,5 +252,5 @@ if __name__ == "__main__":
             print(f"    {name!r}: {_sha(data)!r},")
         for command in REPORT_DIGESTS:
             print(f"    {command!r}: {_sha(_report_bytes(command, Path(tmp)))!r},")
-    for case in (((2, 2, 2), 4), ((1, 2, 3), 5), ((1, 2, 2), 8), ((1, 2, 2), 10)):
+    for case in SWEEP_PINS:
         print(f"    {case!r}: {_sweep_pin(*case)!r},")

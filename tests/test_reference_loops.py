@@ -7,6 +7,7 @@ indexing and exact rationals in both, so results must be exactly equal,
 on random small datasets that include zero-size axes.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -47,10 +48,20 @@ from permuswap import (
     write_dataset_csv,
 )
 from permuswap.budget import derangement_count
+from permuswap import exact
 from permuswap.dataset import invariant_stratum_bound, stratum_indices
+from permuswap.exact import (
+    DEFAULT_ENUMERATION_BUDGET,
+    SweepReport,
+    dp_sweep,
+    enumerate_small_datasets,
+)
+from permuswap.swapping import to_exact_rate
 from permuswap.ingest import COMPOSITE_LABEL_SEP, CONSTANT_MATCH_LABEL
 from permuswap.synth import StratumSpec, synthesize
 from permuswap.utility import QUARTILE_RULE, ZERO_CELL_RULE, UtilityReport, _summarize
+
+from test_pinned_outputs import SWEEP_RATES
 
 # ---------------------------------------------------------------------------
 # reference loops
@@ -248,6 +259,33 @@ def ref_universe_keys(x):
         if same_universe(table, other):
             keys.add(other.canonical_key())
     return sorted(keys)
+
+
+def ref_dp_sweep(domain, max_records, p_values, max_permutations=DEFAULT_ENUMERATION_BUDGET):
+    """dp_sweep without the orbit reduction: the per-universe check on
+    every universe, in grouping order."""
+    rates = tuple(to_exact_rate(p) for p in p_values)
+    datasets = enumerate_small_datasets(domain, max_records)
+    groups = {}
+    for d in datasets:
+        table = tabulate(d)
+        groups.setdefault(swap_invariants(table), []).append((d, table))
+    cache, bounds = {}, {}
+    checks = [
+        exact._check_universe(inv, entries, rates, max_permutations, cache, bounds)
+        for inv, entries in groups.items()
+    ]
+    return SweepReport(
+        domain=Domain(*domain),
+        max_records=max_records,
+        p_values=rates,
+        universe_count=len(groups),
+        dataset_count=len(datasets),
+        pair_checks=sum(pairs for _, pairs, _, _ in checks),
+        connecting_checks=sum(connecting for _, _, connecting, _ in checks),
+        failures=tuple(f for _, _, _, found in checks for f in found),
+        universes=tuple(check for check, _, _, _ in checks),
+    )
 
 
 def ref_draw_mapping(x, p, seed):
@@ -633,6 +671,33 @@ def test_enumerate_universe_is_the_sorted_universe(case):
     expected = ref_universe_keys(x)
     assert [t.canonical_key() for t in enumerate_universe(x)] == expected
     assert [t.canonical_key() for t in enumerate_universe(tabulate(x))] == expected
+
+
+@pytest.mark.parametrize("domain, max_records", [((2, 2, 2), 4), ((1, 2, 3), 5)])
+def test_dp_sweep_matches_unreduced_sweep(domain, max_records):
+    """Copying each orbit's check changes no field of the report."""
+    expected = ref_dp_sweep(Domain(*domain), max_records, SWEEP_RATES)
+    assert dp_sweep(Domain(*domain), max_records, SWEEP_RATES) == expected
+    assert expected.all_pass
+
+
+def test_failing_dp_sweep_lists_the_unreduced_failures(monkeypatch):
+    """With the budget cut to 0.6 of itself some universes fail and
+    others pass; each failing orbit is checked member by member, so the
+    failures come out as the unreduced sweep finds them, in its order."""
+    real = exact.psa_budget
+
+    def low_budget(p, b):
+        budget = real(p, b)
+        return dataclasses.replace(budget, epsilon=0.6 * budget.epsilon)
+
+    monkeypatch.setattr(exact, "psa_budget", low_budget)
+    rates = (Fraction(1, 10), Fraction(1, 2))
+    expected = ref_dp_sweep(Domain(2, 2, 2), 4, rates)
+    report = dp_sweep(Domain(2, 2, 2), 4, rates)
+    assert expected.failures and len(expected.failures) < expected.pair_checks
+    assert report.failures == expected.failures
+    assert report == expected
 
 
 # ---------------------------------------------------------------------------
