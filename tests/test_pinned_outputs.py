@@ -190,6 +190,14 @@ SWEEP_PINS = {
         10131, 18564, 41220, 27480, (),
         "785495b3dbabf21b7f8c2976b0ff6ad955868611a2a2608dfe7e6be6c01b50c9",
     ),
+    ((3, 2, 2), 4): (
+        1550, 1820, 846, 564, (),
+        "c6edc4f0dedd9b0ce230dfa1e2f3c29b7254a3ab7e779762956b241d14e0bae8",
+    ),
+    ((2, 3, 1), 5): (
+        462, 462, 0, 0, (),
+        "4f3b8bea2093c6db743512d74cbc4abc4eca21b906a95b3f41162231e0970a19",
+    ),
 }
 
 
