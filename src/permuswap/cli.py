@@ -103,6 +103,8 @@ def _parse_rate(raw: str, key: str) -> Fraction:
         raise CliError(f"{key}: cannot parse rate {raw!r}") from exc
     if not 0 <= rate <= 1:
         raise CliError(f"{key}: rate {raw!r} outside [0, 1]")
+    if 0 < rate < 1 and float(rate) in (0.0, 1.0):
+        raise CliError(f"{key}: rate {raw!r} lies inside (0, 1) but rounds to {float(rate)} as a float")
     return rate
 
 
@@ -257,6 +259,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise CliError(
                 f"p-values: the sweep needs rates strictly inside (0, 1), got {','.join(outside)}"
             )
+        repeated = [str(p) for i, p in enumerate(p_values) if float(p) in map(float, p_values[:i])]
+        if repeated:
+            raise CliError(f"p-values: the sweep needs distinct rates, got {','.join(repeated)} again")
         report = exact_mod.dp_sweep(
             domain=Domain(*domain),
             max_records=args.max_records,

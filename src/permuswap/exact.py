@@ -53,14 +53,15 @@ sums or maxima of quantities no relabelling changes.  So
 :func:`dp_sweep` checks the first universe of each relabelling orbit
 and copies its summary to the others, whose checks would compute the
 same integers and so the same floats; its pair counts still count every
-pair covered.
+pair covered.  It groups the datasets as rows of cell counts and builds
+datasets only for the universes it checks.
 
 The guard ``max_permutations`` bounds the composite permutation space
 the law is a sum over: the product of n! over the strata of at least
 two records (of the derangement counts d(n) at p = 1).  It is checked
 before any work, and the oracle raises rather than report a verdict on
 an instance above it.  The sweep holds the number of datasets it would
-build, C(cells + max_records, max_records), to the same bound.
+enumerate, C(cells + max_records, max_records), to the same bound.
 """
 
 import functools
@@ -85,6 +86,7 @@ from .dataset import (
     Dataset,
     Domain,
     SwapInvariants,
+    dataset_from_table,
     hamming_distance,
     invariant_stratum_bound,
     max_stratum_b,
@@ -735,17 +737,39 @@ def applicable_lower_bounds(inv: SwapInvariants, p: float) -> list[LowerBound]:
 # the exhaustive sweep
 
 
+def _small_count_rows(domain: Domain, max_records: int) -> np.ndarray:
+    """Every dataset of at most max_records records over the domain as
+    one row of cell counts, an (N, cells) int64 matrix, in the order of
+    ``combinations_with_replacement(range(cells), n)`` for n = 0, 1, ...,
+    max_records.  That order extends each n-record combination, in turn,
+    by one record in each cell from its last cell on, so the block of
+    n + 1 records repeats each row of the n-record block once per such
+    cell."""
+    rows = np.zeros((1 if max_records >= 0 else 0, domain.cells), dtype=np.int64)
+    last = np.zeros(len(rows), dtype=np.int64)  # each row's last cell (0 when empty)
+    blocks = [rows]
+    for _ in range(max_records):
+        reps = domain.cells - last
+        starts = np.repeat(np.cumsum(reps) - reps, reps)
+        last = np.repeat(last, reps) + np.arange(starts.size) - starts
+        rows = np.repeat(rows, reps, axis=0)
+        rows[np.arange(len(rows)), last] += 1
+        blocks.append(rows)
+    return np.concatenate(blocks)
+
+
 def enumerate_small_datasets(domain: Domain, max_records: int) -> list[Dataset]:
     """Every dataset with at most max_records records over the domain,
     deduplicated up to record order (one canonical representative per
-    multiset)."""
+    multiset, its records in ascending cell order).  They come by record
+    count, and within one count in the order of
+    ``itertools.combinations_with_replacement`` over the cells in
+    row-major order."""
     domain = Domain(*domain)
-    cells = list(itertools.product(*map(range, domain)))
-    datasets = []
-    for n in range(max_records + 1):
-        for combo in itertools.combinations_with_replacement(cells, n):
-            datasets.append(Dataset(tuple(combo), domain))
-    return datasets
+    return [
+        dataset_from_table(ContingencyTable(row.reshape(domain.shape)))
+        for row in _small_count_rows(domain, max_records)
+    ]
 
 
 @dataclass(frozen=True)
@@ -775,14 +799,29 @@ class SweepReport:
         return not self.failures
 
 
-def _orbit_key(inv: SwapInvariants) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The relabelling orbit of a universe: each stratum's hold and swap
-    margins as sorted rows, and the strata as a sorted sequence.  Two
-    universes share it exactly when relabelling the hold values and the
-    swap values of each stratum, and permuting the strata, carries one
-    onto the other."""
-    rows = (map(tuple, np.sort(margins, axis=1).tolist()) for margins in (inv.mh, inv.ms))
-    return tuple(sorted(zip(*rows)))
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An id for each row of ``keys``, equal for equal rows and numbered
+    in order of first appearance, and the index of each id's first row."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.reshape(-1)], first[order]
+
+
+def _orbit_ids(mh: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """The relabelling orbit of each of U universes, given their margins
+    as (U, M, H) and (U, M, S) arrays, as ids numbered in order of first
+    appearance.  Each stratum's hold and swap margins are sorted, the
+    sorted stratum rows are ranked, and each universe's ranks are
+    sorted.  Two universes share an id exactly when relabelling the hold
+    values and the swap values of each stratum, and permuting the strata,
+    carries one onto the other."""
+    strata = np.concatenate((np.sort(mh, axis=2), np.sort(ms, axis=2)), axis=2)
+    universes, match, width = strata.shape
+    _, ranks = np.unique(strata.reshape(universes * match, width), axis=0, return_inverse=True)
+    ids, _ = _first_seen(np.sort(ranks.reshape(universes, match), axis=1))
+    return ids
 
 
 def _check_universe(
@@ -903,37 +942,53 @@ def dp_sweep(
     copied universes included: C(size, 2) per rate and size * (size - 1)
     per universe, as if every universe had been checked.
 
-    Each piece of work is done once: every dataset is tabulated once and
-    its table serves the grouping, the laws and both connecting checks;
-    d_Ham is computed once per unordered pair, before the rates; the
-    budget and lower bounds once per (rate, b), both functions of the
-    float rate; stratum histograms, laws and weights are shared through
-    one cache.
+    The sweep works on count rows: every dataset is enumerated once, as
+    one row of an integer matrix in the order of
+    :func:`enumerate_small_datasets`, and the universes and their orbits
+    are found by grouping rows and margins with numpy.  Tables, datasets
+    and invariants are built only for the universes it checks, and each
+    table serves the laws and both connecting checks.  d_Ham is computed
+    once per unordered pair, before the rates; the budget and lower
+    bounds once per (rate, b), both functions of the float rate; stratum
+    histograms, laws and weights are shared through one cache.
 
-    Every rate must lie strictly inside (0, 1): at an endpoint the
-    budget is infinite and the laws are degenerate, so nothing is
-    checked.  ``max_permutations`` bounds the datasets built as well:
+    Every rate must lie strictly inside (0, 1), as an exact rational and
+    as a float, since the budget is computed at the float: at an
+    endpoint the budget is infinite and the laws are degenerate, so
+    nothing is checked.  The rates must be distinct as floats, which key
+    the summaries.  ``max_permutations`` bounds the datasets as well:
     the C(cells + max_records, max_records) of them are counted, and
-    refused with :class:`EnumerationBudgetError`, before any is built.
+    refused with :class:`EnumerationBudgetError`, before any is
+    enumerated.
     """
     domain = Domain(*domain)
     rates = tuple(to_exact_rate(p) for p in p_values)
-    outside = [str(rate) for rate in rates if not 0 < rate < 1]
+    outside = [str(rate) for rate in rates if not (0 < rate < 1 and 0 < float(rate) < 1)]
     if outside:
         raise ValueError(
-            f"the sweep needs rates strictly inside (0, 1), got {', '.join(outside)}"
+            f"the sweep needs rates strictly inside (0, 1), also as floats, got {', '.join(outside)}"
         )
+    floats = [float(rate) for rate in rates]
+    repeated = [str(rate) for i, rate in enumerate(rates) if floats[i] in floats[:i]]
+    if repeated:
+        raise ValueError(f"the sweep needs distinct rates, got {', '.join(repeated)} again")
     dataset_total = math.comb(domain.cells + max(max_records, 0), max(max_records, 0))
     if dataset_total > max_permutations:
         raise EnumerationBudgetError(
             f"{dataset_total} datasets of at most {max_records} records exceed the "
             f"budget of {max_permutations}"
         )
-    datasets = enumerate_small_datasets(domain, max_records)
-    groups: dict[SwapInvariants, list[tuple[Dataset, ContingencyTable]]] = {}
-    for d in datasets:
-        table = tabulate(d)
-        groups.setdefault(swap_invariants(table), []).append((d, table))
+    rows = _small_count_rows(domain, max_records)
+    counts = rows.reshape(len(rows), *domain.shape)
+    mh, ms = counts.sum(axis=3), counts.sum(axis=2)
+    margins = np.concatenate((mh, ms), axis=2)
+    universe_of, firsts = _first_seen(
+        margins.reshape(len(rows), domain.match * (domain.hold + domain.swap))
+    )
+    orbit_of = _orbit_ids(mh[firsts], ms[firsts])
+    # universe u's members in enumeration order: by_universe[edges[u]:edges[u + 1]]
+    by_universe = np.argsort(universe_of, kind="stable")
+    edges = np.searchsorted(universe_of[by_universe], np.arange(len(firsts) + 1)).tolist()
 
     failures: list[str] = []
     universes: list[UniverseCheck] = []
@@ -941,12 +996,14 @@ def dp_sweep(
     connecting_checks = 0
     cache: dict = {}
     bounds: dict[tuple[float, int], tuple[BudgetResult, list[LowerBound]]] = {}
-    first_of_orbit: dict[tuple, tuple[UniverseCheck, int, int, list[str]]] = {}
+    first_of_orbit: dict[int, tuple[UniverseCheck, int, int, list[str]]] = {}
 
-    for inv, entries in groups.items():
-        orbit = _orbit_key(inv)
+    for u, orbit in enumerate(orbit_of.tolist()):
         result = first_of_orbit.get(orbit)
         if result is None or result[3]:
+            tables = [ContingencyTable(c) for c in counts[by_universe[edges[u] : edges[u + 1]]]]
+            entries = [(dataset_from_table(t), t) for t in tables]
+            inv = SwapInvariants(mh[firsts[u]], ms[firsts[u]])
             result = _check_universe(inv, entries, rates, max_permutations, cache, bounds)
             first_of_orbit.setdefault(orbit, result)
         check, pairs, connecting, found = result
@@ -959,8 +1016,8 @@ def dp_sweep(
         domain=domain,
         max_records=max_records,
         p_values=rates,
-        universe_count=len(groups),
-        dataset_count=len(datasets),
+        universe_count=len(firsts),
+        dataset_count=len(rows),
         pair_checks=pair_checks,
         connecting_checks=connecting_checks,
         failures=tuple(failures),

@@ -350,14 +350,14 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("budget, code", [(1000, 4), (1287, 0)])
     def test_sweep_guard_counts_datasets_first(self, capsys, monkeypatch, budget, code):
         """2x2x2 with up to 5 records has C(8 + 5, 5) = 1,287 datasets:
-        a budget below that exits 4 before one is built."""
+        a budget below that exits 4 before one is enumerated."""
         import permuswap.exact as exact_mod
 
         if code == 4:
             def unbuilt(*args):
-                raise AssertionError("datasets built past the guard")
+                raise AssertionError("datasets enumerated past the guard")
 
-            monkeypatch.setattr(exact_mod, "enumerate_small_datasets", unbuilt)
+            monkeypatch.setattr(exact_mod, "_small_count_rows", unbuilt)
         argv = [
             "verify", "--sweep", "--domain", "2,2,2", "--max-records", "5",
             "--p-values", "1/2", "--max-enumeration", str(budget),
@@ -398,6 +398,17 @@ class TestVerifyCommand:
         assert code == 2
         assert captured.err.startswith("error: p-values:")
         assert captured.err.rstrip().endswith(f"got {outside}")
+        assert captured.out == ""
+
+    def test_sweep_rejects_repeated_rates(self, capsys):
+        """1/2 and 0.5 are one rate: the sweep would count its pairs twice
+        and report it once."""
+        code = run_cli(
+            ["verify", "--sweep", "--domain", "2,2,2", "--max-records", "2", "--p-values", "1/2,0.5"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: p-values: the sweep needs distinct rates, got 1/2 again\n"
         assert captured.out == ""
 
     # 1,1,2 and 2,1,3 have one hold or swap level: every universe is a singleton
@@ -624,3 +635,35 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "low-p" in proc.stdout
+
+
+@pytest.mark.parametrize("rate, rounded", [("1e-400", "0.0"), ("0.99999999999999999999", "1.0")])
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["swap", "--p", "{rate}", "--sidecar", "{out}"], "p"),
+        (["budget", "--p", "{rate}", "--b", "4"], "p"),
+        (["curve", "--b", "4", "--p-values", "1/2,{rate}"], "p-values"),
+        (["verify", "--sweep", "--domain", "1,2,2", "--max-records", "3", "--p-values", "{rate}"], "p-values"),
+        (["verify", "--p-values", "1/2,{rate}"], "p-values"),
+        (["utility", "--rates", "{rate}", "--reps", "2"], "rates"),
+    ],
+    ids=["swap", "budget", "curve", "verify-sweep", "verify-input", "utility"],
+)
+def test_rate_that_rounds_to_an_endpoint_names_its_key(
+    capsys, synth_files, tmp_path, argv, key, rate, rounded
+):
+    """A rate strictly inside (0, 1) whose float is 0.0 or 1.0 would run
+    at that endpoint: swap at p = 0, a sweep against an infinite budget.
+    Every subcommand refuses it before reading the input."""
+    csv, roles = synth_files
+    out = tmp_path / "sidecar.json"
+    args = [a.format(rate=rate, out=out) for a in argv]
+    if args[0] in ("swap", "verify", "utility") and "--sweep" not in args:
+        args += ["--input", csv, "--roles", roles]
+    code = run_cli(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {key}: rate {rate!r} lies inside (0, 1) but rounds to {rounded} as a float\n"
+    assert captured.out == ""
+    assert not out.exists()

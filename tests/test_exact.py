@@ -629,7 +629,8 @@ class TestRelabelling:
         b = invariant_stratum_bound(inv)
         assert invariant_stratum_bound(inv_u) == b
         assert exact._witnessed(inv_u, b) == exact._witnessed(inv, b)
-        assert exact._orbit_key(inv_u) == exact._orbit_key(inv)
+        ids = exact._orbit_ids(np.stack((inv.mh, inv_u.mh)), np.stack((inv.ms, inv_u.ms)))
+        assert ids.tolist() == [0, 0]
 
 
 class TestSweep:
@@ -652,9 +653,9 @@ class TestSweep:
         to the others.  Over those first universes: one d_Ham per
         unordered pair, one integer weight vector per (n, rate), one
         histogram per stratum, shared by the laws and the connecting
-        minimum, no brute force, and one table per dataset plus one per
-        connecting permutation's target.  The reported counts cover
-        every universe."""
+        minimum, no brute force, one dataset per member of those
+        universes and one table per connecting permutation's target.
+        The reported counts cover every universe."""
         domain = Domain(2, 2, 2)
         universes: dict = {}
         for d in enumerate_small_datasets(domain, 4):
@@ -663,7 +664,8 @@ class TestSweep:
         for tables in universes.values():
             firsts.setdefault(_brute_force_orbit(tables[0]), tables)
         assert (len(universes), len(firsts)) == (406, 38)
-        assert len({exact._orbit_key(inv) for inv in universes}) == len(firsts)
+        margins = [np.stack([getattr(inv, name) for inv in universes]) for name in ("mh", "ms")]
+        assert len(set(exact._orbit_ids(*margins).tolist())) == len(firsts)
 
         calls = {
             "hamming_distance": [],
@@ -671,6 +673,7 @@ class TestSweep:
             "_stratum_weights": [],
             "_stratum_histogram": [],
             "tabulate": [],
+            "dataset_from_table": [],
         }
         for name, args_seen in calls.items():
             def counted(*args, _fn=getattr(exact, name), _seen=args_seen):
@@ -687,7 +690,8 @@ class TestSweep:
         checked = [len(tables) for tables in firsts.values()]
         assert len(calls["hamming_distance"]) == sum(math.comb(n, 2) for n in checked)
         assert calls["min_connecting_derangement"] == []
-        assert len(calls["tabulate"]) == report.dataset_count + sum(n * (n - 1) for n in checked)
+        assert len(calls["tabulate"]) == sum(n * (n - 1) for n in checked)
+        assert len(calls["dataset_from_table"]) == sum(checked)
         strata = {
             tuple(row)
             for tables in firsts.values()
@@ -708,6 +712,32 @@ class TestSweep:
         so the sweep refuses before any work instead of reporting
         spurious lower-bound failures."""
         with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+            dp_sweep(Domain(1, 2, 2), 3, rates)
+
+    @pytest.mark.parametrize(
+        "rate, shown",
+        [(Fraction(1, 10**400), "1/1" + "0" * 400), (1 - Fraction(1, 10**20), "99999999999999999999/")],
+    )
+    def test_sweep_rejects_rates_that_round_to_an_endpoint(self, rate, shown):
+        """A rate inside (0, 1) whose float is 0.0 or 1.0 would be
+        checked against the budget at that endpoint."""
+        assert 0 < rate < 1 and float(rate) in (0.0, 1.0)
+        with pytest.raises(ValueError, match=r"strictly inside \(0, 1\), also as floats") as info:
+            dp_sweep(Domain(1, 2, 2), 3, [Fraction(1, 2), rate])
+        assert shown in str(info.value)
+
+    @pytest.mark.parametrize(
+        "rates, repeated",
+        [
+            ([Fraction(1, 2), "0.5"], "1/2"),
+            ([Fraction(1, 10), Fraction(1, 3), 1 / 3], "3333333333333333/10000000000000000"),
+        ],
+    )
+    def test_sweep_rejects_repeated_rates(self, rates, repeated):
+        """The summary is keyed by the float rate, so a rate given twice,
+        or two rates with one float, would be counted twice but
+        reported once."""
+        with pytest.raises(ValueError, match=f"distinct rates, got {repeated} again"):
             dp_sweep(Domain(1, 2, 2), 3, rates)
 
     def test_ratio_witness_at_b10_meets_its_bound(self):

@@ -261,11 +261,23 @@ def ref_universe_keys(x):
     return sorted(keys)
 
 
+def ref_enumerate_small_datasets(domain, max_records):
+    """Every dataset of at most max_records records, one per multiset of
+    cells, built record by record from the cell combinations."""
+    cells = list(itertools.product(*map(range, domain)))
+    return [
+        Dataset(combo, domain)
+        for n in range(max_records + 1)
+        for combo in itertools.combinations_with_replacement(cells, n)
+    ]
+
+
 def ref_dp_sweep(domain, max_records, p_values, max_permutations=DEFAULT_ENUMERATION_BUDGET):
-    """dp_sweep without the orbit reduction: the per-universe check on
-    every universe, in grouping order."""
+    """dp_sweep without the orbit reduction and the count-row grouping:
+    every dataset built and tabulated, grouped by its invariants, and the
+    per-universe check on every universe, in grouping order."""
     rates = tuple(to_exact_rate(p) for p in p_values)
-    datasets = enumerate_small_datasets(domain, max_records)
+    datasets = ref_enumerate_small_datasets(domain, max_records)
     groups = {}
     for d in datasets:
         table = tabulate(d)
@@ -673,9 +685,24 @@ def test_enumerate_universe_is_the_sorted_universe(case):
     assert [t.canonical_key() for t in enumerate_universe(tabulate(x))] == expected
 
 
-@pytest.mark.parametrize("domain, max_records", [((2, 2, 2), 4), ((1, 2, 3), 5)])
+@pytest.mark.parametrize("domain, max_records", [((2, 2, 2), 4), ((3, 2, 2), 3), ((2, 2, 2), 0)])
+def test_enumerate_small_datasets_matches_the_record_loop(domain, max_records):
+    """The count-row enumeration gives the same datasets, in the same
+    order, each with its records in the same order."""
+    expected = ref_enumerate_small_datasets(Domain(*domain), max_records)
+    datasets = enumerate_small_datasets(Domain(*domain), max_records)
+    assert len(datasets) == len(expected)
+    for d, e in zip(datasets, expected):
+        assert d.domain == e.domain and d.codes.dtype == e.codes.dtype
+        assert d.codes.tolist() == e.codes.tolist()
+
+
+@pytest.mark.parametrize(
+    "domain, max_records", [((2, 2, 2), 4), ((1, 2, 3), 5), ((3, 2, 2), 3)]
+)
 def test_dp_sweep_matches_unreduced_sweep(domain, max_records):
-    """Copying each orbit's check changes no field of the report."""
+    """Grouping count rows and copying each orbit's check changes no
+    field of the report."""
     expected = ref_dp_sweep(Domain(*domain), max_records, SWEEP_RATES)
     assert dp_sweep(Domain(*domain), max_records, SWEEP_RATES) == expected
     assert expected.all_pass
