@@ -717,6 +717,7 @@ class TestSweep:
     @pytest.mark.parametrize(
         "rate, shown",
         [(Fraction(1, 10**400), "1/1" + "0" * 400), (1 - Fraction(1, 10**20), "99999999999999999999/")],
+        ids=["rounds-to-0", "rounds-to-1"],
     )
     def test_sweep_rejects_rates_that_round_to_an_endpoint(self, rate, shown):
         """A rate inside (0, 1) whose float is 0.0 or 1.0 would be
@@ -732,6 +733,7 @@ class TestSweep:
             ([Fraction(1, 2), "0.5"], "1/2"),
             ([Fraction(1, 10), Fraction(1, 3), 1 / 3], "3333333333333333/10000000000000000"),
         ],
+        ids=["same-rate", "same-float"],
     )
     def test_sweep_rejects_repeated_rates(self, rates, repeated):
         """The summary is keyed by the float rate, so a rate given twice,
