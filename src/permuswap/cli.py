@@ -103,9 +103,17 @@ def _parse_rate(raw: str, key: str) -> Fraction:
         raise CliError(f"{key}: cannot parse rate {raw!r}") from exc
     if not 0 <= rate <= 1:
         raise CliError(f"{key}: rate {raw!r} outside [0, 1]")
-    if 0 < rate < 1 and float(rate) in (0.0, 1.0):
+    if exact_mod._float_endpoint(rate):
         raise CliError(f"{key}: rate {raw!r} lies inside (0, 1) but rounds to {float(rate)} as a float")
     return rate
+
+
+def _parse_rates(raw: str, key: str) -> list[Fraction]:
+    """A comma-separated list of rates, empty tokens skipped; at least one."""
+    rates = [_parse_rate(tok, key) for tok in raw.split(",") if tok]
+    if not rates:
+        raise CliError(f"{key}: at least one rate is required")
+    return rates
 
 
 def _parse_int_list(raw: str, key: str) -> list[int]:
@@ -217,7 +225,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         if b < 2:
             raise CliError(f"b: curve values need b >= 2, got {b}")
     if args.p_values:
-        grid = [float(_parse_rate(tok, "p-values")) for tok in args.p_values.split(",")]
+        grid = [float(rate) for rate in _parse_rates(args.p_values, "p-values")]
     else:
         count = args.p_grid
         if count < 2:
@@ -237,11 +245,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    p_values = [
-        _parse_rate(tok, "p-values") for tok in args.p_values.split(",") if tok
-    ]
-    if not p_values:
-        raise CliError("p-values: at least one rate is required")
+    p_values = _parse_rates(args.p_values, "p-values")
     if args.max_enumeration < 1:
         raise CliError(
             f"max-enumeration: the budget must be a positive integer, got {args.max_enumeration}"
@@ -254,14 +258,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise CliError(f"domain: every axis needs at least one level, got {args.domain!r}")
         if args.max_records < 0:
             raise CliError(f"max-records: must be non-negative, got {args.max_records}")
-        outside = [str(p) for p in p_values if not 0 < p < 1]
-        if outside:
-            raise CliError(
-                f"p-values: the sweep needs rates strictly inside (0, 1), got {','.join(outside)}"
-            )
-        repeated = [str(p) for i, p in enumerate(p_values) if float(p) in map(float, p_values[:i])]
-        if repeated:
-            raise CliError(f"p-values: the sweep needs distinct rates, got {','.join(repeated)} again")
+        try:
+            exact_mod._sweep_rates(p_values)
+        except ValueError as exc:
+            raise CliError(f"p-values: {exc}") from exc
         report = exact_mod.dp_sweep(
             domain=Domain(*domain),
             max_records=args.max_records,
@@ -417,9 +417,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_utility(args: argparse.Namespace) -> int:
-    rates = [float(_parse_rate(tok, "rates")) for tok in (args.rates or "").split(",") if tok]
-    if not rates:
-        raise CliError("rates: at least one rate is required")
+    rates = [float(rate) for rate in _parse_rates(args.rates or "", "rates")]
     if args.reps < 1:
         raise CliError(f"reps: at least one replication is required, got {args.reps}")
     reports = utility_experiment(_load_input(args), rates, args.reps, args.seed)
@@ -494,80 +492,59 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="JSON file supplying default option values; explicit flags override",
     )
+    common.add_argument("--out", default=None, help="output path (default stdout; synth needs one)")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--input", default=None)
+    data.add_argument("--roles", default=None)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    swap = sub.add_parser(
-        "swap",
-        parents=[common],
-        help="swap a CSV dataset and report the realized budget",
-    )
-    swap.add_argument("--input", default=None)
-    swap.add_argument("--roles", default=None)
-    swap.add_argument("--p", default=None)
-    swap.add_argument("--seed", type=int, default=None)
-    swap.add_argument("--out", default=None, help="table CSV (default stdout)")
-    swap.add_argument("--sidecar", default=None, help="JSON sidecar path")
-    swap.set_defaults(func=_cmd_swap)
+    def command(name, func, summary, *parents):
+        subparser = sub.add_parser(name, parents=[common, *parents], help=summary)
+        subparser.set_defaults(func=func, subparser=subparser)
+        return subparser
 
-    bud = sub.add_parser("budget", parents=[common], help="closed-form budget for (p, b)")
+    swap = command("swap", _cmd_swap, "swap a CSV dataset and report the realized budget", data, seeded)
+    swap.add_argument("--p", default=None)
+    swap.add_argument("--sidecar", default=None, help="JSON sidecar path")
+
+    bud = command("budget", _cmd_budget, "closed-form budget for (p, b)", data)
     bud.add_argument("--p", default=None)
     bud.add_argument("--b", type=int, default=None)
-    bud.add_argument("--input", default=None)
-    bud.add_argument("--roles", default=None)
     bud.add_argument("--table5", action="store_true", help="emit the shipped counterfactual rows")
     bud.add_argument("--counterfactual", default=None, help="override the constants file")
     bud.add_argument("--format", choices=["csv", "json"], default="csv")
-    bud.add_argument("--out", default=None)
-    bud.set_defaults(func=_cmd_budget)
 
-    curve = sub.add_parser("curve", parents=[common], help="budget-vs-rate curve data with minimum markers")
+    curve = command("curve", _cmd_curve, "budget-vs-rate curve data with minimum markers")
     curve.add_argument("--b", default=None, help="comma-separated stratum bounds")
     curve.add_argument("--p-grid", type=int, default=99, help="interior grid size")
     curve.add_argument("--p-values", default=None, help="explicit comma-separated rates")
-    curve.add_argument("--out", default=None)
-    curve.set_defaults(func=_cmd_curve)
 
-    verify = sub.add_parser("verify", parents=[common], help="exact verification of the guarantee")
-    verify.add_argument("--input", default=None)
-    verify.add_argument("--roles", default=None)
+    verify = command("verify", _cmd_verify, "exact verification of the guarantee", data)
     verify.add_argument("--sweep", action="store_true", help="exhaustive small-domain sweep")
     verify.add_argument("--domain", default="2,2,2")
     verify.add_argument("--max-records", type=int, default=4)
     verify.add_argument("--p-values", default="1/10,3/10,1/2,7/10,9/10")
     verify.add_argument("--max-enumeration", type=int, default=exact_mod.DEFAULT_ENUMERATION_BUDGET)
-    verify.add_argument("--out", default=None)
-    verify.set_defaults(func=_cmd_verify)
 
-    tda = sub.add_parser("tda-report", parents=[common], help="2020 Census budget accounting")
+    tda = command("tda-report", _cmd_tda_report, "2020 Census budget accounting")
     tda.add_argument("--delta", type=float, default=budget_mod.DEFAULT_DELTA)
     tda.add_argument("--constants", default=None)
     tda.add_argument("--counterfactual", default=None)
     tda.add_argument("--format", choices=["text", "json"], default="text")
-    tda.add_argument("--out", default=None)
-    tda.set_defaults(func=_cmd_tda_report)
 
-    synth = sub.add_parser("synth", parents=[common], help="synthetic microdata with controllable b")
+    synth = command("synth", _cmd_synth, "synthetic microdata with controllable b", seeded)
     synth.add_argument("--strata", default=None, help="comma-separated stratum sizes")
     synth.add_argument("--constant", default=None, help="indices of constant strata")
     synth.add_argument("--hold-levels", type=int, default=2)
     synth.add_argument("--swap-levels", type=int, default=2)
-    synth.add_argument("--seed", type=int, default=None)
-    synth.add_argument("--out", default=None)
     synth.add_argument("--roles-out", default=None)
-    synth.set_defaults(func=_cmd_synth)
 
-    util = sub.add_parser("utility", parents=[common], help="replicated error measurements per swap rate")
-    util.add_argument("--input", default=None)
-    util.add_argument("--roles", default=None)
+    util = command("utility", _cmd_utility, "replicated error measurements per swap rate", data, seeded)
     util.add_argument("--rates", default=None)
     util.add_argument("--reps", type=int, default=20)
-    util.add_argument("--seed", type=int, default=None)
     util.add_argument("--format", choices=["csv", "json"], default="csv")
-    util.add_argument("--out", default=None)
-    util.set_defaults(func=_cmd_utility)
-
-    for subparser in sub.choices.values():
-        subparser.set_defaults(subparser=subparser)
     return parser
 
 

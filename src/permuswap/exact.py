@@ -51,7 +51,7 @@ its own H x S counts alone.  d_Ham, b, the universe size, the support,
 the witnessed lower bounds and the fewest records moved are per-stratum
 sums or maxima of quantities no relabelling changes.  So
 :func:`dp_sweep` checks the first universe of each relabelling orbit
-and copies its summary to the others, whose checks would compute the
+and shares its summary with the others, whose checks would compute the
 same integers and so the same floats; its pair counts still count every
 pair covered.  It groups the datasets as rows of cell counts and builds
 datasets only for the universes it checks.
@@ -68,8 +68,9 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -269,9 +270,10 @@ def _law(
     """The swapper's exact output law on ``table`` at rate p: integer
     numerators by canonical table key, and their common denominator.
 
-    p = 0 releases the input table with probability one; p = 1 applies
-    a uniform derangement of each whole stratum of size >= 2, so a
-    stratum's numerators are its histogram's all-moved entries over
+    p = 0, or a table with no stratum of two records (one with no cells
+    has none), releases the input table with probability one; p = 1
+    applies a uniform derangement of each whole stratum of size >= 2, so
+    a stratum's numerators are its histogram's all-moved entries over
     d(n).  The composite denominator is the product of the strata's,
     which depend only on the stratum sizes and the rate, so every
     member of a universe shares it.  With p = a/c, ``cache`` holds the
@@ -287,11 +289,8 @@ def _law(
     domain = table.domain
     cells = domain.hold * domain.swap
     flat = table.canonical_key()
-    active = []
-    for lo in range(0, len(flat), cells):
-        counts = flat[lo : lo + cells]
-        if sum(counts) >= 2:
-            active.append((lo, counts))
+    strata = ((m * cells, flat[m * cells : (m + 1) * cells]) for m in range(domain.match))
+    active = [(lo, counts) for lo, counts in strata if sum(counts) >= 2]
     if a == 0 or not active:
         return {flat: 1}, 1
 
@@ -385,52 +384,60 @@ def exact_psa_distribution(
     return ExactDistribution(x.domain, {key: Fraction(v, denom) for key, v in nums.items()})
 
 
+def _float_endpoint(rate: Fraction) -> bool:
+    """A rate inside (0, 1) whose float, at which budgets are computed, is 0.0 or 1.0."""
+    return 0 < rate < 1 and float(rate) in (0.0, 1.0)
+
+
+def _sweep_rates(p_values: Sequence[RateLike]) -> tuple[Fraction, ...]:
+    """The rates of :func:`dp_sweep` as exact rationals.  Raises
+    ``ValueError`` unless each lies strictly inside (0, 1), also as a
+    float, and their floats are distinct."""
+    rates = tuple(to_exact_rate(p) for p in p_values)
+    outside = [str(rate) for rate in rates if not 0 < rate < 1 or _float_endpoint(rate)]
+    if outside:
+        raise ValueError(
+            f"the sweep needs rates strictly inside (0, 1), also as floats, got {', '.join(outside)}"
+        )
+    floats = [float(rate) for rate in rates]
+    repeated = [str(rate) for i, rate in enumerate(rates) if floats[i] in floats[:i]]
+    if repeated:
+        raise ValueError(f"the sweep needs distinct rates, got {', '.join(repeated)} again")
+    return rates
+
+
 def _tables_with_margins(
     row_sums: Sequence[int], col_sums: Sequence[int], max_tables: int
 ) -> list[tuple[int, ...]]:
     """All non-negative integer H x S tables with the given margins,
-    flattened row-major, in lexicographic order: each free cell counts
-    up, and a row's last cell is set by the ones before it."""
-    hx, sx = len(row_sums), len(col_sums)
+    flattened row-major, in lexicographic order.
+
+    Every partial table grows one row at a time over the column sums it
+    leaves: each free cell counts up to min(column left, row total), and
+    the last cell takes the rest if it fits.  With equal totals every
+    partial table completes, so no row holds more partial tables than
+    the final count; checking the count before each row and once at the
+    end raises :class:`EnumerationBudgetError` exactly when more than
+    ``max_tables`` tables exist.
+    """
     if sum(row_sums) != sum(col_sums):
         return []
-    grid = [0] * (hx * sx)
-    col_rem = list(col_sums)
-    results: list[tuple[int, ...]] = []
-
-    def fill_row(h: int) -> None:
-        if h == hx:
-            results.append(tuple(grid))
-            if len(results) > max_tables:
-                raise EnumerationBudgetError(
-                    f"margin-constrained tables exceed the budget of {max_tables}"
-                )
-            return
-
-        def fill_cell(s: int, remaining: int) -> None:
-            if s == sx - 1:
-                if remaining <= col_rem[s]:
-                    grid[h * sx + s] = remaining
-                    col_rem[s] -= remaining
-                    fill_row(h + 1)
-                    col_rem[s] += remaining
-                    grid[h * sx + s] = 0
-                return
-            for v in range(min(remaining, col_rem[s]) + 1):
-                grid[h * sx + s] = v
-                col_rem[s] -= v
-                fill_cell(s + 1, remaining - v)
-                col_rem[s] += v
-                grid[h * sx + s] = 0
-
-        if sx == 0:
-            if row_sums[h] == 0:
-                fill_row(h + 1)
-            return
-        fill_cell(0, row_sums[h])
-
-    fill_row(0)
-    return results
+    tables: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), tuple(col_sums))]
+    # with no columns every row total is 0, and the empty table is the one table
+    for total in row_sums if col_sums else ():
+        if len(tables) > max_tables:
+            break
+        grown = []
+        for table, left in tables:
+            for head in itertools.product(*(range(min(c, total) + 1) for c in left[:-1])):
+                rest = total - sum(head)
+                if 0 <= rest <= left[-1]:
+                    row = head + (rest,)
+                    grown.append((table + row, tuple(map(operator.sub, left, row))))
+        tables = grown
+    if len(tables) > max_tables:
+        raise EnumerationBudgetError(f"margin-constrained tables exceed the budget of {max_tables}")
+    return [table for table, _ in tables]
 
 
 def enumerate_universe(
@@ -639,8 +646,8 @@ def _min_moves(
     cells = table.domain.hold * table.domain.swap
     flat, goal = table.canonical_key(), target.canonical_key()
     total = 0
-    for lo in range(0, len(flat), cells):
-        counts, want = flat[lo : lo + cells], goal[lo : lo + cells]
+    for m in range(table.domain.match):
+        counts, want = flat[m * cells : (m + 1) * cells], goal[m * cells : (m + 1) * cells]
         if counts == want:
             continue
         hist = _histogram(counts, table.domain.swap, cache)
@@ -774,12 +781,13 @@ def enumerate_small_datasets(domain: Domain, max_records: int) -> list[Dataset]:
 
 @dataclass(frozen=True)
 class UniverseCheck:
-    """Summary of one universe across the swept rates."""
+    """Summary of one universe across the swept rates: the measured
+    optimum and the budget, read-only and keyed by the float rate."""
 
     b: int
     size: int
-    measured: dict[float, float]
-    budget: dict[float, float]
+    measured: Mapping[float, float]
+    budget: Mapping[float, float]
 
 
 @dataclass(frozen=True)
@@ -897,7 +905,7 @@ def _check_universe(
         fewest = _min_moves(tables[i], tables[j], cache)
         if fewest != d_ham:
             failures.append(f"connecting minimum {fewest} disagrees with d_Ham {d_ham}")
-    check = UniverseCheck(b=b, size=len(members), measured=measured_by_p, budget=budget_by_p)
+    check = UniverseCheck(b, len(members), MappingProxyType(measured_by_p), MappingProxyType(budget_by_p))
     return check, pair_checks, connecting_checks, failures
 
 
@@ -934,10 +942,11 @@ def dp_sweep(
     witnessed lower bounds and the fewest records moved are per-stratum
     sums or maxima of relabelling-invariant quantities.  So the first
     universe of each orbit (in grouping order) is checked in full, and
-    the later members receive a copy of its :class:`UniverseCheck`: the
-    same integers give the same floats.  When the first universe of an
-    orbit records a failure, every later member is checked in full too,
-    so a failing sweep lists each failure where it occurs.
+    the later members share its :class:`UniverseCheck`, one object whose
+    mappings are read-only: the same integers give the same floats.
+    When the first universe of an orbit records a failure, every later
+    member is checked in full too, so a failing sweep lists each failure
+    where it occurs.
     ``pair_checks`` and ``connecting_checks`` count the pairs covered,
     copied universes included: C(size, 2) per rate and size * (size - 1)
     per universe, as if every universe had been checked.
@@ -962,16 +971,7 @@ def dp_sweep(
     enumerated.
     """
     domain = Domain(*domain)
-    rates = tuple(to_exact_rate(p) for p in p_values)
-    outside = [str(rate) for rate in rates if not (0 < rate < 1 and 0 < float(rate) < 1)]
-    if outside:
-        raise ValueError(
-            f"the sweep needs rates strictly inside (0, 1), also as floats, got {', '.join(outside)}"
-        )
-    floats = [float(rate) for rate in rates]
-    repeated = [str(rate) for i, rate in enumerate(rates) if floats[i] in floats[:i]]
-    if repeated:
-        raise ValueError(f"the sweep needs distinct rates, got {', '.join(repeated)} again")
+    rates = _sweep_rates(p_values)
     dataset_total = math.comb(domain.cells + max(max_records, 0), max(max_records, 0))
     if dataset_total > max_permutations:
         raise EnumerationBudgetError(
@@ -990,14 +990,10 @@ def dp_sweep(
     by_universe = np.argsort(universe_of, kind="stable")
     edges = np.searchsorted(universe_of[by_universe], np.arange(len(firsts) + 1)).tolist()
 
-    failures: list[str] = []
-    universes: list[UniverseCheck] = []
-    pair_checks = 0
-    connecting_checks = 0
     cache: dict = {}
     bounds: dict[tuple[float, int], tuple[BudgetResult, list[LowerBound]]] = {}
     first_of_orbit: dict[int, tuple[UniverseCheck, int, int, list[str]]] = {}
-
+    results = []
     for u, orbit in enumerate(orbit_of.tolist()):
         result = first_of_orbit.get(orbit)
         if result is None or result[3]:
@@ -1006,22 +1002,17 @@ def dp_sweep(
             inv = SwapInvariants(mh[firsts[u]], ms[firsts[u]])
             result = _check_universe(inv, entries, rates, max_permutations, cache, bounds)
             first_of_orbit.setdefault(orbit, result)
-        check, pairs, connecting, found = result
-        universes.append(replace(check, measured=dict(check.measured), budget=dict(check.budget)))
-        pair_checks += pairs
-        connecting_checks += connecting
-        failures += found
-
+        results.append(result)
     return SweepReport(
         domain=domain,
         max_records=max_records,
         p_values=rates,
         universe_count=len(firsts),
         dataset_count=len(rows),
-        pair_checks=pair_checks,
-        connecting_checks=connecting_checks,
-        failures=tuple(failures),
-        universes=tuple(universes),
+        pair_checks=sum(pairs for _, pairs, _, _ in results),
+        connecting_checks=sum(connecting for _, _, connecting, _ in results),
+        failures=tuple(f for _, _, _, found in results for f in found),
+        universes=tuple(check for check, _, _, _ in results),
     )
 
 
@@ -1047,14 +1038,19 @@ def universe_report(
 
     At the endpoint rates an infinite measurement is the expected
     outcome (the budget is infinite there too); rows carry a flag so
-    reports can mark them rather than fail."""
+    reports can mark them rather than fail.  A rate inside (0, 1) whose
+    float is 0.0 or 1.0 is refused with ``ValueError``: its law would be
+    computed at the rational but its budget at the float."""
+    rates = [to_exact_rate(p) for p in p_values]
+    refused = [str(rate) for rate in rates if _float_endpoint(rate)]
+    if refused:
+        raise ValueError(f"rates inside (0, 1) that round to 0.0 or 1.0 as floats: {', '.join(refused)}")
     universe = enumerate_universe(x, max_permutations)
     d_hams = _distances(universe)
     b = max_stratum_b(x)
     cache: dict = {}
     rows = []
-    for p in p_values:
-        rate = to_exact_rate(p)
+    for rate in rates:
         budget = psa_budget(float(rate), b)
         measured = _measured_optimal_epsilon(universe, d_hams, rate, max_permutations, cache)
         endpoint = rate in (0, 1)

@@ -667,3 +667,29 @@ def test_rate_that_rounds_to_an_endpoint_names_its_key(
     assert captured.err == f"error: {key}: rate {rate!r} lies inside (0, 1) but rounds to {rounded} as a float\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["curve", "--b", "4", "--p-values"], "p-values"),
+        (["verify", "--p-values"], "p-values"),
+        (["utility", "--reps", "2", "--rates"], "rates"),
+    ],
+    ids=["curve", "verify", "utility"],
+)
+def test_rate_lists_skip_empty_tokens(capsys, argv, key):
+    """Every rate list reads ",1/2," as "1/2", and one with no rate at
+    all names its key."""
+    if argv[0] != "curve":
+        argv = argv[:1] + ["--input", FIXTURES / "witness_two_record.csv",
+                           "--roles", FIXTURES / "witness_two_record.roles.json"] + argv[1:]
+    outputs = []
+    for rates in ("1/2", ",1/2,"):
+        assert run_cli(argv + [rates]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != ""
+    assert run_cli(argv + [","]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {key}: at least one rate is required\n"
+    assert captured.out == ""

@@ -781,3 +781,45 @@ class TestSweep:
         assert by_p[0.0].passed  # infinite budget covers it
         assert by_p[0.5].measured_optimal == pytest.approx(0.0, abs=1e-12)
         assert by_p[1.0].expected_infinite
+
+
+@pytest.mark.parametrize("domain", [Domain(2, 0, 2), Domain(1, 2, 0)])
+class TestZeroSizeAxes:
+    """A domain with no hold or no swap levels has tables without cells,
+    which hold no records: each law is the point mass on the empty key."""
+
+    def test_law_is_the_point_mass(self, domain):
+        assert exact_psa_distribution(Dataset([], domain), Fraction(1, 2)).probs == {(): 1}
+
+    def test_sweep_finds_one_universe_and_passes(self, domain):
+        report = dp_sweep(domain, 2, [Fraction(1, 2)])
+        assert (report.dataset_count, report.universe_count) == (1, 1)
+        assert (report.pair_checks, report.connecting_checks) == (0, 0)
+        assert report.all_pass
+
+    def test_universe_report_has_one_row_at_b_zero(self, domain):
+        (row,) = universe_report(Dataset([], domain), [Fraction(1, 2)])
+        assert (row.b, row.universe_size, row.budget_epsilon, row.measured_optimal) == (0, 1, 0.0, 0.0)
+        assert row.passed and not row.expected_infinite
+
+
+def test_universe_report_rejects_rates_that_round_to_an_endpoint():
+    """The law would be computed at the exact rational and the budget at
+    its float, an endpoint, where the budget is infinite and so passes."""
+    x = make_dataset([(0, 0, 0), (0, 1, 1)], (1, 2, 2))
+    for rate in (Fraction(1, 10**400), 1 - Fraction(1, 10**20)):
+        with pytest.raises(ValueError, match="round to 0.0 or 1.0 as floats"):
+            universe_report(x, [Fraction(1, 2), rate])
+
+
+def test_sweep_shares_one_read_only_summary_per_checked_universe():
+    """Every member of a passing orbit holds the first member's summary
+    itself, not a copy, and no caller can change it: 406 universes share
+    38 summaries, one per relabelling orbit."""
+    report = dp_sweep(Domain(2, 2, 2), 4, [Fraction(1, 2)])
+    assert report.all_pass and report.universe_count == 406
+    shared = {id(u) for u in report.universes}
+    assert len(shared) == 38
+    assert len({id(u.measured) for u in report.universes}) == len(shared)
+    with pytest.raises(TypeError):
+        report.universes[0].measured[0.5] = 0.0

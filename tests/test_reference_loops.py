@@ -52,6 +52,7 @@ from permuswap import exact
 from permuswap.dataset import invariant_stratum_bound, stratum_indices
 from permuswap.exact import (
     DEFAULT_ENUMERATION_BUDGET,
+    EnumerationBudgetError,
     SweepReport,
     dp_sweep,
     enumerate_small_datasets,
@@ -259,6 +260,52 @@ def ref_universe_keys(x):
         if same_universe(table, other):
             keys.add(other.canonical_key())
     return sorted(keys)
+
+
+def ref_tables_with_margins(row_sums, col_sums, max_tables):
+    """All non-negative integer H x S tables with the given margins,
+    flattened row-major, in lexicographic order: each free cell counts
+    up, and a row's last cell is set by the ones before it."""
+    hx, sx = len(row_sums), len(col_sums)
+    if sum(row_sums) != sum(col_sums):
+        return []
+    grid = [0] * (hx * sx)
+    col_rem = list(col_sums)
+    results = []
+
+    def fill_row(h):
+        if h == hx:
+            results.append(tuple(grid))
+            if len(results) > max_tables:
+                raise EnumerationBudgetError(
+                    f"margin-constrained tables exceed the budget of {max_tables}"
+                )
+            return
+
+        def fill_cell(s, remaining):
+            if s == sx - 1:
+                if remaining <= col_rem[s]:
+                    grid[h * sx + s] = remaining
+                    col_rem[s] -= remaining
+                    fill_row(h + 1)
+                    col_rem[s] += remaining
+                    grid[h * sx + s] = 0
+                return
+            for v in range(min(remaining, col_rem[s]) + 1):
+                grid[h * sx + s] = v
+                col_rem[s] -= v
+                fill_cell(s + 1, remaining - v)
+                col_rem[s] += v
+                grid[h * sx + s] = 0
+
+        if sx == 0:
+            if row_sums[h] == 0:
+                fill_row(h + 1)
+            return
+        fill_cell(0, row_sums[h])
+
+    fill_row(0)
+    return results
 
 
 def ref_enumerate_small_datasets(domain, max_records):
@@ -664,6 +711,43 @@ def test_max_probability_ratio_matches_fraction_loop(pair):
                 fn(p_dist, q_dist)
     else:
         assert max_probability_ratio(p_dist, q_dist) == ref_max_probability_ratio(p_dist, q_dist)
+
+
+@st.composite
+def margin_pairs(draw):
+    """Row and column sums over H, S in 0..4 and row sums up to 5.  The
+    column sums usually split the row total, so the totals agree; now
+    and then they are drawn freely and may not."""
+    row_sums = draw(st.lists(st.integers(0, 5), max_size=4))
+    columns = draw(st.integers(0, 4))
+    if draw(st.booleans()) and draw(st.booleans()):
+        col_sums = draw(st.lists(st.integers(0, 5), min_size=columns, max_size=columns))
+    elif columns:
+        picks = draw(st.lists(st.integers(0, columns - 1), min_size=sum(row_sums), max_size=sum(row_sums)))
+        col_sums = [picks.count(s) for s in range(columns)]
+    else:
+        col_sums = []
+    return row_sums, col_sums
+
+
+@settings(max_examples=400, deadline=None)
+@given(margin_pairs(), st.integers(0, 40))
+@example(([], []), 0)
+@example(([0, 0], []), 0)
+@example(([0, 0], []), 1)
+@example(([3], []), 0)
+@example(([], [0, 0]), 0)
+@example(([2, 2], [2, 2]), 2)
+def test_tables_with_margins_matches_the_cell_recursion(margins, max_tables):
+    """The row loop returns the recursion's tables in the same order, and
+    refuses exactly when the recursion finds more than max_tables."""
+    row_sums, col_sums = margins
+    tables = ref_tables_with_margins(row_sums, col_sums, 10**6)
+    if len(tables) > max_tables:
+        with pytest.raises(EnumerationBudgetError, match=f"exceed the budget of {max_tables}$"):
+            exact._tables_with_margins(row_sums, col_sums, max_tables)
+    else:
+        assert exact._tables_with_margins(row_sums, col_sums, max_tables) == tables
 
 
 @settings(max_examples=40, deadline=None)
