@@ -68,9 +68,9 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -412,31 +412,44 @@ def _tables_with_margins(
     """All non-negative integer H x S tables with the given margins,
     flattened row-major, in lexicographic order.
 
-    Every partial table grows one row at a time over the column sums it
-    leaves: each free cell counts up to min(column left, row total), and
-    the last cell takes the rest if it fits.  With equal totals every
-    partial table completes, so no row holds more partial tables than
-    the final count; checking the count before each row and once at the
-    end raises :class:`EnumerationBudgetError` exactly when more than
-    ``max_tables`` tables exist.
+    Partial tables grow one row at a time over the column sums they
+    leave; those that leave the same sums share their next rows, built
+    once, cell by cell, for all such sums together.  In a row each cell
+    but the last counts from what the later cells cannot take up to
+    min(column left, row total left), and the last cell takes the rest.
+    With equal totals every partial table and partial row completes to
+    distinct tables, so each list is cut at ``max_tables + 1``:
+    :class:`EnumerationBudgetError` is raised exactly when more than
+    ``max_tables`` tables exist, before more are built.
     """
     if sum(row_sums) != sum(col_sums):
         return []
-    tables: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), tuple(col_sums))]
+
+    def within_budget(tables):
+        # no list holds more than sys.maxsize items, so a larger budget never binds
+        tables = list(itertools.islice(tables, max(0, min(max_tables + 1, sys.maxsize))))
+        if len(tables) > max_tables:
+            raise EnumerationBudgetError(f"margin-constrained tables exceed the budget of {max_tables}")
+        return tables
+
+    tables = within_budget([((), tuple(col_sums))])
     # with no columns every row total is 0, and the empty table is the one table
     for total in row_sums if col_sums else ():
-        if len(tables) > max_tables:
-            break
-        grown = []
-        for table, left in tables:
-            for head in itertools.product(*(range(min(c, total) + 1) for c in left[:-1])):
-                rest = total - sum(head)
-                if 0 <= rest <= left[-1]:
-                    row = head + (rest,)
-                    grown.append((table + row, tuple(map(operator.sub, left, row))))
-        tables = grown
-    if len(tables) > max_tables:
-        raise EnumerationBudgetError(f"margin-constrained tables exceed the budget of {max_tables}")
+        heads = [(left, ()) for left in {left for _, left in tables}]
+        for s in range(len(col_sums) - 1):
+            heads = within_budget(
+                (left, head + (v,))
+                for left, head in heads
+                for rest in (total - sum(head),)
+                for v in range(max(0, rest - sum(left[s + 1 :])), min(left[s], rest) + 1)
+            )
+        rows_after: dict[tuple[int, ...], list] = {}
+        for left, head in heads:
+            row = head + (total - sum(head),)
+            rows_after.setdefault(left, []).append((row, tuple(map(operator.sub, left, row))))
+        tables = within_budget(
+            (table + row, after) for table, left in tables for row, after in rows_after[left]
+        )
     return [table for table, _ in tables]
 
 
@@ -782,7 +795,9 @@ def enumerate_small_datasets(domain: Domain, max_records: int) -> list[Dataset]:
 @dataclass(frozen=True)
 class UniverseCheck:
     """Summary of one universe across the swept rates: the measured
-    optimum and the budget, read-only and keyed by the float rate."""
+    optimum and the budget, keyed by the float rate.  :func:`dp_sweep`
+    shares one summary, dicts included, across a relabelling orbit, so
+    treat the mappings as read-only."""
 
     b: int
     size: int
@@ -905,7 +920,7 @@ def _check_universe(
         fewest = _min_moves(tables[i], tables[j], cache)
         if fewest != d_ham:
             failures.append(f"connecting minimum {fewest} disagrees with d_Ham {d_ham}")
-    check = UniverseCheck(b, len(members), MappingProxyType(measured_by_p), MappingProxyType(budget_by_p))
+    check = UniverseCheck(b=b, size=len(members), measured=measured_by_p, budget=budget_by_p)
     return check, pair_checks, connecting_checks, failures
 
 
@@ -933,17 +948,12 @@ def dp_sweep(
     fewest records a within-stratum permutation moves between them, read
     off the stratum histograms, equals d_Ham (which no permutation beats).
 
-    Universes are checked once per relabelling orbit.  Relabelling the
-    hold values or the swap values within one stratum, or permuting the
-    strata, maps a universe onto another and each of its tables' laws
-    onto the relabelled tables' laws atom by atom, since the swapper
-    never reads a label and a composite law is the product of its
-    strata's laws.  d_Ham, b, the universe size, the support, the
-    witnessed lower bounds and the fewest records moved are per-stratum
-    sums or maxima of relabelling-invariant quantities.  So the first
-    universe of each orbit (in grouping order) is checked in full, and
-    the later members share its :class:`UniverseCheck`, one object whose
-    mappings are read-only: the same integers give the same floats.
+    Universes are checked once per relabelling orbit, whose members'
+    checks compute the same integers and so the same floats (see the
+    module docstring): the first universe of each orbit (in grouping
+    order) is checked in full, and the later members share its
+    :class:`UniverseCheck`, one object whose dicts are not copied and
+    must not be written into.
     When the first universe of an orbit records a failure, every later
     member is checked in full too, so a failing sweep lists each failure
     where it occurs.

@@ -1,6 +1,10 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -229,6 +233,20 @@ class TestEnumerateUniverse:
         x = make_dataset([(0, h % 4, h % 4) for h in range(12)], (1, 4, 4))
         with pytest.raises(EnumerationBudgetError):
             enumerate_universe(x, max_tables=5)
+
+    def test_guard_stops_the_build(self):
+        """Millions of tables share these margins, and one more cell
+        multiplies the partial tables by up to 201.  The guard refuses
+        after holding at most max_tables + 1 of them at a time."""
+        x = make_dataset([(0, h, s) for h in range(2) for s in range(4) for _ in range(100)], (1, 2, 4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationBudgetError):
+                enumerate_universe(x, max_tables=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestMultDistance:
@@ -812,14 +830,16 @@ def test_universe_report_rejects_rates_that_round_to_an_endpoint():
             universe_report(x, [Fraction(1, 2), rate])
 
 
-def test_sweep_shares_one_read_only_summary_per_checked_universe():
+def test_sweep_shares_one_summary_per_checked_universe():
     """Every member of a passing orbit holds the first member's summary
-    itself, not a copy, and no caller can change it: 406 universes share
-    38 summaries, one per relabelling orbit."""
+    itself, not a copy: 406 universes share 38 summaries, one per
+    relabelling orbit.  The report still pickles, deep-copies and turns
+    into a dict."""
     report = dp_sweep(Domain(2, 2, 2), 4, [Fraction(1, 2)])
     assert report.all_pass and report.universe_count == 406
     shared = {id(u) for u in report.universes}
     assert len(shared) == 38
     assert len({id(u.measured) for u in report.universes}) == len(shared)
-    with pytest.raises(TypeError):
-        report.universes[0].measured[0.5] = 0.0
+    assert pickle.loads(pickle.dumps(report)) == report
+    assert copy.deepcopy(report) == report
+    assert dataclasses.asdict(report)["universes"][0]["measured"] == report.universes[0].measured

@@ -738,6 +738,9 @@ def margin_pairs(draw):
 @example(([3], []), 0)
 @example(([], [0, 0]), 0)
 @example(([2, 2], [2, 2]), 2)
+@example(([2, 2], [2, 2]), -1)
+@example(([2, 2], [2, 2]), 10**40)
+@example(([1, 1, 1, 1], [2, 2]), 5)
 def test_tables_with_margins_matches_the_cell_recursion(margins, max_tables):
     """The row loop returns the recursion's tables in the same order, and
     refuses exactly when the recursion finds more than max_tables."""
