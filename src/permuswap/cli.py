@@ -16,6 +16,7 @@ bad data); 3 verification failure (a checked guarantee did not hold);
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -481,7 +482,13 @@ def _apply_config(args: argparse.Namespace, argv: Sequence[str]) -> None:
         setattr(args, dest, _config_value(actions[dest], key, value))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Sharing it is safe: each ``parse_args`` fills a fresh namespace, and
+    ``_apply_config`` and the seed default write only to that namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="permuswap",
         description="Permutation swapping with exact privacy-loss accounting",

@@ -14,13 +14,24 @@ Randomness is drawn from a named substream per stratum, keyed by
 params) no matter in which order strata are processed and bit-identical
 under parallel execution.  The keys of every caller (the swapper, the
 utility runner and the synthesizer) are listed in the README: each key
-gives exactly the stream ``np.random.default_rng(key)`` gives.  Every
-caller draws through one iterator, ``_substreams``: it wraps seeds to 64
-bits, derives the keys' PCG64 states in vectorized passes of up to
-``_KEYS_PER_PASS`` keys (``_seed_words``, a numpy port of
-``SeedSequence``) as the draws reach them, and sets one generator to
-each state in turn.  The utility runner's replication seeds come from
-``_replication_seeds``, in passes of the same size.
+gives exactly the stream ``np.random.default_rng(key)`` gives.  Seeds
+wrap to 64 bits, and the keys' PCG64 states are derived in vectorized
+passes of up to ``_KEYS_PER_PASS`` keys: ``_seed_words`` is a numpy port
+of ``SeedSequence``, and ``_pcg64_seeded`` the PCG64 seeding on 128-bit
+values held as hi/lo uint64 arrays.  From there a key draws one of two
+ways:
+
+- on a seated generator: ``_substreams`` sets one generator to each
+  key's state in turn (a pass of fewer than ``_SEATED_MIN_KEYS`` keys
+  takes ``default_rng(key)`` instead, which costs less for so few);
+  the synthesizer draws only this way;
+- on the kernel: ``_draw_many`` runs the swapper's selection and
+  derangement for many keys at once in the same hi/lo arrays,
+  reproducing ``Generator.random`` and ``Generator.permutation``
+  (see ``_select_many`` and ``_derange_many``).
+
+The utility runner's replication seeds come from ``_replication_seeds``,
+in passes of ``_KEYS_PER_PASS`` keys.
 
 Derangements are sampled by rejection from uniform permutations of the
 selected set (accept iff no fixed point, expected < e retries), which
@@ -33,14 +44,19 @@ from the columns ``(m, h, s[mapping])``.  No per-record object is built
 and no swapped :class:`Dataset` is materialized; only
 :func:`apply_permutation` builds one, for callers that want it.
 
-The draws themselves are one loop, ``_draw_mapping``, over the stratum
-spans of :func:`~permuswap.dataset.stratum_order`.  :func:`run_psa_details`
-is that loop plus the output table; the utility runner computes the
-spans once per dataset and calls the same loop once per replication,
-so both realize the same permutation for the same seed.
+The draws themselves are one call, ``_draw_mapping``, over the stratum
+spans of :func:`~permuswap.dataset.stratum_order` and a list of run
+seeds.  It sends the strata of at most ``_KERNEL_MAX_RECORDS`` records
+to the kernel when the call holds at least ``_KERNEL_MIN_KEYS`` such
+keys, and every other key to a seated generator.
+:func:`run_psa_details` is that call for one seed plus the output table;
+the utility runner computes the spans once per dataset and makes the
+same call for a block of replications at a time, so both realize the
+same permutation for the same seed.
 """
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,11 +155,12 @@ del _src, _calls
 # generate_state reads the pool cyclically
 _CYCLE = np.arange(_MAX_STATE_WORDS) % _POOL_SIZE
 _HASH_B = _powers(0x8B51F9DD, 0x58F38DED, _MAX_STATE_WORDS + 1)
-# PCG64 seeding (pcg_setseq_128_srandom_r) with the default multiplier
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = 2**128 - 1
 # seed keys derived per pass, which bounds the memory a pass takes
 _KEYS_PER_PASS = 1 << 14
+# A pass of fewer keys than this seeds each with default_rng(key).  One
+# key costs about 30 us that way against about 180 us for a vectorized
+# pass, and the two cross near 10 keys (Python 3.11, numpy 2.4, 2-vCPU VM).
+_SEATED_MIN_KEYS = 8
 
 
 def _hashmix(value: np.ndarray, consts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -193,23 +210,250 @@ def _seed_uint64(keys: np.ndarray) -> np.ndarray:
     return low | high << np.uint64(32)
 
 
-def _pcg64_states(keys: np.ndarray) -> list[dict]:
-    """The ``PCG64.state`` that ``PCG64(key)`` leaves, for every key.
+# PCG64 (numpy/random/src/pcg64) on 128-bit values held as hi/lo uint64
+# arrays, so that many substreams draw at once.  A step is
+# state = state * _PCG_MULT + inc mod 2**128, and an output is the XSL-RR
+# of the new state, rotr64(hi ^ lo, hi >> 58).  Products wrap mod 2**64 by
+# design; the high word of lo * lo' is summed from 32-bit limbs.  Every
+# operand is a uint64 array or numpy scalar, never a Python int or an
+# int64 array, so value-based casting (numpy 1) and NEP 50 (numpy 2) both
+# keep the arithmetic in uint64.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = 2**64 - 1
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
+_LOW32 = np.uint64(_MASK32)
 
-    The 128-bit step runs on Python ints, one key at a time: the state
-    setter takes Python ints, and building them costs more than the
-    arithmetic.
-    """
+
+def _words128(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        np.array([v >> 64 for v in values], dtype=np.uint64),
+        np.array([v & _MASK64 for v in values], dtype=np.uint64),
+    )
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    a0, a1 = a_lo & _LOW32, a_lo >> _U32
+    b0, b1 = b_lo & _LOW32, b_lo >> _U32
+    cross = a1 * b0 + (a0 * b0 >> _U32)
+    mid = a0 * b1 + (cross & _LOW32)
+    carry = a1 * b1 + (cross >> _U32) + (mid >> _U32)
+    return a_hi * b_lo + a_lo * b_hi + carry, a_lo * b_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
+
+
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    word = hi ^ lo
+    turn = hi >> _U58
+    return word >> turn | word << (_U64 - turn & _U63)
+
+
+def _pcg64_seeded(keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """State and increment (hi, lo, inc hi, inc lo) of ``PCG64(key)`` for
+    every key."""
     words = _seed_words(keys, _MAX_STATE_WORDS).astype(np.uint64)
-    # generate_state(4, np.uint64) is seed high, seed low, inc high, inc low
-    states = []
-    for seed_hi, seed_lo, inc_hi, inc_lo in (words[0::2] | words[1::2] << np.uint64(32)).T.tolist():
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        state = (((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc) & _MASK128
-        states.append(
-            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    # generate_state(4, np.uint64) is seed high, seed low, seq high, seq low;
+    # pcg_setseq_128_srandom_r sets inc = seq << 1 | 1 and steps from seed + inc
+    seed_hi, seed_lo, seq_hi, seq_lo = words[0::2] | words[1::2] << _U32
+    inc_hi, inc_lo = seq_hi << _U1 | seq_lo >> _U63, seq_lo << _U1 | _U1
+    return (*_jump((*_add128(seed_hi, seed_lo, inc_hi, inc_lo), inc_hi, inc_lo), 1), inc_hi, inc_lo)
+
+
+def _pcg64_dicts(*words: np.ndarray) -> list[dict]:
+    """``PCG64.state`` dicts, no half buffered, from (hi, lo, inc hi, inc lo)."""
+    return [
+        {"bit_generator": "PCG64", "state": {"state": h << 64 | l, "inc": ih << 64 | il}, "has_uint32": 0, "uinteger": 0}
+        for h, l, ih, il in zip(*(w.tolist() for w in words))
+    ]
+
+
+def _pcg64_states(keys: np.ndarray) -> list[dict]:
+    """The ``PCG64.state`` that ``PCG64(key)`` leaves, for every key."""
+    return _pcg64_dicts(*_pcg64_seeded(keys))
+
+
+# The swapper's draws for many keys at once (see _draw_mapping).  Both
+# bounds come from timing _draw_mapping on the kernel and on the seated
+# generator (Python 3.11, numpy 2.4, 2-vCPU VM), for strata of 2-50
+# records at p = 0.05, 0.3, 0.5 and 0.9 with 8-512 keys.  Kernel time
+# over loop time: at 64 keys 0.52-0.76 for 2 records, 0.69-0.99 for 8 and
+# 0.81-1.06 for 16; at 128 keys at most 0.95 up to 16 records; for 24-50
+# records up to 1.13 at 64 keys and 1.22 at 512.  At 32 keys it ranges up
+# to 1.6.
+_KERNEL_MAX_RECORDS = 16
+_KERNEL_MIN_KEYS = 64
+# 64-bit outputs _derange_many draws per key at a time; finished keys
+# drop out between refills
+_OUTPUTS_PER_REFILL = 8
+# _derange_many hands its keys to a seated generator once fewer than this
+# many times the widest derangement's size are left.  Timed on strata of
+# 2-32 records at p = 0.5 and 0.9 with 32-256 keys, 4 and 8 ran fastest;
+# 0.5 and 1 ran up to 1.8 times slower.
+_HANDOFF = 4
+_MASK128 = 2**128 - 1
+
+
+def _jump_table(count: int) -> tuple[np.ndarray, ...]:
+    """For j <= count: j steps from a state s leave MULT**j * s +
+    (1 + MULT + ... + MULT**(j-1)) * inc, as (mult hi, mult lo, add hi,
+    add lo)."""
+    mult, add = [1], [0]
+    for _ in range(count):
+        mult.append(mult[-1] * _PCG_MULT & _MASK128)
+        add.append((add[-1] * _PCG_MULT + 1) & _MASK128)
+    return (*_words128(mult), *_words128(add))
+
+
+_JUMPS = _jump_table(max(_KERNEL_MAX_RECORDS, _OUTPUTS_PER_REFILL))
+# random_interval(i) keeps a 32-bit draw u when u & mask <= i, mask being
+# the smallest all-ones mask >= i
+_INTERVAL_MASKS = np.array([(1 << i.bit_length()) - 1 for i in range(_KERNEL_MAX_RECORDS)], dtype=np.int64)
+
+
+def _jump(state: tuple[np.ndarray, ...], ahead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The state ``ahead`` steps on from ``state`` (hi, lo, inc hi, inc lo);
+    the arrays broadcast."""
+    hi, lo, inc_hi, inc_lo = state
+    mult_hi, mult_lo, add_hi, add_lo = (table[ahead] for table in _JUMPS)
+    return _add128(*_mul128(hi, lo, mult_hi, mult_lo), *_mul128(inc_hi, inc_lo, add_hi, add_lo))
+
+
+def _select_many(state: tuple[np.ndarray, ...], sizes: np.ndarray, p: float):
+    """``_select`` for every key: ``Generator.random(n) < p`` is
+    ``(next64 >> 11) * 2**-53 < p`` on n consecutive outputs, redrawn
+    while exactly one is a hit.
+
+    ``state`` is (hi, lo, inc hi, inc lo) per key and ``sizes`` the
+    stratum sizes (each >= 2).  Each round jumps every live key to all n
+    of its outputs at once.  Returns the hits' keys and positions, sorted
+    by key and then position, the hits and the redraws per key, and the
+    states after the accepted round.
+    """
+    hi, lo, inc_hi, inc_lo = state
+    # (u >> 11) * 2**-53 < p exactly when u >> 11 < ceil(p * 2**53)
+    threshold = np.uint64(math.ceil(p * 2.0**53))
+    live = np.arange(len(sizes))
+    found = np.zeros(len(sizes), dtype=np.intp)
+    redraws = np.zeros(len(sizes), dtype=np.intp)
+    end_hi, end_lo = np.empty_like(hi), np.empty_like(lo)
+    hit_keys, hit_positions = [], []
+    while len(live):
+        n = sizes[live]
+        ends = np.cumsum(n)
+        row = np.repeat(np.arange(len(live)), n)
+        position = np.arange(ends[-1]) - (ends - n)[row]
+        out_hi, out_lo = _jump((hi[row], lo[row], inc_hi[row], inc_lo[row]), position + 1)
+        hit = _xsl_rr(out_hi, out_lo) >> _U11 < threshold
+        hits = np.bincount(row[hit], minlength=len(live))
+        hi, lo = out_hi[ends - 1], out_lo[ends - 1]
+        accept = hits != 1
+        keys = live[accept]
+        found[keys] = hits[accept]
+        end_hi[keys], end_lo[keys] = hi[accept], lo[accept]
+        taken = hit & accept[row]
+        hit_keys.append(live[row[taken]])
+        hit_positions.append(position[taken])
+        retry = ~accept
+        live, hi, lo, inc_hi, inc_lo = live[retry], hi[retry], lo[retry], inc_hi[retry], inc_lo[retry]
+        redraws[live] += 1
+    hit_keys = np.concatenate(hit_keys)
+    order = np.argsort(hit_keys, kind="stable")
+    return hit_keys[order], np.concatenate(hit_positions)[order], found, redraws, (end_hi, end_lo)
+
+
+def _derange_many(state: tuple[np.ndarray, ...], sizes: np.ndarray) -> np.ndarray:
+    """``_derange`` for every key, in lockstep: each unfinished key takes
+    one 32-bit draw per iteration.
+
+    ``Generator.permutation(k)`` shuffles ``arange(k)`` by Fisher-Yates
+    from i = k - 1 down to 1, swapping i with ``random_interval(i)``.
+    A 32-bit draw is the low half of a fresh 64-bit output, then its
+    buffered high half; the buffer carries over into a redrawn shuffle.
+    Every key starts with an empty buffer, as the selection draws 64-bit
+    outputs only, so all keys take the same half at each iteration, and
+    the draws come ``_OUTPUTS_PER_REFILL`` outputs at a time.  Finished
+    keys drop out when the draws are refilled.  ``sizes`` are each >= 2.
+    Returns one row per key whose first ``size`` entries are its
+    derangement.
+    """
+    hi, lo, inc_hi, inc_lo = state
+    cols = np.arange(sizes.max())
+    fresh = np.where(cols < sizes[:, None], cols, -1)
+    out = np.empty_like(fresh)
+    perm = fresh.copy()
+    key = np.arange(len(sizes))
+    top = sizes - 1  # the position a row's shuffle fills next; -1 once finished
+    # a position is final once filled, so a fixed point shows when it is
+    fixed = np.zeros(len(sizes), dtype=bool)
+    ahead = np.arange(1, _OUTPUTS_PER_REFILL + 1)
+    remaining = len(sizes)
+    while True:
+        keep = top >= 0
+        key, hi, lo, inc_hi, inc_lo, fresh, perm, top, fixed = (
+            a[keep] for a in (key, hi, lo, inc_hi, inc_lo, fresh, perm, top, fixed)
         )
-    return states
+        if len(key) < _HANDOFF * len(cols):
+            # Too few keys left to pay for a lockstep pass.  No half is
+            # buffered here, and shuffling the unfilled prefix of a row is
+            # the rest of its shuffle; each key finishes on a seated generator.
+            rng = np.random.Generator(np.random.PCG64(0))
+            for k, row, last, state in zip(key.tolist(), perm, top.tolist(), _pcg64_dicts(hi, lo, inc_hi, inc_lo)):
+                rng.bit_generator.state = state
+                rng.shuffle(row[: last + 1])
+                if (row == cols).any():
+                    row[: sizes[k]] = _derange(sizes[k], rng)
+                out[k] = row
+            return out
+        words_hi, words_lo = _jump((hi[:, None], lo[:, None], inc_hi[:, None], inc_lo[:, None]), ahead)
+        hi, lo = words_hi[:, -1], words_lo[:, -1]
+        words = _xsl_rr(words_hi, words_lo)
+        draws = np.stack((words & _LOW32, words >> _U32), axis=-1).reshape(len(key), -1).astype(np.int64)
+        for value in draws.T:
+            pick = value & _INTERVAL_MASKS[top]
+            rows = np.flatnonzero(pick <= top)
+            at, to = top[rows], pick[rows]
+            moved = perm[rows, to]
+            perm[rows, to] = perm[rows, at]
+            perm[rows, at] = moved
+            fixed[rows] |= moved == at
+            top[rows] = at - 1
+            done = rows[at == 1]
+            if not len(done):
+                continue
+            again = fixed[done] | (perm[done, 0] == 0)
+            again, finished = done[again], done[~again]
+            perm[again] = fresh[again]
+            fixed[again] = False
+            top[again] = sizes[key[again]] - 1
+            out[key[finished]] = perm[finished]
+            top[finished] = -1
+            remaining -= len(finished)
+            if not remaining:
+                return out
+
+
+def _draw_many(keys: np.ndarray, sizes: np.ndarray, p: float):
+    """The swapper's draws for many keys, bit-identical to ``_select`` and
+    then ``_derange`` on ``np.random.default_rng(key)`` for each key.
+
+    Returns the hits' keys and positions (sorted by key, then position),
+    for each hit the index of the hit whose swap value it takes, and the
+    hits and the selection redraws per key.
+    """
+    state = _pcg64_seeded(keys)
+    hit_key, hit_position, found, redraws, end = _select_many(state, sizes, p)
+    source = np.arange(len(hit_key))
+    deranged = np.flatnonzero(found)
+    if len(deranged):
+        perms = _derange_many((*(a[deranged] for a in end), *(a[deranged] for a in state[2:])), found[deranged])
+        row = np.empty(len(found), dtype=np.intp)
+        row[deranged] = np.arange(len(deranged))
+        first = (np.cumsum(found) - found)[hit_key]
+        source = first + perms[row[hit_key], source - first]
+    return hit_key, hit_position, source, found, redraws
 
 
 def _substreams(seeds: Iterable[int], strata: Sequence[int]) -> Iterator[np.random.Generator]:
@@ -217,19 +461,27 @@ def _substreams(seeds: Iterable[int], strata: Sequence[int]) -> Iterator[np.rand
     stratum index ``m`` in ``strata``.
 
     Every item is the same PCG64 generator, set to the substream's state
-    as it is yielded.  Seeds wrap to 64 bits; the first is checked on the
-    call.  Seeds are taken and states derived as the items are used, in
-    passes of at most ``_KEYS_PER_PASS`` keys.
+    as it is yielded; a pass of fewer than ``_SEATED_MIN_KEYS`` keys
+    yields ``default_rng(key)`` for each instead.  Seeds wrap to 64 bits;
+    the first is checked on the call.  Seeds are taken and states derived
+    as the items are used, in passes of at most ``_KEYS_PER_PASS`` keys.
     """
     seeds = iter(seeds)
     seeds = itertools.chain([_normalized_seed(seed) for seed in itertools.islice(seeds, 1)], seeds)
     strata = np.asarray(strata, dtype=np.uint64)
     per_pass = max(1, _KEYS_PER_PASS // max(len(strata), 1))
-    # never drawn from before a state is set
-    rng = np.random.Generator(np.random.PCG64(0))
 
     def seated() -> Iterator[np.random.Generator]:
+        rng = None
         while block := [_normalized_seed(seed) for seed in itertools.islice(seeds, per_pass)]:
+            if len(block) * len(strata) < _SEATED_MIN_KEYS:
+                for seed in block:
+                    for m in strata.tolist():
+                        yield np.random.default_rng([seed, m])
+                continue
+            if rng is None:
+                # never drawn from before a state is set
+                rng = np.random.Generator(np.random.PCG64(0))
             block = np.array(block, dtype=np.uint64)
             keys = np.column_stack((block.repeat(len(strata)), np.tile(strata, len(block))))
             for lo in range(0, len(keys), _KEYS_PER_PASS):
@@ -400,28 +652,56 @@ def _draw_mapping(
     spans: tuple[np.ndarray, Sequence[int]],
     strata: Sequence[int],
     p: float,
-    streams: Iterator[np.random.Generator],
-) -> tuple[np.ndarray, int, int]:
-    """The swapper's draws over the stratum spans of ``stratum_order``.
+    seeds: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The swapper's draws over the stratum spans of ``stratum_order``,
+    once for each of ``seeds``.
 
-    ``strata`` is ``_active_strata(bounds)``, and ``streams`` yields each
-    stratum's substream in turn (see ``_substreams``); it may run on into
-    later calls.  Returns the position mapping (position i takes the swap
-    value of position ``mapping[i]``), the records selected and the
-    selection redraws.  ``p`` must already be validated.
+    ``strata`` is ``_active_strata(bounds)``; stratum m of run r draws
+    from substream ``(seeds[r], m)``.  When the call has at least
+    ``_KERNEL_MIN_KEYS`` keys of strata of at most ``_KERNEL_MAX_RECORDS``
+    records, those keys draw through ``_draw_many``, in passes of at most
+    ``_KEYS_PER_PASS`` keys; every other key draws on a seated generator
+    from ``_substreams``.  Returns one position mapping per run (position
+    i takes the swap value of position ``mapping[i]``), and the records
+    selected and the selection redraws per run.  ``p`` must already be
+    validated.
     """
     order, bounds = spans
-    mapping = np.arange(len(order))
-    selected = retries = 0
-    # zip takes the stratum first, so it takes no stream past the last one
-    for m, rng in zip(strata, streams):
-        lo, hi = bounds[m], bounds[m + 1]
-        hits, redraws = _select(hi - lo, p, rng)
-        selected += len(hits)
-        retries += redraws
-        chosen = order[lo:hi][hits]
-        mapping[chosen] = chosen[_derange(len(hits), rng)]
-    return mapping, selected, retries
+    seeds = [_normalized_seed(seed) for seed in seeds]
+    mappings = np.broadcast_to(np.arange(len(order)), (len(seeds), len(order))).copy()
+    selected, retries = [0] * len(seeds), [0] * len(seeds)
+    batched = [m for m in strata if bounds[m + 1] - bounds[m] <= _KERNEL_MAX_RECORDS]
+    if len(seeds) * len(batched) < _KERNEL_MIN_KEYS:
+        batched = []
+    looped = [m for m in strata if bounds[m + 1] - bounds[m] > _KERNEL_MAX_RECORDS] if batched else strata
+    streams = _substreams(seeds, looped)
+    for r, mapping in enumerate(mappings) if looped else ():
+        # zip takes the stratum first, so it takes no stream past the run's last
+        for m, rng in zip(looped, streams):
+            lo, hi = bounds[m], bounds[m + 1]
+            hits, redraws = _select(hi - lo, p, rng)
+            selected[r] += len(hits)
+            retries[r] += redraws
+            chosen = order[lo:hi][hits]
+            mapping[chosen] = chosen[_derange(len(hits), rng)]
+    selected, retries = np.array(selected, dtype=np.intp), np.array(retries, dtype=np.intp)
+    if not batched:
+        return mappings, selected, retries
+    starts = np.array([bounds[m] for m in batched])
+    sizes = np.array([bounds[m + 1] - bounds[m] for m in batched])
+    seeds, batched = np.array(seeds, dtype=np.uint64), np.array(batched, dtype=np.uint64)
+    count = len(seeds) * len(batched)
+    for first in range(0, count, _KEYS_PER_PASS):
+        run, column = np.divmod(np.arange(first, min(first + _KEYS_PER_PASS, count)), len(batched))
+        keys = np.column_stack((seeds[run], batched[column]))
+        hit_key, hit_position, source, found, redraws = _draw_many(keys, sizes[column], p)
+        hit_run = run[hit_key]
+        chosen = order[starts[column[hit_key]] + hit_position]
+        mappings[hit_run, chosen] = chosen[source]
+        selected += np.bincount(hit_run, minlength=len(seeds))
+        retries += np.bincount(run, weights=redraws, minlength=len(seeds)).astype(np.intp)
+    return mappings, selected, retries
 
 
 def run_psa_details(x: Dataset, params: PsaParams) -> SwapRun:
@@ -429,8 +709,8 @@ def run_psa_details(x: Dataset, params: PsaParams) -> SwapRun:
     n = len(x)
     m, h, s = x.codes.T
     spans = stratum_order(x)
-    strata = _active_strata(spans[1])
-    mapping, selected, retries = _draw_mapping(spans, strata, params.p, _substreams([params.seed], strata))
+    mappings, selected, retries = _draw_mapping(spans, _active_strata(spans[1]), params.p, [params.seed])
+    mapping, selected, retries = mappings[0], int(selected[0]), int(retries[0])
     swapped = s[mapping]
     changed = int(np.count_nonzero(swapped != s))
     return SwapRun(

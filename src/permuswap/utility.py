@@ -14,20 +14,22 @@ draws from the key (replication seed, m), so rates are decoupled,
 replications are independent, and the whole report is a deterministic
 function of its inputs.  Each key gives the stream
 ``np.random.default_rng(key)`` gives (see the README).  A rate's
-replication seeds and their substreams come from the swapper's
-seeding, ``_replication_seeds`` and ``_substreams``, derived pass by
-pass as the replications reach them.
+replication seeds come from the swapper's ``_replication_seeds``.
 
 What depends only on the dataset is computed once per experiment: the
 stratum spans, the true ``n_.hs`` counts and their positive cells, and
-each rate's validation.  A replication then runs only the swapper's
-draw loop (the one :func:`~permuswap.swapping.run_psa_details` runs),
-checks the drawn mapping is a bijection, counts the swapped ``n_.hs``
-with one ``bincount`` and averages the error with the kernel that
-:func:`mape` uses, so its value equals
+each rate's validation.  The replications then run in blocks of at
+most ``_KEYS_PER_PASS`` keys and ``_POSITIONS_PER_BLOCK`` mapped
+positions.  A block makes one call to the swapper's draws (the call
+:func:`~permuswap.swapping.run_psa_details` makes, so small strata
+draw on the batched kernel once the block holds enough keys), checks
+that every drawn mapping is a bijection, counts the swapped ``n_.hs``
+of all its replications with one ``bincount`` and averages each row's
+error with the kernel that :func:`mape` uses, so each value equals
 ``mape(tabulate(x), run_psa(x, PsaParams(rate, replication seed)))``.
 """
 
+import itertools
 import json
 import statistics
 from dataclasses import asdict, dataclass
@@ -37,7 +39,12 @@ import numpy as np
 
 from .budget import _validate_rate
 from .dataset import ContingencyTable, Dataset, DomainMismatchError, stratum_order, tabulate
-from .swapping import Permutation, _active_strata, _draw_mapping, _replication_seeds, _substreams
+from . import swapping
+from .swapping import _active_strata, _draw_mapping, _replication_seeds
+
+# replications drawn per block: at most _KEYS_PER_PASS keys, and at most
+# this many mapped positions
+_POSITIONS_PER_BLOCK = 1 << 20
 
 __all__ = [
     "FiveNumberSummary",
@@ -63,9 +70,15 @@ def _positive_cells(true_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return true_counts[mask], mask
 
 
-def _mape(true_positive: np.ndarray, mask: np.ndarray, swapped_counts: np.ndarray) -> float:
-    errors = np.abs(true_positive - swapped_counts[mask]) / true_positive
-    return float(errors.mean())
+def _mape(true_positive: np.ndarray, mask: np.ndarray, swapped_counts: np.ndarray) -> np.ndarray:
+    """The error of each row of swapped counts (the last axis is the cells).
+
+    ``compress`` keeps the rows C-ordered, so each row's mean sums
+    pairwise as a 1-D mean does, bit for bit (a boolean index on the last
+    axis leaves them F-ordered, and the mean then sums each row in turn).
+    """
+    errors = np.abs(true_positive - swapped_counts.compress(mask, axis=-1)) / true_positive
+    return errors.mean(axis=-1)
 
 
 def mape(true_table: ContingencyTable, swapped_table: ContingencyTable) -> float:
@@ -77,8 +90,8 @@ def mape(true_table: ContingencyTable, swapped_table: ContingencyTable) -> float
     """
     if true_table.domain != swapped_table.domain:
         raise DomainMismatchError("tables live over different domains")
-    true_positive, mask = _positive_cells(true_table.counts.sum(axis=0))
-    return _mape(true_positive, mask, swapped_table.counts.sum(axis=0))
+    true_positive, mask = _positive_cells(true_table.counts.sum(axis=0).ravel())
+    return float(_mape(true_positive, mask, swapped_table.counts.sum(axis=0).ravel()))
 
 
 @dataclass(frozen=True)
@@ -134,15 +147,20 @@ def utility_experiment(
     hs_cell = h * x.domain.swap
     true_counts = tabulate(x).counts.sum(axis=0).ravel()
     true_positive, mask = _positive_cells(true_counts)
+    cells = len(true_counts)
+    per_block = max(1, min(swapping._KEYS_PER_PASS // max(len(strata), 1), _POSITIONS_PER_BLOCK // max(len(x), 1)))
     reports = []
     for rate_index, p in enumerate(checked):
-        streams = _substreams(_replication_seeds(seed, rate_index, reps), strata)
+        seeds = _replication_seeds(seed, rate_index, reps)
         values = []
-        for _ in range(reps):
-            mapping, _, _ = _draw_mapping(spans, strata, p, streams)
-            Permutation(mapping.tolist())  # the bijection check run_psa_details makes
-            swapped = np.bincount(hs_cell + s[mapping], minlength=len(true_counts))
-            values.append(_mape(true_positive, mask, swapped))
+        while block := list(itertools.islice(seeds, per_block)):
+            mappings, _, _ = _draw_mapping(spans, strata, p, block)
+            # the bijection check run_psa_details makes through Permutation
+            if not (np.sort(mappings, axis=1) == np.arange(len(x))).all():
+                raise ValueError("mapping is not a bijection on record positions")
+            offsets = cells * np.arange(len(block))[:, None]
+            swapped = np.bincount((offsets + hs_cell + s[mappings]).ravel(), minlength=cells * len(block))
+            values += _mape(true_positive, mask, swapped.reshape(len(block), cells)).tolist()
         reports.append(
             UtilityReport(
                 rate=p,

@@ -6,7 +6,7 @@ import pytest
 
 from permuswap import load_dataset, load_roles, max_stratum_b, psa_budget, tabulate
 from permuswap.budget import _data_path
-from permuswap.cli import main
+from permuswap.cli import _build_parser, main
 
 from conftest import FIXTURES, bom_crlf_copy
 
@@ -620,6 +620,24 @@ class TestEnvironmentSeed:
         run_cli(["synth", "--strata", "4", "--out", c])
         assert a.read_bytes() == c.read_bytes()
         assert a.read_bytes() != b.read_bytes()
+
+    def test_shared_parser_keeps_no_state_between_calls(self, tmp_path, monkeypatch):
+        """One parser serves every call in a process: a config default
+        from one call must not reach the next, and the seed variable is
+        read on each call."""
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({"seed": 3, "strata": "5,2"}), encoding="utf-8")
+        out = {name: tmp_path / f"{name}.csv" for name in "abcd"}
+        monkeypatch.setenv("PERMUSWAP_SEED", "8")
+        assert run_cli(["synth", "--config", config, "--out", out["a"]]) == 0
+        assert run_cli(["synth", "--strata", "5,2", "--out", out["b"]]) == 0
+        monkeypatch.setenv("PERMUSWAP_SEED", "3")
+        assert run_cli(["synth", "--strata", "5,2", "--out", out["c"]]) == 0
+        assert run_cli(["synth", "--strata", "5,2", "--seed", "8", "--out", out["d"]]) == 0
+        data = {name: path.read_bytes() for name, path in out.items()}
+        assert data["a"] == data["c"] != data["b"] == data["d"]
+        assert run_cli(["synth", "--out", tmp_path / "e.csv"]) == 2
+        assert _build_parser() is _build_parser()
 
     def test_bad_env_var_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PERMUSWAP_SEED", "not-a-number")

@@ -7,7 +7,9 @@ the stratum order or a table cell fails here.
 
 The CLI's reports (budget, curve, verify, tda-report, utility and the
 synth roles file) are pinned the same way, so a rewrite of the code
-that formats them must reproduce every byte.
+that formats them must reproduce every byte.  One run draws enough
+substreams that the swapper's batched kernel and its seated generator
+both take part.
 
 The exhaustive sweep is pinned the same way: its counts and failures
 as values, and every universe's b, size, measured optimum and budget
@@ -119,6 +121,34 @@ def _cli_outputs(work):
     for argv in steps:
         assert cli_main([str(a) for a in argv]) == 0
     return {name: (work / name).read_bytes() for name in CLI_DIGESTS}
+
+
+# A run with many substream keys: 500 replications at three rates, so
+# the strata of up to _KERNEL_MAX_RECORDS records draw on the batched
+# kernel and the larger ones on the seated generator.  The CI workflow
+# checks the same files with sha256sum.
+MANY_KEY_DIGESTS = {
+    "data.csv": "e470e05796df7f903d6471ca0e11b2ce6960c5b2a3ee4b6affa1ec0b6cd14a0a",
+    "u.json": "8c98675817cfa2d502de10c9236f24b53432997788934bae25f257ddde64cf05",
+    "t.csv": "cc1cacd8fe5e7d899912bcd6c89c008673cb25eccb4bb6727d9765077c208b89",
+    "s.json": "b383e8133b4e9f87d881aa6c55951797864033cbc44225a4a88dbd05711c331a",
+}
+
+
+def _many_key_outputs(work):
+    """Run synth, utility and swap as the CI workflow does; return the files' bytes."""
+    data, roles = work / "data.csv", work / "roles.json"
+    steps = [
+        ["synth", "--strata", "2,3,5,8,40,200", "--constant", "5", "--hold-levels", "2",
+         "--swap-levels", "3", "--seed", "11", "--out", data, "--roles-out", roles],
+        ["utility", "--input", data, "--roles", roles, "--rates", "0.05,1/3,0.9",
+         "--reps", "500", "--seed", "7", "--format", "json", "--out", work / "u.json"],
+        ["swap", "--input", data, "--roles", roles, "--p", "1/3", "--seed", "7",
+         "--out", work / "t.csv", "--sidecar", work / "s.json"],
+    ]
+    for argv in steps:
+        assert cli_main([str(a) for a in argv]) == 0
+    return {name: (work / name).read_bytes() for name in MANY_KEY_DIGESTS}
 
 
 # CLI report -> sha256 of its stdout (for synth, of the --roles-out file);
@@ -238,6 +268,11 @@ def test_cli_outputs_pinned(tmp_path):
     assert {name: _sha(data) for name, data in outputs.items()} == CLI_DIGESTS
 
 
+def test_many_key_run_pinned(tmp_path):
+    outputs = _many_key_outputs(tmp_path)
+    assert {name: _sha(data) for name, data in outputs.items()} == MANY_KEY_DIGESTS
+
+
 @pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
 def test_cli_reports_pinned(tmp_path, command):
     assert _sha(_report_bytes(command, tmp_path)) == REPORT_DIGESTS[command]
@@ -257,6 +292,8 @@ if __name__ == "__main__":
         print(f"    {case!r}: {_run_digests(xs[case[0]], case[1], case[2])!r},")
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in _cli_outputs(Path(tmp)).items():
+            print(f"    {name!r}: {_sha(data)!r},")
+        for name, data in _many_key_outputs(Path(tmp)).items():
             print(f"    {name!r}: {_sha(data)!r},")
         for command in REPORT_DIGESTS:
             print(f"    {command!r}: {_sha(_report_bytes(command, Path(tmp)))!r},")

@@ -10,6 +10,7 @@ on random small datasets that include zero-size axes.
 import dataclasses
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ from permuswap import (
     write_dataset_csv,
 )
 from permuswap.budget import derangement_count
-from permuswap import exact
+from permuswap import exact, swapping, utility
 from permuswap.dataset import invariant_stratum_bound, stratum_indices
 from permuswap.exact import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -833,14 +834,15 @@ def test_run_table_is_the_permuted_dataset_table(x, p, seed):
 
 
 @st.composite
-def stratified_datasets(draw):
-    """Up to 4 strata of 0-5 records each, every one either constant
-    (one repeated cell) or mixed (cells drawn freely)."""
-    domain = Domain(draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+def stratified_datasets(draw, max_strata=4, sizes=st.integers(0, 5)):
+    """Up to ``max_strata`` strata (4 by default) of ``sizes`` records
+    (0-5 by default) each, every one either constant (one repeated cell)
+    or mixed (cells drawn freely)."""
+    domain = Domain(draw(st.integers(1, max_strata)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     cell = st.tuples(st.integers(0, domain.hold - 1), st.integers(0, domain.swap - 1))
     records = []
     for m in range(domain.match):
-        size = draw(st.integers(0, 5))
+        size = draw(sizes)
         if draw(st.booleans()):
             cells = [draw(cell)] * size
         else:
@@ -875,6 +877,52 @@ def test_swapper_draws_match_documented_substreams(x, p, seed):
     assert run.permutation.mapping == ref_draw_mapping(x, p, seed)
 
 
+# stratum sizes on both sides of the kernel's size limit
+KERNEL_SIZES = st.one_of(
+    st.integers(0, 3), st.integers(swapping._KERNEL_MAX_RECORDS - 1, swapping._KERNEL_MAX_RECORDS + 2)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stratified_datasets(6, KERNEL_SIZES), RATES, SEEDS, st.integers(1, 6))
+def test_swapper_draws_on_both_paths_match_documented_substreams(x, p, seed, min_keys):
+    """With the kernel's key threshold lowered to 1-6, a single run's
+    strata of at most ``_KERNEL_MAX_RECORDS`` records draw on the kernel
+    or, below the threshold, on the seated generator, and larger strata
+    always on the seated generator."""
+    with mock.patch.object(swapping, "_KERNEL_MIN_KEYS", min_keys):
+        run = run_psa_details(x, PsaParams(p, seed))
+    assert run.permutation.mapping == ref_draw_mapping(x, p, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    stratified_datasets(4, KERNEL_SIZES),
+    st.lists(RATES, min_size=1, max_size=2),
+    st.integers(1, 2 * swapping._KERNEL_MIN_KEYS),
+    SEEDS,
+)
+@example(
+    # eight positive cells, whose row means a column-ordered block sums
+    # in another order than mape's 1-D mean (0.6666666666666666 against
+    # 0.6666666666666667 in the second replication)
+    x=Dataset([(1, 0, 0), (2, 0, 0)] + [(3, 0, 0)] * 6 + [(3, 0, 1)] * 3 + [(3, 0, 2), (3, 1, 0), (3, 1, 1), (3, 1, 2), (3, 2, 0), (3, 2, 1)], Domain(4, 3, 3)),
+    rates=[1.0],
+    reps=2,
+    seed=-1,
+)
+def test_utility_experiment_on_both_paths_matches_per_run_loop(x, rates, reps, seed):
+    """Replication counts whose keys straddle ``_KERNEL_MIN_KEYS``, on
+    strata that straddle ``_KERNEL_MAX_RECORDS``."""
+    def result(fn):
+        try:
+            return fn(x, rates, reps, seed)
+        except ValueError as exc:
+            return ("ValueError", str(exc))
+
+    assert result(utility_experiment) == result(ref_utility_experiment)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.builds(StratumSpec, st.integers(0, 6), st.booleans()), max_size=5),
@@ -893,15 +941,22 @@ def test_synthesize_draws_match_documented_substreams(specs, hold_levels, swap_l
 
 def test_substreams_derived_in_several_passes(monkeypatch):
     """States derived a few keys per pass, with passes that split one
-    seed's strata and one replication block's seeds, give the same draws."""
-    from permuswap import swapping
-
-    monkeypatch.setattr(swapping, "_KEYS_PER_PASS", 3)
+    seed's strata and one replication block's seeds, give the same draws,
+    on the kernel (a key threshold of 1) and on the seated generator.
+    The utility runner's blocks, bounded by keys or by positions, split
+    its replications."""
     specs = [StratumSpec(n % 5, mixed=n % 3 > 0) for n in range(11)]
-    assert (synthesize(specs, 2, 3, 9).codes.tolist(), (11, 2, 3)) == ref_synthesize(specs, 2, 3, 9)
     x = synthesize(specs, 2, 3, 4)
-    assert run_psa_details(x, PsaParams(0.6, 5)).permutation.mapping == ref_draw_mapping(x, 0.6, 5)
-    assert utility_experiment(x, [0.3, 0.9], 7, 8) == ref_utility_experiment(x, [0.3, 0.9], 7, 8)
+    for min_keys in (1, 10**9):
+        monkeypatch.setattr(swapping, "_KERNEL_MIN_KEYS", min_keys)
+        monkeypatch.setattr(swapping, "_KEYS_PER_PASS", 3)
+        monkeypatch.setattr(utility, "_POSITIONS_PER_BLOCK", 1 << 20)
+        assert (synthesize(specs, 2, 3, 9).codes.tolist(), (11, 2, 3)) == ref_synthesize(specs, 2, 3, 9)
+        assert run_psa_details(x, PsaParams(0.6, 5)).permutation.mapping == ref_draw_mapping(x, 0.6, 5)
+        assert utility_experiment(x, [0.3, 0.9], 7, 8) == ref_utility_experiment(x, [0.3, 0.9], 7, 8)
+        monkeypatch.setattr(swapping, "_KEYS_PER_PASS", 1 << 14)
+        monkeypatch.setattr(utility, "_POSITIONS_PER_BLOCK", 2 * len(x))
+        assert utility_experiment(x, [0.3, 0.9], 7, 8) == ref_utility_experiment(x, [0.3, 0.9], 7, 8)
 
 
 @st.composite

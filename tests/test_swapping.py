@@ -27,12 +27,16 @@ from permuswap import (
 )
 from permuswap.budget import derangement_count
 from permuswap.dataset import stratum_order, tabulate_columns
+from permuswap import swapping
 from permuswap.swapping import (
     _active_strata,
+    _derange,
+    _draw_many,
     _draw_mapping,
     _pcg64_states,
     _seed_uint64,
     _seed_words,
+    _select,
     _substreams,
 )
 from permuswap.synth import StratumSpec, synthesize
@@ -328,6 +332,76 @@ class TestSeedKernel:
             _substreams([seed], [])
 
 
+class RecordingGenerator:
+    """``np.random.default_rng(key)`` for ``_select`` and ``_derange``,
+    noting before each shuffle whether half a 64-bit output is buffered."""
+
+    def __init__(self, key):
+        self.rng = np.random.default_rng(key)
+        self.buffered = []
+
+    def random(self, n):
+        return self.rng.random(n)
+
+    def permutation(self, k):
+        self.buffered.append(bool(self.rng.bit_generator.state["has_uint32"]))
+        return self.rng.permutation(k)
+
+
+def reference_draws(key, n, p):
+    """Hits, derangement and redraws of ``_select`` then ``_derange`` on
+    ``default_rng(key)``, and the buffered flag of each shuffle drawn."""
+    rng = RecordingGenerator(key)
+    hits, retries = _select(n, p, rng)
+    return (hits.tolist(), _derange(len(hits), rng).tolist(), retries), rng.buffered
+
+
+def kernel_draws(keys, sizes, p):
+    """``_draw_many`` per key: hit positions, the derangement of the hits
+    and the selection redraws."""
+    hit_key, hit_position, source, found, redraws = _draw_many(np.array(keys, dtype=np.uint64), np.array(sizes), p)
+    draws = []
+    for k in range(len(keys)):
+        at = np.flatnonzero(hit_key == k)
+        assert found[k] == len(at)
+        draws.append((hit_position[at].tolist(), (source[at] - at[:1].sum()).tolist(), int(redraws[k])))
+    return draws
+
+
+# seeds of one and of two 32-bit words; stratum indices as the swapper uses them
+KERNEL_KEYS = [[seed, m] for seed in (0, 5, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1) for m in range(50)]
+MIXED_SIZES = [2 + i % (swapping._KERNEL_MAX_RECORDS - 1) for i in range(len(KERNEL_KEYS))]
+
+
+class TestDrawKernel:
+    """The batched draws against ``default_rng(key)`` driven by ``_select``
+    and ``_derange``, with and without handing the last keys to a seated
+    generator."""
+
+    @pytest.mark.parametrize("handoff", [0, swapping._HANDOFF])
+    @pytest.mark.parametrize(
+        "sizes, p",
+        [
+            ([2] * len(KERNEL_KEYS), 0.5),
+            (MIXED_SIZES, 0.3),
+            (MIXED_SIZES, 0.9),
+            (MIXED_SIZES, 0.0),
+            (MIXED_SIZES, 1.0),
+            (MIXED_SIZES, 5e-324),
+        ],
+    )
+    def test_matches_seeded_generators(self, monkeypatch, handoff, sizes, p):
+        monkeypatch.setattr(swapping, "_HANDOFF", handoff)
+        expected, buffered = zip(*(reference_draws(key, n, p) for key, n in zip(KERNEL_KEYS, sizes)))
+        assert kernel_draws(KERNEL_KEYS, sizes, p) == list(expected)
+        if p < 1e-300:  # no pair of these keys is selected
+            return
+        if p < 1:
+            assert any(retries for _, _, retries in expected), "no selection was redrawn"
+        assert any(len(flags) > 1 for flags in buffered), "no shuffle was redrawn"
+        assert any(any(flags[1:]) for flags in buffered), "no redrawn shuffle started on a buffered half"
+
+
 class TestRunPsa:
     def test_p_zero_is_identity(self):
         x = synthesize([StratumSpec(6), StratumSpec(4)], 3, 3, seed=3)
@@ -385,18 +459,17 @@ class TestRunPsa:
 
 def run_psa_counts(x, p, seeds):
     """Counter of ``run_psa(x, PsaParams(p, seed)).canonical_key()`` over
-    ``seeds``, drawn through one substream pass and the swapper's draw loop
-    rather than one ``run_psa`` call (and seeding pass) per seed."""
+    ``seeds``, drawn by one ``_draw_mapping`` call across all the seeds
+    (so through the batched kernel) rather than one ``run_psa`` call per
+    seed."""
     spans = stratum_order(x)
-    strata = _active_strata(spans[1])
-    streams = _substreams(seeds, strata)
-    rate = PsaParams(p).p
-    mappings = Counter(tuple(_draw_mapping(spans, strata, rate, streams)[0].tolist()) for _ in seeds)
+    mappings, _, _ = _draw_mapping(spans, _active_strata(spans[1]), PsaParams(p).p, list(seeds))
+    distinct, counts = np.unique(mappings, axis=0, return_counts=True)
     m, h, s = x.codes.T
-    counts = Counter()
-    for mapping, count in mappings.items():
-        counts[tabulate_columns(m, h, s[list(mapping)], x.domain).canonical_key()] += count
-    return counts
+    tables = Counter()
+    for mapping, count in zip(distinct, counts.tolist()):
+        tables[tabulate_columns(m, h, s[mapping], x.domain).canonical_key()] += count
+    return tables
 
 
 class TestDistributionalCorrectness:
