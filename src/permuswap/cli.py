@@ -6,9 +6,10 @@ writes its report through one emitter, so golden-file comparisons are
 stable byte for byte.  A CSV field goes through ``_cell``: a float at
 6 decimals, infinity as "inf", a bool in lower case, None as "-",
 anything else with ``str``.  JSON goes through ``_emit_json`` (two-space
-indent, sorted keys), with floats rounded to 6 decimals and infinity as
-the string "inf".  The one exception is ``swap``'s count table, which
-formats all its rows with one ``%``-format.
+indent, sorted keys, written by :func:`~permuswap.jsontext.dumps`), with
+floats rounded to 6 decimals and infinity as the string "inf".  The one
+exception is ``swap``'s count table, which formats all its rows with one
+``%``-format.
 
 Exit codes: 0 success; 2 validation failure (bad flags, bad config,
 bad data); 3 verification failure (a checked guarantee did not hold);
@@ -31,6 +32,7 @@ from . import budget as budget_mod
 from . import exact as exact_mod
 from .dataset import Dataset, Domain, invariant_stratum_bound, max_stratum_b, swap_invariants
 from .ingest import LoadError, load_dataset, load_roles, write_dataset_csv
+from .jsontext import dumps
 from .swapping import PsaParams, run_psa_details, to_exact_rate
 from .synth import StratumSpec, synthesize
 from .utility import utility_csv, utility_experiment, utility_json
@@ -86,7 +88,7 @@ def _emit(text: str, out: Union[str, None]) -> None:
 
 
 def _emit_json(payload: object, out: Union[str, None]) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True), out)
+    _emit(dumps(payload), out)
 
 
 def _default_seed() -> int:
@@ -163,8 +165,8 @@ def _cmd_swap(args: argparse.Namespace) -> int:
         "effective_swap_rate": _json_value(run.effective_swap_rate),
         "selection_retries": run.selection_retries,
         "invariants": {
-            "mh": inv.mh.tolist(),
-            "ms": inv.ms.tolist(),
+            "mh": inv.mh,
+            "ms": inv.ms,
         },
         "labels": {
             "match": list(x.schema.match_labels) if x.schema else [],

@@ -647,7 +647,7 @@ def _connecting_permutation(x: Dataset, diff: np.ndarray) -> Permutation:
     donors = movers[np.lexsort((x.codes[movers, 2], x.codes[movers, 0]))]
     mapping = np.arange(len(x))
     mapping[receivers] = donors
-    return Permutation(mapping.tolist())
+    return Permutation(mapping)
 
 
 def _min_moves(

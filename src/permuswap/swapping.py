@@ -46,9 +46,11 @@ and no swapped :class:`Dataset` is materialized; only
 
 The draws themselves are one call, ``_draw_mapping``, over the stratum
 spans of :func:`~permuswap.dataset.stratum_order` and a list of run
-seeds.  It sends the strata of at most ``_KERNEL_MAX_RECORDS`` records
-to the kernel when the call holds at least ``_KERNEL_MIN_KEYS`` such
-keys, and every other key to a seated generator.
+seeds.  It dispatches a stratum on its size n and its expected
+selection p * n: the strata of at most ``_KERNEL_MAX_RECORDS`` records
+with p * n at most ``_KERNEL_MAX_SELECTED`` go to the kernel when the
+call holds at least ``_KERNEL_MIN_KEYS`` such keys, and every other key
+to a seated generator.
 :func:`run_psa_details` is that call for one seed plus the output table;
 the utility runner computes the spans once per dataset and makes the
 same call for a block of replications at a time, so both realize the
@@ -275,15 +277,21 @@ def _pcg64_states(keys: np.ndarray) -> list[dict]:
     return _pcg64_dicts(*_pcg64_seeded(keys))
 
 
-# The swapper's draws for many keys at once (see _draw_mapping).  Both
-# bounds come from timing _draw_mapping on the kernel and on the seated
-# generator (Python 3.11, numpy 2.4, 2-vCPU VM), for strata of 2-50
-# records at p = 0.05, 0.3, 0.5 and 0.9 with 8-512 keys.  Kernel time
-# over loop time: at 64 keys 0.52-0.76 for 2 records, 0.69-0.99 for 8 and
-# 0.81-1.06 for 16; at 128 keys at most 0.95 up to 16 records; for 24-50
-# records up to 1.13 at 64 keys and 1.22 at 512.  At 32 keys it ranges up
-# to 1.6.
-_KERNEL_MAX_RECORDS = 16
+# The swapper's draws for many keys at once (see _draw_mapping).  A
+# stratum draws on the kernel when it has at most _KERNEL_MAX_RECORDS
+# records (the width of the tables below) and expects at most
+# _KERNEL_MAX_SELECTED selected records (p * n), in a call that holds at
+# least _KERNEL_MIN_KEYS such keys.  The bounds come from timing
+# _draw_mapping on the kernel and on the seated generator (Python 3.11,
+# numpy 2.4, 2-vCPU VM) for strata of 2-64 records at p = 0.05, 0.3, 0.5
+# and 0.9 and at p * n = 0.1-24, with 8-2,048 keys.  Kernel time over loop
+# time, at 64 / 128 / 512 keys: p * n <= 1.8 (2-16 records) 0.46-1.17 /
+# 0.31-0.74 / 0.16-0.38; p * n = 2.5-8 (8-64 records) 0.85-1.28 /
+# 0.60-0.91 / 0.26-0.77; p * n = 12-16 1.03-1.09 / 0.94-1.15 / 0.53-0.90;
+# p * n = 24 1.00-1.15 / 1.14-1.19 / 0.98-1.19.  At 32 keys it ranges up
+# to 1.9.
+_KERNEL_MAX_RECORDS = 64
+_KERNEL_MAX_SELECTED = 8
 _KERNEL_MIN_KEYS = 64
 # 64-bit outputs _derange_many draws per key at a time; finished keys
 # drop out between refills
@@ -510,23 +518,40 @@ class Permutation:
 
     The derangement count |{i : g(i) != i}| of a bijection is never 1,
     which is exactly the constraint the selection stage enforces.
+
+    ``mapping`` is kept as a tuple of Python ints.  A 1-D numpy integer
+    array is checked as it is; any other input is read entry by entry,
+    and an entry that is not an integer raises ``TypeError``.
     """
 
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        mapping = tuple(map(operator.index, self.mapping))
-        object.__setattr__(self, "mapping", mapping)
+        positions = self.mapping
+        if isinstance(positions, np.ndarray) and positions.ndim == 1 and positions.dtype.kind in "iu":
+            mapping = tuple(positions.tolist())
+        else:
+            mapping = tuple(map(operator.index, positions))
+            try:
+                positions = np.array(mapping, dtype=np.int64)
+            except OverflowError:  # past int64, so no record's position
+                raise ValueError("mapping is not a bijection on record positions") from None
         n = len(mapping)
-        if n and (min(mapping) < 0 or max(mapping) >= n or len(set(mapping)) != n):
+        # n entries in [0, n), none of them twice
+        if n and (
+            positions.min() < 0
+            or positions.max() >= n
+            or np.bincount(positions.astype(np.intp), minlength=n).max() > 1
+        ):
             raise ValueError("mapping is not a bijection on record positions")
+        object.__setattr__(self, "mapping", mapping)
 
     def __len__(self) -> int:
         return len(self.mapping)
 
     @property
     def derange_count(self) -> int:
-        return sum(1 for i, j in enumerate(self.mapping) if i != j)
+        return int(np.count_nonzero(np.asarray(self.mapping, dtype=np.intp) != np.arange(len(self.mapping))))
 
     @property
     def is_identity(self) -> bool:
@@ -542,7 +567,7 @@ def apply_permutation(perm: Permutation, x: Dataset) -> Dataset:
     if len(perm) != len(x):
         raise ValueError("permutation length does not match record count")
     codes = x.codes.copy()
-    codes[:, 2] = x.codes[list(perm.mapping), 2]
+    codes[:, 2] = x.codes[np.asarray(perm.mapping, dtype=np.intp), 2]
     return Dataset(codes, x.domain, x.schema)
 
 
@@ -660,7 +685,8 @@ def _draw_mapping(
     ``strata`` is ``_active_strata(bounds)``; stratum m of run r draws
     from substream ``(seeds[r], m)``.  When the call has at least
     ``_KERNEL_MIN_KEYS`` keys of strata of at most ``_KERNEL_MAX_RECORDS``
-    records, those keys draw through ``_draw_many``, in passes of at most
+    records and at most ``_KERNEL_MAX_SELECTED`` expected selections
+    (p * n), those keys draw through ``_draw_many``, in passes of at most
     ``_KEYS_PER_PASS`` keys; every other key draws on a seated generator
     from ``_substreams``.  Returns one position mapping per run (position
     i takes the swap value of position ``mapping[i]``), and the records
@@ -671,10 +697,12 @@ def _draw_mapping(
     seeds = [_normalized_seed(seed) for seed in seeds]
     mappings = np.broadcast_to(np.arange(len(order)), (len(seeds), len(order))).copy()
     selected, retries = [0] * len(seeds), [0] * len(seeds)
-    batched = [m for m in strata if bounds[m + 1] - bounds[m] <= _KERNEL_MAX_RECORDS]
-    if len(seeds) * len(batched) < _KERNEL_MIN_KEYS:
-        batched = []
-    looped = [m for m in strata if bounds[m + 1] - bounds[m] > _KERNEL_MAX_RECORDS] if batched else strata
+    strata = np.asarray(strata, dtype=np.intp)
+    starts, sizes = np.asarray(bounds[:-1])[strata], np.diff(bounds)[strata]
+    batched = (sizes <= _KERNEL_MAX_RECORDS) & (p * sizes <= _KERNEL_MAX_SELECTED)
+    if len(seeds) * np.count_nonzero(batched) < _KERNEL_MIN_KEYS:
+        batched[:] = False
+    looped = strata[~batched].tolist()
     streams = _substreams(seeds, looped)
     for r, mapping in enumerate(mappings) if looped else ():
         # zip takes the stratum first, so it takes no stream past the run's last
@@ -686,11 +714,10 @@ def _draw_mapping(
             chosen = order[lo:hi][hits]
             mapping[chosen] = chosen[_derange(len(hits), rng)]
     selected, retries = np.array(selected, dtype=np.intp), np.array(retries, dtype=np.intp)
-    if not batched:
+    if not batched.any():
         return mappings, selected, retries
-    starts = np.array([bounds[m] for m in batched])
-    sizes = np.array([bounds[m + 1] - bounds[m] for m in batched])
-    seeds, batched = np.array(seeds, dtype=np.uint64), np.array(batched, dtype=np.uint64)
+    starts, sizes, batched = starts[batched], sizes[batched], strata[batched].astype(np.uint64)
+    seeds = np.array(seeds, dtype=np.uint64)
     count = len(seeds) * len(batched)
     for first in range(0, count, _KEYS_PER_PASS):
         run, column = np.divmod(np.arange(first, min(first + _KEYS_PER_PASS, count)), len(batched))
@@ -715,7 +742,7 @@ def run_psa_details(x: Dataset, params: PsaParams) -> SwapRun:
     changed = int(np.count_nonzero(swapped != s))
     return SwapRun(
         table=tabulate_columns(m, h, swapped, x.domain),
-        permutation=Permutation(mapping.tolist()),
+        permutation=Permutation(mapping),
         selected_count=selected,
         selection_retries=retries,
         raw_selection_rate=selected / n if n else 0.0,

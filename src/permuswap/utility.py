@@ -30,15 +30,15 @@ error with the kernel that :func:`mape` uses, so each value equals
 """
 
 import itertools
-import json
 import statistics
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .budget import _validate_rate
 from .dataset import ContingencyTable, Dataset, DomainMismatchError, stratum_order, tabulate
+from .jsontext import dumps
 from . import swapping
 from .swapping import _active_strata, _draw_mapping, _replication_seeds
 
@@ -188,10 +188,13 @@ def utility_csv(reports: Sequence[UtilityReport]) -> str:
 
 
 def utility_json(reports: Sequence[UtilityReport]) -> str:
-    payload = []
-    for report in reports:
-        entry = asdict(report)
-        entry["mape_values"] = [round(v, 6) for v in report.mape_values]
-        entry["summary"] = {k: round(v, 6) for k, v in asdict(report.summary).items()}
-        payload.append(entry)
-    return json.dumps(payload, indent=2, sort_keys=True)
+    # the fields as they are (asdict would deep-copy every error value),
+    # with the errors and the summary rounded
+    return dumps([
+        {
+            **vars(report),
+            "mape_values": [round(v, 6) for v in report.mape_values],
+            "summary": {k: round(v, 6) for k, v in vars(report.summary).items()},
+        }
+        for report in reports
+    ])

@@ -1,0 +1,104 @@
+"""The report JSON writer against ``json.dumps(indent=2, sort_keys=True)``."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from permuswap.jsontext import dumps
+
+# non-ASCII, escapes, control characters and a lone surrogate
+STRINGS = st.one_of(st.text(), st.sampled_from(["é", "€", '"\\/\b\f\n\r\t', "\x00\x1f\x7f", " ", "\ud800", ""]))
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    STRINGS,
+)
+
+
+@st.composite
+def int_matrices(draw):
+    """2-D integer arrays, empty ones (0 x k, k x 0) and 1 x 1 among them."""
+    shape = draw(st.one_of(
+        st.tuples(st.just(0), st.integers(0, 3)),
+        st.tuples(st.integers(0, 3), st.just(0)),
+        st.just((1, 1)),
+        st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    ))
+    dtype = draw(st.sampled_from([np.int8, np.int32, np.int64, np.uint64]))
+    info = np.iinfo(dtype)
+    values = draw(st.lists(st.integers(int(info.min), int(info.max)), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+VALUES = st.recursive(
+    st.one_of(SCALARS, int_matrices()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(STRINGS, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def as_lists(value):
+    """``value`` with every array as its nested lists, as ``json`` takes it."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [as_lists(item) for item in value]
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    return value
+
+
+@settings(max_examples=300)
+@given(VALUES)
+@example({})
+@example([])
+@example({"a": {}, "b": [], "c": [[], {}]})
+@example({"mh": np.zeros((0, 3), dtype=np.int64), "ms": np.zeros((3, 0), dtype=np.int64), "one": np.ones((1, 1), dtype=np.int64)})
+def test_same_bytes_as_json_dumps(value):
+    assert dumps(value) == json.dumps(as_lists(value), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {2: "b", 10: "a"},
+        {0.5: 1, 1.5: [2]},
+        {True: 1, False: 0},
+        {None: 1},
+        [float("nan"), float("inf"), -float("inf"), -0.0, 1e-320],
+        np.float64(0.25),
+        [np.float64(0.1)],
+    ],
+)
+def test_keys_and_floats_as_json_dumps(value):
+    assert dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {1: "a", "b": 2},
+        {(1, 2): 3},
+        {"a": {1, 2}},
+        [np.int64(1)],
+        np.arange(3),
+        np.zeros((2, 2)),
+        np.zeros((1, 1, 1), dtype=np.int64),
+        np.zeros((2, 2), dtype=bool),
+    ],
+)
+def test_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        dumps(value)

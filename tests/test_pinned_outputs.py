@@ -124,9 +124,9 @@ def _cli_outputs(work):
 
 
 # A run with many substream keys: 500 replications at three rates, so
-# the strata of up to _KERNEL_MAX_RECORDS records draw on the batched
-# kernel and the larger ones on the seated generator.  The CI workflow
-# checks the same files with sha256sum.
+# the strata the batched kernel takes (see swapping._draw_mapping) draw
+# on it and the others on the seated generator.  The CI workflow checks
+# the same files with sha256sum.
 MANY_KEY_DIGESTS = {
     "data.csv": "e470e05796df7f903d6471ca0e11b2ce6960c5b2a3ee4b6affa1ec0b6cd14a0a",
     "u.json": "8c98675817cfa2d502de10c9236f24b53432997788934bae25f257ddde64cf05",
@@ -149,6 +149,32 @@ def _many_key_outputs(work):
     for argv in steps:
         assert cli_main([str(a) for a in argv]) == 0
     return {name: (work / name).read_bytes() for name in MANY_KEY_DIGESTS}
+
+
+# One swap of 240 strata of 50 records at p = 0.05, as a census-size
+# swap holds them: those strata draw on the kernel, and strata of 17, 64
+# (constant), 65 and 400 records around them.  The sidecar's margin
+# tables go through the JSON writer's matrix path.  The CI workflow
+# checks the same files with sha256sum.
+BULK_SWAP_DIGESTS = {
+    "bulk.csv": "00a193d62f5ca9ee418b31e5f4c1a6b6fc0e9620b2e1a3ea245ef839d851b3fd",
+    "bt.csv": "4aeced7adbaed74d3da6882ecc166231c249a0556144ac14d4da823d2266e910",
+    "bs.json": "c5fbd991cb3e8a820b69d22d26e0dbd4c1a402f8f3fe3ab78cf43efa08cbbdd9",
+}
+
+
+def _bulk_swap_outputs(work):
+    """Run synth and swap as the CI workflow does; return the files' bytes."""
+    data, roles = work / "bulk.csv", work / "bulk_roles.json"
+    steps = [
+        ["synth", "--strata", ",".join(["50"] * 240 + ["17", "64", "65", "400"]), "--constant", "242",
+         "--hold-levels", "2", "--swap-levels", "4", "--seed", "13", "--out", data, "--roles-out", roles],
+        ["swap", "--input", data, "--roles", roles, "--p", "0.05", "--seed", "5",
+         "--out", work / "bt.csv", "--sidecar", work / "bs.json"],
+    ]
+    for argv in steps:
+        assert cli_main([str(a) for a in argv]) == 0
+    return {name: (work / name).read_bytes() for name in BULK_SWAP_DIGESTS}
 
 
 # CLI report -> sha256 of its stdout (for synth, of the --roles-out file);
@@ -273,6 +299,11 @@ def test_many_key_run_pinned(tmp_path):
     assert {name: _sha(data) for name, data in outputs.items()} == MANY_KEY_DIGESTS
 
 
+def test_bulk_swap_pinned(tmp_path):
+    outputs = _bulk_swap_outputs(tmp_path)
+    assert {name: _sha(data) for name, data in outputs.items()} == BULK_SWAP_DIGESTS
+
+
 @pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
 def test_cli_reports_pinned(tmp_path, command):
     assert _sha(_report_bytes(command, tmp_path)) == REPORT_DIGESTS[command]
@@ -294,6 +325,8 @@ if __name__ == "__main__":
         for name, data in _cli_outputs(Path(tmp)).items():
             print(f"    {name!r}: {_sha(data)!r},")
         for name, data in _many_key_outputs(Path(tmp)).items():
+            print(f"    {name!r}: {_sha(data)!r},")
+        for name, data in _bulk_swap_outputs(Path(tmp)).items():
             print(f"    {name!r}: {_sha(data)!r},")
         for command in REPORT_DIGESTS:
             print(f"    {command!r}: {_sha(_report_bytes(command, Path(tmp)))!r},")

@@ -9,6 +9,7 @@ on random small datasets that include zero-size axes.
 
 import dataclasses
 import itertools
+import operator
 from fractions import Fraction
 from unittest import mock
 
@@ -22,6 +23,7 @@ from permuswap import (
     Domain,
     ExactDistribution,
     LoadError,
+    Permutation,
     PsaParams,
     Record,
     RoleAssignment,
@@ -346,6 +348,17 @@ def ref_dp_sweep(domain, max_records, p_values, max_permutations=DEFAULT_ENUMERA
         failures=tuple(f for _, _, _, found in checks for f in found),
         universes=tuple(check for check, _, _, _ in checks),
     )
+
+
+def ref_permutation_check(mapping):
+    """``Permutation``'s check entry by entry: the entries as a tuple of
+    Python ints, ``TypeError`` on an entry that is not an integer, and
+    ``ValueError`` unless they are a bijection on 0..n-1."""
+    mapping = tuple(map(operator.index, mapping))
+    n = len(mapping)
+    if n and (min(mapping) < 0 or max(mapping) >= n or len(set(mapping)) != n):
+        raise ValueError("mapping is not a bijection on record positions")
+    return mapping
 
 
 def ref_draw_mapping(x, p, seed):
@@ -887,8 +900,9 @@ KERNEL_SIZES = st.one_of(
 @given(stratified_datasets(6, KERNEL_SIZES), RATES, SEEDS, st.integers(1, 6))
 def test_swapper_draws_on_both_paths_match_documented_substreams(x, p, seed, min_keys):
     """With the kernel's key threshold lowered to 1-6, a single run's
-    strata of at most ``_KERNEL_MAX_RECORDS`` records draw on the kernel
-    or, below the threshold, on the seated generator, and larger strata
+    strata of at most ``_KERNEL_MAX_RECORDS`` records and at most
+    ``_KERNEL_MAX_SELECTED`` expected selections draw on the kernel or,
+    below the threshold, on the seated generator, and other strata
     always on the seated generator."""
     with mock.patch.object(swapping, "_KERNEL_MIN_KEYS", min_keys):
         run = run_psa_details(x, PsaParams(p, seed))
@@ -979,6 +993,46 @@ def test_connecting_permutation_on_swapper_pairs(pair):
     rho = connecting_permutation(x, x_prime)
     assert tabulate(apply_permutation(rho, x)) == tabulate(x_prime)
     assert rho.derange_count == hamming_distance(x, x_prime)
+
+
+@st.composite
+def permutation_inputs(draw):
+    """Candidate mappings of 0-8 entries: permutations, and entries that
+    are negative, at or past n, repeated or past 64 bits; as Python
+    lists and tuples, numpy int32, int64, uint64 (negative entries wrap
+    past n), bool and float arrays, and lists of strings."""
+    n = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        entries = draw(st.permutations(range(n)))
+    else:
+        entries = draw(st.lists(st.integers(-3, n + 3), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["list", "tuple", "int32", "int64", "uint64", "bool", "float", "str"]))
+    if kind == "list":
+        if entries and draw(st.booleans()):
+            entries[draw(st.integers(0, n - 1))] = draw(st.sampled_from([2**63, 2**64, -(2**64)]))
+        return entries
+    if kind == "tuple":
+        return tuple(entries)
+    if kind == "str":
+        return [str(e) for e in entries]
+    array = np.array(entries, dtype=np.int64)
+    return array.astype({"int32": np.int32, "int64": np.int64, "uint64": np.uint64, "bool": bool, "float": float}[kind])
+
+
+@settings(max_examples=300)
+@given(permutation_inputs())
+@example([0.9, 1.2])
+@example(np.array([[1, 0]]))
+def test_permutation_check_matches_entry_loop(mapping):
+    def result(fn):
+        try:
+            return "ok", fn(mapping)
+        except Exception as exc:  # a warning raised as an error counts too
+            return type(exc).__name__, str(exc)
+
+    got = result(lambda m: Permutation(m).mapping)
+    assert got == result(ref_permutation_check)
+    assert got[0] != "ok" or all(type(i) is int for i in got[1])
 
 
 @pytest.mark.parametrize("bad", [(0, -1, 0), (0, 2, 0), (1, 0, 0), (0, 0, 3)])

@@ -371,6 +371,9 @@ def kernel_draws(keys, sizes, p):
 # seeds of one and of two 32-bit words; stratum indices as the swapper uses them
 KERNEL_KEYS = [[seed, m] for seed in (0, 5, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1) for m in range(50)]
 MIXED_SIZES = [2 + i % (swapping._KERNEL_MAX_RECORDS - 1) for i in range(len(KERNEL_KEYS))]
+# 17-64 records, wider than the kernel's tables were when it took strata
+# of at most 16 records
+WIDE_SIZES = [17 + i % 48 for i in range(len(KERNEL_KEYS))]
 
 
 class TestDrawKernel:
@@ -400,6 +403,33 @@ class TestDrawKernel:
             assert any(retries for _, _, retries in expected), "no selection was redrawn"
         assert any(len(flags) > 1 for flags in buffered), "no shuffle was redrawn"
         assert any(any(flags[1:]) for flags in buffered), "no redrawn shuffle started on a buffered half"
+
+    @pytest.mark.parametrize("handoff", [0, swapping._HANDOFF])
+    @pytest.mark.parametrize("p, widest", [(0.05, 7), (0.3, 17)])
+    def test_wide_strata_match_seeded_generators(self, monkeypatch, handoff, p, widest):
+        """Strata of 17-64 records; at p = 0.3 some select more records
+        than 16, past the old width of the derangement's tables."""
+        monkeypatch.setattr(swapping, "_HANDOFF", handoff)
+        expected = [reference_draws(key, n, p)[0] for key, n in zip(KERNEL_KEYS, WIDE_SIZES)]
+        assert kernel_draws(KERNEL_KEYS, WIDE_SIZES, p) == expected
+        assert max(len(hits) for hits, _, _ in expected) >= widest
+
+    def test_fifty_record_strata_draw_as_on_the_loop(self, monkeypatch):
+        """Strata of 50 records at p = 0.05, as in a census-size swap,
+        draw on the kernel, and give the mapping, selections and redraws
+        of the all-seated loop."""
+        x = synthesize([StratumSpec(50, True)] * 80, 2, 3, 5)
+        spans = stratum_order(x)
+        strata = _active_strata(spans[1])
+        keys = []
+        monkeypatch.setattr(swapping, "_draw_many", lambda k, *rest: keys.append(len(k)) or _draw_many(k, *rest))
+        kernel = _draw_mapping(spans, strata, 0.05, [7, 2**64 - 1])
+        assert sum(keys) == 2 * len(strata) == 160
+        monkeypatch.setattr(swapping, "_KERNEL_MIN_KEYS", 10**9)
+        loop = _draw_mapping(spans, strata, 0.05, [7, 2**64 - 1])
+        assert sum(keys) == 160
+        for got, expected in zip(kernel, loop):
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestRunPsa:
