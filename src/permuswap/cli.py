@@ -30,9 +30,9 @@ import numpy as np
 
 from . import budget as budget_mod
 from . import exact as exact_mod
-from .dataset import Dataset, Domain, invariant_stratum_bound, max_stratum_b, swap_invariants
+from .dataset import ContingencyTable, Dataset, Domain, invariant_stratum_bound, max_stratum_b, swap_invariants
 from .ingest import LoadError, load_dataset, load_roles, write_dataset_csv
-from .jsontext import dumps
+from .jsontext import _int_rows, dumps
 from .swapping import PsaParams, run_psa_details, to_exact_rate
 from .synth import StratumSpec, synthesize
 from .utility import utility_csv, utility_experiment, utility_json
@@ -136,6 +136,15 @@ def _load_input(args: argparse.Namespace) -> Dataset:
 # swap
 
 
+def _count_table_text(table: ContingencyTable) -> str:
+    """The ``m,h,s,count`` CSV of every cell, m slowest and s fastest."""
+    # the flat (m, h, s, count) rows at once: the table can have a few
+    # hundred thousand of them
+    counts = table.counts
+    rows = np.column_stack((*np.indices(counts.shape).reshape(3, -1), counts.ravel()))
+    return "m,h,s,count\n" + _int_rows(rows, (",", ",", ",", "\n"))
+
+
 def _cmd_swap(args: argparse.Namespace) -> int:
     if args.p is None:
         raise CliError("p: a swap rate is required")
@@ -147,11 +156,7 @@ def _cmd_swap(args: argparse.Namespace) -> int:
     b = invariant_stratum_bound(inv)
     result = budget_mod.psa_budget(float(rate), b)
 
-    # one %-format over the flat (m, h, s, count) rows: the table can have a
-    # few hundred thousand of them
-    counts = run.table.counts
-    rows = np.column_stack((*np.indices(counts.shape).reshape(3, -1), counts.ravel()))
-    _emit("m,h,s,count\n" + "%d,%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist()), args.out)
+    _emit(_count_table_text(run.table), args.out)
 
     sidecar = {
         "p": _json_value(float(rate)),

@@ -25,12 +25,12 @@ single axis by the lexicographic product of the per-column indices,
 with later columns varying fastest (two hold columns with 2 and 3
 levels give H = 6 and index ``3*i1 + i2``).
 
-The reader never makes a Python string per field.  It decodes the file
-once (``utf-8-sig``, so a byte-order mark is dropped and invalid UTF-8
-is reported with its line), rewrites the line breaks to ``\n`` only if
-the text holds a break other than ``\n``, ``\r\n`` or ``\r``, and
-encodes it back to one byte buffer.  Line and comma positions come from
-numpy comparisons over that buffer, and the field counts of all lines
+The reader never makes a Python string per field.  It reads the file's
+bytes once and drops a byte-order mark.  It decodes them only to check
+UTF-8 when they are not all ASCII (invalid UTF-8 is reported with its
+line), and to rewrite the line breaks to ``\n`` when they hold a break
+of ``str.splitlines`` other than ``\n``.  Line and comma positions come
+from numpy comparisons over that buffer, and the field counts of all lines
 are checked at once.  Each column is then factorized over its byte
 slices by one kernel (:func:`_factorize`): the fields are packed into
 big-endian ``uint64`` sort keys, sorted, and each distinct label is
@@ -41,6 +41,7 @@ decoded once.  :func:`load_dataset` goes straight from those
 same kernel.
 """
 
+import codecs
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -64,8 +65,10 @@ __all__ = [
 
 COMPOSITE_LABEL_SEP = "|"
 CONSTANT_MATCH_LABEL = "*"
-# line breaks of str.splitlines other than \n, \r\n and \r
-_OTHER_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# the line breaks of str.splitlines other than \n, as UTF-8 bytes: the
+# ASCII ones, then NEL, U+2028 and U+2029
+_ASCII_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_UTF8_BREAKS = (b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
 
 
 class LoadError(ValueError):
@@ -158,21 +161,25 @@ def _read_fields(path: Union[str, Path]) -> tuple[list[str], bytes, np.ndarray, 
     per non-blank data line: field j of data line i is
     ``raw[starts[j, i]:ends[j, i]]``.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        lineno = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
-        raise LoadError(f"{path}:{lineno}: not valid UTF-8") from None
-    if not text:
+    raw = Path(path).read_bytes()
+    if raw.startswith(codecs.BOM_UTF8):
+        raw = raw[len(codecs.BOM_UTF8) :]
+    if not raw:
         raise LoadError(f"{path}: missing header row")
-    # text mode already turned \r\n and \r into \n
-    if any(brk in text for brk in _OTHER_BREAKS):
-        text = "\n".join(text.splitlines())
-    # with a \n before the text and one after it, line k of the file (the
-    # header is line 1) runs from the k-th \n to the next, and a file that
-    # already ends in \n gains a blank last line
-    raw = b"".join((b"\n", text.encode("utf-8"), b"\n"))
-    del text
+    breaks = _ASCII_BREAKS
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
+            raise LoadError(f"{path}:{lineno}: not valid UTF-8") from None
+        breaks += _UTF8_BREAKS
+    if any(brk in raw for brk in breaks):
+        raw = "\n".join(raw.decode("utf-8").splitlines()).encode("utf-8")
+    # with a \n before the bytes and one after them, line k of the file
+    # (the header is line 1) runs from the k-th \n to the next, and a file
+    # that already ends in \n gains a blank last line
+    raw = b"".join((b"\n", raw, b"\n"))
     data = np.frombuffer(raw, dtype=np.uint8)
     newline = data == ord("\n")
     seps = (newline | (data == ord(","))).nonzero()[0]

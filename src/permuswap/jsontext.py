@@ -3,12 +3,15 @@
 :func:`dumps` returns ``json.dumps(value, indent=2, sort_keys=True)``
 byte for byte.  With an indent, CPython's ``json`` encodes in pure
 Python, one generator step per value; here containers are walked once
-into a list of parts, and a 2-D integer numpy array (a margin table)
-is written with one ``%``-format over a row template, as ``json`` would
-write the array's nested lists.
+into a list of parts, a list of only ``str`` or only ``float`` items is
+written with one ``join``, and a 2-D integer numpy array (a margin
+table) is written by :func:`_int_rows`, as ``json`` would write the
+array's nested lists.  :func:`_int_rows` also writes the swapper's
+count table.
 """
 
 from json.encoder import encode_basestring_ascii as _string
+from typing import Sequence
 
 import numpy as np
 
@@ -56,13 +59,55 @@ def _scalar(value: object) -> str:
     return _float(value)
 
 
+_NUL, _MINUS, _ZERO = 0, ord("-"), ord("0")
+
+
+def _int_rows(array: np.ndarray, separators: Sequence[str]) -> str:
+    """The rows of a 2-D integer array in decimal, each entry of column j
+    followed by ``separators[j]`` (ASCII, no NUL).
+
+    Every entry fills a fixed-width slot of bytes: a sign when some entry
+    is negative, the digits by repeated division by ten (leading zeros
+    left NUL), and the column's separator padded with NUL.  One compaction
+    then drops every NUL.
+    """
+    rows, cols = array.shape
+    tails = np.zeros((cols, max(map(len, separators), default=0)), dtype=np.uint8)
+    for tail, separator in zip(tails, separators):
+        tail[: len(separator)] = np.frombuffer(separator.encode("ascii"), dtype=np.uint8)
+    negative = array < 0
+    sign = int(negative.any())
+    magnitude = array.astype(np.uint64)
+    if sign:
+        # two's complement, exact for the int64 minimum too
+        magnitude[negative] = -magnitude[negative]
+    width = len(str(int(magnitude.max()))) if magnitude.size else 1
+    if width < 10:  # the digits of uint32 come several times faster
+        magnitude = magnitude.astype(np.uint32)
+    ten = magnitude.dtype.type(10)
+    slots = np.zeros((rows, cols, sign + width + tails.shape[1]), dtype=np.uint8)
+    slots[negative, 0] = _MINUS
+    shown = True  # a zero entry still writes its last digit
+    for column in range(sign + width - 1, sign - 1, -1):
+        # floor division by a scalar runs several times faster than divmod
+        quotient = magnitude // ten
+        slots[..., column] = (magnitude - quotient * ten + _ZERO) * shown
+        magnitude = quotient
+        shown = magnitude != 0  # leading zeros stay NUL
+    slots[..., sign + width :] = tails
+    return slots[slots != _NUL].tobytes().decode("ascii")
+
+
 def _int_matrix(array: np.ndarray, newline: str) -> str:
     rows, cols = array.shape
     if not rows:
         return "[]"
     row_newline, entry_newline = newline + _INDENT, newline + 2 * _INDENT
-    row = "[" + ",".join([entry_newline + "%d"] * cols) + row_newline + "]" if cols else "[]"
-    return ("[" + ",".join([row_newline + row] * rows) + newline + "]") % tuple(array.ravel().tolist())
+    if not cols:
+        return "[" + ",".join([row_newline + "[]"] * rows) + newline + "]"
+    row_end = row_newline + "]," + row_newline + "[" + entry_newline
+    text = _int_rows(array, ["," + entry_newline] * (cols - 1) + [row_end])
+    return "[" + row_newline + "[" + entry_newline + text[: -len(row_end)] + row_newline + "]" + newline + "]"
 
 
 def _write(value: object, newline: str, parts: list[str]) -> None:
@@ -81,6 +126,11 @@ def _write(value: object, newline: str, parts: list[str]) -> None:
             parts.append("[]")
             return
         inner = newline + _INDENT
+        kinds = set(map(type, value))
+        if kinds == {str} or kinds == {float}:
+            text = map(_string if str in kinds else _float, value)
+            parts.append("[" + inner + ("," + inner).join(text) + newline + "]")
+            return
         separator = "[" + inner
         for item in value:
             parts.append(separator)

@@ -224,6 +224,7 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK64 = 2**64 - 1
 _U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
 _LOW32 = np.uint64(_MASK32)
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
 
 
 def _words128(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -301,6 +302,15 @@ _OUTPUTS_PER_REFILL = 8
 # 2-32 records at p = 0.5 and 0.9 with 32-256 keys, 4 and 8 ran fastest;
 # 0.5 and 1 ran up to 1.8 times slower.
 _HANDOFF = 4
+# A selection round of at least this many live keys steps them together
+# (_stepped_round) rather than jumping each key to every output
+# (_jumped_round): a step costs about 35 numpy calls per column, which
+# only enough keys pay for.  Stepped time over jumped time per round
+# (Python 3.11, numpy 2.4, 2-vCPU VM; strata of 2, 8, 16, 32, 50 and 64
+# records and of mixed 2-16 and 2-64 records, three runs): at 512 keys
+# 0.54-2.81 (8 records and mixed sizes lose), at 768 keys 0.33-1.01, at
+# 1,024 keys 0.33-0.86.
+_STEP_MIN_KEYS = 768
 _MASK128 = 2**128 - 1
 
 
@@ -329,39 +339,68 @@ def _jump(state: tuple[np.ndarray, ...], ahead: np.ndarray) -> tuple[np.ndarray,
     return _add128(*_mul128(hi, lo, mult_hi, mult_lo), *_mul128(inc_hi, inc_lo, add_hi, add_lo))
 
 
+def _jumped_round(state: tuple[np.ndarray, ...], n: np.ndarray, threshold: np.uint64):
+    """One selection round that jumps every key to all n of its outputs
+    at once.  Returns the hits' rows and positions and the states after
+    each key's n outputs."""
+    ends = np.cumsum(n)
+    row = np.repeat(np.arange(len(n)), n)
+    position = np.arange(ends[-1]) - (ends - n)[row]
+    out_hi, out_lo = _jump(tuple(a[row] for a in state), position + 1)
+    hit = _xsl_rr(out_hi, out_lo) >> _U11 < threshold
+    return row[hit], position[hit], out_hi[ends - 1], out_lo[ends - 1]
+
+
+def _stepped_round(state: tuple[np.ndarray, ...], n: np.ndarray, threshold: np.uint64):
+    """``_jumped_round`` by single PCG64 steps, one column of outputs per
+    step.  ``n`` must be in descending order: the keys still inside their
+    round at a column are then a prefix of the rows, and the keys whose
+    round ends there the tail of that prefix."""
+    hi, lo, inc_hi, inc_lo = state
+    width = int(n[0])
+    # inside[c] keys have more than c outputs
+    inside = np.searchsorted(-n, -np.arange(width + 1)).tolist()
+    hit = np.zeros((width, len(n)), dtype=bool)
+    end_hi, end_lo = np.empty_like(hi), np.empty_like(lo)
+    for c in range(width):
+        k, after = inside[c], inside[c + 1]
+        hi, lo = _add128(*_mul128(hi[:k], lo[:k], _MULT_HI, _MULT_LO), inc_hi[:k], inc_lo[:k])
+        hit[c, :k] = _xsl_rr(hi, lo) >> _U11 < threshold
+        end_hi[after:k], end_lo[after:k] = hi[after:], lo[after:]
+    position, row = hit.nonzero()
+    return row, position, end_hi, end_lo
+
+
 def _select_many(state: tuple[np.ndarray, ...], sizes: np.ndarray, p: float):
     """``_select`` for every key: ``Generator.random(n) < p`` is
     ``(next64 >> 11) * 2**-53 < p`` on n consecutive outputs, redrawn
     while exactly one is a hit.
 
     ``state`` is (hi, lo, inc hi, inc lo) per key and ``sizes`` the
-    stratum sizes (each >= 2).  Each round jumps every live key to all n
-    of its outputs at once.  Returns the hits' keys and positions, sorted
-    by key and then position, the hits and the redraws per key, and the
-    states after the accepted round.
+    stratum sizes (each >= 2).  A round of at least ``_STEP_MIN_KEYS``
+    live keys steps them together (``_stepped_round``); a smaller one
+    jumps each key to its outputs (``_jumped_round``).  Returns the hits'
+    keys and positions, sorted by key and then position, the hits and the
+    redraws per key, and the states after the accepted round.
     """
-    hi, lo, inc_hi, inc_lo = state
+    # keys in descending size, as _stepped_round takes them
+    live = np.argsort(-sizes, kind="stable")
+    hi, lo, inc_hi, inc_lo = (a[live] for a in state)
     # (u >> 11) * 2**-53 < p exactly when u >> 11 < ceil(p * 2**53)
     threshold = np.uint64(math.ceil(p * 2.0**53))
-    live = np.arange(len(sizes))
     found = np.zeros(len(sizes), dtype=np.intp)
     redraws = np.zeros(len(sizes), dtype=np.intp)
     end_hi, end_lo = np.empty_like(hi), np.empty_like(lo)
     hit_keys, hit_positions = [], []
     while len(live):
-        n = sizes[live]
-        ends = np.cumsum(n)
-        row = np.repeat(np.arange(len(live)), n)
-        position = np.arange(ends[-1]) - (ends - n)[row]
-        out_hi, out_lo = _jump((hi[row], lo[row], inc_hi[row], inc_lo[row]), position + 1)
-        hit = _xsl_rr(out_hi, out_lo) >> _U11 < threshold
-        hits = np.bincount(row[hit], minlength=len(live))
-        hi, lo = out_hi[ends - 1], out_lo[ends - 1]
+        draw_round = _stepped_round if len(live) >= _STEP_MIN_KEYS else _jumped_round
+        row, position, hi, lo = draw_round((hi, lo, inc_hi, inc_lo), sizes[live], threshold)
+        hits = np.bincount(row, minlength=len(live))
         accept = hits != 1
         keys = live[accept]
         found[keys] = hits[accept]
         end_hi[keys], end_lo[keys] = hi[accept], lo[accept]
-        taken = hit & accept[row]
+        taken = accept[row]
         hit_keys.append(live[row[taken]])
         hit_positions.append(position[taken])
         retry = ~accept

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from permuswap.jsontext import dumps
+from permuswap.jsontext import _int_rows, dumps
 
 # non-ASCII, escapes, control characters and a lone surrogate
 STRINGS = st.one_of(st.text(), st.sampled_from(["é", "€", '"\\/\b\f\n\r\t', "\x00\x1f\x7f", " ", "\ud800", ""]))
@@ -23,21 +23,41 @@ SCALARS = st.one_of(
 
 @st.composite
 def int_matrices(draw):
-    """2-D integer arrays, empty ones (0 x k, k x 0) and 1 x 1 among them."""
+    """2-D integer arrays of every width, with the extremes of int64 and
+    uint64 among their entries, empty ones (0 x k, k x 0) and 1 x 1."""
     shape = draw(st.one_of(
         st.tuples(st.just(0), st.integers(0, 3)),
         st.tuples(st.integers(0, 3), st.just(0)),
         st.just((1, 1)),
         st.tuples(st.integers(1, 4), st.integers(1, 4)),
     ))
-    dtype = draw(st.sampled_from([np.int8, np.int32, np.int64, np.uint64]))
+    dtype = draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64]))
     info = np.iinfo(dtype)
-    values = draw(st.lists(st.integers(int(info.min), int(info.max)), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
-    return np.array(values, dtype=dtype).reshape(shape)
+    entry = st.one_of(st.integers(int(info.min), int(info.max)), st.sampled_from([int(info.min), int(info.max), 0]))
+    size = shape[0] * shape[1]
+    return np.array(draw(st.lists(entry, min_size=size, max_size=size)), dtype=dtype).reshape(shape)
 
+
+class Half(float):
+    """A float subclass with its own repr, which ``json`` ignores."""
+
+    def __repr__(self):
+        return "Half()"
+
+
+FLOATS = st.one_of(st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324]))
+# lists of one exact type, which the writer joins in one go, and lists
+# that only nearly are
+HOMOGENEOUS = st.one_of(
+    st.lists(STRINGS, min_size=1, max_size=5),
+    st.lists(FLOATS, min_size=1, max_size=5),
+    st.lists(st.one_of(FLOATS, FLOATS.map(Half)), min_size=1, max_size=5),
+    st.lists(st.one_of(FLOATS, st.integers(-3, 3)), min_size=1, max_size=5),
+    st.lists(STRINGS, min_size=1, max_size=3).map(tuple),
+)
 
 VALUES = st.recursive(
-    st.one_of(SCALARS, int_matrices()),
+    st.one_of(SCALARS, int_matrices(), HOMOGENEOUS),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=3).map(tuple),
@@ -102,3 +122,24 @@ def test_refuses_what_json_dumps_refuses(value):
         json.dumps(value, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         dumps(value)
+
+
+# ASCII without NUL, as _int_rows takes it; multi-byte and empty among them
+SEPARATORS = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=4)
+
+
+@st.composite
+def separated_rows(draw):
+    array = draw(int_matrices())
+    return array, draw(st.lists(SEPARATORS, min_size=array.shape[1], max_size=array.shape[1]))
+
+
+@settings(max_examples=300)
+@given(separated_rows())
+@example((np.array([[np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max]]), [",", "\n  ", "", "]"]))
+@example((np.array([[np.iinfo(np.uint64).max, 0, 1]], dtype=np.uint64), [",", ",", "\n"]))
+def test_int_rows_as_percent_format(case):
+    """Each entry as ``%d`` then its column's separator, byte for byte."""
+    array, separators = case
+    expected = "".join("".join("%d%s" % pair for pair in zip(row, separators)) for row in array.tolist())
+    assert _int_rows(array, separators) == expected

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import pytest
 
-from permuswap import PsaParams, run_psa_details
+from permuswap import PsaParams, run_psa_details, swapping
 from permuswap.cli import main as cli_main
 from permuswap.dataset import Domain
 from permuswap.exact import dp_sweep
@@ -177,6 +177,32 @@ def _bulk_swap_outputs(work):
     return {name: (work / name).read_bytes() for name in BULK_SWAP_DIGESTS}
 
 
+# One swap of 900 strata of 20-64 records at p = 0.05: the kernel's first
+# selection round holds more than swapping._STEP_MIN_KEYS keys, so it
+# steps them together, and its redraw rounds jump.  The digests were
+# recorded before the stepped rounds existed.  The CI workflow checks
+# the same files with sha256sum.
+STEPPED_SWAP_DIGESTS = {
+    "stepped.csv": "d4f8130c9292465ad29e5d11d05bbec6fcceaa5a1de2f05aca5fd2f6f277f6c7",
+    "st.csv": "4077d157683b4261d38b5c3fdb7104ffb03a242b8c26e41e0241b511ad1e61d9",
+    "ss.json": "52a043d52f360d7a9639322b2285e586ddb6c8f1df94874b77eeec22093477b6",
+}
+
+
+def _stepped_swap_outputs(work):
+    """Run synth and swap as the CI workflow does; return the files' bytes."""
+    data, roles = work / "stepped.csv", work / "stepped_roles.json"
+    steps = [
+        ["synth", "--strata", ",".join([str(n) for n in range(20, 65)] * 20) + ",", "--constant", "7",
+         "--hold-levels", "2", "--swap-levels", "4", "--seed", "17", "--out", data, "--roles-out", roles],
+        ["swap", "--input", data, "--roles", roles, "--p", "0.05", "--seed", "3",
+         "--out", work / "st.csv", "--sidecar", work / "ss.json"],
+    ]
+    for argv in steps:
+        assert cli_main([str(a) for a in argv]) == 0
+    return {name: (work / name).read_bytes() for name in STEPPED_SWAP_DIGESTS}
+
+
 # CLI report -> sha256 of its stdout (for synth, of the --roles-out file);
 # {fixtures} and {work} stand for the fixture and a scratch directory
 REPORT_DIGESTS = {
@@ -304,6 +330,15 @@ def test_bulk_swap_pinned(tmp_path):
     assert {name: _sha(data) for name, data in outputs.items()} == BULK_SWAP_DIGESTS
 
 
+def test_stepped_swap_pinned(tmp_path, monkeypatch):
+    rounds = []
+    stepped = swapping._stepped_round
+    monkeypatch.setattr(swapping, "_stepped_round", lambda state, n, threshold: rounds.append(len(n)) or stepped(state, n, threshold))
+    outputs = _stepped_swap_outputs(tmp_path)
+    assert {name: _sha(data) for name, data in outputs.items()} == STEPPED_SWAP_DIGESTS
+    assert rounds and rounds[0] >= swapping._STEP_MIN_KEYS
+
+
 @pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
 def test_cli_reports_pinned(tmp_path, command):
     assert _sha(_report_bytes(command, tmp_path)) == REPORT_DIGESTS[command]
@@ -327,6 +362,8 @@ if __name__ == "__main__":
         for name, data in _many_key_outputs(Path(tmp)).items():
             print(f"    {name!r}: {_sha(data)!r},")
         for name, data in _bulk_swap_outputs(Path(tmp)).items():
+            print(f"    {name!r}: {_sha(data)!r},")
+        for name, data in _stepped_swap_outputs(Path(tmp)).items():
             print(f"    {name!r}: {_sha(data)!r},")
         for command in REPORT_DIGESTS:
             print(f"    {command!r}: {_sha(_report_bytes(command, Path(tmp)))!r},")

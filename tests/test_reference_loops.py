@@ -9,6 +9,7 @@ on random small datasets that include zero-size axes.
 
 import dataclasses
 import itertools
+import math
 import operator
 from fractions import Fraction
 from unittest import mock
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permuswap import (
+    ContingencyTable,
     Dataset,
     Domain,
     ExactDistribution,
@@ -51,7 +53,7 @@ from permuswap import (
     write_dataset_csv,
 )
 from permuswap.budget import derangement_count
-from permuswap import exact, swapping, utility
+from permuswap import cli, exact, swapping, utility
 from permuswap.dataset import invariant_stratum_bound, stratum_indices
 from permuswap.exact import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -169,6 +171,14 @@ def ref_write_lines(records, labels, column_names=("match", "hold", "swap")):
     for m, h, s in records:
         lines.append(f"{labels[0][m]},{labels[1][h]},{labels[2][s]}")
     return "\n".join(lines) + "\n"
+
+
+def ref_count_table_text(table):
+    """The swap command's count table as one ``%``-format over every
+    (m, h, s, count) int."""
+    counts = table.counts
+    rows = np.column_stack((*np.indices(counts.shape).reshape(3, -1), counts.ravel()))
+    return "m,h,s,count\n" + "%d,%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist())
 
 
 def ref_stratum_hs_distribution(records_m, domain, rate):
@@ -641,6 +651,46 @@ def test_line_breaks_blank_lines_and_bom(tmp_path, newline):
     path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8").replace("€".encode("utf-8"), b"\xe2\x82"))
     with pytest.raises(LoadError, match=r"data\.csv:3: not valid UTF-8$"):
         read_csv_columns(path)
+
+
+def test_byte_reader_edge_cases(tmp_path):
+    """An ASCII file broken only by \\r, one whose only non-ASCII bytes
+    are NEL and U+2028, and one that is only a byte-order mark."""
+    path = tmp_path / "data.csv"
+    for text in ("a,b\rx,y\r\rz,\r", "a,b\x85x,y\u2028\u2028z,\x85"):
+        path.write_bytes(text.encode("utf-8"))
+        assert read_csv_columns(path) == ref_read_csv_columns(path) == {"a": ["x", "z"], "b": ["y", ""]}
+    path.write_bytes("a,b\u2028x,y,z".encode("utf-8"))
+    with pytest.raises(LoadError, match=r"data\.csv:2: expected 2 fields, got 3$"):
+        read_csv_columns(path)
+    path.write_bytes(b"\xef\xbb\xbf")
+    with pytest.raises(LoadError, match=r"data\.csv: missing header row$"):
+        read_csv_columns(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\x0c"])
+def test_invalid_utf8_after_long_ascii_prefix(tmp_path, newline):
+    """The error names the line of the first invalid byte, 100,001 lines
+    of ASCII in, whatever breaks the lines before it."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + newline.join(["a,b"] + ["x,y"] * 100_000 + ["q,\xff"]).encode("latin-1"))
+    with pytest.raises(LoadError, match=r"data\.csv:100002: not valid UTF-8$"):
+        read_csv_columns(path)
+
+
+@st.composite
+def contingency_tables(draw):
+    """Tables with zero-size axes among them, and counts up to 2**63 - 1."""
+    shape = tuple(draw(st.integers(0, 4)) for _ in range(3))
+    count = st.one_of(st.integers(0, 9), st.integers(0, 2**63 - 1))
+    counts = draw(st.lists(count, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return ContingencyTable(np.array(counts, dtype=np.int64).reshape(shape))
+
+
+@settings(max_examples=100, deadline=None)
+@given(contingency_tables())
+def test_count_table_text_matches_percent_format(table):
+    assert cli._count_table_text(table) == ref_count_table_text(table)
 
 
 @settings(max_examples=50, deadline=None)

@@ -432,6 +432,39 @@ class TestDrawKernel:
             np.testing.assert_array_equal(got, expected)
 
 
+    @pytest.mark.parametrize("handoff", [0, swapping._HANDOFF])
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.9])
+    def test_stepped_rounds_draw_as_on_the_loop(self, monkeypatch, handoff, p):
+        """Twice ``_STEP_MIN_KEYS`` keys of 2-64 records, every one on the
+        kernel: the first selection round steps them together, the redraw
+        rounds jump, and the mapping, selections and redraws are those of
+        the all-seated loop."""
+        x = synthesize([StratumSpec(2 + i % 63) for i in range(swapping._STEP_MIN_KEYS)], 2, 3, 5)
+        spans = stratum_order(x)
+        strata = _active_strata(spans[1])
+        seeds = [7, 2**64 - 1]
+        rounds = []
+
+        def counted(name):
+            draw_round = getattr(swapping, name)
+            return lambda state, n, threshold: rounds.append((name, len(n))) or draw_round(state, n, threshold)
+
+        for name in ("_stepped_round", "_jumped_round"):
+            monkeypatch.setattr(swapping, name, counted(name))
+        monkeypatch.setattr(swapping, "_HANDOFF", handoff)
+        # every stratum on the kernel, at p = 0.9 too
+        monkeypatch.setattr(swapping, "_KERNEL_MAX_SELECTED", swapping._KERNEL_MAX_RECORDS)
+        kernel = _draw_mapping(spans, strata, p, seeds)
+        assert rounds[0] == ("_stepped_round", 2 * swapping._STEP_MIN_KEYS)
+        assert len(rounds) > 1 and all(name == "_jumped_round" for name, _ in rounds[1:])
+        kernel_rounds = len(rounds)
+        monkeypatch.setattr(swapping, "_KERNEL_MIN_KEYS", 10**9)
+        loop = _draw_mapping(spans, strata, p, seeds)
+        assert len(rounds) == kernel_rounds
+        for got, expected in zip(kernel, loop):
+            np.testing.assert_array_equal(got, expected)
+
+
 class TestRunPsa:
     def test_p_zero_is_identity(self):
         x = synthesize([StratumSpec(6), StratumSpec(4)], 3, 3, seed=3)
