@@ -141,7 +141,11 @@ def psa_budget(p: float, b: int) -> BudgetResult:
     """Budget of the swapper at rate p over a universe with bound b.
 
     Exactly at the threshold rate the low-p branch governs the regime
-    tag (the two branches agree in value there).
+    tag.  The value is the larger of the two branches on both sides:
+    they agree at the threshold and the low-p branch is the larger below
+    it, but in floats ln(b+1) - ln(o) at the threshold rate can round an
+    ulp below ln(o), the budget at b - 1 there; taking the larger keeps
+    the budget nondecreasing in b.
     """
     p = _validate_rate(p)
     b = _validate_b(b)
@@ -152,9 +156,8 @@ def psa_budget(p: float, b: int) -> BudgetResult:
     root = math.sqrt(b + 1)
     p_star = root / (root + 1.0)
     log_o = _log_odds(p)
-    if p <= p_star:
-        return BudgetResult(math.log(b + 1) - log_o, "low-p", p, b, _odds(p))
-    return BudgetResult(log_o, "high-p", p, b, _odds(p))
+    epsilon = max(math.log(b + 1) - log_o, log_o)
+    return BudgetResult(epsilon, "low-p" if p <= p_star else "high-p", p, b, _odds(p))
 
 
 def min_budget(b: int) -> tuple[float, float]:

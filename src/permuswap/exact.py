@@ -37,11 +37,10 @@ atoms' denominators and calls it too, and the sweep and the measured
 optimum share one loop over a universe's pairs.
 
 The rest of a universe's structure is a function of its margins: the
-stratum bound b, which :func:`permuswap.budget.psa_lower_bounds` have a
-witness there, and a permutation moving exactly d_Ham records between
-two members (by direct matching), which the sweep cross-checks against
-the fewest records any permutation moves between them, read off the
-same rate-free stratum histograms.
+stratum bound b, the :func:`permuswap.budget.psa_lower_bounds` it
+witnesses, and a permutation moving exactly d_Ham records between two
+members (by direct matching), which the sweep cross-checks against the
+fewest records any permutation moves, read off the stratum histograms.
 
 The swapper never reads a label, so relabelling the hold values or the
 swap values within one stratum, or permuting the strata, carries the
@@ -49,19 +48,32 @@ law of a table onto the law of the relabelled table, atom by atom: a
 composite law is the product of its strata's laws, and each depends on
 its own H x S counts alone.  d_Ham, b, the universe size, the support,
 the witnessed lower bounds and the fewest records moved are per-stratum
-sums or maxima of quantities no relabelling changes.  So
-:func:`dp_sweep` checks the first universe of each relabelling orbit
-and shares its summary with the others, whose checks would compute the
-same integers and so the same floats; its pair counts still count every
-pair covered.  It groups the datasets as rows of cell counts and builds
-datasets only for the universes it checks.
+sums or maxima of quantities no relabelling changes.
 
-The guard ``max_permutations`` bounds the composite permutation space
-the law is a sum over: the product of n! over the strata of at least
-two records (of the derangement counts d(n) at p = 1).  It is checked
-before any work, and the oracle raises rather than report a verdict on
-an instance above it.  The sweep holds the number of datasets it would
-enumerate, C(cells + max_records, max_records), to the same bound.
+So one stratum is the unit of the measured optimum (the stratum lemma).
+For a pair x, x' of one universe, the log-ratio at an output t is the
+sum of the strata's log-ratios, so the pair's distance is at most the
+sum of the strata's distances D_m, and its value at most the largest
+D_m / d_m over the strata where the two differ.  The pair that differs
+in that stratum alone is in the universe and attains it, with the same
+reduced ratio and so the same float.  A universe's measured optimum is
+the largest of its strata's, each a function of the stratum's sorted
+hold and swap margins.  :func:`universe_report` measures each distinct
+stratum universe on its own and never builds their product, and
+:func:`dp_sweep` checks each distinct sorted stratum once.  (A pair
+that attains the optimum in several strata takes the logarithm of
+another fraction, so the composite's largest float can be an ulp or two
+above the stratum's.)
+
+The guard ``max_permutations`` bounds the permutation space a law is a
+sum over, the product of n! over the strata of at least two records (of
+d(n) at p = 1), and the margin-constrained tables enumerated.  The law
+APIs (:func:`exact_psa_distribution`, :func:`verify_dp`,
+:func:`enumerate_universe`, :func:`measured_optimal_epsilon`) hold the
+composite to it, and :func:`universe_report` and :func:`dp_sweep` each
+stratum.  It is checked before any work, and the oracle raises rather
+than report a verdict above it.  The sweep holds the number of datasets
+it would enumerate, C(cells + max_records, max_records), to it too.
 """
 
 import functools
@@ -75,57 +87,20 @@ from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .budget import (
-    BudgetResult,
-    LowerBound,
-    derangement_count,
-    psa_budget,
-    psa_lower_bounds,
-)
+from .budget import BudgetResult, LowerBound, derangement_count, psa_budget, psa_lower_bounds
 from .dataset import (
-    ContingencyTable,
-    Dataset,
-    Domain,
-    SwapInvariants,
-    dataset_from_table,
-    hamming_distance,
-    invariant_stratum_bound,
-    max_stratum_b,
-    same_universe,
-    swap_invariants,
-    tabulate,
+    ContingencyTable, Dataset, Domain, SwapInvariants, dataset_from_table, hamming_distance,
+    invariant_stratum_bound, same_universe, swap_invariants, tabulate,
 )
-from .swapping import (
-    Permutation,
-    RateLike,
-    apply_permutation,
-    to_exact_rate,
-)
+from .swapping import Permutation, RateLike, apply_permutation, to_exact_rate
 
 __all__ = [
-    "EnumerationBudgetError",
-    "UniverseMismatchError",
-    "ExactDistribution",
-    "DpVerdict",
-    "exact_psa_distribution",
-    "enumerate_universe",
-    "mult_distance",
-    "max_probability_ratio",
-    "verify_dp",
-    "measured_optimal_epsilon",
-    "connecting_permutation",
-    "odds_bound_applies",
-    "ratio_bound_applies",
-    "applicable_lower_bounds",
-    "invariant_stratum_bound",
-    "enumerate_small_datasets",
-    "UniverseCheck",
-    "SweepReport",
-    "dp_sweep",
-    "universe_report",
-    "UniverseReport",
-    "DEFAULT_ENUMERATION_BUDGET",
-    "LOG_SLACK",
+    "EnumerationBudgetError", "UniverseMismatchError", "ExactDistribution", "DpVerdict",
+    "exact_psa_distribution", "enumerate_universe", "mult_distance", "max_probability_ratio",
+    "verify_dp", "measured_optimal_epsilon", "connecting_permutation", "odds_bound_applies",
+    "ratio_bound_applies", "applicable_lower_bounds", "invariant_stratum_bound",
+    "enumerate_small_datasets", "UniverseCheck", "SweepReport", "dp_sweep", "universe_report",
+    "UniverseReport", "DEFAULT_ENUMERATION_BUDGET", "LOG_SLACK",
 ]
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -180,10 +155,7 @@ def _fixed_point_counts(n: int, r: int) -> tuple[int, ...]:
     C(r, j) * sum_i (-1)^i C(r-j, i) (n-j-i)!."""
     return tuple(
         math.comb(r, j)
-        * sum(
-            (-1) ** i * math.comb(r - j, i) * math.factorial(n - j - i)
-            for i in range(r - j + 1)
-        )
+        * sum((-1) ** i * math.comb(r - j, i) * math.factorial(n - j - i) for i in range(r - j + 1))
         for j in range(r + 1)
     )
 
@@ -473,9 +445,7 @@ def enumerate_universe(
         options = _tables_with_margins(inv.mh[m].tolist(), inv.ms[m].tolist(), max_tables)
         total *= len(options)
         if total > max_tables:
-            raise EnumerationBudgetError(
-                f"universe size exceeds the budget of {max_tables}"
-            )
+            raise EnumerationBudgetError(f"universe size exceeds the budget of {max_tables}")
         per_stratum.append(options)
     return tuple(
         ContingencyTable(np.array(combo, dtype=np.int64).reshape(domain.shape))
@@ -505,9 +475,7 @@ def max_probability_ratio(
     return _largest_ratio(p_nums, q_nums)
 
 
-def mult_distance(
-    p_dist: ExactDistribution, q_dist: ExactDistribution
-) -> float:
+def mult_distance(p_dist: ExactDistribution, q_dist: ExactDistribution) -> float:
     """Multiplicative distance sup_E |ln P(E)/Q(E)|.
 
     For finite discrete distributions the sup over events is attained
@@ -832,19 +800,28 @@ def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[inverse.reshape(-1)], first[order]
 
 
-def _orbit_ids(mh: np.ndarray, ms: np.ndarray) -> np.ndarray:
+def _orbit_ids(mh: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The relabelling orbit of each of U universes, given their margins
-    as (U, M, H) and (U, M, S) arrays, as ids numbered in order of first
-    appearance.  Each stratum's hold and swap margins are sorted, the
-    sorted stratum rows are ranked, and each universe's ranks are
-    sorted.  Two universes share an id exactly when relabelling the hold
-    values and the swap values of each stratum, and permuting the strata,
-    carries one onto the other."""
+    as (U, M, H) and (U, M, S) arrays.  Each stratum's hold and swap
+    margins are sorted and the distinct sorted stratum rows are ranked;
+    returns each universe's ranks in ascending order, a (U, M) array, and
+    the (K, H + S) sorted stratum row of each rank.  Two universes share
+    a row of ranks exactly when relabelling the hold values and the swap
+    values of each stratum, and permuting the strata, carries one onto
+    the other."""
     strata = np.concatenate((np.sort(mh, axis=2), np.sort(ms, axis=2)), axis=2)
     universes, match, width = strata.shape
-    _, ranks = np.unique(strata.reshape(universes * match, width), axis=0, return_inverse=True)
-    ids, _ = _first_seen(np.sort(ranks.reshape(universes, match), axis=1))
-    return ids
+    rows, ranks = np.unique(strata.reshape(universes * match, width), axis=0, return_inverse=True)
+    return np.sort(ranks.reshape(universes, match), axis=1), rows
+
+
+def _stratum_tables(holds: Sequence[int], swaps: Sequence[int], max_tables: int) -> list[ContingencyTable]:
+    """The universe of one stratum with the given margins, as 1 x H x S tables."""
+    shape = (1, len(holds), len(swaps))
+    return [
+        ContingencyTable(np.array(t, dtype=np.int64).reshape(shape))
+        for t in _tables_with_margins(holds, swaps, max_tables)
+    ]
 
 
 def _check_universe(
@@ -927,13 +904,7 @@ def _check_universe(
 def dp_sweep(
     domain: Domain = Domain(2, 2, 2),
     max_records: int = 4,
-    p_values: Sequence[RateLike] = (
-        Fraction(1, 10),
-        Fraction(3, 10),
-        Fraction(1, 2),
-        Fraction(7, 10),
-        Fraction(9, 10),
-    ),
+    p_values: Sequence[RateLike] = tuple(Fraction(k, 10) for k in (1, 3, 5, 7, 9)),
     max_permutations: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> SweepReport:
     """Exhaustive verification over every small dataset and universe.
@@ -948,28 +919,30 @@ def dp_sweep(
     fewest records a within-stratum permutation moves between them, read
     off the stratum histograms, equals d_Ham (which no permutation beats).
 
-    Universes are checked once per relabelling orbit, whose members'
-    checks compute the same integers and so the same floats (see the
-    module docstring): the first universe of each orbit (in grouping
-    order) is checked in full, and the later members share its
-    :class:`UniverseCheck`, one object whose dicts are not copied and
-    must not be written into.
-    When the first universe of an orbit records a failure, every later
-    member is checked in full too, so a failing sweep lists each failure
-    where it occurs.
-    ``pair_checks`` and ``connecting_checks`` count the pairs covered,
-    copied universes included: C(size, 2) per rate and size * (size - 1)
-    per universe, as if every universe had been checked.
+    One stratum is the unit of work (see the module docstring).  Each
+    distinct sorted stratum row of hold and swap margins is checked once,
+    by :func:`_check_universe` on its single-stratum universe.  A
+    relabelling orbit of universes, the sorted tuple of its strata's
+    ranks, gets one :class:`UniverseCheck`: b and the measured optimum
+    the largest of its strata's, the budget at that b, and its size.
+    Every member of the orbit shares that one object, whose dicts are
+    not copied and must not be written into.  A universe is checked
+    pair by pair, as the unreduced sweep would check it, when one of its
+    strata's checks failed or when its combined optimum exceeds its own
+    budget or falls below a lower bound it witnesses; so a failing sweep
+    lists each failure where it occurs, and the verdict needs no
+    monotonicity of the budget in b.  ``pair_checks`` and
+    ``connecting_checks`` count the pairs covered: C(size, 2) per rate
+    and size * (size - 1) per universe.
 
     The sweep works on count rows: every dataset is enumerated once, as
     one row of an integer matrix in the order of
     :func:`enumerate_small_datasets`, and the universes and their orbits
-    are found by grouping rows and margins with numpy.  Tables, datasets
-    and invariants are built only for the universes it checks, and each
-    table serves the laws and both connecting checks.  d_Ham is computed
-    once per unordered pair, before the rates; the budget and lower
-    bounds once per (rate, b), both functions of the float rate; stratum
-    histograms, laws and weights are shared through one cache.
+    are found by grouping rows and margins with numpy.  Tables and
+    datasets are built only for the strata and universes it checks.
+    The budget and lower bounds are computed once per (rate, b), both
+    functions of the float rate; stratum histograms, laws and weights
+    are shared through one cache.
 
     Every rate must lie strictly inside (0, 1), as an exact rational and
     as a float, since the budget is computed at the float: at an
@@ -995,34 +968,61 @@ def dp_sweep(
     universe_of, firsts = _first_seen(
         margins.reshape(len(rows), domain.match * (domain.hold + domain.swap))
     )
-    orbit_of = _orbit_ids(mh[firsts], ms[firsts])
+    orbit_of, stratum_rows = _orbit_ids(mh[firsts], ms[firsts])
     # universe u's members in enumeration order: by_universe[edges[u]:edges[u + 1]]
     by_universe = np.argsort(universe_of, kind="stable")
     edges = np.searchsorted(universe_of[by_universe], np.arange(len(firsts) + 1)).tolist()
 
     cache: dict = {}
     bounds: dict[tuple[float, int], tuple[BudgetResult, list[LowerBound]]] = {}
-    first_of_orbit: dict[int, tuple[UniverseCheck, int, int, list[str]]] = {}
+    strata = []
+    # each row as a (1, H + S) block: the margins of a one-stratum universe
+    for row in stratum_rows[:, None]:
+        holds, swaps = row[:, : domain.hold], row[:, domain.hold :]
+        tables = _stratum_tables(holds[0].tolist(), swaps[0].tolist(), max_permutations)
+        entries = [(dataset_from_table(t), t) for t in tables]
+        check, _, _, found = _check_universe(
+            SwapInvariants(holds, swaps), entries, rates, max_permutations, cache, bounds
+        )
+        strata.append((check, bool(found)))
+    by_orbit: dict[tuple[int, ...], tuple[UniverseCheck, bool]] = {}
     results = []
-    for u, orbit in enumerate(orbit_of.tolist()):
-        result = first_of_orbit.get(orbit)
-        if result is None or result[3]:
+    for u, orbit in enumerate(map(tuple, orbit_of.tolist())):
+        if orbit not in by_orbit:
+            parts = [strata[r] for r in orbit]
+            b = max((check.b for check, _ in parts), default=0)
+            witnessed = _witnessed(SwapInvariants(mh[firsts[u]], ms[firsts[u]]), b)
+            failed = any(found for _, found in parts)
+            measured_by_p, budget_by_p = {}, {}
+            for p in map(float, rates):
+                if (p, b) not in bounds:
+                    bounds[p, b] = psa_budget(p, b), psa_lower_bounds(p, b)
+                budget, lower = bounds[p, b]
+                measured = measured_by_p[p] = max((check.measured[p] for check, _ in parts), default=0.0)
+                budget_by_p[p] = budget.epsilon
+                failed |= measured > budget.epsilon + LOG_SLACK or any(
+                    condition in witnessed and measured < bound - LOG_SLACK for bound, condition in lower
+                )
+            by_orbit[orbit] = UniverseCheck(b, edges[u + 1] - edges[u], measured_by_p, budget_by_p), failed
+        check, failed = by_orbit[orbit]
+        found: list[str] = []
+        if failed:
             tables = [ContingencyTable(c) for c in counts[by_universe[edges[u] : edges[u + 1]]]]
             entries = [(dataset_from_table(t), t) for t in tables]
             inv = SwapInvariants(mh[firsts[u]], ms[firsts[u]])
-            result = _check_universe(inv, entries, rates, max_permutations, cache, bounds)
-            first_of_orbit.setdefault(orbit, result)
-        results.append(result)
+            check, _, _, found = _check_universe(inv, entries, rates, max_permutations, cache, bounds)
+        results.append((check, found))
+    sizes = np.diff(edges)
     return SweepReport(
         domain=domain,
         max_records=max_records,
         p_values=rates,
         universe_count=len(firsts),
         dataset_count=len(rows),
-        pair_checks=sum(pairs for _, pairs, _, _ in results),
-        connecting_checks=sum(connecting for _, _, connecting, _ in results),
-        failures=tuple(f for _, _, _, found in results for f in found),
-        universes=tuple(check for check, _, _, _ in results),
+        pair_checks=len(rates) * int((sizes * (sizes - 1) // 2).sum()),
+        connecting_checks=int((sizes * (sizes - 1)).sum()),
+        failures=tuple(f for _, found in results for f in found),
+        universes=tuple(check for check, _ in results),
     )
 
 
@@ -1046,7 +1046,10 @@ def universe_report(
 ) -> list[UniverseReport]:
     """Measure one dataset's universe at each rate against the budget.
 
-    At the endpoint rates an infinite measurement is the expected
+    The measured optimum is the largest over the distinct sorted strata
+    of each one's universe on its own (see the module docstring), each
+    held to ``max_permutations``; ``universe_size`` is the product of
+    the strata's universe sizes.  At the endpoint rates an infinite measurement is the expected
     outcome (the budget is infinite there too); rows carry a flag so
     reports can mark them rather than fail.  A rate inside (0, 1) whose
     float is 0.0 or 1.0 is refused with ``ValueError``: its law would be
@@ -1055,25 +1058,20 @@ def universe_report(
     refused = [str(rate) for rate in rates if _float_endpoint(rate)]
     if refused:
         raise ValueError(f"rates inside (0, 1) that round to 0.0 or 1.0 as floats: {', '.join(refused)}")
-    universe = enumerate_universe(x, max_permutations)
-    d_hams = _distances(universe)
-    b = max_stratum_b(x)
+    inv = swap_invariants(x)
+    keys = [(tuple(h), tuple(s)) for h, s in zip(*(np.sort(a, axis=1).tolist() for a in (inv.mh, inv.ms)))]
+    strata = {key: _stratum_tables(*key, max_permutations) for key in dict.fromkeys(keys)}
+    d_hams = {key: _distances(tables) for key, tables in strata.items()}
+    size = math.prod(len(strata[key]) for key in keys)
+    b = invariant_stratum_bound(inv)
     cache: dict = {}
     rows = []
     for rate in rates:
-        budget = psa_budget(float(rate), b)
-        measured = _measured_optimal_epsilon(universe, d_hams, rate, max_permutations, cache)
-        endpoint = rate in (0, 1)
-        passed = measured <= budget.epsilon + LOG_SLACK
-        rows.append(
-            UniverseReport(
-                b=b,
-                universe_size=len(universe),
-                p=float(rate),
-                budget_epsilon=budget.epsilon,
-                measured_optimal=measured,
-                passed=passed,
-                expected_infinite=endpoint and b > 0,
-            )
+        budget = psa_budget(float(rate), b).epsilon
+        measured = max(
+            (_measured_optimal_epsilon(strata[k], d_hams[k], rate, max_permutations, cache) for k in strata),
+            default=0.0,
         )
+        passed = measured <= budget + LOG_SLACK
+        rows.append(UniverseReport(b, size, float(rate), budget, measured, passed, rate in (0, 1) and b > 0))
     return rows

@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 
@@ -152,6 +153,34 @@ class TestPsaBudget:
             log_o = math.log(p_star) - math.log1p(-p_star)
             assert math.log(b + 1) - log_o == pytest.approx(log_o, abs=1e-9)
             assert result.epsilon == pytest.approx(0.5 * math.log(b + 1), abs=1e-9)
+
+    @pytest.mark.parametrize("p, b", [(4 / 5, 15), (5 / 6, 24), (12 / 13, 143), (13 / 14, 168), (14 / 15, 195)])
+    def test_threshold_rate_keeps_the_budget_at_b_minus_one(self, p, b):
+        """At these threshold rates ln(b+1) - ln(o) rounds an ulp below
+        ln(o), the budget at b - 1; the budget takes the larger branch and
+        keeps the regime tag."""
+        low, high = psa_budget(p, b), psa_budget(p, b - 1)
+        assert (low.regime, high.regime) == ("low-p", "high-p")
+        log_o = math.log(p) - math.log1p(-p)
+        assert math.log(b + 1) - log_o < log_o == high.epsilon == low.epsilon
+
+    def test_nondecreasing_in_b_on_the_rate_grid(self):
+        """Every rate i/n with n < 400 and every b < 200.  Each branch is
+        nondecreasing in b and the threshold grows with b, so a rate moves
+        from high-p to low-p once, at the first b whose threshold it does
+        not exceed; every rate is checked around that b, and the rates with
+        n < 40 at every b."""
+        thresholds = [math.sqrt(b + 1) / (math.sqrt(b + 1) + 1.0) for b in range(200)]
+        assert thresholds == sorted(thresholds)
+        for p in {i / n for n in range(2, 400) for i in range(1, n)}:
+            switch = bisect.bisect_left(thresholds, p)
+            bs = range(max(switch - 2, 0), min(switch + 2, 200))
+            budgets = [psa_budget(p, b) for b in bs]
+            assert [r.regime for r in budgets if r.b] == ["high-p" if b < switch else "low-p" for b in bs if b]
+            assert [r.epsilon for r in budgets] == sorted(r.epsilon for r in budgets), p
+        for p in {i / n for n in range(2, 40) for i in range(1, n)}:
+            values = [psa_budget(p, b).epsilon for b in range(200)]
+            assert values == sorted(values), p
 
     def test_u_shape_in_p(self):
         for b in (10, 100):

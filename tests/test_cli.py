@@ -347,6 +347,37 @@ class TestVerifyCommand:
         )
         assert code == 4
 
+    def test_two_strata_past_the_composite_guard(self, tmp_path, capsys):
+        """Two ten-record strata with margins (5, 5) on 1x2x2: their
+        10!^2 composite permutations exceed the default guard, but each
+        stratum's 10! does not, and the universe is measured one stratum
+        at a time.  The rows are the single stratum's, with 6 x 6 tables."""
+        stratum = ["h0,s0"] * 3 + ["h0,s1"] * 2 + ["h1,s0"] * 2 + ["h1,s1"] * 3
+        roles = tmp_path / "roles.json"
+        roles.write_text(json.dumps({"match": ["match"], "hold": ["hold"], "swap": ["swap"]}), encoding="utf-8")
+        rows = []
+        for matches in (["m0"], ["m0", "m1"]):
+            csv = tmp_path / f"strata{len(matches)}.csv"
+            lines = [f"{m},{record}\n" for m in matches for record in stratum]
+            csv.write_text("match,hold,swap\n" + "".join(lines), encoding="utf-8")
+            assert run_cli(["verify", "--input", csv, "--roles", roles, "--p-values", "1/10,1/2"]) == 0
+            rows.append([line.split(",") for line in capsys.readouterr().out.splitlines()])
+        single, double = rows
+        assert [row[2] for row in single[1:]] == ["6", "6"]
+        assert [row[2] for row in double[1:]] == ["36", "36"]
+        assert [row[:2] + row[3:] for row in double] == [row[:2] + row[3:] for row in single]
+        assert all(row[1] == "10" and row[5] == "true" for row in double[1:])
+
+    def test_stratum_twice_gives_the_stratum_rows(self, capsys):
+        """The b = 6 ratio witness in two strata, as the CI step runs it:
+        the rows of the one-stratum fixture, with 58 x 58 = 3,364 tables."""
+        for name in ("witness_ratio_b6", "witness_ratio_b6_two_strata"):
+            argv = ["verify", "--input", FIXTURES / f"{name}.csv", "--roles", FIXTURES / f"{name}.roles.json"]
+            assert run_cli(argv + ["--p-values", "1/10,1/2,9/10"]) == 0
+        one, two = capsys.readouterr().out.split("p,b,")[1:]
+        assert two == one.replace(",58,", ",3364,")
+        assert two.count(",3364,") == 3
+
     @pytest.mark.parametrize("budget, code", [(1000, 4), (1287, 0)])
     def test_sweep_guard_counts_datasets_first(self, capsys, monkeypatch, budget, code):
         """2x2x2 with up to 5 records has C(8 + 5, 5) = 1,287 datasets:

@@ -647,8 +647,8 @@ class TestRelabelling:
         b = invariant_stratum_bound(inv)
         assert invariant_stratum_bound(inv_u) == b
         assert exact._witnessed(inv_u, b) == exact._witnessed(inv, b)
-        ids = exact._orbit_ids(np.stack((inv.mh, inv_u.mh)), np.stack((inv.ms, inv_u.ms)))
-        assert ids.tolist() == [0, 0]
+        ids, _ = exact._orbit_ids(np.stack((inv.mh, inv_u.mh)), np.stack((inv.ms, inv_u.ms)))
+        assert ids[0].tolist() == ids[1].tolist()
 
 
 class TestSweep:
@@ -666,14 +666,16 @@ class TestSweep:
         assert report.all_pass
 
     def test_sweep_does_per_pair_and_per_rate_work_once(self, monkeypatch):
-        """The sweep checks the first universe of each relabelling orbit
-        (found here by brute force over the group) and copies its check
-        to the others.  Over those first universes: one d_Ham per
-        unordered pair, one integer weight vector per (n, rate), one
-        histogram per stratum, shared by the laws and the connecting
-        minimum, no brute force, one dataset per member of those
-        universes and one table per connecting permutation's target.
-        The reported counts cover every universe."""
+        """The sweep checks each distinct sorted stratum once, on its
+        single-stratum universe (found here by brute force over 1x2x2),
+        and shares one combined check per relabelling orbit (found by
+        brute force over the group).  Over those single-stratum
+        universes: one check each, one d_Ham per unordered pair, one
+        integer weight vector per (n, rate), one histogram per stratum,
+        shared by the laws and the connecting minimum, no brute force,
+        one dataset per member and one table per connecting
+        permutation's target.  The reported counts cover every
+        universe."""
         domain = Domain(2, 2, 2)
         universes: dict = {}
         for d in enumerate_small_datasets(domain, 4):
@@ -683,9 +685,22 @@ class TestSweep:
             firsts.setdefault(_brute_force_orbit(tables[0]), tables)
         assert (len(universes), len(firsts)) == (406, 38)
         margins = [np.stack([getattr(inv, name) for inv in universes]) for name in ("mh", "ms")]
-        assert len(set(exact._orbit_ids(*margins).tolist())) == len(firsts)
+        ids, _ = exact._orbit_ids(*margins)
+        assert len(set(map(tuple, ids.tolist()))) == len(firsts)
+        sorted_pairs = {
+            (tuple(sorted(hold)), tuple(sorted(swap)))
+            for inv in universes
+            for hold, swap in zip(inv.mh.tolist(), inv.ms.tolist())
+        }
+        singles: dict = {}
+        for d in enumerate_small_datasets(Domain(1, 2, 2), 4):
+            inv = swap_invariants(d)
+            if (tuple(inv.mh[0].tolist()), tuple(inv.ms[0].tolist())) in sorted_pairs:
+                singles.setdefault(inv, []).append(tabulate(d))
+        assert len(singles) == len(sorted_pairs) == 19
 
         calls = {
+            "_check_universe": [],
             "hamming_distance": [],
             "min_connecting_derangement": [],
             "_stratum_weights": [],
@@ -705,17 +720,18 @@ class TestSweep:
         sizes = [len(tables) for tables in universes.values()]
         assert report.pair_checks == len(rates) * sum(math.comb(n, 2) for n in sizes)
         assert report.connecting_checks == sum(n * (n - 1) for n in sizes)
-        checked = [len(tables) for tables in firsts.values()]
+        assert len({id(u) for u in report.universes}) == len(firsts)
+        checked = [len(tables) for tables in singles.values()]
+        assert len(calls["_check_universe"]) == len(singles)
         assert len(calls["hamming_distance"]) == sum(math.comb(n, 2) for n in checked)
         assert calls["min_connecting_derangement"] == []
         assert len(calls["tabulate"]) == sum(n * (n - 1) for n in checked)
         assert len(calls["dataset_from_table"]) == sum(checked)
         strata = {
-            tuple(row)
-            for tables in firsts.values()
+            tuple(table.counts.ravel().tolist())
+            for tables in singles.values()
             for table in tables
-            for row in table.counts.reshape(2, 4).tolist()
-            if sum(row) >= 2
+            if table.counts.sum() >= 2
         }
         weights = calls["_stratum_weights"]
         assert len(weights) == len(set(weights))

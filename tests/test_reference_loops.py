@@ -11,6 +11,7 @@ import dataclasses
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -52,15 +53,18 @@ from permuswap import (
     utility_experiment,
     write_dataset_csv,
 )
-from permuswap.budget import derangement_count
+from permuswap.budget import LowerBound, derangement_count, psa_budget
 from permuswap import cli, exact, swapping, utility
 from permuswap.dataset import invariant_stratum_bound, stratum_indices
 from permuswap.exact import (
     DEFAULT_ENUMERATION_BUDGET,
     EnumerationBudgetError,
+    LOG_SLACK,
     SweepReport,
+    UniverseReport,
     dp_sweep,
     enumerate_small_datasets,
+    universe_report,
 )
 from permuswap.swapping import to_exact_rate
 from permuswap.ingest import COMPOSITE_LABEL_SEP, CONSTANT_MATCH_LABEL
@@ -358,6 +362,30 @@ def ref_dp_sweep(domain, max_records, p_values, max_permutations=DEFAULT_ENUMERA
         failures=tuple(f for _, _, _, found in checks for f in found),
         universes=tuple(check for check, _, _, _ in checks),
     )
+
+
+def ref_universe_report(x, p_values, max_permutations=DEFAULT_ENUMERATION_BUDGET):
+    """universe_report over the composite universe: every table of the
+    product of the strata's universes, and every pair of those tables."""
+    universe = enumerate_universe(x, max_permutations)
+    d_hams = exact._distances(universe)
+    b = max_stratum_b(x)
+    cache, rows = {}, []
+    for rate in map(to_exact_rate, p_values):
+        budget = psa_budget(float(rate), b)
+        measured = exact._measured_optimal_epsilon(universe, d_hams, rate, max_permutations, cache)
+        rows.append(
+            UniverseReport(
+                b=b,
+                universe_size=len(universe),
+                p=float(rate),
+                budget_epsilon=budget.epsilon,
+                measured_optimal=measured,
+                passed=measured <= budget.epsilon + LOG_SLACK,
+                expected_infinite=rate in (0, 1) and b > 0,
+            )
+        )
+    return rows
 
 
 def ref_permutation_check(mapping):
@@ -876,6 +904,110 @@ def test_failing_dp_sweep_lists_the_unreduced_failures(monkeypatch):
     assert expected.failures and len(expected.failures) < expected.pair_checks
     assert report.failures == expected.failures
     assert report == expected
+
+
+@pytest.mark.parametrize("patched", ["budget falls with b", "odds bound grows with b"])
+def test_sweep_checks_each_universe_at_its_own_b(monkeypatch, patched):
+    """A universe's combined optimum is compared with the budget and the
+    lower bounds at the universe's b, which can exceed the b of the
+    stratum that sets the optimum, so the verdict assumes no monotonicity
+    in b: with a budget that falls as b grows, or an odds bound that
+    grows with it, the sweep lists the unreduced sweep's failures."""
+    real_budget, real_bounds = exact.psa_budget, exact.psa_lower_bounds
+
+    def falling_budget(p, b):
+        budget = real_budget(p, b)
+        return dataclasses.replace(budget, epsilon=budget.epsilon * (1.0 if b <= 2 else 0.5))
+
+    def growing_bounds(p, b):
+        return [LowerBound(v + 1.0 if c == "selection-odds" and b > 2 else v, c) for v, c in real_bounds(p, b)]
+
+    if patched == "budget falls with b":
+        monkeypatch.setattr(exact, "psa_budget", falling_budget)
+    else:
+        monkeypatch.setattr(exact, "psa_lower_bounds", growing_bounds)
+    # five records: a two-record odds witness beside a three-record stratum
+    rates = (Fraction(1, 10), Fraction(1, 2))
+    expected = ref_dp_sweep(Domain(2, 2, 2), 5, rates)
+    assert expected.failures
+    assert dp_sweep(Domain(2, 2, 2), 5, rates) == expected
+
+
+# the b = 4 and b = 6 ratio witnesses, and 1, 2, 1 on a 3x3 diagonal
+WITNESS_B4 = [(0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 3, 3)]
+WITNESS_B6 = [(0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 2, 2), (0, 3, 3), (0, 3, 3)]
+DIAGONAL = [(0, 0, 0), (0, 1, 1), (0, 1, 1), (0, 2, 2)]
+
+
+def _strata(*strata):
+    return [(m, h, s) for m, records in enumerate(strata) for _, h, s in records]
+
+
+@pytest.mark.parametrize(
+    "records, domain, rates, size",
+    [
+        (_strata(DIAGONAL, DIAGONAL), Domain(2, 3, 3), [0, Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), 1], 49),
+        (_strata(WITNESS_B4, DIAGONAL), Domain(2, 4, 4), [Fraction(1, 2)], 168),
+    ],
+    ids=["7x7", "24x7"],
+)
+def test_universe_report_matches_the_composite_universe(records, domain, rates, size):
+    """Measured one stratum at a time, the universe gives every field of
+    the composite report, the measured optimum as the same float."""
+    x = Dataset(records, domain)
+    expected = ref_universe_report(x, rates)
+    assert expected[0].universe_size == size
+    assert universe_report(x, rates) == expected
+
+
+def test_universe_report_pins_the_406_table_universe():
+    """The b = 6 witness (58 tables) beside the 3x3 diagonal (7 tables):
+    the composite universe's measured optima, computed on the composite
+    path before it was dropped, to the bit."""
+    x = Dataset(_strata(WITNESS_B6, DIAGONAL), Domain(2, 4, 4))
+    rows = universe_report(x, [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)])
+    assert {(row.b, row.universe_size) for row in rows} == {(6, 406)}
+    assert [repr(row.measured_optimal) for row in rows] == [
+        "3.888477201661221", "1.6912526243250012", "1.1451575002011154",
+    ]
+
+
+def test_composite_float_can_sit_above_the_stratum_optimum():
+    """Three copies of one two-record stratum: the pair that differs in
+    all three attains the same exact optimum as a pair that differs in
+    one, ln(R^3)/6 against ln(R)/2, but its logarithm rounds higher.  The
+    report gives the stratum's float, the composite's largest is 3 ulps above."""
+    x = Dataset(_strata(*[[(0, 0, 1), (0, 1, 0)]] * 3), Domain(3, 2, 3))
+    rate = Fraction(63, 80)
+    (row,) = universe_report(x, [rate])
+    (expected,) = ref_universe_report(x, [rate])
+    assert repr(row.measured_optimal) == "1.3099213823353164"
+    assert repr(expected.measured_optimal) == "1.309921382335317"
+    assert dataclasses.replace(expected, measured_optimal=row.measured_optimal) == row
+
+
+@st.composite
+def stratified_datasets(draw):
+    """Datasets of two or three strata of up to six records in all."""
+    domain = Domain(draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    cell = st.tuples(*(st.integers(0, n - 1) for n in domain))
+    return Dataset(draw(st.lists(cell, max_size=6)), domain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    stratified_datasets(),
+    st.lists(st.sampled_from([0, 1]) | st.fractions(0, 1, max_denominator=100), min_size=1, max_size=3),
+)
+def test_universe_report_matches_the_composite_on_drawn_strata(x, rates):
+    """Every field as on the composite universe.  The measured optimum is
+    the composite's float unless a pair attaining it in several strata
+    rounds higher (see above): never above it, and within a few ulps."""
+    rows, expected = universe_report(x, rates), ref_universe_report(x, rates)
+    for row, ref in zip(rows, expected, strict=True):
+        assert dataclasses.replace(ref, measured_optimal=row.measured_optimal) == row
+        assert row.measured_optimal <= ref.measured_optimal
+        assert math.isclose(row.measured_optimal, ref.measured_optimal, rel_tol=8 * sys.float_info.epsilon)
 
 
 # ---------------------------------------------------------------------------
