@@ -146,12 +146,18 @@ class Dataset:
                 f"records must be (match, hold, swap) triples, got shape {codes.shape}"
             )
         domain = Domain(*domain)
-        bad = ((codes < 0) | (codes >= domain.shape)).any(axis=1)
-        if bad.any():
-            i = int(bad.argmax())
-            raise ValueError(
-                f"record {i} = {tuple(codes[i].tolist())} outside domain {tuple(domain)}"
-            )
+        # one unsigned comparison where every size fits uint64: a negative
+        # code reads as 2**63 or more
+        if not (
+            0 <= min(domain) and max(domain) < 2**64
+            and (codes.view(np.uint64) < np.array(domain, dtype=np.uint64)).all()
+        ):
+            bad = ((codes < 0) | (codes >= domain.shape)).any(axis=1)
+            if bad.any():
+                i = int(bad.argmax())
+                raise ValueError(
+                    f"record {i} = {tuple(codes[i].tolist())} outside domain {tuple(domain)}"
+                )
         codes.flags.writeable = False
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "domain", domain)

@@ -67,7 +67,8 @@ above the stratum's.)
 
 The guard ``max_permutations`` bounds the permutation space a law is a
 sum over, the product of n! over the strata of at least two records (of
-d(n) at p = 1), and the margin-constrained tables enumerated.  The law
+d(n) at p = 1), the margin-constrained tables enumerated, and the C(U, 2)
+table pairs :func:`measured_optimal_epsilon` compares.  The law
 APIs (:func:`exact_psa_distribution`, :func:`verify_dp`,
 :func:`enumerate_universe`, :func:`measured_optimal_epsilon`) hold the
 composite to it, and :func:`universe_report` and :func:`dp_sweep` each
@@ -538,9 +539,19 @@ def measured_optimal_epsilon(
     max_permutations: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> float:
     """The exact pointwise-optimal budget of one universe at rate p:
-    the max over pairs of multiplicative distance per unit Hamming."""
+    the max over pairs of multiplicative distance per unit Hamming.
+
+    Both guards refuse before any pair is built: the first table's law
+    (every member has the same strata sizes, so the same permutation
+    count), then the C(U, 2) pairs, which ``max_permutations`` bounds too."""
     tables = list(universe)
-    return _measured_optimal_epsilon(tables, _distances(tables), p, max_permutations, {})
+    cache: dict = {}
+    if len(tables) > 1:
+        _law(tables[0], p, max_permutations, cache)
+        pairs = math.comb(len(tables), 2)
+        if pairs > max_permutations:
+            raise EnumerationBudgetError(f"{pairs} table pairs exceed the budget of {max_permutations}")
+    return _measured_optimal_epsilon(tables, _distances(tables), p, max_permutations, cache)
 
 
 def _distances(tables: Sequence[ContingencyTable]) -> dict[tuple[int, int], Union[int, float]]:

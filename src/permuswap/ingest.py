@@ -31,14 +31,20 @@ UTF-8 when they are not all ASCII (invalid UTF-8 is reported with its
 line), and to rewrite the line breaks to ``\n`` when they hold a break
 of ``str.splitlines`` other than ``\n``.  Line and comma positions come
 from numpy comparisons over that buffer, and the field counts of all lines
-are checked at once.  Each column is then factorized over its byte
-slices by one kernel (:func:`_factorize`): the fields are packed into
-big-endian ``uint64`` sort keys, sorted, and each distinct label is
-decoded once.  :func:`load_dataset` goes straight from those
-``(inverse, labels)`` pairs to the category codes;
-:func:`read_csv_columns` expands them to lists of strings, and
-:func:`cross_classify` encodes in-memory columns and feeds them to the
-same kernel.
+are checked at once; when no data line is blank, the field bounds are
+slices of the one array of separator positions.  Each column is then
+coded on its own by one vocabulary kernel (:func:`_factorize`): every
+field is packed into a big-endian sort key (several words, viewed as one
+fixed-width bytes item, for labels past 7 bytes), the vocabulary is the
+declared labels packed the same way or the distinct keys, sorted, and
+one ``searchsorted`` reads every field's code.  Declared codes come out
+directly, and inferred labels are decoded from their keys, once each.
+The role columns are coded in role order (match, hold, swap), so an
+undeclared label is reported for the first column in that order and,
+within it, for the first row.  :func:`load_dataset` goes straight from
+those codes to the dataset; :func:`read_csv_columns` expands them to
+lists of strings, and :func:`cross_classify` encodes in-memory columns
+and feeds them to the same kernel.
 """
 
 import codecs
@@ -155,11 +161,12 @@ def load_roles(path: Union[str, Path]) -> RoleAssignment:
 
 
 def _read_fields(path: Union[str, Path]) -> tuple[list[str], bytes, np.ndarray, np.ndarray]:
-    """The header, the file's UTF-8 bytes, and where each field starts and ends.
+    """The header, the file's UTF-8 bytes, and the separator before each
+    field and the one after it.
 
-    ``starts`` and ``ends`` are ``(columns, rows)`` arrays with one row
+    ``before`` and ``ends`` are ``(columns, rows)`` arrays with one row
     per non-blank data line: field j of data line i is
-    ``raw[starts[j, i]:ends[j, i]]``.
+    ``raw[before[j, i] + 1:ends[j, i]]``.
     """
     raw = Path(path).read_bytes()
     if raw.startswith(codecs.BOM_UTF8):
@@ -197,87 +204,132 @@ def _read_fields(path: Union[str, Path]) -> tuple[list[str], bytes, np.ndarray, 
     line = ragged.argmax()
     if ragged[line]:
         raise LoadError(f"{path}:{line + 1}: expected {width} fields, got {line_fields[line]}")
-    keep = filled.repeat(line_fields)
-    return (
-        header,
-        raw,
-        (seps[:-1][keep] + 1).reshape(-1, width).T,
-        seps[1:][keep].reshape(-1, width).T,
-    )
+    rows = int(np.count_nonzero(filled))
+    if filled[1 : rows + 1].all():
+        # no blank line before the last data line: the data fields are
+        # one run of seps, so both bounds are slices of it
+        lo, hi = line_ends[1], line_ends[rows + 1]
+        before, ends = seps[lo:hi], seps[lo + 1 : hi + 1]
+    else:
+        keep = filled.repeat(line_fields)
+        before, ends = seps[:-1][keep], seps[1:][keep]
+    return header, raw, before.reshape(-1, width).T, ends.reshape(-1, width).T
 
 
 # _KEEP_BYTES[k] keeps the k most significant bytes of a uint64 word
 _KEEP_BYTES = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
 
 
-def _factorize(
-    raw: bytes, starts: np.ndarray, ends: np.ndarray
-) -> list[tuple[np.ndarray, tuple[str, ...]]]:
-    """``(inverse, labels)`` for each column of byte slices ``raw[starts:ends]``.
+def _encode(values: Sequence[str]) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of ``values``, each after one separator byte (lone
+    surrogates kept), and the separator before each value and its end,
+    as :func:`_read_fields` gives them."""
+    text = "," + ",".join(values)
+    raw = text.encode("utf-8", "surrogatepass")
+    lengths = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
+    ends = (lengths + 1).cumsum()
+    before = ends - lengths - 1
+    # character offsets are byte offsets exactly when the text is ASCII;
+    # otherwise a character takes one byte, plus one for each of 0x80,
+    # 0x800 and 0x10000 it reaches (a lone surrogate takes three)
+    if len(raw) != len(text):
+        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        widths = np.ones(len(points), dtype=np.int8)
+        for bound in (0x80, 0x800, 0x10000):
+            widths += points >= bound
+        offsets = np.concatenate(([0], widths.cumsum()))
+        before, ends = offsets[before], offsets[ends]
+    return raw, before, ends
 
-    ``starts`` and ``ends`` are ``(columns, rows)`` arrays, and each
-    column is factorized on its own: ``labels`` holds each distinct slice
-    once, decoded and in code-point order (the order of UTF-8 bytes),
-    and ``labels[inverse[i]]`` is slice i.  Each slice is packed into
-    big-endian ``uint64`` words: its bytes, zero padding, then its
-    length, so ``"a"`` sorts before ``"a\\x00"`` and ``"a\\x00"`` before
-    ``"ab"``.  All columns share one pass of numpy calls, so a tiny
-    input costs a fixed few dozen calls.
+
+def _keys(raw: bytes, before: np.ndarray, lengths: np.ndarray, n_words: int) -> np.ndarray:
+    """The sort key of each slice ``raw[b + 1:b + 1 + length]``: its bytes,
+    zero padding, then its length in the last bytes, as an ``(n, n_words)``
+    array of big-endian word values."""
+    padded = raw + bytes(8 * n_words)
+    # row i of windows is the n_words words from byte offset i + 1 on
+    windows = np.ndarray((len(raw), n_words), ">u8", padded, 1, (1, 8))
+    # the gathered words in native order, in place
+    words = windows[before].byteswap(inplace=True).view(np.uint64)
+    for w in range(n_words):
+        kept = lengths if n_words == 1 else np.clip(lengths - 8 * w, 0, 8)
+        words[:, w] &= _KEEP_BYTES[kept]
+    # lengths are non-negative, so their int64 bits are their uint64 bits
+    words[:, -1] |= lengths.view(np.uint64)
+    return words
+
+
+def _items(words: np.ndarray) -> np.ndarray:
+    """One comparable item per row of key words: the word itself, or the
+    words viewed as one fixed-width bytes item, which numpy orders byte
+    by byte."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return words.astype(">u8").view(f"S{8 * words.shape[1]}")[:, 0]
+
+
+def _factorize(
+    raw: bytes,
+    before: np.ndarray,
+    ends: np.ndarray,
+    declared: Union[tuple[str, ...], None] = None,
+    column: str = "",
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """``(codes, labels)`` of one column of byte slices ``raw[before + 1:ends]``.
+
+    ``labels[codes[i]]`` is slice i.  Each slice is packed into its key
+    (:func:`_keys`), so ``"a"`` sorts before ``"a\\x00"`` and
+    ``"a\\x00"`` before ``"ab"``, and labels of more than 7 bytes take
+    several words.  The vocabulary is sorted keys, and one
+    ``searchsorted`` reads every slice's code from it:
+
+    - with ``declared`` labels, the vocabulary is their keys, so the
+      codes index ``declared``, which is returned as ``labels``.  A slice
+      that is none of them raises :class:`LoadError` naming ``column``
+      (the first such slice in row order);
+    - otherwise it is the distinct keys, and ``labels`` holds each
+      distinct slice once, decoded from its key and in code-point order
+      (the order of UTF-8 bytes).
     """
-    n_cols, n_rows = starts.shape
-    if n_rows == 0:
-        return [(np.zeros(0, dtype=np.int64), ())] * n_cols
-    lengths = ends - starts
+    if not len(before):
+        return np.zeros(0, dtype=np.int64), () if declared is None else declared
+    lengths = ends - before
+    lengths -= 1
     longest = int(lengths.max())
     length_bytes = max(1, -(-longest.bit_length() // 8))
     n_words = -(-(longest + length_bytes) // 8)
-    # row i of windows is the n_words words from byte offset i on
-    padded = raw + bytes(8 * n_words)
-    windows = np.ndarray((len(raw) + 1, n_words), ">u8", padded, 0, (1, 8))
-    words = windows[starts].astype(np.uint64)
-    for w in range(n_words):
-        words[..., w] &= _KEEP_BYTES[np.minimum(np.maximum(lengths - 8 * w, 0), 8)]
-    words[..., -1] |= lengths.astype(np.uint64)
-    if n_words == 1:
-        order = words[..., 0].argsort(axis=1)
+    words = _keys(raw, before, lengths, n_words)
+    keys = _items(words)
+    if declared is None:
+        # ordering several words one at a time (lexsort) is several times
+        # faster than sorting them as bytes items
+        ranked = np.sort(words, axis=0) if n_words == 1 else words[np.lexsort(words.T[::-1])]
+        distinct = np.ones(len(ranked), dtype=bool)
+        np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1, out=distinct[1:])
+        vocab = ranked[distinct]
+        # a key holds its label's bytes first and the label's length last
+        blob, width = vocab.astype(">u8").tobytes(), 8 * n_words
+        sizes = (vocab[:, -1] & ((1 << 8 * length_bytes) - 1)).tolist()
+        labels = (blob[k * width : k * width + size] for k, size in enumerate(sizes))
+        return _items(vocab).searchsorted(keys), tuple(label.decode("utf-8", "surrogatepass") for label in labels)
+    label_raw, label_before, label_ends = _encode(declared)
+    label_lengths = label_ends - label_before - 1
+    # a label longer than every slice matches none of them
+    (fits,) = (label_lengths <= longest).nonzero()
+    label_keys = _items(_keys(label_raw, label_before[fits], label_lengths[fits], n_words))
+    order = label_keys.argsort()
+    vocab = label_keys[order]
+    at = vocab.searchsorted(keys)
+    if len(vocab):
+        np.minimum(at, len(vocab) - 1, out=at)
+        hit = vocab[at] == keys
     else:
-        order = np.lexsort(words.transpose(2, 0, 1)[::-1], axis=1)
-    # flat positions in (column, row) order
-    order += np.arange(0, n_cols * n_rows, n_rows)[:, None]
-    ranked = words.reshape(n_cols * n_rows, n_words)[order]
-    first = np.ones((n_cols, n_rows), dtype=bool)
-    np.logical_or.reduce(ranked[:, 1:] != ranked[:, :-1], axis=2, out=first[:, 1:])
-    ranks = first.cumsum(axis=1)
-    inverse = np.empty(n_cols * n_rows, dtype=np.int64)
-    inverse[order] = ranks - 1
-    heads = np.divmod(order[first], n_rows)
-    labels = [
-        raw[start:end].decode("utf-8", "surrogatepass")
-        for start, end in zip(starts[heads].tolist(), ends[heads].tolist())
-    ]
-    cuts = ranks[:, -1].cumsum().tolist()
-    return [
-        (inverse[j * n_rows : (j + 1) * n_rows], tuple(labels[lo:hi]))
-        for j, (lo, hi) in enumerate(zip([0, *cuts], cuts))
-    ]
-
-
-def _factorize_strings(
-    columns: Sequence[Sequence[str]],
-) -> list[tuple[np.ndarray, tuple[str, ...]]]:
-    """:func:`_factorize` of equal-length in-memory columns (lone surrogates kept)."""
-    text = "".join(itertools.chain.from_iterable(columns))
-    raw = text.encode("utf-8", "surrogatepass")
-    values = itertools.chain.from_iterable(columns)
-    # one byte per character exactly when the text is ASCII
-    if len(raw) == len(text):
-        sizes = map(len, values)
-    else:
-        sizes = (len(value.encode("utf-8", "surrogatepass")) for value in values)
-    lengths = np.fromiter(sizes, dtype=np.int64, count=sum(map(len, columns)))
-    lengths = lengths.reshape(len(columns), -1)
-    ends = lengths.cumsum().reshape(lengths.shape)
-    return _factorize(raw, ends - lengths, ends)
+        hit = np.zeros(len(keys), dtype=bool)
+    if not hit.all():
+        i = int(hit.argmin())
+        value = raw[before[i] + 1 : ends[i]].decode("utf-8", "surrogatepass")
+        raise LoadError(f"column {column!r}: label {value!r} not in declared categories")
+    return fits[order][at], declared
 
 
 def read_csv_columns(path: Union[str, Path]) -> dict[str, list[str]]:
@@ -288,12 +340,12 @@ def read_csv_columns(path: Union[str, Path]) -> dict[str, list[str]]:
     them) ends a line.  Blank lines are skipped; error messages give
     1-based line numbers that count them.
     """
-    header, raw, starts, ends = _read_fields(path)
-    factors = _factorize(raw, starts, ends)
-    return {
-        name: np.array(labels, dtype=object)[inverse].tolist()
-        for name, (inverse, labels) in zip(header, factors)
-    }
+    header, raw, before, ends = _read_fields(path)
+    columns = {}
+    for name, col_before, col_ends in zip(header, before, ends):
+        codes, labels = _factorize(raw, col_before, col_ends)
+        columns[name] = np.array(labels, dtype=object)[codes].tolist()
+    return columns
 
 
 def _check_columns(names: Sequence[str], roles: RoleAssignment) -> None:
@@ -306,64 +358,31 @@ def _check_columns(names: Sequence[str], roles: RoleAssignment) -> None:
             raise LoadError(f"column {col!r}: present in the data but assigned no role")
 
 
-def _column_codes(
-    name: str, factors: tuple[np.ndarray, tuple[str, ...]], roles: RoleAssignment
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Category codes of one factorized column plus its category labels."""
-    inverse, labels = factors
-    declared = roles.categories.get(name)
-    if declared is None:
-        return inverse, labels
-    lookup = {label: idx for idx, label in enumerate(declared)}
-    remap = [lookup.get(label, -1) for label in labels]
-    codes = np.array(remap, dtype=np.int64)[inverse]
-    if -1 in remap:
-        value = labels[inverse[np.argmax(codes < 0)]]
-        raise LoadError(f"column {name!r}: label {value!r} not in declared categories")
-    return codes, declared
-
-
-def _axis(
-    factors: Mapping[str, tuple[np.ndarray, tuple[str, ...]]],
-    names: tuple[str, ...],
-    roles: RoleAssignment,
-    n_rows: int,
-) -> tuple[int, np.ndarray, tuple[str, ...]]:
-    """Collapse one role's columns to (size, per-row code, labels).
-
-    Later columns vary fastest: the code is ``sum(code_j * stride_j)``.
-    """
-    if not names:
-        return 1, np.zeros(n_rows, dtype=np.int64), (CONSTANT_MATCH_LABEL,)
-    axis_codes = 0
-    per_col_cats = []
-    for col in names:
-        codes, cats = _column_codes(col, factors[col], roles)
-        axis_codes = axis_codes * len(cats) + codes
-        per_col_cats.append(cats)
-    labels = tuple(map(COMPOSITE_LABEL_SEP.join, itertools.product(*per_col_cats)))
-    return len(labels), axis_codes, labels
-
-
 def _classify(
-    factors: Mapping[str, tuple[np.ndarray, tuple[str, ...]]],
-    n_rows: int,
-    roles: RoleAssignment,
+    raw: bytes, before: np.ndarray, ends: np.ndarray, names: Sequence[str], roles: RoleAssignment
 ) -> Dataset:
-    """The (match, hold, swap) dataset of factorized role columns."""
-    codes = np.empty((n_rows, 3), dtype=np.int64)
-    m_size, codes[:, 0], m_labels = _axis(factors, roles.match, roles, n_rows)
-    h_size, codes[:, 1], h_labels = _axis(factors, roles.hold, roles, n_rows)
-    s_size, codes[:, 2], s_labels = _axis(factors, roles.swap, roles, n_rows)
-    schema = DatasetSchema(
-        match_columns=roles.match,
-        hold_columns=roles.hold,
-        swap_columns=roles.swap,
-        match_labels=m_labels,
-        hold_labels=h_labels,
-        swap_labels=s_labels,
-    )
-    return Dataset(codes, Domain(m_size, h_size, s_size), schema)
+    """The (match, hold, swap) dataset of the columns of byte slices
+    ``raw[before + 1:ends]`` named ``names``.
+
+    The role columns are factorized in role order, so an undeclared
+    label is reported for the first column in that order.  A role of
+    several columns is one axis, later columns varying fastest: the
+    code is ``sum(code_j * stride_j)``.
+    """
+    slices = dict(zip(names, zip(before, ends)))
+    codes = np.zeros((before.shape[1], 3), dtype=np.int64)
+    labels = []
+    for axis, role in enumerate((roles.match, roles.hold, roles.swap)):
+        per_col_cats = []
+        for col in role:
+            col_codes, cats = _factorize(raw, *slices[col], roles.categories.get(col), col)
+            codes[:, axis] *= len(cats)
+            codes[:, axis] += col_codes
+            per_col_cats.append(cats)
+        product = map(COMPOSITE_LABEL_SEP.join, itertools.product(*per_col_cats))
+        labels.append(tuple(product) if role else (CONSTANT_MATCH_LABEL,))
+    schema = DatasetSchema(roles.match, roles.hold, roles.swap, *labels)
+    return Dataset(codes, Domain(*map(len, labels)), schema)
 
 
 def cross_classify(
@@ -374,9 +393,9 @@ def cross_classify(
     lengths = {len(vals) for vals in columns.values()}
     if len(lengths) > 1:
         raise LoadError("columns have unequal lengths")
-    n_rows = lengths.pop() if lengths else 0
-    factors = _factorize_strings(list(columns.values()))
-    return _classify(dict(zip(columns, factors)), n_rows, roles)
+    raw, before, ends = _encode(list(itertools.chain.from_iterable(columns.values())))
+    shape = (len(columns), lengths.pop() if lengths else 0)
+    return _classify(raw, before.reshape(shape), ends.reshape(shape), list(columns), roles)
 
 
 def load_dataset(
@@ -385,10 +404,9 @@ def load_dataset(
     """Read a CSV and cross-classify it in one step, with no string per field."""
     if not isinstance(roles, RoleAssignment):
         roles = load_roles(roles)
-    header, raw, starts, ends = _read_fields(csv_path)
+    header, raw, before, ends = _read_fields(csv_path)
     _check_columns(header, roles)
-    factors = _factorize(raw, starts, ends)
-    return _classify(dict(zip(header, factors)), starts.shape[1], roles)
+    return _classify(raw, before, ends, header, roles)
 
 
 def default_axis_labels(prefix: str, size: int) -> tuple[str, ...]:

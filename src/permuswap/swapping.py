@@ -550,7 +550,6 @@ def _replication_seeds(seed: int, rate_index: int, reps: int) -> Iterator[int]:
         yield from _seed_uint64(keys).tolist()
 
 
-@dataclass(frozen=True)
 class Permutation:
     """A bijection g on record positions; position i takes the swap
     value of position g(i).
@@ -558,24 +557,25 @@ class Permutation:
     The derangement count |{i : g(i) != i}| of a bijection is never 1,
     which is exactly the constraint the selection stage enforces.
 
-    ``mapping`` is kept as a tuple of Python ints.  A 1-D numpy integer
-    array is checked as it is; any other input is read entry by entry,
-    and an entry that is not an integer raises ``TypeError``.
+    The checked entries are kept as one read-only int64 array, which
+    equality, hashing, ``derange_count`` and :func:`apply_permutation`
+    read.  ``mapping``, the same entries as a tuple of Python ints, is
+    built on its first read.  A 1-D numpy integer array is checked as it
+    is; any other input is read entry by entry, and an entry that is not
+    an integer raises ``TypeError``.
     """
 
-    mapping: tuple[int, ...]
+    __slots__ = ("_positions", "_mapping")
 
-    def __post_init__(self) -> None:
-        positions = self.mapping
-        if isinstance(positions, np.ndarray) and positions.ndim == 1 and positions.dtype.kind in "iu":
-            mapping = tuple(positions.tolist())
-        else:
-            mapping = tuple(map(operator.index, positions))
+    def __init__(self, mapping: Union[Sequence[int], np.ndarray]) -> None:
+        positions, entries = mapping, None
+        if not (isinstance(positions, np.ndarray) and positions.ndim == 1 and positions.dtype.kind in "iu"):
+            entries = tuple(map(operator.index, positions))
             try:
-                positions = np.array(mapping, dtype=np.int64)
+                positions = np.array(entries, dtype=np.int64)
             except OverflowError:  # past int64, so no record's position
                 raise ValueError("mapping is not a bijection on record positions") from None
-        n = len(mapping)
+        n = len(positions)
         # n entries in [0, n), none of them twice
         if n and (
             positions.min() < 0
@@ -583,14 +583,34 @@ class Permutation:
             or np.bincount(positions.astype(np.intp), minlength=n).max() > 1
         ):
             raise ValueError("mapping is not a bijection on record positions")
-        object.__setattr__(self, "mapping", mapping)
+        positions = positions.astype(np.int64, copy=entries is None)
+        positions.flags.writeable = False
+        self._positions = positions
+        self._mapping = entries
+
+    @property
+    def mapping(self) -> tuple[int, ...]:
+        if self._mapping is None:
+            self._mapping = tuple(self._positions.tolist())
+        return self._mapping
 
     def __len__(self) -> int:
-        return len(self.mapping)
+        return len(self._positions)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return bool(np.array_equal(self._positions, other._positions))
+
+    def __hash__(self) -> int:
+        return hash(self._positions.tobytes())
+
+    def __repr__(self) -> str:
+        return f"Permutation(mapping={self.mapping!r})"
 
     @property
     def derange_count(self) -> int:
-        return int(np.count_nonzero(np.asarray(self.mapping, dtype=np.intp) != np.arange(len(self.mapping))))
+        return int(np.count_nonzero(self._positions != np.arange(len(self._positions))))
 
     @property
     def is_identity(self) -> bool:
@@ -606,7 +626,7 @@ def apply_permutation(perm: Permutation, x: Dataset) -> Dataset:
     if len(perm) != len(x):
         raise ValueError("permutation length does not match record count")
     codes = x.codes.copy()
-    codes[:, 2] = x.codes[np.asarray(perm.mapping, dtype=np.intp), 2]
+    codes[:, 2] = x.codes[perm._positions, 2]
     return Dataset(codes, x.domain, x.schema)
 
 

@@ -387,6 +387,37 @@ class TestMeasuredOptimal:
             for bound, condition in applicable_lower_bounds(inv, float(p)):
                 assert measured >= bound - 1e-12, condition
 
+    def test_law_guard_refuses_before_any_pair(self, monkeypatch):
+        """Two b = 10 ratio-witness strata: 126**2 tables, 126M pairs and
+        10!**2 > 10**7 permutations per law.  The first table's law
+        refuses before one d_Ham is computed."""
+        stratum = [(0, 0), (1, 1)] + [(2, 2)] * 4 + [(3, 3)] * 4
+        x = make_dataset([(m, h, s) for m in range(2) for h, s in stratum], (2, 4, 4))
+        universe = enumerate_universe(x)
+        assert len(universe) == 126**2
+        calls = []
+        monkeypatch.setattr(exact, "hamming_distance", lambda *tables: calls.append(tables) or 1)
+        permutations = math.factorial(10) ** 2
+        with pytest.raises(EnumerationBudgetError, match=f"^{permutations} composite permutations exceed"):
+            measured_optimal_epsilon(universe, Fraction(96, 125))
+        assert calls == []
+
+    def test_pair_guard_refuses_before_any_pair(self, monkeypatch):
+        """Three two-record strata: 8 tables whose laws sum over 2**3
+        permutations, within a budget of 10, but C(8, 2) = 28 pairs are
+        not.  At a budget of 28 the value is the unguarded one."""
+        x = make_dataset([(m, h, h) for m in range(3) for h in range(2)], (3, 2, 2))
+        universe = enumerate_universe(x)
+        assert len(universe) == 8
+        measured = measured_optimal_epsilon(universe, Fraction(1, 3))
+        assert measured == pytest.approx(math.log(2), abs=1e-12)
+        assert measured_optimal_epsilon(universe, Fraction(1, 3), max_permutations=28) == measured
+        calls = []
+        monkeypatch.setattr(exact, "hamming_distance", lambda *tables: calls.append(tables) or 1)
+        with pytest.raises(EnumerationBudgetError, match="^28 table pairs exceed the budget of 27$"):
+            measured_optimal_epsilon(universe, Fraction(1, 3), max_permutations=27)
+        assert calls == []
+
 
 class TestConnectingPermutation:
     def test_reorder_gives_identity(self):

@@ -88,6 +88,21 @@ class TestCrossClassify:
         with pytest.raises(LoadError, match="'z'"):
             cross_classify(columns, roles)
 
+    def test_undeclared_labels_reported_in_role_order(self, tmp_path):
+        """Header ``s,h`` and an undeclared label in each column: the
+        hold column is checked before the swap column, whatever the
+        header order, both from a file and from in-memory columns."""
+        roles = RoleAssignment(
+            match=(), hold=("h",), swap=("s",), categories={"h": ("a",), "s": ("u",)}
+        )
+        message = r"^column 'h': label 'qq' not in declared categories$"
+        path = tmp_path / "data.csv"
+        path.write_text("s,h\nu,a\nzz,a\nu,qq\n", encoding="utf-8")
+        with pytest.raises(LoadError, match=message):
+            load_dataset(path, roles)
+        with pytest.raises(LoadError, match=message):
+            cross_classify({"s": ["u", "zz", "u"], "h": ["a", "a", "qq"]}, roles)
+
     def test_declared_category_order_wins_over_lexicographic(self):
         columns = {"h": ["a", "b"], "s": ["u", "u"]}
         roles = RoleAssignment(

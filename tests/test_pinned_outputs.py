@@ -203,6 +203,25 @@ def _stepped_swap_outputs(work):
     return {name: (work / name).read_bytes() for name in STEPPED_SWAP_DIGESTS}
 
 
+# One swap of the fixture inferred_labels, whose roles declare no
+# categories: ingest infers each column's labels, in code-point order.
+# The labels are longer than one 8-byte word, some are not ASCII, and
+# the hold role has two columns.  The CI workflow checks the same files
+# with sha256sum.
+INFERRED_SWAP_DIGESTS = {
+    "it.csv": "727bc4db50f18d25cb4fe6c4a0f363ea75eca74e31d3121ee8ba15ee26e14bb2",
+    "is.json": "04f24aaa411d82d141f78ddd0a650b1cea4d192ff54e4fcc6fd16ab2225819a2",
+}
+
+
+def _inferred_swap_outputs(work):
+    """Swap the fixture as the CI workflow does; return the files' bytes."""
+    argv = ["swap", "--input", FIXTURES / "inferred_labels.csv", "--roles", FIXTURES / "inferred_labels.roles.json",
+            "--p", "0.3", "--seed", "7", "--out", work / "it.csv", "--sidecar", work / "is.json"]
+    assert cli_main([str(a) for a in argv]) == 0
+    return {name: (work / name).read_bytes() for name in INFERRED_SWAP_DIGESTS}
+
+
 # CLI report -> sha256 of its stdout (for synth, of the --roles-out file);
 # {fixtures} and {work} stand for the fixture and a scratch directory
 REPORT_DIGESTS = {
@@ -339,6 +358,11 @@ def test_stepped_swap_pinned(tmp_path, monkeypatch):
     assert rounds and rounds[0] >= swapping._STEP_MIN_KEYS
 
 
+def test_inferred_label_swap_pinned(tmp_path):
+    outputs = _inferred_swap_outputs(tmp_path)
+    assert {name: _sha(data) for name, data in outputs.items()} == INFERRED_SWAP_DIGESTS
+
+
 @pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
 def test_cli_reports_pinned(tmp_path, command):
     assert _sha(_report_bytes(command, tmp_path)) == REPORT_DIGESTS[command]
@@ -364,6 +388,8 @@ if __name__ == "__main__":
         for name, data in _bulk_swap_outputs(Path(tmp)).items():
             print(f"    {name!r}: {_sha(data)!r},")
         for name, data in _stepped_swap_outputs(Path(tmp)).items():
+            print(f"    {name!r}: {_sha(data)!r},")
+        for name, data in _inferred_swap_outputs(Path(tmp)).items():
             print(f"    {name!r}: {_sha(data)!r},")
         for command in REPORT_DIGESTS:
             print(f"    {command!r}: {_sha(_report_bytes(command, Path(tmp)))!r},")

@@ -67,7 +67,7 @@ from permuswap.exact import (
     universe_report,
 )
 from permuswap.swapping import to_exact_rate
-from permuswap.ingest import COMPOSITE_LABEL_SEP, CONSTANT_MATCH_LABEL
+from permuswap.ingest import COMPOSITE_LABEL_SEP, CONSTANT_MATCH_LABEL, _encode, _factorize, _read_fields
 from permuswap.synth import StratumSpec, synthesize
 from permuswap.utility import QUARTILE_RULE, ZERO_CELL_RULE, UtilityReport, _summarize
 
@@ -168,6 +168,79 @@ def ref_read_csv_columns(path):
         for name, value in zip(header, fields):
             columns[name].append(value)
     return columns
+
+
+# _KEEP_BYTES[k] keeps the k most significant bytes of a uint64 word
+_KEEP_BYTES = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
+
+
+def ref_factorize(raw, starts, ends):
+    """The sort-and-scatter factorizer the vocabulary kernel replaced:
+    ``(inverse, labels)`` for each column of byte slices
+    ``raw[starts:ends]``, given as ``(columns, rows)`` arrays.  Each slice
+    is packed into big-endian words (its bytes, zero padding, then its
+    length), the columns are sorted together, and each distinct slice is
+    decoded once, in code-point order."""
+    n_cols, n_rows = starts.shape
+    if n_rows == 0:
+        return [(np.zeros(0, dtype=np.int64), ())] * n_cols
+    lengths = ends - starts
+    longest = int(lengths.max())
+    length_bytes = max(1, -(-longest.bit_length() // 8))
+    n_words = -(-(longest + length_bytes) // 8)
+    padded = raw + bytes(8 * n_words)
+    windows = np.ndarray((len(raw) + 1, n_words), ">u8", padded, 0, (1, 8))
+    words = windows[starts].astype(np.uint64)
+    for w in range(n_words):
+        words[..., w] &= _KEEP_BYTES[np.minimum(np.maximum(lengths - 8 * w, 0), 8)]
+    words[..., -1] |= lengths.astype(np.uint64)
+    if n_words == 1:
+        order = words[..., 0].argsort(axis=1)
+    else:
+        order = np.lexsort(words.transpose(2, 0, 1)[::-1], axis=1)
+    order += np.arange(0, n_cols * n_rows, n_rows)[:, None]
+    ranked = words.reshape(n_cols * n_rows, n_words)[order]
+    first = np.ones((n_cols, n_rows), dtype=bool)
+    np.logical_or.reduce(ranked[:, 1:] != ranked[:, :-1], axis=2, out=first[:, 1:])
+    ranks = first.cumsum(axis=1)
+    inverse = np.empty(n_cols * n_rows, dtype=np.int64)
+    inverse[order] = ranks - 1
+    heads = np.divmod(order[first], n_rows)
+    labels = [
+        raw[start:end].decode("utf-8", "surrogatepass")
+        for start, end in zip(starts[heads].tolist(), ends[heads].tolist())
+    ]
+    cuts = ranks[:, -1].cumsum().tolist()
+    return [
+        (inverse[j * n_rows : (j + 1) * n_rows], tuple(labels[lo:hi]))
+        for j, (lo, hi) in enumerate(zip([0, *cuts], cuts))
+    ]
+
+
+def ref_column_codes(name, factors, declared):
+    """The remap from a factorized column's labels to declared codes."""
+    inverse, labels = factors
+    if declared is None:
+        return inverse, labels
+    lookup = {label: idx for idx, label in enumerate(declared)}
+    remap = [lookup.get(label, -1) for label in labels]
+    codes = np.array(remap, dtype=np.int64)[inverse]
+    if -1 in remap:
+        value = labels[inverse[np.argmax(codes < 0)]]
+        raise LoadError(f"column {name!r}: label {value!r} not in declared categories")
+    return codes, declared
+
+
+def ref_domain_check(records, domain):
+    """The first record outside the domain, named as ``Dataset`` names it."""
+    for i, record in enumerate(records):
+        if any(not 0 <= c < n for c, n in zip(record, domain)):
+            raise ValueError(f"record {i} = {tuple(record)} outside domain {tuple(domain)}")
+
+
+def ref_permuted_records(records, mapping):
+    """Record i takes the swap value of record mapping[i]."""
+    return [(m, h, records[g][2]) for (m, h, _), g in zip(records, mapping)]
 
 
 def ref_write_lines(records, labels, column_names=("match", "hold", "swap")):
@@ -663,6 +736,77 @@ def test_inferred_categories_follow_python_sort():
     x = cross_classify(columns, RoleAssignment(match=(), hold=("h",), swap=("s",)))
     assert x.schema.hold_labels == tuple(sorted(set(values)))
     assert [x.schema.hold_labels[h] for h in x.codes[:, 1]] == values
+
+
+# one word and several, non-ASCII, empty, NUL-padded, and a lone surrogate
+KERNEL_LABELS = (
+    "", "\x00", "a", "a\x00", "a\x00\x00", "ab", "abcdefg", "abcdefgh", "é", "€uro-label-9",
+    "\U0001f600", "ééééé", "x" * 20, "x" * 19 + "\x00", "\ud800", "b",
+)
+kernel_labels = st.sampled_from(KERNEL_LABELS) | st.text(max_size=12)
+
+
+@st.composite
+def kernel_columns(draw):
+    """(column, declared): up to 2,000 labels from a small alphabet, and
+    now and then one label that only the last few rows use.  ``declared``
+    is None or a list that may omit labels (the late one among them),
+    and may hold a label longer than every field or a lone surrogate."""
+    alphabet = draw(st.lists(kernel_labels, min_size=1, max_size=8, unique=True))
+    n_rows = draw(st.integers(0, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    column = [alphabet[i] for i in rng.integers(0, len(alphabet), n_rows).tolist()]
+    late = draw(st.none() | kernel_labels)
+    if late is not None and n_rows:
+        first = draw(st.integers(max(0, n_rows - 4), n_rows - 1))
+        column[first:] = [late] * (n_rows - first)
+        alphabet.append(late)
+    if not draw(st.booleans()):
+        return column, None
+    kept = draw(st.permutations(alphabet))[: draw(st.integers(0, len(alphabet)))]
+    extra = draw(st.lists(st.sampled_from(["\ud800", "é" * 40, "y" * 2001]), max_size=2))
+    return column, tuple(dict.fromkeys(kept + extra))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_columns())
+@example((["b", "a", "qq"], ("a", "b")))
+@example((["a"] * 5, ("\ud800", "a", "a" * 9)))
+@example(([], ()))
+@example((["x"], ()))
+@example((["abcdef\x01"], ("abcdef\x00\x00" + "z" * 255,)))
+def test_factorize_matches_sort_and_scatter_kernel(case):
+    """The vocabulary kernel gives the codes and labels of the sort-and-
+    scatter kernel followed by the declared remap, or its error.  (The
+    last example's declared label, cut to the field's one-word key,
+    would read as that field's key.)"""
+    column, declared = case
+    raw, before, ends = _encode(column)
+
+    def parts(factor):
+        codes, labels = factor()
+        return codes.tolist(), labels
+
+    got = outcome(parts, lambda: _factorize(raw, before, ends, declared, "c"))
+    (factors,) = ref_factorize(raw, before[None] + 1, ends[None])
+    want = outcome(parts, lambda: ref_column_codes("c", factors, declared))
+    assert got == want
+
+
+@pytest.mark.parametrize("blank", [False, True])
+@pytest.mark.parametrize("final_newline", [False, True])
+def test_read_fields_with_and_without_blank_lines(tmp_path, blank, final_newline):
+    """A file with no blank data line takes its field bounds as slices of
+    one separator array; a blank line sends it through the gathered
+    bounds.  Both read every field as the per-line split does."""
+    lines = ["a,bb,c"] + [f"x{i % 7},{'é' * (i % 3)},{'long-label-' * (i % 2)}{i % 5}" for i in range(2000)]
+    if blank:
+        lines.insert(700, "")
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(lines) + "\n" * final_newline, encoding="utf-8")
+    header, raw, before, ends = _read_fields(path)
+    assert np.shares_memory(before, ends) is not blank
+    assert read_csv_columns(path) == ref_read_csv_columns(path)
 
 
 @pytest.mark.parametrize("newline", LINE_BREAKS)
@@ -1215,6 +1359,48 @@ def test_permutation_check_matches_entry_loop(mapping):
     got = result(lambda m: Permutation(m).mapping)
     assert got == result(ref_permutation_check)
     assert got[0] != "ok" or all(type(i) is int for i in got[1])
+
+
+@settings(max_examples=200)
+@given(st.data(), record_lists(max_records=12), st.sampled_from([tuple, np.int64, np.uint32]))
+def test_permutation_array_reads_match_the_tuple_loops(data, rd, kind):
+    """Equality, hashing, ``derange_count`` and ``apply_permutation`` read
+    the checked array; they agree with loops over the tuple, whatever
+    the input was."""
+    records, domain = rd
+    mapping = tuple(data.draw(st.permutations(range(len(records)))))
+    perm = Permutation(mapping if kind is tuple else np.array(mapping, dtype=kind))
+    assert perm == Permutation(mapping) and hash(perm) == hash(Permutation(mapping))
+    assert perm.mapping == mapping
+    assert perm.derange_count == sum(g != i for i, g in enumerate(mapping))
+    swapped = apply_permutation(perm, Dataset(records, domain))
+    assert swapped.codes.tolist() == [list(r) for r in ref_permuted_records(records, mapping)]
+
+
+extreme_codes = st.integers(-3, 5) | st.sampled_from([-(2**63), 2**63 - 1, 2**32])
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(extreme_codes, extreme_codes, extreme_codes), max_size=6),
+    st.tuples(*[st.integers(-2, 4) | st.just(2**70)] * 3),
+)
+def test_domain_check_matches_record_loop(records, domain):
+    """One unsigned comparison finds what the two-sided loop finds:
+    negative codes, codes at or past their axis, and any record on an
+    axis of negative size; an axis past uint64 takes the loop's check
+    too.  The first offender is named."""
+
+    def result(fn):
+        try:
+            fn()
+            return "ok"
+        except ValueError as exc:
+            return str(exc)
+
+    expected = result(lambda: ref_domain_check(records, domain))
+    assert result(lambda: Dataset(records, domain)) == expected
+    assert result(lambda: Dataset(np.array(records, dtype=np.int64).reshape(-1, 3), domain)) == expected
 
 
 @pytest.mark.parametrize("bad", [(0, -1, 0), (0, 2, 0), (1, 0, 0), (0, 0, 3)])

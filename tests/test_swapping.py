@@ -76,6 +76,27 @@ class TestPermutation:
         assert perm.mapping == (1, 0, 2)
         assert all(type(i) is int for i in perm.mapping)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64, np.uint8])
+    def test_array_and_tuple_inputs_agree(self, dtype):
+        """A permutation built from an array equals, and hashes like, one
+        built from the tuple of its entries; its ``mapping`` is that tuple
+        of Python ints, read from the array only when asked for."""
+        entries = (3, 0, 4, 1, 2)
+        from_array = Permutation(np.array(entries, dtype=dtype))
+        from_tuple = Permutation(entries)
+        assert from_array == from_tuple and hash(from_array) == hash(from_tuple)
+        assert from_array != Permutation((0, 3, 4, 1, 2)) and from_array != Permutation((0, 1))
+        assert from_array != entries
+        assert from_array.mapping == from_tuple.mapping == entries
+        assert type(from_array.mapping) is tuple and all(type(i) is int for i in from_array.mapping)
+        assert len(from_array) == 5 and repr(from_array) == "Permutation(mapping=(3, 0, 4, 1, 2))"
+
+    def test_array_input_is_copied(self):
+        positions = np.array([1, 0, 2])
+        perm = Permutation(positions)
+        positions[:] = [0, 1, 2]
+        assert perm.mapping == (1, 0, 2) and perm.derange_count == 2
+
     def test_derange_count(self):
         assert Permutation((1, 0, 2)).derange_count == 2
         assert Permutation.identity(4).derange_count == 0
