@@ -138,7 +138,20 @@ class Dataset:
         schema: Union[DatasetSchema, None] = None,
     ) -> None:
         codes = _integer_array(records, "records")
-        codes = codes.astype(np.int64, copy=codes is records)
+        self._adopt(codes.astype(np.int64, copy=codes is records), domain, schema)
+
+    @classmethod
+    def _from_codes(
+        cls, codes: np.ndarray, domain: tuple[int, int, int], schema: Union[DatasetSchema, None] = None
+    ) -> "Dataset":
+        """The dataset that takes ``codes``, a new ``(n, 3)`` int64 array
+        that nothing else holds, without copying it."""
+        x = cls.__new__(cls)
+        x._adopt(codes, domain, schema)
+        return x
+
+    def _adopt(self, codes: np.ndarray, domain: tuple[int, int, int], schema: Union[DatasetSchema, None]) -> None:
+        """Check ``codes`` against ``domain``, then freeze and keep it."""
         if codes.size == 0:
             codes = codes.reshape(0, 3)
         if codes.ndim != 2 or codes.shape[1] != 3:

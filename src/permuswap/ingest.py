@@ -50,6 +50,7 @@ and feeds them to the same kernel.
 import codecs
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence, Union
@@ -71,10 +72,9 @@ __all__ = [
 
 COMPOSITE_LABEL_SEP = "|"
 CONSTANT_MATCH_LABEL = "*"
-# the line breaks of str.splitlines other than \n, as UTF-8 bytes: the
-# ASCII ones, then NEL, U+2028 and U+2029
+# the ASCII line breaks of str.splitlines other than \n; the others are
+# NEL, U+2028 and U+2029 (see _has_utf8_break)
 _ASCII_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
-_UTF8_BREAKS = (b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
 
 
 class LoadError(ValueError):
@@ -160,6 +160,26 @@ def load_roles(path: Union[str, Path]) -> RoleAssignment:
     )
 
 
+def _has_utf8_break(raw: bytes) -> bool:
+    """Whether valid UTF-8 ``raw`` holds NEL (C2 85), U+2028 (E2 80 A8) or
+    U+2029 (E2 80 A9).
+
+    One pass reads the bytes as little-endian 16-bit pairs, at each of
+    the two alignments, for C2 85 and for 80 A8 or 80 A9; a pair of the
+    second kind is a break when 0xE2 comes before it."""
+    data = np.frombuffer(raw, dtype=np.uint8)
+    for offset in (0, 1):
+        pairs = data[offset:]
+        pairs = pairs[: len(pairs) // 2 * 2].view("<u2")
+        if (pairs == 0x85C2).any():
+            return True
+        (at,) = ((pairs | 0x100) == 0xA980).nonzero()
+        # 0x80 continues a character, so a byte comes before it
+        if (data[2 * at + offset - 1] == 0xE2).any():
+            return True
+    return False
+
+
 def _read_fields(path: Union[str, Path]) -> tuple[list[str], bytes, np.ndarray, np.ndarray]:
     """The header, the file's UTF-8 bytes, and the separator before each
     field and the one after it.
@@ -173,15 +193,15 @@ def _read_fields(path: Union[str, Path]) -> tuple[list[str], bytes, np.ndarray, 
         raw = raw[len(codecs.BOM_UTF8) :]
     if not raw:
         raise LoadError(f"{path}: missing header row")
-    breaks = _ASCII_BREAKS
+    multibyte_break = False
     if not raw.isascii():
         try:
             raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             lineno = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
             raise LoadError(f"{path}:{lineno}: not valid UTF-8") from None
-        breaks += _UTF8_BREAKS
-    if any(brk in raw for brk in breaks):
+        multibyte_break = _has_utf8_break(raw)
+    if multibyte_break or any(brk in raw for brk in _ASCII_BREAKS):
         raw = "\n".join(raw.decode("utf-8").splitlines()).encode("utf-8")
     # with a \n before the bytes and one after them, line k of the file
     # (the header is line 1) runs from the k-th \n to the next, and a file
@@ -382,7 +402,7 @@ def _classify(
         product = map(COMPOSITE_LABEL_SEP.join, itertools.product(*per_col_cats))
         labels.append(tuple(product) if role else (CONSTANT_MATCH_LABEL,))
     schema = DatasetSchema(roles.match, roles.hold, roles.swap, *labels)
-    return Dataset(codes, Domain(*map(len, labels)), schema)
+    return Dataset._from_codes(codes, Domain(*map(len, labels)), schema)
 
 
 def cross_classify(
@@ -422,6 +442,17 @@ def _check_label(value: str) -> str:
     return value
 
 
+def _label_block(labels: Sequence[str], sep: bytes) -> tuple[np.ndarray, list[int]]:
+    """One ``(len(labels), width)`` uint8 row per label: its UTF-8 bytes,
+    then ``sep``, then zero padding; and the length of each row's bytes
+    before the padding."""
+    encoded = [label.encode("utf-8") + sep for label in labels]
+    lengths = list(map(len, encoded))
+    width = max(lengths, default=len(sep))
+    block = np.frombuffer(b"".join(row.ljust(width, b"\0") for row in encoded), dtype=np.uint8)
+    return block.reshape(len(encoded), width), lengths
+
+
 def write_dataset_csv(x: Dataset, path: Union[str, Path]) -> None:
     """Write one record per line, under the header ``match,hold,swap``,
     using schema labels when available.
@@ -429,19 +460,41 @@ def write_dataset_csv(x: Dataset, path: Union[str, Path]) -> None:
     Datasets without a schema get zero-padded default labels, which
     round-trip through :func:`load_dataset` with inferred categories
     (lexicographic label order equals index order).
+
+    Each axis's labels become one byte block (:func:`_label_block`), and
+    the records' lines are their rows gathered side by side; when a block
+    holds labels of several widths, one length mask drops the padding.
+    Lines end in ``os.linesep``, as a text-mode write ends them.
     """
     schema = x.schema
     mx, hx, sx = x.domain
     m_labels = schema.match_labels if schema and schema.match_labels else default_axis_labels("m", mx)
     h_labels = schema.hold_labels if schema and schema.hold_labels else default_axis_labels("h", hx)
     s_labels = schema.swap_labels if schema and schema.swap_labels else default_axis_labels("s", sx)
-    for labels in (m_labels, h_labels, s_labels):
+    axes = (m_labels, h_labels, s_labels)
+    for labels in axes:
         for value in labels:
             _check_label(value)
-    columns = [
-        np.array(labels, dtype=object)[x.codes[:, axis]].tolist()
-        for axis, labels in enumerate((m_labels, h_labels, s_labels))
-    ]
-    rows = map(",".join, zip(*columns))
-    text = "\n".join(itertools.chain(["match,hold,swap"], rows))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    newline = os.linesep.encode()
+    try:
+        blocks = [_label_block(labels, sep) for labels, sep in zip(axes, (b",", b",", newline))]
+    except UnicodeEncodeError:
+        # a lone surrogate: the text write fails at its first record, as
+        # the encoder reports it, or writes the file if no record holds it
+        columns = [np.array(labels, dtype=object)[x.codes[:, axis]].tolist() for axis, labels in enumerate(axes)]
+        text = "\n".join(itertools.chain(["match,hold,swap"], map(",".join, zip(*columns))))
+        Path(path).write_text(text + "\n", encoding="utf-8")
+        return
+    lines = np.concatenate([block.take(x.codes[:, axis], axis=0) for axis, (block, _) in enumerate(blocks)], axis=1)
+    if any(min(lengths, default=0) < block.shape[1] for block, lengths in blocks):
+        keep = np.concatenate(
+            [
+                np.arange(block.shape[1]) < np.array(lengths)[x.codes[:, axis], None]
+                for axis, (block, lengths) in enumerate(blocks)
+            ],
+            axis=1,
+        )
+        lines = lines[keep]
+    with open(path, "wb") as out:
+        out.write(b"match,hold,swap" + newline)
+        out.write(lines)

@@ -24,7 +24,8 @@ ways:
 - on a seated generator: ``_substreams`` sets one generator to each
   key's state in turn (a pass of fewer than ``_SEATED_MIN_KEYS`` keys
   takes ``default_rng(key)`` instead, which costs less for so few);
-  the synthesizer draws only this way;
+  the synthesizer draws only this way, small strata as raw words
+  (see :mod:`permuswap.synth`);
 - on the kernel: ``_draw_many`` runs the swapper's selection and
   derangement for many keys at once in the same hi/lo arrays,
   reproducing ``Generator.random`` and ``Generator.permutation``
@@ -627,7 +628,7 @@ def apply_permutation(perm: Permutation, x: Dataset) -> Dataset:
         raise ValueError("permutation length does not match record count")
     codes = x.codes.copy()
     codes[:, 2] = x.codes[perm._positions, 2]
-    return Dataset(codes, x.domain, x.schema)
+    return Dataset._from_codes(codes, x.domain, x.schema)
 
 
 class SelectionResult(NamedTuple):

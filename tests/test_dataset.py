@@ -242,6 +242,21 @@ class TestDatasetSemantics:
         inv = dataset_module.SwapInvariants(mh=np.array([[1, 1]], dtype=np.int32), ms=np.array([[2, 0]]))
         assert inv.mh.dtype == np.int64
 
+    def test_caller_arrays_copied_and_built_arrays_handed_over(self):
+        """A caller's int64 array is copied, so changing it later leaves
+        the dataset as it was; the private path that ingest, synthesize
+        and apply_permutation take keeps the array it is given, checked
+        and made read-only."""
+        codes = np.array([[0, 0, 1], [0, 1, 0]], dtype=np.int64)
+        x = Dataset(codes, (1, 2, 2))
+        assert not np.shares_memory(x.codes, codes) and not x.codes.flags.writeable
+        codes[0, 2] = 0
+        assert x.codes.tolist() == [[0, 0, 1], [0, 1, 0]]
+        y = Dataset._from_codes(codes, (1, 2, 2))
+        assert y.codes is codes and not codes.flags.writeable
+        with pytest.raises(ValueError, match=r"record 1 = \(0, 2, 0\) outside domain"):
+            Dataset._from_codes(np.array([[0, 1, 0], [0, 2, 0]], dtype=np.int64), (1, 2, 2))
+
     def test_canonical_serialization(self):
         t = tabulate(make_dataset([(0, 0, 0), (0, 1, 1)], (1, 2, 2)))
         assert t.canonical_key() == (1, 0, 0, 1)

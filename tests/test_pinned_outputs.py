@@ -222,6 +222,27 @@ def _inferred_swap_outputs(work):
     return {name: (work / name).read_bytes() for name in INFERRED_SWAP_DIGESTS}
 
 
+# Two synth runs whose hold or swap axis has one level, so that axis
+# draws nothing; strata of 448 and 449 records sit on either side of
+# synth._RAW_MAX_RECORDS, and several strata of 2 records come out with
+# identical records and take the mixed-stratum fix-up.  The CI workflow
+# checks the same files with sha256sum.
+ONE_LEVEL_SYNTH_DIGESTS = {
+    "hold1.csv": "37f1a332906b1c8878900e710320732801dbe9bc01e7c4472555494555f14078",
+    "swap1.csv": "b94eda8908667525df9381012074bf8712275376d4f58faf5808226ee144daed",
+}
+
+
+def _one_level_synth_outputs(work):
+    """Run the two synth commands as the CI workflow does; return the files' bytes."""
+    strata = "2,2,2,2,2,2,3,5,8,40,200,448,449,1000,1,0"
+    for name, hold_levels, swap_levels, seed in (("hold1.csv", 1, 3, 19), ("swap1.csv", 4, 1, 23)):
+        argv = ["synth", "--strata", strata, "--constant", "7,13", "--hold-levels", hold_levels,
+                "--swap-levels", swap_levels, "--seed", seed, "--out", work / name]
+        assert cli_main([str(a) for a in argv]) == 0
+    return {name: (work / name).read_bytes() for name in ONE_LEVEL_SYNTH_DIGESTS}
+
+
 # CLI report -> sha256 of its stdout (for synth, of the --roles-out file);
 # {fixtures} and {work} stand for the fixture and a scratch directory
 REPORT_DIGESTS = {
@@ -363,6 +384,11 @@ def test_inferred_label_swap_pinned(tmp_path):
     assert {name: _sha(data) for name, data in outputs.items()} == INFERRED_SWAP_DIGESTS
 
 
+def test_one_level_synth_pinned(tmp_path):
+    outputs = _one_level_synth_outputs(tmp_path)
+    assert {name: _sha(data) for name, data in outputs.items()} == ONE_LEVEL_SYNTH_DIGESTS
+
+
 @pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
 def test_cli_reports_pinned(tmp_path, command):
     assert _sha(_report_bytes(command, tmp_path)) == REPORT_DIGESTS[command]
@@ -390,6 +416,8 @@ if __name__ == "__main__":
         for name, data in _stepped_swap_outputs(Path(tmp)).items():
             print(f"    {name!r}: {_sha(data)!r},")
         for name, data in _inferred_swap_outputs(Path(tmp)).items():
+            print(f"    {name!r}: {_sha(data)!r},")
+        for name, data in _one_level_synth_outputs(Path(tmp)).items():
             print(f"    {name!r}: {_sha(data)!r},")
         for command in REPORT_DIGESTS:
             print(f"    {command!r}: {_sha(_report_bytes(command, Path(tmp)))!r},")

@@ -13,6 +13,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from permuswap import (
     ContingencyTable,
     Dataset,
+    DatasetSchema,
     Domain,
     ExactDistribution,
     LoadError,
@@ -54,7 +56,7 @@ from permuswap import (
     write_dataset_csv,
 )
 from permuswap.budget import LowerBound, derangement_count, psa_budget
-from permuswap import cli, exact, swapping, utility
+from permuswap import cli, exact, swapping, synth, utility
 from permuswap.dataset import invariant_stratum_bound, stratum_indices
 from permuswap.exact import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -67,7 +69,16 @@ from permuswap.exact import (
     universe_report,
 )
 from permuswap.swapping import to_exact_rate
-from permuswap.ingest import COMPOSITE_LABEL_SEP, CONSTANT_MATCH_LABEL, _encode, _factorize, _read_fields
+from permuswap.ingest import (
+    COMPOSITE_LABEL_SEP,
+    CONSTANT_MATCH_LABEL,
+    _check_label,
+    _encode,
+    _factorize,
+    _has_utf8_break,
+    _read_fields,
+    default_axis_labels,
+)
 from permuswap.synth import StratumSpec, synthesize
 from permuswap.utility import QUARTILE_RULE, ZERO_CELL_RULE, UtilityReport, _summarize
 
@@ -248,6 +259,26 @@ def ref_write_lines(records, labels, column_names=("match", "hold", "swap")):
     for m, h, s in records:
         lines.append(f"{labels[0][m]},{labels[1][h]},{labels[2][s]}")
     return "\n".join(lines) + "\n"
+
+
+def ref_write_dataset_csv(x, path):
+    """The text writer the byte-block writer replaced: one joined line
+    per record, written in text mode."""
+    schema = x.schema
+    mx, hx, sx = x.domain
+    m_labels = schema.match_labels if schema and schema.match_labels else default_axis_labels("m", mx)
+    h_labels = schema.hold_labels if schema and schema.hold_labels else default_axis_labels("h", hx)
+    s_labels = schema.swap_labels if schema and schema.swap_labels else default_axis_labels("s", sx)
+    for labels in (m_labels, h_labels, s_labels):
+        for value in labels:
+            _check_label(value)
+    columns = [
+        np.array(labels, dtype=object)[x.codes[:, axis]].tolist()
+        for axis, labels in enumerate((m_labels, h_labels, s_labels))
+    ]
+    rows = map(",".join, zip(*columns))
+    text = "\n".join(itertools.chain(["match,hold,swap"], rows))
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def ref_count_table_text(table):
@@ -825,6 +856,22 @@ def test_line_breaks_blank_lines_and_bom(tmp_path, newline):
         read_csv_columns(path)
 
 
+def test_lead_bytes_without_a_break_read_one_line_per_record(tmp_path):
+    """Labels whose UTF-8 holds the lead bytes 0xC2 and 0xE2 (° © NBSP ’ €)
+    and the other bytes of NEL, U+2028 and U+2029 in other characters
+    (é Å U+1028 U+3029), but no break."""
+    labels = ["é", "’", "€", "°©", "Å", "\u1028\u3029", "x\u00a0y", "aé’€"]
+    path = tmp_path / "data.csv"
+    path.write_bytes("\n".join(["a,b"] + [f"{a},{b}" for a, b in zip(labels, reversed(labels))]).encode("utf-8"))
+    assert read_csv_columns(path) == ref_read_csv_columns(path) == {"a": labels, "b": labels[::-1]}
+
+
+@given(st.text(st.sampled_from("a,é’€°©Å\u00a0\u1028\u3029\u2027\x85\u2028\u2029"), max_size=12))
+def test_utf8_break_scan_matches_substring_search(text):
+    raw = text.encode("utf-8")
+    assert _has_utf8_break(raw) == any(brk.encode("utf-8") in raw for brk in ("\x85", "\u2028", "\u2029"))
+
+
 def test_byte_reader_edge_cases(tmp_path):
     """An ASCII file broken only by \\r, one whose only non-ASCII bytes
     are NEL and U+2028, and one that is only a byte-order mark."""
@@ -873,6 +920,48 @@ def test_write_dataset_csv_matches_loop(tmp_path_factory, rd):
     write_dataset_csv(Dataset(records, domain), path)
     labels = [[f"{prefix}{i}" for i in range(n)] for prefix, n in zip("mhs", domain)]
     assert path.read_text(encoding="utf-8") == ref_write_lines(records, labels)
+
+
+# labels of one byte and of several, empty, non-ASCII, holding a NUL,
+# and a lone surrogate, which is not writable as UTF-8
+WRITE_LABELS = ("a", "", "a\x00", "\x00", "é", "€uro-label-9", "ab", "\U0001f600", "\ud800")
+
+
+@st.composite
+def labelled_datasets(draw):
+    """Records over 0-3 levels per axis, each axis with schema labels
+    (repeats allowed) or with none."""
+    domain = Domain(*(draw(st.integers(0, 3)) for _ in range(3)))
+    labels = [
+        tuple(draw(st.lists(st.sampled_from(WRITE_LABELS), min_size=n, max_size=n))) if draw(st.booleans()) else ()
+        for n in domain
+    ]
+    records = []
+    if domain.cells:
+        records = draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in domain)), max_size=8))
+    return Dataset(records, domain, DatasetSchema(("match",), ("hold",), ("swap",), *labels))
+
+
+def written(write, x, path):
+    """The bytes ``write`` puts in the file, or its error's type and message."""
+    try:
+        write(x, path)
+    except (LoadError, UnicodeEncodeError) as exc:
+        return type(exc).__name__, str(exc)
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_datasets())
+@example(Dataset([], (2, 3, 1), DatasetSchema((), (), (), ("a", "€uro-label-9"), ("", "\x00", "é"), ("ab",))))
+@example(Dataset([(0, 0, 0)], (1, 1, 2), DatasetSchema((), (), (), ("a",), ("b",), ("c", "\ud800"))))
+@example(Dataset([(0, 0, 1)], (1, 1, 2), DatasetSchema((), (), (), ("a",), ("b",), ("c", "\ud800"))))
+def test_write_dataset_csv_matches_text_writer(tmp_path_factory, x):
+    """Schema labels of several byte widths, empty, non-ASCII or holding
+    a NUL, on datasets of 0-8 records; a lone surrogate label raises the
+    text writer's error when a record holds it."""
+    work = tmp_path_factory.mktemp("out")
+    assert written(write_dataset_csv, x, work / "got.csv") == written(ref_write_dataset_csv, x, work / "want.csv")
 
 
 @st.composite
@@ -1263,20 +1352,66 @@ def test_utility_experiment_on_both_paths_matches_per_run_loop(x, rates, reps, s
     assert result(utility_experiment) == result(ref_utility_experiment)
 
 
+# stratum sizes on either side of the raw-word bound
+AROUND_RAW_BOUND = (synth._RAW_MAX_RECORDS, synth._RAW_MAX_RECORDS + 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(st.builds(StratumSpec, st.integers(0, 6), st.booleans()), max_size=5),
-    st.integers(0, 3),
-    st.integers(0, 3),
+    st.lists(
+        st.builds(StratumSpec, st.one_of(st.integers(0, 6), st.sampled_from(AROUND_RAW_BOUND)), st.booleans()),
+        max_size=12,
+    ),
+    st.integers(0, 40),
+    st.integers(0, 40),
     SEEDS,
 )
+@example([StratumSpec(0, False), StratumSpec(1, False), StratumSpec(2)] * 3, 1, 2, 5)
+@example([StratumSpec(n, n % 3 > 0) for n in range(7)] + [StratumSpec(n) for n in AROUND_RAW_BOUND], 40, 1, -3)
 def test_synthesize_draws_match_documented_substreams(specs, hold_levels, swap_levels, seed):
+    """Strata of 0-6 records and around the raw-word bound, constant ones
+    among them, up to 12 strata (8 or more take the seated generator),
+    and 0-40 levels per axis."""
     try:
         x = synthesize(specs, hold_levels, swap_levels, seed)
     except ValueError as exc:
         assert ref_synthesize(specs, hold_levels, swap_levels, seed) == ("ValueError", str(exc))
         return
     assert (x.codes.tolist(), tuple(x.domain)) == ref_synthesize(specs, hold_levels, swap_levels, seed)
+
+
+@pytest.mark.parametrize("k", [2, 3, 14, 40, 100_000, 2**31 + 1, 2**32 - 1, 2**32])
+def test_bounded_transform_matches_integers(k):
+    """numpy's integers(0, k) are the accepted values of the bounded
+    transform, in order, over the halves of the same raw words; at
+    k = 2**31 + 1 about half the halves are rejected."""
+    words = np.random.default_rng([5, k]).bit_generator.random_raw(500)
+    values, rejected = synth._bounded(synth._halves(words), k)
+    accepted = values[~rejected]
+    assert np.array_equal(np.random.default_rng([5, k]).integers(0, k, size=len(accepted)), accepted)
+    if k == 2**31 + 1:
+        assert 0.4 < rejected.mean() < 0.6
+
+
+def test_bounded_transform_keeps_a_half_at_the_threshold():
+    """At k = 3, 2**32 mod k = 1: half 0 leaves 0 and is rejected, and
+    half 2863311531 (times 3 is 2 * 2**32 + 1) leaves 1 and is kept."""
+    values, rejected = synth._bounded(np.array([0, 2863311531, 2**32 - 1], dtype=np.uint32), 3)
+    assert rejected.tolist() == [True, False, False]
+    assert values.tolist() == [0, 2, 2]
+
+
+def test_synthesize_redraws_strata_with_a_rejected_half(monkeypatch):
+    """At 100,000 swap levels numpy rejects 67,296 of the 2**32 halves
+    (2**32 mod k), so a few of 4,000 strata of 60 records redraw with
+    Generator.integers, and the output is still the documented draws."""
+    redrawn = []
+    draw = synth._draw
+    monkeypatch.setattr(synth, "_draw", lambda rng, spec, *rest: redrawn.append(spec) or draw(rng, spec, *rest))
+    specs = [StratumSpec(60)] * 4000
+    x = synthesize(specs, 2, 100_000, 4)
+    assert 0 < len(redrawn) < 20
+    assert (x.codes.tolist(), tuple(x.domain)) == ref_synthesize(specs, 2, 100_000, 4)
 
 
 def test_substreams_derived_in_several_passes(monkeypatch):
