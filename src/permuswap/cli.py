@@ -8,8 +8,8 @@ stable byte for byte.  A CSV field goes through ``_cell``: a float at
 anything else with ``str``.  JSON goes through ``_emit_json`` (two-space
 indent, sorted keys, written by :func:`~permuswap.jsontext.dumps`), with
 floats rounded to 6 decimals and infinity as the string "inf".  The one
-exception is ``swap``'s count table, which formats all its rows with one
-``%``-format.
+exception is ``swap``'s count table, whose rows are built as byte slots
+all at once (``_count_table_text``).
 
 Exit codes: 0 success; 2 validation failure (bad flags, bad config,
 bad data); 3 verification failure (a checked guarantee did not hold);
@@ -32,7 +32,7 @@ from . import budget as budget_mod
 from . import exact as exact_mod
 from .dataset import ContingencyTable, Dataset, Domain, invariant_stratum_bound, max_stratum_b, swap_invariants
 from .ingest import LoadError, load_dataset, load_roles, write_dataset_csv
-from .jsontext import _int_rows, dumps
+from .jsontext import _compact, _decimal_width, _fill_digits, dumps
 from .swapping import PsaParams, run_psa_details, to_exact_rate
 from .synth import StratumSpec, synthesize
 from .utility import utility_csv, utility_experiment, utility_json
@@ -137,12 +137,33 @@ def _load_input(args: argparse.Namespace) -> Dataset:
 
 
 def _count_table_text(table: ContingencyTable) -> str:
-    """The ``m,h,s,count`` CSV of every cell, m slowest and s fastest."""
-    # the flat (m, h, s, count) rows at once: the table can have a few
-    # hundred thousand of them
+    """The ``m,h,s,count`` CSV of every cell, m slowest and s fastest.
+
+    The table can have a few hundred thousand cells, so its lines are
+    built at once, as fixed-width slots of bytes: an index column depends
+    only on the table's shape, so it is one block of digit slots per axis,
+    each index's digits then a comma, set along that axis; only the counts
+    go through the digit loop.  One compaction drops the NUL padding."""
     counts = table.counts
-    rows = np.column_stack((*np.indices(counts.shape).reshape(3, -1), counts.ravel()))
-    return "m,h,s,count\n" + _int_rows(rows, (",", ",", ",", "\n"))
+    blocks = []
+    for size in counts.shape:
+        index = np.arange(size)
+        width = _decimal_width(index)
+        block = np.zeros((size, width + 1), dtype=np.uint8)
+        _fill_digits(index, block[:, :width])
+        block[:, width] = ord(",")
+        blocks.append(block)
+    width = _decimal_width(counts)
+    lines = np.zeros(counts.shape + (sum(block.shape[1] for block in blocks) + width + 1,), dtype=np.uint8)
+    lo = 0
+    for axis, block in enumerate(blocks):
+        shape = [1, 1, 1, block.shape[1]]
+        shape[axis] = len(block)
+        lines[..., lo : lo + block.shape[1]] = block.reshape(shape)
+        lo += block.shape[1]
+    _fill_digits(counts, lines[..., lo : lo + width])
+    lines[..., -1] = ord("\n")
+    return "m,h,s,count\n" + _compact(lines)
 
 
 def _cmd_swap(args: argparse.Namespace) -> int:

@@ -27,24 +27,28 @@ levels give H = 6 and index ``3*i1 + i2``).
 
 The reader never makes a Python string per field.  It reads the file's
 bytes once and drops a byte-order mark.  It decodes them only to check
-UTF-8 when they are not all ASCII (invalid UTF-8 is reported with its
-line), and to rewrite the line breaks to ``\n`` when they hold a break
-of ``str.splitlines`` other than ``\n``.  Line and comma positions come
-from numpy comparisons over that buffer, and the field counts of all lines
-are checked at once; when no data line is blank, the field bounds are
-slices of the one array of separator positions.  Each column is then
-coded on its own by one vocabulary kernel (:func:`_factorize`): every
-field is packed into a big-endian sort key (several words, viewed as one
-fixed-width bytes item, for labels past 7 bytes), the vocabulary is the
-declared labels packed the same way or the distinct keys, sorted, and
-one ``searchsorted`` reads every field's code.  Declared codes come out
-directly, and inferred labels are decoded from their keys, once each.
-The role columns are coded in role order (match, hold, swap), so an
-undeclared label is reported for the first column in that order and,
-within it, for the first row.  :func:`load_dataset` goes straight from
-those codes to the dataset; :func:`read_csv_columns` expands them to
-lists of strings, and :func:`cross_classify` encodes in-memory columns
-and feeds them to the same kernel.
+UTF-8 when they are not all ASCII (block by block; invalid UTF-8 is
+reported with its line), and to rewrite the line breaks to ``\n`` when
+they hold a break of ``str.splitlines`` other than ``\n``.  Line and
+comma positions come from numpy comparisons over that buffer.  Counts
+prove the row shape when every data line has the header's width and
+none is blank, and the field bounds are then slices of the one array of
+separator positions; otherwise the field counts of all lines are checked
+at once, and the first ragged line is named.  Each column is then coded
+on its own by one vocabulary kernel (:func:`_factorize`): every field
+becomes a little-endian key (its bytes in the low bytes and its length
+in the top byte, or several words for labels past 7 bytes), and one
+vectorized hash probe reads its code from an open-addressing table of
+the vocabulary.  The vocabulary is the declared labels keyed the same
+way, or the distinct keys of the first rows plus those of the fields
+that miss them; byteswapped keys sort in code-point order, so inferred
+labels are ranked and decoded from their keys, once each.  The role
+columns are coded in role order (match, hold, swap), so an undeclared
+label is reported for the first column in that order and, within it,
+for the first row.  :func:`load_dataset` goes straight from those codes
+to the dataset; :func:`read_csv_columns` expands them to lists of
+strings, and :func:`cross_classify` encodes in-memory columns and feeds
+them to the same kernel.
 """
 
 import codecs
@@ -75,6 +79,20 @@ CONSTANT_MATCH_LABEL = "*"
 # the ASCII line breaks of str.splitlines other than \n; the others are
 # NEL, U+2028 and U+2029 (see _has_utf8_break)
 _ASCII_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+# the bytes after a buffer's last field, so that a key word read from a
+# field's start stays inside the buffer
+_PAD = bytes(8)
+# the UTF-8 check decodes this many bytes at a time
+_UTF8_BLOCK = 1 << 20
+# _KEEP_LOW[k] keeps the k low bytes of a uint64 word
+_KEEP_LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# Fibonacci hashing: 2**64 over the golden ratio, odd
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+# a hash table has at least this many slots per key (see CHANGES.md)
+_TABLE_SPREAD = 8
+# an inferred vocabulary starts from the distinct fields of this many rows
+# (see CHANGES.md)
+_PREFIX_ROWS = 4096
 
 
 class LoadError(ValueError):
@@ -180,13 +198,34 @@ def _has_utf8_break(raw: bytes) -> bool:
     return False
 
 
+def _check_utf8(raw: bytes, path: Union[str, Path]) -> None:
+    """Raise :class:`LoadError` naming the line of the first byte of
+    ``raw`` that is not UTF-8.
+
+    The bytes are decoded in blocks of ``_UTF8_BLOCK`` bytes, each block's
+    text dropped at once; a character split across two blocks is held
+    over by the incremental decoder."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    view = memoryview(raw)
+    for start in range(0, len(raw), _UTF8_BLOCK):
+        held = len(decoder.getstate()[0])
+        try:
+            decoder.decode(view[start : start + _UTF8_BLOCK], start + _UTF8_BLOCK >= len(raw))
+        except UnicodeDecodeError as exc:
+            # the decoder reads its held bytes, then the block
+            bad = start - held + exc.start
+            lineno = len((raw[:bad].decode("utf-8") + "x").splitlines())
+            raise LoadError(f"{path}:{lineno}: not valid UTF-8") from None
+
+
 def _read_fields(path: Union[str, Path]) -> tuple[list[str], bytes, np.ndarray, np.ndarray]:
     """The header, the file's UTF-8 bytes, and the separator before each
     field and the one after it.
 
     ``before`` and ``ends`` are ``(columns, rows)`` arrays with one row
     per non-blank data line: field j of data line i is
-    ``raw[before[j, i] + 1:ends[j, i]]``.
+    ``raw[before[j, i] + 1:ends[j, i]]``.  ``raw`` ends in eight NUL
+    bytes after its last field, which :func:`_keys` reads past.
     """
     raw = Path(path).read_bytes()
     if raw.startswith(codecs.BOM_UTF8):
@@ -195,28 +234,40 @@ def _read_fields(path: Union[str, Path]) -> tuple[list[str], bytes, np.ndarray, 
         raise LoadError(f"{path}: missing header row")
     multibyte_break = False
     if not raw.isascii():
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            lineno = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
-            raise LoadError(f"{path}:{lineno}: not valid UTF-8") from None
+        _check_utf8(raw, path)
         multibyte_break = _has_utf8_break(raw)
     if multibyte_break or any(brk in raw for brk in _ASCII_BREAKS):
         raw = "\n".join(raw.decode("utf-8").splitlines()).encode("utf-8")
     # with a \n before the bytes and one after them, line k of the file
     # (the header is line 1) runs from the k-th \n to the next, and a file
     # that already ends in \n gains a blank last line
-    raw = b"".join((b"\n", raw, b"\n"))
+    raw = b"".join((b"\n", raw, b"\n", _PAD))
     data = np.frombuffer(raw, dtype=np.uint8)
     newline = data == ord("\n")
     seps = (newline | (data == ord(","))).nonzero()[0]
-    # field f runs from seps[f] + 1 to seps[f + 1]; line k ends at seps[line_ends[k]]
-    line_ends = newline[seps].nonzero()[0]
-    line_fields = line_ends[1:] - line_ends[:-1]
-    header = raw[1 : seps[line_ends[1]]].decode("utf-8").split(",")
+    # field f runs from seps[f] + 1 to seps[f + 1]
+    header = raw[1 : raw.index(b"\n", 1)].decode("utf-8").split(",")
     if len(set(header)) != len(header):
         raise LoadError(f"{path}: duplicate column names in header")
     width = len(header)
+    # the header ends at seps[width]; the data lines end at seps[stop - 1],
+    # and a blank last line, if the file ends in a line break, at seps[stop]
+    stop = len(seps) - (raw[-len(_PAD) - 2] == ord("\n"))
+    rows, extra = divmod(stop - width - 1, width)
+    # the data lines are all width fields long, and none is blank, when
+    # their separators come in runs of width that each end in the run's
+    # only \n; a line of one field is blank when it is empty
+    if (
+        not extra
+        and newline[seps[2 * width : stop : width]].all()
+        and np.count_nonzero(newline) == rows + 2 + (stop < len(seps))
+        and (width > 1 or bool((seps[width + 1 : stop] - seps[width : stop - 1] > 1).all()))
+    ):
+        before, ends = seps[width : stop - 1], seps[width + 1 : stop]
+        return header, raw, before.reshape(-1, width).T, ends.reshape(-1, width).T
+    # line k ends at seps[line_ends[k]]
+    line_ends = newline[seps].nonzero()[0]
+    line_fields = line_ends[1:] - line_ends[:-1]
     breaks = seps[line_ends]
     filled = breaks[1:] - breaks[:-1] > 1
     filled[0] = False
@@ -236,23 +287,19 @@ def _read_fields(path: Union[str, Path]) -> tuple[list[str], bytes, np.ndarray, 
     return header, raw, before.reshape(-1, width).T, ends.reshape(-1, width).T
 
 
-# _KEEP_BYTES[k] keeps the k most significant bytes of a uint64 word
-_KEEP_BYTES = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
-
-
 def _encode(values: Sequence[str]) -> tuple[bytes, np.ndarray, np.ndarray]:
     """The UTF-8 bytes of ``values``, each after one separator byte (lone
     surrogates kept), and the separator before each value and its end,
-    as :func:`_read_fields` gives them."""
+    as :func:`_read_fields` gives them, padding included."""
     text = "," + ",".join(values)
-    raw = text.encode("utf-8", "surrogatepass")
+    raw = b"".join((text.encode("utf-8", "surrogatepass"), _PAD))
     lengths = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
     ends = (lengths + 1).cumsum()
     before = ends - lengths - 1
     # character offsets are byte offsets exactly when the text is ASCII;
     # otherwise a character takes one byte, plus one for each of 0x80,
     # 0x800 and 0x10000 it reaches (a lone surrogate takes three)
-    if len(raw) != len(text):
+    if len(raw) != len(text) + len(_PAD):
         points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
         widths = np.ones(len(points), dtype=np.int8)
         for bound in (0x80, 0x800, 0x10000):
@@ -263,93 +310,171 @@ def _encode(values: Sequence[str]) -> tuple[bytes, np.ndarray, np.ndarray]:
 
 
 def _keys(raw: bytes, before: np.ndarray, lengths: np.ndarray, n_words: int) -> np.ndarray:
-    """The sort key of each slice ``raw[b + 1:b + 1 + length]``: its bytes,
-    zero padding, then its length in the last bytes, as an ``(n, n_words)``
-    array of big-endian word values."""
-    padded = raw + bytes(8 * n_words)
-    # row i of windows is the n_words words from byte offset i + 1 on
-    windows = np.ndarray((len(raw), n_words), ">u8", padded, 1, (1, 8))
-    # the gathered words in native order, in place
-    words = windows[before].byteswap(inplace=True).view(np.uint64)
+    """The key of each slice ``raw[b + 1:b + 1 + length]``, as
+    ``before.shape + (n_words,)`` little-endian words: the slice's bytes,
+    zero padding, then its length, big-endian, in the last bytes.
+
+    A key of one word holds the bytes in its low bytes and the length in
+    its top byte; byteswapping a key's words gives big-endian words that
+    order keys as their slices' code points, shorter slices first.
+    ``raw`` holds at least eight bytes after every slice."""
+    # element i of words is the eight bytes from byte i + 1 on
+    words = np.ndarray((len(raw) - 8,), "<u8", raw, 1, (1,))
+    keys = []
     for w in range(n_words):
-        kept = lengths if n_words == 1 else np.clip(lengths - 8 * w, 0, 8)
-        words[:, w] &= _KEEP_BYTES[kept]
+        # a word past a slice's end keeps no byte, so where its offset
+        # runs off the buffer any word will do
+        key = words[before if w == 0 else np.minimum(before + 8 * w, len(words) - 1)]
+        key &= _KEEP_LOW[lengths if n_words == 1 else np.clip(lengths - 8 * w, 0, 8)]
+        keys.append(key)
     # lengths are non-negative, so their int64 bits are their uint64 bits
-    words[:, -1] |= lengths.view(np.uint64)
-    return words
+    keys[-1] |= lengths.view(np.uint64).byteswap()
+    return keys[0][..., None] if n_words == 1 else np.stack(keys, axis=-1)
 
 
-def _items(words: np.ndarray) -> np.ndarray:
-    """One comparable item per row of key words: the word itself, or the
-    words viewed as one fixed-width bytes item, which numpy orders byte
-    by byte."""
-    if words.shape[1] == 1:
-        return words[:, 0]
-    return words.astype(">u8").view(f"S{8 * words.shape[1]}")[:, 0]
+def _field_keys(raw: bytes, before: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, int]:
+    """The keys (:func:`_keys`) of the fields ``raw[before + 1:ends]``,
+    with as many words as the longest field needs, and the number of
+    bytes a key's length takes."""
+    lengths = ends - before
+    lengths -= 1
+    longest = int(np.maximum.reduce(lengths)) if lengths.size else 0
+    length_bytes = max(1, -(-longest.bit_length() // 8))
+    return _keys(raw, before, lengths, -(-(longest + length_bytes) // 8)), length_bytes
+
+
+def _slots(keys: np.ndarray, shift: np.uint64) -> np.ndarray:
+    """The home slot of each row of ``keys`` in a table of ``2**(64 - shift)``
+    slots: the row's words folded by multiply and xor, top bits kept."""
+    mixed = keys[:, 0] * _MIX
+    for w in range(1, keys.shape[1]):
+        mixed ^= keys[:, w]
+        mixed *= _MIX
+    mixed >>= shift
+    return mixed.view(np.int64)
+
+
+def _differ(vocab: np.ndarray, codes: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each row of ``keys`` differs from the row of ``vocab`` its
+    code names."""
+    if keys.shape[1] == 1:
+        return vocab[:, 0][codes] != keys[:, 0]
+    return (vocab[codes] != keys).any(axis=1)
+
+
+def _lookup(keys: np.ndarray, vocab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row of ``vocab`` (distinct keys) equal to each row of ``keys``,
+    and the rows that equal none (their code is arbitrary).
+
+    ``vocab`` goes into an open-addressing table of at least
+    ``_TABLE_SPREAD`` slots per key by vectorized linear probing: every
+    key still unplaced tries its next slot, and of the keys that try one
+    free slot, one takes it.  The lookup probes the same way, all rows at
+    once, until each row finds its key or an empty slot."""
+    size = len(vocab)
+    if not size:
+        return np.zeros(len(keys), dtype=np.int64), np.arange(len(keys))
+    bits = (size * _TABLE_SPREAD - 1).bit_length()
+    shift, mask = np.uint64(64 - bits), (1 << bits) - 1
+    # an empty slot holds -1, which reads the last key: a row that reaches
+    # an empty slot is not in the table, so it differs from that key too
+    table = np.empty(mask + 1, dtype=np.int64)
+    table.fill(-1)
+    home = _slots(vocab, shift)
+    rows = np.arange(size)
+    table[home] = rows
+    (pending,) = (table[home] != rows).nonzero()
+    while len(pending):
+        home[pending] = (home[pending] + 1) & mask
+        at = home[pending]
+        free = table[at] < 0
+        table[at[free]] = pending[free]
+        pending = pending[table[at] != pending]
+    slot = _slots(keys, shift)
+    codes = table[slot]
+    (pending,) = _differ(vocab, codes, keys).nonzero()
+    missed = []
+    while len(pending):
+        ended = codes[pending] < 0
+        missed.append(pending[ended])
+        pending = pending[~ended]
+        slot[pending] = (slot[pending] + 1) & mask
+        codes[pending] = table[slot[pending]]
+        pending = pending[_differ(vocab, codes[pending], keys[pending])]
+    return codes, np.concatenate(missed) if missed else pending
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``keys``, in the code-point order of their
+    slices, and the index of each row's among them."""
+    ranked = keys.byteswap()
+    order = ranked[:, 0].argsort() if ranked.shape[1] == 1 else np.lexsort(ranked.T[::-1])
+    ranked = ranked[order]
+    first = np.ones(len(ranked), dtype=bool)
+    np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = first.cumsum() - 1
+    return keys[order[first]], inverse
+
+
+def _labels(keys: np.ndarray, length_bytes: int) -> tuple[str, ...]:
+    """The slice each key row holds, decoded."""
+    blob, width = keys.astype("<u8").tobytes(), 8 * keys.shape[1]
+    sizes = (keys[:, -1].byteswap() & np.uint64((1 << 8 * length_bytes) - 1)).tolist()
+    return tuple(
+        blob[k * width : k * width + size].decode("utf-8", "surrogatepass") for k, size in enumerate(sizes)
+    )
 
 
 def _factorize(
-    raw: bytes,
-    before: np.ndarray,
-    ends: np.ndarray,
+    keys: np.ndarray,
+    length_bytes: int,
     declared: Union[tuple[str, ...], None] = None,
     column: str = "",
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """``(codes, labels)`` of one column of byte slices ``raw[before + 1:ends]``.
+    """``(codes, labels)`` of one column of field keys, ``(rows, words)``
+    as :func:`_field_keys` gives them.
 
-    ``labels[codes[i]]`` is slice i.  Each slice is packed into its key
-    (:func:`_keys`), so ``"a"`` sorts before ``"a\\x00"`` and
-    ``"a\\x00"`` before ``"ab"``, and labels of more than 7 bytes take
-    several words.  The vocabulary is sorted keys, and one
-    ``searchsorted`` reads every slice's code from it:
+    ``labels[codes[i]]`` is field i.  Codes are read by one hash probe of
+    every key against a vocabulary (:func:`_lookup`):
 
     - with ``declared`` labels, the vocabulary is their keys, so the
-      codes index ``declared``, which is returned as ``labels``.  A slice
+      codes index ``declared``, which is returned as ``labels``.  A field
       that is none of them raises :class:`LoadError` naming ``column``
-      (the first such slice in row order);
-    - otherwise it is the distinct keys, and ``labels`` holds each
-      distinct slice once, decoded from its key and in code-point order
-      (the order of UTF-8 bytes).
+      (the first such field in row order);
+    - otherwise it is the distinct keys of the first ``_PREFIX_ROWS``
+      rows, joined by the distinct keys of the fields that miss them.
+      ``labels`` holds each distinct field once, decoded from its key and
+      in code-point order (the order of UTF-8 bytes, shorter first), as
+      byteswapped keys sort.  A column of at most ``_PREFIX_ROWS`` rows
+      takes its codes from the sort alone.
     """
-    if not len(before):
+    if not len(keys):
         return np.zeros(0, dtype=np.int64), () if declared is None else declared
-    lengths = ends - before
-    lengths -= 1
-    longest = int(lengths.max())
-    length_bytes = max(1, -(-longest.bit_length() // 8))
-    n_words = -(-(longest + length_bytes) // 8)
-    words = _keys(raw, before, lengths, n_words)
-    keys = _items(words)
     if declared is None:
-        # ordering several words one at a time (lexsort) is several times
-        # faster than sorting them as bytes items
-        ranked = np.sort(words, axis=0) if n_words == 1 else words[np.lexsort(words.T[::-1])]
-        distinct = np.ones(len(ranked), dtype=bool)
-        np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1, out=distinct[1:])
-        vocab = ranked[distinct]
-        # a key holds its label's bytes first and the label's length last
-        blob, width = vocab.astype(">u8").tobytes(), 8 * n_words
-        sizes = (vocab[:, -1] & ((1 << 8 * length_bytes) - 1)).tolist()
-        labels = (blob[k * width : k * width + size] for k, size in enumerate(sizes))
-        return _items(vocab).searchsorted(keys), tuple(label.decode("utf-8", "surrogatepass") for label in labels)
+        if len(keys) <= _PREFIX_ROWS:
+            vocab, codes = _distinct(keys)
+        else:
+            vocab, _ = _distinct(keys[:_PREFIX_ROWS])
+            codes, missed = _lookup(keys, vocab)
+            if len(missed):
+                extra, inverse = _distinct(keys[missed])
+                codes[missed] = inverse + len(vocab)
+                # the two parts share no key, so ranking their union gives the codes
+                vocab, rank = _distinct(np.concatenate((vocab, extra)))
+                codes = rank[codes]
+        return codes, _labels(vocab, length_bytes)
     label_raw, label_before, label_ends = _encode(declared)
     label_lengths = label_ends - label_before - 1
-    # a label longer than every slice matches none of them
-    (fits,) = (label_lengths <= longest).nonzero()
-    label_keys = _items(_keys(label_raw, label_before[fits], label_lengths[fits], n_words))
-    order = label_keys.argsort()
-    vocab = label_keys[order]
-    at = vocab.searchsorted(keys)
-    if len(vocab):
-        np.minimum(at, len(vocab) - 1, out=at)
-        hit = vocab[at] == keys
-    else:
-        hit = np.zeros(len(keys), dtype=bool)
-    if not hit.all():
-        i = int(hit.argmin())
-        value = raw[before[i] + 1 : ends[i]].decode("utf-8", "surrogatepass")
+    # a label longer than a key holds is longer than every field
+    n_words = keys.shape[1]
+    (fits,) = (label_lengths <= min(8 * n_words - length_bytes, (1 << 8 * length_bytes) - 1)).nonzero()
+    codes, missed = _lookup(keys, _keys(label_raw, label_before[fits], label_lengths[fits], n_words))
+    if len(missed):
+        i = int(missed.min())
+        (value,) = _labels(keys[i : i + 1], length_bytes)
         raise LoadError(f"column {column!r}: label {value!r} not in declared categories")
-    return fits[order][at], declared
+    return (codes if len(fits) == len(declared) else fits[codes]), declared
 
 
 def read_csv_columns(path: Union[str, Path]) -> dict[str, list[str]]:
@@ -363,7 +488,7 @@ def read_csv_columns(path: Union[str, Path]) -> dict[str, list[str]]:
     header, raw, before, ends = _read_fields(path)
     columns = {}
     for name, col_before, col_ends in zip(header, before, ends):
-        codes, labels = _factorize(raw, col_before, col_ends)
+        codes, labels = _factorize(*_field_keys(raw, col_before, col_ends))
         columns[name] = np.array(labels, dtype=object)[codes].tolist()
     return columns
 
@@ -384,10 +509,11 @@ def _classify(
     """The (match, hold, swap) dataset of the columns of byte slices
     ``raw[before + 1:ends]`` named ``names``.
 
-    The role columns are factorized in role order, so an undeclared
-    label is reported for the first column in that order.  A role of
-    several columns is one axis, later columns varying fastest: the
-    code is ``sum(code_j * stride_j)``.
+    The role columns are keyed and factorized one at a time, in role
+    order, so only one column's keys are held and an undeclared label is
+    reported for the first column in that order.  A role of several
+    columns is one axis, later columns varying fastest: the code is
+    ``sum(code_j * stride_j)``.
     """
     slices = dict(zip(names, zip(before, ends)))
     codes = np.zeros((before.shape[1], 3), dtype=np.int64)
@@ -395,10 +521,15 @@ def _classify(
     for axis, role in enumerate((roles.match, roles.hold, roles.swap)):
         per_col_cats = []
         for col in role:
-            col_codes, cats = _factorize(raw, *slices[col], roles.categories.get(col), col)
-            codes[:, axis] *= len(cats)
-            codes[:, axis] += col_codes
+            col_codes, cats = _factorize(*_field_keys(raw, *slices[col]), roles.categories.get(col), col)
+            if per_col_cats:
+                codes[:, axis] *= len(cats)
+                codes[:, axis] += col_codes
+            else:
+                codes[:, axis] = col_codes
             per_col_cats.append(cats)
+            # not held while the next column is coded
+            del col_codes
         product = map(COMPOSITE_LABEL_SEP.join, itertools.product(*per_col_cats))
         labels.append(tuple(product) if role else (CONSTANT_MATCH_LABEL,))
     schema = DatasetSchema(roles.match, roles.hold, roles.swap, *labels)

@@ -6,8 +6,9 @@ Python, one generator step per value; here containers are walked once
 into a list of parts, a list of only ``str`` or only ``float`` items is
 written with one ``join``, and a 2-D integer numpy array (a margin
 table) is written by :func:`_int_rows`, as ``json`` would write the
-array's nested lists.  :func:`_int_rows` also writes the swapper's
-count table.
+array's nested lists.  The swapper's count table is written from the
+same parts: its index columns from one block of digit slots per axis,
+its counts by :func:`_fill_digits`, and the text by :func:`_compact`.
 """
 
 from json.encoder import encode_basestring_ascii as _string
@@ -62,14 +63,37 @@ def _scalar(value: object) -> str:
 _NUL, _MINUS, _ZERO = 0, ord("-"), ord("0")
 
 
+def _decimal_width(magnitude: np.ndarray) -> int:
+    """The number of digits of the largest of non-negative ``magnitude``."""
+    return len(str(int(magnitude.max()))) if magnitude.size else 1
+
+
+def _fill_digits(magnitude: np.ndarray, slots: np.ndarray) -> None:
+    """Write non-negative integers into ``slots``, a uint8 view with one
+    more axis than ``magnitude``, at least as long as the widest entry's
+    digits: the digits end at the slot's end, and the leading zeros are
+    left as they are (NUL in a zeroed array)."""
+    width = slots.shape[-1]
+    # the digits of uint32 come several times faster
+    magnitude = magnitude.astype(np.uint32 if width < 10 else np.uint64)
+    ten = magnitude.dtype.type(10)
+    shown = True  # a zero entry still writes its last digit
+    for column in range(width - 1, -1, -1):
+        # floor division by a scalar runs several times faster than divmod
+        quotient = magnitude // ten
+        slots[..., column] = (magnitude - quotient * ten + _ZERO) * shown
+        magnitude = quotient
+        shown = magnitude != 0
+
+
 def _int_rows(array: np.ndarray, separators: Sequence[str]) -> str:
     """The rows of a 2-D integer array in decimal, each entry of column j
     followed by ``separators[j]`` (ASCII, no NUL).
 
     Every entry fills a fixed-width slot of bytes: a sign when some entry
-    is negative, the digits by repeated division by ten (leading zeros
-    left NUL), and the column's separator padded with NUL.  One compaction
-    then drops every NUL.
+    is negative, the digits (:func:`_fill_digits`, leading zeros left
+    NUL), and the column's separator padded with NUL.  One compaction then
+    drops every NUL.
     """
     rows, cols = array.shape
     tails = np.zeros((cols, max(map(len, separators), default=0)), dtype=np.uint8)
@@ -81,20 +105,16 @@ def _int_rows(array: np.ndarray, separators: Sequence[str]) -> str:
     if sign:
         # two's complement, exact for the int64 minimum too
         magnitude[negative] = -magnitude[negative]
-    width = len(str(int(magnitude.max()))) if magnitude.size else 1
-    if width < 10:  # the digits of uint32 come several times faster
-        magnitude = magnitude.astype(np.uint32)
-    ten = magnitude.dtype.type(10)
+    width = _decimal_width(magnitude)
     slots = np.zeros((rows, cols, sign + width + tails.shape[1]), dtype=np.uint8)
     slots[negative, 0] = _MINUS
-    shown = True  # a zero entry still writes its last digit
-    for column in range(sign + width - 1, sign - 1, -1):
-        # floor division by a scalar runs several times faster than divmod
-        quotient = magnitude // ten
-        slots[..., column] = (magnitude - quotient * ten + _ZERO) * shown
-        magnitude = quotient
-        shown = magnitude != 0  # leading zeros stay NUL
+    _fill_digits(magnitude, slots[..., sign : sign + width])
     slots[..., sign + width :] = tails
+    return _compact(slots)
+
+
+def _compact(slots: np.ndarray) -> str:
+    """The ASCII text of ``slots`` with every NUL dropped."""
     return slots[slots != _NUL].tobytes().decode("ascii")
 
 

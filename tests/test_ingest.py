@@ -14,6 +14,7 @@ from permuswap import (
     tabulate,
     write_dataset_csv,
 )
+from permuswap import ingest
 from permuswap.synth import StratumSpec
 
 from conftest import FIXTURES, bom_crlf_copy
@@ -151,6 +152,108 @@ class TestCsvReading:
         assert read_csv_columns(bom) == read_csv_columns(plain)
         roles = load_roles(FIXTURES / "witness_odds.roles.json")
         assert load_dataset(bom, roles) == load_dataset(plain, roles)
+
+
+class TestRowShape:
+    """The reader proves a file's row shape from separator counts, and
+    otherwise reads it line by line; both give the same columns and the
+    same errors, with line numbers that count blank lines."""
+
+    @pytest.mark.parametrize(
+        "body, line, got",
+        [
+            # 2 + 1 separators make one row of 3, and the run ends in \n
+            ("x,y\nz\n", 2, 2),
+            ("p,q,r\nx,y\nz\n", 3, 2),
+            # 4 + 2 separators make two rows of 3
+            ("w,x,y,z\nu,v\n", 2, 4),
+        ],
+    )
+    def test_counts_that_add_up_still_name_the_ragged_line(self, tmp_path, body, line, got):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,c\n" + body, encoding="utf-8")
+        with pytest.raises(LoadError, match=rf"data\.csv:{line}: expected 3 fields, got {got}$"):
+            read_csv_columns(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a\nx\n\ny\n", "a\nx\ny\n\n", "a\nx\ny\n\n\n", "a\n\nx\ny", "a\nx\n\n\ny\n", "a\n\n"],
+    )
+    def test_one_column_blank_lines_skipped(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        assert read_csv_columns(path) == {"a": [value for value in text.split("\n")[1:] if value]}
+
+    def test_one_column_ragged_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a\n\nx\n\np,q\ny\n", encoding="utf-8")
+        with pytest.raises(LoadError, match=r"data\.csv:5: expected 1 fields, got 2$"):
+            read_csv_columns(path)
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize("final", [True, False])
+    def test_line_ends_and_byte_order_mark(self, tmp_path, bom, newline, final):
+        """No trailing line break, CRLF and a byte-order mark read as a
+        plain file does, an empty last field included, and a ragged line
+        is named the same way."""
+        path = tmp_path / "data.csv"
+        lines = [b"a,b", b"1,2", b"3,", b",4"]
+        path.write_bytes(bom + newline.join(lines) + newline * final)
+        assert read_csv_columns(path) == {"a": ["1", "3", ""], "b": ["2", "", "4"]}
+        path.write_bytes(bom + newline.join(lines + [b"5"]) + newline * final)
+        with pytest.raises(LoadError, match=r"data\.csv:5: expected 2 fields, got 1$"):
+            read_csv_columns(path)
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "data.csv"
+        for text in ("a,b", "a,b\n", "a,b\n\n"):
+            path.write_text(text, encoding="utf-8")
+            assert read_csv_columns(path) == {"a": [], "b": []}
+
+
+def ascii_lines(size):
+    """ASCII lines of two fields, ``size`` bytes in all (0 or at least 4)."""
+    if not size:
+        return b""
+    lines, extra = divmod(size, 4)
+    return b"y,z\n" * (lines - 1) + b"y" * (1 + extra) + b",z\n"
+
+
+class TestUtf8Blocks:
+    """The UTF-8 check decodes ``_UTF8_BLOCK`` bytes at a time, and reads
+    a file as a check of the whole file does."""
+
+    @pytest.fixture(params=[9, ingest._UTF8_BLOCK])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(ingest, "_UTF8_BLOCK", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_character_split_across_a_boundary(self, tmp_path, block, bom):
+        path = tmp_path / "data.csv"
+        head = b"a,b\n" + ascii_lines(block - 5)
+        path.write_bytes(bom + head + "é,x\n".encode("utf-8"))
+        assert read_csv_columns(path)["a"][-1] == "é"
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_invalid_byte_just_after_a_boundary(self, tmp_path, block, bom):
+        path = tmp_path / "data.csv"
+        head = b"a,b\n" + ascii_lines(block - 4)
+        path.write_bytes(bom + head + b"\xff,x\n")
+        line = head.count(b"\n") + 1
+        with pytest.raises(LoadError, match=rf"data\.csv:{line}: not valid UTF-8$"):
+            read_csv_columns(path)
+
+    def test_split_character_with_a_bad_continuation(self, tmp_path, block):
+        """The error is at the lead byte, in the block before the one
+        that shows the character is broken."""
+        path = tmp_path / "data.csv"
+        head = b"a,b\n" + ascii_lines(block - 5)
+        path.write_bytes(head + b"\xc3x,x\n")
+        line = head.count(b"\n") + 1
+        with pytest.raises(LoadError, match=rf"data\.csv:{line}: not valid UTF-8$"):
+            read_csv_columns(path)
 
 
 class TestRolesFile:

@@ -75,10 +75,12 @@ from permuswap.ingest import (
     _check_label,
     _encode,
     _factorize,
+    _field_keys,
     _has_utf8_break,
     _read_fields,
     default_axis_labels,
 )
+from permuswap import ingest
 from permuswap.synth import StratumSpec, synthesize
 from permuswap.utility import QUARTILE_RULE, ZERO_CELL_RULE, UtilityReport, _summarize
 
@@ -226,6 +228,71 @@ def ref_factorize(raw, starts, ends):
         (inverse[j * n_rows : (j + 1) * n_rows], tuple(labels[lo:hi]))
         for j, (lo, hi) in enumerate(zip([0, *cuts], cuts))
     ]
+
+
+def ref_sort_keys(raw, before, lengths, n_words):
+    """The big-endian sort key of each slice ``raw[b + 1:b + 1 + length]``:
+    its bytes, zero padding, then its length in the last bytes."""
+    padded = raw + bytes(8 * n_words)
+    # row i of windows is the n_words words from byte offset i + 1 on
+    windows = np.ndarray((len(raw), n_words), ">u8", padded, 1, (1, 8))
+    words = windows[before].byteswap(inplace=True).view(np.uint64)
+    for w in range(n_words):
+        kept = lengths if n_words == 1 else np.clip(lengths - 8 * w, 0, 8)
+        words[:, w] &= _KEEP_BYTES[kept]
+    words[:, -1] |= lengths.view(np.uint64)
+    return words
+
+
+def ref_sort_items(words):
+    """One comparable item per row of key words: the word, or the words
+    as one fixed-width bytes item, which numpy orders byte by byte."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return words.astype(">u8").view(f"S{8 * words.shape[1]}")[:, 0]
+
+
+def ref_vocabulary_factorize(raw, before, ends, declared=None, column=""):
+    """The vocabulary kernel the hash probe replaced: ``(codes, labels)``
+    of one column of byte slices ``raw[before + 1:ends]``.  The vocabulary
+    is the sorted sort keys of the declared labels, or of the distinct
+    slices, and one ``searchsorted`` reads every slice's code."""
+    if not len(before):
+        return np.zeros(0, dtype=np.int64), () if declared is None else declared
+    lengths = ends - before - 1
+    longest = int(lengths.max())
+    length_bytes = max(1, -(-longest.bit_length() // 8))
+    n_words = -(-(longest + length_bytes) // 8)
+    words = ref_sort_keys(raw, before, lengths, n_words)
+    keys = ref_sort_items(words)
+    if declared is None:
+        ranked = np.sort(words, axis=0) if n_words == 1 else words[np.lexsort(words.T[::-1])]
+        distinct = np.ones(len(ranked), dtype=bool)
+        np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1, out=distinct[1:])
+        vocab = ranked[distinct]
+        blob, width = vocab.astype(">u8").tobytes(), 8 * n_words
+        sizes = (vocab[:, -1] & ((1 << 8 * length_bytes) - 1)).tolist()
+        labels = (blob[k * width : k * width + size] for k, size in enumerate(sizes))
+        return ref_sort_items(vocab).searchsorted(keys), tuple(
+            label.decode("utf-8", "surrogatepass") for label in labels
+        )
+    label_raw, label_before, label_ends = _encode(declared)
+    label_lengths = label_ends - label_before - 1
+    (fits,) = (label_lengths <= longest).nonzero()
+    label_keys = ref_sort_items(ref_sort_keys(label_raw, label_before[fits], label_lengths[fits], n_words))
+    order = label_keys.argsort()
+    vocab = label_keys[order]
+    at = vocab.searchsorted(keys)
+    if len(vocab):
+        np.minimum(at, len(vocab) - 1, out=at)
+        hit = vocab[at] == keys
+    else:
+        hit = np.zeros(len(keys), dtype=bool)
+    if not hit.all():
+        i = int(hit.argmin())
+        value = raw[before[i] + 1 : ends[i]].decode("utf-8", "surrogatepass")
+        raise LoadError(f"column {column!r}: label {value!r} not in declared categories")
+    return fits[order][at], declared
 
 
 def ref_column_codes(name, factors, declared):
@@ -778,15 +845,27 @@ kernel_labels = st.sampled_from(KERNEL_LABELS) | st.text(max_size=12)
 
 
 @st.composite
-def kernel_columns(draw):
-    """(column, declared): up to 2,000 labels from a small alphabet, and
-    now and then one label that only the last few rows use.  ``declared``
-    is None or a list that may omit labels (the late one among them),
-    and may hold a label longer than every field or a lone surrogate."""
-    alphabet = draw(st.lists(kernel_labels, min_size=1, max_size=8, unique=True))
-    n_rows = draw(st.integers(0, 2000))
+def kernel_columns(draw, n_rows=None, many=True):
+    """(column, declared): labels from a small alphabet or, if ``many``,
+    now and then from thousands of labels in shuffled order.  Up to 2,000
+    rows, or a few hundred past the inferred vocabulary's prefix with
+    labels that first appear after it; and now and then one label that
+    only the last few rows use.  ``declared`` is None or a list that may
+    omit labels (the late ones among them), and may hold a label longer
+    than every field or a lone surrogate."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if n_rows is None:
+        n_rows = draw(st.integers(0, 2000) | st.integers(ingest._PREFIX_ROWS - 2, ingest._PREFIX_ROWS + 300))
+    if many and draw(st.integers(0, 3)) == 0:
+        size = draw(st.integers(1000, 6000))
+        alphabet = [f"{'é' * (i % 3)}{i:0{i % 9}d}" for i in rng.permutation(size).tolist()]
+    else:
+        alphabet = draw(st.lists(kernel_labels, min_size=1, max_size=8, unique=True))
     column = [alphabet[i] for i in rng.integers(0, len(alphabet), n_rows).tolist()]
+    if n_rows > ingest._PREFIX_ROWS:
+        for label in draw(st.lists(kernel_labels, max_size=3)):
+            column[int(rng.integers(ingest._PREFIX_ROWS, n_rows))] = label
+            alphabet.append(label)
     late = draw(st.none() | kernel_labels)
     if late is not None and n_rows:
         first = draw(st.integers(max(0, n_rows - 4), n_rows - 1))
@@ -794,34 +873,94 @@ def kernel_columns(draw):
         alphabet.append(late)
     if not draw(st.booleans()):
         return column, None
-    kept = draw(st.permutations(alphabet))[: draw(st.integers(0, len(alphabet)))]
+    alphabet = list(dict.fromkeys(alphabet))
+    kept = len(alphabet) if draw(st.booleans()) else draw(st.integers(0, len(alphabet)))
+    kept = [alphabet[i] for i in rng.permutation(len(alphabet))[:kept].tolist()]
     extra = draw(st.lists(st.sampled_from(["\ud800", "é" * 40, "y" * 2001]), max_size=2))
     return column, tuple(dict.fromkeys(kept + extra))
 
 
-@settings(max_examples=300, deadline=None)
-@given(kernel_columns())
-@example((["b", "a", "qq"], ("a", "b")))
-@example((["a"] * 5, ("\ud800", "a", "a" * 9)))
-@example(([], ()))
-@example((["x"], ()))
-@example((["abcdef\x01"], ("abcdef\x00\x00" + "z" * 255,)))
-def test_factorize_matches_sort_and_scatter_kernel(case):
-    """The vocabulary kernel gives the codes and labels of the sort-and-
-    scatter kernel followed by the declared remap, or its error.  (The
-    last example's declared label, cut to the field's one-word key,
-    would read as that field's key.)"""
-    column, declared = case
+def kernel_outcomes(column, declared):
+    """The hash-probe kernel's codes and labels, or its error, and the
+    same of the vocabulary kernel and of the sort-and-scatter kernel."""
     raw, before, ends = _encode(column)
 
     def parts(factor):
         codes, labels = factor()
         return codes.tolist(), labels
 
-    got = outcome(parts, lambda: _factorize(raw, before, ends, declared, "c"))
+    got = outcome(parts, lambda: _factorize(*_field_keys(raw, before, ends), declared, "c"))
+    vocabulary = outcome(parts, lambda: ref_vocabulary_factorize(raw, before, ends, declared, "c"))
     (factors,) = ref_factorize(raw, before[None] + 1, ends[None])
-    want = outcome(parts, lambda: ref_column_codes("c", factors, declared))
-    assert got == want
+    return got, vocabulary, outcome(parts, lambda: ref_column_codes("c", factors, declared))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_columns(), st.sampled_from([1, 3, None]))
+@example((["b", "a", "qq"], ("a", "b")), None)
+@example((["a"] * 5, ("\ud800", "a", "a" * 9)), None)
+@example(([], ()), None)
+@example((["x"], ()), None)
+@example((["abcdef\x01"], ("abcdef\x00\x00" + "z" * 255,)), None)
+@example((["b", "c", "a", "c", "d"], None), 2)
+def test_factorize_matches_sort_and_scatter_kernel(case, prefix_rows):
+    """The hash-probe kernel gives the codes and labels of the vocabulary
+    kernel and of the sort-and-scatter kernel followed by the declared
+    remap, or their error, whatever the inferred vocabulary's prefix.
+    (The fifth example's declared label, cut to the field's one-word key,
+    would read as that field's key.)"""
+    with mock.patch.object(ingest, "_PREFIX_ROWS", prefix_rows or ingest._PREFIX_ROWS):
+        got, vocabulary, sort_and_scatter = kernel_outcomes(*case)
+    assert got == vocabulary == sort_and_scatter
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_columns(many=False), st.sampled_from([0, 1]), st.sampled_from([1, 3, None]))
+def test_factorize_probes_past_collisions(case, mix, prefix_rows):
+    """With a multiplier of 0 every key hashes to slot 0, and with 1 a
+    one-word key's slot is its length's top bits, so keys share home
+    slots and are placed and found several slots on; the codes stay the
+    vocabulary kernel's."""
+    with (
+        mock.patch.object(ingest, "_MIX", np.uint64(mix)),
+        mock.patch.object(ingest, "_PREFIX_ROWS", prefix_rows or ingest._PREFIX_ROWS),
+    ):
+        got, vocabulary, _ = kernel_outcomes(*case)
+    assert got == vocabulary
+
+
+@st.composite
+def role_kernel_columns(draw):
+    """(columns, roles): a match, hold and swap column of one length,
+    each drawn by :func:`kernel_columns`, in a shuffled header order."""
+    n_rows = draw(st.integers(0, 300) | st.integers(ingest._PREFIX_ROWS - 2, ingest._PREFIX_ROWS + 50))
+    cases = [draw(kernel_columns(n_rows=n_rows)) for _ in range(3)]
+    names = draw(st.permutations(["m", "h", "s"]))
+    columns = {name: cases["mhs".index(name)][0] for name in names}
+    categories = {name: declared for name, (_, declared) in zip("mhs", cases) if declared is not None}
+    return columns, RoleAssignment(match=("m",), hold=("h",), swap=("s",), categories=categories)
+
+
+@settings(max_examples=100, deadline=None)
+@given(role_kernel_columns())
+def test_classify_codes_role_columns_as_the_vocabulary_kernel(case):
+    """Whatever the header order, the role columns are coded as the
+    vocabulary kernel codes each on its own, and an undeclared label is
+    reported for the first column in role order, then the first row."""
+    columns, roles = case
+
+    def classify():
+        x = cross_classify(columns, roles)
+        return x.codes.T.tolist(), (x.schema.match_labels, x.schema.hold_labels, x.schema.swap_labels)
+
+    def reference():
+        factors = []
+        for name in "mhs":
+            raw, before, ends = _encode(columns[name])
+            factors.append(ref_vocabulary_factorize(raw, before, ends, roles.categories.get(name), name))
+        return [codes.tolist() for codes, _ in factors], tuple(labels for _, labels in factors)
+
+    assert outcome(classify) == outcome(reference)
 
 
 @pytest.mark.parametrize("blank", [False, True])
@@ -899,10 +1038,16 @@ def test_invalid_utf8_after_long_ascii_prefix(tmp_path, newline):
 
 @st.composite
 def contingency_tables(draw):
-    """Tables with zero-size axes among them, and counts up to 2**63 - 1."""
-    shape = tuple(draw(st.integers(0, 4)) for _ in range(3))
-    count = st.one_of(st.integers(0, 9), st.integers(0, 2**63 - 1))
-    counts = draw(st.lists(count, min_size=math.prod(shape), max_size=math.prod(shape)))
+    """Tables with zero-size axes among them, axes of two-digit indices,
+    and counts up to 2**63 - 1."""
+    shape = tuple(draw(st.integers(0, 4) | st.integers(9, 12)) for _ in range(3))
+    size = math.prod(shape)
+    if size <= 64:
+        count = st.one_of(st.integers(0, 9), st.integers(0, 2**63 - 1))
+        counts = draw(st.lists(count, min_size=size, max_size=size))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        counts = rng.integers(0, draw(st.sampled_from([10, 2**63 - 1])), size)
     return ContingencyTable(np.array(counts, dtype=np.int64).reshape(shape))
 
 
