@@ -31,7 +31,7 @@ import numpy as np
 from . import budget as budget_mod
 from . import exact as exact_mod
 from .dataset import ContingencyTable, Dataset, Domain, invariant_stratum_bound, max_stratum_b, swap_invariants
-from .ingest import LoadError, load_dataset, load_roles, write_dataset_csv
+from .ingest import LoadError, _label_block, load_dataset, load_roles, write_dataset_csv
 from .jsontext import _compact, _decimal_width, _fill_digits, dumps
 from .swapping import PsaParams, run_psa_details, to_exact_rate
 from .synth import StratumSpec, synthesize
@@ -141,18 +141,12 @@ def _count_table_text(table: ContingencyTable) -> str:
 
     The table can have a few hundred thousand cells, so its lines are
     built at once, as fixed-width slots of bytes: an index column depends
-    only on the table's shape, so it is one block of digit slots per axis,
-    each index's digits then a comma, set along that axis; only the counts
-    go through the digit loop.  One compaction drops the NUL padding."""
+    only on the table's shape, so it is one label block per axis (each
+    index's digits then a comma, as :func:`write_dataset_csv` writes
+    labels), set along that axis; only the counts go through the digit
+    loop.  One compaction drops the NUL padding."""
     counts = table.counts
-    blocks = []
-    for size in counts.shape:
-        index = np.arange(size)
-        width = _decimal_width(index)
-        block = np.zeros((size, width + 1), dtype=np.uint8)
-        _fill_digits(index, block[:, :width])
-        block[:, width] = ord(",")
-        blocks.append(block)
+    blocks = [_label_block([str(i) for i in range(size)], b",")[0] for size in counts.shape]
     width = _decimal_width(counts)
     lines = np.zeros(counts.shape + (sum(block.shape[1] for block in blocks) + width + 1,), dtype=np.uint8)
     lo = 0

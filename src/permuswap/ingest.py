@@ -37,18 +37,18 @@ separator positions; otherwise the field counts of all lines are checked
 at once, and the first ragged line is named.  Each column is then coded
 on its own by one vocabulary kernel (:func:`_factorize`): every field
 becomes a little-endian key (its bytes in the low bytes and its length
-in the top byte, or several words for labels past 7 bytes), and one
-vectorized hash probe reads its code from an open-addressing table of
-the vocabulary.  The vocabulary is the declared labels keyed the same
-way, or the distinct keys of the first rows plus those of the fields
-that miss them; byteswapped keys sort in code-point order, so inferred
-labels are ranked and decoded from their keys, once each.  The role
-columns are coded in role order (match, hold, swap), so an undeclared
-label is reported for the first column in that order and, within it,
-for the first row.  :func:`load_dataset` goes straight from those codes
-to the dataset; :func:`read_csv_columns` expands them to lists of
-strings, and :func:`cross_classify` encodes in-memory columns and feeds
-them to the same kernel.
+in the top byte, or several words for labels past 7 bytes).  A column
+with declared labels reads each field's code by one vectorized hash
+probe of an open-addressing table of the labels, keyed the same way.
+A column without them is sorted by key: byteswapped keys sort in
+code-point order, so the distinct keys are the inferred labels in
+order, each decoded from its key once.  The role columns are coded in
+role order (match, hold, swap), so an undeclared label is reported for
+the first column in that order and, within it, for the first row.
+:func:`load_dataset` goes straight from those codes to the dataset;
+:func:`read_csv_columns` expands them to lists of strings, and
+:func:`cross_classify` encodes in-memory columns and feeds them to the
+same kernel.
 """
 
 import codecs
@@ -90,9 +90,6 @@ _KEEP_LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 # a hash table has at least this many slots per key (see CHANGES.md)
 _TABLE_SPREAD = 8
-# an inferred vocabulary starts from the distinct fields of this many rows
-# (see CHANGES.md)
-_PREFIX_ROWS = 4096
 
 
 class LoadError(ValueError):
@@ -363,8 +360,9 @@ def _differ(vocab: np.ndarray, codes: np.ndarray, keys: np.ndarray) -> np.ndarra
 
 
 def _lookup(keys: np.ndarray, vocab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The row of ``vocab`` (distinct keys) equal to each row of ``keys``,
-    and the rows that equal none (their code is arbitrary).
+    """The row of ``vocab`` (distinct keys, a column's declared labels)
+    equal to each row of ``keys``, and the rows that equal none (their
+    code is arbitrary).
 
     ``vocab`` goes into an open-addressing table of at least
     ``_TABLE_SPREAD`` slots per key by vectorized linear probing: every
@@ -435,34 +433,22 @@ def _factorize(
     """``(codes, labels)`` of one column of field keys, ``(rows, words)``
     as :func:`_field_keys` gives them.
 
-    ``labels[codes[i]]`` is field i.  Codes are read by one hash probe of
-    every key against a vocabulary (:func:`_lookup`):
+    ``labels[codes[i]]`` is field i.
 
-    - with ``declared`` labels, the vocabulary is their keys, so the
-      codes index ``declared``, which is returned as ``labels``.  A field
-      that is none of them raises :class:`LoadError` naming ``column``
-      (the first such field in row order);
-    - otherwise it is the distinct keys of the first ``_PREFIX_ROWS``
-      rows, joined by the distinct keys of the fields that miss them.
-      ``labels`` holds each distinct field once, decoded from its key and
-      in code-point order (the order of UTF-8 bytes, shorter first), as
-      byteswapped keys sort.  A column of at most ``_PREFIX_ROWS`` rows
-      takes its codes from the sort alone.
+    - with ``declared`` labels, one hash probe of every key against the
+      labels' keys (:func:`_lookup`) gives the codes, which index
+      ``declared``, returned as ``labels``.  A field that is none of
+      them raises :class:`LoadError` naming ``column`` (the first such
+      field in row order);
+    - otherwise the keys are sorted (:func:`_distinct`): ``labels`` holds
+      each distinct field once, decoded from its key and in code-point
+      order (the order of UTF-8 bytes, shorter first), as byteswapped
+      keys sort.
     """
     if not len(keys):
         return np.zeros(0, dtype=np.int64), () if declared is None else declared
     if declared is None:
-        if len(keys) <= _PREFIX_ROWS:
-            vocab, codes = _distinct(keys)
-        else:
-            vocab, _ = _distinct(keys[:_PREFIX_ROWS])
-            codes, missed = _lookup(keys, vocab)
-            if len(missed):
-                extra, inverse = _distinct(keys[missed])
-                codes[missed] = inverse + len(vocab)
-                # the two parts share no key, so ranking their union gives the codes
-                vocab, rank = _distinct(np.concatenate((vocab, extra)))
-                codes = rank[codes]
+        vocab, codes = _distinct(keys)
         return codes, _labels(vocab, length_bytes)
     label_raw, label_before, label_ends = _encode(declared)
     label_lengths = label_ends - label_before - 1

@@ -846,26 +846,21 @@ kernel_labels = st.sampled_from(KERNEL_LABELS) | st.text(max_size=12)
 
 @st.composite
 def kernel_columns(draw, n_rows=None, many=True):
-    """(column, declared): labels from a small alphabet or, if ``many``,
-    now and then from thousands of labels in shuffled order.  Up to 2,000
-    rows, or a few hundred past the inferred vocabulary's prefix with
-    labels that first appear after it; and now and then one label that
-    only the last few rows use.  ``declared`` is None or a list that may
-    omit labels (the late ones among them), and may hold a label longer
-    than every field or a lone surrogate."""
+    """(column, declared): up to 2,000 rows of labels from a small
+    alphabet or, if ``many``, now and then from thousands of labels in
+    shuffled order; and now and then one label that only the last few
+    rows use.  ``declared`` is None or a list that may omit labels (the
+    late one among them), and may hold a label longer than every field
+    or a lone surrogate."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if n_rows is None:
-        n_rows = draw(st.integers(0, 2000) | st.integers(ingest._PREFIX_ROWS - 2, ingest._PREFIX_ROWS + 300))
+        n_rows = draw(st.integers(0, 2000))
     if many and draw(st.integers(0, 3)) == 0:
         size = draw(st.integers(1000, 6000))
         alphabet = [f"{'é' * (i % 3)}{i:0{i % 9}d}" for i in rng.permutation(size).tolist()]
     else:
         alphabet = draw(st.lists(kernel_labels, min_size=1, max_size=8, unique=True))
     column = [alphabet[i] for i in rng.integers(0, len(alphabet), n_rows).tolist()]
-    if n_rows > ingest._PREFIX_ROWS:
-        for label in draw(st.lists(kernel_labels, max_size=3)):
-            column[int(rng.integers(ingest._PREFIX_ROWS, n_rows))] = label
-            alphabet.append(label)
     late = draw(st.none() | kernel_labels)
     if late is not None and n_rows:
         first = draw(st.integers(max(0, n_rows - 4), n_rows - 1))
@@ -896,35 +891,29 @@ def kernel_outcomes(column, declared):
 
 
 @settings(max_examples=300, deadline=None)
-@given(kernel_columns(), st.sampled_from([1, 3, None]))
-@example((["b", "a", "qq"], ("a", "b")), None)
-@example((["a"] * 5, ("\ud800", "a", "a" * 9)), None)
-@example(([], ()), None)
-@example((["x"], ()), None)
-@example((["abcdef\x01"], ("abcdef\x00\x00" + "z" * 255,)), None)
-@example((["b", "c", "a", "c", "d"], None), 2)
-def test_factorize_matches_sort_and_scatter_kernel(case, prefix_rows):
+@given(kernel_columns())
+@example((["b", "a", "qq"], ("a", "b")))
+@example((["a"] * 5, ("\ud800", "a", "a" * 9)))
+@example(([], ()))
+@example((["x"], ()))
+@example((["abcdef\x01"], ("abcdef\x00\x00" + "z" * 255,)))
+def test_factorize_matches_sort_and_scatter_kernel(case):
     """The hash-probe kernel gives the codes and labels of the vocabulary
     kernel and of the sort-and-scatter kernel followed by the declared
-    remap, or their error, whatever the inferred vocabulary's prefix.
-    (The fifth example's declared label, cut to the field's one-word key,
-    would read as that field's key.)"""
-    with mock.patch.object(ingest, "_PREFIX_ROWS", prefix_rows or ingest._PREFIX_ROWS):
-        got, vocabulary, sort_and_scatter = kernel_outcomes(*case)
+    remap, or their error.  (The fifth example's declared label, cut to
+    the field's one-word key, would read as that field's key.)"""
+    got, vocabulary, sort_and_scatter = kernel_outcomes(*case)
     assert got == vocabulary == sort_and_scatter
 
 
 @settings(max_examples=150, deadline=None)
-@given(kernel_columns(many=False), st.sampled_from([0, 1]), st.sampled_from([1, 3, None]))
-def test_factorize_probes_past_collisions(case, mix, prefix_rows):
+@given(kernel_columns(many=False), st.sampled_from([0, 1]))
+def test_factorize_probes_past_collisions(case, mix):
     """With a multiplier of 0 every key hashes to slot 0, and with 1 a
     one-word key's slot is its length's top bits, so keys share home
     slots and are placed and found several slots on; the codes stay the
     vocabulary kernel's."""
-    with (
-        mock.patch.object(ingest, "_MIX", np.uint64(mix)),
-        mock.patch.object(ingest, "_PREFIX_ROWS", prefix_rows or ingest._PREFIX_ROWS),
-    ):
+    with mock.patch.object(ingest, "_MIX", np.uint64(mix)):
         got, vocabulary, _ = kernel_outcomes(*case)
     assert got == vocabulary
 
@@ -933,7 +922,7 @@ def test_factorize_probes_past_collisions(case, mix, prefix_rows):
 def role_kernel_columns(draw):
     """(columns, roles): a match, hold and swap column of one length,
     each drawn by :func:`kernel_columns`, in a shuffled header order."""
-    n_rows = draw(st.integers(0, 300) | st.integers(ingest._PREFIX_ROWS - 2, ingest._PREFIX_ROWS + 50))
+    n_rows = draw(st.integers(0, 300))
     cases = [draw(kernel_columns(n_rows=n_rows)) for _ in range(3)]
     names = draw(st.permutations(["m", "h", "s"]))
     columns = {name: cases["mhs".index(name)][0] for name in names}
