@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -695,6 +696,22 @@ class TestSweep:
         )
         assert report.connecting_checks > 0
         assert report.all_pass
+
+    def test_connecting_minimum_off_d_ham_fails_the_sweep(self, monkeypatch, capsys):
+        """A connecting minimum one above d_Ham is listed for every ordered
+        pair, fails the report, and exits the CLI with code 3."""
+        from permuswap.cli import main
+
+        monkeypatch.setattr(exact, "_min_moves", lambda table, target, cache: hamming_distance(table, target) + 1)
+        report = dp_sweep(Domain(1, 2, 2), 3, [Fraction(1, 2)])
+        assert not report.all_pass
+        found = [re.fullmatch(r"connecting minimum (\d+) disagrees with d_Ham (\d+)", f) for f in report.failures]
+        assert all(found) and len(found) == report.connecting_checks > 0
+        assert all(int(m[1]) == int(m[2]) + 1 for m in found)
+        argv = ["verify", "--sweep", "--domain", "1,2,2", "--max-records", "3", "--p-values", "1/2"]
+        assert main(argv) == 3
+        out = capsys.readouterr().out
+        assert "\nFAIL connecting minimum " in out and out.endswith("result=fail\n")
 
     def test_sweep_does_per_pair_and_per_rate_work_once(self, monkeypatch):
         """The sweep checks each distinct sorted stratum once, on its
