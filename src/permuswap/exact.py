@@ -38,9 +38,12 @@ optimum share one loop over a universe's pairs.
 
 The rest of a universe's structure is a function of its margins: the
 stratum bound b, the :func:`permuswap.budget.psa_lower_bounds` it
-witnesses, and a permutation moving exactly d_Ham records between two
-members (by direct matching), which the sweep cross-checks against the
-fewest records any permutation moves, read off the stratum histograms.
+witnesses, and the fewest records any permutation moves between two
+members, read off the stratum histograms.  The histograms count actual
+permutations by the records they move, so where that minimum equals
+d_Ham a permutation moving exactly d_Ham records connects the pair; the
+sweep checks this on tables alone, and :func:`connecting_permutation`
+builds one such permutation by direct matching.
 
 The swapper never reads a label, so relabelling the hold values or the
 swap values within one stratum, or permuting the strata, carries the
@@ -93,7 +96,7 @@ from .dataset import (
     ContingencyTable, Dataset, Domain, SwapInvariants, dataset_from_table, hamming_distance,
     invariant_stratum_bound, same_universe, swap_invariants, tabulate,
 )
-from .swapping import Permutation, RateLike, apply_permutation, to_exact_rate
+from .swapping import Permutation, RateLike, to_exact_rate
 
 __all__ = [
     "EnumerationBudgetError", "UniverseMismatchError", "ExactDistribution", "DpVerdict",
@@ -604,16 +607,15 @@ def connecting_permutation(x: Dataset, x_prime: Dataset) -> Permutation:
     swap value s'.  No cell is both surplus and deficit, so s' != s:
     every mover moves and no other record does, which is exactly
     d_Ham records.
+
+    The sweep does not build it: there the fewest records any
+    permutation moves, read off the stratum histograms, equals d_Ham,
+    which already proves that such a permutation exists.
     """
     table, target = tabulate(x), tabulate(x_prime)
     if not same_universe(table, target):
         raise UniverseMismatchError("pair does not share invariants")
-    return _connecting_permutation(x, table.counts - target.counts)
-
-
-def _connecting_permutation(x: Dataset, diff: np.ndarray) -> Permutation:
-    """:func:`connecting_permutation` for a same-universe pair, given C(x) - C(x')."""
-    diff = diff.ravel()
+    diff = (table.counts - target.counts).ravel()
     cells = np.ravel_multi_index(tuple(x.codes.T), x.domain.shape)
     order = np.argsort(cells, kind="stable")
     by_cell = cells[order]
@@ -837,24 +839,19 @@ def _stratum_tables(holds: Sequence[int], swaps: Sequence[int], max_tables: int)
 
 def _check_universe(
     inv: SwapInvariants,
-    entries: Sequence[tuple[Dataset, ContingencyTable]],
+    tables: Sequence[ContingencyTable],
     rates: Sequence[Fraction],
     max_permutations: int,
     cache: dict,
     bounds: dict[tuple[float, int], tuple[BudgetResult, list[LowerBound]]],
-) -> tuple[UniverseCheck, int, int, list[str]]:
-    """Every check :func:`dp_sweep` makes on one universe: its summary,
-    the pairs it checks against the budget over all rates, the ordered
-    pairs it connects, and the failures it finds."""
-    members = [d for d, _ in entries]
-    tables = [t for _, t in entries]
+) -> tuple[UniverseCheck, list[str]]:
+    """Every check :func:`dp_sweep` makes on one universe: its summary
+    and the failures it finds."""
     b = invariant_stratum_bound(inv)
     witnessed = _witnessed(inv, b)
     universe_keys = {t.canonical_key() for t in tables}
     d_hams = _distances(tables)
     failures: list[str] = []
-    pair_checks = 0
-    connecting_checks = 0
     measured_by_p: dict[float, float] = {}
     budget_by_p: dict[float, float] = {}
     for rate in rates:
@@ -871,7 +868,6 @@ def _check_universe(
                 )
         measured = 0.0
         for i, j, value in _pair_epsilons(laws, d_hams):
-            pair_checks += 1
             measured = max(measured, value)
             if value > budget.epsilon + LOG_SLACK:
                 failures.append(
@@ -889,27 +885,13 @@ def _check_universe(
                     f"{bound} ({condition}) in universe of "
                     f"{tables[0].canonical_string()}"
                 )
-    for i, j in itertools.permutations(range(len(members)), 2):
-        connecting_checks += 1
+    for i, j in itertools.permutations(range(len(tables)), 2):
         d_ham = d_hams[min(i, j), max(i, j)]
-        rho = _connecting_permutation(members[i], tables[i].counts - tables[j].counts)
-        moved = tabulate(apply_permutation(rho, members[i]))
-        if moved != tables[j]:
-            failures.append(
-                f"connecting permutation misses the target for pair "
-                f"({i},{j}) in universe of "
-                f"{tables[0].canonical_string()}"
-            )
-        if rho.derange_count != d_ham:
-            failures.append(
-                f"connecting permutation deranges {rho.derange_count} "
-                f"records, expected {d_ham}"
-            )
         fewest = _min_moves(tables[i], tables[j], cache)
         if fewest != d_ham:
             failures.append(f"connecting minimum {fewest} disagrees with d_Ham {d_ham}")
-    check = UniverseCheck(b=b, size=len(members), measured=measured_by_p, budget=budget_by_p)
-    return check, pair_checks, connecting_checks, failures
+    check = UniverseCheck(b=b, size=len(tables), measured=measured_by_p, budget=budget_by_p)
+    return check, failures
 
 
 def dp_sweep(
@@ -925,10 +907,10 @@ def dp_sweep(
     to one and has the whole universe as support; the universe's
     pointwise-optimal budget sits between the applicable lower bounds
     and the closed-form budget.
-    Each ordered same-universe pair is connected by an explicit
-    permutation deranging exactly d_Ham records, and, independently, the
-    fewest records a within-stratum permutation moves between them, read
-    off the stratum histograms, equals d_Ham (which no permutation beats).
+    For each ordered same-universe pair, the fewest records a
+    within-stratum permutation moves between them, read off the stratum
+    histograms, equals d_Ham (which no permutation beats), so some
+    permutation moving exactly d_Ham records connects the pair.
 
     One stratum is the unit of work (see the module docstring).  Each
     distinct sorted stratum row of hold and swap margins is checked once,
@@ -949,8 +931,9 @@ def dp_sweep(
     The sweep works on count rows: every dataset is enumerated once, as
     one row of an integer matrix in the order of
     :func:`enumerate_small_datasets`, and the universes and their orbits
-    are found by grouping rows and margins with numpy.  Tables and
-    datasets are built only for the strata and universes it checks.
+    are found by grouping rows and margins with numpy.  Tables are built
+    only for the strata and universes it checks, and no dataset or
+    permutation at all.
     The budget and lower bounds are computed once per (rate, b), both
     functions of the float rate; stratum histograms, laws and weights
     are shared through one cache.
@@ -991,10 +974,8 @@ def dp_sweep(
     for row in stratum_rows[:, None]:
         holds, swaps = row[:, : domain.hold], row[:, domain.hold :]
         tables = _stratum_tables(holds[0].tolist(), swaps[0].tolist(), max_permutations)
-        entries = [(dataset_from_table(t), t) for t in tables]
-        check, _, _, found = _check_universe(
-            SwapInvariants(holds, swaps), entries, rates, max_permutations, cache, bounds
-        )
+        inv = SwapInvariants(holds, swaps)
+        check, found = _check_universe(inv, tables, rates, max_permutations, cache, bounds)
         strata.append((check, bool(found)))
     by_orbit: dict[tuple[int, ...], tuple[UniverseCheck, bool]] = {}
     results = []
@@ -1019,9 +1000,8 @@ def dp_sweep(
         found: list[str] = []
         if failed:
             tables = [ContingencyTable(c) for c in counts[by_universe[edges[u] : edges[u + 1]]]]
-            entries = [(dataset_from_table(t), t) for t in tables]
             inv = SwapInvariants(mh[firsts[u]], ms[firsts[u]])
-            check, _, _, found = _check_universe(inv, entries, rates, max_permutations, cache, bounds)
+            check, found = _check_universe(inv, tables, rates, max_permutations, cache, bounds)
         results.append((check, found))
     sizes = np.diff(edges)
     return SweepReport(

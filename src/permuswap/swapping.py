@@ -22,7 +22,7 @@ values held as hi/lo uint64 arrays.  From there a key draws one of two
 ways:
 
 - on a seated generator: ``_substreams`` sets one generator to each
-  key's state in turn (a pass of fewer than ``_SEATED_MIN_KEYS`` keys
+  key's state in turn (a call of fewer than ``_SEATED_MIN_KEYS`` keys
   takes ``default_rng(key)`` instead, which costs less for so few);
   the synthesizer draws only this way, small strata as raw words
   (see :mod:`permuswap.synth`);
@@ -58,12 +58,11 @@ same call for a block of replications at a time, so both realize the
 same permutation for the same seed.
 """
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -160,7 +159,7 @@ _CYCLE = np.arange(_MAX_STATE_WORDS) % _POOL_SIZE
 _HASH_B = _powers(0x8B51F9DD, 0x58F38DED, _MAX_STATE_WORDS + 1)
 # seed keys derived per pass, which bounds the memory a pass takes
 _KEYS_PER_PASS = 1 << 14
-# A pass of fewer keys than this seeds each with default_rng(key).  One
+# A call of fewer keys than this seeds each with default_rng(key).  One
 # key costs about 30 us that way against about 180 us for a vectorized
 # pass, and the two cross near 10 keys (Python 3.11, numpy 2.4, 2-vCPU VM).
 _SEATED_MIN_KEYS = 8
@@ -504,38 +503,30 @@ def _draw_many(keys: np.ndarray, sizes: np.ndarray, p: float):
     return hit_key, hit_position, source, found, redraws
 
 
-def _substreams(seeds: Iterable[int], strata: Sequence[int]) -> Iterator[np.random.Generator]:
+def _substreams(seeds: Sequence[int], strata: Sequence[int]) -> Iterator[np.random.Generator]:
     """Substream ``(seed, m)`` for each of ``seeds`` and, within it, each
     stratum index ``m`` in ``strata``.
 
     Every item is the same PCG64 generator, set to the substream's state
-    as it is yielded; a pass of fewer than ``_SEATED_MIN_KEYS`` keys
-    yields ``default_rng(key)`` for each instead.  Seeds wrap to 64 bits;
-    the first is checked on the call.  Seeds are taken and states derived
-    as the items are used, in passes of at most ``_KEYS_PER_PASS`` keys.
+    as it is yielded; a call of fewer than ``_SEATED_MIN_KEYS`` keys
+    yields ``default_rng(key)`` for each instead.  Seeds wrap to 64 bits
+    and are checked on the call.  States are derived as the items are
+    used, in passes of at most ``_KEYS_PER_PASS`` keys.
     """
-    seeds = iter(seeds)
-    seeds = itertools.chain([_normalized_seed(seed) for seed in itertools.islice(seeds, 1)], seeds)
+    seeds = np.array([_normalized_seed(seed) for seed in seeds], dtype=np.uint64)
     strata = np.asarray(strata, dtype=np.uint64)
-    per_pass = max(1, _KEYS_PER_PASS // max(len(strata), 1))
+    keys = np.column_stack((seeds.repeat(len(strata)), np.tile(strata, len(seeds))))
 
     def seated() -> Iterator[np.random.Generator]:
-        rng = None
-        while block := [_normalized_seed(seed) for seed in itertools.islice(seeds, per_pass)]:
-            if len(block) * len(strata) < _SEATED_MIN_KEYS:
-                for seed in block:
-                    for m in strata.tolist():
-                        yield np.random.default_rng([seed, m])
-                continue
-            if rng is None:
-                # never drawn from before a state is set
-                rng = np.random.Generator(np.random.PCG64(0))
-            block = np.array(block, dtype=np.uint64)
-            keys = np.column_stack((block.repeat(len(strata)), np.tile(strata, len(block))))
-            for lo in range(0, len(keys), _KEYS_PER_PASS):
-                for state in _pcg64_states(keys[lo : lo + _KEYS_PER_PASS]):
-                    rng.bit_generator.state = state
-                    yield rng
+        if len(keys) < _SEATED_MIN_KEYS:
+            yield from map(np.random.default_rng, keys.tolist())
+            return
+        # never drawn from before a state is set
+        rng = np.random.Generator(np.random.PCG64(0))
+        for lo in range(0, len(keys), _KEYS_PER_PASS):
+            for state in _pcg64_states(keys[lo : lo + _KEYS_PER_PASS]):
+                rng.bit_generator.state = state
+                yield rng
 
     return seated()
 
@@ -763,16 +754,17 @@ def _draw_mapping(
     if len(seeds) * np.count_nonzero(batched) < _KERNEL_MIN_KEYS:
         batched[:] = False
     looped = strata[~batched].tolist()
-    streams = _substreams(seeds, looped)
-    for r, mapping in enumerate(mappings) if looped else ():
-        # zip takes the stratum first, so it takes no stream past the run's last
-        for m, rng in zip(looped, streams):
-            lo, hi = bounds[m], bounds[m + 1]
-            hits, redraws = _select(hi - lo, p, rng)
-            selected[r] += len(hits)
-            retries[r] += redraws
-            chosen = order[lo:hi][hits]
-            mapping[chosen] = chosen[_derange(len(hits), rng)]
+    if looped:
+        streams = _substreams(seeds, looped)
+        for r, mapping in enumerate(mappings):
+            # zip takes the stratum first, so it takes no stream past the run's last
+            for m, rng in zip(looped, streams):
+                lo, hi = bounds[m], bounds[m + 1]
+                hits, redraws = _select(hi - lo, p, rng)
+                selected[r] += len(hits)
+                retries[r] += redraws
+                chosen = order[lo:hi][hits]
+                mapping[chosen] = chosen[_derange(len(hits), rng)]
     selected, retries = np.array(selected, dtype=np.intp), np.array(retries, dtype=np.intp)
     if not batched.any():
         return mappings, selected, retries

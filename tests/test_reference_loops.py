@@ -510,7 +510,10 @@ def ref_enumerate_small_datasets(domain, max_records):
 def ref_dp_sweep(domain, max_records, p_values, max_permutations=DEFAULT_ENUMERATION_BUDGET):
     """dp_sweep without the orbit reduction and the count-row grouping:
     every dataset built and tabulated, grouped by its invariants, and the
-    per-universe check on every universe, in grouping order."""
+    per-universe check on every universe, in grouping order.  Every
+    ordered pair of every universe is also connected by an explicit
+    :func:`connecting_permutation`, which must carry x onto the table of
+    x' and move exactly d_Ham(x, x') records."""
     rates = tuple(to_exact_rate(p) for p in p_values)
     datasets = ref_enumerate_small_datasets(domain, max_records)
     groups = {}
@@ -518,20 +521,25 @@ def ref_dp_sweep(domain, max_records, p_values, max_permutations=DEFAULT_ENUMERA
         table = tabulate(d)
         groups.setdefault(swap_invariants(table), []).append((d, table))
     cache, bounds = {}, {}
-    checks = [
-        exact._check_universe(inv, entries, rates, max_permutations, cache, bounds)
-        for inv, entries in groups.items()
-    ]
+    checks = []
+    for inv, entries in groups.items():
+        tables = [t for _, t in entries]
+        checks.append(exact._check_universe(inv, tables, rates, max_permutations, cache, bounds))
+        for (x, table), (x_prime, target) in itertools.permutations(entries, 2):
+            rho = connecting_permutation(x, x_prime)
+            assert tabulate(apply_permutation(rho, x)) == target
+            assert rho.derange_count == hamming_distance(table, target)
+    sizes = [len(entries) for entries in groups.values()]
     return SweepReport(
         domain=Domain(*domain),
         max_records=max_records,
         p_values=rates,
         universe_count=len(groups),
         dataset_count=len(datasets),
-        pair_checks=sum(pairs for _, pairs, _, _ in checks),
-        connecting_checks=sum(connecting for _, _, connecting, _ in checks),
-        failures=tuple(f for _, _, _, found in checks for f in found),
-        universes=tuple(check for check, _, _, _ in checks),
+        pair_checks=len(rates) * sum(math.comb(n, 2) for n in sizes),
+        connecting_checks=sum(n * (n - 1) for n in sizes),
+        failures=tuple(f for _, found in checks for f in found),
+        universes=tuple(check for check, _ in checks),
     )
 
 
