@@ -314,11 +314,17 @@ def invariant_stratum_bound(inv: SwapInvariants) -> int:
     so every member of a universe shares the same b, and b is 0 when
     every stratum is constant.
     """
+    return int(_stratum_bounds(inv).max(initial=0))
+
+
+def _stratum_bounds(inv: SwapInvariants) -> np.ndarray:
+    """Each stratum's bound on its own: its size, or 0 when its records
+    are all identical."""
     sizes = inv.stratum_sizes
     constant = (inv.mh.max(axis=1, initial=0) == sizes) & (
         inv.ms.max(axis=1, initial=0) == sizes
     )
-    return int(sizes[~constant].max(initial=0))
+    return np.where(constant, 0, sizes)
 
 
 TableLike = Union[Dataset, ContingencyTable]

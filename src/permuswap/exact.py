@@ -17,9 +17,14 @@ over a denominator that depends only on the stratum size n and the
 rate, so every member of a universe, sharing its stratum sizes, shares
 the composite denominator; only the public
 :class:`ExactDistribution` turns the numerators into fractions.
-Histograms, stratum laws and weights are cached for the length of one
-public call, so a sweep or a universe report shares them across its
-datasets and rates.
+For one stratum universe of tables T_1, ..., T_U in key order, the
+histograms form one rate-free U x U move-count matrix: entry (i, j)
+counts, by the number k of records moved, the permutations carrying
+T_i onto T_j.  At each rate one dot product of each entry with the
+weights gives every law as a row of numerators aligned with the
+tables.  Histograms, move-count matrices, stratum laws and weights are
+cached for the length of one public call, so a sweep or a universe
+report shares them across its datasets and rates.
 
 With the exact distributions in hand, the Lipschitz condition
 
@@ -31,15 +36,16 @@ atom, so the multiplicative distance reduces to the max over atoms.
 The largest atom ratio is found by integer cross-multiplication and
 reduced to a ``Fraction`` once per pair; its logarithm, the only
 real-valued step, is taken after all exact comparisons.  One kernel
-does this: the public ``Fraction`` API (:func:`max_probability_ratio`,
-and so :func:`mult_distance`) puts both laws over the lcm of their
-atoms' denominators and calls it too, and the sweep and the measured
-optimum share one loop over a universe's pairs.
+does this on laws aligned entry by entry: the public ``Fraction`` API
+(:func:`max_probability_ratio`, and so :func:`mult_distance`) puts both
+laws over the lcm of their atoms' denominators and calls it too, and
+the sweep, the universe report and the measured optimum share one loop
+over a universe's pairs.
 
 The rest of a universe's structure is a function of its margins: the
 stratum bound b, the :func:`permuswap.budget.psa_lower_bounds` it
 witnesses, and the fewest records any permutation moves between two
-members, read off the stratum histograms.  The histograms count actual
+members, read off the move-count matrix.  The histograms count actual
 permutations by the records they move, so where that minimum equals
 d_Ham a permutation moving exactly d_Ham records connects the pair; the
 sweep checks this on tables alone, and :func:`connecting_permutation`
@@ -62,8 +68,11 @@ in that stratum alone is in the universe and attains it, with the same
 reduced ratio and so the same float.  A universe's measured optimum is
 the largest of its strata's, each a function of the stratum's sorted
 hold and swap margins.  :func:`universe_report` measures each distinct
-stratum universe on its own and never builds their product, and
-:func:`dp_sweep` checks each distinct sorted stratum once.  (A pair
+stratum universe on its own, from its move-count matrix, and never
+builds their product, and :func:`dp_sweep` checks each distinct sorted
+stratum once, from its matrix too.  The witnessed lower bounds combine
+the same way: b is the largest stratum bound, the odds structure shows
+in any stratum and the ratio structure in a stratum realizing b.  (A pair
 that attains the optimum in several strata takes the logarithm of
 another fraction, so the composite's largest float can be an ulp or two
 above the stratum's.)
@@ -94,7 +103,7 @@ import numpy as np
 from .budget import BudgetResult, LowerBound, derangement_count, psa_budget, psa_lower_bounds
 from .dataset import (
     ContingencyTable, Dataset, Domain, SwapInvariants, dataset_from_table, hamming_distance,
-    invariant_stratum_bound, same_universe, swap_invariants, tabulate,
+    _stratum_bounds, invariant_stratum_bound, same_universe, swap_invariants, tabulate,
 )
 from .swapping import Permutation, RateLike, to_exact_rate
 
@@ -240,6 +249,28 @@ def _stratum_weights(n: int, rate: Fraction) -> tuple[list[int], int]:
     return weights, lcm * (c**n - n * a * (c - a) ** (n - 1))
 
 
+def _permutation_guard(sizes: Sequence[int], at_one: bool, max_permutations: int) -> None:
+    """Refuse a law summed over more than ``max_permutations`` permutations:
+    the running product of n! (of d(n) at p = 1) over the stratum sizes."""
+    total = 1
+    for n in sizes:
+        total *= derangement_count(n) if at_one else math.factorial(n)
+        if total > max_permutations:
+            raise EnumerationBudgetError(
+                f"{total} composite permutations exceed the budget of {max_permutations}"
+            )
+
+
+def _rate_weights(n: int, rate: Fraction, cache: dict) -> tuple[list[int], int]:
+    """An n-record stratum's weights by records moved at 0 < rate <= 1 and
+    their denominator; at p = 1 only the derangements of all n records."""
+    if rate == 1:
+        return [0] * n + [1], derangement_count(n)
+    if (n, rate) not in cache:
+        cache[n, rate] = _stratum_weights(n, rate)
+    return cache[n, rate]
+
+
 def _law(
     table: ContingencyTable, p: RateLike, max_permutations: int, cache: dict
 ) -> tuple[dict[tuple[int, ...], int], int]:
@@ -269,29 +300,14 @@ def _law(
     active = [(lo, counts) for lo, counts in strata if sum(counts) >= 2]
     if a == 0 or not active:
         return {flat: 1}, 1
-
-    total = 1
-    for _, counts in active:
-        n = sum(counts)
-        total *= derangement_count(n) if a == c else math.factorial(n)
-        if total > max_permutations:
-            raise EnumerationBudgetError(
-                f"{total} composite permutations exceed the budget of {max_permutations}"
-            )
+    _permutation_guard([sum(counts) for _, counts in active], a == c, max_permutations)
 
     nums = {flat: 1}
     denom = 1
     for lo, counts in active:
         law = cache.get((counts, a, c))
         if law is None:
-            n = sum(counts)
-            if a == c:
-                # only the derangements of all n records
-                weights, w_denom = [0] * n + [1], derangement_count(n)
-            else:
-                if (n, rate) not in cache:
-                    cache[n, rate] = _stratum_weights(n, rate)
-                weights, w_denom = cache[n, rate]
+            weights, w_denom = _rate_weights(sum(counts), rate, cache)
             numerators = (
                 (t, sum(map(operator.mul, by_moved, weights)))
                 for t, by_moved in _histogram(counts, domain.swap, cache).items()
@@ -312,31 +328,93 @@ def _law(
     return nums, denom
 
 
+def _move_counts(keys: Sequence[tuple[int, ...]], swap_levels: int, cache: dict) -> list[list[list[int]]]:
+    """The move-count matrix of the stratum universe of tables ``keys``:
+    entry [i][j] is table i's histogram at table j.  Held in ``cache``
+    under the tuple of keys, which is never a count tuple."""
+    held = tuple(keys)
+    if held not in cache:
+        none = [0] * (sum(keys[0]) + 1)
+        hists = [_histogram(key, swap_levels, cache) for key in keys]
+        cache[held] = [[hist.get(key, none) for key in keys] for hist in hists]
+    return cache[held]
+
+
+def _stratum_laws(
+    keys: Sequence[tuple[int, ...]], domain: Domain, rate: Fraction, max_permutations: int, cache: dict
+) -> list[list[int]]:
+    """The laws of the tables of one stratum universe as numerator rows
+    aligned with ``keys``: the move-count matrix dotted with the rate's
+    weights, after :func:`_law`'s checks in its order."""
+    a, c = rate.numerator, rate.denominator
+    if not 0 <= a <= c:
+        raise ValueError("rate must lie in [0, 1]")
+    n = sum(keys[0])
+    if a == 0 or n < 2:
+        return [[int(i == j) for j in range(len(keys))] for i in range(len(keys))]
+    _permutation_guard([n], a == c, max_permutations)
+    weights, denom = _rate_weights(n, rate, cache)
+    matrix = _move_counts(keys, domain.swap, cache)
+    rows = [[sum(map(operator.mul, by_moved, weights)) for by_moved in row] for row in matrix]
+    if any(sum(row) != denom for row in rows):
+        raise ValueError("probabilities must sum to exactly one")
+    return rows
+
+
+def _fewest_moves(
+    keys: Sequence[tuple[int, ...]], domain: Domain, cache: dict
+) -> list[list[Union[int, None]]]:
+    """The fewest records a within-stratum permutation moves to carry table
+    i of a universe onto table j, or None: per stratum, the first nonzero
+    entry of the move-count matrix of the universe of its distinct rows."""
+    cells = domain.hold * domain.swap
+    fewest: list[list] = [[0] * len(keys) for _ in keys]
+    for m in range(domain.match):
+        parts = [key[m * cells : (m + 1) * cells] for key in keys]
+        stratum = sorted(set(parts))
+        moves = [
+            [next((k for k, ways in enumerate(by_moved) if ways), None) for by_moved in row]
+            for row in _move_counts(stratum, domain.swap, cache)
+        ]
+        at = [stratum.index(part) for part in parts]
+        fewest = [
+            [None if k is None or moves[a][b] is None else k + moves[a][b] for k, b in zip(row, at)]
+            for row, a in zip(fewest, at)
+        ]
+    return fewest
+
+
+def _row_ratio(us: Sequence[int], vs: Sequence[int]) -> Union[tuple[Fraction, Union[int, None]], None]:
+    """The largest ratio either way round of two aligned numerator rows
+    (0 off the support), by cross-multiplication, and the first index
+    attaining it; None when the supports differ."""
+    best_num = best_den = 1
+    at = None
+    for index, u, v in zip(itertools.count(), us, vs):
+        if u < v:
+            u, v = v, u
+        if not v:
+            if u:
+                return None
+            continue
+        if u * best_den > best_num * v or at is None:
+            best_num, best_den, at = u, v, index
+    return Fraction(best_num, best_den), at
+
+
 def _largest_ratio(
     nums: Mapping[tuple[int, ...], int], other: Mapping[tuple[int, ...], int]
 ) -> Union[tuple[Fraction, tuple[int, ...]], None]:
     """:func:`max_probability_ratio` of two laws at one rate, given their
     numerators.  Equal supports mean equal margins, so equal stratum
     sizes and one shared denominator: each atom ratio is a ratio of
-    numerators.  They are compared by cross-multiplication and the
-    largest is reduced once, at the end."""
-    if nums.keys() != other.keys():
-        return None
-    best_num = best_den = 1
-    witness = None
-    for key, u in nums.items():
-        v = other[key]
-        if u < v:
-            u, v = v, u
-        above, below = u * best_den, best_num * v
-        if above > below:
-            best_num, best_den, witness = u, v, key
-        elif above == below and (witness is None or key < witness):
-            witness = key
-    return Fraction(best_num, best_den), witness
+    numerators, compared in key order."""
+    keys = sorted(nums.keys() | other.keys())
+    hit = _row_ratio([nums.get(key, 0) for key in keys], [other.get(key, 0) for key in keys])
+    return None if hit is None else (hit[0], None if hit[1] is None else keys[hit[1]])
 
 
-def _log_ratio(hit: Union[tuple[Fraction, tuple[int, ...]], None]) -> float:
+def _log_ratio(hit: Union[tuple[Fraction, object], None]) -> float:
     """The log of a largest ratio, infinite when the supports differ."""
     if hit is None:
         return math.inf
@@ -548,45 +626,45 @@ def measured_optimal_epsilon(
     (every member has the same strata sizes, so the same permutation
     count), then the C(U, 2) pairs, which ``max_permutations`` bounds too."""
     tables = list(universe)
-    cache: dict = {}
-    if len(tables) > 1:
-        _law(tables[0], p, max_permutations, cache)
-        pairs = math.comb(len(tables), 2)
-        if pairs > max_permutations:
-            raise EnumerationBudgetError(f"{pairs} table pairs exceed the budget of {max_permutations}")
-    return _measured_optimal_epsilon(tables, _distances(tables), p, max_permutations, cache)
-
-
-def _distances(tables: Sequence[ContingencyTable]) -> dict[tuple[int, int], Union[int, float]]:
-    """d_Ham of every unordered pair (i, j), i < j."""
-    return {
-        (i, j): hamming_distance(tables[i], tables[j])
-        for i, j in itertools.combinations(range(len(tables)), 2)
-    }
-
-
-def _pair_epsilons(
-    laws: Sequence[Mapping[tuple[int, ...], int]],
-    d_hams: Mapping[tuple[int, int], Union[int, float]],
-) -> Iterator[tuple[int, int, float]]:
-    """Multiplicative distance per unit of d_Ham, ``(i, j, value)``, for
-    each pair of one universe's laws at one rate with d_Ham > 0."""
-    for (i, j), d_ham in d_hams.items():
-        if d_ham:
-            yield i, j, _log_ratio(_largest_ratio(laws[i], laws[j])) / d_ham
-
-
-def _measured_optimal_epsilon(
-    tables: Sequence[ContingencyTable],
-    d_hams: Mapping[tuple[int, int], Union[int, float]],
-    p: RateLike,
-    max_permutations: int,
-    cache: dict,
-) -> float:
     if len(tables) <= 1:
         return 0.0
+    cache: dict = {}
+    _law(tables[0], p, max_permutations, cache)
+    pairs = math.comb(len(tables), 2)
+    if pairs > max_permutations:
+        raise EnumerationBudgetError(f"{pairs} table pairs exceed the budget of {max_permutations}")
     laws = [_law(t, p, max_permutations, cache)[0] for t in tables]
-    return max((value for _, _, value in _pair_epsilons(laws, d_hams)), default=0.0)
+    keys = sorted(set().union(*laws))
+    return _optimum([[law.get(key, 0) for key in keys] for law in laws], _distances(tables, hamming_distance))
+
+
+def _key_distance(key: Sequence[int], other: Sequence[int]) -> int:
+    """d_Ham of two equal-size tables given as flattened counts."""
+    return sum(map(abs, map(operator.sub, key, other))) // 2
+
+
+def _distances(items: Sequence, distance) -> list[list[Union[int, float]]]:
+    """d_Ham of every pair of ``items`` as a symmetric matrix, each
+    unordered pair computed once by ``distance``."""
+    matrix = [[0] * len(items) for _ in items]
+    for i, j in itertools.combinations(range(len(items)), 2):
+        matrix[i][j] = matrix[j][i] = distance(items[i], items[j])
+    return matrix
+
+
+def _pair_values(
+    rows: Sequence[Sequence[int]], distances: Sequence[Sequence]
+) -> Iterator[tuple[int, int, float]]:
+    """Multiplicative distance per unit of d_Ham, ``(i, j, value)``, for
+    each pair i < j with d_Ham > 0 of one universe's aligned laws."""
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            if distances[i][j]:
+                yield i, j, _log_ratio(_row_ratio(row, rows[j])) / distances[i][j]
+
+
+def _optimum(rows: Sequence[Sequence[int]], distances: Sequence[Sequence]) -> float:
+    return max((value for _, _, value in _pair_values(rows, distances)), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -631,26 +709,6 @@ def connecting_permutation(x: Dataset, x_prime: Dataset) -> Permutation:
     return Permutation(mapping)
 
 
-def _min_moves(
-    table: ContingencyTable, target: ContingencyTable, cache: dict
-) -> Union[int, None]:
-    """Fewest records a within-stratum permutation moves to carry
-    ``table`` onto ``target``, or None: per differing stratum, the first
-    nonzero entry of its cached histogram at the target's stratum."""
-    cells = table.domain.hold * table.domain.swap
-    flat, goal = table.canonical_key(), target.canonical_key()
-    total = 0
-    for m in range(table.domain.match):
-        counts, want = flat[m * cells : (m + 1) * cells], goal[m * cells : (m + 1) * cells]
-        if counts == want:
-            continue
-        hist = _histogram(counts, table.domain.swap, cache)
-        if want not in hist:
-            return None
-        total += next(k for k, c in enumerate(hist[want]) if c)
-    return total
-
-
 def min_connecting_derangement(
     x: Dataset, x_prime: Dataset, max_records: int = 8
 ) -> Union[int, None]:
@@ -687,12 +745,33 @@ def min_connecting_derangement(
 # lower-bound witness structure
 
 
+def _odds_rows(inv: SwapInvariants) -> np.ndarray:
+    """The strata with the structure of :func:`odds_bound_applies`."""
+    small = (inv.mh.max(axis=1, initial=0) <= 1) & (inv.ms.max(axis=1, initial=0) <= 1)
+    return small & (inv.stratum_sizes >= 2)
+
+
 def odds_bound_applies(inv: SwapInvariants) -> bool:
     """Universe structure forcing a budget of at least ln(o): some
     stratum of size >= 2 whose margins are all 0 or 1 (no vacuous
     permutations exist there)."""
-    small = (inv.mh.max(axis=1, initial=0) <= 1) & (inv.ms.max(axis=1, initial=0) <= 1)
-    return bool((small & (inv.stratum_sizes >= 2)).any())
+    return bool(_odds_rows(inv).any())
+
+
+def _ratio_rows(inv: SwapInvariants, b: Union[int, np.ndarray]) -> np.ndarray:
+    """The strata with the structure of :func:`ratio_bound_applies` at
+    bound b, one bound for all strata or one per stratum."""
+    # at b = 2 the two singletons already cap every margin at 1
+    cap = np.maximum(np.divide(b, 2) - 1, 1)
+    return (
+        (b >= 2)
+        & (b != 3)
+        & (inv.stratum_sizes == b)
+        & ((inv.mh == 1).sum(axis=1) >= 2)
+        & ((inv.ms == 1).sum(axis=1) >= 2)
+        & (inv.mh.max(axis=1, initial=0) <= cap)
+        & (inv.ms.max(axis=1, initial=0) <= cap)
+    )
 
 
 def ratio_bound_applies(inv: SwapInvariants) -> bool:
@@ -700,37 +779,36 @@ def ratio_bound_applies(inv: SwapInvariants) -> bool:
     realizing b with two singleton hold rows and two singleton swap
     columns, and (beyond b = 2) margins small enough (<= b/2 - 1) that a
     full-stratum derangement can move every record's cell."""
-    b = invariant_stratum_bound(inv)
-    if b < 2 or b == 3:
-        return False
-    # at b = 2 the two singletons already cap every margin at 1
-    cap = max(b / 2 - 1, 1)
-    rows = (
-        (inv.stratum_sizes == b)
-        & ((inv.mh == 1).sum(axis=1) >= 2)
-        & ((inv.ms == 1).sum(axis=1) >= 2)
-        & (inv.mh.max(axis=1, initial=0) <= cap)
-        & (inv.ms.max(axis=1, initial=0) <= cap)
-    )
-    return bool(rows.any())
+    return bool(_ratio_rows(inv, invariant_stratum_bound(inv)).any())
 
 
-def _witnessed(inv: SwapInvariants, b: int) -> set[str]:
-    """Conditions of :func:`permuswap.budget.psa_lower_bounds` whose
-    witness structure the universe of bound b exhibits, at any rate."""
+def _stratum_flags(inv: SwapInvariants) -> list[tuple[int, bool, bool]]:
+    """Each stratum's ``(b, odds, ratio)`` as a universe on its own: its
+    :func:`invariant_stratum_bound`, :func:`odds_bound_applies` and
+    :func:`ratio_bound_applies`."""
+    bounds = _stratum_bounds(inv)
+    return list(zip(bounds.tolist(), _odds_rows(inv).tolist(), _ratio_rows(inv, bounds).tolist()))
+
+
+def _orbit_witness(flags: Sequence[tuple[int, bool, bool]]) -> tuple[int, set[str]]:
+    """A universe's b and the conditions of
+    :func:`permuswap.budget.psa_lower_bounds` whose witness structure it
+    exhibits, at any rate, from its strata's :func:`_stratum_flags`: b is
+    the largest stratum bound, the odds structure shows in any stratum and
+    the ratio structure in a stratum realizing b."""
+    b = max((b_m for b_m, _, _ in flags), default=0)
     holds = {
         "degenerate-rate": b > 0,
-        "selection-odds": odds_bound_applies(inv),
-        "derangement-ratio": ratio_bound_applies(inv),
+        "selection-odds": any(odds for _, odds, _ in flags),
+        "derangement-ratio": any(ratio and b_m == b for b_m, _, ratio in flags),
     }
-    return {condition for condition, held in holds.items() if held}
+    return b, {condition for condition, held in holds.items() if held}
 
 
 def applicable_lower_bounds(inv: SwapInvariants, p: float) -> list[LowerBound]:
     """The entries of :func:`permuswap.budget.psa_lower_bounds` whose
     witness structure this universe exhibits."""
-    b = invariant_stratum_bound(inv)
-    witnessed = _witnessed(inv, b)
+    b, witnessed = _orbit_witness(_stratum_flags(inv))
     return [bound for bound in psa_lower_bounds(p, b) if bound.condition in witnessed]
 
 
@@ -803,54 +881,80 @@ class SweepReport:
         return not self.failures
 
 
+def _lexsorted(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One stable lexicographic sort of the rows of ``keys``: the order,
+    and a mask of the sorted rows that differ from the row before them."""
+    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, starts
+
+
 def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An id for each row of ``keys``, equal for equal rows and numbered
     in order of first appearance, and the index of each id's first row."""
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inverse.reshape(-1)], first[order]
+    order, starts = _lexsorted(keys)
+    # the sort is stable, so each run of equal rows starts at its first row
+    firsts = order[starts]
+    by_first = np.argsort(firsts)
+    rank = np.empty(len(firsts), dtype=np.intp)
+    rank[by_first] = np.arange(len(firsts))
+    ids = np.empty(len(keys), dtype=np.intp)
+    ids[order] = rank[np.cumsum(starts) - 1]
+    return ids, firsts[by_first]
 
 
 def _orbit_ids(mh: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The relabelling orbit of each of U universes, given their margins
     as (U, M, H) and (U, M, S) arrays.  Each stratum's hold and swap
-    margins are sorted and the distinct sorted stratum rows are ranked;
-    returns each universe's ranks in ascending order, a (U, M) array, and
-    the (K, H + S) sorted stratum row of each rank.  Two universes share
-    a row of ranks exactly when relabelling the hold values and the swap
-    values of each stratum, and permuting the strata, carries one onto
-    the other."""
+    margins are sorted and the distinct sorted stratum rows are ranked in
+    lexicographic order; returns each universe's ranks in ascending
+    order, a (U, M) array, and the (K, H + S) sorted stratum row of each
+    rank.  Two universes share a row of ranks exactly when relabelling
+    the hold values and the swap values of each stratum, and permuting
+    the strata, carries one onto the other."""
     strata = np.concatenate((np.sort(mh, axis=2), np.sort(ms, axis=2)), axis=2)
     universes, match, width = strata.shape
-    rows, ranks = np.unique(strata.reshape(universes * match, width), axis=0, return_inverse=True)
-    return np.sort(ranks.reshape(universes, match), axis=1), rows
+    rows = strata.reshape(universes * match, width)
+    order, starts = _lexsorted(rows)
+    ranks = np.empty(len(rows), dtype=np.intp)
+    ranks[order] = np.cumsum(starts) - 1
+    return np.sort(ranks.reshape(universes, match), axis=1), rows[order[starts]]
 
 
-def _stratum_tables(holds: Sequence[int], swaps: Sequence[int], max_tables: int) -> list[ContingencyTable]:
-    """The universe of one stratum with the given margins, as 1 x H x S tables."""
-    shape = (1, len(holds), len(swaps))
-    return [
-        ContingencyTable(np.array(t, dtype=np.int64).reshape(shape))
-        for t in _tables_with_margins(holds, swaps, max_tables)
-    ]
+def _composite_laws(
+    keys: Sequence[tuple[int, ...]], domain: Domain, rate: Fraction, max_permutations: int, cache: dict
+) -> list[list[int]]:
+    """:func:`_stratum_laws` over several strata: each table's :func:`_law`."""
+    laws = [_law(_table(domain, key), rate, max_permutations, cache) for key in keys]
+    rows = [[nums.get(key, 0) for key in keys] for nums, _ in laws]
+    if any(sum(row) != denom for row, (_, denom) in zip(rows, laws)):
+        raise ValueError("probabilities must sum to exactly one")
+    return rows
+
+
+def _table(domain: Domain, key: Sequence[int]) -> ContingencyTable:
+    return ContingencyTable(np.array(key, dtype=np.int64).reshape(domain.shape))
 
 
 def _check_universe(
-    inv: SwapInvariants,
-    tables: Sequence[ContingencyTable],
+    keys: Sequence[tuple[int, ...]],
+    domain: Domain,
+    witness: tuple[int, set[str]],
     rates: Sequence[Fraction],
     max_permutations: int,
     cache: dict,
     bounds: dict[tuple[float, int], tuple[BudgetResult, list[LowerBound]]],
 ) -> tuple[UniverseCheck, list[str]]:
-    """Every check :func:`dp_sweep` makes on one universe: its summary
-    and the failures it finds."""
-    b = invariant_stratum_bound(inv)
-    witnessed = _witnessed(inv, b)
-    universe_keys = {t.canonical_key() for t in tables}
-    d_hams = _distances(tables)
+    """Every check :func:`dp_sweep` makes on one universe, given its
+    tables' canonical keys over ``domain`` and its b and witnessed
+    conditions: its summary and the failures it finds.  The connecting
+    minima are read off the strata's move-count matrices, and so are the
+    laws of one stratum; those of several strata are :func:`_law`'s."""
+    b, witnessed = witness
+    laws = _stratum_laws if domain.match == 1 else _composite_laws
+    distances = _distances(keys, _key_distance)
     failures: list[str] = []
     measured_by_p: dict[float, float] = {}
     budget_by_p: dict[float, float] = {}
@@ -859,22 +963,22 @@ def _check_universe(
         if (p, b) not in bounds:
             bounds[p, b] = psa_budget(p, b), psa_lower_bounds(p, b)
         budget, lower = bounds[p, b]
-        laws = [_law(t, rate, max_permutations, cache)[0] for t in tables]
-        for t, nums in zip(tables, laws):
-            if nums.keys() != universe_keys:
+        rows = laws(keys, domain, rate, max_permutations, cache)
+        for key, row in zip(keys, rows):
+            if 0 in row:
                 failures.append(
                     f"support differs from universe at p={rate} for "
-                    f"{t.canonical_string()}"
+                    f"{_table(domain, key).canonical_string()}"
                 )
         measured = 0.0
-        for i, j, value in _pair_epsilons(laws, d_hams):
+        for i, j, value in _pair_values(rows, distances):
             measured = max(measured, value)
             if value > budget.epsilon + LOG_SLACK:
                 failures.append(
                     f"budget exceeded at p={rate}: measured {value} > "
                     f"{budget.epsilon} for pair "
-                    f"{tables[i].canonical_string()} vs "
-                    f"{tables[j].canonical_string()}"
+                    f"{_table(domain, keys[i]).canonical_string()} vs "
+                    f"{_table(domain, keys[j]).canonical_string()}"
                 )
         measured_by_p[p] = measured
         budget_by_p[p] = budget.epsilon
@@ -883,14 +987,14 @@ def _check_universe(
                 failures.append(
                     f"lower bound violated at p={rate}: measured {measured} < "
                     f"{bound} ({condition}) in universe of "
-                    f"{tables[0].canonical_string()}"
+                    f"{_table(domain, keys[0]).canonical_string()}"
                 )
-    for i, j in itertools.permutations(range(len(tables)), 2):
-        d_ham = d_hams[min(i, j), max(i, j)]
-        fewest = _min_moves(tables[i], tables[j], cache)
-        if fewest != d_ham:
-            failures.append(f"connecting minimum {fewest} disagrees with d_Ham {d_ham}")
-    check = UniverseCheck(b=b, size=len(tables), measured=measured_by_p, budget=budget_by_p)
+    if len(keys) > 1:
+        moves = _fewest_moves(keys, domain, cache)
+        for i, j in itertools.permutations(range(len(keys)), 2):
+            if moves[i][j] != distances[i][j]:
+                failures.append(f"connecting minimum {moves[i][j]} disagrees with d_Ham {distances[i][j]}")
+    check = UniverseCheck(b=b, size=len(keys), measured=measured_by_p, budget=budget_by_p)
     return check, failures
 
 
@@ -908,35 +1012,36 @@ def dp_sweep(
     pointwise-optimal budget sits between the applicable lower bounds
     and the closed-form budget.
     For each ordered same-universe pair, the fewest records a
-    within-stratum permutation moves between them, read off the stratum
-    histograms, equals d_Ham (which no permutation beats), so some
-    permutation moving exactly d_Ham records connects the pair.
+    within-stratum permutation moves between them, read off the
+    move-count matrices, equals d_Ham (which no permutation beats), so
+    some permutation moving exactly d_Ham records connects the pair.
 
     One stratum is the unit of work (see the module docstring).  Each
     distinct sorted stratum row of hold and swap margins is checked once,
-    by :func:`_check_universe` on its single-stratum universe.  A
-    relabelling orbit of universes, the sorted tuple of its strata's
-    ranks, gets one :class:`UniverseCheck`: b and the measured optimum
-    the largest of its strata's, the budget at that b, and its size.
-    Every member of the orbit shares that one object, whose dicts are
-    not copied and must not be written into.  A universe is checked
-    pair by pair, as the unreduced sweep would check it, when one of its
-    strata's checks failed or when its combined optimum exceeds its own
-    budget or falls below a lower bound it witnesses; so a failing sweep
-    lists each failure where it occurs, and the verdict needs no
-    monotonicity of the budget in b.  ``pair_checks`` and
-    ``connecting_checks`` count the pairs covered: C(size, 2) per rate
-    and size * (size - 1) per universe.
+    by :func:`_check_universe` on its single-stratum universe, whose
+    move-count matrix gives its laws at every rate and its connecting
+    minima.  A relabelling orbit of universes, the sorted tuple of its
+    strata's ranks, gets one :class:`UniverseCheck`: b and the measured
+    optimum the largest of its strata's, the budget at that b, and its
+    size; the lower bounds it witnesses combine its strata's flags,
+    computed once per stratum.  Every member of the orbit shares that
+    one object, whose dicts are not copied and must not be written into.
+    A universe is checked pair by pair, as the unreduced sweep would
+    check it, when one of its strata's checks failed or when its
+    combined optimum exceeds its own budget or falls below a lower bound
+    it witnesses; so a failing sweep lists each failure where it occurs,
+    and the verdict needs no monotonicity of the budget in b.
+    ``pair_checks`` and ``connecting_checks`` count the pairs covered:
+    C(size, 2) per rate and size * (size - 1) per universe.
 
     The sweep works on count rows: every dataset is enumerated once, as
     one row of an integer matrix in the order of
     :func:`enumerate_small_datasets`, and the universes and their orbits
-    are found by grouping rows and margins with numpy.  Tables are built
-    only for the strata and universes it checks, and no dataset or
-    permutation at all.
+    are found by grouping rows and margins with one lexicographic sort
+    each.  Tables are count tuples; no dataset or permutation is built.
     The budget and lower bounds are computed once per (rate, b), both
-    functions of the float rate; stratum histograms, laws and weights
-    are shared through one cache.
+    functions of the float rate; histograms, move-count matrices and
+    weights are shared through one cache.
 
     Every rate must lie strictly inside (0, 1), as an exact rational and
     as a float, since the budget is computed at the float: at an
@@ -962,48 +1067,49 @@ def dp_sweep(
     universe_of, firsts = _first_seen(
         margins.reshape(len(rows), domain.match * (domain.hold + domain.swap))
     )
-    orbit_of, stratum_rows = _orbit_ids(mh[firsts], ms[firsts])
+    strata_of, stratum_rows = _orbit_ids(mh[firsts], ms[firsts])
+    orbit_of, orbit_firsts = _first_seen(strata_of)
     # universe u's members in enumeration order: by_universe[edges[u]:edges[u + 1]]
     by_universe = np.argsort(universe_of, kind="stable")
     edges = np.searchsorted(universe_of[by_universe], np.arange(len(firsts) + 1)).tolist()
+    sizes = np.diff(edges)
 
     cache: dict = {}
     bounds: dict[tuple[float, int], tuple[BudgetResult, list[LowerBound]]] = {}
+    one = Domain(1, domain.hold, domain.swap)
+    holds, swaps = stratum_rows[:, : domain.hold], stratum_rows[:, domain.hold :]
     strata = []
-    # each row as a (1, H + S) block: the margins of a one-stratum universe
-    for row in stratum_rows[:, None]:
-        holds, swaps = row[:, : domain.hold], row[:, domain.hold :]
-        tables = _stratum_tables(holds[0].tolist(), swaps[0].tolist(), max_permutations)
-        inv = SwapInvariants(holds, swaps)
-        check, found = _check_universe(inv, tables, rates, max_permutations, cache, bounds)
-        strata.append((check, bool(found)))
-    by_orbit: dict[tuple[int, ...], tuple[UniverseCheck, bool]] = {}
+    for h, s, flags in zip(holds.tolist(), swaps.tolist(), _stratum_flags(SwapInvariants(holds, swaps))):
+        keys = _tables_with_margins(h, s, max_permutations)
+        check, found = _check_universe(
+            keys, one, _orbit_witness([flags]), rates, max_permutations, cache, bounds
+        )
+        strata.append((check, found, flags))
+    floats = [float(rate) for rate in rates]
+    orbits = []
+    for u in orbit_firsts.tolist():
+        parts = [strata[r] for r in strata_of[u].tolist()]
+        b, witnessed = witness = _orbit_witness([flags for _, _, flags in parts])
+        failed = any(found for _, found, _ in parts)
+        measured_by_p, budget_by_p = {}, {}
+        for p in floats:
+            if (p, b) not in bounds:
+                bounds[p, b] = psa_budget(p, b), psa_lower_bounds(p, b)
+            budget, lower = bounds[p, b]
+            measured = measured_by_p[p] = max((check.measured[p] for check, _, _ in parts), default=0.0)
+            budget_by_p[p] = budget.epsilon
+            failed |= measured > budget.epsilon + LOG_SLACK or any(
+                condition in witnessed and measured < bound - LOG_SLACK for bound, condition in lower
+            )
+        orbits.append((UniverseCheck(b, int(sizes[u]), measured_by_p, budget_by_p), failed, witness))
     results = []
-    for u, orbit in enumerate(map(tuple, orbit_of.tolist())):
-        if orbit not in by_orbit:
-            parts = [strata[r] for r in orbit]
-            b = max((check.b for check, _ in parts), default=0)
-            witnessed = _witnessed(SwapInvariants(mh[firsts[u]], ms[firsts[u]]), b)
-            failed = any(found for _, found in parts)
-            measured_by_p, budget_by_p = {}, {}
-            for p in map(float, rates):
-                if (p, b) not in bounds:
-                    bounds[p, b] = psa_budget(p, b), psa_lower_bounds(p, b)
-                budget, lower = bounds[p, b]
-                measured = measured_by_p[p] = max((check.measured[p] for check, _ in parts), default=0.0)
-                budget_by_p[p] = budget.epsilon
-                failed |= measured > budget.epsilon + LOG_SLACK or any(
-                    condition in witnessed and measured < bound - LOG_SLACK for bound, condition in lower
-                )
-            by_orbit[orbit] = UniverseCheck(b, edges[u + 1] - edges[u], measured_by_p, budget_by_p), failed
-        check, failed = by_orbit[orbit]
+    for u, orbit in enumerate(orbit_of.tolist()):
+        check, failed, witness = orbits[orbit]
         found: list[str] = []
         if failed:
-            tables = [ContingencyTable(c) for c in counts[by_universe[edges[u] : edges[u + 1]]]]
-            inv = SwapInvariants(mh[firsts[u]], ms[firsts[u]])
-            check, found = _check_universe(inv, tables, rates, max_permutations, cache, bounds)
+            keys = list(map(tuple, rows[by_universe[edges[u] : edges[u + 1]]].tolist()))
+            check, found = _check_universe(keys, domain, witness, rates, max_permutations, cache, bounds)
         results.append((check, found))
-    sizes = np.diff(edges)
     return SweepReport(
         domain=domain,
         max_records=max_records,
@@ -1040,29 +1146,39 @@ def universe_report(
     The measured optimum is the largest over the distinct sorted strata
     of each one's universe on its own (see the module docstring), each
     held to ``max_permutations``; ``universe_size`` is the product of
-    the strata's universe sizes.  At the endpoint rates an infinite measurement is the expected
-    outcome (the budget is infinite there too); rows carry a flag so
-    reports can mark them rather than fail.  A rate inside (0, 1) whose
-    float is 0.0 or 1.0 is refused with ``ValueError``: its law would be
-    computed at the rational but its budget at the float."""
+    the strata's universe sizes.  Each distinct stratum universe's
+    move-count matrix is built once and gives its laws at every rate,
+    compared pair by pair as in :func:`dp_sweep`.  At the endpoint rates
+    an infinite measurement is the expected outcome (the budget is
+    infinite there too); rows carry a flag so reports can mark them
+    rather than fail.  A rate inside (0, 1) whose float is 0.0 or 1.0 is
+    refused with ``ValueError``: its law would be computed at the
+    rational but its budget at the float."""
     rates = [to_exact_rate(p) for p in p_values]
     refused = [str(rate) for rate in rates if _float_endpoint(rate)]
     if refused:
         raise ValueError(f"rates inside (0, 1) that round to 0.0 or 1.0 as floats: {', '.join(refused)}")
     inv = swap_invariants(x)
     keys = [(tuple(h), tuple(s)) for h, s in zip(*(np.sort(a, axis=1).tolist() for a in (inv.mh, inv.ms)))]
-    strata = {key: _stratum_tables(*key, max_permutations) for key in dict.fromkeys(keys)}
-    d_hams = {key: _distances(tables) for key, tables in strata.items()}
+    strata = {key: _tables_with_margins(*key, max_permutations) for key in dict.fromkeys(keys)}
     size = math.prod(len(strata[key]) for key in keys)
     b = invariant_stratum_bound(inv)
     cache: dict = {}
+    distances: dict = {}
+
+    def optimum(key, rate):
+        tables = strata[key]
+        if len(tables) <= 1:
+            return 0.0
+        rows = _stratum_laws(tables, x.domain, rate, max_permutations, cache)
+        if key not in distances:
+            distances[key] = _distances(tables, _key_distance)
+        return _optimum(rows, distances[key])
+
     rows = []
     for rate in rates:
         budget = psa_budget(float(rate), b).epsilon
-        measured = max(
-            (_measured_optimal_epsilon(strata[k], d_hams[k], rate, max_permutations, cache) for k in strata),
-            default=0.0,
-        )
+        measured = max((optimum(key, rate) for key in strata), default=0.0)
         passed = measured <= budget + LOG_SLACK
         rows.append(UniverseReport(b, size, float(rate), budget, measured, passed, rate in (0, 1) and b > 0))
     return rows

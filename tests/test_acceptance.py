@@ -249,11 +249,7 @@ def test_criterion_08_tightness_witnesses():
 
 def test_criterion_09_connecting_permutations(sweep_report):
     r = sweep_report
-    connect_failures = [
-        f
-        for f in r.failures
-        if "connecting" in f or "deranges" in f
-    ]
+    connect_failures = [f for f in r.failures if f.startswith("connecting minimum ")]
     assert not connect_failures, connect_failures[:3]
     assert r.connecting_checks == 188
     report(

@@ -50,7 +50,7 @@ from permuswap.exact import (
 )
 
 from conftest import load_fixture, make_dataset
-from test_reference_loops import ref_max_probability_ratio
+from test_reference_loops import ref_max_probability_ratio, ref_min_moves
 
 
 class TestExactDistribution:
@@ -454,14 +454,14 @@ class TestConnectingPermutation:
                     assert rho.derange_count == d_ham
                     assert tabulate(apply_permutation(rho, a)) == tabulate(b)
                     assert min_connecting_derangement(a, b) == d_ham
-                    assert exact._min_moves(tabulate(a), tabulate(b), {}) == d_ham
+                    assert ref_min_moves(tabulate(a), tabulate(b), {}) == d_ham
                     checked += 1
         assert checked > 0
         # one stratum: across universes no permutation connects a pair
         for a, b in itertools.combinations([g[0] for g in groups.values()], 2):
             if len(a) == len(b):
                 assert min_connecting_derangement(a, b) is None
-                assert exact._min_moves(tabulate(a), tabulate(b), {}) is None
+                assert ref_min_moves(tabulate(a), tabulate(b), {}) is None
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -475,7 +475,7 @@ class TestConnectingPermutation:
         forward = min_connecting_derangement(x, y)
         assert forward == min_connecting_derangement(y, x)
         assert forward == hamming_distance(x, y)
-        assert forward == exact._min_moves(tabulate(x), tabulate(y), {})
+        assert forward == ref_min_moves(tabulate(x), tabulate(y), {})
 
     def test_multi_stratum_pair(self):
         a = make_dataset([(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)], (2, 2, 2))
@@ -674,11 +674,11 @@ class TestRelabelling:
         expected = {relabel_key(key): v for key, v in nums.items()}, denom
         assert exact._law(u, rate, DEFAULT_ENUMERATION_BUDGET, {}) == expected
         assert hamming_distance(u, u_prime) == hamming_distance(t, t_prime)
-        assert exact._min_moves(u, u_prime, {}) == exact._min_moves(t, t_prime, {})
+        assert ref_min_moves(u, u_prime, {}) == ref_min_moves(t, t_prime, {})
         inv, inv_u = swap_invariants(t), swap_invariants(u)
         b = invariant_stratum_bound(inv)
         assert invariant_stratum_bound(inv_u) == b
-        assert exact._witnessed(inv_u, b) == exact._witnessed(inv, b)
+        assert exact._orbit_witness(exact._stratum_flags(inv_u)) == exact._orbit_witness(exact._stratum_flags(inv))
         ids, _ = exact._orbit_ids(np.stack((inv.mh, inv_u.mh)), np.stack((inv.ms, inv_u.ms)))
         assert ids[0].tolist() == ids[1].tolist()
 
@@ -698,11 +698,18 @@ class TestSweep:
         assert report.all_pass
 
     def test_connecting_minimum_off_d_ham_fails_the_sweep(self, monkeypatch, capsys):
-        """A connecting minimum one above d_Ham is listed for every ordered
-        pair, fails the report, and exits the CLI with code 3."""
+        """A connecting minimum one above d_Ham, read off the move-count
+        matrix, is listed for every ordered pair, fails the report, and
+        exits the CLI with code 3."""
         from permuswap.cli import main
 
-        monkeypatch.setattr(exact, "_min_moves", lambda table, target, cache: hamming_distance(table, target) + 1)
+        fewest_moves = exact._fewest_moves
+
+        def off_by_one(*args):
+            moves = fewest_moves(*args)
+            return [[k if i == j else k + 1 for j, k in enumerate(row)] for i, row in enumerate(moves)]
+
+        monkeypatch.setattr(exact, "_fewest_moves", off_by_one)
         report = dp_sweep(Domain(1, 2, 2), 3, [Fraction(1, 2)])
         assert not report.all_pass
         found = [re.fullmatch(r"connecting minimum (\d+) disagrees with d_Ham (\d+)", f) for f in report.failures]
@@ -720,9 +727,11 @@ class TestSweep:
         brute force over the group).  Over those single-stratum
         universes: one check each, one d_Ham per unordered pair, one
         integer weight vector per (n, rate), one histogram per stratum,
-        shared by the laws and the connecting minimum, no brute force,
-        and no dataset, connecting permutation or tabulated table at
-        all.  The reported counts cover every universe."""
+        shared by the laws and the connecting minimum through one
+        move-count matrix per universe, no brute force, no composite
+        law, one SwapInvariants for all strata and none per orbit, and
+        no dataset, connecting permutation or tabulated table at all.
+        The reported counts cover every universe."""
         domain = Domain(2, 2, 2)
         universes: dict = {}
         for d in enumerate_small_datasets(domain, 4):
@@ -748,7 +757,11 @@ class TestSweep:
 
         calls = {
             "_check_universe": [],
+            "_key_distance": [],
             "hamming_distance": [],
+            "_move_counts": [],
+            "_law": [],
+            "SwapInvariants": [],
             "min_connecting_derangement": [],
             "_stratum_weights": [],
             "_stratum_histogram": [],
@@ -771,7 +784,16 @@ class TestSweep:
         assert len({id(u) for u in report.universes}) == len(firsts)
         checked = [len(tables) for tables in singles.values()]
         assert len(calls["_check_universe"]) == len(singles)
-        assert len(calls["hamming_distance"]) == sum(math.comb(n, 2) for n in checked)
+        assert len(calls["_key_distance"]) == sum(math.comb(n, 2) for n in checked)
+        assert calls["hamming_distance"] == []
+        matrices = [tuple(keys) for keys, _, _ in calls["_move_counts"]]
+        assert set(matrices) == {
+            tuple(sorted(t.canonical_key() for t in tables))
+            for tables in singles.values()
+            if tables[0].counts.sum() >= 2
+        }
+        assert calls["_law"] == []
+        assert len(calls["SwapInvariants"]) == 1
         assert calls["min_connecting_derangement"] == []
         assert calls["tabulate"] == []
         assert calls["dataset_from_table"] == []

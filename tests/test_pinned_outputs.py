@@ -308,6 +308,10 @@ SWEEP_PINS = {
         406, 495, 282, 188, (),
         "19f6cee7c29b1e2edbb723f125906724bd6c6da9b823d18c357f7d92b1c4d267",
     ),
+    ((2, 2, 2), 5): (
+        966, 1287, 1098, 732, (),
+        "e68c37d9b9a7f2b48f405fb4ecda7f473a8f01ab6341dd18cd370848d4df1701",
+    ),
     ((2, 2, 3), 6): (
         10131, 18564, 41220, 27480, (),
         "785495b3dbabf21b7f8c2976b0ff6ad955868611a2a2608dfe7e6be6c01b50c9",

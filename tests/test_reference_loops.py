@@ -57,12 +57,13 @@ from permuswap import (
 )
 from permuswap.budget import LowerBound, derangement_count, psa_budget
 from permuswap import cli, exact, swapping, synth, utility
-from permuswap.dataset import invariant_stratum_bound, stratum_indices
+from permuswap.dataset import SwapInvariants, invariant_stratum_bound, stratum_indices
 from permuswap.exact import (
     DEFAULT_ENUMERATION_BUDGET,
     EnumerationBudgetError,
     LOG_SLACK,
     SweepReport,
+    UniverseCheck,
     UniverseReport,
     dp_sweep,
     enumerate_small_datasets,
@@ -84,7 +85,7 @@ from permuswap import ingest
 from permuswap.synth import StratumSpec, synthesize
 from permuswap.utility import QUARTILE_RULE, ZERO_CELL_RULE, UtilityReport, _summarize
 
-from test_pinned_outputs import SWEEP_RATES
+from test_pinned_outputs import SWEEP_PINS, SWEEP_RATES
 
 # ---------------------------------------------------------------------------
 # reference loops
@@ -507,6 +508,90 @@ def ref_enumerate_small_datasets(domain, max_records):
     ]
 
 
+def ref_min_moves(table, target, cache):
+    """Fewest records a within-stratum permutation moves to carry
+    ``table`` onto ``target``, or None: per differing stratum, the first
+    nonzero entry of its cached histogram at the target's stratum."""
+    cells = table.domain.hold * table.domain.swap
+    flat, goal = table.canonical_key(), target.canonical_key()
+    total = 0
+    for m in range(table.domain.match):
+        counts, want = flat[m * cells : (m + 1) * cells], goal[m * cells : (m + 1) * cells]
+        if counts == want:
+            continue
+        hist = exact._histogram(counts, table.domain.swap, cache)
+        if want not in hist:
+            return None
+        total += next(k for k, c in enumerate(hist[want]) if c)
+    return total
+
+
+def ref_pair_values(laws, tables):
+    """(i, j, value) for each pair i < j of tables with d_Ham > 0: the
+    log of the laws' largest ratio, compared key by key, per unit of
+    d_Ham."""
+    for i, j in itertools.combinations(range(len(tables)), 2):
+        d_ham = hamming_distance(tables[i], tables[j])
+        if d_ham:
+            hit = exact._largest_ratio(laws[i], laws[j])
+            value = math.inf if hit is None else math.log(hit[0].numerator) - math.log(hit[0].denominator)
+            yield i, j, value / d_ham
+
+
+def ref_witnessed(inv, b):
+    """The conditions of psa_lower_bounds whose witness structure the
+    universe of bound b exhibits, read off its own margins."""
+    holds = {
+        "degenerate-rate": b > 0,
+        "selection-odds": exact.odds_bound_applies(inv),
+        "derangement-ratio": exact.ratio_bound_applies(inv),
+    }
+    return {condition for condition, held in holds.items() if held}
+
+
+def ref_check_universe(inv, tables, rates, max_permutations, cache, bounds):
+    """The sweep's per-universe check on composite laws by table key:
+    each table's ``_law`` at each rate, pairs compared key by key, the
+    connecting minimum from the histograms pair by pair, and the witness
+    conditions from the universe's own margins."""
+    b = invariant_stratum_bound(inv)
+    witnessed = ref_witnessed(inv, b)
+    universe_keys = {t.canonical_key() for t in tables}
+    failures = []
+    measured_by_p, budget_by_p = {}, {}
+    for rate in rates:
+        p = float(rate)
+        if (p, b) not in bounds:
+            bounds[p, b] = exact.psa_budget(p, b), exact.psa_lower_bounds(p, b)
+        budget, lower = bounds[p, b]
+        laws = [exact._law(t, rate, max_permutations, cache)[0] for t in tables]
+        for t, nums in zip(tables, laws):
+            if nums.keys() != universe_keys:
+                failures.append(f"support differs from universe at p={rate} for {t.canonical_string()}")
+        measured = 0.0
+        for i, j, value in ref_pair_values(laws, tables):
+            measured = max(measured, value)
+            if value > budget.epsilon + LOG_SLACK:
+                failures.append(
+                    f"budget exceeded at p={rate}: measured {value} > {budget.epsilon} for pair "
+                    f"{tables[i].canonical_string()} vs {tables[j].canonical_string()}"
+                )
+        measured_by_p[p] = measured
+        budget_by_p[p] = budget.epsilon
+        for bound, condition in lower:
+            if condition in witnessed and measured < bound - LOG_SLACK:
+                failures.append(
+                    f"lower bound violated at p={rate}: measured {measured} < {bound} ({condition}) "
+                    f"in universe of {tables[0].canonical_string()}"
+                )
+    for i, j in itertools.permutations(range(len(tables)), 2):
+        d_ham = hamming_distance(tables[i], tables[j])
+        fewest = ref_min_moves(tables[i], tables[j], cache)
+        if fewest != d_ham:
+            failures.append(f"connecting minimum {fewest} disagrees with d_Ham {d_ham}")
+    return UniverseCheck(b=b, size=len(tables), measured=measured_by_p, budget=budget_by_p), failures
+
+
 def ref_dp_sweep(domain, max_records, p_values, max_permutations=DEFAULT_ENUMERATION_BUDGET):
     """dp_sweep without the orbit reduction and the count-row grouping:
     every dataset built and tabulated, grouped by its invariants, and the
@@ -524,7 +609,7 @@ def ref_dp_sweep(domain, max_records, p_values, max_permutations=DEFAULT_ENUMERA
     checks = []
     for inv, entries in groups.items():
         tables = [t for _, t in entries]
-        checks.append(exact._check_universe(inv, tables, rates, max_permutations, cache, bounds))
+        checks.append(ref_check_universe(inv, tables, rates, max_permutations, cache, bounds))
         for (x, table), (x_prime, target) in itertools.permutations(entries, 2):
             rho = connecting_permutation(x, x_prime)
             assert tabulate(apply_permutation(rho, x)) == target
@@ -547,12 +632,14 @@ def ref_universe_report(x, p_values, max_permutations=DEFAULT_ENUMERATION_BUDGET
     """universe_report over the composite universe: every table of the
     product of the strata's universes, and every pair of those tables."""
     universe = enumerate_universe(x, max_permutations)
-    d_hams = exact._distances(universe)
     b = max_stratum_b(x)
     cache, rows = {}, []
     for rate in map(to_exact_rate, p_values):
         budget = psa_budget(float(rate), b)
-        measured = exact._measured_optimal_epsilon(universe, d_hams, rate, max_permutations, cache)
+        measured = 0.0
+        if len(universe) > 1:
+            laws = [exact._law(t, rate, max_permutations, cache)[0] for t in universe]
+            measured = max((value for _, _, value in ref_pair_values(laws, universe)), default=0.0)
         rows.append(
             UniverseReport(
                 b=b,
@@ -565,6 +652,23 @@ def ref_universe_report(x, p_values, max_permutations=DEFAULT_ENUMERATION_BUDGET
             )
         )
     return rows
+
+
+def ref_first_seen(keys):
+    """exact._first_seen through np.unique over whole rows."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.reshape(-1)], first[order]
+
+
+def ref_orbit_ids(mh, ms):
+    """exact._orbit_ids through np.unique over whole sorted stratum rows."""
+    strata = np.concatenate((np.sort(mh, axis=2), np.sort(ms, axis=2)), axis=2)
+    universes, match, width = strata.shape
+    rows, ranks = np.unique(strata.reshape(universes * match, width), axis=0, return_inverse=True)
+    return np.sort(ranks.reshape(universes, match), axis=1), rows
 
 
 def ref_permutation_check(mapping):
@@ -1306,6 +1410,110 @@ def test_sweep_checks_each_universe_at_its_own_b(monkeypatch, patched):
     expected = ref_dp_sweep(Domain(2, 2, 2), 5, rates)
     assert expected.failures
     assert dp_sweep(Domain(2, 2, 2), 5, rates) == expected
+
+
+@st.composite
+def repeated_rows(draw, width=None):
+    """An integer matrix whose rows are drawn from a few distinct rows,
+    so most repeat, with entries from 0 to past 2**32 and widths from 0."""
+    width = draw(st.integers(0, 4)) if width is None else width
+    entries = st.sampled_from([0, 1, 2, 2**31 - 1, 2**31, 2**32 + 1, 2**62, 2**63 - 1]) | st.integers(0, 3)
+    pool = draw(st.lists(st.lists(entries, min_size=width, max_size=width), min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=30))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_rows())
+def test_first_seen_matches_unique(keys):
+    """One lexicographic sort gives np.unique's ids and first rows."""
+    ids, firsts = exact._first_seen(keys)
+    expected_ids, expected_firsts = ref_first_seen(keys)
+    assert ids.tolist() == expected_ids.tolist() and firsts.tolist() == expected_firsts.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(*(st.integers(0, 3) for _ in range(3))).flatmap(
+        lambda d: st.tuples(st.just(d), repeated_rows(d[0] * (d[1] + d[2])))
+    )
+)
+def test_orbit_ids_matches_unique(case):
+    """The ranks of the sorted stratum rows and the rows themselves are
+    np.unique's, in its lexicographic order."""
+    (match, hold, swap), margins = case
+    mh = margins[:, : match * hold].reshape(len(margins), match, hold)
+    ms = margins[:, match * hold :].reshape(len(margins), match, swap)
+    ranks, rows = exact._orbit_ids(mh, ms)
+    expected_ranks, expected_rows = ref_orbit_ids(mh, ms)
+    assert ranks.tolist() == expected_ranks.tolist() and rows.tolist() == expected_rows.tolist()
+
+
+def _stratum_checks(holds, swaps, rates):
+    """The sweep's check of one stratum universe from its move-count
+    matrix, and the reference check on its tables by key."""
+    inv = SwapInvariants(np.array([holds], dtype=np.int64), np.array([swaps], dtype=np.int64))
+    keys = exact._tables_with_margins(holds, swaps, DEFAULT_ENUMERATION_BUDGET)
+    witness = exact._orbit_witness(exact._stratum_flags(inv))
+    domain = Domain(1, len(holds), len(swaps))
+    check = exact._check_universe(keys, domain, witness, rates, DEFAULT_ENUMERATION_BUDGET, {}, {})
+    tables = [
+        ContingencyTable(np.array(t, dtype=np.int64).reshape(domain.shape))
+        for t in ref_tables_with_margins(holds, swaps, 10**6)
+    ]
+    return check, ref_check_universe(inv, tables, rates, DEFAULT_ENUMERATION_BUDGET, {}, {})
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_PINS), ids=repr)
+def test_stratum_check_matches_reference_on_pinned_domains(case):
+    """Every single-stratum universe a pinned sweep checks gives the same
+    summary, floats included, and the same failures (none)."""
+    domain, max_records = Domain(*case[0]), case[1]
+    counts = exact._small_count_rows(domain, max_records).reshape(-1, *domain.shape)
+    _, strata = exact._orbit_ids(counts.sum(axis=3), counts.sum(axis=2))
+    assert len(strata)
+    for row in strata.tolist():
+        check, expected = _stratum_checks(row[: domain.hold], row[domain.hold :], SWEEP_RATES)
+        assert check == expected
+
+
+@st.composite
+def stratum_margins(draw, levels=st.integers(0, 4), count=st.integers(0, 3)):
+    """Hold and swap margins of one stratum with equal totals."""
+    hold, swap = draw(levels), draw(levels)
+    holds = draw(st.lists(count, min_size=hold, max_size=hold)) if swap else [0] * hold
+    picks = draw(st.lists(st.integers(0, swap - 1), min_size=sum(holds), max_size=sum(holds))) if swap else []
+    return holds, [picks.count(s) for s in range(swap)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    stratum_margins().filter(lambda m: sum(m[0]) <= 7),
+    st.lists(
+        st.fractions(0, 1, max_denominator=300).filter(lambda r: 0 < r < 1),
+        min_size=1,
+        max_size=3,
+        unique_by=float,
+    ),
+)
+def test_stratum_check_matches_reference_on_drawn_strata(margins, rates):
+    check, expected = _stratum_checks(*margins, tuple(rates))
+    assert check == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(stratum_margins(st.just(4), st.integers(0, 4)), min_size=1, max_size=3))
+@example([([1, 1, 0, 0], [1, 1, 0, 0]), ([2, 1, 0, 0], [1, 2, 0, 0])])
+@example([([1, 1, 0, 0], [0, 0, 1, 1]), ([1, 1, 0, 0], [1, 0, 1, 0])])
+def test_orbit_witness_matches_the_universe_witness(strata):
+    """The witnessed conditions combined from each stratum's own flags are
+    those of the universe's margins at its bound b, over one to three
+    strata.  The first example puts a two-record ratio witness beside a
+    larger mixed stratum, whose b it does not realize; the second has two
+    strata that both realize b."""
+    inv = SwapInvariants(np.array([h for h, _ in strata]), np.array([s for _, s in strata]))
+    b = invariant_stratum_bound(inv)
+    assert exact._orbit_witness(exact._stratum_flags(inv)) == (b, ref_witnessed(inv, b))
 
 
 # the b = 4 and b = 6 ratio witnesses, and 1, 2, 1 on a 3x3 diagonal
