@@ -22,10 +22,8 @@ values held as hi/lo uint64 arrays.  From there a key draws one of two
 ways:
 
 - on a seated generator: ``_substreams`` sets one generator to each
-  key's state in turn (a call of fewer than ``_SEATED_MIN_KEYS`` keys
-  takes ``default_rng(key)`` instead, which costs less for so few);
-  the synthesizer draws only this way, small strata as raw words
-  (see :mod:`permuswap.synth`);
+  key's state in turn; the synthesizer draws only this way, small
+  strata as raw words (see :mod:`permuswap.synth`);
 - on the kernel: ``_draw_many`` runs the swapper's selection and
   derangement for many keys at once in the same hi/lo arrays,
   reproducing ``Generator.random`` and ``Generator.permutation``
@@ -47,11 +45,9 @@ and no swapped :class:`Dataset` is materialized; only
 
 The draws themselves are one call, ``_draw_mapping``, over the stratum
 spans of :func:`~permuswap.dataset.stratum_order` and a list of run
-seeds.  It dispatches a stratum on its size n and its expected
-selection p * n: the strata of at most ``_KERNEL_MAX_RECORDS`` records
-with p * n at most ``_KERNEL_MAX_SELECTED`` go to the kernel when the
-call holds at least ``_KERNEL_MIN_KEYS`` such keys, and every other key
-to a seated generator.
+seeds.  It dispatches a stratum on its size alone: a stratum of at most
+``_KERNEL_MAX_RECORDS`` records draws on the kernel, and every larger
+one on a seated generator.
 :func:`run_psa_details` is that call for one seed plus the output table;
 the utility runner computes the spans once per dataset and makes the
 same call for a block of replications at a time, so both realize the
@@ -159,10 +155,6 @@ _CYCLE = np.arange(_MAX_STATE_WORDS) % _POOL_SIZE
 _HASH_B = _powers(0x8B51F9DD, 0x58F38DED, _MAX_STATE_WORDS + 1)
 # seed keys derived per pass, which bounds the memory a pass takes
 _KEYS_PER_PASS = 1 << 14
-# A call of fewer keys than this seeds each with default_rng(key).  One
-# key costs about 30 us that way against about 180 us for a vectorized
-# pass, and the two cross near 10 keys (Python 3.11, numpy 2.4, 2-vCPU VM).
-_SEATED_MIN_KEYS = 8
 
 
 def _hashmix(value: np.ndarray, consts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -278,22 +270,10 @@ def _pcg64_states(keys: np.ndarray) -> list[dict]:
     return _pcg64_dicts(*_pcg64_seeded(keys))
 
 
-# The swapper's draws for many keys at once (see _draw_mapping).  A
-# stratum draws on the kernel when it has at most _KERNEL_MAX_RECORDS
-# records (the width of the tables below) and expects at most
-# _KERNEL_MAX_SELECTED selected records (p * n), in a call that holds at
-# least _KERNEL_MIN_KEYS such keys.  The bounds come from timing
-# _draw_mapping on the kernel and on the seated generator (Python 3.11,
-# numpy 2.4, 2-vCPU VM) for strata of 2-64 records at p = 0.05, 0.3, 0.5
-# and 0.9 and at p * n = 0.1-24, with 8-2,048 keys.  Kernel time over loop
-# time, at 64 / 128 / 512 keys: p * n <= 1.8 (2-16 records) 0.46-1.17 /
-# 0.31-0.74 / 0.16-0.38; p * n = 2.5-8 (8-64 records) 0.85-1.28 /
-# 0.60-0.91 / 0.26-0.77; p * n = 12-16 1.03-1.09 / 0.94-1.15 / 0.53-0.90;
-# p * n = 24 1.00-1.15 / 1.14-1.19 / 0.98-1.19.  At 32 keys it ranges up
-# to 1.9.
+# The swapper's draws for many keys at once (see _draw_mapping), for
+# strata of at most _KERNEL_MAX_RECORDS records: the width of the tables
+# below.
 _KERNEL_MAX_RECORDS = 64
-_KERNEL_MAX_SELECTED = 8
-_KERNEL_MIN_KEYS = 64
 # 64-bit outputs _derange_many draws per key at a time; finished keys
 # drop out between refills
 _OUTPUTS_PER_REFILL = 8
@@ -508,19 +488,15 @@ def _substreams(seeds: Sequence[int], strata: Sequence[int]) -> Iterator[np.rand
     stratum index ``m`` in ``strata``.
 
     Every item is the same PCG64 generator, set to the substream's state
-    as it is yielded; a call of fewer than ``_SEATED_MIN_KEYS`` keys
-    yields ``default_rng(key)`` for each instead.  Seeds wrap to 64 bits
-    and are checked on the call.  States are derived as the items are
-    used, in passes of at most ``_KEYS_PER_PASS`` keys.
+    as it is yielded.  Seeds wrap to 64 bits and are checked on the
+    call.  States are derived as the items are used, in passes of at
+    most ``_KEYS_PER_PASS`` keys.
     """
     seeds = np.array([_normalized_seed(seed) for seed in seeds], dtype=np.uint64)
     strata = np.asarray(strata, dtype=np.uint64)
     keys = np.column_stack((seeds.repeat(len(strata)), np.tile(strata, len(seeds))))
 
     def seated() -> Iterator[np.random.Generator]:
-        if len(keys) < _SEATED_MIN_KEYS:
-            yield from map(np.random.default_rng, keys.tolist())
-            return
         # never drawn from before a state is set
         rng = np.random.Generator(np.random.PCG64(0))
         for lo in range(0, len(keys), _KEYS_PER_PASS):
@@ -734,15 +710,13 @@ def _draw_mapping(
     once for each of ``seeds``.
 
     ``strata`` is ``_active_strata(bounds)``; stratum m of run r draws
-    from substream ``(seeds[r], m)``.  When the call has at least
-    ``_KERNEL_MIN_KEYS`` keys of strata of at most ``_KERNEL_MAX_RECORDS``
-    records and at most ``_KERNEL_MAX_SELECTED`` expected selections
-    (p * n), those keys draw through ``_draw_many``, in passes of at most
-    ``_KEYS_PER_PASS`` keys; every other key draws on a seated generator
-    from ``_substreams``.  Returns one position mapping per run (position
-    i takes the swap value of position ``mapping[i]``), and the records
-    selected and the selection redraws per run.  ``p`` must already be
-    validated.
+    from substream ``(seeds[r], m)``.  The keys of strata of at most
+    ``_KERNEL_MAX_RECORDS`` records draw through ``_draw_many``, in
+    passes of at most ``_KEYS_PER_PASS`` keys; every other key draws on
+    a seated generator from ``_substreams``.  Returns one position
+    mapping per run (position i takes the swap value of position
+    ``mapping[i]``), and the records selected and the selection redraws
+    per run.  ``p`` must already be validated.
     """
     order, bounds = spans
     seeds = [_normalized_seed(seed) for seed in seeds]
@@ -750,9 +724,7 @@ def _draw_mapping(
     selected, retries = [0] * len(seeds), [0] * len(seeds)
     strata = np.asarray(strata, dtype=np.intp)
     starts, sizes = np.asarray(bounds[:-1])[strata], np.diff(bounds)[strata]
-    batched = (sizes <= _KERNEL_MAX_RECORDS) & (p * sizes <= _KERNEL_MAX_SELECTED)
-    if len(seeds) * np.count_nonzero(batched) < _KERNEL_MIN_KEYS:
-        batched[:] = False
+    batched = sizes <= _KERNEL_MAX_RECORDS
     looped = strata[~batched].tolist()
     if looped:
         streams = _substreams(seeds, looped)

@@ -21,8 +21,8 @@ stratum spans, the true ``n_.hs`` counts and their positive cells, and
 each rate's validation.  The replications then run in blocks of at
 most ``_KEYS_PER_PASS`` keys and ``_POSITIONS_PER_BLOCK`` mapped
 positions.  A block makes one call to the swapper's draws (the call
-:func:`~permuswap.swapping.run_psa_details` makes, so small strata
-draw on the batched kernel once the block holds enough keys), checks
+:func:`~permuswap.swapping.run_psa_details` makes, so strata of at
+most ``_KERNEL_MAX_RECORDS`` records draw on the batched kernel), checks
 that every drawn mapping is a bijection, counts the swapped ``n_.hs``
 of all its replications with one ``bincount`` and averages each row's
 error with the kernel that :func:`mape` uses, so each value equals

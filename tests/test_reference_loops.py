@@ -1662,14 +1662,12 @@ KERNEL_SIZES = st.one_of(
 
 
 @settings(max_examples=100, deadline=None)
-@given(stratified_datasets(6, KERNEL_SIZES), RATES, SEEDS, st.integers(1, 6))
-def test_swapper_draws_on_both_paths_match_documented_substreams(x, p, seed, min_keys):
-    """With the kernel's key threshold lowered to 1-6, a single run's
-    strata of at most ``_KERNEL_MAX_RECORDS`` records and at most
-    ``_KERNEL_MAX_SELECTED`` expected selections draw on the kernel or,
-    below the threshold, on the seated generator, and other strata
-    always on the seated generator."""
-    with mock.patch.object(swapping, "_KERNEL_MIN_KEYS", min_keys):
+@given(stratified_datasets(6, KERNEL_SIZES), RATES, SEEDS, st.sampled_from([1, 2, 3, 63, 64]))
+def test_swapper_draws_on_both_paths_match_documented_substreams(x, p, seed, max_records):
+    """With the kernel's size limit at or below ``_KERNEL_MAX_RECORDS``,
+    a single run's strata of at most that many records draw on the
+    kernel, and larger strata on the seated generator."""
+    with mock.patch.object(swapping, "_KERNEL_MAX_RECORDS", max_records):
         run = run_psa_details(x, PsaParams(p, seed))
     assert run.permutation.mapping == ref_draw_mapping(x, p, seed)
 
@@ -1678,7 +1676,7 @@ def test_swapper_draws_on_both_paths_match_documented_substreams(x, p, seed, min
 @given(
     stratified_datasets(4, KERNEL_SIZES),
     st.lists(RATES, min_size=1, max_size=2),
-    st.integers(1, 2 * swapping._KERNEL_MIN_KEYS),
+    st.integers(1, 128),
     SEEDS,
 )
 @example(
@@ -1691,8 +1689,8 @@ def test_swapper_draws_on_both_paths_match_documented_substreams(x, p, seed, min
     seed=-1,
 )
 def test_utility_experiment_on_both_paths_matches_per_run_loop(x, rates, reps, seed):
-    """Replication counts whose keys straddle ``_KERNEL_MIN_KEYS``, on
-    strata that straddle ``_KERNEL_MAX_RECORDS``."""
+    """Replication counts of 1-128, on strata that straddle
+    ``_KERNEL_MAX_RECORDS``."""
     def result(fn):
         try:
             return fn(x, rates, reps, seed)
@@ -1720,8 +1718,7 @@ AROUND_RAW_BOUND = (synth._RAW_MAX_RECORDS, synth._RAW_MAX_RECORDS + 1)
 @example([StratumSpec(n, n % 3 > 0) for n in range(7)] + [StratumSpec(n) for n in AROUND_RAW_BOUND], 40, 1, -3)
 def test_synthesize_draws_match_documented_substreams(specs, hold_levels, swap_levels, seed):
     """Strata of 0-6 records and around the raw-word bound, constant ones
-    among them, up to 12 strata (8 or more take the seated generator),
-    and 0-40 levels per axis."""
+    among them, up to 12 strata, and 0-40 levels per axis."""
     try:
         x = synthesize(specs, hold_levels, swap_levels, seed)
     except ValueError as exc:
@@ -1767,13 +1764,13 @@ def test_synthesize_redraws_strata_with_a_rejected_half(monkeypatch):
 def test_substreams_derived_in_several_passes(monkeypatch):
     """States derived a few keys per pass, with passes that split one
     seed's strata and one replication block's seeds, give the same draws,
-    on the kernel (a key threshold of 1) and on the seated generator.
+    on the kernel and on the seated generator (a kernel size limit of 1).
     The utility runner's blocks, bounded by keys or by positions, split
     its replications."""
     specs = [StratumSpec(n % 5, mixed=n % 3 > 0) for n in range(11)]
     x = synthesize(specs, 2, 3, 4)
-    for min_keys in (1, 10**9):
-        monkeypatch.setattr(swapping, "_KERNEL_MIN_KEYS", min_keys)
+    for max_records in (swapping._KERNEL_MAX_RECORDS, 1):
+        monkeypatch.setattr(swapping, "_KERNEL_MAX_RECORDS", max_records)
         monkeypatch.setattr(swapping, "_KEYS_PER_PASS", 3)
         monkeypatch.setattr(utility, "_POSITIONS_PER_BLOCK", 1 << 20)
         assert (synthesize(specs, 2, 3, 9).codes.tolist(), (11, 2, 3)) == ref_synthesize(specs, 2, 3, 9)

@@ -446,12 +446,44 @@ class TestDrawKernel:
         monkeypatch.setattr(swapping, "_draw_many", lambda k, *rest: keys.append(len(k)) or _draw_many(k, *rest))
         kernel = _draw_mapping(spans, strata, 0.05, [7, 2**64 - 1])
         assert sum(keys) == 2 * len(strata) == 160
-        monkeypatch.setattr(swapping, "_KERNEL_MIN_KEYS", 10**9)
+        monkeypatch.setattr(swapping, "_KERNEL_MAX_RECORDS", 1)
         loop = _draw_mapping(spans, strata, 0.05, [7, 2**64 - 1])
         assert sum(keys) == 160
         for got, expected in zip(kernel, loop):
             np.testing.assert_array_equal(got, expected)
 
+    @pytest.mark.parametrize(
+        "sizes, p, on_kernel",
+        [
+            ([2], 0.5, True),
+            ([5, 12, 20, 33, 50, 64], 0.9, True),
+            ([64], 1.0, True),
+            ([65], 0.5, False),
+        ],
+    )
+    def test_stratum_size_alone_picks_the_kernel(self, monkeypatch, sizes, p, on_kernel):
+        """A stratum of at most ``_KERNEL_MAX_RECORDS`` records draws on
+        the kernel however few keys the call holds and however many
+        records it expects to select, and a larger one on a seated
+        generator; both draw what ``_select`` then ``_derange`` draw on
+        ``default_rng(key)``."""
+        x = synthesize([StratumSpec(n) for n in sizes], 2, 3, 5)
+        order, bounds = spans = stratum_order(x)
+        strata = _active_strata(bounds)
+        kernel_keys, seated_strata = [], []
+        monkeypatch.setattr(swapping, "_draw_many", lambda k, *rest: kernel_keys.append(len(k)) or _draw_many(k, *rest))
+        monkeypatch.setattr(swapping, "_substreams", lambda seeds, m: seated_strata.extend(m) or _substreams(seeds, m))
+        mappings, selected, retries = _draw_mapping(spans, strata, p, [11])
+        assert (sum(kernel_keys), len(seated_strata)) == ((len(sizes), 0) if on_kernel else (0, len(sizes)))
+        mapping, hit_count, redraw_count = np.arange(len(x)), 0, 0
+        for m in strata:
+            rng = np.random.default_rng([11, m])
+            hits, redraws = _select(bounds[m + 1] - bounds[m], p, rng)
+            chosen = order[bounds[m] : bounds[m + 1]][hits]
+            mapping[chosen] = chosen[_derange(len(hits), rng)]
+            hit_count, redraw_count = hit_count + len(hits), redraw_count + redraws
+        np.testing.assert_array_equal(mappings[0], mapping)
+        assert (selected.tolist(), retries.tolist()) == ([hit_count], [redraw_count])
 
     @pytest.mark.parametrize("handoff", [0, swapping._HANDOFF])
     @pytest.mark.parametrize("p", [0.05, 0.3, 0.9])
@@ -473,13 +505,11 @@ class TestDrawKernel:
         for name in ("_stepped_round", "_jumped_round"):
             monkeypatch.setattr(swapping, name, counted(name))
         monkeypatch.setattr(swapping, "_HANDOFF", handoff)
-        # every stratum on the kernel, at p = 0.9 too
-        monkeypatch.setattr(swapping, "_KERNEL_MAX_SELECTED", swapping._KERNEL_MAX_RECORDS)
         kernel = _draw_mapping(spans, strata, p, seeds)
         assert rounds[0] == ("_stepped_round", 2 * swapping._STEP_MIN_KEYS)
         assert len(rounds) > 1 and all(name == "_jumped_round" for name, _ in rounds[1:])
         kernel_rounds = len(rounds)
-        monkeypatch.setattr(swapping, "_KERNEL_MIN_KEYS", 10**9)
+        monkeypatch.setattr(swapping, "_KERNEL_MAX_RECORDS", 1)
         loop = _draw_mapping(spans, strata, p, seeds)
         assert len(rounds) == kernel_rounds
         for got, expected in zip(kernel, loop):
