@@ -6,10 +6,24 @@ within a stratum a permutation's probability depends only on how many
 records it moves (see :func:`permuswap.swapping.stratum_permutation_prob`)
 while its output table depends only on its flow matrix: how many
 records of each (hold, swap) class receive each swap value.  So no
-permutation is walked.  Per stratum, the flow matrices are enumerated
-like margin-constrained tables, the permutations realizing each one are
-counted in closed form by their number of moved records, and the
-resulting rate-free histogram is evaluated at each rate.
+permutation is walked.  For tables x, t of one stratum universe,
+N_x(t, k) counts the permutations of x's records that release t and
+move k of them.  Hold row h's part of a flow is an S x S table with row
+sums x[h,:] and column sums t[h,:] that adds only its diagonal, the
+records keeping their swap value, to the stay vector.  So N_x(t, .)
+sums, over stay vectors, the product of per-row polynomials in the
+diagonal times the fixed-point counts of each swap value's bijection
+from its receivers onto its donors; both factors are shared by pairs.
+
+Reversibility lemma: with w(x) the product of x's cell factorials,
+N_x(t, k) w(t) = N_t(x, k) w(x).  An arrangement of x gives each record,
+whose hold value is fixed, a swap value; x has C / w(x) of them, C fixed
+by the hold margins.  The map (a, pi) -> (a o pi, pi^-1), from an
+arrangement a of x and a permutation pi carrying it onto one of t, is a
+bijection onto the same pairs for (t, x), and pi^-1 moves the records pi
+moves; so (C / w(x)) N_x(t, k) = (C / w(t)) N_t(x, k).  The kernel runs
+for x <= t in key order only, and the other order is one exact multiply
+and divide.
 
 A law is held as integer numerators over one denominator.  With
 p = a/c, the weight of a permutation moving k records is an integer
@@ -18,13 +32,14 @@ rate, so every member of a universe, sharing its stratum sizes, shares
 the composite denominator; only the public
 :class:`ExactDistribution` turns the numerators into fractions.
 For one stratum universe of tables T_1, ..., T_U in key order, the
-histograms form one rate-free U x U move-count matrix: entry (i, j)
-counts, by the number k of records moved, the permutations carrying
-T_i onto T_j.  At each rate one dot product of each entry with the
+counts form one rate-free U x U move-count matrix: entry (i, j) is
+N_{T_i}(T_j, .), the permutations carrying T_i onto T_j by the number k
+of records moved.  At each rate one dot product of each entry with the
 weights gives every law as a row of numerators aligned with the
-tables.  Histograms, move-count matrices, stratum laws and weights are
-cached for the length of one public call, so a sweep or a universe
-report shares them across its datasets and rates.
+tables; a law of several strata is the product of its strata's rows.
+Row polynomials, pair counts, move-count matrices, stratum laws and
+weights are cached for the length of one public call, so a sweep or a
+universe report shares them across its datasets and rates.
 
 With the exact distributions in hand, the Lipschitz condition
 
@@ -45,7 +60,7 @@ over a universe's pairs.
 The rest of a universe's structure is a function of its margins: the
 stratum bound b, the :func:`permuswap.budget.psa_lower_bounds` it
 witnesses, and the fewest records any permutation moves between two
-members, read off the move-count matrix.  The histograms count actual
+members, read off the move-count matrix.  The matrix counts actual
 permutations by the records they move, so where that minimum equals
 d_Ham a permutation moving exactly d_Ham records connects the pair; the
 sweep checks this on tables alone, and :func:`connecting_permutation`
@@ -181,54 +196,96 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _stratum_histogram(
-    counts: tuple[int, ...], swap_levels: int
-) -> dict[tuple[int, ...], list[int]]:
-    """Rate-free law of one stratum, given its flattened H x S counts.
+def _multinomial(parts: Sequence[int]) -> int:
+    return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
 
-    Maps each output H x S table to a list whose entry k is the number
-    of the stratum's permutations that move k records and release that
-    table.  The output depends only on the permutation's flow matrix F,
-    where F[(h,s), s'] counts the class-(h,s) records that receive swap
-    value s'.  The permutations realizing F are a multinomial per class
-    (which of its records receive which value) times, per s', the
-    bijections from the receivers of s' onto its donors, counted by
-    fixed points.  Each F is realized by at least one of the n!
-    permutations, so the flow enumeration's n! cap never binds; the
-    caller's guard bounds the work.
-    """
+
+def _splits(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every way to put ``total``, at most ``sum(caps)``, into bins holding
+    at most ``caps``, in lexicographic order."""
+    if len(caps) == 1:
+        yield (total,)
+        return
+    room = sum(caps[1:])
+    for v in range(max(0, total - room), min(caps[0], total) + 1):
+        for rest in _splits(total - v, caps[1:]):
+            yield (v, *rest)
+
+
+def _row_polynomial(row: tuple[int, ...], target: tuple[int, ...], radix: int) -> dict[int, int]:
+    """One hold row's polynomial: over the S x S flows F with row sums
+    ``row`` and column sums ``target`` (the input and output row, of one
+    total), the ways prod row[s]! / prod F! to choose which records of
+    each cell receive which value, summed by F's diagonal, read as the
+    digits of one integer in base ``radix``.  Flow rows are filled in
+    turn over the column sums they leave; the last takes the rest."""
+    poly: dict[int, int] = {}
+    last = len(row) - 1
+
+    def fill(s, left, ways, stay):
+        if s == last:
+            key = stay + left[s] * radix**s
+            poly[key] = poly.get(key, 0) + ways * _multinomial(left)
+            return
+        for cells in _splits(row[s], left):
+            after = tuple(map(operator.sub, left, cells))
+            fill(s + 1, after, ways * _multinomial(cells), stay + cells[s] * radix**s)
+
+    fill(0, target, 1, 0)
+    return poly
+
+
+def _pair_kernel(x: tuple[int, ...], t: tuple[int, ...], swap_levels: int, cache: dict) -> list[int]:
+    """N_x(t, k) for k = 0..n: the permutations of the n records of
+    stratum table x that release table t and move k of them.  The row
+    polynomials multiply into ways by stay vector (no entry exceeds n, so
+    base n + 1 adds them digit by digit); each stay vector's fixed
+    records are counted per swap value and convolved.  ``cache`` holds
+    the row polynomials in ``"rows"`` and the convolutions in ``"stays"``."""
     sx = swap_levels
-    n = sum(counts)
-    classes = [(divmod(c, sx), v) for c, v in enumerate(counts) if v]
-    donors = [sum(counts[s::sx]) for s in range(sx)]
-    class_ways = math.prod(math.factorial(v) for _, v in classes)
-    hist: dict[tuple[int, ...], list[int]] = {}
-    flows = _tables_with_margins([v for _, v in classes], donors, math.factorial(n))
-    for flow in flows:
-        table = [0] * len(counts)
-        flow_ways = 1
-        stay = [0] * sx
-        for i, ((h, s), _) in enumerate(classes):
-            row = flow[i * sx : (i + 1) * sx]
-            for s2, f in enumerate(row):
-                table[h * sx + s2] += f
-                flow_ways *= math.factorial(f)
-            stay[s] += row[s]
-        by_fixed = [class_ways // flow_ways]
-        for s2 in range(sx):
-            by_fixed = _convolve(by_fixed, _fixed_point_counts(donors[s2], stay[s2]))
-        by_moved = hist.setdefault(tuple(table), [0] * (n + 1))
-        for fixed, ways in enumerate(by_fixed):
-            by_moved[n - fixed] += ways
-    return hist
+    n = sum(x)
+    rows, convolved = cache.setdefault("rows", {}), cache.setdefault("stays", {})
+    stays = {0: 1}
+    for lo in range(0, len(x), sx):
+        pair = x[lo : lo + sx], t[lo : lo + sx], n + 1
+        if pair not in rows:
+            rows[pair] = _row_polynomial(*pair)
+        merged: dict[int, int] = {}
+        for stay, ways in stays.items():
+            for diagonal, more in rows[pair].items():
+                merged[stay + diagonal] = merged.get(stay + diagonal, 0) + ways * more
+        stays = merged
+    donors = tuple(sum(x[s::sx]) for s in range(sx))
+    by_moved = [0] * (n + 1)
+    for stay, ways in stays.items():
+        by_fixed = convolved.get((donors, stay))
+        if by_fixed is None:
+            by_fixed, digits = [1], stay
+            for size in donors:
+                digits, shared = divmod(digits, n + 1)
+                by_fixed = _convolve(by_fixed, _fixed_point_counts(size, shared))
+            convolved[donors, stay] = by_fixed
+        for fixed, count in enumerate(by_fixed):
+            by_moved[n - fixed] += ways * count
+    return by_moved
 
 
-def _histogram(counts: tuple[int, ...], swap_levels: int, cache: dict) -> dict:
-    """:func:`_stratum_histogram`, held in ``cache`` under ``counts``."""
-    hist = cache.get(counts)
-    if hist is None:
-        hist = cache[counts] = _stratum_histogram(counts, swap_levels)
-    return hist
+def _pair_counts(x: tuple[int, ...], t: tuple[int, ...], swap_levels: int, cache: dict) -> list[int]:
+    """N_x(t, .), held in ``cache["pairs"]``: :func:`_pair_kernel` for
+    x <= t, and for x > t the reversibility lemma,
+    N_x(t, k) = N_t(x, k) w(x) / w(t), which raises if a division
+    leaves a remainder."""
+    pairs = cache.setdefault("pairs", {})
+    if (x, t) not in pairs:
+        if x <= t:
+            pairs[x, t] = _pair_kernel(x, t, swap_levels, cache)
+        else:
+            w_x, w_t = (math.prod(map(math.factorial, key)) for key in (x, t))
+            derived = [divmod(ways * w_x, w_t) for ways in _pair_counts(t, x, swap_levels, cache)]
+            if any(rest for _, rest in derived):
+                raise ValueError("move counts break the reversibility lemma")
+            pairs[x, t] = [ways for ways, _ in derived]
+    return pairs[x, t]
 
 
 def _stratum_weights(n: int, rate: Fraction) -> tuple[list[int], int]:
@@ -280,14 +337,14 @@ def _law(
     p = 0, or a table with no stratum of two records (one with no cells
     has none), releases the input table with probability one; p = 1
     applies a uniform derangement of each whole stratum of size >= 2, so
-    a stratum's numerators are its histogram's all-moved entries over
-    d(n).  The composite denominator is the product of the strata's,
-    which depend only on the stratum sizes and the rate, so every
-    member of a universe shares it.  With p = a/c, ``cache`` holds the
-    rate-free histogram under ``counts``, each stratum law under
-    ``(counts, a, c)`` and the weights of an n-record stratum under
-    ``(n, p)``; the rate of a weight key lies strictly inside (0, 1), so
-    that key is never equal to a count tuple.
+    a stratum's numerators are its all-moved counts over d(n).  Each
+    stratum's law is its pair counts at each table of its universe (at
+    most n! of them, so that cap never binds), dotted with the weights.
+    The composite denominator is the product of the strata's, which
+    depend only on the stratum sizes and the rate, so every member of a
+    universe shares it.  With p = a/c, ``cache`` holds each stratum law
+    under ``(counts, a, c)`` and the weights of an n-record stratum under
+    ``(n, p)``, besides what the pair counts hold under their names.
     """
     rate = to_exact_rate(p)
     a, c = rate.numerator, rate.denominator
@@ -304,13 +361,17 @@ def _law(
 
     nums = {flat: 1}
     denom = 1
+    sx = domain.swap
     for lo, counts in active:
         law = cache.get((counts, a, c))
         if law is None:
-            weights, w_denom = _rate_weights(sum(counts), rate, cache)
+            n = sum(counts)
+            weights, w_denom = _rate_weights(n, rate, cache)
+            hold = [sum(counts[h : h + sx]) for h in range(0, cells, sx)]
+            swap = [sum(counts[s::sx]) for s in range(sx)]
             numerators = (
-                (t, sum(map(operator.mul, by_moved, weights)))
-                for t, by_moved in _histogram(counts, domain.swap, cache).items()
+                (t, sum(map(operator.mul, _pair_counts(counts, t, sx, cache), weights)))
+                for t in _tables_with_margins(hold, swap, math.factorial(n))
             )
             law = cache[counts, a, c] = {t: v for t, v in numerators if v}, w_denom
         stratum, stratum_denom = law
@@ -330,13 +391,12 @@ def _law(
 
 def _move_counts(keys: Sequence[tuple[int, ...]], swap_levels: int, cache: dict) -> list[list[list[int]]]:
     """The move-count matrix of the stratum universe of tables ``keys``:
-    entry [i][j] is table i's histogram at table j.  Held in ``cache``
-    under the tuple of keys, which is never a count tuple."""
+    entry [i][j] is N_{T_i}(T_j, .), by :func:`_pair_counts`, so each
+    unordered pair runs the kernel once.  Held in ``cache`` under the
+    tuple of keys."""
     held = tuple(keys)
     if held not in cache:
-        none = [0] * (sum(keys[0]) + 1)
-        hists = [_histogram(key, swap_levels, cache) for key in keys]
-        cache[held] = [[hist.get(key, none) for key in keys] for hist in hists]
+        cache[held] = [[_pair_counts(x, t, swap_levels, cache) for t in keys] for x in keys]
     return cache[held]
 
 
@@ -687,7 +747,7 @@ def connecting_permutation(x: Dataset, x_prime: Dataset) -> Permutation:
     d_Ham records.
 
     The sweep does not build it: there the fewest records any
-    permutation moves, read off the stratum histograms, equals d_Ham,
+    permutation moves, read off the stratum move counts, equals d_Ham,
     which already proves that such a permutation exists.
     """
     table, target = tabulate(x), tabulate(x_prime)
@@ -1040,8 +1100,8 @@ def dp_sweep(
     are found by grouping rows and margins with one lexicographic sort
     each.  Tables are count tuples; no dataset or permutation is built.
     The budget and lower bounds are computed once per (rate, b), both
-    functions of the float rate; histograms, move-count matrices and
-    weights are shared through one cache.
+    functions of the float rate; row polynomials, pair counts,
+    move-count matrices and weights are shared through one cache.
 
     Every rate must lie strictly inside (0, 1), as an exact rational and
     as a float, since the budget is computed at the float: at an

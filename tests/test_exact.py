@@ -505,7 +505,7 @@ class TestWitnessStructure:
         assert odds_bound_applies(swap_invariants(x))
 
     def test_ratio_bound_predicates(self):
-        for name in ("witness_two_record", "witness_ratio_b4", "witness_ratio_b6"):
+        for name in ("witness_two_record", "witness_ratio_b4", "witness_ratio_b6", "witness_ratio_b10"):
             x, expected = load_fixture(name)
             inv = swap_invariants(x)
             assert invariant_stratum_bound(inv) == expected["b"] == max_stratum_b(x)
@@ -726,11 +726,13 @@ class TestSweep:
         and shares one combined check per relabelling orbit (found by
         brute force over the group).  Over those single-stratum
         universes: one check each, one d_Ham per unordered pair, one
-        integer weight vector per (n, rate), one histogram per stratum,
-        shared by the laws and the connecting minimum through one
-        move-count matrix per universe, no brute force, no composite
-        law, one SwapInvariants for all strata and none per orbit, and
-        no dataset, connecting permutation or tabulated table at all.
+        integer weight vector per (n, rate), one kernel run per unordered
+        pair of tables and one polynomial per pair of hold rows and
+        stratum size, shared by the laws and the connecting minimum
+        through one move-count matrix per universe, no brute force, no
+        composite law, one SwapInvariants for all strata and none per
+        orbit, and no dataset, connecting permutation or tabulated table
+        at all.
         The reported counts cover every universe."""
         domain = Domain(2, 2, 2)
         universes: dict = {}
@@ -764,7 +766,8 @@ class TestSweep:
             "SwapInvariants": [],
             "min_connecting_derangement": [],
             "_stratum_weights": [],
-            "_stratum_histogram": [],
+            "_pair_kernel": [],
+            "_row_polynomial": [],
             "tabulate": [],
             "dataset_from_table": [],
             "connecting_permutation": [],
@@ -807,9 +810,17 @@ class TestSweep:
         weights = calls["_stratum_weights"]
         assert len(weights) == len(set(weights))
         assert set(weights) == {(sum(counts), rate) for counts in strata for rate in rates}
-        histograms = [counts for counts, _ in calls["_stratum_histogram"]]
-        assert len(histograms) == len(set(histograms))
-        assert set(histograms) == strata
+        pairs = [(x, t) for x, t, _, _ in calls["_pair_kernel"]]
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == {
+            (x, t)
+            for tables in singles.values()
+            if tables[0].counts.sum() >= 2
+            for x, t in itertools.combinations_with_replacement(sorted(t.canonical_key() for t in tables), 2)
+        }
+        rows = calls["_row_polynomial"]
+        assert len(rows) == len(set(rows))
+        assert set(rows) == {(x[lo : lo + 2], t[lo : lo + 2], sum(x) + 1) for x, t in pairs for lo in (0, 2)}
 
     @pytest.mark.parametrize("rates", [[0], [1], [Fraction(1, 2), 1]])
     def test_sweep_rejects_endpoint_rates(self, rates):
@@ -861,6 +872,18 @@ class TestSweep:
         assert row.measured_optimal == pytest.approx(bound.value, abs=1e-12)
         assert row.budget_epsilon == pytest.approx(1.1989602625023918, abs=1e-15)
         assert row.measured_optimal <= row.budget_epsilon
+        assert row.passed
+
+    def test_ratio_witness_at_b12_with_the_guard_lifted(self):
+        """The b = 12 ratio witness (one 4x4 stratum, 1, 1, 5, 5 on the
+        diagonal), past the default guard's reach (12! > 10**7), at
+        p = 783/1000, above p*(12) = 0.78287: 160 tables, measured within
+        the budget."""
+        x = make_dataset([(0, 0, 0), (0, 1, 1)] + [(0, 2, 2)] * 5 + [(0, 3, 3)] * 5, (1, 4, 4))
+        (row,) = universe_report(x, [Fraction(783, 1000)], max_permutations=10**40)
+        assert (row.b, row.universe_size) == (12, 160)
+        assert row.measured_optimal == pytest.approx(1.1581655876309433, abs=1e-12)
+        assert row.budget_epsilon == pytest.approx(1.2832353424503435, abs=1e-12)
         assert row.passed
 
     def test_universe_report_reaches_ten_record_stratum(self):

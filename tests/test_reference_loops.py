@@ -508,10 +508,87 @@ def ref_enumerate_small_datasets(domain, max_records):
     ]
 
 
+def ref_stratum_histogram(counts, swap_levels):
+    """Rate-free law of one stratum, given its flattened H x S counts, by
+    walking its flow matrices.
+
+    Maps each output H x S table to a list whose entry k is the number
+    of the stratum's permutations that move k records and release that
+    table.  The output depends only on the permutation's flow matrix F,
+    where F[(h,s), s'] counts the class-(h,s) records that receive swap
+    value s'.  The permutations realizing F are a multinomial per class
+    (which of its records receive which value) times, per s', the
+    bijections from the receivers of s' onto its donors, counted by
+    fixed points.  Each F is realized by at least one of the n!
+    permutations, so the flow enumeration's n! cap never binds.
+    """
+    sx = swap_levels
+    n = sum(counts)
+    classes = [(divmod(c, sx), v) for c, v in enumerate(counts) if v]
+    donors = [sum(counts[s::sx]) for s in range(sx)]
+    class_ways = math.prod(math.factorial(v) for _, v in classes)
+    hist = {}
+    flows = exact._tables_with_margins([v for _, v in classes], donors, math.factorial(n))
+    for flow in flows:
+        table = [0] * len(counts)
+        flow_ways = 1
+        stay = [0] * sx
+        for i, ((h, s), _) in enumerate(classes):
+            row = flow[i * sx : (i + 1) * sx]
+            for s2, f in enumerate(row):
+                table[h * sx + s2] += f
+                flow_ways *= math.factorial(f)
+            stay[s] += row[s]
+        by_fixed = [class_ways // flow_ways]
+        for s2 in range(sx):
+            by_fixed = exact._convolve(by_fixed, exact._fixed_point_counts(donors[s2], stay[s2]))
+        by_moved = hist.setdefault(tuple(table), [0] * (n + 1))
+        for fixed, ways in enumerate(by_fixed):
+            by_moved[n - fixed] += ways
+    return hist
+
+
+def ref_move_counts(keys, swap_levels):
+    """The move-count matrix of a stratum universe, read off each
+    table's flow-walk histogram at each table."""
+    none = [0] * (sum(keys[0]) + 1)
+    hists = [ref_stratum_histogram(key, swap_levels) for key in keys]
+    return [[hist.get(key, none) for key in keys] for hist in hists]
+
+
+def ref_stratum_law(counts, swap_levels, rate):
+    """One stratum's law at 0 < rate <= 1 as fractions by output table:
+    its flow-walk histogram weighted by stratum_permutation_prob, or at
+    p = 1 by the uniform derangement of all n records."""
+    n = sum(counts)
+    hist = ref_stratum_histogram(counts, swap_levels)
+    if rate == 1:
+        return {t: Fraction(by_moved[n], derangement_count(n)) for t, by_moved in hist.items() if by_moved[n]}
+    return {
+        t: sum(ways * stratum_permutation_prob(k, n, rate) for k, ways in enumerate(by_moved) if ways)
+        for t, by_moved in hist.items()
+    }
+
+
+def ref_composite_law(table, rate):
+    """A table's law as the product of its strata's flow-walk laws; a
+    stratum of fewer than two records keeps its counts."""
+    cells = table.domain.hold * table.domain.swap
+    flat = table.canonical_key()
+    law = {(): Fraction(1)}
+    for m in range(table.domain.match):
+        counts = flat[m * cells : (m + 1) * cells]
+        stratum = ref_stratum_law(counts, table.domain.swap, rate) if sum(counts) >= 2 else {counts: Fraction(1)}
+        law = {key + t: v * u for key, v in law.items() for t, u in stratum.items()}
+    return law
+
+
 def ref_min_moves(table, target, cache):
     """Fewest records a within-stratum permutation moves to carry
     ``table`` onto ``target``, or None: per differing stratum, the first
-    nonzero entry of its cached histogram at the target's stratum."""
+    nonzero entry of its flow-walk histogram at the target's stratum,
+    each histogram held in ``cache``."""
+    hists = cache.setdefault(ref_stratum_histogram, {})
     cells = table.domain.hold * table.domain.swap
     flat, goal = table.canonical_key(), target.canonical_key()
     total = 0
@@ -519,10 +596,11 @@ def ref_min_moves(table, target, cache):
         counts, want = flat[m * cells : (m + 1) * cells], goal[m * cells : (m + 1) * cells]
         if counts == want:
             continue
-        hist = exact._histogram(counts, table.domain.swap, cache)
-        if want not in hist:
+        if counts not in hists:
+            hists[counts] = ref_stratum_histogram(counts, table.domain.swap)
+        if want not in hists[counts]:
             return None
-        total += next(k for k, c in enumerate(hist[want]) if c)
+        total += next(k for k, c in enumerate(hists[counts][want]) if c)
     return total
 
 
@@ -1240,6 +1318,78 @@ def test_exact_distribution_matches_walk_on_eight_record_stratum(rate):
     # two records in each cell of one 1x2x2 stratum
     x = Dataset([Record(0, h, s) for h in range(2) for s in range(2) for _ in range(2)], Domain(1, 2, 2))
     assert exact_psa_distribution(x, rate).probs == ref_exact_distribution(x, rate)
+
+
+@st.composite
+def stratum_counts(draw, max_records=8):
+    """One stratum's flattened H x S counts, H and S in 1..3, with up to
+    ``max_records`` records, and S."""
+    hold, swap = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = draw(st.lists(st.integers(0, hold * swap - 1), max_size=max_records))
+    return tuple(cells.count(c) for c in range(hold * swap)), swap
+
+
+def _margins(counts, swap_levels):
+    """A stratum's hold and swap margins from its flattened counts."""
+    rows = [counts[lo : lo + swap_levels] for lo in range(0, len(counts), swap_levels)]
+    return [sum(row) for row in rows], [sum(column) for column in zip(*rows)]
+
+
+@pytest.mark.parametrize(
+    "hold, swap",
+    [((4, 4), (4, 4)), ((1, 1, 4, 4), (1, 1, 4, 4))],
+    ids=["eight-record-1x2x2", "ratio-witness-b10"],
+)
+def test_move_counts_match_the_flow_walk(hold, swap):
+    """The per-pair, per-hold-row kernel gives the flow walk's matrix on
+    the 5-table universe of two records per cell and on the 126-table
+    b = 10 ratio witness."""
+    keys = exact._tables_with_margins(hold, swap, 10**6)
+    assert exact._move_counts(keys, len(swap), {}) == ref_move_counts(keys, len(swap))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stratum_counts())
+@example(((2, 2, 2, 2), 2))
+@example(((1, 0, 0, 0, 1, 0, 0, 0, 6), 3))
+def test_move_counts_match_the_flow_walk_on_drawn_strata(case):
+    counts, swap_levels = case
+    keys = exact._tables_with_margins(*_margins(counts, swap_levels), 10**6)
+    assert exact._move_counts(keys, swap_levels, {}) == ref_move_counts(keys, swap_levels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stratum_counts())
+def test_reversibility_lemma_on_the_flow_walk(case):
+    """N_x(t, k) w(t) = N_t(x, k) w(x), with w(x) the product of x's cell
+    factorials, on the flow walk, which the kernel does not share."""
+    counts, swap_levels = case
+    w = lambda key: math.prod(map(math.factorial, key))
+    for t, by_moved in ref_stratum_histogram(counts, swap_levels).items():
+        back = ref_stratum_histogram(t, swap_levels)[counts]
+        assert [ways * w(t) for ways in by_moved] == [ways * w(counts) for ways in back]
+
+
+@st.composite
+def composite_tables(draw):
+    """Two or three strata over H, S in 1..3, with up to 5 records each."""
+    domain = Domain(draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    cells = domain.hold * domain.swap
+    key = []
+    for _ in range(domain.match):
+        picks = draw(st.lists(st.integers(0, cells - 1), max_size=5))
+        key += [picks.count(c) for c in range(cells)]
+    return ContingencyTable(np.array(key, dtype=np.int64).reshape(domain.shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    composite_tables(),
+    st.sampled_from([Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), Fraction(199, 259), Fraction(1)]),
+)
+def test_law_is_the_product_of_flow_walk_laws(table, rate):
+    nums, denom = exact._law(table, rate, DEFAULT_ENUMERATION_BUDGET, {})
+    assert {key: Fraction(v, denom) for key, v in nums.items()} == ref_composite_law(table, rate)
 
 
 @st.composite
