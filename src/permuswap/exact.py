@@ -28,18 +28,17 @@ and divide.
 A law is held as integer numerators over one denominator.  With
 p = a/c, the weight of a permutation moving k records is an integer
 over a denominator that depends only on the stratum size n and the
-rate, so every member of a universe, sharing its stratum sizes, shares
-the composite denominator; only the public
-:class:`ExactDistribution` turns the numerators into fractions.
-For one stratum universe of tables T_1, ..., T_U in key order, the
-counts form one rate-free U x U move-count matrix: entry (i, j) is
+rate, so every member of a stratum universe shares it; only the public
+:class:`ExactDistribution` turns the numerators into fractions.  For a
+stratum universe of tables T_1, ..., T_U in key order, the law of T_i
+is one row of numerators aligned with the tables: entry j is
 N_{T_i}(T_j, .), the permutations carrying T_i onto T_j by the number k
-of records moved.  At each rate one dot product of each entry with the
-weights gives every law as a row of numerators aligned with the
-tables; a law of several strata is the product of its strata's rows.
-Row polynomials, pair counts, move-count matrices, stratum laws and
-weights are cached for the length of one public call, so a sweep or a
-universe report shares them across its datasets and rates.
+of records moved, dotted with the rate's weights.  Every oracle API
+reads these rows (:func:`_stratum_law`); only
+:func:`exact_psa_distribution` multiplies them into a composite law.
+Row polynomials, pair counts, universes, stratum laws and weights are
+cached for the length of one public call, so a sweep or a universe
+report shares them across its datasets and rates.
 
 With the exact distributions in hand, the Lipschitz condition
 
@@ -50,21 +49,17 @@ events of a finite discrete pair of distributions is attained on an
 atom, so the multiplicative distance reduces to the max over atoms.
 The largest atom ratio is found by integer cross-multiplication and
 reduced to a ``Fraction`` once per pair; its logarithm, the only
-real-valued step, is taken after all exact comparisons.  One kernel
-does this on laws aligned entry by entry: the public ``Fraction`` API
-(:func:`max_probability_ratio`, and so :func:`mult_distance`) puts both
-laws over the lcm of their atoms' denominators and calls it too, and
-the sweep, the universe report and the measured optimum share one loop
-over a universe's pairs.
+real-valued step, is taken after all exact comparisons.
 
 The rest of a universe's structure is a function of its margins: the
 stratum bound b, the :func:`permuswap.budget.psa_lower_bounds` it
 witnesses, and the fewest records any permutation moves between two
-members, read off the move-count matrix.  The matrix counts actual
-permutations by the records they move, so where that minimum equals
-d_Ham a permutation moving exactly d_Ham records connects the pair; the
-sweep checks this on tables alone, and :func:`connecting_permutation`
-builds one such permutation by direct matching.
+members, the first nonzero pair count of each stratum, summed.  Pair
+counts tally actual permutations by the records they move, so where
+that minimum equals d_Ham a permutation moving exactly d_Ham records
+connects the pair; the sweep checks this on tables alone, and
+:func:`connecting_permutation` builds one such permutation by direct
+matching.
 
 The swapper never reads a label, so relabelling the hold values or the
 swap values within one stratum, or permuting the strata, carries the
@@ -74,34 +69,41 @@ its own H x S counts alone.  d_Ham, b, the universe size, the support,
 the witnessed lower bounds and the fewest records moved are per-stratum
 sums or maxima of quantities no relabelling changes.
 
-So one stratum is the unit of the measured optimum (the stratum lemma).
 For a pair x, x' of one universe, the log-ratio at an output t is the
-sum of the strata's log-ratios, so the pair's distance is at most the
-sum of the strata's distances D_m, and its value at most the largest
-D_m / d_m over the strata where the two differ.  The pair that differs
-in that stratum alone is in the universe and attains it, with the same
-reduced ratio and so the same float.  A universe's measured optimum is
-the largest of its strata's, each a function of the stratum's sorted
-hold and swap margins.  :func:`universe_report` measures each distinct
-stratum universe on its own, from its move-count matrix, and never
-builds their product, and :func:`dp_sweep` checks each distinct sorted
-stratum once, from its matrix too.  The witnessed lower bounds combine
-the same way: b is the largest stratum bound, the odds structure shows
-in any stratum and the ratio structure in a stratum realizing b.  (A pair
-that attains the optimum in several strata takes the logarithm of
-another fraction, so the composite's largest float can be an ulp or two
-above the stratum's.)
+sum over the strata of a_m(t_m), so the largest atom ratio is
+max(prod_m R+_m, prod_m R-_m), with R+_m stratum m's largest ratio one
+way round and R-_m the other; a stratum the two share gives 1 (the pair
+lemma).  The smallest key attaining it concatenates each stratum's
+first maximizer on the winning side, the smaller one on a tie.  One
+function compares every pair so: :func:`verify_dp`, the sweep, the
+universe report and the measured optimum on the strata's rows, and the
+public ``Fraction`` API (:func:`max_probability_ratio`, and so
+:func:`mult_distance`) on one row over the lcm of the atoms'
+denominators.  So one stratum is also the unit of the measured optimum
+(the stratum lemma): the pair's distance is at most the sum of the
+strata's distances D_m, and its value at most the largest D_m / d_m
+over the strata where the two differ.  The pair that differs in that
+stratum alone is in the universe and attains it, with the same reduced
+ratio and so the same float.  A universe's measured optimum is the
+largest of its strata's, each a function of the stratum's sorted hold
+and swap margins.  :func:`universe_report` measures each distinct
+stratum universe on its own and never builds their product, and
+:func:`dp_sweep` checks each distinct sorted stratum once.  The
+witnessed lower bounds combine the same way: b is the largest stratum
+bound, the odds structure shows in any stratum and the ratio structure
+in a stratum realizing b.  (A pair that attains the optimum in several
+strata takes the logarithm of another fraction, so the composite's
+largest float can be an ulp or two above the stratum's.)
 
-The guard ``max_permutations`` bounds the permutation space a law is a
-sum over, the product of n! over the strata of at least two records (of
-d(n) at p = 1), the margin-constrained tables enumerated, and the C(U, 2)
-table pairs :func:`measured_optimal_epsilon` compares.  The law
-APIs (:func:`exact_psa_distribution`, :func:`verify_dp`,
-:func:`enumerate_universe`, :func:`measured_optimal_epsilon`) hold the
-composite to it, and :func:`universe_report` and :func:`dp_sweep` each
-stratum.  It is checked before any work, and the oracle raises rather
-than report a verdict above it.  The sweep holds the number of datasets
-it would enumerate, C(cells + max_records, max_records), to it too.
+The guard ``max_permutations`` holds each stratum law's permutation
+space, n! (d(n) at p = 1), before any work; the one exception is
+:func:`exact_psa_distribution`, whose composite law holds the product
+over the strata of at least two records to it.  It also bounds the
+stratum universes :func:`universe_report` and :func:`dp_sweep`
+enumerate, the tables of :func:`enumerate_universe`, the C(U, 2) pairs
+:func:`measured_optimal_epsilon` compares and the C(cells +
+max_records, max_records) datasets the sweep would enumerate.  The
+oracle raises rather than report a verdict above it.
 """
 
 import functools
@@ -318,160 +320,166 @@ def _permutation_guard(sizes: Sequence[int], at_one: bool, max_permutations: int
             )
 
 
-def _rate_weights(n: int, rate: Fraction, cache: dict) -> tuple[list[int], int]:
-    """An n-record stratum's weights by records moved at 0 < rate <= 1 and
-    their denominator; at p = 1 only the derangements of all n records."""
-    if rate == 1:
-        return [0] * n + [1], derangement_count(n)
-    if (n, rate) not in cache:
-        cache[n, rate] = _stratum_weights(n, rate)
-    return cache[n, rate]
+def _strata(key: tuple[int, ...], domain: Domain) -> list[tuple[int, ...]]:
+    """The stratum keys of a canonical key, in match order."""
+    cells = domain.hold * domain.swap
+    return [key[m * cells : (m + 1) * cells] for m in range(domain.match)]
+
+
+def _margins(counts: tuple[int, ...], swap_levels: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A stratum table's hold and swap margins."""
+    hold = tuple(sum(counts[lo : lo + swap_levels]) for lo in range(0, len(counts), swap_levels))
+    return hold, tuple(sum(counts[s::swap_levels]) for s in range(swap_levels))
+
+
+def _universe(hold: tuple[int, ...], swap: tuple[int, ...], max_tables: int, cache: dict) -> list:
+    """One stratum universe's tables in key order (:func:`_tables_with_margins`),
+    held in ``cache["universes"]`` under the margins."""
+    universes = cache.setdefault("universes", {})
+    if (hold, swap) not in universes:
+        universes[hold, swap] = _tables_with_margins(hold, swap, max_tables)
+    return universes[hold, swap]
+
+
+def _stratum_law(
+    counts: tuple[int, ...], swap_levels: int, rate: Fraction, max_permutations: int, cache: dict
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The swapper's exact law on one stratum table at rate p = a/c: the
+    tables of its stratum universe (at most n!), and integer numerators
+    aligned with them, whose sum depends only on n and the rate.  p = 0,
+    or fewer than two records, releases the table itself.  Otherwise n!
+    (d(n) at p = 1) is held to ``max_permutations`` before any work, and
+    entry j is the pair counts at table j dotted with the weights.  Held
+    in ``cache`` under ``(counts, a, c)``; the universe and pair counts
+    under ``counts`` in ``cache["moves"]``, the weights under ``(n, a, c)``."""
+    a, c = rate.numerator, rate.denominator
+    law = cache.get((counts, a, c))
+    if law is None:
+        if not 0 <= a <= c:
+            raise ValueError("rate must lie in [0, 1]")
+        n = sum(counts)
+        if n < 2:
+            law = [counts], [1]
+        elif a == 0:
+            tables = _universe(*_margins(counts, swap_levels), math.factorial(n), cache)
+            law = tables, [int(t == counts) for t in tables]
+        else:
+            if (n, a, c) not in cache:
+                _permutation_guard([n], a == c, max_permutations)
+                at_one = [0] * n + [1], derangement_count(n)
+                cache[n, a, c] = at_one if a == c else _stratum_weights(n, rate)
+            weights, denom = cache[n, a, c]
+            moves = cache.setdefault("moves", {})
+            if counts not in moves:
+                tables = _universe(*_margins(counts, swap_levels), math.factorial(n), cache)
+                moves[counts] = tables, [_pair_counts(counts, t, swap_levels, cache) for t in tables]
+            tables, by_table = moves[counts]
+            row = [sum(map(operator.mul, by_moved, weights)) for by_moved in by_table]
+            if sum(row) != denom:
+                raise ValueError("probabilities must sum to exactly one")
+            law = tables, row
+        cache[counts, a, c] = law
+    return law
+
+
+def _table_law(
+    key: tuple[int, ...], domain: Domain, rate: Fraction, max_permutations: int, cache: dict
+) -> list[tuple[list[tuple[int, ...]], list[int]]]:
+    """The law of the table with canonical key ``key`` as its strata's
+    :func:`_stratum_law`, in match order."""
+    return [_stratum_law(part, domain.swap, rate, max_permutations, cache) for part in _strata(key, domain)]
 
 
 def _law(
     table: ContingencyTable, p: RateLike, max_permutations: int, cache: dict
 ) -> tuple[dict[tuple[int, ...], int], int]:
-    """The swapper's exact output law on ``table`` at rate p: integer
-    numerators by canonical table key, and their common denominator.
-
-    p = 0, or a table with no stratum of two records (one with no cells
-    has none), releases the input table with probability one; p = 1
-    applies a uniform derangement of each whole stratum of size >= 2, so
-    a stratum's numerators are its all-moved counts over d(n).  Each
-    stratum's law is its pair counts at each table of its universe (at
-    most n! of them, so that cap never binds), dotted with the weights.
-    The composite denominator is the product of the strata's, which
-    depend only on the stratum sizes and the rate, so every member of a
-    universe shares it.  With p = a/c, ``cache`` holds each stratum law
-    under ``(counts, a, c)`` and the weights of an n-record stratum under
-    ``(n, p)``, besides what the pair counts hold under their names.
-    """
+    """The swapper's exact output law on ``table`` at rate p, the product
+    of its strata's :func:`_stratum_law`: integer numerators by canonical
+    key, and their denominator.  The product of n! (of d(n) at p = 1)
+    over the strata of at least two records is held to ``max_permutations``."""
     rate = to_exact_rate(p)
     a, c = rate.numerator, rate.denominator
     if not 0 <= a <= c:
         raise ValueError("rate must lie in [0, 1]")
-    domain = table.domain
-    cells = domain.hold * domain.swap
     flat = table.canonical_key()
-    strata = ((m * cells, flat[m * cells : (m + 1) * cells]) for m in range(domain.match))
-    active = [(lo, counts) for lo, counts in strata if sum(counts) >= 2]
-    if a == 0 or not active:
+    if a == 0:
         return {flat: 1}, 1
-    _permutation_guard([sum(counts) for _, counts in active], a == c, max_permutations)
-
-    nums = {flat: 1}
-    denom = 1
-    sx = domain.swap
-    for lo, counts in active:
-        law = cache.get((counts, a, c))
-        if law is None:
-            n = sum(counts)
-            weights, w_denom = _rate_weights(n, rate, cache)
-            hold = [sum(counts[h : h + sx]) for h in range(0, cells, sx)]
-            swap = [sum(counts[s::sx]) for s in range(sx)]
-            numerators = (
-                (t, sum(map(operator.mul, _pair_counts(counts, t, sx, cache), weights)))
-                for t in _tables_with_margins(hold, swap, math.factorial(n))
-            )
-            law = cache[counts, a, c] = {t: v for t, v in numerators if v}, w_denom
-        stratum, stratum_denom = law
-        hi = lo + cells
-        nums = {
-            key[:lo] + t + key[hi:]: v * u
-            for key, v in nums.items()
-            for t, u in stratum.items()
-        }
-        denom *= stratum_denom
-    if min(nums.values()) <= 0:
-        raise ValueError("probabilities must be positive rationals")
-    if sum(nums.values()) != denom:
-        raise ValueError("probabilities must sum to exactly one")
+    strata = _strata(flat, table.domain)
+    _permutation_guard([sum(counts) for counts in strata if sum(counts) >= 2], a == c, max_permutations)
+    nums, denom = {(): 1}, 1
+    for counts in strata:
+        tables, row = _stratum_law(counts, table.domain.swap, rate, max_permutations, cache)
+        nums = {key + t: v * u for key, v in nums.items() for t, u in zip(tables, row) if u}
+        denom *= sum(row)
     return nums, denom
-
-
-def _move_counts(keys: Sequence[tuple[int, ...]], swap_levels: int, cache: dict) -> list[list[list[int]]]:
-    """The move-count matrix of the stratum universe of tables ``keys``:
-    entry [i][j] is N_{T_i}(T_j, .), by :func:`_pair_counts`, so each
-    unordered pair runs the kernel once.  Held in ``cache`` under the
-    tuple of keys."""
-    held = tuple(keys)
-    if held not in cache:
-        cache[held] = [[_pair_counts(x, t, swap_levels, cache) for t in keys] for x in keys]
-    return cache[held]
-
-
-def _stratum_laws(
-    keys: Sequence[tuple[int, ...]], domain: Domain, rate: Fraction, max_permutations: int, cache: dict
-) -> list[list[int]]:
-    """The laws of the tables of one stratum universe as numerator rows
-    aligned with ``keys``: the move-count matrix dotted with the rate's
-    weights, after :func:`_law`'s checks in its order."""
-    a, c = rate.numerator, rate.denominator
-    if not 0 <= a <= c:
-        raise ValueError("rate must lie in [0, 1]")
-    n = sum(keys[0])
-    if a == 0 or n < 2:
-        return [[int(i == j) for j in range(len(keys))] for i in range(len(keys))]
-    _permutation_guard([n], a == c, max_permutations)
-    weights, denom = _rate_weights(n, rate, cache)
-    matrix = _move_counts(keys, domain.swap, cache)
-    rows = [[sum(map(operator.mul, by_moved, weights)) for by_moved in row] for row in matrix]
-    if any(sum(row) != denom for row in rows):
-        raise ValueError("probabilities must sum to exactly one")
-    return rows
 
 
 def _fewest_moves(
     keys: Sequence[tuple[int, ...]], domain: Domain, cache: dict
 ) -> list[list[Union[int, None]]]:
     """The fewest records a within-stratum permutation moves to carry table
-    i of a universe onto table j, or None: per stratum, the first nonzero
-    entry of the move-count matrix of the universe of its distinct rows."""
-    cells = domain.hold * domain.swap
+    i of a universe onto table j, or None: summed over the strata, the
+    first nonzero entry of the strata's :func:`_pair_counts`."""
     fewest: list[list] = [[0] * len(keys) for _ in keys]
-    for m in range(domain.match):
-        parts = [key[m * cells : (m + 1) * cells] for key in keys]
-        stratum = sorted(set(parts))
-        moves = [
-            [next((k for k, ways in enumerate(by_moved) if ways), None) for by_moved in row]
-            for row in _move_counts(stratum, domain.swap, cache)
-        ]
-        at = [stratum.index(part) for part in parts]
-        fewest = [
-            [None if k is None or moves[a][b] is None else k + moves[a][b] for k, b in zip(row, at)]
-            for row, a in zip(fewest, at)
-        ]
+    for parts in zip(*(_strata(key, domain) for key in keys)):
+        for row, x in zip(fewest, parts):
+            for j, t in enumerate(parts):
+                moved = next((k for k, n in enumerate(_pair_counts(x, t, domain.swap, cache)) if n), None)
+                row[j] = None if row[j] is None or moved is None else row[j] + moved
     return fewest
 
 
-def _row_ratio(us: Sequence[int], vs: Sequence[int]) -> Union[tuple[Fraction, Union[int, None]], None]:
-    """The largest ratio either way round of two aligned numerator rows
-    (0 off the support), by cross-multiplication, and the first index
-    attaining it; None when the supports differ."""
-    best_num = best_den = 1
-    at = None
+def _row_ratio(us: Sequence[int], vs: Sequence[int]) -> Union[tuple[int, ...], None]:
+    """The largest u/v and the largest v/u of two aligned numerator rows
+    (0 off the support), each as numerator, denominator and first index
+    attaining it, six ints; None when the supports differ.  Both start at
+    1 at index 0; with one sum, a side stays there only if all entries
+    are equal, and an entry can raise only the side it leans toward."""
+    up_num = up_den = down_num = down_den = 1
+    up = down = 0
     for index, u, v in zip(itertools.count(), us, vs):
-        if u < v:
-            u, v = v, u
-        if not v:
-            if u:
+        if u > v:
+            if not v:
                 return None
-            continue
-        if u * best_den > best_num * v or at is None:
-            best_num, best_den, at = u, v, index
-    return Fraction(best_num, best_den), at
+            if u * up_den > up_num * v:
+                up_num, up_den, up = u, v, index
+        elif u < v:
+            if not u:
+                return None
+            if v * down_den > down_num * u:
+                down_num, down_den, down = v, u, index
+    return up_num, up_den, up, down_num, down_den, down
+
+
+def _pair_ratio(law: Sequence, other: Sequence) -> Union[tuple[Fraction, tuple[int, ...]], None]:
+    """The largest atom ratio either way round of two laws, each as its
+    strata's ``(tables, row)``, and the smallest key attaining it, by the
+    pair lemma over the strata's :func:`_row_ratio` (see the module
+    docstring); None when the supports differ, as when a stratum's laws
+    lie over different universes (one cache holds one list per universe)."""
+    up_num = up_den = down_num = down_den = 1
+    up = down = ()
+    for (tables, us), (other_tables, vs) in zip(law, other):
+        hit = _row_ratio(us, vs) if tables is other_tables else None
+        if hit is None:
+            return None
+        n, d, i, n2, d2, i2 = hit
+        up_num, up_den, up = up_num * n, up_den * d, up + tables[i]
+        down_num, down_den, down = down_num * n2, down_den * d2, down + tables[i2]
+    lean = up_num * down_den - down_num * up_den
+    if lean < 0 or not lean and down < up:
+        return Fraction(down_num, down_den), down
+    return Fraction(up_num, up_den), up
 
 
 def _largest_ratio(
     nums: Mapping[tuple[int, ...], int], other: Mapping[tuple[int, ...], int]
 ) -> Union[tuple[Fraction, tuple[int, ...]], None]:
-    """:func:`max_probability_ratio` of two laws at one rate, given their
-    numerators.  Equal supports mean equal margins, so equal stratum
-    sizes and one shared denominator: each atom ratio is a ratio of
-    numerators, compared in key order."""
+    """:func:`max_probability_ratio` of two laws with one denominator,
+    given their numerators: each atom ratio is a ratio of numerators,
+    compared in key order as one row."""
     keys = sorted(nums.keys() | other.keys())
-    hit = _row_ratio([nums.get(key, 0) for key in keys], [other.get(key, 0) for key in keys])
-    return None if hit is None else (hit[0], None if hit[1] is None else keys[hit[1]])
+    return _pair_ratio(*([(keys, [law.get(key, 0) for key in keys])] for law in (nums, other)))
 
 
 def _log_ratio(hit: Union[tuple[Fraction, object], None]) -> float:
@@ -663,9 +671,8 @@ def verify_dp(
     if d_ham == 0:
         return DpVerdict(0.0, budget.epsilon, (x, x_prime, None), True)
     cache: dict = {}
-    hit = _largest_ratio(
-        *(_law(t, rate, max_permutations, cache)[0] for t in (table, table_prime))
-    )
+    keys = table.canonical_key(), table_prime.canonical_key()
+    hit = _pair_ratio(*(_table_law(key, x.domain, rate, max_permutations, cache) for key in keys))
     if hit is None:
         return DpVerdict(math.inf, budget.epsilon, (x, x_prime, None), False)
     measured = _log_ratio(hit) / d_ham
@@ -680,22 +687,24 @@ def measured_optimal_epsilon(
     max_permutations: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> float:
     """The exact pointwise-optimal budget of one universe at rate p:
-    the max over pairs of multiplicative distance per unit Hamming.
+    the max over pairs of multiplicative distance per unit Hamming, each
+    pair compared stratum by stratum (:func:`_pair_ratio`).
 
-    Both guards refuse before any pair is built: the first table's law
-    (every member has the same strata sizes, so the same permutation
-    count), then the C(U, 2) pairs, which ``max_permutations`` bounds too."""
+    Both guards refuse before any pair is built: the first table's
+    stratum laws (every member has the same stratum sizes), each held to
+    ``max_permutations``, then the C(U, 2) pairs, which it bounds too."""
     tables = list(universe)
     if len(tables) <= 1:
         return 0.0
+    rate, domain = to_exact_rate(p), tables[0].domain
+    keys = [t.canonical_key() for t in tables]
     cache: dict = {}
-    _law(tables[0], p, max_permutations, cache)
+    _table_law(keys[0], domain, rate, max_permutations, cache)
     pairs = math.comb(len(tables), 2)
     if pairs > max_permutations:
         raise EnumerationBudgetError(f"{pairs} table pairs exceed the budget of {max_permutations}")
-    laws = [_law(t, p, max_permutations, cache)[0] for t in tables]
-    keys = sorted(set().union(*laws))
-    return _optimum([[law.get(key, 0) for key in keys] for law in laws], _distances(tables, hamming_distance))
+    laws = [_table_law(key, domain, rate, max_permutations, cache) for key in keys]
+    return _optimum(laws, _distances(keys, _key_distance))
 
 
 def _key_distance(key: Sequence[int], other: Sequence[int]) -> int:
@@ -712,19 +721,18 @@ def _distances(items: Sequence, distance) -> list[list[Union[int, float]]]:
     return matrix
 
 
-def _pair_values(
-    rows: Sequence[Sequence[int]], distances: Sequence[Sequence]
-) -> Iterator[tuple[int, int, float]]:
+def _pair_values(laws: Sequence[Sequence], distances: Sequence[Sequence]) -> Iterator[tuple[int, int, float]]:
     """Multiplicative distance per unit of d_Ham, ``(i, j, value)``, for
-    each pair i < j with d_Ham > 0 of one universe's aligned laws."""
-    for i, row in enumerate(rows):
-        for j in range(i + 1, len(rows)):
+    each pair i < j with d_Ham > 0 of one universe's laws, each given as
+    its strata's :func:`_stratum_law`."""
+    for i, law in enumerate(laws):
+        for j in range(i + 1, len(laws)):
             if distances[i][j]:
-                yield i, j, _log_ratio(_row_ratio(row, rows[j])) / distances[i][j]
+                yield i, j, _log_ratio(_pair_ratio(law, laws[j])) / distances[i][j]
 
 
-def _optimum(rows: Sequence[Sequence[int]], distances: Sequence[Sequence]) -> float:
-    return max((value for _, _, value in _pair_values(rows, distances)), default=0.0)
+def _optimum(laws: Sequence[Sequence], distances: Sequence[Sequence]) -> float:
+    return max((value for _, _, value in _pair_values(laws, distances)), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -983,17 +991,6 @@ def _orbit_ids(mh: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(ranks.reshape(universes, match), axis=1), rows[order[starts]]
 
 
-def _composite_laws(
-    keys: Sequence[tuple[int, ...]], domain: Domain, rate: Fraction, max_permutations: int, cache: dict
-) -> list[list[int]]:
-    """:func:`_stratum_laws` over several strata: each table's :func:`_law`."""
-    laws = [_law(_table(domain, key), rate, max_permutations, cache) for key in keys]
-    rows = [[nums.get(key, 0) for key in keys] for nums, _ in laws]
-    if any(sum(row) != denom for row, (_, denom) in zip(rows, laws)):
-        raise ValueError("probabilities must sum to exactly one")
-    return rows
-
-
 def _table(domain: Domain, key: Sequence[int]) -> ContingencyTable:
     return ContingencyTable(np.array(key, dtype=np.int64).reshape(domain.shape))
 
@@ -1009,12 +1006,12 @@ def _check_universe(
 ) -> tuple[UniverseCheck, list[str]]:
     """Every check :func:`dp_sweep` makes on one universe, given its
     tables' canonical keys over ``domain`` and its b and witnessed
-    conditions: its summary and the failures it finds.  The connecting
-    minima are read off the strata's move-count matrices, and so are the
-    laws of one stratum; those of several strata are :func:`_law`'s."""
+    conditions: its summary and the failures it finds.  Each table's law
+    is its strata's rows, pairs are compared by the pair lemma, and the
+    connecting minima are read off the strata's pair counts."""
     b, witnessed = witness
-    laws = _stratum_laws if domain.match == 1 else _composite_laws
     distances = _distances(keys, _key_distance)
+    strata = [_strata(key, domain) for key in keys]
     failures: list[str] = []
     measured_by_p: dict[float, float] = {}
     budget_by_p: dict[float, float] = {}
@@ -1023,15 +1020,18 @@ def _check_universe(
         if (p, b) not in bounds:
             bounds[p, b] = psa_budget(p, b), psa_lower_bounds(p, b)
         budget, lower = bounds[p, b]
-        rows = laws(keys, domain, rate, max_permutations, cache)
-        for key, row in zip(keys, rows):
-            if 0 in row:
+        laws = [
+            [_stratum_law(part, domain.swap, rate, max_permutations, cache) for part in parts]
+            for parts in strata
+        ]
+        for key, law in zip(keys, laws):
+            if any(0 in row for _, row in law):
                 failures.append(
                     f"support differs from universe at p={rate} for "
                     f"{_table(domain, key).canonical_string()}"
                 )
         measured = 0.0
-        for i, j, value in _pair_values(rows, distances):
+        for i, j, value in _pair_values(laws, distances):
             measured = max(measured, value)
             if value > budget.epsilon + LOG_SLACK:
                 failures.append(
@@ -1072,15 +1072,15 @@ def dp_sweep(
     pointwise-optimal budget sits between the applicable lower bounds
     and the closed-form budget.
     For each ordered same-universe pair, the fewest records a
-    within-stratum permutation moves between them, read off the
-    move-count matrices, equals d_Ham (which no permutation beats), so
-    some permutation moving exactly d_Ham records connects the pair.
+    within-stratum permutation moves between them, read off the strata's
+    pair counts, equals d_Ham (which no permutation beats), so some
+    permutation moving exactly d_Ham records connects the pair.
 
     One stratum is the unit of work (see the module docstring).  Each
     distinct sorted stratum row of hold and swap margins is checked once,
-    by :func:`_check_universe` on its single-stratum universe, whose
-    move-count matrix gives its laws at every rate and its connecting
-    minima.  A relabelling orbit of universes, the sorted tuple of its
+    by :func:`_check_universe` on its single-stratum universe, whose pair
+    counts give its laws at every rate and its connecting minima.  A
+    relabelling orbit of universes, the sorted tuple of its
     strata's ranks, gets one :class:`UniverseCheck`: b and the measured
     optimum the largest of its strata's, the budget at that b, and its
     size; the lower bounds it witnesses combine its strata's flags,
@@ -1101,7 +1101,7 @@ def dp_sweep(
     each.  Tables are count tuples; no dataset or permutation is built.
     The budget and lower bounds are computed once per (rate, b), both
     functions of the float rate; row polynomials, pair counts,
-    move-count matrices and weights are shared through one cache.
+    universes, stratum laws and weights are shared through one cache.
 
     Every rate must lie strictly inside (0, 1), as an exact rational and
     as a float, since the budget is computed at the float: at an
@@ -1140,7 +1140,7 @@ def dp_sweep(
     holds, swaps = stratum_rows[:, : domain.hold], stratum_rows[:, domain.hold :]
     strata = []
     for h, s, flags in zip(holds.tolist(), swaps.tolist(), _stratum_flags(SwapInvariants(holds, swaps))):
-        keys = _tables_with_margins(h, s, max_permutations)
+        keys = _universe(tuple(h), tuple(s), max_permutations, cache)
         check, found = _check_universe(
             keys, one, _orbit_witness([flags]), rates, max_permutations, cache, bounds
         )
@@ -1206,8 +1206,8 @@ def universe_report(
     The measured optimum is the largest over the distinct sorted strata
     of each one's universe on its own (see the module docstring), each
     held to ``max_permutations``; ``universe_size`` is the product of
-    the strata's universe sizes.  Each distinct stratum universe's
-    move-count matrix is built once and gives its laws at every rate,
+    the strata's universe sizes.  Each distinct stratum universe's pair
+    counts are built once, give its laws at every rate, and those are
     compared pair by pair as in :func:`dp_sweep`.  At the endpoint rates
     an infinite measurement is the expected outcome (the budget is
     infinite there too); rows carry a flag so reports can mark them
@@ -1220,20 +1220,20 @@ def universe_report(
         raise ValueError(f"rates inside (0, 1) that round to 0.0 or 1.0 as floats: {', '.join(refused)}")
     inv = swap_invariants(x)
     keys = [(tuple(h), tuple(s)) for h, s in zip(*(np.sort(a, axis=1).tolist() for a in (inv.mh, inv.ms)))]
-    strata = {key: _tables_with_margins(*key, max_permutations) for key in dict.fromkeys(keys)}
+    cache: dict = {}
+    strata = {key: _universe(*key, max_permutations, cache) for key in dict.fromkeys(keys)}
     size = math.prod(len(strata[key]) for key in keys)
     b = invariant_stratum_bound(inv)
-    cache: dict = {}
     distances: dict = {}
 
     def optimum(key, rate):
         tables = strata[key]
         if len(tables) <= 1:
             return 0.0
-        rows = _stratum_laws(tables, x.domain, rate, max_permutations, cache)
+        laws = [[_stratum_law(t, x.domain.swap, rate, max_permutations, cache)] for t in tables]
         if key not in distances:
             distances[key] = _distances(tables, _key_distance)
-        return _optimum(rows, distances[key])
+        return _optimum(laws, distances[key])
 
     rows = []
     for rate in rates:

@@ -35,7 +35,7 @@ from permuswap import (
 )
 from permuswap import exact
 from permuswap import dataset as dataset_module
-from permuswap.dataset import ContingencyTable, Dataset, Domain
+from permuswap.dataset import ContingencyTable, Dataset, Domain, dataset_from_table
 from permuswap.exact import (
     DEFAULT_ENUMERATION_BUDGET,
     ExactDistribution,
@@ -389,18 +389,25 @@ class TestMeasuredOptimal:
                 assert measured >= bound - 1e-12, condition
 
     def test_law_guard_refuses_before_any_pair(self, monkeypatch):
-        """Two b = 10 ratio-witness strata: 126**2 tables, 126M pairs and
-        10!**2 > 10**7 permutations per law.  The first table's law
-        refuses before one d_Ham is computed."""
+        """Two b = 10 ratio-witness strata: each stratum's 10! is within
+        the guard, but 126**2 tables make C(126**2, 2) > 10**7 pairs, and
+        the pair guard refuses before one d_Ham is computed.  One
+        11-record stratum of six tables: its 11! > 10**7 permutations
+        refuse at the first table's law, before any pair."""
         stratum = [(0, 0), (1, 1)] + [(2, 2)] * 4 + [(3, 3)] * 4
         x = make_dataset([(m, h, s) for m in range(2) for h, s in stratum], (2, 4, 4))
         universe = enumerate_universe(x)
         assert len(universe) == 126**2
         calls = []
-        monkeypatch.setattr(exact, "hamming_distance", lambda *tables: calls.append(tables) or 1)
-        permutations = math.factorial(10) ** 2
-        with pytest.raises(EnumerationBudgetError, match=f"^{permutations} composite permutations exceed"):
+        monkeypatch.setattr(exact, "_key_distance", lambda *keys: calls.append(keys) or 1)
+        pairs = math.comb(126**2, 2)
+        with pytest.raises(EnumerationBudgetError, match=f"^{pairs} table pairs exceed the budget of 10000000$"):
             measured_optimal_epsilon(universe, Fraction(96, 125))
+        eleven = enumerate_universe(make_dataset([(0, 0, 0)] * 5 + [(0, 1, 1)] * 6, (1, 2, 2)))
+        assert len(eleven) == 6
+        permutations = math.factorial(11)
+        with pytest.raises(EnumerationBudgetError, match=f"^{permutations} composite permutations exceed"):
+            measured_optimal_epsilon(eleven, Fraction(96, 125))
         assert calls == []
 
     def test_pair_guard_refuses_before_any_pair(self, monkeypatch):
@@ -414,10 +421,63 @@ class TestMeasuredOptimal:
         assert measured == pytest.approx(math.log(2), abs=1e-12)
         assert measured_optimal_epsilon(universe, Fraction(1, 3), max_permutations=28) == measured
         calls = []
-        monkeypatch.setattr(exact, "hamming_distance", lambda *tables: calls.append(tables) or 1)
+        monkeypatch.setattr(exact, "_key_distance", lambda *keys: calls.append(keys) or 1)
         with pytest.raises(EnumerationBudgetError, match="^28 table pairs exceed the budget of 27$"):
             measured_optimal_epsilon(universe, Fraction(1, 3), max_permutations=27)
         assert calls == []
+
+    def test_tables_of_different_universes_are_infinitely_apart(self, two_record_pair):
+        """Two tables of one size whose margins differ: their laws lie over
+        different universes, so their supports differ."""
+        x, _ = two_record_pair
+        tables = [tabulate(x), tabulate(make_dataset([(0, 0, 0), (0, 1, 0)], (1, 2, 2)))]
+        assert measured_optimal_epsilon(tables, Fraction(1, 3)) == math.inf
+
+    @pytest.mark.parametrize(
+        "rate, expected",
+        [
+            (Fraction(1, 10), 2.8697848583844943),
+            (Fraction(1, 2), 0.9772969764399857),
+            (Fraction(9, 10), 0.06414436337977136),
+        ],
+    )
+    def test_two_eight_record_strata_within_the_default_guard(self, rate, expected):
+        """Two strata of two records in each cell of 2x2x2: 25 tables,
+        whose composite laws sum over 8!**2 > 10**7 permutations.  Each
+        stratum's 8! is within the default guard, so both pair APIs
+        answer there, with the composite law's values at a lifted guard
+        and universe_report's rows.  exact_psa_distribution, which builds
+        the composite law, still refuses."""
+        x = make_dataset([(m, h, s) for m in range(2) for h in range(2) for s in range(2)] * 2, (2, 2, 2))
+        universe = enumerate_universe(x)
+        assert len(universe) == 25
+        measured = measured_optimal_epsilon(universe, rate)
+        assert measured == expected
+        (row,) = universe_report(x, [rate])
+        assert row.measured_optimal == measured
+        first, last = universe[0], universe[-1]
+        verdict = verify_dp(dataset_from_table(first), dataset_from_table(last), rate, psa_budget(float(rate), 8))
+        assert verdict.measured == measured_optimal_epsilon([first, last], rate) <= measured
+        assert verdict.passed
+        permutations = math.factorial(8) ** 2
+        with pytest.raises(EnumerationBudgetError, match=f"^{permutations} composite permutations exceed"):
+            exact_psa_distribution(x, rate)
+
+
+@pytest.mark.parametrize("rate", [Fraction(3, 2), Fraction(-1, 2)])
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda x, y, rate: measured_optimal_epsilon(enumerate_universe(x), rate), r"rate must lie in \[0, 1\]"),
+        (lambda x, y, rate: verify_dp(x, y, rate, psa_budget(0.5, 2)), "verification needs 0 < p < 1"),
+        (lambda x, y, rate: exact_psa_distribution(x, rate), r"rate must lie in \[0, 1\]"),
+    ],
+    ids=["measured_optimal_epsilon", "verify_dp", "exact_psa_distribution"],
+)
+def test_rates_outside_the_unit_interval_are_refused(two_record_pair, check, message, rate):
+    x, swapped = two_record_pair
+    with pytest.raises(ValueError, match=message):
+        check(x, swapped, rate)
 
 
 class TestConnectingPermutation:
@@ -698,9 +758,9 @@ class TestSweep:
         assert report.all_pass
 
     def test_connecting_minimum_off_d_ham_fails_the_sweep(self, monkeypatch, capsys):
-        """A connecting minimum one above d_Ham, read off the move-count
-        matrix, is listed for every ordered pair, fails the report, and
-        exits the CLI with code 3."""
+        """A connecting minimum one above d_Ham, read off the pair counts,
+        is listed for every ordered pair, fails the report, and exits the
+        CLI with code 3."""
         from permuswap.cli import main
 
         fewest_moves = exact._fewest_moves
@@ -729,10 +789,10 @@ class TestSweep:
         integer weight vector per (n, rate), one kernel run per unordered
         pair of tables and one polynomial per pair of hold rows and
         stratum size, shared by the laws and the connecting minimum
-        through one move-count matrix per universe, no brute force, no
-        composite law, one SwapInvariants for all strata and none per
-        orbit, and no dataset, connecting permutation or tabulated table
-        at all.
+        through the pair counts, one stratum law per (table, rate), no
+        brute force, no composite law, one SwapInvariants for all strata
+        and none per orbit, and no dataset, connecting permutation or
+        tabulated table at all.
         The reported counts cover every universe."""
         domain = Domain(2, 2, 2)
         universes: dict = {}
@@ -761,7 +821,7 @@ class TestSweep:
             "_check_universe": [],
             "_key_distance": [],
             "hamming_distance": [],
-            "_move_counts": [],
+            "_stratum_law": [],
             "_law": [],
             "SwapInvariants": [],
             "min_connecting_derangement": [],
@@ -789,12 +849,10 @@ class TestSweep:
         assert len(calls["_check_universe"]) == len(singles)
         assert len(calls["_key_distance"]) == sum(math.comb(n, 2) for n in checked)
         assert calls["hamming_distance"] == []
-        matrices = [tuple(keys) for keys, _, _ in calls["_move_counts"]]
-        assert set(matrices) == {
-            tuple(sorted(t.canonical_key() for t in tables))
-            for tables in singles.values()
-            if tables[0].counts.sum() >= 2
-        }
+        laws = [(counts, rate) for counts, _, rate, _, _ in calls["_stratum_law"]]
+        assert len(laws) == len(set(laws))
+        tables = [t for members in singles.values() for t in members]
+        assert set(laws) == {(t.canonical_key(), rate) for t in tables for rate in rates}
         assert calls["_law"] == []
         assert len(calls["SwapInvariants"]) == 1
         assert calls["min_connecting_derangement"] == []

@@ -43,6 +43,7 @@ from permuswap import (
     mape,
     max_probability_ratio,
     max_stratum_b,
+    measured_optimal_epsilon,
     read_csv_columns,
     run_psa,
     run_psa_details,
@@ -53,6 +54,7 @@ from permuswap import (
     swap_invariants,
     tabulate,
     utility_experiment,
+    verify_dp,
     write_dataset_csv,
 )
 from permuswap.budget import LowerBound, derangement_count, psa_budget
@@ -1335,6 +1337,13 @@ def _margins(counts, swap_levels):
     return [sum(row) for row in rows], [sum(column) for column in zip(*rows)]
 
 
+def _pair_count_matrix(keys, swap_levels):
+    """The kernel's pair counts of every ordered pair of a stratum universe,
+    through one cache."""
+    cache = {}
+    return [[exact._pair_counts(x, t, swap_levels, cache) for t in keys] for x in keys]
+
+
 @pytest.mark.parametrize(
     "hold, swap",
     [((4, 4), (4, 4)), ((1, 1, 4, 4), (1, 1, 4, 4))],
@@ -1345,7 +1354,7 @@ def test_move_counts_match_the_flow_walk(hold, swap):
     the 5-table universe of two records per cell and on the 126-table
     b = 10 ratio witness."""
     keys = exact._tables_with_margins(hold, swap, 10**6)
-    assert exact._move_counts(keys, len(swap), {}) == ref_move_counts(keys, len(swap))
+    assert _pair_count_matrix(keys, len(swap)) == ref_move_counts(keys, len(swap))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1355,7 +1364,7 @@ def test_move_counts_match_the_flow_walk(hold, swap):
 def test_move_counts_match_the_flow_walk_on_drawn_strata(case):
     counts, swap_levels = case
     keys = exact._tables_with_margins(*_margins(counts, swap_levels), 10**6)
-    assert exact._move_counts(keys, swap_levels, {}) == ref_move_counts(keys, swap_levels)
+    assert _pair_count_matrix(keys, swap_levels) == ref_move_counts(keys, swap_levels)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1390,6 +1399,66 @@ def composite_tables(draw):
 def test_law_is_the_product_of_flow_walk_laws(table, rate):
     nums, denom = exact._law(table, rate, DEFAULT_ENUMERATION_BUDGET, {})
     assert {key: Fraction(v, denom) for key, v in nums.items()} == ref_composite_law(table, rate)
+
+
+@st.composite
+def same_universe_tables(draw):
+    """A table of composite_tables and a member of its universe that keeps
+    each stratum or takes any table of that stratum's universe."""
+    table = draw(composite_tables())
+    key = ()
+    for counts in exact._strata(table.canonical_key(), table.domain):
+        if not draw(st.booleans()):
+            counts = draw(st.sampled_from(exact._tables_with_margins(*_margins(counts, table.domain.swap), 10**6)))
+        key += counts
+    return table, ContingencyTable(np.array(key, dtype=np.int64).reshape(table.domain.shape))
+
+
+def _tables(domain, *keys):
+    return tuple(ContingencyTable(np.array(key, dtype=np.int64).reshape(domain)) for key in keys)
+
+
+ONE_RECORD = (0, 0, 0, 0, 1, 0, 0, 0, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_universe_tables(), st.fractions(0, 1, max_denominator=300).filter(lambda r: 0 < r < 1))
+@example(_tables((2, 2, 2), (1, 0, 0, 1, 1, 0, 0, 0), (0, 1, 1, 0, 1, 0, 0, 0)), Fraction(1, 3))
+@example(_tables((2, 2, 2), (0, 1, 1, 0, 1, 0, 0, 0), (1, 0, 0, 1, 1, 0, 0, 0)), Fraction(1, 3))
+@example(_tables((3, 2, 2), (2, 0, 0, 2, 1, 1, 1, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0)), Fraction(9, 10))
+@example(_tables((2, 3, 3), (1, 0, 0, 0, 1, 0, 0, 0, 1) + ONE_RECORD, (0, 1, 0, 0, 0, 1, 1, 0, 0) + ONE_RECORD), Fraction(1, 2))
+def test_pair_lemma_matches_the_composite_law(pair, rate):
+    """The largest atom ratio of two same-universe laws of two or three
+    strata, some shared and some of fewer than two records: the pair
+    lemma over the strata's rows, verify_dp and measured_optimal_epsilon
+    give the ratio, its float and the witness key of the composite laws
+    compared as one row, which are the Fraction loop's.  On a universe
+    of at most 40 tables, so is the measured optimum."""
+    table, other = pair
+    domain = table.domain
+    laws = [exact._law(t, rate, DEFAULT_ENUMERATION_BUDGET, {}) for t in pair]
+    reference = exact._largest_ratio(*(nums for nums, _ in laws))
+    dists = [ExactDistribution(domain, {key: Fraction(v, denom) for key, v in nums.items()}) for nums, denom in laws]
+    assert reference == ref_max_probability_ratio(*dists)
+    ratio, key = reference
+
+    cache = {}
+    laws = [exact._table_law(t.canonical_key(), domain, rate, 10**6, cache) for t in pair]
+    assert exact._pair_ratio(*laws) == reference
+
+    x, x_prime = map(dataset_from_table, pair)
+    verdict = verify_dp(x, x_prime, rate, psa_budget(float(rate), max_stratum_b(x)))
+    d_ham = hamming_distance(table, other)
+    value = (math.log(ratio.numerator) - math.log(ratio.denominator)) / max(d_ham, 1)
+    assert verdict.measured == value
+    assert measured_optimal_epsilon(pair, rate) == value
+    _, _, witness = verdict.witness
+    assert (witness.canonical_key() if d_ham else witness) == (key if d_ham else None)
+    universe = enumerate_universe(table)
+    if len(universe) <= 40:
+        composite = [exact._law(t, rate, DEFAULT_ENUMERATION_BUDGET, {})[0] for t in universe]
+        expected = max((value for _, _, value in ref_pair_values(composite, universe)), default=0.0)
+        assert measured_optimal_epsilon(universe, rate) == expected
 
 
 @st.composite
@@ -1600,8 +1669,8 @@ def test_orbit_ids_matches_unique(case):
 
 
 def _stratum_checks(holds, swaps, rates):
-    """The sweep's check of one stratum universe from its move-count
-    matrix, and the reference check on its tables by key."""
+    """The sweep's check of one stratum universe from its stratum laws
+    and pair counts, and the reference check on its tables by key."""
     inv = SwapInvariants(np.array([holds], dtype=np.int64), np.array([swaps], dtype=np.int64))
     keys = exact._tables_with_margins(holds, swaps, DEFAULT_ENUMERATION_BUDGET)
     witness = exact._orbit_witness(exact._stratum_flags(inv))
