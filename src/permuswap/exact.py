@@ -37,8 +37,9 @@ of records moved, dotted with the rate's weights.  Every oracle API
 reads these rows (:func:`_stratum_law`); only
 :func:`exact_psa_distribution` multiplies them into a composite law.
 Row polynomials, pair counts, universes, stratum laws and weights are
-cached for the length of one public call, so a sweep or a universe
-report shares them across its datasets and rates.
+cached for one public call, shared across its datasets and rates (a law
+at a new rate dots the cached pair counts with its weights); multinomials
+and fixed-point counts, functions of integers alone, for the process.
 
 With the exact distributions in hand, the Lipschitz condition
 
@@ -198,7 +199,8 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _multinomial(parts: Sequence[int]) -> int:
+@functools.cache
+def _multinomial(parts: tuple[int, ...]) -> int:
     return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
 
 
@@ -214,26 +216,32 @@ def _splits(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
             yield (v, *rest)
 
 
+def _matrices(row_sums: Sequence[int], col_sums: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every non-negative integer matrix with the given row and column sums,
+    of one total, flattened row-major, in lexicographic order: each row
+    :func:`_splits` its total over the column sums left; the last takes the rest."""
+    if len(row_sums) <= 1 or not col_sums:
+        yield tuple(col_sums) if row_sums else ()
+        return
+    for row in _splits(row_sums[0], col_sums):
+        left = tuple(map(operator.sub, col_sums, row))
+        for rest in _matrices(row_sums[1:], left) if len(row_sums) > 2 else [left]:
+            yield row + rest
+
+
 def _row_polynomial(row: tuple[int, ...], target: tuple[int, ...], radix: int) -> dict[int, int]:
     """One hold row's polynomial: over the S x S flows F with row sums
     ``row`` and column sums ``target`` (the input and output row, of one
     total), the ways prod row[s]! / prod F! to choose which records of
     each cell receive which value, summed by F's diagonal, read as the
-    digits of one integer in base ``radix``.  Flow rows are filled in
-    turn over the column sums they leave; the last takes the rest."""
+    digits of one integer in base ``radix``."""
+    size = len(row)
+    powers = [radix**s for s in range(size)]
     poly: dict[int, int] = {}
-    last = len(row) - 1
-
-    def fill(s, left, ways, stay):
-        if s == last:
-            key = stay + left[s] * radix**s
-            poly[key] = poly.get(key, 0) + ways * _multinomial(left)
-            return
-        for cells in _splits(row[s], left):
-            after = tuple(map(operator.sub, left, cells))
-            fill(s + 1, after, ways * _multinomial(cells), stay + cells[s] * radix**s)
-
-    fill(0, target, 1, 0)
+    for flow in _matrices(row, target):
+        key = sum(map(operator.mul, flow[:: size + 1], powers))
+        ways = math.prod(map(_multinomial, zip(*[iter(flow)] * size)))
+        poly[key] = poly.get(key, 0) + ways
     return poly
 
 
@@ -349,9 +357,9 @@ def _stratum_law(
     aligned with them, whose sum depends only on n and the rate.  p = 0,
     or fewer than two records, releases the table itself.  Otherwise n!
     (d(n) at p = 1) is held to ``max_permutations`` before any work, and
-    entry j is the pair counts at table j dotted with the weights.  Held
-    in ``cache`` under ``(counts, a, c)``; the universe and pair counts
-    under ``counts`` in ``cache["moves"]``, the weights under ``(n, a, c)``."""
+    entry j is :func:`_pair_counts` at table j dotted with the weights.
+    Held in ``cache`` under ``(counts, a, c)``, the weights under
+    ``(n, a, c)`` and the universe, for the next rate, under ``(counts, swap_levels)``."""
     a, c = rate.numerator, rate.denominator
     law = cache.get((counts, a, c))
     if law is None:
@@ -369,12 +377,10 @@ def _stratum_law(
                 at_one = [0] * n + [1], derangement_count(n)
                 cache[n, a, c] = at_one if a == c else _stratum_weights(n, rate)
             weights, denom = cache[n, a, c]
-            moves = cache.setdefault("moves", {})
-            if counts not in moves:
-                tables = _universe(*_margins(counts, swap_levels), math.factorial(n), cache)
-                moves[counts] = tables, [_pair_counts(counts, t, swap_levels, cache) for t in tables]
-            tables, by_table = moves[counts]
-            row = [sum(map(operator.mul, by_moved, weights)) for by_moved in by_table]
+            if (counts, swap_levels) not in cache:
+                cache[counts, swap_levels] = _universe(*_margins(counts, swap_levels), math.factorial(n), cache)
+            tables = cache[counts, swap_levels]
+            row = [sum(map(operator.mul, _pair_counts(counts, t, swap_levels, cache), weights)) for t in tables]
             if sum(row) != denom:
                 raise ValueError("probabilities must sum to exactly one")
             law = tables, row
@@ -532,47 +538,18 @@ def _tables_with_margins(
     row_sums: Sequence[int], col_sums: Sequence[int], max_tables: int
 ) -> list[tuple[int, ...]]:
     """All non-negative integer H x S tables with the given margins,
-    flattened row-major, in lexicographic order.
-
-    Partial tables grow one row at a time over the column sums they
-    leave; those that leave the same sums share their next rows, built
-    once, cell by cell, for all such sums together.  In a row each cell
-    but the last counts from what the later cells cannot take up to
-    min(column left, row total left), and the last cell takes the rest.
-    With equal totals every partial table and partial row completes to
-    distinct tables, so each list is cut at ``max_tables + 1``:
+    flattened row-major, in lexicographic order: :func:`_matrices`, none
+    when the totals differ.  The walk is cut at ``max_tables + 1``, so
     :class:`EnumerationBudgetError` is raised exactly when more than
     ``max_tables`` tables exist, before more are built.
     """
     if sum(row_sums) != sum(col_sums):
         return []
-
-    def within_budget(tables):
-        # no list holds more than sys.maxsize items, so a larger budget never binds
-        tables = list(itertools.islice(tables, max(0, min(max_tables + 1, sys.maxsize))))
-        if len(tables) > max_tables:
-            raise EnumerationBudgetError(f"margin-constrained tables exceed the budget of {max_tables}")
-        return tables
-
-    tables = within_budget([((), tuple(col_sums))])
-    # with no columns every row total is 0, and the empty table is the one table
-    for total in row_sums if col_sums else ():
-        heads = [(left, ()) for left in {left for _, left in tables}]
-        for s in range(len(col_sums) - 1):
-            heads = within_budget(
-                (left, head + (v,))
-                for left, head in heads
-                for rest in (total - sum(head),)
-                for v in range(max(0, rest - sum(left[s + 1 :])), min(left[s], rest) + 1)
-            )
-        rows_after: dict[tuple[int, ...], list] = {}
-        for left, head in heads:
-            row = head + (total - sum(head),)
-            rows_after.setdefault(left, []).append((row, tuple(map(operator.sub, left, row))))
-        tables = within_budget(
-            (table + row, after) for table, left in tables for row, after in rows_after[left]
-        )
-    return [table for table, _ in tables]
+    # no list holds more than sys.maxsize items, so a larger budget never binds
+    tables = list(itertools.islice(_matrices(row_sums, col_sums), max(0, min(max_tables + 1, sys.maxsize))))
+    if len(tables) > max_tables:
+        raise EnumerationBudgetError(f"margin-constrained tables exceed the budget of {max_tables}")
+    return tables
 
 
 def enumerate_universe(
@@ -690,6 +667,8 @@ def measured_optimal_epsilon(
     the max over pairs of multiplicative distance per unit Hamming, each
     pair compared stratum by stratum (:func:`_pair_ratio`).
 
+    Tables of different record counts raise :class:`UniverseMismatchError`;
+    tables of one count whose margins differ are infinitely apart.
     Both guards refuse before any pair is built: the first table's
     stratum laws (every member has the same stratum sizes), each held to
     ``max_permutations``, then the C(U, 2) pairs, which it bounds too."""
@@ -698,13 +677,15 @@ def measured_optimal_epsilon(
         return 0.0
     rate, domain = to_exact_rate(p), tables[0].domain
     keys = [t.canonical_key() for t in tables]
+    if len(set(map(sum, keys))) > 1:
+        raise UniverseMismatchError("tables of different record counts share no universe")
     cache: dict = {}
     _table_law(keys[0], domain, rate, max_permutations, cache)
     pairs = math.comb(len(tables), 2)
     if pairs > max_permutations:
         raise EnumerationBudgetError(f"{pairs} table pairs exceed the budget of {max_permutations}")
     laws = [_table_law(key, domain, rate, max_permutations, cache) for key in keys]
-    return _optimum(laws, _distances(keys, _key_distance))
+    return _optimum(laws, _distances(keys))
 
 
 def _key_distance(key: Sequence[int], other: Sequence[int]) -> int:
@@ -712,12 +693,12 @@ def _key_distance(key: Sequence[int], other: Sequence[int]) -> int:
     return sum(map(abs, map(operator.sub, key, other))) // 2
 
 
-def _distances(items: Sequence, distance) -> list[list[Union[int, float]]]:
-    """d_Ham of every pair of ``items`` as a symmetric matrix, each
-    unordered pair computed once by ``distance``."""
-    matrix = [[0] * len(items) for _ in items]
-    for i, j in itertools.combinations(range(len(items)), 2):
-        matrix[i][j] = matrix[j][i] = distance(items[i], items[j])
+def _distances(keys: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """d_Ham of every pair of ``keys`` as a symmetric matrix, each
+    unordered pair computed once by :func:`_key_distance`."""
+    matrix = [[0] * len(keys) for _ in keys]
+    for i, j in itertools.combinations(range(len(keys)), 2):
+        matrix[i][j] = matrix[j][i] = _key_distance(keys[i], keys[j])
     return matrix
 
 
@@ -1010,7 +991,7 @@ def _check_universe(
     is its strata's rows, pairs are compared by the pair lemma, and the
     connecting minima are read off the strata's pair counts."""
     b, witnessed = witness
-    distances = _distances(keys, _key_distance)
+    distances = _distances(keys)
     strata = [_strata(key, domain) for key in keys]
     failures: list[str] = []
     measured_by_p: dict[float, float] = {}
@@ -1232,7 +1213,7 @@ def universe_report(
             return 0.0
         laws = [[_stratum_law(t, x.domain.swap, rate, max_permutations, cache)] for t in tables]
         if key not in distances:
-            distances[key] = _distances(tables, _key_distance)
+            distances[key] = _distances(tables)
         return _optimum(laws, distances[key])
 
     rows = []

@@ -433,6 +433,18 @@ class TestMeasuredOptimal:
         tables = [tabulate(x), tabulate(make_dataset([(0, 0, 0), (0, 1, 0)], (1, 2, 2)))]
         assert measured_optimal_epsilon(tables, Fraction(1, 3)) == math.inf
 
+    @pytest.mark.parametrize("other", [[(0, 0, 0)], [(0, 0, 0), (0, 1, 1)] * 2], ids=["one", "four"])
+    def test_tables_of_different_record_counts_share_no_universe(self, two_record_pair, other):
+        """A 2-record table against a 1- or 4-record one: no permutation
+        connects them, so the pair is refused as verify_dp refuses it,
+        not floored to a d_Ham of 0 or 1."""
+        x, _ = two_record_pair
+        tables = [tabulate(x), tabulate(make_dataset(other, (1, 2, 2)))]
+        with pytest.raises(UniverseMismatchError, match="different record counts"):
+            measured_optimal_epsilon(tables, Fraction(1, 3))
+        with pytest.raises(UniverseMismatchError):
+            verify_dp(x, dataset_from_table(tables[1]), Fraction(1, 3), psa_budget(1 / 3, 2))
+
     @pytest.mark.parametrize(
         "rate, expected",
         [

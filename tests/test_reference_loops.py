@@ -499,6 +499,21 @@ def ref_tables_with_margins(row_sums, col_sums, max_tables):
     return results
 
 
+def ref_row_polynomial(row, target):
+    """One hold row's polynomial, given its input and output row of one
+    total: over the S x S flows with those row and column sums, the
+    product of each flow row's multinomial, summed by the flow's
+    diagonal read as digits in base sum(row) + 1."""
+    size, radix = len(row), sum(row) + 1
+    poly = {}
+    for flow in ref_tables_with_margins(row, target, 10**6):
+        cells = [flow[lo : lo + size] for lo in range(0, size * size, size)]
+        ways = math.prod(math.factorial(sum(cell)) // math.prod(map(math.factorial, cell)) for cell in cells)
+        key = sum(cells[s][s] * radix**s for s in range(size))
+        poly[key] = poly.get(key, 0) + ways
+    return poly
+
+
 def ref_enumerate_small_datasets(domain, max_records):
     """Every dataset of at most max_records records, one per multiset of
     cells, built record by record from the cell combinations."""
@@ -1541,6 +1556,29 @@ def test_tables_with_margins_matches_the_cell_recursion(margins, max_tables):
             exact._tables_with_margins(row_sums, col_sums, max_tables)
     else:
         assert exact._tables_with_margins(row_sums, col_sums, max_tables) == tables
+
+
+@st.composite
+def row_pairs(draw):
+    """An input and an output hold row over S in 1..4 swap values, of one
+    total up to 8."""
+    size, total = draw(st.integers(1, 4)), draw(st.integers(0, 8))
+    picks = [draw(st.lists(st.integers(0, size - 1), min_size=total, max_size=total)) for _ in range(2)]
+    return tuple(tuple(p.count(s) for s in range(size)) for p in picks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_pairs())
+@example(((0,), (0,)))
+@example(((5,), (5,)))
+@example(((0, 0, 0), (0, 0, 0)))
+@example(((0, 3, 0, 1), (2, 0, 2, 0)))
+@example(((2, 2, 2, 2), (2, 2, 2, 2)))
+def test_row_polynomial_matches_the_cell_recursion(rows):
+    """The row polynomial's flows, walked by the shared matrix
+    enumerator, give the cell recursion's diagonal polynomial."""
+    row, target = rows
+    assert exact._row_polynomial(row, target, sum(row) + 1) == ref_row_polynomial(row, target)
 
 
 @settings(max_examples=40, deadline=None)
