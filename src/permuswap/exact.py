@@ -96,12 +96,12 @@ in a stratum realizing b.  (A pair that attains the optimum in several
 strata takes the logarithm of another fraction, so the composite's
 largest float can be an ulp or two above the stratum's.)
 
-The guard ``max_permutations`` holds each stratum law's permutation
-space, n! (d(n) at p = 1), before any work; the one exception is
-:func:`exact_psa_distribution`, whose composite law holds the product
-over the strata of at least two records to it.  It also bounds the
-stratum universes :func:`universe_report` and :func:`dp_sweep`
-enumerate, the tables of :func:`enumerate_universe`, the C(U, 2) pairs
+The guard ``max_permutations`` holds each stratum universe of U tables
+of n records to its U^2 (n + 1) pair counts, at any rate, where the
+universe is enumerated and before any pair count is built.  It also
+bounds the product of the strata's universe sizes for the composite law
+of :func:`exact_psa_distribution` and the tables of
+:func:`enumerate_universe`, the C(U, 2) pairs
 :func:`measured_optimal_epsilon` compares and the C(cells +
 max_records, max_records) datasets the sweep would enumerate.  The
 oracle raises rather than report a verdict above it.
@@ -299,13 +299,14 @@ def _pair_counts(x: tuple[int, ...], t: tuple[int, ...], swap_levels: int, cache
 
 
 def _stratum_weights(n: int, rate: Fraction) -> tuple[list[int], int]:
-    """:func:`permuswap.swapping.stratum_permutation_prob` for k = 0..n
-    at 0 < rate < 1, as integer numerators over one denominator.
+    """:func:`permuswap.swapping.stratum_permutation_prob` for k = 0..n at
+    0 <= rate <= 1 (n >= 2 at 1), as integer numerators over one denominator.
 
     With p = a/c and L = lcm(d(0), d(2), ..., d(n)), a permutation
     moving k records has weight a^k (c-a)^(n-k) L/d(k) over
     L (c^n - n a (c-a)^(n-1)).  No permutation moves exactly one
-    record, so entry 1 is 0.
+    record, so entry 1 is 0.  At p = 0 only the identity weighs (L over
+    L); at p = 1 only the d(n) derangements, each L/d(n) over L.
     """
     a, c = rate.numerator, rate.denominator
     d = [derangement_count(k) for k in range(n + 1)]
@@ -314,18 +315,6 @@ def _stratum_weights(n: int, rate: Fraction) -> tuple[list[int], int]:
         0 if k == 1 else a**k * (c - a) ** (n - k) * (lcm // d[k]) for k in range(n + 1)
     ]
     return weights, lcm * (c**n - n * a * (c - a) ** (n - 1))
-
-
-def _permutation_guard(sizes: Sequence[int], at_one: bool, max_permutations: int) -> None:
-    """Refuse a law summed over more than ``max_permutations`` permutations:
-    the running product of n! (of d(n) at p = 1) over the stratum sizes."""
-    total = 1
-    for n in sizes:
-        total *= derangement_count(n) if at_one else math.factorial(n)
-        if total > max_permutations:
-            raise EnumerationBudgetError(
-                f"{total} composite permutations exceed the budget of {max_permutations}"
-            )
 
 
 def _strata(key: tuple[int, ...], domain: Domain) -> list[tuple[int, ...]]:
@@ -340,12 +329,21 @@ def _margins(counts: tuple[int, ...], swap_levels: int) -> tuple[tuple[int, ...]
     return hold, tuple(sum(counts[s::swap_levels]) for s in range(swap_levels))
 
 
-def _universe(hold: tuple[int, ...], swap: tuple[int, ...], max_tables: int, cache: dict) -> list:
-    """One stratum universe's tables in key order (:func:`_tables_with_margins`),
-    held in ``cache["universes"]`` under the margins."""
+def _universe(hold: tuple[int, ...], swap: tuple[int, ...], budget: int, cache: dict) -> list:
+    """One stratum universe's tables in key order (:func:`_matrices`), held
+    in ``cache["universes"]`` under the margins.  U tables of n records
+    have U^2 (n + 1) pair counts; the walk is cut at
+    isqrt(budget // (n + 1)) + 1 tables, so :class:`EnumerationBudgetError`
+    is raised exactly when those exceed ``budget``, before more are built."""
     universes = cache.setdefault("universes", {})
     if (hold, swap) not in universes:
-        universes[hold, swap] = _tables_with_margins(hold, swap, max_tables)
+        n = sum(hold)
+        cap = math.isqrt(max(budget, 0) // (n + 1))
+        # no list holds more than sys.maxsize items, so a larger cap never binds
+        tables = list(itertools.islice(_matrices(hold, swap), min(cap + 1, sys.maxsize)))
+        if len(tables) > cap:
+            raise EnumerationBudgetError(f"at least {(cap + 1) ** 2 * (n + 1)} pair counts exceed the budget of {budget}")
+        universes[hold, swap] = tables
     return universes[hold, swap]
 
 
@@ -353,13 +351,13 @@ def _stratum_law(
     counts: tuple[int, ...], swap_levels: int, rate: Fraction, max_permutations: int, cache: dict
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """The swapper's exact law on one stratum table at rate p = a/c: the
-    tables of its stratum universe (at most n!), and integer numerators
-    aligned with them, whose sum depends only on n and the rate.  p = 0,
-    or fewer than two records, releases the table itself.  Otherwise n!
-    (d(n) at p = 1) is held to ``max_permutations`` before any work, and
-    entry j is :func:`_pair_counts` at table j dotted with the weights.
-    Held in ``cache`` under ``(counts, a, c)``, the weights under
-    ``(n, a, c)`` and the universe, for the next rate, under ``(counts, swap_levels)``."""
+    tables of its stratum universe (:func:`_universe`, held to
+    ``max_permutations``), and integer numerators aligned with them,
+    whose sum depends only on n and the rate.  Fewer than two records
+    release the table itself; otherwise entry j is :func:`_pair_counts`
+    at table j dotted with the weights.  Held in ``cache`` under
+    ``(counts, a, c)``, the weights under ``(n, a, c)`` and the universe,
+    for the next rate, under ``(counts, swap_levels)``."""
     a, c = rate.numerator, rate.denominator
     law = cache.get((counts, a, c))
     if law is None:
@@ -368,18 +366,13 @@ def _stratum_law(
         n = sum(counts)
         if n < 2:
             law = [counts], [1]
-        elif a == 0:
-            tables = _universe(*_margins(counts, swap_levels), math.factorial(n), cache)
-            law = tables, [int(t == counts) for t in tables]
         else:
-            if (n, a, c) not in cache:
-                _permutation_guard([n], a == c, max_permutations)
-                at_one = [0] * n + [1], derangement_count(n)
-                cache[n, a, c] = at_one if a == c else _stratum_weights(n, rate)
-            weights, denom = cache[n, a, c]
             if (counts, swap_levels) not in cache:
-                cache[counts, swap_levels] = _universe(*_margins(counts, swap_levels), math.factorial(n), cache)
+                cache[counts, swap_levels] = _universe(*_margins(counts, swap_levels), max_permutations, cache)
             tables = cache[counts, swap_levels]
+            if (n, a, c) not in cache:
+                cache[n, a, c] = _stratum_weights(n, rate)
+            weights, denom = cache[n, a, c]
             row = [sum(map(operator.mul, _pair_counts(counts, t, swap_levels, cache), weights)) for t in tables]
             if sum(row) != denom:
                 raise ValueError("probabilities must sum to exactly one")
@@ -401,20 +394,21 @@ def _law(
 ) -> tuple[dict[tuple[int, ...], int], int]:
     """The swapper's exact output law on ``table`` at rate p, the product
     of its strata's :func:`_stratum_law`: integer numerators by canonical
-    key, and their denominator.  The product of n! (of d(n) at p = 1)
-    over the strata of at least two records is held to ``max_permutations``."""
+    key, and their denominator.  The product of the universe sizes of the
+    strata of at least two records is held to ``max_permutations``
+    before any law is built."""
     rate = to_exact_rate(p)
-    a, c = rate.numerator, rate.denominator
-    if not 0 <= a <= c:
-        raise ValueError("rate must lie in [0, 1]")
     flat = table.canonical_key()
-    if a == 0:
+    if rate == 0:
         return {flat: 1}, 1
     strata = _strata(flat, table.domain)
-    _permutation_guard([sum(counts) for counts in strata if sum(counts) >= 2], a == c, max_permutations)
+    swap = table.domain.swap
+    total = math.prod(len(_universe(*_margins(part, swap), max_permutations, cache)) for part in strata if sum(part) >= 2)
+    if total > max_permutations:
+        raise EnumerationBudgetError(f"{total} composite tables exceed the budget of {max_permutations}")
     nums, denom = {(): 1}, 1
     for counts in strata:
-        tables, row = _stratum_law(counts, table.domain.swap, rate, max_permutations, cache)
+        tables, row = _stratum_law(counts, swap, rate, max_permutations, cache)
         nums = {key + t: v * u for key, v in nums.items() for t, u in zip(tables, row) if u}
         denom *= sum(row)
     return nums, denom
@@ -506,7 +500,9 @@ def exact_psa_distribution(
     The rate is taken as an exact rational.  The endpoints are handled
     by their degenerate selection laws: p = 0 releases the input table
     with probability one, p = 1 applies a uniform derangement of each
-    whole stratum of size >= 2.
+    whole stratum of size >= 2.  Above p = 0, each stratum universe is
+    held to ``max_permutations`` pair counts and the product of their
+    sizes, the composite law's tables, to ``max_permutations`` too.
     """
     nums, denom = _law(tabulate(x), p, max_permutations, {})
     return ExactDistribution(x.domain, {key: Fraction(v, denom) for key, v in nums.items()})
@@ -670,12 +666,13 @@ def measured_optimal_epsilon(
     Tables of different record counts raise :class:`UniverseMismatchError`;
     tables of one count whose margins differ are infinitely apart.
     Both guards refuse before any pair is built: the first table's
-    stratum laws (every member has the same stratum sizes), each held to
-    ``max_permutations``, then the C(U, 2) pairs, which it bounds too."""
-    tables = list(universe)
-    if len(tables) <= 1:
+    stratum laws, which check the rate and hold each stratum universe to
+    ``max_permutations`` pair counts, then the C(U, 2) pairs, which it
+    bounds too.  Fewer than two tables measure 0."""
+    tables, rate = list(universe), to_exact_rate(p)
+    if not tables:
         return 0.0
-    rate, domain = to_exact_rate(p), tables[0].domain
+    domain = tables[0].domain
     keys = [t.canonical_key() for t in tables]
     if len(set(map(sum, keys))) > 1:
         raise UniverseMismatchError("tables of different record counts share no universe")
@@ -1088,10 +1085,11 @@ def dp_sweep(
     as a float, since the budget is computed at the float: at an
     endpoint the budget is infinite and the laws are degenerate, so
     nothing is checked.  The rates must be distinct as floats, which key
-    the summaries.  ``max_permutations`` bounds the datasets as well:
-    the C(cells + max_records, max_records) of them are counted, and
-    refused with :class:`EnumerationBudgetError`, before any is
-    enumerated.
+    the summaries.  ``max_permutations`` holds each checked stratum
+    universe of U tables of n records to its U^2 (n + 1) pair counts, and
+    bounds the datasets as well: the C(cells + max_records, max_records)
+    of them are counted, and refused with :class:`EnumerationBudgetError`,
+    before any is enumerated.
     """
     domain = Domain(*domain)
     rates = _sweep_rates(p_values)
@@ -1186,7 +1184,8 @@ def universe_report(
 
     The measured optimum is the largest over the distinct sorted strata
     of each one's universe on its own (see the module docstring), each
-    held to ``max_permutations``; ``universe_size`` is the product of
+    of U tables of n records held to ``max_permutations`` by its
+    U^2 (n + 1) pair counts; ``universe_size`` is the product of
     the strata's universe sizes.  Each distinct stratum universe's pair
     counts are built once, give its laws at every rate, and those are
     compared pair by pair as in :func:`dp_sweep`.  At the endpoint rates

@@ -55,6 +55,7 @@ same permutation for the same seed.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,16 +86,16 @@ RateLike = Union[Fraction, float, int, str]
 def to_exact_rate(p: RateLike) -> Fraction:
     """Coerce a rate to an exact rational.
 
-    Floats are read through their shortest decimal representation, so
-    0.1 means 1/10 (not the binary float), matching how rates are
-    written in configs.  Fractions and strings like "1/3" pass through
-    exactly.
+    Floats, numpy's too, are read through their shortest decimal
+    representation, so 0.1 means 1/10 (not the binary float), matching
+    how rates are written in configs.  Integers, numpy's too, Fractions
+    and strings like "1/3" pass through exactly.
     """
     if isinstance(p, Fraction):
         return p
-    if isinstance(p, int):
-        return Fraction(p)
-    if isinstance(p, float):
+    if isinstance(p, numbers.Integral):
+        return Fraction(int(p))
+    if isinstance(p, (float, np.floating)):
         return Fraction(str(p))
     if isinstance(p, str):
         return Fraction(p)

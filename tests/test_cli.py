@@ -368,6 +368,34 @@ class TestVerifyCommand:
         assert [row[:2] + row[3:] for row in double] == [row[:2] + row[3:] for row in single]
         assert all(row[1] == "10" and row[5] == "true" for row in double[1:])
 
+    def test_default_guard_counts_pair_counts(self, tmp_path, capsys, monkeypatch):
+        """The default guard holds a stratum universe of U tables of n
+        records to its U**2 (n + 1) pair counts: the b = 12 ratio witness
+        (160 tables) answers with the CI step's rows, while one record per
+        diagonal cell of 1x7x7 or 1x8x8 (7! or 8! tables) exits 4 before
+        any pair count is built."""
+        name = "witness_ratio_b12"
+        argv = ["verify", "--input", FIXTURES / f"{name}.csv", "--roles", FIXTURES / f"{name}.roles.json"]
+        assert run_cli(argv + ["--p-values", "1/10,783/1000,9/10"]) == 0
+        assert capsys.readouterr().out == (
+            "p,b,universe_size,budget_epsilon,measured_optimal,passed,expected_infinite\n"
+            "0.100000,12,160,4.762174,4.638626,true,false\n"
+            "0.783000,12,160,1.283235,1.158166,true,false\n"
+            "0.900000,12,160,2.197225,0.244176,true,false\n"
+        )
+        import permuswap.exact as exact_mod
+
+        calls = []
+        monkeypatch.setattr(exact_mod, "_pair_kernel", lambda *args: calls.append(args))
+        eight = tmp_path / "diagonal_8x8.csv"
+        eight.write_text("match,hold,swap\n" + "".join(f"m0,h{i},s{i}\n" for i in range(8)), encoding="utf-8")
+        eight_roles = tmp_path / "diagonal_8x8.roles.json"
+        eight_roles.write_text(json.dumps({"match": ["match"], "hold": ["hold"], "swap": ["swap"]}), encoding="utf-8")
+        for csv, roles in ((FIXTURES / "diagonal_7x7.csv", FIXTURES / "diagonal_7x7.roles.json"), (eight, eight_roles)):
+            assert run_cli(["verify", "--input", csv, "--roles", roles, "--p-values", "1/2"]) == 4
+            assert capsys.readouterr().err.endswith("pair counts exceed the budget of 10000000\n")
+        assert calls == []
+
     def test_stratum_twice_gives_the_stratum_rows(self, capsys):
         """The b = 6 ratio witness in two strata, as the CI step runs it:
         the rows of the one-stratum fixture, with 58 x 58 = 3,364 tables."""

@@ -19,7 +19,6 @@ from permuswap import (
     UniverseMismatchError,
     apply_permutation,
     connecting_permutation,
-    derangement_count,
     enumerate_universe,
     exact_psa_distribution,
     hamming_distance,
@@ -98,19 +97,28 @@ class TestExactDistribution:
         assert set(dist.probs) == universe
 
     def test_rate_one_budget_counts_derangements(self):
-        """At p = 1 the guard counts the d(4) = 9 derangements, not the
-        4! = 24 flow matrices of four distinct records."""
+        """Four distinct records have 24 tables, so 24**2 * 5 = 2,880 pair
+        counts, held to the guard at every rate, the endpoints too.  At
+        p = 1 the law is the uniform derangement, d(4) = 9 tables."""
         x = make_dataset([(0, i, i) for i in range(4)], (1, 4, 4))
-        dist = exact_psa_distribution(x, 1, max_permutations=9)
+        counts = tabulate(x).canonical_key()
+        for rate in (Fraction(0), Fraction(1, 2), Fraction(1)):
+            tables, _ = exact._stratum_law(counts, 4, rate, 2880, {})
+            assert len(tables) == 24
+            with pytest.raises(EnumerationBudgetError, match="^at least 2880 pair counts exceed the budget of 2879$"):
+                exact._stratum_law(counts, 4, rate, 2879, {})
+        dist = exact_psa_distribution(x, 1, max_permutations=2880)
         assert len(dist.probs) == 9
         assert set(dist.probs.values()) == {Fraction(1, 9)}
         with pytest.raises(EnumerationBudgetError):
-            exact_psa_distribution(x, 1, max_permutations=8)
+            exact_psa_distribution(x, 1, max_permutations=2879)
 
     def test_enumeration_guard(self):
-        x = make_dataset([(0, 0, 0), (0, 1, 1)] * 6, (1, 2, 2))
-        with pytest.raises(EnumerationBudgetError):
-            exact_psa_distribution(x, Fraction(1, 2), max_permutations=1000)
+        """One record per diagonal cell of 1x7x7: 7! = 5,040 tables, whose
+        pair counts exceed the default guard."""
+        x = make_dataset([(0, i, i) for i in range(7)], (1, 7, 7))
+        with pytest.raises(EnumerationBudgetError, match="pair counts exceed the budget of 10000000$"):
+            exact_psa_distribution(x, Fraction(1, 2))
 
 
 INTERIOR_RATES = st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(
@@ -172,8 +180,6 @@ class TestIntegerLaw:
                 assert sum(nums.values()) == denom
                 if n < 2:
                     assert denom == 1
-                elif rate == 1:
-                    assert denom == derangement_count(n)
                 else:
                     assert denom == exact._stratum_weights(n, rate)[1]
                 checked += 1
@@ -389,11 +395,12 @@ class TestMeasuredOptimal:
                 assert measured >= bound - 1e-12, condition
 
     def test_law_guard_refuses_before_any_pair(self, monkeypatch):
-        """Two b = 10 ratio-witness strata: each stratum's 10! is within
-        the guard, but 126**2 tables make C(126**2, 2) > 10**7 pairs, and
-        the pair guard refuses before one d_Ham is computed.  One
-        11-record stratum of six tables: its 11! > 10**7 permutations
-        refuse at the first table's law, before any pair."""
+        """Two b = 10 ratio-witness strata: each stratum's 126**2 * 11 pair
+        counts are within the guard, but 126**2 tables make
+        C(126**2, 2) > 10**7 pairs, and the pair guard refuses before one
+        d_Ham is computed.  One record per diagonal cell of 1x7x7: the
+        pair counts of its 5,040 tables refuse at the first table's law,
+        before any pair."""
         stratum = [(0, 0), (1, 1)] + [(2, 2)] * 4 + [(3, 3)] * 4
         x = make_dataset([(m, h, s) for m in range(2) for h, s in stratum], (2, 4, 4))
         universe = enumerate_universe(x)
@@ -403,11 +410,10 @@ class TestMeasuredOptimal:
         pairs = math.comb(126**2, 2)
         with pytest.raises(EnumerationBudgetError, match=f"^{pairs} table pairs exceed the budget of 10000000$"):
             measured_optimal_epsilon(universe, Fraction(96, 125))
-        eleven = enumerate_universe(make_dataset([(0, 0, 0)] * 5 + [(0, 1, 1)] * 6, (1, 2, 2)))
-        assert len(eleven) == 6
-        permutations = math.factorial(11)
-        with pytest.raises(EnumerationBudgetError, match=f"^{permutations} composite permutations exceed"):
-            measured_optimal_epsilon(eleven, Fraction(96, 125))
+        seven = enumerate_universe(make_dataset([(0, i, i) for i in range(7)], (1, 7, 7)))
+        assert len(seven) == 5040
+        with pytest.raises(EnumerationBudgetError, match="pair counts exceed the budget of 10000000$"):
+            measured_optimal_epsilon(seven, Fraction(96, 125))
         assert calls == []
 
     def test_pair_guard_refuses_before_any_pair(self, monkeypatch):
@@ -455,11 +461,11 @@ class TestMeasuredOptimal:
     )
     def test_two_eight_record_strata_within_the_default_guard(self, rate, expected):
         """Two strata of two records in each cell of 2x2x2: 25 tables,
-        whose composite laws sum over 8!**2 > 10**7 permutations.  Each
-        stratum's 8! is within the default guard, so both pair APIs
-        answer there, with the composite law's values at a lifted guard
-        and universe_report's rows.  exact_psa_distribution, which builds
-        the composite law, still refuses."""
+        within the default guard, so both pair APIs answer there, with
+        the composite law's values and universe_report's rows, and
+        exact_psa_distribution builds the composite law.  Four b = 10
+        ratio-witness strata have 126**4 > 10**7 composite tables, which
+        exact_psa_distribution refuses."""
         x = make_dataset([(m, h, s) for m in range(2) for h in range(2) for s in range(2)] * 2, (2, 2, 2))
         universe = enumerate_universe(x)
         assert len(universe) == 25
@@ -471,9 +477,11 @@ class TestMeasuredOptimal:
         verdict = verify_dp(dataset_from_table(first), dataset_from_table(last), rate, psa_budget(float(rate), 8))
         assert verdict.measured == measured_optimal_epsilon([first, last], rate) <= measured
         assert verdict.passed
-        permutations = math.factorial(8) ** 2
-        with pytest.raises(EnumerationBudgetError, match=f"^{permutations} composite permutations exceed"):
-            exact_psa_distribution(x, rate)
+        assert set(exact_psa_distribution(x, rate).probs) == {t.canonical_key() for t in universe}
+        stratum = [(0, 0), (1, 1)] + [(2, 2)] * 4 + [(3, 3)] * 4
+        four = make_dataset([(m, h, s) for m in range(4) for h, s in stratum], (4, 4, 4))
+        with pytest.raises(EnumerationBudgetError, match=f"^{126**4} composite tables exceed the budget of 10000000$"):
+            exact_psa_distribution(four, rate)
 
 
 @pytest.mark.parametrize("rate", [Fraction(3, 2), Fraction(-1, 2)])
@@ -481,10 +489,11 @@ class TestMeasuredOptimal:
     "check, message",
     [
         (lambda x, y, rate: measured_optimal_epsilon(enumerate_universe(x), rate), r"rate must lie in \[0, 1\]"),
+        (lambda x, y, rate: measured_optimal_epsilon([tabulate(x)], rate), r"rate must lie in \[0, 1\]"),
         (lambda x, y, rate: verify_dp(x, y, rate, psa_budget(0.5, 2)), "verification needs 0 < p < 1"),
         (lambda x, y, rate: exact_psa_distribution(x, rate), r"rate must lie in \[0, 1\]"),
     ],
-    ids=["measured_optimal_epsilon", "verify_dp", "exact_psa_distribution"],
+    ids=["measured_optimal_epsilon", "measured_optimal_epsilon-one-table", "verify_dp", "exact_psa_distribution"],
 )
 def test_rates_outside_the_unit_interval_are_refused(two_record_pair, check, message, rate):
     x, swapped = two_record_pair

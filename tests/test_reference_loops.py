@@ -1409,11 +1409,19 @@ def composite_tables(draw):
 @settings(max_examples=60, deadline=None)
 @given(
     composite_tables(),
-    st.sampled_from([Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), Fraction(199, 259), Fraction(1)]),
+    st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), Fraction(199, 259), Fraction(1)]),
 )
 def test_law_is_the_product_of_flow_walk_laws(table, rate):
+    """The product of the strata's own laws is too, also at p = 0, where
+    _law answers without them and each is the point mass on its table."""
+    key = table.canonical_key()
+    reference = ref_composite_law(table, rate) if rate else {key: Fraction(1)}
     nums, denom = exact._law(table, rate, DEFAULT_ENUMERATION_BUDGET, {})
-    assert {key: Fraction(v, denom) for key, v in nums.items()} == ref_composite_law(table, rate)
+    assert {key: Fraction(v, denom) for key, v in nums.items()} == reference
+    product = {(): Fraction(1)}
+    for tables, row in exact._table_law(key, table.domain, rate, DEFAULT_ENUMERATION_BUDGET, {}):
+        product = {k + t: v * Fraction(u, sum(row)) for k, v in product.items() for t, u in zip(tables, row) if u}
+    assert product == reference
 
 
 @st.composite

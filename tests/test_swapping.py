@@ -54,10 +54,13 @@ class TestExactRate:
     def test_float_reads_as_decimal(self):
         assert to_exact_rate(0.1) == Fraction(1, 10)
         assert to_exact_rate(0.5) == Fraction(1, 2)
+        assert to_exact_rate(np.float32(0.1)) == to_exact_rate(np.float64(0.1)) == Fraction(1, 10)
 
     def test_fraction_and_string_pass_through(self):
         assert to_exact_rate(Fraction(1, 3)) == Fraction(1, 3)
         assert to_exact_rate("1/3") == Fraction(1, 3)
+        assert to_exact_rate(np.int64(0)) == Fraction(0)
+        assert to_exact_rate(np.uint8(1)) == Fraction(1)
 
 
 class TestPermutation:
