@@ -347,10 +347,20 @@ def _universe(hold: tuple[int, ...], swap: tuple[int, ...], budget: int, cache: 
     return universes[hold, swap]
 
 
+def _unit_rate(p: RateLike) -> Fraction:
+    """``p`` as an exact rational, checked to lie in [0, 1] before any
+    universe is enumerated at it."""
+    rate = to_exact_rate(p)
+    if not 0 <= rate <= 1:
+        raise ValueError("rate must lie in [0, 1]")
+    return rate
+
+
 def _stratum_law(
     counts: tuple[int, ...], swap_levels: int, rate: Fraction, max_permutations: int, cache: dict
 ) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The swapper's exact law on one stratum table at rate p = a/c: the
+    """The swapper's exact law on one stratum table at rate p = a/c, which
+    the caller has checked lies in [0, 1] (:func:`_unit_rate`): the
     tables of its stratum universe (:func:`_universe`, held to
     ``max_permutations``), and integer numerators aligned with them,
     whose sum depends only on n and the rate.  Fewer than two records
@@ -361,8 +371,6 @@ def _stratum_law(
     a, c = rate.numerator, rate.denominator
     law = cache.get((counts, a, c))
     if law is None:
-        if not 0 <= a <= c:
-            raise ValueError("rate must lie in [0, 1]")
         n = sum(counts)
         if n < 2:
             law = [counts], [1]
@@ -397,7 +405,7 @@ def _law(
     key, and their denominator.  The product of the universe sizes of the
     strata of at least two records is held to ``max_permutations``
     before any law is built."""
-    rate = to_exact_rate(p)
+    rate = _unit_rate(p)
     flat = table.canonical_key()
     if rate == 0:
         return {flat: 1}, 1
@@ -665,11 +673,11 @@ def measured_optimal_epsilon(
 
     Tables of different record counts raise :class:`UniverseMismatchError`;
     tables of one count whose margins differ are infinitely apart.
-    Both guards refuse before any pair is built: the first table's
-    stratum laws, which check the rate and hold each stratum universe to
-    ``max_permutations`` pair counts, then the C(U, 2) pairs, which it
-    bounds too.  Fewer than two tables measure 0."""
-    tables, rate = list(universe), to_exact_rate(p)
+    The rate is checked first.  Both guards refuse before any pair is
+    built: the first table's stratum laws, which hold each stratum
+    universe to ``max_permutations`` pair counts, then the C(U, 2) pairs,
+    which it bounds too.  Fewer than two tables measure 0."""
+    tables, rate = list(universe), _unit_rate(p)
     if not tables:
         return 0.0
     domain = tables[0].domain
@@ -1194,7 +1202,7 @@ def universe_report(
     rather than fail.  A rate inside (0, 1) whose float is 0.0 or 1.0 is
     refused with ``ValueError``: its law would be computed at the
     rational but its budget at the float."""
-    rates = [to_exact_rate(p) for p in p_values]
+    rates = [_unit_rate(p) for p in p_values]
     refused = [str(rate) for rate in rates if _float_endpoint(rate)]
     if refused:
         raise ValueError(f"rates inside (0, 1) that round to 0.0 or 1.0 as floats: {', '.join(refused)}")

@@ -4,7 +4,8 @@
 byte for byte.  With an indent, CPython's ``json`` encodes in pure
 Python, one generator step per value; here containers are walked once
 into a list of parts, a list of only ``str`` or only ``float`` items is
-written with one ``join``, and a 2-D integer numpy array (a margin
+written with one ``join`` (a float list's text made once per distinct
+value, by :func:`_map_distinct`), and a 2-D integer numpy array (a margin
 table) is written by :func:`_int_rows`, as ``json`` would write the
 array's nested lists.  The swapper's count table is written from the
 same parts: its index columns from one block of digit slots per axis,
@@ -12,7 +13,7 @@ its counts by :func:`_fill_digits`, and the text by :func:`_compact`.
 """
 
 from json.encoder import encode_basestring_ascii as _string
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -20,6 +21,7 @@ __all__ = ["dumps"]
 
 _INDENT = "  "
 _INF = float("inf")
+_T = TypeVar("_T")
 
 
 def dumps(value: object) -> str:
@@ -38,6 +40,18 @@ def _float(value: float) -> str:
     if value == -_INF:
         return "-Infinity"
     return float.__repr__(value)
+
+
+def _map_distinct(fn: Callable[[float], _T], values: Sequence[float]) -> list[_T]:
+    """``[fn(v) for v in values]``, calling ``fn`` once per distinct
+    float64 bit pattern of ``values``.
+
+    Bit patterns, not values, tell the floats apart, so 0.0 and -0.0 and
+    NaNs of different payloads each get their own call.
+    """
+    patterns, where = np.unique(np.array(values, dtype=np.float64).view(np.uint64), return_inverse=True)
+    results = np.array([fn(v) for v in patterns.view(np.float64).tolist()], dtype=object)
+    return results[where].tolist()
 
 
 def _key(key: object) -> str:
@@ -148,7 +162,7 @@ def _write(value: object, newline: str, parts: list[str]) -> None:
         inner = newline + _INDENT
         kinds = set(map(type, value))
         if kinds == {str} or kinds == {float}:
-            text = map(_string if str in kinds else _float, value)
+            text = map(_string, value) if str in kinds else _map_distinct(_float, value)
             parts.append("[" + inner + ("," + inner).join(text) + newline + "]")
             return
         separator = "[" + inner

@@ -15,8 +15,11 @@ params) no matter in which order strata are processed and bit-identical
 under parallel execution.  The keys of every caller (the swapper, the
 utility runner and the synthesizer) are listed in the README: each key
 gives exactly the stream ``np.random.default_rng(key)`` gives.  Seeds
-wrap to 64 bits, and the keys' PCG64 states are derived in vectorized
-passes of up to ``_KEYS_PER_PASS`` keys: ``_seed_words`` is a numpy port
+wrap to 64 bits once, where they enter (the seed of
+:func:`run_psa_details` and of the synthesizer, and the prefix of
+``_replication_seeds``); from there on the run seeds travel as uint64
+arrays.  The keys' PCG64 states are derived in vectorized passes of up
+to ``_KEYS_PER_PASS`` keys: ``_seed_words`` is a numpy port
 of ``SeedSequence``, and ``_pcg64_seeded`` the PCG64 seeding on 128-bit
 values held as hi/lo uint64 arrays.  From there a key draws one of two
 ways:
@@ -27,10 +30,13 @@ ways:
 - on the kernel: ``_draw_many`` runs the swapper's selection and
   derangement for many keys at once in the same hi/lo arrays,
   reproducing ``Generator.random`` and ``Generator.permutation``
-  (see ``_select_many`` and ``_derange_many``).
+  (see ``_select_many`` and ``_derange_many``).  A key that selects
+  two records takes their swap, the one derangement of two records,
+  without drawing it: nothing reads a key's stream after its
+  derangement.
 
-The utility runner's replication seeds come from ``_replication_seeds``,
-in passes of ``_KEYS_PER_PASS`` keys.
+The utility runner's replication seeds come from ``_replication_seeds``
+as one uint64 array per pass of ``_KEYS_PER_PASS`` keys.
 
 Derangements are sampled by rejection from uniform permutations of the
 selected set (accept iff no fixed point, expected < e retries), which
@@ -44,8 +50,8 @@ and no swapped :class:`Dataset` is materialized; only
 :func:`apply_permutation` builds one, for callers that want it.
 
 The draws themselves are one call, ``_draw_mapping``, over the stratum
-spans of :func:`~permuswap.dataset.stratum_order` and a list of run
-seeds.  It dispatches a stratum on its size alone: a stratum of at most
+spans of :func:`~permuswap.dataset.stratum_order` and a uint64 array of
+run seeds.  It dispatches a stratum on its size alone: a stratum of at most
 ``_KERNEL_MAX_RECORDS`` records draws on the kernel, and every larger
 one on a seated generator.
 :func:`run_psa_details` is that call for one seed plus the output table;
@@ -403,9 +409,9 @@ def _derange_many(state: tuple[np.ndarray, ...], sizes: np.ndarray) -> np.ndarra
     Every key starts with an empty buffer, as the selection draws 64-bit
     outputs only, so all keys take the same half at each iteration, and
     the draws come ``_OUTPUTS_PER_REFILL`` outputs at a time.  Finished
-    keys drop out when the draws are refilled.  ``sizes`` are each >= 2.
-    Returns one row per key whose first ``size`` entries are its
-    derangement.
+    keys drop out when the draws are refilled.  ``sizes`` are each >= 3:
+    ``_draw_many`` swaps a pair itself.  Returns one row per key whose
+    first ``size`` entries are its derangement.
     """
     hi, lo, inc_hi, inc_lo = state
     cols = np.arange(sizes.max())
@@ -467,33 +473,44 @@ def _draw_many(keys: np.ndarray, sizes: np.ndarray, p: float):
     """The swapper's draws for many keys, bit-identical to ``_select`` and
     then ``_derange`` on ``np.random.default_rng(key)`` for each key.
 
+    A key with two hits takes their swap, the one derangement of two
+    records, without drawing it: no key's stream is read after its
+    derangement, so the draws ``_derange`` would make there change
+    nothing.  Keys with three or more hits draw on ``_derange_many``.
     Returns the hits' keys and positions (sorted by key, then position),
     for each hit the index of the hit whose swap value it takes, and the
     hits and the selection redraws per key.
     """
     state = _pcg64_seeded(keys)
     hit_key, hit_position, found, redraws, end = _select_many(state, sizes, p)
-    source = np.arange(len(hit_key))
-    deranged = np.flatnonzero(found)
+    first = (np.cumsum(found) - found)[hit_key]
+    local = np.arange(len(hit_key)) - first
+    # hit 0 of a pair takes hit 1 and hit 1 takes hit 0
+    target = 1 - local
+    deranged = np.flatnonzero(found >= 3)
     if len(deranged):
         perms = _derange_many((*(a[deranged] for a in end), *(a[deranged] for a in state[2:])), found[deranged])
         row = np.empty(len(found), dtype=np.intp)
         row[deranged] = np.arange(len(deranged))
-        first = (np.cumsum(found) - found)[hit_key]
-        source = first + perms[row[hit_key], source - first]
-    return hit_key, hit_position, source, found, redraws
+        wide = found[hit_key] >= 3
+        target[wide] = perms[row[hit_key[wide]], local[wide]]
+    return hit_key, hit_position, first + target, found, redraws
 
 
-def _substreams(seeds: Sequence[int], strata: Sequence[int]) -> Iterator[np.random.Generator]:
-    """Substream ``(seed, m)`` for each of ``seeds`` and, within it, each
-    stratum index ``m`` in ``strata``.
+def _substreams(seeds: np.ndarray, strata: Sequence[int]) -> Iterator[np.random.Generator]:
+    """Substream ``(seed, m)`` for each of ``seeds``, a uint64 array of
+    normalized seeds, and, within it, each stratum index ``m`` in
+    ``strata``.
 
     Every item is the same PCG64 generator, set to the substream's state
-    as it is yielded.  Seeds wrap to 64 bits and are checked on the
-    call.  States are derived as the items are used, in passes of at
-    most ``_KEYS_PER_PASS`` keys.
+    as it is yielded.  The seeds' type is checked on the call.  States
+    are derived as the items are used, in passes of at most
+    ``_KEYS_PER_PASS`` keys.
     """
-    seeds = np.array([_normalized_seed(seed) for seed in seeds], dtype=np.uint64)
+    seeds = np.asarray(seeds)
+    if seeds.dtype != np.uint64:
+        # any other array would mix with the uint64 strata into floats
+        raise TypeError(f"seeds must be a uint64 array, not {seeds.dtype}")
     strata = np.asarray(strata, dtype=np.uint64)
     keys = np.column_stack((seeds.repeat(len(strata)), np.tile(strata, len(seeds))))
 
@@ -508,15 +525,15 @@ def _substreams(seeds: Sequence[int], strata: Sequence[int]) -> Iterator[np.rand
     return seated()
 
 
-def _replication_seeds(seed: int, rate_index: int, reps: int) -> Iterator[int]:
+def _replication_seeds(seed: int, rate_index: int, reps: int) -> Iterator[np.ndarray]:
     """The utility runner's replication seeds: the first uint64 word of
-    key ``(seed, rate_index, r)`` for r < ``reps``, derived in passes of
-    at most ``_KEYS_PER_PASS`` keys."""
+    key ``(seed, rate_index, r)`` for r < ``reps``, as uint64 arrays of at
+    most ``_KEYS_PER_PASS`` seeds, one per pass."""
     prefix = np.array([_normalized_seed(seed), rate_index], dtype=np.uint64)
     for first in range(0, reps, _KEYS_PER_PASS):
         rows = np.arange(first, min(first + _KEYS_PER_PASS, reps), dtype=np.uint64)
         keys = np.column_stack((np.broadcast_to(prefix, (len(rows), 2)), rows))
-        yield from _seed_uint64(keys).tolist()
+        yield _seed_uint64(keys)
 
 
 class Permutation:
@@ -705,10 +722,10 @@ def _draw_mapping(
     spans: tuple[np.ndarray, Sequence[int]],
     strata: Sequence[int],
     p: float,
-    seeds: Sequence[int],
+    seeds: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The swapper's draws over the stratum spans of ``stratum_order``,
-    once for each of ``seeds``.
+    once for each of ``seeds``, a uint64 array of normalized seeds.
 
     ``strata`` is ``_active_strata(bounds)``; stratum m of run r draws
     from substream ``(seeds[r], m)``.  The keys of strata of at most
@@ -720,7 +737,6 @@ def _draw_mapping(
     per run.  ``p`` must already be validated.
     """
     order, bounds = spans
-    seeds = [_normalized_seed(seed) for seed in seeds]
     mappings = np.broadcast_to(np.arange(len(order)), (len(seeds), len(order))).copy()
     selected, retries = [0] * len(seeds), [0] * len(seeds)
     strata = np.asarray(strata, dtype=np.intp)
@@ -742,7 +758,6 @@ def _draw_mapping(
     if not batched.any():
         return mappings, selected, retries
     starts, sizes, batched = starts[batched], sizes[batched], strata[batched].astype(np.uint64)
-    seeds = np.array(seeds, dtype=np.uint64)
     count = len(seeds) * len(batched)
     for first in range(0, count, _KEYS_PER_PASS):
         run, column = np.divmod(np.arange(first, min(first + _KEYS_PER_PASS, count)), len(batched))
@@ -761,7 +776,8 @@ def run_psa_details(x: Dataset, params: PsaParams) -> SwapRun:
     n = len(x)
     m, h, s = x.codes.T
     spans = stratum_order(x)
-    mappings, selected, retries = _draw_mapping(spans, _active_strata(spans[1]), params.p, [params.seed])
+    seeds = np.array([_normalized_seed(params.seed)], dtype=np.uint64)
+    mappings, selected, retries = _draw_mapping(spans, _active_strata(spans[1]), params.p, seeds)
     mapping, selected, retries = mappings[0], int(selected[0]), int(retries[0])
     swapped = s[mapping]
     changed = int(np.count_nonzero(swapped != s))

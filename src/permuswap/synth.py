@@ -35,7 +35,7 @@ import numpy as np
 
 from .dataset import Dataset, DatasetSchema, Domain
 from .ingest import default_axis_labels
-from .swapping import _substreams
+from .swapping import _normalized_seed, _substreams
 
 __all__ = ["StratumSpec", "synthesize"]
 
@@ -93,7 +93,8 @@ def synthesize(
     """Generate one record stream per stratum spec."""
     if hold_levels < 1 or swap_levels < 1:
         raise ValueError("hold and swap axes need at least one level")
-    streams = _substreams([seed], range(len(strata)))
+    seeds = np.array([_normalized_seed(seed)], dtype=np.uint64)
+    streams = _substreams(seeds, range(len(strata)))
     sizes = np.fromiter((spec.size for spec in strata), dtype=np.int64, count=len(strata))
     mixed = np.fromiter((spec.mixed for spec in strata), dtype=bool, count=len(strata))
     # strata that must stay mixed
@@ -138,7 +139,7 @@ def synthesize(
         half += per_axis[raw].repeat(raw_sizes)
     if rejected.any():
         redraw = np.unique(codes[rows, 0][rejected]).tolist()
-        for m, rng in zip(redraw, _substreams([seed], redraw)):
+        for m, rng in zip(redraw, _substreams(seeds, redraw)):
             _draw(rng, strata[m], hold_levels, swap_levels, codes[starts[m] : ends[m]])
 
     # force one differing record into each mixed stratum of identical records

@@ -14,7 +14,8 @@ draws from the key (replication seed, m), so rates are decoupled,
 replications are independent, and the whole report is a deterministic
 function of its inputs.  Each key gives the stream
 ``np.random.default_rng(key)`` gives (see the README).  A rate's
-replication seeds come from the swapper's ``_replication_seeds``.
+replication seeds come from the swapper's ``_replication_seeds``, as
+uint64 arrays, and each block of replications is a slice of one.
 
 What depends only on the dataset is computed once per experiment: the
 stratum spans, the true ``n_.hs`` counts and their positive cells, and
@@ -27,9 +28,15 @@ that every drawn mapping is a bijection, counts the swapped ``n_.hs``
 of all its replications with one ``bincount`` and averages each row's
 error with the kernel that :func:`mape` uses, so each value equals
 ``mape(tabulate(x), run_psa(x, PsaParams(rate, replication seed)))``.
+Where a replication's stratum selects two records, they swap with no
+derangement drawn, as in every swapper run (see
+:mod:`permuswap.swapping`).
+
+The CSV and JSON text format each distinct value once (``f"{v:.6f}"``
+and ``round(v, 6)``) and repeat the result for every replication that
+holds it; the MAPE of a few small strata takes only a few values.
 """
 
-import itertools
 import statistics
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,7 +45,7 @@ import numpy as np
 
 from .budget import _validate_rate
 from .dataset import ContingencyTable, Dataset, DomainMismatchError, stratum_order, tabulate
-from .jsontext import dumps
+from .jsontext import _map_distinct, dumps
 from . import swapping
 from .swapping import _active_strata, _draw_mapping, _replication_seeds
 
@@ -151,16 +158,17 @@ def utility_experiment(
     per_block = max(1, min(swapping._KEYS_PER_PASS // max(len(strata), 1), _POSITIONS_PER_BLOCK // max(len(x), 1)))
     reports = []
     for rate_index, p in enumerate(checked):
-        seeds = _replication_seeds(seed, rate_index, reps)
         values = []
-        while block := list(itertools.islice(seeds, per_block)):
-            mappings, _, _ = _draw_mapping(spans, strata, p, block)
-            # the bijection check run_psa_details makes through Permutation
-            if not (np.sort(mappings, axis=1) == np.arange(len(x))).all():
-                raise ValueError("mapping is not a bijection on record positions")
-            offsets = cells * np.arange(len(block))[:, None]
-            swapped = np.bincount((offsets + hs_cell + s[mappings]).ravel(), minlength=cells * len(block))
-            values += _mape(true_positive, mask, swapped.reshape(len(block), cells)).tolist()
+        for seeds in _replication_seeds(seed, rate_index, reps):
+            for first in range(0, len(seeds), per_block):
+                block = seeds[first : first + per_block]
+                mappings, _, _ = _draw_mapping(spans, strata, p, block)
+                # the bijection check run_psa_details makes through Permutation
+                if not (np.sort(mappings, axis=1) == np.arange(len(x))).all():
+                    raise ValueError("mapping is not a bijection on record positions")
+                offsets = cells * np.arange(len(block))[:, None]
+                swapped = np.bincount((offsets + hs_cell + s[mappings]).ravel(), minlength=cells * len(block))
+                values += _mape(true_positive, mask, swapped.reshape(len(block), cells)).tolist()
         reports.append(
             UtilityReport(
                 rate=p,
@@ -182,8 +190,9 @@ def utility_csv(reports: Sequence[UtilityReport]) -> str:
     newline-terminated."""
     lines = ["rate,rep,mape"]
     for report in reports:
-        for rep_index, value in enumerate(report.mape_values):
-            lines.append(f"{report.rate:.6f},{rep_index},{value:.6f}")
+        rate = f"{report.rate:.6f}"
+        values = _map_distinct("{:.6f}".format, report.mape_values)
+        lines += [f"{rate},{rep_index},{value}" for rep_index, value in enumerate(values)]
     return "\n".join(lines) + "\n"
 
 
@@ -193,7 +202,7 @@ def utility_json(reports: Sequence[UtilityReport]) -> str:
     return dumps([
         {
             **vars(report),
-            "mape_values": [round(v, 6) for v in report.mape_values],
+            "mape_values": _map_distinct(lambda v: round(v, 6), report.mape_values),
             "summary": {k: round(v, 6) for k, v in vars(report.summary).items()},
         }
         for report in reports

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from permuswap import (
     EnumerationBudgetError,
+    load_dataset,
+    load_roles,
     Permutation,
     UniverseMismatchError,
     apply_permutation,
@@ -48,7 +50,7 @@ from permuswap.exact import (
     universe_report,
 )
 
-from conftest import load_fixture, make_dataset
+from conftest import FIXTURES, load_fixture, make_dataset
 from test_reference_loops import ref_max_probability_ratio, ref_min_moves
 
 
@@ -499,6 +501,27 @@ def test_rates_outside_the_unit_interval_are_refused(two_record_pair, check, mes
     x, swapped = two_record_pair
     with pytest.raises(ValueError, match=message):
         check(x, swapped, rate)
+
+
+@pytest.mark.parametrize("rate", [Fraction(3, 2), Fraction(-1, 2)])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda x, rate: exact_psa_distribution(x, rate),
+        lambda x, rate: universe_report(x, [Fraction(1, 2), rate]),
+        lambda x, rate: measured_optimal_epsilon([], rate),
+    ],
+    ids=["exact_psa_distribution", "universe_report", "measured_optimal_epsilon-no-tables"],
+)
+def test_rate_is_refused_before_any_universe(check, rate):
+    """One record per diagonal cell of 1x7x7: the guard refuses its
+    5,040-table universe at p = 1/2, but a rate outside [0, 1] is
+    refused first, and also when there are no tables to measure."""
+    x = load_dataset(FIXTURES / "diagonal_7x7.csv", load_roles(FIXTURES / "diagonal_7x7.roles.json"))
+    with pytest.raises(EnumerationBudgetError):
+        exact_psa_distribution(x, Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"^rate must lie in \[0, 1\]$"):
+        check(x, rate)
 
 
 class TestConnectingPermutation:

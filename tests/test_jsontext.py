@@ -1,13 +1,14 @@
 """The report JSON writer against ``json.dumps(indent=2, sort_keys=True)``."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from permuswap.jsontext import _int_rows, dumps
+from permuswap.jsontext import _int_rows, _map_distinct, dumps
 
 # non-ASCII, escapes, control characters and a lone surrogate
 STRINGS = st.one_of(st.text(), st.sampled_from(["é", "€", '"\\/\b\f\n\r\t', "\x00\x1f\x7f", " ", "\ud800", ""]))
@@ -143,3 +144,56 @@ def test_int_rows_as_percent_format(case):
     array, separators = case
     expected = "".join("".join("%d%s" % pair for pair in zip(row, separators)) for row in array.tolist())
     assert _int_rows(array, separators) == expected
+
+
+def bits_to_float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# floats whose text or bits a merge of equal values would get wrong:
+# both zeros, NaNs of other signs and payloads, both infinities,
+# subnormals and the smallest normal
+EDGE_FLOATS = [
+    0.0,
+    -0.0,
+    float("nan"),
+    bits_to_float(0xFFF8000000000000),
+    bits_to_float(0x7FF8000000000001),
+    float("inf"),
+    -float("inf"),
+    5e-324,
+    -5e-324,
+    1e-310,
+    2.2250738585072014e-308,
+    0.1,
+    1 / 3,
+]
+# few distinct values, so that most lists repeat some
+FLOAT_LISTS = st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()), min_size=1, max_size=40)
+
+
+@settings(max_examples=300)
+@given(FLOAT_LISTS)
+@example([0.0, -0.0, 0.0, -0.0])
+@example([float("nan")] * 3 + [float("inf"), -float("inf"), float("inf")])
+@example([5e-324, 1e-310, 5e-324, -5e-324])
+def test_float_lists_as_json_dumps(values):
+    """A list of floats only, at the top and inside a report."""
+    assert dumps(values) == json.dumps(values, indent=2, sort_keys=True)
+    assert dumps({"values": values, "rate": 0.5}) == json.dumps({"values": values, "rate": 0.5}, indent=2, sort_keys=True)
+
+
+@settings(max_examples=300)
+@given(FLOAT_LISTS)
+@example(EDGE_FLOATS + EDGE_FLOATS[::-1])
+def test_map_distinct_calls_once_per_bit_pattern(values):
+    """Each call gets the exact bits of a value, NaN payloads and the
+    sign of zero included, and one call serves every repeat."""
+    calls = []
+
+    def packed(v):
+        calls.append(v)
+        return struct.pack("<d", v)
+
+    assert _map_distinct(packed, values) == [struct.pack("<d", v) for v in values]
+    assert len(calls) == len({struct.pack("<d", v) for v in values})

@@ -2046,6 +2046,72 @@ def test_substreams_derived_in_several_passes(monkeypatch):
         assert utility_experiment(x, [0.3, 0.9], 7, 8) == ref_utility_experiment(x, [0.3, 0.9], 7, 8)
 
 
+@pytest.mark.parametrize(
+    "sizes, p, runs, shown",
+    [
+        ([2] * 300, 0.5, 2, "pairs"),
+        ([2] * 300, 0.9, 2, "pairs"),
+        # the 2-record strata bring keys with no hits at p = 0.9
+        ([2] * 200 + list(range(2, 65)) * 3, 0.9, 2, "mixed"),
+        ([2, 2, 3, 4, 6], 0.9, 30, "handoff"),
+    ],
+    ids=["two-records-0.5", "two-records-0.9", "2-64-records-0.9", "handoff"],
+)
+def test_two_hit_keys_swap_as_documented_substreams(monkeypatch, sizes, p, runs, shown):
+    """A key whose selection hits two records takes their swap without
+    drawing a derangement.  Mappings are the documented draws bit for
+    bit on strata of 2 records, where no key reaches ``_derange_many``;
+    on strata of 2-64 records, where one pass holds keys with 0, 2 and
+    at least 3 hits; and on passes so small that ``_derange_many`` hands
+    its keys to a seated generator."""
+    x = synthesize([StratumSpec(n) for n in sizes], 2, 3, 5)
+    hits, deranged, seated = [], [], []
+    draw_many, derange_many, dicts = swapping._draw_many, swapping._derange_many, swapping._pcg64_dicts
+
+    def recorded_draws(keys, sizes, p):
+        drawn = draw_many(keys, sizes, p)
+        hits.append(drawn[3])
+        return drawn
+
+    monkeypatch.setattr(swapping, "_draw_many", recorded_draws)
+    monkeypatch.setattr(swapping, "_derange_many", lambda state, n: deranged.append(n) or derange_many(state, n))
+    monkeypatch.setattr(swapping, "_pcg64_dicts", lambda *words: seated.append(len(words[0])) or dicts(*words))
+    for seed in range(runs):
+        assert run_psa_details(x, PsaParams(p, seed)).permutation.mapping == ref_draw_mapping(x, p, seed)
+    assert any((found == 2).any() for found in hits)
+    assert all((n >= 3).all() for n in deranged)
+    if shown == "pairs":
+        assert not deranged
+    elif shown == "mixed":
+        assert any({0, 2} <= set(found.tolist()) and (found >= 3).any() for found in hits)
+    else:
+        assert seated
+
+
+@pytest.mark.parametrize("keys_per_pass, positions_per_block", [(7, 1 << 20), (10, 3), (1 << 14, 2)])
+def test_replications_across_seed_passes_and_blocks(monkeypatch, keys_per_pass, positions_per_block):
+    """Replication seeds derived a few per pass, and blocks of a few
+    replications (bounded by keys or by positions, in records) that do
+    not divide a pass: every value is the one ``mape`` gives for a whole
+    swapper run at the replication's seed."""
+    x = synthesize([StratumSpec(2), StratumSpec(3), StratumSpec(1), StratumSpec(4, mixed=False)], 2, 3, 4)
+    monkeypatch.setattr(swapping, "_KEYS_PER_PASS", keys_per_pass)
+    monkeypatch.setattr(utility, "_POSITIONS_PER_BLOCK", positions_per_block * len(x))
+    blocks = []
+    draw_mapping = utility._draw_mapping
+    monkeypatch.setattr(utility, "_draw_mapping", lambda *args: blocks.append(len(args[3])) or draw_mapping(*args))
+    rates, reps, seed = [0.3, 0.9], 13, -2
+    reports = utility_experiment(x, rates, reps, seed)
+    per_block = min(keys_per_pass // 3, positions_per_block)
+    assert sum(blocks) == len(rates) * reps and max(blocks) == per_block and min(blocks) < per_block
+    base = tabulate(x)
+    for rate_index, (rate, report) in enumerate(zip(rates, reports)):
+        for r, value in enumerate(report.mape_values):
+            entropy = [seed & (2**64 - 1), rate_index, r]
+            rep_seed = int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+            assert value == mape(base, run_psa(x, PsaParams(rate, rep_seed)))
+
+
 @st.composite
 def swapped_pairs(draw):
     """x over several strata with up to 40 records, and x' = the

@@ -333,16 +333,16 @@ class TestSeedKernel:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        st.lists(st.one_of(KEY_INTS, st.integers(-(2**64), -1)), min_size=1, max_size=3),
+        st.lists(KEY_INTS, min_size=1, max_size=3),
         st.lists(KEY_INTS, max_size=3),
         st.integers(0, 20),
     )
     def test_substreams_draw_as_fresh(self, seeds, strata, size):
-        """Substream (seed, m) draws what default_rng((seed mod 2**64, m))
-        draws, even after the previous substream's draws left half a
-        64-bit word buffered."""
-        streams = _substreams(seeds, strata)
-        keys = [(seed % 2**64, m) for seed in seeds for m in strata]
+        """Substream (seed, m) draws what default_rng((seed, m)) draws,
+        even after the previous substream's draws left half a 64-bit word
+        buffered."""
+        streams = _substreams(np.array(seeds, dtype=np.uint64), strata)
+        keys = [(seed, m) for seed in seeds for m in strata]
         for key, rng in zip(keys, streams):
             expected = np.random.default_rng(key)
             assert rng.permutation(size).tolist() == expected.permutation(size).tolist()
@@ -350,7 +350,8 @@ class TestSeedKernel:
             rng.random(1, dtype=np.float32)
         assert next(streams, None) is None
 
-    @pytest.mark.parametrize("seed", [1.5, "2"])
+    # a list of Python ints is an int64 array, whose keys would turn to floats
+    @pytest.mark.parametrize("seed", [1.5, "2", 5])
     def test_substreams_check_the_seed_on_the_call(self, seed):
         with pytest.raises(TypeError):
             _substreams([seed], [])
@@ -447,10 +448,10 @@ class TestDrawKernel:
         strata = _active_strata(spans[1])
         keys = []
         monkeypatch.setattr(swapping, "_draw_many", lambda k, *rest: keys.append(len(k)) or _draw_many(k, *rest))
-        kernel = _draw_mapping(spans, strata, 0.05, [7, 2**64 - 1])
+        kernel = _draw_mapping(spans, strata, 0.05, np.array([7, 2**64 - 1], dtype=np.uint64))
         assert sum(keys) == 2 * len(strata) == 160
         monkeypatch.setattr(swapping, "_KERNEL_MAX_RECORDS", 1)
-        loop = _draw_mapping(spans, strata, 0.05, [7, 2**64 - 1])
+        loop = _draw_mapping(spans, strata, 0.05, np.array([7, 2**64 - 1], dtype=np.uint64))
         assert sum(keys) == 160
         for got, expected in zip(kernel, loop):
             np.testing.assert_array_equal(got, expected)
@@ -476,7 +477,7 @@ class TestDrawKernel:
         kernel_keys, seated_strata = [], []
         monkeypatch.setattr(swapping, "_draw_many", lambda k, *rest: kernel_keys.append(len(k)) or _draw_many(k, *rest))
         monkeypatch.setattr(swapping, "_substreams", lambda seeds, m: seated_strata.extend(m) or _substreams(seeds, m))
-        mappings, selected, retries = _draw_mapping(spans, strata, p, [11])
+        mappings, selected, retries = _draw_mapping(spans, strata, p, np.array([11], dtype=np.uint64))
         assert (sum(kernel_keys), len(seated_strata)) == ((len(sizes), 0) if on_kernel else (0, len(sizes)))
         mapping, hit_count, redraw_count = np.arange(len(x)), 0, 0
         for m in strata:
@@ -498,7 +499,7 @@ class TestDrawKernel:
         x = synthesize([StratumSpec(2 + i % 63) for i in range(swapping._STEP_MIN_KEYS)], 2, 3, 5)
         spans = stratum_order(x)
         strata = _active_strata(spans[1])
-        seeds = [7, 2**64 - 1]
+        seeds = np.array([7, 2**64 - 1], dtype=np.uint64)
         rounds = []
 
         def counted(name):
@@ -580,7 +581,7 @@ def run_psa_counts(x, p, seeds):
     (so through the batched kernel) rather than one ``run_psa`` call per
     seed."""
     spans = stratum_order(x)
-    mappings, _, _ = _draw_mapping(spans, _active_strata(spans[1]), PsaParams(p).p, list(seeds))
+    mappings, _, _ = _draw_mapping(spans, _active_strata(spans[1]), PsaParams(p).p, np.array(seeds, dtype=np.uint64))
     distinct, counts = np.unique(mappings, axis=0, return_counts=True)
     m, h, s = x.codes.T
     tables = Counter()

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permuswap import (
     ContingencyTable,
@@ -14,6 +16,7 @@ from permuswap.dataset import DomainMismatchError
 from permuswap.synth import StratumSpec, synthesize
 from permuswap.utility import (
     FiveNumberSummary,
+    UtilityReport,
     _summarize,
     utility_csv,
     utility_json,
@@ -152,3 +155,43 @@ class TestEmission:
         payload = json.loads(utility_json(reports))
         assert payload[0]["rate"] == 0.2
         assert payload[0]["replications"] == 2
+
+
+# MAPE-like values and the floats whose rounding or text is odd,
+# few enough that values repeat
+ERRORS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, 1 / 3, 2 / 3, 0.0000005, 0.0000015, 5e-324, float("nan"), float("inf")]),
+    st.floats(0, 2),
+    st.floats(),
+)
+
+
+@st.composite
+def reports(draw):
+    """1-3 reports of 1-60 drawn values, each with a drawn summary."""
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        values = tuple(draw(st.lists(ERRORS, min_size=1, max_size=60)))
+        summary = FiveNumberSummary(*(draw(ERRORS) for _ in range(6)))
+        rate = draw(st.sampled_from([0.0, 0.05, 1 / 3, 1.0]))
+        out.append(UtilityReport(rate, len(values), values, summary, {"margin": "match"}))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(reports())
+def test_text_formats_each_value_as_on_its_own(drawn):
+    """The CSV and JSON text, which format each distinct value once, as
+    ``f"{v:.6f}"`` and ``round(v, 6)`` per value give it."""
+    rows = ["rate,rep,mape"]
+    rows += [f"{r.rate:.6f},{i},{v:.6f}" for r in drawn for i, v in enumerate(r.mape_values)]
+    assert utility_csv(drawn) == "\n".join(rows) + "\n"
+    payload = [
+        {
+            **vars(r),
+            "mape_values": [round(v, 6) for v in r.mape_values],
+            "summary": {k: round(v, 6) for k, v in vars(r.summary).items()},
+        }
+        for r in drawn
+    ]
+    assert utility_json(drawn) == json.dumps(payload, indent=2, sort_keys=True)
