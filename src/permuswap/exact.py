@@ -836,33 +836,47 @@ def ratio_bound_applies(inv: SwapInvariants) -> bool:
     return bool(_ratio_rows(inv, invariant_stratum_bound(inv)).any())
 
 
-def _stratum_flags(inv: SwapInvariants) -> list[tuple[int, bool, bool]]:
-    """Each stratum's ``(b, odds, ratio)`` as a universe on its own: its
-    :func:`invariant_stratum_bound`, :func:`odds_bound_applies` and
-    :func:`ratio_bound_applies`."""
+def _stratum_flags(inv: SwapInvariants) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each stratum's b, odds and ratio structure as a universe on its
+    own, one array each: its :func:`invariant_stratum_bound`,
+    :func:`odds_bound_applies` and :func:`ratio_bound_applies`."""
     bounds = _stratum_bounds(inv)
-    return list(zip(bounds.tolist(), _odds_rows(inv).tolist(), _ratio_rows(inv, bounds).tolist()))
+    return bounds, _odds_rows(inv), _ratio_rows(inv, bounds)
 
 
-def _orbit_witness(flags: Sequence[tuple[int, bool, bool]]) -> tuple[int, set[str]]:
-    """A universe's b and the conditions of
-    :func:`permuswap.budget.psa_lower_bounds` whose witness structure it
-    exhibits, at any rate, from its strata's :func:`_stratum_flags`: b is
-    the largest stratum bound, the odds structure shows in any stratum and
+def _orbit_witness(
+    flags: tuple[np.ndarray, np.ndarray, np.ndarray], ranks: np.ndarray
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """For each row of ``ranks``, one universe's strata as indices into
+    their :func:`_stratum_flags`: the universe's b, and for each
+    condition of :func:`permuswap.budget.psa_lower_bounds` whether the
+    universe exhibits its witness structure, at any rate.  b is the
+    largest stratum bound, the odds structure shows in any stratum and
     the ratio structure in a stratum realizing b."""
-    b = max((b_m for b_m, _, _ in flags), default=0)
-    holds = {
+    bounds, odds, ratio = (flag[ranks] for flag in flags)
+    b = bounds.max(axis=1, initial=0)
+    return b, {
         "degenerate-rate": b > 0,
-        "selection-odds": any(odds for _, odds, _ in flags),
-        "derangement-ratio": any(ratio and b_m == b for b_m, _, ratio in flags),
+        "selection-odds": odds.any(axis=1),
+        "derangement-ratio": (ratio & (bounds == b[:, None])).any(axis=1),
     }
-    return b, {condition for condition, held in holds.items() if held}
+
+
+def _witness_row(witness: tuple[np.ndarray, dict[str, np.ndarray]], row: int) -> tuple[int, set[str]]:
+    """Row ``row`` of an :func:`_orbit_witness`: b and the witnessed conditions."""
+    b, witnessed = witness
+    return int(b[row]), {condition for condition, held in witnessed.items() if held[row]}
+
+
+def _universe_witness(inv: SwapInvariants) -> tuple[int, set[str]]:
+    """One universe's b and witnessed conditions, from all its strata."""
+    return _witness_row(_orbit_witness(_stratum_flags(inv), np.arange(len(inv.mh))[None]), 0)
 
 
 def applicable_lower_bounds(inv: SwapInvariants, p: float) -> list[LowerBound]:
     """The entries of :func:`permuswap.budget.psa_lower_bounds` whose
     witness structure this universe exhibits."""
-    b, witnessed = _orbit_witness(_stratum_flags(inv))
+    b, witnessed = _universe_witness(inv)
     return [bound for bound in psa_lower_bounds(p, b) if bound.condition in witnessed]
 
 
@@ -981,31 +995,40 @@ def _table(domain: Domain, key: Sequence[int]) -> ContingencyTable:
     return ContingencyTable(np.array(key, dtype=np.int64).reshape(domain.shape))
 
 
+def _bounds_at(
+    bounds: dict[tuple[float, int], tuple[BudgetResult, list[LowerBound]]], p: float, b: int
+) -> tuple[BudgetResult, list[LowerBound]]:
+    """The budget and lower bounds at float rate p and bound b, computed
+    once per (p, b) and held in ``bounds``."""
+    if (p, b) not in bounds:
+        bounds[p, b] = psa_budget(p, b), psa_lower_bounds(p, b)
+    return bounds[p, b]
+
+
 def _check_universe(
     keys: Sequence[tuple[int, ...]],
     domain: Domain,
     witness: tuple[int, set[str]],
     rates: Sequence[Fraction],
+    floats: Sequence[float],
     max_permutations: int,
     cache: dict,
     bounds: dict[tuple[float, int], tuple[BudgetResult, list[LowerBound]]],
 ) -> tuple[UniverseCheck, list[str]]:
     """Every check :func:`dp_sweep` makes on one universe, given its
-    tables' canonical keys over ``domain`` and its b and witnessed
-    conditions: its summary and the failures it finds.  Each table's law
-    is its strata's rows, pairs are compared by the pair lemma, and the
-    connecting minima are read off the strata's pair counts."""
+    tables' canonical keys over ``domain``, its b and witnessed
+    conditions, and the rates with their floats: its summary and the
+    failures it finds.  Each table's law is its strata's rows, pairs are
+    compared by the pair lemma, and the connecting minima are read off
+    the strata's pair counts."""
     b, witnessed = witness
     distances = _distances(keys)
     strata = [_strata(key, domain) for key in keys]
     failures: list[str] = []
     measured_by_p: dict[float, float] = {}
     budget_by_p: dict[float, float] = {}
-    for rate in rates:
-        p = float(rate)
-        if (p, b) not in bounds:
-            bounds[p, b] = psa_budget(p, b), psa_lower_bounds(p, b)
-        budget, lower = bounds[p, b]
+    for rate, p in zip(rates, floats):
+        budget, lower = _bounds_at(bounds, p, b)
         laws = [
             [_stratum_law(part, domain.swap, rate, max_permutations, cache) for part in parts]
             for parts in strata
@@ -1066,17 +1089,21 @@ def dp_sweep(
     distinct sorted stratum row of hold and swap margins is checked once,
     by :func:`_check_universe` on its single-stratum universe, whose pair
     counts give its laws at every rate and its connecting minima.  A
-    relabelling orbit of universes, the sorted tuple of its
-    strata's ranks, gets one :class:`UniverseCheck`: b and the measured
-    optimum the largest of its strata's, the budget at that b, and its
-    size; the lower bounds it witnesses combine its strata's flags,
-    computed once per stratum.  Every member of the orbit shares that
-    one object, whose dicts are not copied and must not be written into.
-    A universe is checked pair by pair, as the unreduced sweep would
-    check it, when one of its strata's checks failed or when its
-    combined optimum exceeds its own budget or falls below a lower bound
-    it witnesses; so a failing sweep lists each failure where it occurs,
-    and the verdict needs no monotonicity of the budget in b.
+    relabelling orbit of universes is the sorted row of its strata's
+    ranks, and its results are array reductions over those ranks of the
+    checked strata's measured optima (one strata x rates table), flags
+    and failures: b and the measured optimum at each rate are the
+    largest of its strata's, the odds structure is witnessed when any
+    stratum has it and the ratio structure when a stratum has it at the
+    orbit's b.  The orbit's budget and lower bounds are those at its own
+    b, so the verdict assumes no monotonicity of either in b.  Each
+    orbit gets one :class:`UniverseCheck`, and every member of the orbit
+    shares that one object, whose dicts are not copied and must not be
+    written into.  A universe is checked pair by pair, as the unreduced
+    sweep would check it, when one of its orbit's strata's checks failed
+    or when the orbit's optimum exceeds its budget plus ``LOG_SLACK`` or
+    falls below a lower bound it witnesses; so a failing sweep lists
+    each failure where it occurs.
     ``pair_checks`` and ``connecting_checks`` count the pairs covered:
     C(size, 2) per rate and size * (size - 1) per universe.
 
@@ -1085,8 +1112,9 @@ def dp_sweep(
     :func:`enumerate_small_datasets`, and the universes and their orbits
     are found by grouping rows and margins with one lexicographic sort
     each.  Tables are count tuples; no dataset or permutation is built.
-    The budget and lower bounds are computed once per (rate, b), both
-    functions of the float rate; row polynomials, pair counts,
+    The rates are turned into floats once, and the budget and lower
+    bounds computed once per (rate, b), both functions of the float
+    rate; row polynomials, pair counts,
     universes, stratum laws and weights are shared through one cache.
 
     Every rate must lie strictly inside (0, 1), as an exact rational and
@@ -1123,40 +1151,53 @@ def dp_sweep(
 
     cache: dict = {}
     bounds: dict[tuple[float, int], tuple[BudgetResult, list[LowerBound]]] = {}
+    floats = [float(rate) for rate in rates]
     one = Domain(1, domain.hold, domain.swap)
     holds, swaps = stratum_rows[:, : domain.hold], stratum_rows[:, domain.hold :]
-    strata = []
-    for h, s, flags in zip(holds.tolist(), swaps.tolist(), _stratum_flags(SwapInvariants(holds, swaps))):
+    flags = _stratum_flags(SwapInvariants(holds, swaps))
+    own = _orbit_witness(flags, np.arange(len(stratum_rows))[:, None])
+    measured, broken = [], []
+    for k, (h, s) in enumerate(zip(holds.tolist(), swaps.tolist())):
         keys = _universe(tuple(h), tuple(s), max_permutations, cache)
         check, found = _check_universe(
-            keys, one, _orbit_witness([flags]), rates, max_permutations, cache, bounds
+            keys, one, _witness_row(own, k), rates, floats, max_permutations, cache, bounds
         )
-        strata.append((check, found, flags))
-    floats = [float(rate) for rate in rates]
-    orbits = []
-    for u in orbit_firsts.tolist():
-        parts = [strata[r] for r in strata_of[u].tolist()]
-        b, witnessed = witness = _orbit_witness([flags for _, _, flags in parts])
-        failed = any(found for _, found, _ in parts)
-        measured_by_p, budget_by_p = {}, {}
-        for p in floats:
-            if (p, b) not in bounds:
-                bounds[p, b] = psa_budget(p, b), psa_lower_bounds(p, b)
-            budget, lower = bounds[p, b]
-            measured = measured_by_p[p] = max((check.measured[p] for check, _, _ in parts), default=0.0)
-            budget_by_p[p] = budget.epsilon
-            failed |= measured > budget.epsilon + LOG_SLACK or any(
-                condition in witnessed and measured < bound - LOG_SLACK for bound, condition in lower
-            )
-        orbits.append((UniverseCheck(b, int(sizes[u]), measured_by_p, budget_by_p), failed, witness))
-    results = []
-    for u, orbit in enumerate(orbit_of.tolist()):
-        check, failed, witness = orbits[orbit]
-        found: list[str] = []
-        if failed:
-            keys = list(map(tuple, rows[by_universe[edges[u] : edges[u + 1]]].tolist()))
-            check, found = _check_universe(keys, domain, witness, rates, max_permutations, cache, bounds)
-        results.append((check, found))
+        measured.append(list(check.measured.values()))
+        broken.append(bool(found))
+
+    # each orbit's strata are one row of ranks; its results reduce over them
+    ranks = strata_of[orbit_firsts]
+    b, witnessed = witness = _orbit_witness(flags, ranks)
+    table = np.array(measured, dtype=float).reshape(len(measured), len(floats))
+    optimum = table[ranks].max(axis=1, initial=0.0)
+    failed = np.array(broken, dtype=bool)[ranks].any(axis=1)
+    levels, level_of = np.unique(b, return_inverse=True)
+    budgets = np.empty((len(levels), len(floats)))
+    # an absent lower bound is -inf, which no optimum falls below
+    lower = {condition: np.full_like(budgets, -math.inf) for condition in witnessed}
+    for i, level in enumerate(levels.tolist()):
+        for j, p in enumerate(floats):
+            budget, at_level = _bounds_at(bounds, p, level)
+            budgets[i, j] = budget.epsilon
+            for value, condition in at_level:
+                lower[condition][i, j] = value
+    failed |= (optimum > budgets[level_of] + LOG_SLACK).any(axis=1)
+    for condition, held in witnessed.items():
+        failed |= held & (optimum < lower[condition][level_of] - LOG_SLACK).any(axis=1)
+    budget_rows, sizes_of = budgets.tolist(), sizes.tolist()
+    orbits = [
+        UniverseCheck(b_o, sizes_of[u], dict(zip(floats, row)), dict(zip(floats, budget_rows[level])))
+        for u, b_o, row, level in zip(orbit_firsts.tolist(), b.tolist(), optimum.tolist(), level_of.tolist())
+    ]
+    # a universe of a failing orbit is checked pair by pair, as the unreduced sweep checks it
+    universes = [orbits[orbit] for orbit in orbit_of.tolist()]
+    failures: list[str] = []
+    for u in np.flatnonzero(failed[orbit_of]).tolist():
+        keys = list(map(tuple, rows[by_universe[edges[u] : edges[u + 1]]].tolist()))
+        universes[u], found = _check_universe(
+            keys, domain, _witness_row(witness, orbit_of[u]), rates, floats, max_permutations, cache, bounds
+        )
+        failures.extend(found)
     return SweepReport(
         domain=domain,
         max_records=max_records,
@@ -1165,8 +1206,8 @@ def dp_sweep(
         dataset_count=len(rows),
         pair_checks=len(rates) * int((sizes * (sizes - 1) // 2).sum()),
         connecting_checks=int((sizes * (sizes - 1)).sum()),
-        failures=tuple(f for _, found in results for f in found),
-        universes=tuple(check for check, _ in results),
+        failures=tuple(failures),
+        universes=tuple(universes),
     )
 
 

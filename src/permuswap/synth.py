@@ -47,6 +47,7 @@ __all__ = ["StratumSpec", "synthesize"]
 # 0.38 / 0.63 / 0.76 / 0.88 / 0.94 / 1.03 / 1.25 / 1.44; at 4,000,000
 # records a stratum (8 strata), 2.0.
 _RAW_MAX_RECORDS = 448
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,10 @@ def synthesize(
     """Generate one record stream per stratum spec."""
     if hold_levels < 1 or swap_levels < 1:
         raise ValueError("hold and swap axes need at least one level")
+    # sizes are non-negative, so a total that fits int64 bounds each size too
+    total = sum(spec.size for spec in strata)
+    if total > _INT64_MAX:
+        raise ValueError(f"strata: {total} records in all, more than int64 holds ({_INT64_MAX})")
     seeds = np.array([_normalized_seed(seed)], dtype=np.uint64)
     streams = _substreams(seeds, range(len(strata)))
     sizes = np.fromiter((spec.size for spec in strata), dtype=np.int64, count=len(strata))

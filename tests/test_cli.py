@@ -72,6 +72,22 @@ class TestSynth:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "strata, total",
+        [("99999999999999999999", "99999999999999999999"), ("5000000000000000000," * 2, "10000000000000000000")],
+        ids=["one size past int64", "sizes within int64, total past it"],
+    )
+    def test_record_count_past_int64_named_by_key(self, tmp_path, capsys, monkeypatch, strata, total):
+        """A record count past int64, one stratum's or the total's, exits 2
+        naming the key before any array is built (synth's numpy is gone
+        for the run)."""
+        from permuswap import synth
+
+        monkeypatch.setattr(synth, "np", None)
+        assert run_cli(["synth", "--strata", strata, "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err == f"error: strata: {total} records in all, more than int64 holds (9223372036854775807)\n"
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestSwap:
     def test_rate_zero_reproduces_input_tabulation(self, synth_files, tmp_path):

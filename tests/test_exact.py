@@ -782,7 +782,7 @@ class TestRelabelling:
         inv, inv_u = swap_invariants(t), swap_invariants(u)
         b = invariant_stratum_bound(inv)
         assert invariant_stratum_bound(inv_u) == b
-        assert exact._orbit_witness(exact._stratum_flags(inv_u)) == exact._orbit_witness(exact._stratum_flags(inv))
+        assert exact._universe_witness(inv_u) == exact._universe_witness(inv)
         ids, _ = exact._orbit_ids(np.stack((inv.mh, inv_u.mh)), np.stack((inv.ms, inv_u.ms)))
         assert ids[0].tolist() == ids[1].tolist()
 
@@ -1055,3 +1055,25 @@ def test_sweep_shares_one_summary_per_checked_universe():
     assert pickle.loads(pickle.dumps(report)) == report
     assert copy.deepcopy(report) == report
     assert dataclasses.asdict(report)["universes"][0]["measured"] == report.universes[0].measured
+
+
+@pytest.mark.parametrize("share", [1.0, 0.6], ids=["passing", "budget cut to 0.6"])
+def test_sweep_summaries_hold_python_numbers(monkeypatch, share):
+    """Each summary's b and size are Python ints and its rates, measured
+    optima and budgets Python floats, both in the summaries orbits share
+    and in those of universes checked pair by pair (with the budget cut,
+    some are).  So reprs, pickles and ``dataclasses.asdict`` read the
+    same on every numpy: numpy 2 would repr a leaked scalar as
+    ``np.int64(3)``."""
+    real = exact.psa_budget
+    monkeypatch.setattr(
+        exact, "psa_budget", lambda p, b: dataclasses.replace(real(p, b), epsilon=share * real(p, b).epsilon)
+    )
+    report = dp_sweep(Domain(2, 2, 2), 5, [Fraction(1, 10), Fraction(1, 2)])
+    assert report.all_pass == (share == 1.0)
+    for u in report.universes:
+        assert type(u.b) is int and type(u.size) is int
+        for values in (u.measured, u.budget):
+            assert [type(p) for p in values] == [float, float]
+            assert [type(v) for v in values.values()] == [float, float]
+    assert "np." not in repr(report)

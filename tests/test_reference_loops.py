@@ -87,7 +87,7 @@ from permuswap import ingest
 from permuswap.synth import StratumSpec, synthesize
 from permuswap.utility import QUARTILE_RULE, ZERO_CELL_RULE, UtilityReport, _summarize
 
-from test_pinned_outputs import SWEEP_PINS, SWEEP_RATES
+from test_pinned_outputs import SWEEP_PINS, SWEEP_RATES, _sha
 
 # ---------------------------------------------------------------------------
 # reference loops
@@ -1677,6 +1677,53 @@ def test_sweep_checks_each_universe_at_its_own_b(monkeypatch, patched):
     assert dp_sweep(Domain(2, 2, 2), 5, rates) == expected
 
 
+@pytest.mark.parametrize("case", sorted(SWEEP_PINS), ids=repr)
+def test_dp_sweep_matches_unreduced_sweep_on_pinned_domains(case):
+    """Every pinned sweep, its orbits reduced over their strata's ranks,
+    gives the unreduced sweep's report, field by field."""
+    domain, max_records = Domain(*case[0]), case[1]
+    assert dp_sweep(domain, max_records, SWEEP_RATES) == ref_dp_sweep(domain, max_records, SWEEP_RATES)
+
+
+@pytest.mark.parametrize(
+    "domain, max_records, rates",
+    [
+        ((2, 2, 2), 4, ()),
+        ((0, 2, 2), 3, SWEEP_RATES),
+        ((2, 0, 2), 2, SWEEP_RATES),
+        ((1, 2, 0), 2, SWEEP_RATES),
+        ((2, 2, 2), -1, SWEEP_RATES),
+    ],
+    ids=["no rate", "no match level", "no hold level", "no swap level", "no dataset"],
+)
+def test_dp_sweep_matches_unreduced_sweep_on_empty_axes(domain, max_records, rates):
+    """The orbit reductions over an empty axis: no rate (optima with no
+    column), no match level (universes with no stratum, so ranks with no
+    column), strata without cells, and no dataset at all (no orbit)."""
+    expected = ref_dp_sweep(Domain(*domain), max_records, rates)
+    assert dp_sweep(Domain(*domain), max_records, rates) == expected
+    assert expected.all_pass
+
+
+def test_infinite_stratum_optimum_fails_its_orbits(monkeypatch):
+    """With the largest ratio 1476/19 of one three-record stratum (its
+    table 1, 0, 0, 2 at p = 1/10) measured as infinite, that stratum's
+    check fails, and so does every orbit holding it; each universe of
+    those orbits is checked pair by pair, and each pair that differs in
+    that stratum alone exceeds the budget.  The unreduced sweep measures
+    its own logarithms, so the report is pinned instead: the SHA-256 of
+    its repr as the per-orbit loop gave it."""
+    log_ratio = exact._log_ratio
+    monkeypatch.setattr(
+        exact, "_log_ratio", lambda hit: math.inf if hit is not None and hit[0] == Fraction(1476, 19) else log_ratio(hit)
+    )
+    report = dp_sweep(Domain(2, 2, 2), 4, (Fraction(1, 10), Fraction(1, 2)))
+    infinite = [u for u in report.universes if u.measured[0.1] == math.inf]
+    assert len(report.failures) == len(infinite) == 40
+    assert all(f.startswith("budget exceeded at p=1/10: measured inf > ") for f in report.failures)
+    assert _sha(repr(report).encode()) == "2f80b28b209dbd8afcb925347e0c8456c841c5f11c8e5adc8b349e24f3bd3db3"
+
+
 @st.composite
 def repeated_rows(draw, width=None):
     """An integer matrix whose rows are drawn from a few distinct rows,
@@ -1719,9 +1766,10 @@ def _stratum_checks(holds, swaps, rates):
     and pair counts, and the reference check on its tables by key."""
     inv = SwapInvariants(np.array([holds], dtype=np.int64), np.array([swaps], dtype=np.int64))
     keys = exact._tables_with_margins(holds, swaps, DEFAULT_ENUMERATION_BUDGET)
-    witness = exact._orbit_witness(exact._stratum_flags(inv))
+    witness = exact._universe_witness(inv)
     domain = Domain(1, len(holds), len(swaps))
-    check = exact._check_universe(keys, domain, witness, rates, DEFAULT_ENUMERATION_BUDGET, {}, {})
+    floats = [float(rate) for rate in rates]
+    check = exact._check_universe(keys, domain, witness, rates, floats, DEFAULT_ENUMERATION_BUDGET, {}, {})
     tables = [
         ContingencyTable(np.array(t, dtype=np.int64).reshape(domain.shape))
         for t in ref_tables_with_margins(holds, swaps, 10**6)
@@ -1778,7 +1826,7 @@ def test_orbit_witness_matches_the_universe_witness(strata):
     strata that both realize b."""
     inv = SwapInvariants(np.array([h for h, _ in strata]), np.array([s for _, s in strata]))
     b = invariant_stratum_bound(inv)
-    assert exact._orbit_witness(exact._stratum_flags(inv)) == (b, ref_witnessed(inv, b))
+    assert exact._universe_witness(inv) == (b, ref_witnessed(inv, b))
 
 
 # the b = 4 and b = 6 ratio witnesses, and 1, 2, 1 on a 3x3 diagonal
