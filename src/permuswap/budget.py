@@ -26,11 +26,16 @@ is a first-class value and serializes as the string "inf" everywhere.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, NamedTuple, Union
+
+import numpy as np
 
 __all__ = [
     "BudgetResult",
@@ -54,6 +59,7 @@ __all__ = [
     "load_counterfactual_rows",
     "census2020_report",
     "EXACT_RATIO_THRESHOLD",
+    "to_exact_rate",
 ]
 
 # Above this stratum bound the derangement ratio d(b)/d(b-2) is replaced
@@ -103,11 +109,38 @@ def _validate_b(b: int) -> int:
     return int(b)
 
 
-def _validate_rate(p: float) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0 or math.isnan(p):
-        raise ValueError(f"swap rate must lie in [0, 1], got {p}")
-    return p
+RateLike = Union[numbers.Real, Decimal, str]
+_OUTSIDE = "rate must lie in [0, 1]"
+
+
+def to_exact_rate(p: RateLike) -> Fraction:
+    """A rate as an exact rational: the package's one rate reader; its
+    checked form, ``_unit_rate`` below, serves the swapper, the budget
+    and the oracle.  Floats, numpy's too, are read through their
+    shortest decimal (0.1 is 1/10); rationals, ``Decimal`` and strings
+    like "1/3" exactly; any other number as its float.  NaN and the
+    infinities raise ``ValueError`` as rates outside [0, 1] do."""
+    if isinstance(p, numbers.Rational):
+        return Fraction(int(p.numerator), int(p.denominator))
+    if not isinstance(p, (float, np.floating)):
+        try:
+            # exact for a str or a Decimal; "nan", "inf" and other numbers go by their float
+            return Fraction(p)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            p = float(p)
+    if not math.isfinite(p):
+        raise ValueError(_OUTSIDE)
+    return Fraction(str(p))
+
+
+def _unit_rate(p: RateLike) -> Union[float, Fraction]:
+    """``p`` read by :func:`to_exact_rate` and checked to lie in [0, 1].
+    A Python float (numpy's float64 too) is its own shortest decimal, so
+    it is checked and returned as it is; any other rate as its rational."""
+    rate = p if isinstance(p, float) else to_exact_rate(p)
+    if not 0 <= rate <= 1:
+        raise ValueError(_OUTSIDE)
+    return rate
 
 
 def _log_odds(p: float) -> float:
@@ -137,7 +170,7 @@ class BudgetResult:
             raise ValueError(f"unknown regime {self.regime!r}")
 
 
-def psa_budget(p: float, b: int) -> BudgetResult:
+def psa_budget(p: RateLike, b: int) -> BudgetResult:
     """Budget of the swapper at rate p over a universe with bound b.
 
     Exactly at the threshold rate the low-p branch governs the regime
@@ -147,7 +180,7 @@ def psa_budget(p: float, b: int) -> BudgetResult:
     ulp below ln(o), the budget at b - 1 there; taking the larger keeps
     the budget nondecreasing in b.
     """
-    p = _validate_rate(p)
+    p = float(_unit_rate(p))
     b = _validate_b(b)
     if b == 0:
         return BudgetResult(0.0, "zero-b", p, b, _odds(p))
@@ -200,7 +233,7 @@ class LowerBound(NamedTuple):
     condition: str
 
 
-def psa_lower_bounds(p: float, b: int) -> list[LowerBound]:
+def psa_lower_bounds(p: RateLike, b: int) -> list[LowerBound]:
     """Budget levels no universe-wide guarantee can beat.
 
     * degenerate-rate: p in {0, 1} forces an infinite budget;
@@ -208,7 +241,7 @@ def psa_lower_bounds(p: float, b: int) -> list[LowerBound]:
     * derangement-ratio: for b >= 2 (except the undefined b = 3) some
       universe needs at least ln(d(b)/d(b-2))/2 - ln(o).
     """
-    p = _validate_rate(p)
+    p = float(_unit_rate(p))
     b = _validate_b(b)
     if p in (0.0, 1.0):
         return [LowerBound(math.inf, "degenerate-rate")]

@@ -118,12 +118,14 @@ from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .budget import BudgetResult, LowerBound, derangement_count, psa_budget, psa_lower_bounds
+from .budget import (
+    BudgetResult, LowerBound, RateLike, _unit_rate, derangement_count, psa_budget, psa_lower_bounds, to_exact_rate,
+)
 from .dataset import (
     ContingencyTable, Dataset, Domain, SwapInvariants, dataset_from_table, hamming_distance,
     _stratum_bounds, invariant_stratum_bound, same_universe, swap_invariants, tabulate,
 )
-from .swapping import Permutation, RateLike, to_exact_rate
+from .swapping import Permutation
 
 __all__ = [
     "EnumerationBudgetError", "UniverseMismatchError", "ExactDistribution", "DpVerdict",
@@ -347,15 +349,6 @@ def _universe(hold: tuple[int, ...], swap: tuple[int, ...], budget: int, cache: 
     return universes[hold, swap]
 
 
-def _unit_rate(p: RateLike) -> Fraction:
-    """``p`` as an exact rational, checked to lie in [0, 1] before any
-    universe is enumerated at it."""
-    rate = to_exact_rate(p)
-    if not 0 <= rate <= 1:
-        raise ValueError("rate must lie in [0, 1]")
-    return rate
-
-
 def _stratum_law(
     counts: tuple[int, ...], swap_levels: int, rate: Fraction, max_permutations: int, cache: dict
 ) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -405,7 +398,7 @@ def _law(
     key, and their denominator.  The product of the universe sizes of the
     strata of at least two records is held to ``max_permutations``
     before any law is built."""
-    rate = _unit_rate(p)
+    rate = to_exact_rate(_unit_rate(p))
     flat = table.canonical_key()
     if rate == 0:
         return {flat: 1}, 1
@@ -677,7 +670,7 @@ def measured_optimal_epsilon(
     built: the first table's stratum laws, which hold each stratum
     universe to ``max_permutations`` pair counts, then the C(U, 2) pairs,
     which it bounds too.  Fewer than two tables measure 0."""
-    tables, rate = list(universe), _unit_rate(p)
+    tables, rate = list(universe), to_exact_rate(_unit_rate(p))
     if not tables:
         return 0.0
     domain = tables[0].domain
@@ -1243,7 +1236,7 @@ def universe_report(
     rather than fail.  A rate inside (0, 1) whose float is 0.0 or 1.0 is
     refused with ``ValueError``: its law would be computed at the
     rational but its budget at the float."""
-    rates = [_unit_rate(p) for p in p_values]
+    rates = [to_exact_rate(_unit_rate(p)) for p in p_values]
     refused = [str(rate) for rate in rates if _float_endpoint(rate)]
     if refused:
         raise ValueError(f"rates inside (0, 1) that round to 0.0 or 1.0 as floats: {', '.join(refused)}")

@@ -272,15 +272,8 @@ def _read_fields(path: Union[str, Path]) -> tuple[list[str], bytes, np.ndarray, 
     line = ragged.argmax()
     if ragged[line]:
         raise LoadError(f"{path}:{line + 1}: expected {width} fields, got {line_fields[line]}")
-    rows = int(np.count_nonzero(filled))
-    if filled[1 : rows + 1].all():
-        # no blank line before the last data line: the data fields are
-        # one run of seps, so both bounds are slices of it
-        lo, hi = line_ends[1], line_ends[rows + 1]
-        before, ends = seps[lo:hi], seps[lo + 1 : hi + 1]
-    else:
-        keep = filled.repeat(line_fields)
-        before, ends = seps[:-1][keep], seps[1:][keep]
+    keep = filled.repeat(line_fields)
+    before, ends = seps[:-1][keep], seps[1:][keep]
     return header, raw, before.reshape(-1, width).T, ends.reshape(-1, width).T
 
 

@@ -61,7 +61,6 @@ same permutation for the same seed.
 """
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,7 +68,7 @@ from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .budget import _validate_rate, derangement_count
+from .budget import RateLike, _unit_rate, derangement_count, to_exact_rate
 from .dataset import ContingencyTable, Dataset, stratum_order, tabulate_columns
 
 __all__ = [
@@ -83,29 +82,7 @@ __all__ = [
     "run_psa",
     "run_psa_details",
     "stratum_permutation_prob",
-    "to_exact_rate",
 ]
-
-RateLike = Union[Fraction, float, int, str]
-
-
-def to_exact_rate(p: RateLike) -> Fraction:
-    """Coerce a rate to an exact rational.
-
-    Floats, numpy's too, are read through their shortest decimal
-    representation, so 0.1 means 1/10 (not the binary float), matching
-    how rates are written in configs.  Integers, numpy's too, Fractions
-    and strings like "1/3" pass through exactly.
-    """
-    if isinstance(p, Fraction):
-        return p
-    if isinstance(p, numbers.Integral):
-        return Fraction(int(p))
-    if isinstance(p, (float, np.floating)):
-        return Fraction(str(p))
-    if isinstance(p, str):
-        return Fraction(p)
-    raise TypeError(f"cannot interpret {p!r} as a rate")
 
 
 @dataclass(frozen=True)
@@ -116,7 +93,7 @@ class PsaParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _validate_rate(self.p))
+        object.__setattr__(self, "p", float(_unit_rate(self.p)))
         object.__setattr__(self, "seed", operator.index(self.seed))
 
 
@@ -645,7 +622,7 @@ def _derange(k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def select_records(
-    stratum_size: int, p: float, rng: np.random.Generator
+    stratum_size: int, p: RateLike, rng: np.random.Generator
 ) -> SelectionResult:
     """Independent selection, redrawn whenever exactly one record is hit.
 
@@ -657,7 +634,7 @@ def select_records(
     n = operator.index(stratum_size)
     if n < 2:
         raise ValueError("selection needs a stratum of at least two records")
-    hits, retries = _select(n, _validate_rate(p), rng)
+    hits, retries = _select(n, float(_unit_rate(p)), rng)
     return SelectionResult(tuple(hits.tolist()), retries)
 
 

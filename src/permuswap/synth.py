@@ -108,7 +108,10 @@ def synthesize(
         raise ValueError("a mixed stratum of size >= 2 needs at least two (hold, swap) cells")
     ends = sizes.cumsum()
     starts = ends - sizes
-    codes = np.empty((int(sizes.sum()), 3), dtype=np.int64)
+    try:
+        codes = np.empty((total, 3), dtype=np.int64)
+    except (MemoryError, ValueError):  # ValueError: more bytes than numpy can index
+        raise ValueError(f"strata: {total} records need {total * 3 * 8} bytes, more than can be allocated") from None
     codes[:, 0] = np.arange(len(strata)).repeat(sizes)
 
     # halves per axis that draws: one per record, or one for a constant stratum

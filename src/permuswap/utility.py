@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .budget import _validate_rate
+from .budget import RateLike, _unit_rate
 from .dataset import ContingencyTable, Dataset, DomainMismatchError, stratum_order, tabulate
 from .jsontext import _map_distinct, dumps
 from . import swapping
@@ -140,14 +140,14 @@ class UtilityReport:
 
 def utility_experiment(
     x: Dataset,
-    rates: Sequence[float],
+    rates: Sequence[RateLike],
     reps: int,
     seed: int,
 ) -> list[UtilityReport]:
     """Run the swapper ``reps`` times per rate and summarize the errors."""
     if reps < 1:
         raise ValueError("at least one replication is required")
-    checked = [_validate_rate(rate) for rate in rates]
+    checked = [float(_unit_rate(rate)) for rate in rates]
     spans = stratum_order(x)
     strata = _active_strata(spans[1])
     _, h, s = x.codes.T

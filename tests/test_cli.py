@@ -88,6 +88,16 @@ class TestSynth:
         assert capsys.readouterr().err == f"error: strata: {total} records in all, more than int64 holds (9223372036854775807)\n"
         assert not (tmp_path / "x.csv").exists()
 
+    def test_record_count_past_memory_named_by_key(self, tmp_path, capsys):
+        """10^17 records fit int64 but their 2.4 * 10^18 bytes of codes
+        cannot be allocated: the run exits 2 naming the key, and the
+        array is refused without being allocated."""
+        assert run_cli(["synth", "--strata", str(10**17), "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: strata: {10**17} records need {24 * 10**17} bytes, more than can be allocated\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestSwap:
     def test_rate_zero_reproduces_input_tabulation(self, synth_files, tmp_path):

@@ -145,6 +145,13 @@ class TestCsvReading:
         path.write_text("a,b\n1,2\n\n3,4\n", encoding="utf-8")
         cols = read_csv_columns(path)
         assert cols["a"] == ["1", "3"]
+        # blank lines only after the last data line
+        trailing, plain = tmp_path / "trailing.csv", tmp_path / "plain.csv"
+        trailing.write_text("a,b\n1,2\n3,4\n\n\n", encoding="utf-8")
+        plain.write_text("a,b\n1,2\n3,4\n", encoding="utf-8")
+        assert read_csv_columns(trailing) == {"a": ["1", "3"], "b": ["2", "4"]}
+        roles = RoleAssignment(match=(), hold=("a",), swap=("b",))
+        assert load_dataset(trailing, roles) == load_dataset(plain, roles)
 
     def test_byte_order_mark_and_crlf_load_like_plain(self, tmp_path):
         plain = FIXTURES / "witness_odds.csv"

@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -25,8 +26,9 @@ from permuswap import (
     tabulate,
     to_exact_rate,
 )
-from permuswap.budget import derangement_count
+from permuswap.budget import derangement_count, psa_budget, psa_lower_bounds
 from permuswap.dataset import stratum_order, tabulate_columns
+from permuswap.exact import universe_report
 from permuswap import swapping
 from permuswap.swapping import (
     _active_strata,
@@ -61,6 +63,52 @@ class TestExactRate:
         assert to_exact_rate("1/3") == Fraction(1, 3)
         assert to_exact_rate(np.int64(0)) == Fraction(0)
         assert to_exact_rate(np.uint8(1)) == Fraction(1)
+
+    @pytest.mark.parametrize("text", ["1/0", "", "abc"])
+    def test_text_that_is_no_number_is_a_value_error(self, text):
+        with pytest.raises(ValueError):
+            to_exact_rate(text)
+        with pytest.raises(ValueError):
+            psa_budget(text, 2)
+
+
+# every API that takes a rate, called at rate p on a 4-record stratum x
+RATE_READERS = {
+    "psa_budget": lambda x, p: psa_budget(p, 2),
+    "psa_lower_bounds": lambda x, p: psa_lower_bounds(p, 4),
+    "PsaParams": lambda x, p: PsaParams(p, 7),
+    "select_records": lambda x, p: select_records(5, p, np.random.default_rng(3)),
+    "utility_experiment": lambda x, p: utility_experiment(x, [p], 20, 5),
+    "exact_psa_distribution": lambda x, p: exact_psa_distribution(x, p),
+    "universe_report": lambda x, p: universe_report(x, [p]),
+}
+
+
+@pytest.fixture
+def mixed_stratum():
+    return make_dataset([(0, 0, 0), (0, 1, 1), (0, 0, 1), (0, 1, 0)], (1, 2, 2))
+
+
+class TestOneRateReader:
+    """The swapper, the budget and the exact oracle read a rate alike:
+    one value, however written, is one rate, and a value outside [0, 1]
+    is refused by all of them with one message."""
+
+    @pytest.mark.parametrize("call", RATE_READERS.values(), ids=RATE_READERS.keys())
+    def test_one_tenth_written_every_way_is_one_rate(self, mixed_stratum, call):
+        spellings = [0.1, np.float64(0.1), np.float32(0.1), "0.1", "1/10", Fraction(1, 10), Decimal("0.1")]
+        first, *rest = (call(mixed_stratum, p) for p in spellings)
+        assert rest == [first] * len(rest)
+
+    @pytest.mark.parametrize(
+        "rate",
+        [math.nan, math.inf, -math.inf, np.float32("nan"), Fraction(-1, 2), Fraction(3, 2)],
+        ids=["nan", "inf", "-inf", "float32-nan", "-1/2", "3/2"],
+    )
+    @pytest.mark.parametrize("call", RATE_READERS.values(), ids=RATE_READERS.keys())
+    def test_rates_outside_the_unit_interval_are_refused_alike(self, mixed_stratum, call, rate):
+        with pytest.raises(ValueError, match=r"^rate must lie in \[0, 1\]$"):
+            call(mixed_stratum, rate)
 
 
 class TestPermutation:
