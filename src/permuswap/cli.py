@@ -100,12 +100,11 @@ def _default_seed() -> int:
 
 
 def _parse_rate(raw: str, key: str) -> Fraction:
+    """A rate read by the package's checked reader; its refusal names the key and the token."""
     try:
-        rate = to_exact_rate(raw)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise CliError(f"{key}: cannot parse rate {raw!r}") from exc
-    if not 0 <= rate <= 1:
-        raise CliError(f"{key}: rate {raw!r} outside [0, 1]")
+        rate = to_exact_rate(budget_mod._unit_rate(raw))
+    except ValueError as exc:
+        raise CliError(f"{key}: rate {raw!r} refused: {exc}") from exc
     if exact_mod._float_endpoint(rate):
         raise CliError(f"{key}: rate {raw!r} lies inside (0, 1) but rounds to {float(rate)} as a float")
     return rate

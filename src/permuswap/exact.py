@@ -33,13 +33,16 @@ rate, so every member of a stratum universe shares it; only the public
 stratum universe of tables T_1, ..., T_U in key order, the law of T_i
 is one row of numerators aligned with the tables: entry j is
 N_{T_i}(T_j, .), the permutations carrying T_i onto T_j by the number k
-of records moved, dotted with the rate's weights.  Every oracle API
-reads these rows (:func:`_stratum_law`); only
-:func:`exact_psa_distribution` multiplies them into a composite law.
-Row polynomials, pair counts, universes, stratum laws and weights are
-cached for one public call, shared across its datasets and rates (a law
-at a new rate dots the cached pair counts with its weights); multinomials
-and fixed-point counts, functions of integers alone, for the process.
+of records moved, dotted with the rate's weights.  The composite law of
+:func:`exact_psa_distribution`, :func:`verify_dp`,
+:func:`measured_optimal_epsilon` and the sweep's re-check of a failing
+universe read these rows (:func:`_stratum_law`); the sweep's stratum
+checks and :func:`universe_report` read them off one pair-count tensor
+per stratum universe (below).  Row polynomials, pair counts, universes
+and stratum laws are cached for one public call, shared across its
+datasets and rates (a law at a new rate dots the cached pair counts with
+its weights); multinomials, fixed-point counts and each (n, rate)'s
+weights, integer and float, functions of integers alone, for the process.
 
 With the exact distributions in hand, the Lipschitz condition
 
@@ -48,9 +51,27 @@ With the exact distributions in hand, the Lipschitz condition
 is checked table by table for every same-universe pair; the sup over
 events of a finite discrete pair of distributions is attained on an
 atom, so the multiplicative distance reduces to the max over atoms.
-The largest atom ratio is found by integer cross-multiplication and
-reduced to a ``Fraction`` once per pair; its logarithm, the only
-real-valued step, is taken after all exact comparisons.
+An exact comparison finds a pair's largest atom ratio by integer
+cross-multiplication and reduces it to a ``Fraction``; its logarithm,
+the only real-valued step, is taken after all exact comparisons.
+
+On one stratum universe of U tables of n records the pair counts are
+one U x U x (n + 1) tensor N (:func:`_pair_tensor`), built once and
+read at every rate of the call (:func:`_universe_optima`).  Its entries
+are at most n!, so it is int64 up to n = 20 and holds Python ints
+above; the guard below admits either.  The laws at every rate are one
+float product N @ W, and one numpy scan in blocks of pairs gives every
+pair's largest |log ratio|.  The floats only choose the pairs compared
+exactly: each pair within 1e-9 (relative) of the rate's largest float
+or of its budget, and each pair of a table whose float law may have
+underflowed, is compared by cross-multiplication of its integer rows.
+A float law is within (n + 5) eps of the exact one, relative, so each
+scan float is within 2 (n + 5) eps of its pair's log ratio, and the
+float reported for an exact ratio within an ulp of each of the two logs
+it subtracts: both far inside the band (about 1e-14 at n = 20) until
+the integers pass about e^(10^6), a stratum of some 10^5 records.  So
+every reported value and verdict is an exact ratio's.  The support is read
+off N's zero pattern and the connecting minima off its first nonzero k.
 
 The rest of a universe's structure is a function of its margins: the
 stratum bound b, the :func:`permuswap.budget.psa_lower_bounds` it
@@ -75,15 +96,17 @@ sum over the strata of a_m(t_m), so the largest atom ratio is
 max(prod_m R+_m, prod_m R-_m), with R+_m stratum m's largest ratio one
 way round and R-_m the other; a stratum the two share gives 1 (the pair
 lemma).  The smallest key attaining it concatenates each stratum's
-first maximizer on the winning side, the smaller one on a tie.  One
-function compares every pair so: :func:`verify_dp`, the sweep, the
-universe report and the measured optimum on the strata's rows, and the
-public ``Fraction`` API (:func:`max_probability_ratio`, and so
-:func:`mult_distance`) on one row over the lcm of the atoms'
-denominators.  So one stratum is also the unit of the measured optimum
-(the stratum lemma): the pair's distance is at most the sum of the
-strata's distances D_m, and its value at most the largest D_m / d_m
-over the strata where the two differ.  The pair that differs in that
+first maximizer on the winning side, the smaller one on a tie.  Every
+exact comparison is this one, stratum by stratum through
+:func:`_row_ratio`: :func:`verify_dp`, the measured optimum and the
+sweep's re-check of a failing universe on the strata's rows
+(:func:`_pair_ratio`), the sweep's stratum checks and the universe
+report on one stratum's rows, and the public ``Fraction`` API
+(:func:`max_probability_ratio`, and so :func:`mult_distance`) on one row
+over the lcm of the atoms' denominators.  So one stratum is also the
+unit of the measured optimum (the stratum lemma): the pair's distance
+is at most the sum of the strata's distances D_m, and its value at most
+the largest D_m / d_m over the strata where the two differ.  The pair that differs in that
 stratum alone is in the universe and attains it, with the same reduced
 ratio and so the same float.  A universe's measured optimum is the
 largest of its strata's, each a function of the stratum's sorted hold
@@ -139,6 +162,13 @@ __all__ = [
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 # slack for the single real-valued step (the final logarithm)
 LOG_SLACK = 1e-12
+# a pair whose float value lies within this of the largest, or of the
+# budget, relative to the larger of that value and 1, is compared exactly
+_RECHECK = 1e-9
+# the float laws, the float scan and the lemma work on at most this many entries at once
+_SCAN_FLOATS = 1 << 16
+# a float law below (n + 1) _TINY may have lost its leading digits to underflow
+_TINY = sys.float_info.min / sys.float_info.epsilon
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -298,6 +328,47 @@ def _pair_counts(x: tuple[int, ...], t: tuple[int, ...], swap_levels: int, cache
                 raise ValueError("move counts break the reversibility lemma")
             pairs[x, t] = [ways for ways, _ in derived]
     return pairs[x, t]
+
+
+def _upper(size: int, cache: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of ``size`` tables in row-major order, as
+    np.triu_indices(size, 1) gives them, held in ``cache``."""
+    if ("upper", size) not in cache:
+        cache["upper", size] = np.triu_indices(size, 1)
+    return cache["upper", size]
+
+
+def _pair_tensor(tables: Sequence[tuple[int, ...]], swap_levels: int, cache: dict) -> np.ndarray:
+    """The pair counts of one stratum universe of U >= 2 tables of n
+    records, as one U x U x (n + 1) array N with N[i, j, k] =
+    N_{T_i}(T_j, k): :func:`_pair_kernel` on and above the diagonal, the
+    reversibility lemma below it, N[j, i] = N[i, j] w(T_j) / w(T_i),
+    which raises if a division leaves a remainder.  Every entry is at
+    most n!, so the array is int64 up to n = 20 and holds Python ints
+    above.  Each row sums over j to the C(n, k) d(k) permutations moving
+    k records, or ``ValueError`` is raised.  The kernel shares
+    ``cache``'s row polynomials and convolutions; no pair is cached."""
+    size, n = len(tables), sum(tables[0])
+    tensor = np.zeros((size, size, n + 1), dtype=np.int64 if n <= 20 else object)
+    for i, x in enumerate(tables):
+        tensor[i, i:] = [_pair_kernel(x, t, swap_levels, cache) for t in tables[i:]]
+    w = np.array([math.prod(map(math.factorial, t)) for t in tables], dtype=tensor.dtype)
+    rows, cols = _upper(size, cache)
+    # in blocks of pairs, so the temporaries stay within _SCAN_FLOATS entries
+    step = max(1, _SCAN_FLOATS // (n + 1))
+    for lo in range(0, len(rows), step):
+        i, j = rows[lo : lo + step], cols[lo : lo + step]
+        w_i, w_j = w[i], w[j]
+        shared = np.gcd(w_i, w_j)
+        counts, down = tensor[i, j], (w_i // shared)[:, None]
+        if (counts % down).any():
+            raise ValueError("move counts break the reversibility lemma")
+        tensor[j, i] = counts // down * (w_j // shared)[:, None]
+    if ("moved", n) not in cache:
+        cache["moved", n] = np.array([math.comb(n, k) * derangement_count(k) for k in range(n + 1)], dtype=tensor.dtype)
+    if (tensor.sum(axis=1) != cache["moved", n]).any():
+        raise ValueError("probabilities must sum to exactly one")
+    return tensor
 
 
 def _stratum_weights(n: int, rate: Fraction) -> tuple[list[int], int]:
@@ -714,6 +785,143 @@ def _optimum(laws: Sequence[Sequence], distances: Sequence[Sequence]) -> float:
     return max((value for _, _, value in _pair_values(laws, distances)), default=0.0)
 
 
+def _first_moves(tensor: np.ndarray) -> list[list[Union[int, None]]]:
+    """The fewest records a permutation moves to carry table i of a
+    stratum universe onto table j, the first nonzero k of its
+    :func:`_pair_tensor` entry N[i, j], or None."""
+    moved = tensor != 0
+    return np.where(moved.any(axis=2), moved.argmax(axis=2), None).tolist()
+
+
+@functools.lru_cache(maxsize=1024)
+def _weight_row(n: int, a: int, c: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """:func:`_stratum_weights` at n records and rate a/c, and each
+    divided by the largest, correctly rounded to a float; a function of
+    integers alone, held for the process."""
+    weights, _ = _stratum_weights(n, Fraction(a, c))
+    top = max(weights)
+    return tuple(weights), tuple(w / top for w in weights)
+
+
+def _rate_weights(n: int, rates: Sequence[Fraction], cache: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three (n + 1) x R arrays of the rates' :func:`_weight_row` at n
+    records: the integer weights (object), the floats, and where each
+    weight is nonzero; held in ``cache`` under ``("weights", n)`` for
+    the ``rates`` object they were built for, which a sweep passes for
+    every stratum."""
+    held = cache.get(("weights", n))
+    if held is None or held[0] is not rates:
+        ints, floats = zip(*(_weight_row(n, rate.numerator, rate.denominator) for rate in rates))
+        exact = np.array(ints, dtype=object).T
+        held = cache["weights", n] = rates, exact, np.array(floats).T, exact != 0
+    return held[1:]
+
+
+def _row_log(us: Sequence[int], vs: Sequence[int]) -> float:
+    """The log of the largest atom ratio either way round of two aligned
+    numerator rows of one stratum (:func:`_row_ratio`), reduced before
+    the log as :func:`_log_ratio` takes :func:`_pair_ratio`'s; infinite
+    when the supports differ."""
+    hit = _row_ratio(us, vs)
+    if hit is None:
+        return math.inf
+    num, den, _, down_num, down_den, _ = hit
+    if num * down_den < down_num * den:
+        num, den = down_num, down_den
+    return _log_ratio((Fraction(num, den), None))
+
+
+def _universe_optima(
+    tables: Sequence[tuple[int, ...]],
+    tensor: np.ndarray,
+    rates: Sequence[Fraction],
+    budgets: Sequence[float],
+    distances: Sequence[Sequence[int]],
+    cache: dict,
+) -> list[tuple[float, list[int], list[tuple[int, int, float]]]]:
+    """Every rate's pair checks on one stratum universe of U >= 2
+    tables, given its :func:`_pair_tensor` N, a budget per rate and d_Ham
+    of every pair: per rate, the measured optimum, the tables whose law
+    misses part of the universe, and each pair i < j whose distance per
+    unit of d_Ham exceeds the budget plus ``LOG_SLACK``, with its value,
+    in pair order.
+
+    The laws at every rate are one float product, N @ W, with W each
+    rate's weights divided by its largest (:func:`_rate_weights`); the
+    supports, rate by rate, are where N is nonzero at a k the rate
+    weighs.  A pair whose supports differ is infinitely apart.  Every
+    other pair's float value, its largest |log ratio| over the atoms per
+    unit of d_Ham, comes from one numpy scan in blocks of pairs, so the
+    temporaries hold at most ``_SCAN_FLOATS`` floats or one pair's U R.
+
+    Floats are only a filter.  A table whose float law is below
+    (n + 1) tiny / eps at an atom of its support, where underflow could
+    reach the leading digits, is shaky at that rate.  Each pair with a
+    shaky table, and each pair whose float lies within ``_RECHECK`` of
+    the rate's largest float or of its budget plus ``LOG_SLACK``, is
+    compared exactly by :func:`_row_log` on integer rows, N[i] times the
+    integer weights, which are :func:`_stratum_law`'s rows.  Every other
+    float lies far inside that band of its exact value (see the module
+    docstring), so the measured optimum and every verdict come from exact
+    ratios, as the pair loop takes them."""
+    size, n = len(tables), tensor.shape[2] - 1
+    if not rates:
+        return []
+    weights, scaled, weighed = _rate_weights(n, rates, cache)
+    laws = np.empty((size, size, len(rates)))
+    step = max(1, _SCAN_FLOATS // tensor[0].size)
+    for lo in range(0, size, step):
+        laws[lo : lo + step] = np.asarray(tensor[lo : lo + step] / math.factorial(n), dtype=float) @ scaled
+    # a law below this may have lost its leading digits to underflow; an unsupported one is 0
+    floor = (n + 1) * _TINY
+    logs = np.log(np.maximum(laws, floor))
+    rows, cols = _upper(size, cache)
+    values = np.empty((len(rows), len(rates)))
+    step = max(1, _SCAN_FLOATS // logs[0].size)
+    for lo in range(0, len(rows), step):
+        block = logs[rows[lo : lo + step]] - logs[cols[lo : lo + step]]
+        values[lo : lo + step] = np.abs(block, out=block).max(axis=1)
+    values /= np.array(distances)[rows, cols][:, None]
+    missing: list[list[int]] = [[] for _ in rates]
+    apart = None
+    if laws.min(initial=math.inf) >= floor:
+        top = values.max(axis=0, initial=0.0)
+    else:
+        # supports that differ make a pair infinitely apart, and a shaky table's
+        # pairs are compared exactly; neither takes part in the largest float
+        supports = (tensor != 0) @ weighed
+        full = supports.all(axis=1)
+        apart = np.zeros(values.shape, dtype=bool)
+        for r in np.flatnonzero(~full.all(axis=0)).tolist():
+            ids, _ = _first_seen(supports[:, :, r])
+            apart[:, r] = ids[rows] != ids[cols]
+            missing[r] = np.flatnonzero(~full[:, r]).tolist()
+        shaky = (supports & (laws < floor)).any(axis=1)
+        aside = apart | shaky[rows] | shaky[cols]
+        top = values.max(axis=0, initial=0.0, where=~aside)
+        values[aside] = math.inf
+    limits = [budget + LOG_SLACK for budget in budgets]
+    # within _RECHECK of the lower of the two, relative to its size or 1
+    low = np.minimum(top, limits)
+    recheck = values >= low - _RECHECK * np.maximum(abs(low), 1.0)
+    rows, cols = rows.tolist(), cols.tolist()
+    measured = [0.0] * len(rates)
+    exceeded: list[list[tuple[int, int, float]]] = [[] for _ in rates]
+    exact: dict = {}
+    for pair, r in zip(*(axis.tolist() for axis in np.nonzero(recheck))):
+        i, j = rows[pair], cols[pair]
+        value = math.inf
+        if apart is None or not apart[pair, r]:
+            for table in (i, j):
+                if table not in exact:
+                    exact[table] = (tensor[table].astype(object) @ weights).T.tolist()
+            value = _row_log(exact[i][r], exact[j][r]) / distances[i][j]
+        measured[r] = max(measured[r], value)
+        if value > limits[r]:
+            exceeded[r].append((i, j, value))
+    return list(zip(measured, missing, exceeded))
+
+
 # ---------------------------------------------------------------------------
 # connecting permutations
 
@@ -1011,37 +1219,53 @@ def _check_universe(
     """Every check :func:`dp_sweep` makes on one universe, given its
     tables' canonical keys over ``domain``, its b and witnessed
     conditions, and the rates with their floats: its summary and the
-    failures it finds.  Each table's law is its strata's rows, pairs are
-    compared by the pair lemma, and the connecting minima are read off
-    the strata's pair counts."""
+    failures it finds.  A universe of one stratum is checked at every
+    rate by :func:`_universe_optima` on its :func:`_pair_tensor`, whose
+    first nonzero entries are the connecting minima; a universe of
+    several strata, which only the sweep's re-check of a failing orbit
+    reaches, pair by pair on its strata's rows (:func:`_stratum_law`)
+    by the pair lemma, with the connecting minima of :func:`_fewest_moves`."""
     b, witnessed = witness
     distances = _distances(keys)
-    strata = [_strata(key, domain) for key in keys]
+    at = [_bounds_at(bounds, p, b) for p in floats]
+    budgets = [budget.epsilon for budget, _ in at]
+    if len(keys) < 2:
+        checked = [(0.0, [], [])] * len(rates)
+    elif domain.match == 1:
+        tensor = _pair_tensor(keys, domain.swap, cache)
+        checked = _universe_optima(keys, tensor, rates, budgets, distances, cache)
+        moves = _first_moves(tensor)
+    else:
+        strata = [_strata(key, domain) for key in keys]
+        checked = []
+        for rate, budget in zip(rates, budgets):
+            laws = [
+                [_stratum_law(part, domain.swap, rate, max_permutations, cache) for part in parts]
+                for parts in strata
+            ]
+            values = list(_pair_values(laws, distances))
+            checked.append((
+                max((value for _, _, value in values), default=0.0),
+                [i for i, law in enumerate(laws) if any(0 in row for _, row in law)],
+                [(i, j, value) for i, j, value in values if value > budget + LOG_SLACK],
+            ))
+        moves = _fewest_moves(keys, domain, cache)
     failures: list[str] = []
     measured_by_p: dict[float, float] = {}
     budget_by_p: dict[float, float] = {}
-    for rate, p in zip(rates, floats):
-        budget, lower = _bounds_at(bounds, p, b)
-        laws = [
-            [_stratum_law(part, domain.swap, rate, max_permutations, cache) for part in parts]
-            for parts in strata
-        ]
-        for key, law in zip(keys, laws):
-            if any(0 in row for _, row in law):
-                failures.append(
-                    f"support differs from universe at p={rate} for "
-                    f"{_table(domain, key).canonical_string()}"
-                )
-        measured = 0.0
-        for i, j, value in _pair_values(laws, distances):
-            measured = max(measured, value)
-            if value > budget.epsilon + LOG_SLACK:
-                failures.append(
-                    f"budget exceeded at p={rate}: measured {value} > "
-                    f"{budget.epsilon} for pair "
-                    f"{_table(domain, keys[i]).canonical_string()} vs "
-                    f"{_table(domain, keys[j]).canonical_string()}"
-                )
+    for rate, p, (budget, lower), (measured, missing, exceeded) in zip(rates, floats, at, checked):
+        for i in missing:
+            failures.append(
+                f"support differs from universe at p={rate} for "
+                f"{_table(domain, keys[i]).canonical_string()}"
+            )
+        for i, j, value in exceeded:
+            failures.append(
+                f"budget exceeded at p={rate}: measured {value} > "
+                f"{budget.epsilon} for pair "
+                f"{_table(domain, keys[i]).canonical_string()} vs "
+                f"{_table(domain, keys[j]).canonical_string()}"
+            )
         measured_by_p[p] = measured
         budget_by_p[p] = budget.epsilon
         for bound, condition in lower:
@@ -1052,7 +1276,6 @@ def _check_universe(
                     f"{_table(domain, keys[0]).canonical_string()}"
                 )
     if len(keys) > 1:
-        moves = _fewest_moves(keys, domain, cache)
         for i, j in itertools.permutations(range(len(keys)), 2):
             if moves[i][j] != distances[i][j]:
                 failures.append(f"connecting minimum {moves[i][j]} disagrees with d_Ham {distances[i][j]}")
@@ -1229,8 +1452,9 @@ def universe_report(
     of U tables of n records held to ``max_permutations`` by its
     U^2 (n + 1) pair counts; ``universe_size`` is the product of
     the strata's universe sizes.  Each distinct stratum universe's pair
-    counts are built once, give its laws at every rate, and those are
-    compared pair by pair as in :func:`dp_sweep`.  At the endpoint rates
+    counts are built once (:func:`_pair_tensor`) and measured at every
+    rate by :func:`_universe_optima`, as :func:`dp_sweep` checks a
+    stratum.  At the endpoint rates
     an infinite measurement is the expected outcome (the budget is
     infinite there too); rows carry a flag so reports can mark them
     rather than fail.  A rate inside (0, 1) whose float is 0.0 or 1.0 is
@@ -1246,21 +1470,16 @@ def universe_report(
     strata = {key: _universe(*key, max_permutations, cache) for key in dict.fromkeys(keys)}
     size = math.prod(len(strata[key]) for key in keys)
     b = invariant_stratum_bound(inv)
-    distances: dict = {}
-
-    def optimum(key, rate):
-        tables = strata[key]
-        if len(tables) <= 1:
-            return 0.0
-        laws = [[_stratum_law(t, x.domain.swap, rate, max_permutations, cache)] for t in tables]
-        if key not in distances:
-            distances[key] = _distances(tables)
-        return _optimum(laws, distances[key])
-
+    budgets = [psa_budget(float(rate), b).epsilon for rate in rates]
+    optima = []
+    for tables in strata.values():
+        if len(tables) > 1:
+            tensor = _pair_tensor(tables, x.domain.swap, cache)
+            checked = _universe_optima(tables, tensor, rates, budgets, _distances(tables), cache)
+            optima.append([measured for measured, _, _ in checked])
     rows = []
-    for rate in rates:
-        budget = psa_budget(float(rate), b).epsilon
-        measured = max((optimum(key, rate) for key in strata), default=0.0)
+    for r, (rate, budget) in enumerate(zip(rates, budgets)):
+        measured = max((row[r] for row in optima), default=0.0)
         passed = measured <= budget + LOG_SLACK
         rows.append(UniverseReport(b, size, float(rate), budget, measured, passed, rate in (0, 1) and b > 0))
     return rows

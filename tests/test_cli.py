@@ -773,6 +773,34 @@ def test_rate_that_rounds_to_an_endpoint_names_its_key(
 
 
 @pytest.mark.parametrize(
+    "argv, key, token",
+    [
+        (["swap", "--p", "1.5", "--sidecar", "{out}"], "p", "1.5"),
+        (["budget", "--p", "1.5", "--b", "4"], "p", "1.5"),
+        (["verify", "--p-values", "1/2,nan"], "p-values", "nan"),
+        (["curve", "--b", "4", "--p-values", "1/2,nan"], "p-values", "nan"),
+        (["utility", "--rates", "1/2,-inf", "--reps", "2"], "rates", "-inf"),
+    ],
+    ids=["swap", "budget", "verify", "curve", "utility"],
+)
+def test_rate_outside_the_unit_interval_names_its_key(capsys, synth_files, tmp_path, argv, key, token):
+    """The package's rate reader refuses a rate outside [0, 1], NaN and
+    the infinities included; the CLI passes its refusal on with the key
+    and the token, exit code 2, before reading the input."""
+    csv, roles = synth_files
+    out = tmp_path / "sidecar.json"
+    args = [a.format(out=out) for a in argv]
+    if args[0] in ("swap", "verify", "utility"):
+        args += ["--input", csv, "--roles", roles]
+    code = run_cli(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {key}: rate {token!r} refused: rate must lie in [0, 1]\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, key",
     [
         (["curve", "--b", "4", "--p-values"], "p-values"),

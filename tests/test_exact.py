@@ -801,25 +801,26 @@ class TestSweep:
         assert report.connecting_checks > 0
         assert report.all_pass
 
-    def test_connecting_minimum_off_d_ham_fails_the_sweep(self, monkeypatch, capsys):
-        """A connecting minimum one above d_Ham, read off the pair counts,
-        is listed for every ordered pair, fails the report, and exits the
-        CLI with code 3."""
+    @pytest.mark.parametrize("domain", [(1, 2, 2), (2, 2, 2)])
+    def test_connecting_minimum_off_d_ham_fails_the_sweep(self, monkeypatch, capsys, domain):
+        """A connecting minimum one above d_Ham, read off the pair counts
+        (the stratum tensor's in a stratum check, the strata's pair counts
+        in the re-check of a universe of several strata), is listed for
+        every ordered pair, fails the report, and exits the CLI with code 3."""
         from permuswap.cli import main
 
-        fewest_moves = exact._fewest_moves
+        for name in ("_first_moves", "_fewest_moves"):
+            def off_by_one(*args, _moves=getattr(exact, name)):
+                moves = _moves(*args)
+                return [[k if i == j else k + 1 for j, k in enumerate(row)] for i, row in enumerate(moves)]
 
-        def off_by_one(*args):
-            moves = fewest_moves(*args)
-            return [[k if i == j else k + 1 for j, k in enumerate(row)] for i, row in enumerate(moves)]
-
-        monkeypatch.setattr(exact, "_fewest_moves", off_by_one)
-        report = dp_sweep(Domain(1, 2, 2), 3, [Fraction(1, 2)])
+            monkeypatch.setattr(exact, name, off_by_one)
+        report = dp_sweep(Domain(*domain), 3, [Fraction(1, 2)])
         assert not report.all_pass
         found = [re.fullmatch(r"connecting minimum (\d+) disagrees with d_Ham (\d+)", f) for f in report.failures]
         assert all(found) and len(found) == report.connecting_checks > 0
         assert all(int(m[1]) == int(m[2]) + 1 for m in found)
-        argv = ["verify", "--sweep", "--domain", "1,2,2", "--max-records", "3", "--p-values", "1/2"]
+        argv = ["verify", "--sweep", "--domain", ",".join(map(str, domain)), "--max-records", "3", "--p-values", "1/2"]
         assert main(argv) == 3
         out = capsys.readouterr().out
         assert "\nFAIL connecting minimum " in out and out.endswith("result=fail\n")
@@ -833,8 +834,9 @@ class TestSweep:
         integer weight vector per (n, rate), one kernel run per unordered
         pair of tables and one polynomial per pair of hold rows and
         stratum size, shared by the laws and the connecting minimum
-        through the pair counts, one stratum law per (table, rate), no
-        brute force, no composite law, one SwapInvariants for all strata
+        through one pair tensor per universe of at least two tables,
+        measured at every rate at once, no stratum law, no brute force,
+        no composite law, one SwapInvariants for all strata
         and none per orbit, and no dataset, connecting permutation or
         tabulated table at all.
         The reported counts cover every universe."""
@@ -866,6 +868,8 @@ class TestSweep:
             "_key_distance": [],
             "hamming_distance": [],
             "_stratum_law": [],
+            "_pair_tensor": [],
+            "_universe_optima": [],
             "_law": [],
             "SwapInvariants": [],
             "min_connecting_derangement": [],
@@ -882,6 +886,8 @@ class TestSweep:
                 return _fn(*args)
 
             monkeypatch.setattr(exact, name, counted)
+        # the weight rows are held for the process; an earlier run may have built them
+        exact._weight_row.cache_clear()
         rates = [Fraction(1, 10), Fraction(1, 2)]
         report = dp_sweep(domain, max_records=4, p_values=rates)
         assert report.all_pass
@@ -893,10 +899,11 @@ class TestSweep:
         assert len(calls["_check_universe"]) == len(singles)
         assert len(calls["_key_distance"]) == sum(math.comb(n, 2) for n in checked)
         assert calls["hamming_distance"] == []
-        laws = [(counts, rate) for counts, _, rate, _, _ in calls["_stratum_law"]]
-        assert len(laws) == len(set(laws))
-        tables = [t for members in singles.values() for t in members]
-        assert set(laws) == {(t.canonical_key(), rate) for t in tables for rate in rates}
+        assert calls["_stratum_law"] == []
+        measured = [sorted(t.canonical_key() for t in tables) for tables in singles.values() if len(tables) > 1]
+        assert sorted(list(keys) for keys, _, _ in calls["_pair_tensor"]) == sorted(measured)
+        assert [len(keys) for keys, *_ in calls["_universe_optima"]] == [len(keys) for keys, _, _ in calls["_pair_tensor"]]
+        assert all(list(scanned) == rates for _, _, scanned, *_ in calls["_universe_optima"])
         assert calls["_law"] == []
         assert len(calls["SwapInvariants"]) == 1
         assert calls["min_connecting_derangement"] == []
@@ -906,8 +913,8 @@ class TestSweep:
         strata = {
             tuple(table.counts.ravel().tolist())
             for tables in singles.values()
+            if len(tables) > 1
             for table in tables
-            if table.counts.sum() >= 2
         }
         weights = calls["_stratum_weights"]
         assert len(weights) == len(set(weights))
@@ -917,7 +924,7 @@ class TestSweep:
         assert set(pairs) == {
             (x, t)
             for tables in singles.values()
-            if tables[0].counts.sum() >= 2
+            if len(tables) > 1
             for x, t in itertools.combinations_with_replacement(sorted(t.canonical_key() for t in tables), 2)
         }
         rows = calls["_row_polynomial"]
@@ -1077,3 +1084,86 @@ def test_sweep_summaries_hold_python_numbers(monkeypatch, share):
             assert [type(p) for p in values] == [float, float]
             assert [type(v) for v in values.values()] == [float, float]
     assert "np." not in repr(report)
+
+
+class TestUniverseOptima:
+    """The float scan of one stratum universe's pair-count tensor is a
+    filter: every reported value and verdict comes from an exact ratio."""
+
+    # rows of N[., ., n] for three tables of 20 records: at p = 1 only the
+    # derangements (k = n) weigh, so each law is its row times one weight
+    NEAR_TIE = [
+        [2204859385090481373, 1195750365935782523, 1195750365935782523],
+        [1195750365935780289, 2204859385090481373, 1195750365935782523],
+        [1195750365935781734, 1195750365935782523, 2204859385090481373],
+    ]
+
+    @staticmethod
+    def _exact_value(us, vs):
+        ratio = max(Fraction(max(u, v), min(u, v)) for u, v in zip(us, vs))
+        return math.log(ratio.numerator) - math.log(ratio.denominator)
+
+    def test_near_ties_follow_the_exact_ratio(self):
+        """The pairs' floats, from laws rounded to doubles, agree within
+        1e-9 and rank (0, 1) first; their exact ratios rank (0, 2) and
+        (1, 2) first.  The measured optimum is the exact one, and with a
+        budget between (0, 2)'s float and its exact value the verdict
+        follows the exact ratio too."""
+        n, rows = 20, self.NEAR_TIE
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        logs = np.log(np.array(rows, dtype=float) / math.factorial(n))
+        floats = {(i, j): float(np.abs(logs[i] - logs[j]).max()) for i, j in pairs}
+        exacts = {(i, j): self._exact_value(rows[i], rows[j]) for i, j in pairs}
+        assert max(floats.values()) - min(floats.values()) < 1e-9
+        assert max(floats, key=floats.get) == (0, 1) and exacts[0, 1] < exacts[0, 2] == exacts[1, 2]
+        assert floats[0, 2] < exacts[0, 2]
+        tensor = np.zeros((3, 3, n + 1), dtype=np.int64)
+        tensor[:, :, n] = rows
+        distances = [[0 if i == j else 1 for j in range(3)] for i in range(3)]
+        budget = (floats[0, 2] + exacts[0, 2]) / 2 - exact.LOG_SLACK
+        assert exacts[0, 1] < budget + exact.LOG_SLACK < exacts[0, 2]
+        (checked,) = exact._universe_optima([(0,), (1,), (2,)], tensor, [Fraction(1)], [budget], distances, {})
+        assert checked == (exacts[0, 2], [], [(0, 2, exacts[0, 2]), (1, 2, exacts[1, 2])])
+
+    def test_universe_report_memory_stays_near_the_tensor(self):
+        """On the b = 12 witness (one stratum of U = 160 tables of n = 12
+        records) universe_report holds the U^2 (n + 1) int64 pair counts,
+        the U^2 R float laws with their logs and two temporaries of that
+        size, a handful of scan and lemma blocks of at most _SCAN_FLOATS
+        entries, and 1 MiB for the kernel's polynomials, the tables and
+        the rest: about 10 MB here, where a scan over every pair at once
+        would take U^3 R floats, 98 MB."""
+        x = load_dataset(FIXTURES / "witness_ratio_b12.csv", load_roles(FIXTURES / "witness_ratio_b12.roles.json"))
+        rates = [Fraction(1, 10), Fraction(783, 1000), Fraction(9, 10)]
+        size, n = 160, 12
+        bound = size * size * (n + 1) * 8 + 4 * size * size * len(rates) * 8 + 8 * exact._SCAN_FLOATS * 8 + 2**20
+        assert 9 * bound < size**3 * len(rates) * 8
+        tracemalloc.start()
+        try:
+            rows = universe_report(x, rates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows[1].universe_size == size and rows[1].measured_optimal == 1.1581655876309433
+        assert peak < bound
+
+    @pytest.mark.parametrize("entry", [1, 2], ids=["lemma", "row sum"])
+    def test_pair_tensor_checks_its_counts(self, monkeypatch, entry):
+        """A kernel count one too high either leaves a remainder in the
+        reversibility lemma, or (at the identity's k = 0 on the diagonal,
+        where the lemma has nothing to divide) breaks the row sums; both
+        raise."""
+        cache = {}
+        tables = exact._universe((2, 3), (2, 3), DEFAULT_ENUMERATION_BUDGET, cache)
+        kernel = exact._pair_kernel
+
+        def off(x, t, swap_levels, cache):
+            counts = kernel(x, t, swap_levels, cache)
+            if (x == t) == (entry == 2):
+                counts[0 if x == t else -1] += 1
+            return counts
+
+        monkeypatch.setattr(exact, "_pair_kernel", off)
+        message = "reversibility lemma" if entry == 1 else "sum to exactly one"
+        with pytest.raises(ValueError, match=message):
+            exact._pair_tensor(tables, 2, cache)

@@ -40,6 +40,7 @@ from permuswap import (
     exact_psa_distribution,
     hamming_distance,
     load_dataset,
+    load_roles,
     mape,
     max_probability_ratio,
     max_stratum_b,
@@ -87,6 +88,7 @@ from permuswap import ingest
 from permuswap.synth import StratumSpec, synthesize
 from permuswap.utility import QUARTILE_RULE, ZERO_CELL_RULE, UtilityReport, _summarize
 
+from conftest import FIXTURES, load_fixture
 from test_pinned_outputs import SWEEP_PINS, SWEEP_RATES, _sha
 
 # ---------------------------------------------------------------------------
@@ -2272,3 +2274,151 @@ def test_out_of_domain_record_named_by_index(bad):
         Dataset(records, Domain(1, 2, 3))
     with pytest.raises(ValueError, match=message):
         Dataset(np.array(records), Domain(1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# one pair-count tensor per stratum universe against the per-rate pair loop
+
+
+def ref_universe_optima(tables, swap_levels, rates, budgets, distances):
+    """_universe_optima's answers as the per-rate loop gave them: each
+    table's _stratum_law row at each rate, and every pair compared by the
+    pair lemma (_pair_values over _pair_ratio and _row_ratio), through a
+    cache of its own."""
+    own: dict = {}
+    results = []
+    for rate, budget in zip(rates, budgets):
+        laws = [[exact._stratum_law(t, swap_levels, rate, DEFAULT_ENUMERATION_BUDGET, own)] for t in tables]
+        values = list(exact._pair_values(laws, distances))
+        results.append((
+            max((value for _, _, value in values), default=0.0),
+            [i for i, law in enumerate(laws) if any(0 in row for _, row in law)],
+            [(i, j, value) for i, j, value in values if value > budget + LOG_SLACK],
+        ))
+    return results
+
+
+def ref_optima_at(swap_levels):
+    """ref_universe_optima in _universe_optima's place, for strata of
+    ``swap_levels`` swap values."""
+
+    def optima(tables, tensor, rates, budgets, distances, cache):
+        return ref_universe_optima(tables, swap_levels, rates, budgets, distances)
+
+    return optima
+
+
+def _optima(hold, swap, rates, budgets):
+    """_universe_optima on the stratum universe of the given margins, and
+    the per-rate loop's answers."""
+    cache = {}
+    tables = exact._universe(tuple(hold), tuple(swap), DEFAULT_ENUMERATION_BUDGET, cache)
+    tensor = exact._pair_tensor(tables, len(swap), cache)
+    distances = exact._distances(tables)
+    found = exact._universe_optima(tables, tensor, rates, budgets, distances, cache)
+    return found, ref_universe_optima(tables, len(swap), rates, budgets, distances)
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_PINS), ids=repr)
+def test_universe_optima_match_the_pair_loop_on_pinned_strata(case):
+    """Every stratum universe of at least two tables that a pinned sweep
+    checks gives the loop's optima, floats included; with the budgets at
+    half the optima, the same pairs exceed them, with the same values
+    (none where the optimum is 0, as at p = 1/2 on two records)."""
+    domain, max_records = Domain(*case[0]), case[1]
+    counts = exact._small_count_rows(domain, max_records).reshape(-1, *domain.shape)
+    _, strata = exact._orbit_ids(counts.sum(axis=3), counts.sum(axis=2))
+    checked = 0
+    for row in strata.tolist():
+        hold, swap = row[: domain.hold], row[domain.hold :]
+        if len(exact._tables_with_margins(hold, swap, 10**6)) < 2:
+            continue
+        found, expected = _optima(hold, swap, SWEEP_RATES, [4.0] * len(SWEEP_RATES))
+        assert found == expected
+        halves = [measured / 2 for measured, _, _ in expected]
+        found, expected = _optima(hold, swap, SWEEP_RATES, halves)
+        assert found == expected and all(exceeded for measured, _, exceeded in found if measured)
+        checked += 1
+    # a domain of one swap value has no universe of two tables
+    assert checked or domain.swap == 1
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_PINS), ids=repr)
+def test_sweep_reports_match_the_pair_loop(monkeypatch, case):
+    """Every pinned sweep's whole report, its summaries' floats included,
+    is that of the sweep whose stratum checks take the per-rate loop's
+    answers."""
+    domain, max_records = Domain(*case[0]), case[1]
+    found = dp_sweep(domain, max_records, SWEEP_RATES)
+    monkeypatch.setattr(exact, "_universe_optima", ref_optima_at(domain.swap))
+    assert found == dp_sweep(domain, max_records, SWEEP_RATES)
+
+
+@pytest.mark.parametrize(
+    "name, rates",
+    [
+        ("witness_ratio_b4", ["1/10", "3/10", "1/2"]),
+        ("witness_ratio_b6", ["1/10", "1/2", "9/10"]),
+        ("witness_ratio_b10", ["1/10", "96/125", "9/10"]),
+        ("witness_ratio_b12", ["1/10", "783/1000", "9/10"]),
+    ],
+    ids=["b4", "b6", "b10", "b12"],
+)
+def test_universe_report_matches_the_pair_loop_on_the_witnesses(monkeypatch, name, rates):
+    """universe_report's rows on the ratio witnesses at their pinned
+    rates and at the endpoints, where every measured optimum is infinite,
+    are those of the per-rate loop."""
+    x = load_dataset(FIXTURES / f"{name}.csv", load_roles(FIXTURES / f"{name}.roles.json"))
+    rates = [0, *rates, 1]
+    found = universe_report(x, rates)
+    assert [row.measured_optimal for row in (found[0], found[-1])] == [math.inf, math.inf]
+    monkeypatch.setattr(exact, "_universe_optima", ref_optima_at(x.domain.swap))
+    assert found == universe_report(x, rates)
+
+
+def test_underflowing_weights_are_compared_exactly():
+    """At p = 10^-300 on the four records of the b = 4 witness every
+    float weight but the identity's is 0, so no law off its own table
+    has a leading digit left; universe_report still measures the exact
+    optimum, as the per-rate loop does."""
+    rate = Fraction(1, 10**300)
+    _, scaled, _ = exact._rate_weights(4, [rate], {})
+    assert scaled[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    x, _ = load_fixture("witness_ratio_b4")
+    found = universe_report(x, [rate])
+    assert 0 < found[0].measured_optimal < math.inf
+    with mock.patch.object(exact, "_universe_optima", ref_optima_at(x.domain.swap)):
+        assert found == universe_report(x, [rate])
+
+
+def test_universe_optima_past_int64_match_the_pair_loop():
+    """Past 20 records a pair count can pass int64, so the tensor holds
+    Python ints, and its optima are still the loop's."""
+    cache = {}
+    tables = exact._universe((3, 20), (3, 20), DEFAULT_ENUMERATION_BUDGET, cache)
+    assert exact._pair_tensor(tables, 2, cache).dtype == object
+    found, expected = _optima((3, 20), (3, 20), SWEEP_RATES, [4.0] * len(SWEEP_RATES))
+    assert found == expected
+    halves = [measured / 2 for measured, _, _ in expected]
+    found, expected = _optima((3, 20), (3, 20), SWEEP_RATES, halves)
+    assert found == expected and all(exceeded for _, _, exceeded in found)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    stratum_margins().filter(lambda m: 2 <= sum(m[0]) <= 8),
+    st.lists(st.sampled_from([0, 1]) | st.fractions(0, 1, max_denominator=300), min_size=1, max_size=3, unique=True),
+    st.floats(0, 4),
+)
+def test_universe_optima_match_the_pair_loop_on_drawn_strata(margins, rates, budget):
+    """Drawn stratum universes of H, S <= 4 and 2 to 8 records, up to 80
+    tables, at drawn rates, endpoints included, and a drawn budget."""
+    hold, swap = margins
+    try:
+        tables = exact._tables_with_margins(hold, swap, 80)
+    except EnumerationBudgetError:
+        tables = []
+    if len(tables) >= 2:
+        rates = [to_exact_rate(rate) for rate in rates]
+        found, expected = _optima(hold, swap, rates, [budget] * len(rates))
+        assert found == expected
