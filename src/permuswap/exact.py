@@ -21,9 +21,9 @@ whose hold value is fixed, a swap value; x has C / w(x) of them, C fixed
 by the hold margins.  The map (a, pi) -> (a o pi, pi^-1), from an
 arrangement a of x and a permutation pi carrying it onto one of t, is a
 bijection onto the same pairs for (t, x), and pi^-1 moves the records pi
-moves; so (C / w(x)) N_x(t, k) = (C / w(t)) N_t(x, k).  The kernel runs
-for x <= t in key order only, and the other order is one exact multiply
-and divide.
+moves; so (C / w(x)) N_x(t, k) = (C / w(t)) N_t(x, k).  Where both
+orders are built, the kernel runs for x <= t in key order only, and the
+other order is one exact multiply and divide.
 
 A law is held as integer numerators over one denominator.  With
 p = a/c, the weight of a permutation moving k records is an integer
@@ -33,16 +33,15 @@ rate, so every member of a stratum universe shares it; only the public
 stratum universe of tables T_1, ..., T_U in key order, the law of T_i
 is one row of numerators aligned with the tables: entry j is
 N_{T_i}(T_j, .), the permutations carrying T_i onto T_j by the number k
-of records moved, dotted with the rate's weights.  The composite law of
-:func:`exact_psa_distribution`, :func:`verify_dp`,
-:func:`measured_optimal_epsilon` and the sweep's re-check of a failing
-universe read these rows (:func:`_stratum_law`); the sweep's stratum
-checks and :func:`universe_report` read them off one pair-count tensor
-per stratum universe (below).  Row polynomials, pair counts, universes
-and stratum laws are cached for one public call, shared across its
-datasets and rates (a law at a new rate dots the cached pair counts with
-its weights); multinomials, fixed-point counts and each (n, rate)'s
-weights, integer and float, functions of integers alone, for the process.
+of records moved, dotted with the rate's weights.  One builder,
+:func:`_pair_tensor`, gives every oracle function the rows of a stratum
+universe's pair-count tensor it needs (below): every row to the sweep's
+stratum checks and :func:`universe_report`, the rows of the tables
+compared (:func:`_stratum_rows`) to the other functions.  Row
+polynomials, convolutions and universes are cached for one public call,
+shared across its datasets and rates; multinomials, fixed-point counts
+and each (n, rate)'s weights, integer and float, functions of integers
+alone, for the process.
 
 With the exact distributions in hand, the Lipschitz condition
 
@@ -56,8 +55,9 @@ cross-multiplication and reduces it to a ``Fraction``; its logarithm,
 the only real-valued step, is taken after all exact comparisons.
 
 On one stratum universe of U tables of n records the pair counts are
-one U x U x (n + 1) tensor N (:func:`_pair_tensor`), built once and
-read at every rate of the call (:func:`_universe_optima`).  Its entries
+one U x U x (n + 1) tensor N (:func:`_pair_tensor`), built once, whole
+or in the rows a call compares, and read at every rate of the call
+(:func:`_universe_optima`).  Its entries
 are at most n!, so it is int64 up to n = 20 and holds Python ints
 above; the guard below admits either.  The laws at every rate are one
 float product N @ W, and one numpy scan in blocks of pairs gives every
@@ -97,11 +97,11 @@ max(prod_m R+_m, prod_m R-_m), with R+_m stratum m's largest ratio one
 way round and R-_m the other; a stratum the two share gives 1 (the pair
 lemma).  The smallest key attaining it concatenates each stratum's
 first maximizer on the winning side, the smaller one on a tie.  Every
-exact comparison is this one, stratum by stratum through
+exact comparison is this one, :func:`_pair_ratio` over the strata's
 :func:`_row_ratio`: :func:`verify_dp`, the measured optimum and the
-sweep's re-check of a failing universe on the strata's rows
-(:func:`_pair_ratio`), the sweep's stratum checks and the universe
-report on one stratum's rows, and the public ``Fraction`` API
+sweep's re-check of a failing universe on the laws of several strata,
+the exact rechecks of the sweep's stratum checks and of the universe
+report on one stratum's, and the public ``Fraction`` API
 (:func:`max_probability_ratio`, and so :func:`mult_distance`) on one row
 over the lcm of the atoms' denominators.  So one stratum is also the
 unit of the measured optimum (the stratum lemma): the pair's distance
@@ -130,6 +130,7 @@ max_records, max_records) datasets the sweep would enumerate.  The
 oracle raises rather than report a verdict above it.
 """
 
+import bisect
 import functools
 import itertools
 import math
@@ -146,7 +147,7 @@ from .budget import (
 )
 from .dataset import (
     ContingencyTable, Dataset, Domain, SwapInvariants, dataset_from_table, hamming_distance,
-    _stratum_bounds, invariant_stratum_bound, same_universe, swap_invariants, tabulate,
+    _require_same_domain, _stratum_bounds, invariant_stratum_bound, same_universe, swap_invariants, tabulate,
 )
 from .swapping import Permutation
 
@@ -312,24 +313,6 @@ def _pair_kernel(x: tuple[int, ...], t: tuple[int, ...], swap_levels: int, cache
     return by_moved
 
 
-def _pair_counts(x: tuple[int, ...], t: tuple[int, ...], swap_levels: int, cache: dict) -> list[int]:
-    """N_x(t, .), held in ``cache["pairs"]``: :func:`_pair_kernel` for
-    x <= t, and for x > t the reversibility lemma,
-    N_x(t, k) = N_t(x, k) w(x) / w(t), which raises if a division
-    leaves a remainder."""
-    pairs = cache.setdefault("pairs", {})
-    if (x, t) not in pairs:
-        if x <= t:
-            pairs[x, t] = _pair_kernel(x, t, swap_levels, cache)
-        else:
-            w_x, w_t = (math.prod(map(math.factorial, key)) for key in (x, t))
-            derived = [divmod(ways * w_x, w_t) for ways in _pair_counts(t, x, swap_levels, cache)]
-            if any(rest for _, rest in derived):
-                raise ValueError("move counts break the reversibility lemma")
-            pairs[x, t] = [ways for ways, _ in derived]
-    return pairs[x, t]
-
-
 def _upper(size: int, cache: dict) -> tuple[np.ndarray, np.ndarray]:
     """The pairs i < j of ``size`` tables in row-major order, as
     np.triu_indices(size, 1) gives them, held in ``cache``."""
@@ -338,32 +321,40 @@ def _upper(size: int, cache: dict) -> tuple[np.ndarray, np.ndarray]:
     return cache["upper", size]
 
 
-def _pair_tensor(tables: Sequence[tuple[int, ...]], swap_levels: int, cache: dict) -> np.ndarray:
-    """The pair counts of one stratum universe of U >= 2 tables of n
-    records, as one U x U x (n + 1) array N with N[i, j, k] =
-    N_{T_i}(T_j, k): :func:`_pair_kernel` on and above the diagonal, the
-    reversibility lemma below it, N[j, i] = N[i, j] w(T_j) / w(T_i),
-    which raises if a division leaves a remainder.  Every entry is at
-    most n!, so the array is int64 up to n = 20 and holds Python ints
-    above.  Each row sums over j to the C(n, k) d(k) permutations moving
-    k records, or ``ValueError`` is raised.  The kernel shares
-    ``cache``'s row polynomials and convolutions; no pair is cached."""
+def _pair_tensor(
+    tables: Sequence[tuple[int, ...]], swap_levels: int, cache: dict, rows: Union[Sequence[int], None] = None
+) -> np.ndarray:
+    """Rows of the pair counts of one stratum universe of U tables of n
+    records, N[i, j, k] = N_{T_i}(T_j, k): N[rows], ``rows`` ascending,
+    all U by default.  Entry (i, j) is :func:`_pair_kernel`'s unless
+    j < i are both rows, where the reversibility lemma gives it,
+    N[i, j] = N[j, i] w(T_i) / w(T_j), and raises if a division leaves a
+    remainder.  Every entry is at most n!, so the array is int64 up to
+    n = 20 and holds Python ints above.  Each row sums over j to the
+    C(n, k) d(k) permutations moving k records, or ``ValueError`` is
+    raised.  The kernel shares ``cache``'s row polynomials and
+    convolutions; no pair is cached."""
     size, n = len(tables), sum(tables[0])
-    tensor = np.zeros((size, size, n + 1), dtype=np.int64 if n <= 20 else object)
-    for i, x in enumerate(tables):
-        tensor[i, i:] = [_pair_kernel(x, t, swap_levels, cache) for t in tables[i:]]
-    w = np.array([math.prod(map(math.factorial, t)) for t in tables], dtype=tensor.dtype)
-    rows, cols = _upper(size, cache)
+    rows = range(size) if rows is None else rows
+    tensor = np.zeros((len(rows), size, n + 1), dtype=np.int64 if n <= 20 else object)
+    for a, i in enumerate(rows):
+        tensor[a, i:] = [_pair_kernel(tables[i], t, swap_levels, cache) for t in tables[i:]]
+        # below the diagonal, the lemma fills the columns of earlier rows and the kernel the rest
+        for j in set(range(i)).difference(rows[:a]) if a < i else ():
+            tensor[a, j] = _pair_kernel(tables[i], tables[j], swap_levels, cache)
+    index = np.asarray(rows, dtype=np.intp)
+    w = np.array([math.prod(map(math.factorial, tables[i])) for i in rows], dtype=tensor.dtype)
+    above, below = _upper(len(rows), cache)
     # in blocks of pairs, so the temporaries stay within _SCAN_FLOATS entries
     step = max(1, _SCAN_FLOATS // (n + 1))
-    for lo in range(0, len(rows), step):
-        i, j = rows[lo : lo + step], cols[lo : lo + step]
-        w_i, w_j = w[i], w[j]
-        shared = np.gcd(w_i, w_j)
-        counts, down = tensor[i, j], (w_i // shared)[:, None]
+    for lo in range(0, len(above), step):
+        a, b = above[lo : lo + step], below[lo : lo + step]
+        w_a, w_b = w[a], w[b]
+        shared = np.gcd(w_a, w_b)
+        counts, down = tensor[a, index[b]], (w_a // shared)[:, None]
         if (counts % down).any():
             raise ValueError("move counts break the reversibility lemma")
-        tensor[j, i] = counts // down * (w_j // shared)[:, None]
+        tensor[b, index[a]] = counts // down * (w_b // shared)[:, None]
     if ("moved", n) not in cache:
         cache["moved", n] = np.array([math.comb(n, k) * derangement_count(k) for k in range(n + 1)], dtype=tensor.dtype)
     if (tensor.sum(axis=1) != cache["moved", n]).any():
@@ -420,55 +411,70 @@ def _universe(hold: tuple[int, ...], swap: tuple[int, ...], budget: int, cache: 
     return universes[hold, swap]
 
 
-def _stratum_law(
-    counts: tuple[int, ...], swap_levels: int, rate: Fraction, max_permutations: int, cache: dict
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The swapper's exact law on one stratum table at rate p = a/c, which
-    the caller has checked lies in [0, 1] (:func:`_unit_rate`): the
-    tables of its stratum universe (:func:`_universe`, held to
-    ``max_permutations``), and integer numerators aligned with them,
-    whose sum depends only on n and the rate.  Fewer than two records
-    release the table itself; otherwise entry j is :func:`_pair_counts`
-    at table j dotted with the weights.  Held in ``cache`` under
-    ``(counts, a, c)``, the weights under ``(n, a, c)`` and the universe,
-    for the next rate, under ``(counts, swap_levels)``."""
-    a, c = rate.numerator, rate.denominator
-    law = cache.get((counts, a, c))
-    if law is None:
-        n = sum(counts)
-        if n < 2:
-            law = [counts], [1]
+def _stratum_rows(
+    keys: Sequence[tuple[int, ...]], domain: Domain, budget: int, cache: dict
+) -> list[list[tuple[list[tuple[int, ...]], int, np.ndarray]]]:
+    """Each table's strata, given its canonical key, in match order: the
+    stratum's universe (:func:`_universe`, held to ``budget``; one list
+    per margins, so the tables of one universe share it), the table's
+    index in it and its row N[index] of the universe's pair counts,
+    U x (n + 1), held in ``cache`` by stratum table and S for later
+    calls.  Universes come in order of first appearance, and each one's
+    :func:`_pair_tensor` is built once, for the rows not yet held.  A
+    stratum of fewer than two records is its own universe, which only
+    the identity reaches; its margins are not read."""
+    strata = [_strata(key, domain) for key in keys]
+    universes: dict = {}
+    placed = cache.setdefault(("placed", domain.swap), {})
+    for part in dict.fromkeys(itertools.chain.from_iterable(strata)):
+        if part in placed:
+            continue
+        if sum(part) < 2:
+            tables, rows = [part], {0: np.eye(1, sum(part) + 1, dtype=np.int64)}
         else:
-            if (counts, swap_levels) not in cache:
-                cache[counts, swap_levels] = _universe(*_margins(counts, swap_levels), max_permutations, cache)
-            tables = cache[counts, swap_levels]
-            if (n, a, c) not in cache:
-                cache[n, a, c] = _stratum_weights(n, rate)
-            weights, denom = cache[n, a, c]
-            row = [sum(map(operator.mul, _pair_counts(counts, t, swap_levels, cache), weights)) for t in tables]
-            if sum(row) != denom:
-                raise ValueError("probabilities must sum to exactly one")
-            law = tables, row
-        cache[counts, a, c] = law
-    return law
+            tables = _universe(*_margins(part, domain.swap), budget, cache)
+            tables, rows = universes.setdefault(id(tables), (tables, {}))
+        index = bisect.bisect_left(tables, part)
+        rows.setdefault(index, None)
+        placed[part] = tables, index, rows
+    for tables, rows in universes.values():
+        wanted = sorted(rows)
+        rows.update(zip(wanted, _pair_tensor(tables, domain.swap, cache, wanted)))
+    return [[(tables, index, rows[index]) for tables, index, rows in map(placed.get, parts)] for parts in strata]
 
 
-def _table_law(
-    key: tuple[int, ...], domain: Domain, rate: Fraction, max_permutations: int, cache: dict
-) -> list[tuple[list[tuple[int, ...]], list[int]]]:
-    """The law of the table with canonical key ``key`` as its strata's
-    :func:`_stratum_law`, in match order."""
-    return [_stratum_law(part, domain.swap, rate, max_permutations, cache) for part in _strata(key, domain)]
+def _row_laws(row: np.ndarray, rates: Sequence[Fraction], cache: dict) -> list[list[int]]:
+    """Per rate, the swapper's exact law on a stratum table as integer
+    numerators aligned with its universe, given its pair-count row N[i]:
+    entry j is N[i, j] dotted with the rate's integer weights
+    (:func:`_rate_weights`), and the numerators sum to a denominator that
+    depends only on n and the rate.  Fewer than two records release the
+    table itself."""
+    n = row.shape[1] - 1
+    if n < 2:
+        return [[1]] * len(rates)
+    weights, _, _ = _rate_weights(n, rates, cache)
+    return (row.astype(object) @ weights).T.tolist()
+
+
+def _laws(
+    strata: Sequence[Sequence[tuple]], rates: Sequence[Fraction], cache: dict
+) -> list[list[list[tuple[list[tuple[int, ...]], list[int]]]]]:
+    """Per rate, the laws of tables given by their :func:`_stratum_rows`,
+    each as its strata's ``(tables, numerators)`` (:func:`_row_laws`),
+    as :func:`_pair_ratio` compares them."""
+    laws = [[(tables, _row_laws(row, rates, cache)) for tables, _, row in parts] for parts in strata]
+    return [[[(tables, nums[r]) for tables, nums in law] for law in laws] for r in range(len(rates))]
 
 
 def _law(
     table: ContingencyTable, p: RateLike, max_permutations: int, cache: dict
 ) -> tuple[dict[tuple[int, ...], int], int]:
     """The swapper's exact output law on ``table`` at rate p, the product
-    of its strata's :func:`_stratum_law`: integer numerators by canonical
+    of its strata's laws (:func:`_laws`): integer numerators by canonical
     key, and their denominator.  The product of the universe sizes of the
     strata of at least two records is held to ``max_permutations``
-    before any law is built."""
+    before any pair count is built."""
     rate = to_exact_rate(_unit_rate(p))
     flat = table.canonical_key()
     if rate == 0:
@@ -479,26 +485,11 @@ def _law(
     if total > max_permutations:
         raise EnumerationBudgetError(f"{total} composite tables exceed the budget of {max_permutations}")
     nums, denom = {(): 1}, 1
-    for counts in strata:
-        tables, row = _stratum_law(counts, swap, rate, max_permutations, cache)
+    [[law]] = _laws(_stratum_rows([flat], table.domain, max_permutations, cache), (rate,), cache)
+    for tables, row in law:
         nums = {key + t: v * u for key, v in nums.items() for t, u in zip(tables, row) if u}
         denom *= sum(row)
     return nums, denom
-
-
-def _fewest_moves(
-    keys: Sequence[tuple[int, ...]], domain: Domain, cache: dict
-) -> list[list[Union[int, None]]]:
-    """The fewest records a within-stratum permutation moves to carry table
-    i of a universe onto table j, or None: summed over the strata, the
-    first nonzero entry of the strata's :func:`_pair_counts`."""
-    fewest: list[list] = [[0] * len(keys) for _ in keys]
-    for parts in zip(*(_strata(key, domain) for key in keys)):
-        for row, x in zip(fewest, parts):
-            for j, t in enumerate(parts):
-                moved = next((k for k, n in enumerate(_pair_counts(x, t, domain.swap, cache)) if n), None)
-                row[j] = None if row[j] is None or moved is None else row[j] + moved
-    return fewest
 
 
 def _row_ratio(us: Sequence[int], vs: Sequence[int]) -> Union[tuple[int, ...], None]:
@@ -717,7 +708,8 @@ def verify_dp(
         return DpVerdict(0.0, budget.epsilon, (x, x_prime, None), True)
     cache: dict = {}
     keys = table.canonical_key(), table_prime.canonical_key()
-    hit = _pair_ratio(*(_table_law(key, x.domain, rate, max_permutations, cache) for key in keys))
+    [laws] = _laws(_stratum_rows(keys, x.domain, max_permutations, cache), (rate,), cache)
+    hit = _pair_ratio(*laws)
     if hit is None:
         return DpVerdict(math.inf, budget.epsilon, (x, x_prime, None), False)
     measured = _log_ratio(hit) / d_ham
@@ -733,27 +725,34 @@ def measured_optimal_epsilon(
 ) -> float:
     """The exact pointwise-optimal budget of one universe at rate p:
     the max over pairs of multiplicative distance per unit Hamming, each
-    pair compared stratum by stratum (:func:`_pair_ratio`).
+    pair compared stratum by stratum (:func:`_pair_ratio`) on the laws
+    of one pair-count build per stratum universe (:func:`_stratum_rows`).
 
-    Tables of different record counts raise :class:`UniverseMismatchError`;
-    tables of one count whose margins differ are infinitely apart.
-    The rate is checked first.  Both guards refuse before any pair is
-    built: the first table's stratum laws, which hold each stratum
-    universe to ``max_permutations`` pair counts, then the C(U, 2) pairs,
-    which it bounds too.  Fewer than two tables measure 0."""
+    Tables over different domains raise
+    :class:`~permuswap.dataset.DomainMismatchError`, and tables of
+    different record counts :class:`UniverseMismatchError`; tables of
+    one count whose margins differ are infinitely apart.  The rate is
+    checked first.  Both guards refuse before any pair count is built:
+    the first table's stratum universes, each held to
+    ``max_permutations`` pair counts, then the C(U, 2) pairs, which it
+    bounds too.  Fewer than two tables measure 0."""
     tables, rate = list(universe), to_exact_rate(_unit_rate(p))
     if not tables:
         return 0.0
     domain = tables[0].domain
+    for other in tables[1:]:
+        _require_same_domain(tables[0], other)
     keys = [t.canonical_key() for t in tables]
     if len(set(map(sum, keys))) > 1:
         raise UniverseMismatchError("tables of different record counts share no universe")
     cache: dict = {}
-    _table_law(keys[0], domain, rate, max_permutations, cache)
+    for part in _strata(keys[0], domain):
+        if sum(part) >= 2:
+            _universe(*_margins(part, domain.swap), max_permutations, cache)
     pairs = math.comb(len(tables), 2)
     if pairs > max_permutations:
         raise EnumerationBudgetError(f"{pairs} table pairs exceed the budget of {max_permutations}")
-    laws = [_table_law(key, domain, rate, max_permutations, cache) for key in keys]
+    [laws] = _laws(_stratum_rows(keys, domain, max_permutations, cache), (rate,), cache)
     return _optimum(laws, _distances(keys))
 
 
@@ -774,7 +773,7 @@ def _distances(keys: Sequence[tuple[int, ...]]) -> list[list[int]]:
 def _pair_values(laws: Sequence[Sequence], distances: Sequence[Sequence]) -> Iterator[tuple[int, int, float]]:
     """Multiplicative distance per unit of d_Ham, ``(i, j, value)``, for
     each pair i < j with d_Ham > 0 of one universe's laws, each given as
-    its strata's :func:`_stratum_law`."""
+    its strata's ``(tables, numerators)`` (:func:`_laws`)."""
     for i, law in enumerate(laws):
         for j in range(i + 1, len(laws)):
             if distances[i][j]:
@@ -785,12 +784,18 @@ def _optimum(laws: Sequence[Sequence], distances: Sequence[Sequence]) -> float:
     return max((value for _, _, value in _pair_values(laws, distances)), default=0.0)
 
 
-def _first_moves(tensor: np.ndarray) -> list[list[Union[int, None]]]:
-    """The fewest records a permutation moves to carry table i of a
-    stratum universe onto table j, the first nonzero k of its
-    :func:`_pair_tensor` entry N[i, j], or None."""
-    moved = tensor != 0
-    return np.where(moved.any(axis=2), moved.argmax(axis=2), None).tolist()
+def _first_moves(blocks: Sequence[np.ndarray]) -> list[list[Union[int, None]]]:
+    """The fewest records a within-stratum permutation moves to carry
+    table i of a universe onto table j, or None, given each stratum's
+    pair counts of every ordered pair of the universe's tables, U x U x
+    (n + 1): summed over the strata, the first nonzero k of each block's
+    entry [i, j]."""
+    total, reached = 0, True
+    for block in blocks:
+        moved = block != 0
+        total = total + moved.argmax(axis=2)
+        reached = reached & moved.any(axis=2)
+    return np.where(reached, total, None).tolist()
 
 
 @functools.lru_cache(maxsize=1024)
@@ -807,28 +812,15 @@ def _rate_weights(n: int, rates: Sequence[Fraction], cache: dict) -> tuple[np.nd
     """Three (n + 1) x R arrays of the rates' :func:`_weight_row` at n
     records: the integer weights (object), the floats, and where each
     weight is nonzero; held in ``cache`` under ``("weights", n)`` for
-    the ``rates`` object they were built for, which a sweep passes for
-    every stratum."""
+    the rates they were built for, which a sweep passes for every
+    stratum and a law at one rate for every table."""
+    rates = tuple(rates)
     held = cache.get(("weights", n))
-    if held is None or held[0] is not rates:
+    if held is None or held[0] != rates:
         ints, floats = zip(*(_weight_row(n, rate.numerator, rate.denominator) for rate in rates))
         exact = np.array(ints, dtype=object).T
         held = cache["weights", n] = rates, exact, np.array(floats).T, exact != 0
     return held[1:]
-
-
-def _row_log(us: Sequence[int], vs: Sequence[int]) -> float:
-    """The log of the largest atom ratio either way round of two aligned
-    numerator rows of one stratum (:func:`_row_ratio`), reduced before
-    the log as :func:`_log_ratio` takes :func:`_pair_ratio`'s; infinite
-    when the supports differ."""
-    hit = _row_ratio(us, vs)
-    if hit is None:
-        return math.inf
-    num, den, _, down_num, down_den, _ = hit
-    if num * down_den < down_num * den:
-        num, den = down_num, down_den
-    return _log_ratio((Fraction(num, den), None))
 
 
 def _universe_optima(
@@ -859,11 +851,12 @@ def _universe_optima(
     reach the leading digits, is shaky at that rate.  Each pair with a
     shaky table, and each pair whose float lies within ``_RECHECK`` of
     the rate's largest float or of its budget plus ``LOG_SLACK``, is
-    compared exactly by :func:`_row_log` on integer rows, N[i] times the
-    integer weights, which are :func:`_stratum_law`'s rows.  Every other
-    float lies far inside that band of its exact value (see the module
-    docstring), so the measured optimum and every verdict come from exact
-    ratios, as the pair loop takes them."""
+    compared exactly by :func:`_pair_ratio` on the two tables' integer
+    laws, N[i] times the integer weights (:func:`_row_laws`), the laws
+    every other oracle function compares.  Every other float lies far
+    inside that band of its exact value (see the module docstring), so
+    the measured optimum and every verdict come from exact ratios, as the
+    pair loop takes them."""
     size, n = len(tables), tensor.shape[2] - 1
     if not rates:
         return []
@@ -914,8 +907,8 @@ def _universe_optima(
         if apart is None or not apart[pair, r]:
             for table in (i, j):
                 if table not in exact:
-                    exact[table] = (tensor[table].astype(object) @ weights).T.tolist()
-            value = _row_log(exact[i][r], exact[j][r]) / distances[i][j]
+                    exact[table] = _row_laws(tensor[table], rates, cache)
+            value = _log_ratio(_pair_ratio([(tables, exact[i][r])], [(tables, exact[j][r])])) / distances[i][j]
         measured[r] = max(measured[r], value)
         if value > limits[r]:
             exceeded[r].append((i, j, value))
@@ -1220,11 +1213,13 @@ def _check_universe(
     tables' canonical keys over ``domain``, its b and witnessed
     conditions, and the rates with their floats: its summary and the
     failures it finds.  A universe of one stratum is checked at every
-    rate by :func:`_universe_optima` on its :func:`_pair_tensor`, whose
-    first nonzero entries are the connecting minima; a universe of
-    several strata, which only the sweep's re-check of a failing orbit
-    reaches, pair by pair on its strata's rows (:func:`_stratum_law`)
-    by the pair lemma, with the connecting minima of :func:`_fewest_moves`."""
+    rate by :func:`_universe_optima` on its :func:`_pair_tensor`.  A
+    universe of several strata, which only the sweep's re-check of a
+    failing orbit reaches, is checked pair by pair by the pair lemma on
+    its tables' laws at every rate, off one build of its strata's pair
+    counts (:func:`_stratum_rows`).  Either way the connecting minima are
+    the first nonzero pair counts, summed over the strata
+    (:func:`_first_moves`)."""
     b, witnessed = witness
     distances = _distances(keys)
     at = [_bounds_at(bounds, p, b) for p in floats]
@@ -1234,22 +1229,23 @@ def _check_universe(
     elif domain.match == 1:
         tensor = _pair_tensor(keys, domain.swap, cache)
         checked = _universe_optima(keys, tensor, rates, budgets, distances, cache)
-        moves = _first_moves(tensor)
+        moves = _first_moves([tensor])
     else:
-        strata = [_strata(key, domain) for key in keys]
+        strata = _stratum_rows(keys, domain, max_permutations, cache)
         checked = []
-        for rate, budget in zip(rates, budgets):
-            laws = [
-                [_stratum_law(part, domain.swap, rate, max_permutations, cache) for part in parts]
-                for parts in strata
-            ]
+        for laws, budget in zip(_laws(strata, rates, cache), budgets):
             values = list(_pair_values(laws, distances))
             checked.append((
                 max((value for _, _, value in values), default=0.0),
                 [i for i, law in enumerate(laws) if any(0 in row for _, row in law)],
                 [(i, j, value) for i, j, value in values if value > budget + LOG_SLACK],
             ))
-        moves = _fewest_moves(keys, domain, cache)
+        # per stratum, the pair counts of every ordered pair of the universe's tables
+        blocks = []
+        for parts in zip(*strata):
+            index = [i for _, i, _ in parts]
+            blocks.append(np.stack([row[index] for _, _, row in parts]))
+        moves = _first_moves(blocks)
     failures: list[str] = []
     measured_by_p: dict[float, float] = {}
     budget_by_p: dict[float, float] = {}

@@ -36,7 +36,7 @@ from permuswap import (
 )
 from permuswap import exact
 from permuswap import dataset as dataset_module
-from permuswap.dataset import ContingencyTable, Dataset, Domain, dataset_from_table
+from permuswap.dataset import ContingencyTable, Dataset, Domain, DomainMismatchError, dataset_from_table
 from permuswap.exact import (
     DEFAULT_ENUMERATION_BUDGET,
     ExactDistribution,
@@ -100,20 +100,21 @@ class TestExactDistribution:
 
     def test_rate_one_budget_counts_derangements(self):
         """Four distinct records have 24 tables, so 24**2 * 5 = 2,880 pair
-        counts, held to the guard at every rate, the endpoints too.  At
-        p = 1 the law is the uniform derangement, d(4) = 9 tables."""
+        counts, held to the guard whatever the rate: the stratum universe,
+        which no rate enters, is cut there, and the law refuses at an
+        inner rate and at p = 1 alike.  At p = 1 the law is the uniform
+        derangement, d(4) = 9 tables."""
         x = make_dataset([(0, i, i) for i in range(4)], (1, 4, 4))
-        counts = tabulate(x).canonical_key()
-        for rate in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            tables, _ = exact._stratum_law(counts, 4, rate, 2880, {})
-            assert len(tables) == 24
-            with pytest.raises(EnumerationBudgetError, match="^at least 2880 pair counts exceed the budget of 2879$"):
-                exact._stratum_law(counts, 4, rate, 2879, {})
+        refused = "^at least 2880 pair counts exceed the budget of 2879$"
+        assert len(exact._universe((1,) * 4, (1,) * 4, 2880, {})) == 24
+        with pytest.raises(EnumerationBudgetError, match=refused):
+            exact._universe((1,) * 4, (1,) * 4, 2879, {})
+        for rate in (Fraction(1, 2), Fraction(1)):
+            assert len(exact_psa_distribution(x, rate, max_permutations=2880).probs) == (24 if rate < 1 else 9)
+            with pytest.raises(EnumerationBudgetError, match=refused):
+                exact_psa_distribution(x, rate, max_permutations=2879)
         dist = exact_psa_distribution(x, 1, max_permutations=2880)
-        assert len(dist.probs) == 9
         assert set(dist.probs.values()) == {Fraction(1, 9)}
-        with pytest.raises(EnumerationBudgetError):
-            exact_psa_distribution(x, 1, max_permutations=2879)
 
     def test_enumeration_guard(self):
         """One record per diagonal cell of 1x7x7: 7! = 5,040 tables, whose
@@ -401,8 +402,8 @@ class TestMeasuredOptimal:
         counts are within the guard, but 126**2 tables make
         C(126**2, 2) > 10**7 pairs, and the pair guard refuses before one
         d_Ham is computed.  One record per diagonal cell of 1x7x7: the
-        pair counts of its 5,040 tables refuse at the first table's law,
-        before any pair."""
+        pair counts of its 5,040 tables refuse at the first table's
+        universe, before any pair."""
         stratum = [(0, 0), (1, 1)] + [(2, 2)] * 4 + [(3, 3)] * 4
         x = make_dataset([(m, h, s) for m in range(2) for h, s in stratum], (2, 4, 4))
         universe = enumerate_universe(x)
@@ -440,6 +441,22 @@ class TestMeasuredOptimal:
         x, _ = two_record_pair
         tables = [tabulate(x), tabulate(make_dataset([(0, 0, 0), (0, 1, 0)], (1, 2, 2)))]
         assert measured_optimal_epsilon(tables, Fraction(1, 3)) == math.inf
+
+    @pytest.mark.parametrize(
+        "shape, key", [((1, 2, 3), (1, 0, 0, 0, 1, 0)), ((2, 2, 1), (1, 0, 0, 1))], ids=["1x2x3", "2x2x1-same-key"]
+    )
+    def test_tables_over_different_domains_are_refused(self, shape, key):
+        """A 1x2x2 table of two records against one of two records over
+        another domain, its key longer or the same: the pair is refused as
+        verify_dp refuses it, in either order and past the first pair, not
+        measured on the first table's domain."""
+        table = ContingencyTable(np.array([1, 0, 0, 1]).reshape(1, 2, 2))
+        other = ContingencyTable(np.array(key).reshape(shape))
+        for tables in ([table, other], [other, table], [table, table, other]):
+            with pytest.raises(DomainMismatchError, match=r"^domains differ: "):
+                measured_optimal_epsilon(tables, Fraction(1, 3))
+        with pytest.raises(DomainMismatchError, match=r"^domains differ: "):
+            verify_dp(dataset_from_table(table), dataset_from_table(other), Fraction(1, 3), psa_budget(1 / 3, 2))
 
     @pytest.mark.parametrize("other", [[(0, 0, 0)], [(0, 0, 0), (0, 1, 1)] * 2], ids=["one", "four"])
     def test_tables_of_different_record_counts_share_no_universe(self, two_record_pair, other):
@@ -804,17 +821,17 @@ class TestSweep:
     @pytest.mark.parametrize("domain", [(1, 2, 2), (2, 2, 2)])
     def test_connecting_minimum_off_d_ham_fails_the_sweep(self, monkeypatch, capsys, domain):
         """A connecting minimum one above d_Ham, read off the pair counts
-        (the stratum tensor's in a stratum check, the strata's pair counts
-        in the re-check of a universe of several strata), is listed for
-        every ordered pair, fails the report, and exits the CLI with code 3."""
+        by the one reader of both (the stratum tensor's in a stratum
+        check, the strata's rows in the re-check of a universe of several
+        strata), is listed for every ordered pair, fails the report, and
+        exits the CLI with code 3."""
         from permuswap.cli import main
 
-        for name in ("_first_moves", "_fewest_moves"):
-            def off_by_one(*args, _moves=getattr(exact, name)):
-                moves = _moves(*args)
-                return [[k if i == j else k + 1 for j, k in enumerate(row)] for i, row in enumerate(moves)]
+        def off_by_one(blocks, _moves=exact._first_moves):
+            moves = _moves(blocks)
+            return [[k if i == j else k + 1 for j, k in enumerate(row)] for i, row in enumerate(moves)]
 
-            monkeypatch.setattr(exact, name, off_by_one)
+        monkeypatch.setattr(exact, "_first_moves", off_by_one)
         report = dp_sweep(Domain(*domain), 3, [Fraction(1, 2)])
         assert not report.all_pass
         found = [re.fullmatch(r"connecting minimum (\d+) disagrees with d_Ham (\d+)", f) for f in report.failures]
@@ -835,8 +852,8 @@ class TestSweep:
         pair of tables and one polynomial per pair of hold rows and
         stratum size, shared by the laws and the connecting minimum
         through one pair tensor per universe of at least two tables,
-        measured at every rate at once, no stratum law, no brute force,
-        no composite law, one SwapInvariants for all strata
+        measured at every rate at once, no per-table stratum rows, no
+        brute force, no composite law, one SwapInvariants for all strata
         and none per orbit, and no dataset, connecting permutation or
         tabulated table at all.
         The reported counts cover every universe."""
@@ -867,7 +884,7 @@ class TestSweep:
             "_check_universe": [],
             "_key_distance": [],
             "hamming_distance": [],
-            "_stratum_law": [],
+            "_stratum_rows": [],
             "_pair_tensor": [],
             "_universe_optima": [],
             "_law": [],
@@ -899,7 +916,7 @@ class TestSweep:
         assert len(calls["_check_universe"]) == len(singles)
         assert len(calls["_key_distance"]) == sum(math.comb(n, 2) for n in checked)
         assert calls["hamming_distance"] == []
-        assert calls["_stratum_law"] == []
+        assert calls["_stratum_rows"] == []
         measured = [sorted(t.canonical_key() for t in tables) for tables in singles.values() if len(tables) > 1]
         assert sorted(list(keys) for keys, _, _ in calls["_pair_tensor"]) == sorted(measured)
         assert [len(keys) for keys, *_ in calls["_universe_optima"]] == [len(keys) for keys, _, _ in calls["_pair_tensor"]]
@@ -1152,7 +1169,7 @@ class TestUniverseOptima:
         """A kernel count one too high either leaves a remainder in the
         reversibility lemma, or (at the identity's k = 0 on the diagonal,
         where the lemma has nothing to divide) breaks the row sums; both
-        raise."""
+        raise, in a call for every row and in one for some of the rows."""
         cache = {}
         tables = exact._universe((2, 3), (2, 3), DEFAULT_ENUMERATION_BUDGET, cache)
         kernel = exact._pair_kernel
@@ -1167,3 +1184,7 @@ class TestUniverseOptima:
         message = "reversibility lemma" if entry == 1 else "sum to exactly one"
         with pytest.raises(ValueError, match=message):
             exact._pair_tensor(tables, 2, cache)
+        # rows on demand check the lemma between the rows and every row's sum
+        for rows in ([0], [1], [2], [0, 2], [1, 2]):
+            with pytest.raises(ValueError, match="reversibility lemma|sum to exactly one"):
+                exact._pair_tensor(tables, 2, cache, rows)

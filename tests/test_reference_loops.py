@@ -1354,11 +1354,71 @@ def _margins(counts, swap_levels):
     return [sum(row) for row in rows], [sum(column) for column in zip(*rows)]
 
 
+# the per-pair law path the library replaced by rows of one pair-count
+# tensor per stratum universe
+
+
+def ref_pair_counts(x, t, swap_levels, cache):
+    """N_x(t, .), held in ``cache["pairs"]``: the kernel for x <= t, and
+    for x > t the reversibility lemma, N_x(t, k) = N_t(x, k) w(x) / w(t),
+    which raises if a division leaves a remainder."""
+    pairs = cache.setdefault("pairs", {})
+    if (x, t) not in pairs:
+        if x <= t:
+            pairs[x, t] = exact._pair_kernel(x, t, swap_levels, cache)
+        else:
+            w_x, w_t = (math.prod(map(math.factorial, key)) for key in (x, t))
+            derived = [divmod(ways * w_x, w_t) for ways in ref_pair_counts(t, x, swap_levels, cache)]
+            if any(rest for _, rest in derived):
+                raise ValueError("move counts break the reversibility lemma")
+            pairs[x, t] = [ways for ways, _ in derived]
+    return pairs[x, t]
+
+
+def ref_pair_count_law(counts, swap_levels, rate, max_permutations, cache):
+    """One stratum table's law at rate a/c in [0, 1]: its universe and
+    integer numerators aligned with it, entry j ref_pair_counts at table j
+    dotted with _stratum_weights; fewer than two records release the
+    table itself.  Held in ``cache`` under ``(counts, a, c)``."""
+    a, c = rate.numerator, rate.denominator
+    law = cache.get((counts, a, c))
+    if law is None:
+        n = sum(counts)
+        if n < 2:
+            law = [counts], [1]
+        else:
+            tables = exact._universe(*exact._margins(counts, swap_levels), max_permutations, cache)
+            weights, denom = exact._stratum_weights(n, rate)
+            row = [sum(map(operator.mul, ref_pair_counts(counts, t, swap_levels, cache), weights)) for t in tables]
+            if sum(row) != denom:
+                raise ValueError("probabilities must sum to exactly one")
+            law = tables, row
+        cache[counts, a, c] = law
+    return law
+
+
+def ref_table_law(key, domain, rate, max_permutations, cache):
+    """A table's law as its strata's ref_pair_count_law, in match order."""
+    return [ref_pair_count_law(part, domain.swap, rate, max_permutations, cache) for part in exact._strata(key, domain)]
+
+
+def ref_fewest_moves(keys, domain, cache):
+    """The fewest records a within-stratum permutation moves to carry table
+    i of a universe onto table j, or None: summed over the strata, the
+    first nonzero entry of the strata's ref_pair_counts."""
+    fewest = [[0] * len(keys) for _ in keys]
+    for parts in zip(*(exact._strata(key, domain) for key in keys)):
+        for row, x in zip(fewest, parts):
+            for j, t in enumerate(parts):
+                moved = next((k for k, n in enumerate(ref_pair_counts(x, t, domain.swap, cache)) if n), None)
+                row[j] = None if row[j] is None or moved is None else row[j] + moved
+    return fewest
+
+
 def _pair_count_matrix(keys, swap_levels):
-    """The kernel's pair counts of every ordered pair of a stratum universe,
-    through one cache."""
-    cache = {}
-    return [[exact._pair_counts(x, t, swap_levels, cache) for t in keys] for x in keys]
+    """The pair counts of every ordered pair of a stratum universe, the
+    whole _pair_tensor."""
+    return exact._pair_tensor(keys, swap_levels, {}).tolist()
 
 
 @pytest.mark.parametrize(
@@ -1382,6 +1442,48 @@ def test_move_counts_match_the_flow_walk_on_drawn_strata(case):
     counts, swap_levels = case
     keys = exact._tables_with_margins(*_margins(counts, swap_levels), 10**6)
     assert _pair_count_matrix(keys, swap_levels) == ref_move_counts(keys, swap_levels)
+
+
+def _rows_on_demand(tables, swap_levels, full, rows):
+    """_pair_tensor's rows ``rows`` of a stratum universe equal the full
+    tensor's, entry for entry, and the kernel runs on every pair but
+    those of two rows below the diagonal."""
+    kernel, runs = exact._pair_kernel, []
+
+    def counted(x, t, swap_levels, cache):
+        runs.append((x, t))
+        return kernel(x, t, swap_levels, cache)
+
+    with mock.patch.object(exact, "_pair_kernel", counted):
+        part = exact._pair_tensor(tables, swap_levels, {}, rows)
+    assert part.dtype == full.dtype and part.shape == (len(rows), *full.shape[1:])
+    assert part.tolist() == full[rows].tolist()
+    assert sorted(runs) == sorted((tables[i], t) for i in rows for j, t in enumerate(tables) if j >= i or j not in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stratum_counts(), st.sets(st.integers(0, 99)))
+@example(((2, 2, 2, 2), 2), {1, 3})
+@example(((1, 0, 0, 0, 1, 0, 0, 0, 6), 3), {0, 2, 5})
+def test_pair_tensor_rows_on_demand(case, drawn):
+    """Rows on demand of drawn stratum universes: the first, the last,
+    one in the middle, none, every other and a drawn subset."""
+    counts, swap_levels = case
+    tables = exact._tables_with_margins(*_margins(counts, swap_levels), 10**6)
+    full = exact._pair_tensor(tables, swap_levels, {})
+    size = len(tables)
+    drawn = [i for i in sorted(drawn) if i < size]
+    for rows in ([0], [size - 1], [size // 2], [], list(range(0, size, 2)), [0, size - 1], drawn):
+        _rows_on_demand(tables, swap_levels, full, sorted(set(rows)))
+
+
+def test_pair_tensor_rows_on_demand_past_int64():
+    """Past 20 records the rows hold Python ints, as the full tensor does."""
+    tables = exact._universe((3, 20), (3, 20), DEFAULT_ENUMERATION_BUDGET, {})
+    full = exact._pair_tensor(tables, 2, {})
+    assert full.dtype == object and len(tables) == 4
+    for rows in ([0], [3], [1], [0, 2], [1, 3], [0, 1, 3]):
+        _rows_on_demand(tables, 2, full, rows)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1414,14 +1516,17 @@ def composite_tables(draw):
     st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), Fraction(199, 259), Fraction(1)]),
 )
 def test_law_is_the_product_of_flow_walk_laws(table, rate):
-    """The product of the strata's own laws is too, also at p = 0, where
-    _law answers without them and each is the point mass on its table."""
+    """The product of the strata's own laws, off their pair-count rows, is
+    too, also at p = 0, where _law answers without them and each is the
+    point mass on its table."""
     key = table.canonical_key()
     reference = ref_composite_law(table, rate) if rate else {key: Fraction(1)}
     nums, denom = exact._law(table, rate, DEFAULT_ENUMERATION_BUDGET, {})
     assert {key: Fraction(v, denom) for key, v in nums.items()} == reference
     product = {(): Fraction(1)}
-    for tables, row in exact._table_law(key, table.domain, rate, DEFAULT_ENUMERATION_BUDGET, {}):
+    cache = {}
+    [[law]] = exact._laws(exact._stratum_rows([key], table.domain, DEFAULT_ENUMERATION_BUDGET, cache), [rate], cache)
+    for tables, row in law:
         product = {k + t: v * Fraction(u, sum(row)) for k, v in product.items() for t, u in zip(tables, row) if u}
     assert product == reference
 
@@ -1457,8 +1562,9 @@ def test_pair_lemma_matches_the_composite_law(pair, rate):
     strata, some shared and some of fewer than two records: the pair
     lemma over the strata's rows, verify_dp and measured_optimal_epsilon
     give the ratio, its float and the witness key of the composite laws
-    compared as one row, which are the Fraction loop's.  On a universe
-    of at most 40 tables, so is the measured optimum."""
+    compared as one row, which are the Fraction loop's.  The strata's
+    laws off their pair-count rows are the per-pair path's.  On a
+    universe of at most 40 tables, so is the measured optimum."""
     table, other = pair
     domain = table.domain
     laws = [exact._law(t, rate, DEFAULT_ENUMERATION_BUDGET, {}) for t in pair]
@@ -1468,8 +1574,11 @@ def test_pair_lemma_matches_the_composite_law(pair, rate):
     ratio, key = reference
 
     cache = {}
-    laws = [exact._table_law(t.canonical_key(), domain, rate, 10**6, cache) for t in pair]
+    laws = [ref_table_law(t.canonical_key(), domain, rate, 10**6, cache) for t in pair]
     assert exact._pair_ratio(*laws) == reference
+    cache = {}
+    keys = [t.canonical_key() for t in pair]
+    assert exact._laws(exact._stratum_rows(keys, domain, 10**6, cache), [rate], cache) == [laws]
 
     x, x_prime = map(dataset_from_table, pair)
     verdict = verify_dp(x, x_prime, rate, psa_budget(float(rate), max_stratum_b(x)))
@@ -1484,6 +1593,31 @@ def test_pair_lemma_matches_the_composite_law(pair, rate):
         composite = [exact._law(t, rate, DEFAULT_ENUMERATION_BUDGET, {})[0] for t in universe]
         expected = max((value for _, _, value in ref_pair_values(composite, universe)), default=0.0)
         assert measured_optimal_epsilon(universe, rate) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(composite_tables())
+def test_stratum_rows_and_connecting_minima_match_the_per_pair_path(table):
+    """On a universe of two or three strata, of at most 40 tables: each
+    table's stratum rows are the per-pair path's counts at every table of
+    the stratum universe, whose one list the tables share, and the sweep's
+    re-check reads the per-pair path's connecting minima off them."""
+    domain = table.domain
+    try:
+        keys = [t.canonical_key() for t in enumerate_universe(table, max_tables=40)]
+    except EnumerationBudgetError:
+        return
+    cache, own = {}, {}
+    strata = exact._stratum_rows(keys, domain, DEFAULT_ENUMERATION_BUDGET, cache)
+    for key, parts in zip(keys, strata):
+        for part, (tables, index, row), first in zip(exact._strata(key, domain), parts, strata[0]):
+            assert tables is first[0] and tables[index] == part
+            assert row.tolist() == [ref_pair_counts(part, t, domain.swap, own) for t in tables]
+    first_moves, seen = exact._first_moves, []
+    with mock.patch.object(exact, "_first_moves", lambda blocks: seen.append(first_moves(blocks)) or seen[-1]):
+        witness = exact._universe_witness(swap_invariants(table))
+        exact._check_universe(keys, domain, witness, [Fraction(1, 2)], [0.5], DEFAULT_ENUMERATION_BUDGET, cache, {})
+    assert seen == ([ref_fewest_moves(keys, domain, own)] if len(keys) > 1 else [])
 
 
 @st.composite
@@ -2282,13 +2416,13 @@ def test_out_of_domain_record_named_by_index(bad):
 
 def ref_universe_optima(tables, swap_levels, rates, budgets, distances):
     """_universe_optima's answers as the per-rate loop gave them: each
-    table's _stratum_law row at each rate, and every pair compared by the
-    pair lemma (_pair_values over _pair_ratio and _row_ratio), through a
-    cache of its own."""
+    table's ref_pair_count_law row at each rate, and every pair compared
+    by the pair lemma (_pair_values over _pair_ratio and _row_ratio),
+    through a cache of its own."""
     own: dict = {}
     results = []
     for rate, budget in zip(rates, budgets):
-        laws = [[exact._stratum_law(t, swap_levels, rate, DEFAULT_ENUMERATION_BUDGET, own)] for t in tables]
+        laws = [[ref_pair_count_law(t, swap_levels, rate, DEFAULT_ENUMERATION_BUDGET, own)] for t in tables]
         values = list(exact._pair_values(laws, distances))
         results.append((
             max((value for _, _, value in values), default=0.0),
