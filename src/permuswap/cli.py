@@ -320,17 +320,17 @@ def _cmd_tda_report(args: argparse.Namespace) -> int:
         counterfactual_path=args.counterfactual,
     )
     if args.format == "json":
+        def budget_fields(entry: budget_mod.ConvertedBudget) -> dict:
+            return {
+                "rho_squared": entry.rho_squared,
+                "epsilon": _json_value(entry.epsilon),
+                "published_epsilon": entry.published_epsilon,
+            }
+
         payload = {
             "delta": report.delta,
             "products": [
-                {
-                    "label": p.label,
-                    "rho_squared": p.rho_squared,
-                    "epsilon": _json_value(p.epsilon),
-                    "published_epsilon": p.published_epsilon,
-                    "invariants": p.note,
-                }
-                for p in report.products
+                {"label": p.label, **budget_fields(p), "invariants": p.note} for p in report.products
             ],
             "noise_stage_totals": [
                 {
@@ -340,16 +340,8 @@ def _cmd_tda_report(args: argparse.Namespace) -> int:
                 }
                 for t in report.noise_stage_totals
             ],
-            "topdown_total": {
-                "rho_squared": report.topdown_total.rho_squared,
-                "epsilon": _json_value(report.topdown_total.epsilon),
-                "published_epsilon": report.topdown_total.published_epsilon,
-            },
-            "overall": {
-                "rho_squared": report.overall.rho_squared,
-                "epsilon": _json_value(report.overall.epsilon),
-                "published_epsilon": report.overall.published_epsilon,
-            },
+            "topdown_total": budget_fields(report.topdown_total),
+            "overall": budget_fields(report.overall),
             "group_privacy": {
                 "rho_squared": _json_value(report.group_privacy_rho_squared),
                 "epsilon": _json_value(report.group_privacy_epsilon),

@@ -56,22 +56,29 @@ the only real-valued step, is taken after all exact comparisons.
 
 On one stratum universe of U tables of n records the pair counts are
 one U x U x (n + 1) tensor N (:func:`_pair_tensor`), built once, whole
-or in the rows a call compares, and read at every rate of the call
-(:func:`_universe_optima`).  Its entries
-are at most n!, so it is int64 up to n = 20 and holds Python ints
-above; the guard below admits either.  The laws at every rate are one
-float product N @ W, and one numpy scan in blocks of pairs gives every
-pair's largest |log ratio|.  The floats only choose the pairs compared
-exactly: each pair within 1e-9 (relative) of the rate's largest float
-or of its budget, and each pair of a table whose float law may have
-underflowed, is compared by cross-multiplication of its integer rows.
-A float law is within (n + 5) eps of the exact one, relative, so each
-scan float is within 2 (n + 5) eps of its pair's log ratio, and the
-float reported for an exact ratio within an ulp of each of the two logs
-it subtracts: both far inside the band (about 1e-14 at n = 20) until
-the integers pass about e^(10^6), a stratum of some 10^5 records.  So
-every reported value and verdict is an exact ratio's.  The support is read
-off N's zero pattern and the connecting minima off its first nonzero k.
+or in the rows a call compares, and read at every rate of the call.  Its
+entries are at most n!, so it is int64 up to n = 20 and holds Python
+ints above; the guard below admits either.  One measurer,
+:func:`_universe_optima`, takes any tables of one universe as each
+stratum's rows of N and each table's position among them.  Per stratum
+the laws at every rate are one float product N @ W, and one numpy scan
+in blocks of pairs takes each pair's signed largest and smallest log
+ratio; by the pair lemma (below) the pair's float is the larger of
+their sums over the strata, the smallest negated.  The floats only
+choose the pairs compared exactly: each pair within 1e-9 (relative) of
+the rate's largest float or of its budget, and each pair with a row
+whose float law may have underflowed, is compared by cross-multiplication
+of its integer rows.  A float law is within (n + 5) eps of the exact
+one, relative, so a stratum's extreme is within 2 (n + 5) eps of its
+log ratio.  A stratum the two share adds exactly 0, each other at least
+1 to d_Ham, and the extremes summed share one sign, so a sum over M
+strata is within 2 (n + 5) eps per unit of d_Ham, n the largest, plus
+M eps relative; the float reported for an exact ratio is within an ulp
+of each of the two logs it subtracts.  All lie far inside the band
+(about 1e-14 at n = 20) until the integers pass about e^(10^6), a
+stratum of some 10^5 records, or the strata number some 10^6.  So every
+reported value and verdict is an exact ratio's.  The support is read off
+N's zero pattern and the connecting minima off its first nonzero k.
 
 The rest of a universe's structure is a function of its margins: the
 stratum bound b, the :func:`permuswap.budget.psa_lower_bounds` it
@@ -98,17 +105,17 @@ way round and R-_m the other; a stratum the two share gives 1 (the pair
 lemma).  The smallest key attaining it concatenates each stratum's
 first maximizer on the winning side, the smaller one on a tie.  Every
 exact comparison is this one, :func:`_pair_ratio` over the strata's
-:func:`_row_ratio`: :func:`verify_dp`, the measured optimum and the
-sweep's re-check of a failing universe on the laws of several strata,
-the exact rechecks of the sweep's stratum checks and of the universe
-report on one stratum's, and the public ``Fraction`` API
-(:func:`max_probability_ratio`, and so :func:`mult_distance`) on one row
-over the lcm of the atoms' denominators.  So one stratum is also the
-unit of the measured optimum (the stratum lemma): the pair's distance
-is at most the sum of the strata's distances D_m, and its value at most
-the largest D_m / d_m over the strata where the two differ.  The pair that differs in that
-stratum alone is in the universe and attains it, with the same reduced
-ratio and so the same float.  A universe's measured optimum is the
+:func:`_row_ratio`: :func:`verify_dp` and the rechecks of
+:func:`_universe_optima` on the pair's strata, and the public
+``Fraction`` API (:func:`max_probability_ratio`, and so
+:func:`mult_distance`) on one row over the lcm of the atoms'
+denominators; the measurer's float scan sums the same signed stratum
+extremes.  So one stratum is also the unit of the measured optimum (the
+stratum lemma): the pair's distance is at most the sum of the strata's
+distances D_m, and its value at most the largest D_m / d_m over the
+strata where the two differ.  The pair that differs in that stratum
+alone is in the universe and attains it, with the same reduced ratio
+and so the same float.  A universe's measured optimum is the
 largest of its strata's, each a function of the stratum's sorted hold
 and swap margins.  :func:`universe_report` measures each distinct
 stratum universe on its own and never builds their product, and
@@ -724,9 +731,9 @@ def measured_optimal_epsilon(
     max_permutations: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> float:
     """The exact pointwise-optimal budget of one universe at rate p:
-    the max over pairs of multiplicative distance per unit Hamming, each
-    pair compared stratum by stratum (:func:`_pair_ratio`) on the laws
-    of one pair-count build per stratum universe (:func:`_stratum_rows`).
+    the max over pairs of multiplicative distance per unit Hamming, by
+    :func:`_universe_optima` on the rows of one pair-count build per
+    stratum universe (:func:`_stratum_rows`).
 
     Tables over different domains raise
     :class:`~permuswap.dataset.DomainMismatchError`, and tables of
@@ -735,7 +742,7 @@ def measured_optimal_epsilon(
     checked first.  Both guards refuse before any pair count is built:
     the first table's stratum universes, each held to
     ``max_permutations`` pair counts, then the C(U, 2) pairs, which it
-    bounds too.  Fewer than two tables measure 0."""
+    bounds too.  Fewer than two distinct tables measure 0."""
     tables, rate = list(universe), to_exact_rate(_unit_rate(p))
     if not tables:
         return 0.0
@@ -752,8 +759,13 @@ def measured_optimal_epsilon(
     pairs = math.comb(len(tables), 2)
     if pairs > max_permutations:
         raise EnumerationBudgetError(f"{pairs} table pairs exceed the budget of {max_permutations}")
-    [laws] = _laws(_stratum_rows(keys, domain, max_permutations, cache), (rate,), cache)
-    return _optimum(laws, _distances(keys))
+    if not all(same_universe(tables[0], other) for other in tables[1:]):
+        return math.inf
+    # a table listed twice adds only pairs at d_Ham 0
+    keys = list(dict.fromkeys(keys))
+    strata = _held_rows(_stratum_rows(keys, domain, max_permutations, cache))
+    [(measured, _, _)] = _universe_optima(strata, [rate], [math.inf], _distances(keys), cache)
+    return measured
 
 
 def _key_distance(key: Sequence[int], other: Sequence[int]) -> int:
@@ -768,20 +780,6 @@ def _distances(keys: Sequence[tuple[int, ...]]) -> list[list[int]]:
     for i, j in itertools.combinations(range(len(keys)), 2):
         matrix[i][j] = matrix[j][i] = _key_distance(keys[i], keys[j])
     return matrix
-
-
-def _pair_values(laws: Sequence[Sequence], distances: Sequence[Sequence]) -> Iterator[tuple[int, int, float]]:
-    """Multiplicative distance per unit of d_Ham, ``(i, j, value)``, for
-    each pair i < j with d_Ham > 0 of one universe's laws, each given as
-    its strata's ``(tables, numerators)`` (:func:`_laws`)."""
-    for i, law in enumerate(laws):
-        for j in range(i + 1, len(laws)):
-            if distances[i][j]:
-                yield i, j, _log_ratio(_pair_ratio(law, laws[j])) / distances[i][j]
-
-
-def _optimum(laws: Sequence[Sequence], distances: Sequence[Sequence]) -> float:
-    return max((value for _, _, value in _pair_values(laws, distances)), default=0.0)
 
 
 def _first_moves(blocks: Sequence[np.ndarray]) -> list[list[Union[int, None]]]:
@@ -823,92 +821,114 @@ def _rate_weights(n: int, rates: Sequence[Fraction], cache: dict) -> tuple[np.nd
     return held[1:]
 
 
+def _held_rows(strata: Sequence[Sequence[tuple]]) -> list[tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]]:
+    """Tables of one universe given by their :func:`_stratum_rows`, as
+    :func:`_universe_optima` reads them: per stratum universe of two tables
+    or more, its tables, the distinct rows held and each table's position."""
+    held = []
+    for parts in zip(*strata):
+        tables = parts[0][0]
+        if len(tables) > 1:
+            _, firsts, positions = np.unique([index for _, index, _ in parts], return_index=True, return_inverse=True)
+            held.append((tables, np.stack([parts[k][2] for k in firsts.tolist()]), positions))
+    return held
+
+
 def _universe_optima(
-    tables: Sequence[tuple[int, ...]],
-    tensor: np.ndarray,
+    strata: Sequence[tuple[Sequence[tuple[int, ...]], np.ndarray, np.ndarray]],
     rates: Sequence[Fraction],
     budgets: Sequence[float],
     distances: Sequence[Sequence[int]],
     cache: dict,
 ) -> list[tuple[float, list[int], list[tuple[int, int, float]]]]:
-    """Every rate's pair checks on one stratum universe of U >= 2
-    tables, given its :func:`_pair_tensor` N, a budget per rate and d_Ham
-    of every pair: per rate, the measured optimum, the tables whose law
-    misses part of the universe, and each pair i < j whose distance per
-    unit of d_Ham exceeds the budget plus ``LOG_SLACK``, with its value,
-    in pair order.
+    """Every rate's pair checks on K distinct tables of one universe,
+    given per stratum of two tables or more ``(tables, rows, positions)``:
+    the stratum universe's U tables, R rows of its :func:`_pair_tensor` N,
+    R x U x (n + 1), and each table's position among them (one stratum
+    passes its whole N and 0..U - 1); a budget per rate and d_Ham of every
+    pair.  Per rate: the measured optimum, the tables whose law misses
+    part of the universe, and each pair i < j whose distance per unit of
+    d_Ham exceeds the budget plus ``LOG_SLACK``, with its value, in pair
+    order.
 
-    The laws at every rate are one float product, N @ W, with W each
-    rate's weights divided by its largest (:func:`_rate_weights`); the
-    supports, rate by rate, are where N is nonzero at a k the rate
-    weighs.  A pair whose supports differ is infinitely apart.  Every
-    other pair's float value, its largest |log ratio| over the atoms per
-    unit of d_Ham, comes from one numpy scan in blocks of pairs, so the
-    temporaries hold at most ``_SCAN_FLOATS`` floats or one pair's U R.
+    Per stratum, the laws at every rate are one float product, N @ W,
+    with W each rate's weights divided by its largest
+    (:func:`_rate_weights`); the supports, rate by rate, are where N is
+    nonzero at a k the rate weighs.  A pair whose supports differ in a
+    stratum is infinitely apart.  Every other pair's float value is the
+    larger of the sums over the strata of its signed largest and smallest
+    log ratio, the smallest negated, per unit of d_Ham (the pair lemma),
+    from one numpy scan in blocks of pairs of at most ``_SCAN_FLOATS``
+    floats or one pair's U R.
 
-    Floats are only a filter.  A table whose float law is below
-    (n + 1) tiny / eps at an atom of its support, where underflow could
-    reach the leading digits, is shaky at that rate.  Each pair with a
-    shaky table, and each pair whose float lies within ``_RECHECK`` of
-    the rate's largest float or of its budget plus ``LOG_SLACK``, is
-    compared exactly by :func:`_pair_ratio` on the two tables' integer
-    laws, N[i] times the integer weights (:func:`_row_laws`), the laws
-    every other oracle function compares.  Every other float lies far
-    inside that band of its exact value (see the module docstring), so
-    the measured optimum and every verdict come from exact ratios, as the
-    pair loop takes them."""
-    size, n = len(tables), tensor.shape[2] - 1
+    Floats are only a filter.  A stratum law below (n + 1) tiny / eps at
+    an atom of its support, where underflow could reach the leading
+    digits, is shaky at that rate.  Each pair with a shaky row, and each
+    pair whose float lies within ``_RECHECK`` of the rate's largest float
+    or of its budget plus ``LOG_SLACK``, is compared exactly by
+    :func:`_pair_ratio` on the integer laws of all its strata
+    (:func:`_row_laws`).  Every other float lies far inside that band of
+    its exact value (see the module docstring)."""
     if not rates:
         return []
-    weights, scaled, weighed = _rate_weights(n, rates, cache)
-    laws = np.empty((size, size, len(rates)))
-    step = max(1, _SCAN_FLOATS // tensor[0].size)
-    for lo in range(0, size, step):
-        laws[lo : lo + step] = np.asarray(tensor[lo : lo + step] / math.factorial(n), dtype=float) @ scaled
-    # a law below this may have lost its leading digits to underflow; an unsupported one is 0
-    floor = (n + 1) * _TINY
-    logs = np.log(np.maximum(laws, floor))
-    rows, cols = _upper(size, cache)
-    values = np.empty((len(rows), len(rates)))
-    step = max(1, _SCAN_FLOATS // logs[0].size)
+    rows, cols = _upper(len(distances), cache)
+    logs, apart, missing = [], None, [[] for _ in rates]
+    for tables, held, positions in strata:
+        n = held.shape[2] - 1
+        _, scaled, weighed = _rate_weights(n, rates, cache)
+        laws = np.empty((len(held), len(tables), len(rates)))
+        step = max(1, _SCAN_FLOATS // held[0].size)
+        for lo in range(0, len(held), step):
+            laws[lo : lo + step] = np.asarray(held[lo : lo + step] / math.factorial(n), dtype=float) @ scaled
+        # a law below this may have lost its leading digits to underflow; an unsupported one is 0
+        floor = (n + 1) * _TINY
+        logs.append(np.log(np.maximum(laws, floor))[positions])
+        if laws.min(initial=math.inf) < floor:
+            # supports that differ make a pair infinitely apart, and a shaky row's
+            # pairs are compared exactly; neither takes part in the largest float
+            supports = (held != 0) @ weighed
+            full = supports.all(axis=1)
+            if apart is None:
+                apart = np.zeros((len(rows), len(rates)), dtype=bool)
+                shaky, lacking = np.zeros((2, len(distances), len(rates)), dtype=bool)
+            for r in np.flatnonzero(~full.all(axis=0)).tolist():
+                ids, _ = _first_seen(supports[:, :, r])
+                apart[:, r] |= ids[positions[rows]] != ids[positions[cols]]
+            lacking |= ~full[positions]
+            shaky |= (supports & (laws < floor)).any(axis=1)[positions]
+    values, d_ham = np.empty((len(rows), len(rates))), np.array(distances)
+    step = max(1, _SCAN_FLOATS // max((log[0].size for log in logs), default=1))
     for lo in range(0, len(rows), step):
-        block = logs[rows[lo : lo + step]] - logs[cols[lo : lo + step]]
-        values[lo : lo + step] = np.abs(block, out=block).max(axis=1)
-    values /= np.array(distances)[rows, cols][:, None]
-    missing: list[list[int]] = [[] for _ in rates]
-    apart = None
-    if laws.min(initial=math.inf) >= floor:
+        a, b = rows[lo : lo + step], cols[lo : lo + step]
+        up = down = 0.0
+        for log in logs:
+            block = log[a] - log[b]
+            up, down = up + block.max(axis=1), down - block.min(axis=1)
+        values[lo : lo + step] = np.maximum(up, down) / d_ham[a, b][:, None]
+    if apart is None:
         top = values.max(axis=0, initial=0.0)
     else:
-        # supports that differ make a pair infinitely apart, and a shaky table's
-        # pairs are compared exactly; neither takes part in the largest float
-        supports = (tensor != 0) @ weighed
-        full = supports.all(axis=1)
-        apart = np.zeros(values.shape, dtype=bool)
-        for r in np.flatnonzero(~full.all(axis=0)).tolist():
-            ids, _ = _first_seen(supports[:, :, r])
-            apart[:, r] = ids[rows] != ids[cols]
-            missing[r] = np.flatnonzero(~full[:, r]).tolist()
-        shaky = (supports & (laws < floor)).any(axis=1)
+        missing = [np.flatnonzero(column).tolist() for column in lacking.T]
         aside = apart | shaky[rows] | shaky[cols]
         top = values.max(axis=0, initial=0.0, where=~aside)
         values[aside] = math.inf
     limits = [budget + LOG_SLACK for budget in budgets]
     # within _RECHECK of the lower of the two, relative to its size or 1
     low = np.minimum(top, limits)
-    recheck = values >= low - _RECHECK * np.maximum(abs(low), 1.0)
-    rows, cols = rows.tolist(), cols.tolist()
+    pairs, at = np.nonzero(values >= low - _RECHECK * np.maximum(abs(low), 1.0))
     measured = [0.0] * len(rates)
     exceeded: list[list[tuple[int, int, float]]] = [[] for _ in rates]
+    # each rechecked table's strata as (tables, integer laws at every rate)
     exact: dict = {}
-    for pair, r in zip(*(axis.tolist() for axis in np.nonzero(recheck))):
-        i, j = rows[pair], cols[pair]
+    for pair, i, j, r in zip(pairs.tolist(), rows[pairs].tolist(), cols[pairs].tolist(), at.tolist()):
         value = math.inf
         if apart is None or not apart[pair, r]:
             for table in (i, j):
                 if table not in exact:
-                    exact[table] = _row_laws(tensor[table], rates, cache)
-            value = _log_ratio(_pair_ratio([(tables, exact[i][r])], [(tables, exact[j][r])])) / distances[i][j]
+                    exact[table] = [(tables, _row_laws(held[pos[table]], rates, cache)) for tables, held, pos in strata]
+            law = [(tables, laws[r]) for tables, laws in exact[i]]
+            other = [(tables, laws[r]) for tables, laws in exact[j]]
+            value = _log_ratio(_pair_ratio(law, other)) / distances[i][j]
         measured[r] = max(measured[r], value)
         if value > limits[r]:
             exceeded[r].append((i, j, value))
@@ -1212,39 +1232,27 @@ def _check_universe(
     """Every check :func:`dp_sweep` makes on one universe, given its
     tables' canonical keys over ``domain``, its b and witnessed
     conditions, and the rates with their floats: its summary and the
-    failures it finds.  A universe of one stratum is checked at every
-    rate by :func:`_universe_optima` on its :func:`_pair_tensor`.  A
-    universe of several strata, which only the sweep's re-check of a
-    failing orbit reaches, is checked pair by pair by the pair lemma on
-    its tables' laws at every rate, off one build of its strata's pair
-    counts (:func:`_stratum_rows`).  Either way the connecting minima are
-    the first nonzero pair counts, summed over the strata
-    (:func:`_first_moves`)."""
+    failures it finds.  Every rate is measured by :func:`_universe_optima`
+    on a one-stratum universe's whole :func:`_pair_tensor`, or on the rows
+    that the tables of a universe of several strata hold
+    (:func:`_stratum_rows`), which only the sweep's re-check of a failing
+    orbit reaches.  The connecting minima are the first nonzero pair
+    counts, summed over the strata (:func:`_first_moves`)."""
     b, witnessed = witness
     distances = _distances(keys)
     at = [_bounds_at(bounds, p, b) for p in floats]
     budgets = [budget.epsilon for budget, _ in at]
-    if len(keys) < 2:
-        checked = [(0.0, [], [])] * len(rates)
-    elif domain.match == 1:
-        tensor = _pair_tensor(keys, domain.swap, cache)
-        checked = _universe_optima(keys, tensor, rates, budgets, distances, cache)
-        moves = _first_moves([tensor])
-    else:
-        strata = _stratum_rows(keys, domain, max_permutations, cache)
-        checked = []
-        for laws, budget in zip(_laws(strata, rates, cache), budgets):
-            values = list(_pair_values(laws, distances))
-            checked.append((
-                max((value for _, _, value in values), default=0.0),
-                [i for i, law in enumerate(laws) if any(0 in row for _, row in law)],
-                [(i, j, value) for i, j, value in values if value > budget + LOG_SLACK],
-            ))
-        # per stratum, the pair counts of every ordered pair of the universe's tables
-        blocks = []
-        for parts in zip(*strata):
-            index = [i for _, i, _ in parts]
-            blocks.append(np.stack([row[index] for _, _, row in parts]))
+    checked, moves = [(0.0, [], [])] * len(rates), []
+    if len(keys) > 1:
+        if domain.match == 1:
+            tensor = _pair_tensor(keys, domain.swap, cache)
+            strata, blocks = [(keys, tensor, np.arange(len(keys)))], [tensor]
+        else:
+            rows = _stratum_rows(keys, domain, max_permutations, cache)
+            strata = _held_rows(rows)
+            # per stratum, the pair counts of every ordered pair of the universe's tables
+            blocks = [np.stack([row[[i for _, i, _ in parts]] for _, _, row in parts]) for parts in zip(*rows)]
+        checked = _universe_optima(strata, rates, budgets, distances, cache)
         moves = _first_moves(blocks)
     failures: list[str] = []
     measured_by_p: dict[float, float] = {}
@@ -1271,10 +1279,9 @@ def _check_universe(
                     f"{bound} ({condition}) in universe of "
                     f"{_table(domain, keys[0]).canonical_string()}"
                 )
-    if len(keys) > 1:
-        for i, j in itertools.permutations(range(len(keys)), 2):
-            if moves[i][j] != distances[i][j]:
-                failures.append(f"connecting minimum {moves[i][j]} disagrees with d_Ham {distances[i][j]}")
+    for i, j in itertools.permutations(range(len(keys)), 2):
+        if moves[i][j] != distances[i][j]:
+            failures.append(f"connecting minimum {moves[i][j]} disagrees with d_Ham {distances[i][j]}")
     check = UniverseCheck(b=b, size=len(keys), measured=measured_by_p, budget=budget_by_p)
     return check, failures
 
@@ -1326,8 +1333,8 @@ def dp_sweep(
     each.  Tables are count tuples; no dataset or permutation is built.
     The rates are turned into floats once, and the budget and lower
     bounds computed once per (rate, b), both functions of the float
-    rate; row polynomials, pair counts,
-    universes, stratum laws and weights are shared through one cache.
+    rate; row polynomials, pair counts, universes and weights are shared
+    through one cache.
 
     Every rate must lie strictly inside (0, 1), as an exact rational and
     as a float, since the budget is computed at the float: at an
@@ -1470,8 +1477,8 @@ def universe_report(
     optima = []
     for tables in strata.values():
         if len(tables) > 1:
-            tensor = _pair_tensor(tables, x.domain.swap, cache)
-            checked = _universe_optima(tables, tensor, rates, budgets, _distances(tables), cache)
+            stratum = tables, _pair_tensor(tables, x.domain.swap, cache), np.arange(len(tables))
+            checked = _universe_optima([stratum], rates, budgets, _distances(tables), cache)
             optima.append([measured for measured, _, _ in checked])
     rows = []
     for r, (rate, budget) in enumerate(zip(rates, budgets)):

@@ -437,10 +437,17 @@ class TestMeasuredOptimal:
 
     def test_tables_of_different_universes_are_infinitely_apart(self, two_record_pair):
         """Two tables of one size whose margins differ: their laws lie over
-        different universes, so their supports differ."""
+        different universes, so their supports differ.  So on two strata,
+        where the records of each stratum, or only its swap margin, differ,
+        even beside tables of one universe."""
         x, _ = two_record_pair
         tables = [tabulate(x), tabulate(make_dataset([(0, 0, 0), (0, 1, 0)], (1, 2, 2)))]
         assert measured_optimal_epsilon(tables, Fraction(1, 3)) == math.inf
+        both = [(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)]
+        universe = enumerate_universe(make_dataset(both, (2, 2, 2)))
+        for other in ([(0, 0, 0), (0, 1, 1), (0, 1, 0), (1, 0, 0)], [(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 0)]):
+            tables = [*universe, tabulate(make_dataset(other, (2, 2, 2)))]
+            assert measured_optimal_epsilon(tables, Fraction(1, 3)) == math.inf
 
     @pytest.mark.parametrize(
         "shape, key", [((1, 2, 3), (1, 0, 0, 0, 1, 0)), ((2, 2, 1), (1, 0, 0, 1))], ids=["1x2x3", "2x2x1-same-key"]
@@ -919,8 +926,8 @@ class TestSweep:
         assert calls["_stratum_rows"] == []
         measured = [sorted(t.canonical_key() for t in tables) for tables in singles.values() if len(tables) > 1]
         assert sorted(list(keys) for keys, _, _ in calls["_pair_tensor"]) == sorted(measured)
-        assert [len(keys) for keys, *_ in calls["_universe_optima"]] == [len(keys) for keys, _, _ in calls["_pair_tensor"]]
-        assert all(list(scanned) == rates for _, _, scanned, *_ in calls["_universe_optima"])
+        assert [len(keys) for [(keys, _, _)], *_ in calls["_universe_optima"]] == [len(keys) for keys, _, _ in calls["_pair_tensor"]]
+        assert all(list(scanned) == rates for _, scanned, *_ in calls["_universe_optima"])
         assert calls["_law"] == []
         assert len(calls["SwapInvariants"]) == 1
         assert calls["min_connecting_derangement"] == []
@@ -1139,7 +1146,8 @@ class TestUniverseOptima:
         distances = [[0 if i == j else 1 for j in range(3)] for i in range(3)]
         budget = (floats[0, 2] + exacts[0, 2]) / 2 - exact.LOG_SLACK
         assert exacts[0, 1] < budget + exact.LOG_SLACK < exacts[0, 2]
-        (checked,) = exact._universe_optima([(0,), (1,), (2,)], tensor, [Fraction(1)], [budget], distances, {})
+        stratum = [(0,), (1,), (2,)], tensor, np.arange(3)
+        (checked,) = exact._universe_optima([stratum], [Fraction(1)], [budget], distances, {})
         assert checked == (exacts[0, 2], [], [(0, 2, exacts[0, 2]), (1, 2, exacts[1, 2])])
 
     def test_universe_report_memory_stays_near_the_tensor(self):
@@ -1162,6 +1170,29 @@ class TestUniverseOptima:
         finally:
             tracemalloc.stop()
         assert rows[1].universe_size == size and rows[1].measured_optimal == 1.1581655876309433
+        assert peak < bound
+
+    def test_composite_measure_memory_stays_near_the_pairs(self):
+        """On the first K = 1,000 tables of the b = 6 witness twice (two
+        strata of U = 58 tables of 6 records) measured_optimal_epsilon
+        holds one float per (pair, rate), _upper's two indices per pair,
+        _distances' K x K matrix as lists and as one int64 array, a
+        handful of scan blocks of at most _SCAN_FLOATS floats, and 2 MiB
+        for the strata's rows, the keys and the rest: about 34 MB here,
+        where a scan over every pair at once would take C(K, 2) U floats,
+        232 MB."""
+        x, _ = load_fixture("witness_ratio_b6_two_strata")
+        universe = enumerate_universe(x)[:1000]
+        size, pairs, per_stratum = 1000, math.comb(1000, 2), 58
+        bound = 2 * size * size * 8 + pairs * (2 + 1) * 8 + 8 * exact._SCAN_FLOATS * 8 + 2**21
+        assert 6 * bound < pairs * per_stratum * 8
+        tracemalloc.start()
+        try:
+            measured = measured_optimal_epsilon(universe, Fraction(1, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"{measured:.6f}" == "3.888477"
         assert peak < bound
 
     @pytest.mark.parametrize("entry", [1, 2], ids=["lemma", "row sum"])

@@ -1549,6 +1549,11 @@ def _tables(domain, *keys):
 
 
 ONE_RECORD = (0, 0, 0, 0, 1, 0, 0, 0, 0)
+# interior rates, one whose float weights underflow (shaky rows), and the
+# endpoints, where the laws' supports differ
+COMPOSITE_RATES = (
+    Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), Fraction(1, 10**300), Fraction(0), Fraction(1),
+)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1564,7 +1569,8 @@ def test_pair_lemma_matches_the_composite_law(pair, rate):
     give the ratio, its float and the witness key of the composite laws
     compared as one row, which are the Fraction loop's.  The strata's
     laws off their pair-count rows are the per-pair path's.  On a
-    universe of at most 40 tables, so is the measured optimum."""
+    universe of at most 40 tables, so is the measured optimum, at the
+    drawn rate and at COMPOSITE_RATES."""
     table, other = pair
     domain = table.domain
     laws = [exact._law(t, rate, DEFAULT_ENUMERATION_BUDGET, {}) for t in pair]
@@ -1590,23 +1596,30 @@ def test_pair_lemma_matches_the_composite_law(pair, rate):
     assert (witness.canonical_key() if d_ham else witness) == (key if d_ham else None)
     universe = enumerate_universe(table)
     if len(universe) <= 40:
-        composite = [exact._law(t, rate, DEFAULT_ENUMERATION_BUDGET, {})[0] for t in universe]
-        expected = max((value for _, _, value in ref_pair_values(composite, universe)), default=0.0)
-        assert measured_optimal_epsilon(universe, rate) == expected
+        for rate in (rate, *COMPOSITE_RATES):
+            cache = {}
+            composite = [exact._law(t, rate, DEFAULT_ENUMERATION_BUDGET, cache)[0] for t in universe]
+            expected = max((value for _, _, value in ref_pair_values(composite, universe)), default=0.0)
+            assert measured_optimal_epsilon(universe, rate) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(composite_tables())
+# pairs that differ in both strata exceed half the optimum by the sum of their stratum extremes, not by the larger
+@example(*_tables((2, 2, 2), (2, 1, 0, 2, 1, 0, 0, 2)))
 def test_stratum_rows_and_connecting_minima_match_the_per_pair_path(table):
     """On a universe of two or three strata, of at most 40 tables: each
     table's stratum rows are the per-pair path's counts at every table of
     the stratum universe, whose one list the tables share, and the sweep's
-    re-check reads the per-pair path's connecting minima off them."""
+    re-check reads the per-pair path's connecting minima off them.  Its
+    whole result at COMPOSITE_RATES is the composite loop's, also with
+    each budget cut to half the measured optimum, where pairs exceed it."""
     domain = table.domain
     try:
-        keys = [t.canonical_key() for t in enumerate_universe(table, max_tables=40)]
+        universe = enumerate_universe(table, max_tables=40)
     except EnumerationBudgetError:
         return
+    keys = [t.canonical_key() for t in universe]
     cache, own = {}, {}
     strata = exact._stratum_rows(keys, domain, DEFAULT_ENUMERATION_BUDGET, cache)
     for key, parts in zip(keys, strata):
@@ -1614,10 +1627,22 @@ def test_stratum_rows_and_connecting_minima_match_the_per_pair_path(table):
             assert tables is first[0] and tables[index] == part
             assert row.tolist() == [ref_pair_counts(part, t, domain.swap, own) for t in tables]
     first_moves, seen = exact._first_moves, []
+    inv, rates = swap_invariants(table), COMPOSITE_RATES
+    floats = [float(rate) for rate in rates]
+    witness = exact._universe_witness(inv)
     with mock.patch.object(exact, "_first_moves", lambda blocks: seen.append(first_moves(blocks)) or seen[-1]):
-        witness = exact._universe_witness(swap_invariants(table))
-        exact._check_universe(keys, domain, witness, [Fraction(1, 2)], [0.5], DEFAULT_ENUMERATION_BUDGET, cache, {})
+        found = exact._check_universe(keys, domain, witness, rates, floats, DEFAULT_ENUMERATION_BUDGET, cache, {})
     assert seen == ([ref_fewest_moves(keys, domain, own)] if len(keys) > 1 else [])
+    ref_cache = {}
+    assert found == ref_check_universe(inv, universe, rates, DEFAULT_ENUMERATION_BUDGET, ref_cache, {})
+    check, _ = found
+    halved = {}
+    for p in floats:
+        budget, lower = psa_budget(p, check.b), exact.psa_lower_bounds(p, check.b)
+        halved[p, check.b] = dataclasses.replace(budget, epsilon=check.measured[p] / 2), lower
+    found = exact._check_universe(keys, domain, witness, rates, floats, DEFAULT_ENUMERATION_BUDGET, {}, dict(halved))
+    assert found == ref_check_universe(inv, universe, rates, DEFAULT_ENUMERATION_BUDGET, ref_cache, dict(halved))
+    assert any(failure.startswith("budget exceeded") for failure in found[1]) == (len(keys) > 1)
 
 
 @st.composite
@@ -2417,13 +2442,17 @@ def test_out_of_domain_record_named_by_index(bad):
 def ref_universe_optima(tables, swap_levels, rates, budgets, distances):
     """_universe_optima's answers as the per-rate loop gave them: each
     table's ref_pair_count_law row at each rate, and every pair compared
-    by the pair lemma (_pair_values over _pair_ratio and _row_ratio),
-    through a cache of its own."""
+    by the pair lemma (_pair_ratio over _row_ratio), through a cache of
+    its own."""
     own: dict = {}
     results = []
     for rate, budget in zip(rates, budgets):
         laws = [[ref_pair_count_law(t, swap_levels, rate, DEFAULT_ENUMERATION_BUDGET, own)] for t in tables]
-        values = list(exact._pair_values(laws, distances))
+        values = [
+            (i, j, exact._log_ratio(exact._pair_ratio(laws[i], laws[j])) / distances[i][j])
+            for i, j in itertools.combinations(range(len(tables)), 2)
+            if distances[i][j]
+        ]
         results.append((
             max((value for _, _, value in values), default=0.0),
             [i for i, law in enumerate(laws) if any(0 in row for _, row in law)],
@@ -2436,7 +2465,8 @@ def ref_optima_at(swap_levels):
     """ref_universe_optima in _universe_optima's place, for strata of
     ``swap_levels`` swap values."""
 
-    def optima(tables, tensor, rates, budgets, distances, cache):
+    def optima(strata, rates, budgets, distances, cache):
+        [(tables, _, _)] = strata
         return ref_universe_optima(tables, swap_levels, rates, budgets, distances)
 
     return optima
@@ -2449,7 +2479,7 @@ def _optima(hold, swap, rates, budgets):
     tables = exact._universe(tuple(hold), tuple(swap), DEFAULT_ENUMERATION_BUDGET, cache)
     tensor = exact._pair_tensor(tables, len(swap), cache)
     distances = exact._distances(tables)
-    found = exact._universe_optima(tables, tensor, rates, budgets, distances, cache)
+    found = exact._universe_optima([(tables, tensor, np.arange(len(tables)))], rates, budgets, distances, cache)
     return found, ref_universe_optima(tables, len(swap), rates, budgets, distances)
 
 
