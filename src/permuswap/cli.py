@@ -521,7 +521,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, summary, *parents):
-        subparser = sub.add_parser(name, parents=[common, *parents], help=summary)
+        # flags are matched in full, so the config's explicit-flag rule sees every flag given
+        subparser = sub.add_parser(name, parents=[common, *parents], help=summary, allow_abbrev=False)
         subparser.set_defaults(func=func, subparser=subparser)
         return subparser
 

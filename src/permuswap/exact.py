@@ -96,7 +96,8 @@ law of a table onto the law of the relabelled table, atom by atom: a
 composite law is the product of its strata's laws, and each depends on
 its own H x S counts alone.  d_Ham, b, the universe size, the support,
 the witnessed lower bounds and the fewest records moved are per-stratum
-sums or maxima of quantities no relabelling changes.
+sums or maxima of quantities no relabelling changes; the measurer reads
+each table's stratum counts for d_Ham by its index in the stratum universe.
 
 For a pair x, x' of one universe, the log-ratio at an output t is the
 sum over the strata of a_m(t_m), so the largest atom ratio is
@@ -401,7 +402,7 @@ def _margins(counts: tuple[int, ...], swap_levels: int) -> tuple[tuple[int, ...]
 
 
 def _universe(hold: tuple[int, ...], swap: tuple[int, ...], budget: int, cache: dict) -> list:
-    """One stratum universe's tables in key order (:func:`_matrices`), held
+    """One stratum universe's tables (:func:`_tables_with_margins`), held
     in ``cache["universes"]`` under the margins.  U tables of n records
     have U^2 (n + 1) pair counts; the walk is cut at
     isqrt(budget // (n + 1)) + 1 tables, so :class:`EnumerationBudgetError`
@@ -410,11 +411,11 @@ def _universe(hold: tuple[int, ...], swap: tuple[int, ...], budget: int, cache: 
     if (hold, swap) not in universes:
         n = sum(hold)
         cap = math.isqrt(max(budget, 0) // (n + 1))
-        # no list holds more than sys.maxsize items, so a larger cap never binds
-        tables = list(itertools.islice(_matrices(hold, swap), min(cap + 1, sys.maxsize)))
-        if len(tables) > cap:
-            raise EnumerationBudgetError(f"at least {(cap + 1) ** 2 * (n + 1)} pair counts exceed the budget of {budget}")
-        universes[hold, swap] = tables
+        try:
+            universes[hold, swap] = _tables_with_margins(hold, swap, cap)
+        except EnumerationBudgetError:
+            message = f"at least {(cap + 1) ** 2 * (n + 1)} pair counts exceed the budget of {budget}"
+            raise EnumerationBudgetError(message) from None
     return universes[hold, swap]
 
 
@@ -763,37 +764,25 @@ def measured_optimal_epsilon(
         return math.inf
     # a table listed twice adds only pairs at d_Ham 0
     keys = list(dict.fromkeys(keys))
+    if len(keys) < 2:
+        return 0.0
     strata = _held_rows(_stratum_rows(keys, domain, max_permutations, cache))
-    [(measured, _, _)] = _universe_optima(strata, [rate], [math.inf], _distances(keys), cache)
+    [(measured, _, _)], _ = _universe_optima(strata, [rate], [math.inf], cache)
     return measured
 
 
-def _key_distance(key: Sequence[int], other: Sequence[int]) -> int:
-    """d_Ham of two equal-size tables given as flattened counts."""
-    return sum(map(abs, map(operator.sub, key, other))) // 2
-
-
-def _distances(keys: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """d_Ham of every pair of ``keys`` as a symmetric matrix, each
-    unordered pair computed once by :func:`_key_distance`."""
-    matrix = [[0] * len(keys) for _ in keys]
-    for i, j in itertools.combinations(range(len(keys)), 2):
-        matrix[i][j] = matrix[j][i] = _key_distance(keys[i], keys[j])
-    return matrix
-
-
-def _first_moves(blocks: Sequence[np.ndarray]) -> list[list[Union[int, None]]]:
+def _first_moves(strata: Sequence[tuple]) -> np.ndarray:
     """The fewest records a within-stratum permutation moves to carry
-    table i of a universe onto table j, or None, given each stratum's
-    pair counts of every ordered pair of the universe's tables, U x U x
-    (n + 1): summed over the strata, the first nonzero k of each block's
-    entry [i, j]."""
+    compared table i onto table j, or -1 where none does, K x K: the first
+    nonzero k of the pair counts rows[positions[i], index[j]], summed over
+    the strata as :func:`_universe_optima` reads them."""
     total, reached = 0, True
-    for block in blocks:
-        moved = block != 0
-        total = total + moved.argmax(axis=2)
-        reached = reached & moved.any(axis=2)
-    return np.where(reached, total, None).tolist()
+    for _, held, positions, index in strata:
+        moved = held != 0
+        at = positions[:, None], index
+        total = total + moved.argmax(axis=2)[at]
+        reached = reached & moved.any(axis=2)[at]
+    return np.where(reached, total, -1)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -821,35 +810,33 @@ def _rate_weights(n: int, rates: Sequence[Fraction], cache: dict) -> tuple[np.nd
     return held[1:]
 
 
-def _held_rows(strata: Sequence[Sequence[tuple]]) -> list[tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]]:
+def _held_rows(strata: Sequence[Sequence[tuple]]) -> list[tuple]:
     """Tables of one universe given by their :func:`_stratum_rows`, as
     :func:`_universe_optima` reads them: per stratum universe of two tables
-    or more, its tables, the distinct rows held and each table's position."""
+    or more, its tables, the distinct rows held, each table's position
+    among them and its index in the stratum universe."""
     held = []
     for parts in zip(*strata):
         tables = parts[0][0]
         if len(tables) > 1:
-            _, firsts, positions = np.unique([index for _, index, _ in parts], return_index=True, return_inverse=True)
-            held.append((tables, np.stack([parts[k][2] for k in firsts.tolist()]), positions))
+            index = np.array([index for _, index, _ in parts])
+            _, firsts, positions = np.unique(index, return_index=True, return_inverse=True)
+            held.append((tables, np.stack([parts[k][2] for k in firsts.tolist()]), positions, index))
     return held
 
 
 def _universe_optima(
-    strata: Sequence[tuple[Sequence[tuple[int, ...]], np.ndarray, np.ndarray]],
-    rates: Sequence[Fraction],
-    budgets: Sequence[float],
-    distances: Sequence[Sequence[int]],
-    cache: dict,
-) -> list[tuple[float, list[int], list[tuple[int, int, float]]]]:
-    """Every rate's pair checks on K distinct tables of one universe,
-    given per stratum of two tables or more ``(tables, rows, positions)``:
-    the stratum universe's U tables, R rows of its :func:`_pair_tensor` N,
-    R x U x (n + 1), and each table's position among them (one stratum
-    passes its whole N and 0..U - 1); a budget per rate and d_Ham of every
-    pair.  Per rate: the measured optimum, the tables whose law misses
+    strata: Sequence[tuple], rates: Sequence[Fraction], budgets: Sequence[float], cache: dict
+) -> tuple[list[tuple[float, list[int], list[tuple[int, int, float]]]], np.ndarray]:
+    """Every rate's pair checks on K >= 2 distinct tables of one universe,
+    given per stratum of two tables or more ``(tables, rows, positions,
+    index)``: the U tables, R rows of their :func:`_pair_tensor` N,
+    R x U x (n + 1), and each table's position among the rows and index
+    among the tables (a whole N passes 0..U - 1 twice); and a budget per
+    rate.  Per rate: the measured optimum, the tables whose law misses
     part of the universe, and each pair i < j whose distance per unit of
     d_Ham exceeds the budget plus ``LOG_SLACK``, with its value, in pair
-    order.
+    order; and each pair's d_Ham, one int64, in pair order.
 
     Per stratum, the laws at every rate are one float product, N @ W,
     with W each rate's weights divided by its largest
@@ -869,11 +856,17 @@ def _universe_optima(
     :func:`_pair_ratio` on the integer laws of all its strata
     (:func:`_row_laws`).  Every other float lies far inside that band of
     its exact value (see the module docstring)."""
+    rows, cols = _upper(len(strata[0][2]), cache)
+    # d_Ham sums over the strata the tables do not all share, each table's counts read by its
+    # index there, in blocks of pairs of at most _SCAN_FLOATS counts
+    counts = np.concatenate([np.asarray(tables)[index] for tables, _, _, index in strata], axis=1)
+    d_ham, step = np.empty(len(rows), dtype=np.int64), max(1, _SCAN_FLOATS // counts.shape[1])
+    for lo in range(0, len(rows), step):
+        d_ham[lo : lo + step] = np.abs(counts[rows[lo : lo + step]] - counts[cols[lo : lo + step]]).sum(axis=1) // 2
     if not rates:
-        return []
-    rows, cols = _upper(len(distances), cache)
+        return [], d_ham
     logs, apart, missing = [], None, [[] for _ in rates]
-    for tables, held, positions in strata:
+    for tables, held, positions, _ in strata:
         n = held.shape[2] - 1
         _, scaled, weighed = _rate_weights(n, rates, cache)
         laws = np.empty((len(held), len(tables), len(rates)))
@@ -890,21 +883,21 @@ def _universe_optima(
             full = supports.all(axis=1)
             if apart is None:
                 apart = np.zeros((len(rows), len(rates)), dtype=bool)
-                shaky, lacking = np.zeros((2, len(distances), len(rates)), dtype=bool)
+                shaky, lacking = np.zeros((2, len(positions), len(rates)), dtype=bool)
             for r in np.flatnonzero(~full.all(axis=0)).tolist():
                 ids, _ = _first_seen(supports[:, :, r])
                 apart[:, r] |= ids[positions[rows]] != ids[positions[cols]]
             lacking |= ~full[positions]
             shaky |= (supports & (laws < floor)).any(axis=1)[positions]
-    values, d_ham = np.empty((len(rows), len(rates))), np.array(distances)
-    step = max(1, _SCAN_FLOATS // max((log[0].size for log in logs), default=1))
+    values = np.empty((len(rows), len(rates)))
+    step = max(1, _SCAN_FLOATS // max(log[0].size for log in logs))
     for lo in range(0, len(rows), step):
         a, b = rows[lo : lo + step], cols[lo : lo + step]
         up = down = 0.0
         for log in logs:
             block = log[a] - log[b]
             up, down = up + block.max(axis=1), down - block.min(axis=1)
-        values[lo : lo + step] = np.maximum(up, down) / d_ham[a, b][:, None]
+        values[lo : lo + step] = np.maximum(up, down) / d_ham[lo : lo + step, None]
     if apart is None:
         top = values.max(axis=0, initial=0.0)
     else:
@@ -920,19 +913,19 @@ def _universe_optima(
     exceeded: list[list[tuple[int, int, float]]] = [[] for _ in rates]
     # each rechecked table's strata as (tables, integer laws at every rate)
     exact: dict = {}
-    for pair, i, j, r in zip(pairs.tolist(), rows[pairs].tolist(), cols[pairs].tolist(), at.tolist()):
+    found = zip(pairs.tolist(), rows[pairs].tolist(), cols[pairs].tolist(), at.tolist(), d_ham[pairs].tolist())
+    for pair, i, j, r, distance in found:
         value = math.inf
         if apart is None or not apart[pair, r]:
-            for table in (i, j):
-                if table not in exact:
-                    exact[table] = [(tables, _row_laws(held[pos[table]], rates, cache)) for tables, held, pos in strata]
+            for table in {i, j} - exact.keys():
+                exact[table] = [(tables, _row_laws(held[pos[table]], rates, cache)) for tables, held, pos, _ in strata]
             law = [(tables, laws[r]) for tables, laws in exact[i]]
             other = [(tables, laws[r]) for tables, laws in exact[j]]
-            value = _log_ratio(_pair_ratio(law, other)) / distances[i][j]
+            value = _log_ratio(_pair_ratio(law, other)) / distance
         measured[r] = max(measured[r], value)
         if value > limits[r]:
             exceeded[r].append((i, j, value))
-    return list(zip(measured, missing, exceeded))
+    return list(zip(measured, missing, exceeded)), d_ham
 
 
 # ---------------------------------------------------------------------------
@@ -1232,28 +1225,32 @@ def _check_universe(
     """Every check :func:`dp_sweep` makes on one universe, given its
     tables' canonical keys over ``domain``, its b and witnessed
     conditions, and the rates with their floats: its summary and the
-    failures it finds.  Every rate is measured by :func:`_universe_optima`
-    on a one-stratum universe's whole :func:`_pair_tensor`, or on the rows
-    that the tables of a universe of several strata hold
-    (:func:`_stratum_rows`), which only the sweep's re-check of a failing
-    orbit reaches.  The connecting minima are the first nonzero pair
-    counts, summed over the strata (:func:`_first_moves`)."""
+    failures it finds.  The strata are a one-stratum universe's whole
+    :func:`_pair_tensor`, or the rows that the tables of a universe of
+    several strata hold (:func:`_stratum_rows`), which only the sweep's
+    re-check of a failing orbit reaches.  :func:`_universe_optima`
+    measures every rate and gives each pair's d_Ham, which each ordered
+    pair's connecting minimum (:func:`_first_moves`) must equal."""
     b, witnessed = witness
-    distances = _distances(keys)
     at = [_bounds_at(bounds, p, b) for p in floats]
     budgets = [budget.epsilon for budget, _ in at]
-    checked, moves = [(0.0, [], [])] * len(rates), []
+    checked, disagree = [(0.0, [], [])] * len(rates), []
     if len(keys) > 1:
         if domain.match == 1:
-            tensor = _pair_tensor(keys, domain.swap, cache)
-            strata, blocks = [(keys, tensor, np.arange(len(keys)))], [tensor]
+            whole = np.arange(len(keys))
+            strata = [(keys, _pair_tensor(keys, domain.swap, cache), whole, whole)]
         else:
-            rows = _stratum_rows(keys, domain, max_permutations, cache)
-            strata = _held_rows(rows)
-            # per stratum, the pair counts of every ordered pair of the universe's tables
-            blocks = [np.stack([row[[i for _, i, _ in parts]] for _, _, row in parts]) for parts in zip(*rows)]
-        checked = _universe_optima(strata, rates, budgets, distances, cache)
-        moves = _first_moves(blocks)
+            strata = _held_rows(_stratum_rows(keys, domain, max_permutations, cache))
+        checked, d_ham = _universe_optima(strata, rates, budgets, cache)
+        moves = _first_moves(strata)
+        above, below = _upper(len(keys), cache)
+        # both orders of each pair i < j first: only a failure needs the K x K listing, in order
+        if (moves[above, below] != d_ham).any() or (moves[below, above] != d_ham).any():
+            distances = np.zeros_like(moves)
+            distances[above, below] = distances[below, above] = d_ham
+            wrong = moves != distances
+            np.fill_diagonal(wrong, False)
+            disagree = zip(moves[wrong].tolist(), distances[wrong].tolist())
     failures: list[str] = []
     measured_by_p: dict[float, float] = {}
     budget_by_p: dict[float, float] = {}
@@ -1279,9 +1276,8 @@ def _check_universe(
                     f"{bound} ({condition}) in universe of "
                     f"{_table(domain, keys[0]).canonical_string()}"
                 )
-    for i, j in itertools.permutations(range(len(keys)), 2):
-        if moves[i][j] != distances[i][j]:
-            failures.append(f"connecting minimum {moves[i][j]} disagrees with d_Ham {distances[i][j]}")
+    for moved, distance in disagree:
+        failures.append(f"connecting minimum {moved if moved >= 0 else None} disagrees with d_Ham {distance}")
     check = UniverseCheck(b=b, size=len(keys), measured=measured_by_p, budget=budget_by_p)
     return check, failures
 
@@ -1477,8 +1473,9 @@ def universe_report(
     optima = []
     for tables in strata.values():
         if len(tables) > 1:
-            stratum = tables, _pair_tensor(tables, x.domain.swap, cache), np.arange(len(tables))
-            checked = _universe_optima([stratum], rates, budgets, _distances(tables), cache)
+            whole = np.arange(len(tables))
+            stratum = tables, _pair_tensor(tables, x.domain.swap, cache), whole, whole
+            checked, _ = _universe_optima([stratum], rates, budgets, cache)
             optima.append([measured for measured, _, _ in checked])
     rows = []
     for r, (rate, budget) in enumerate(zip(rates, budgets)):

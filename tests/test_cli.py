@@ -676,6 +676,20 @@ class TestConfigFile:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[-1] == "result=pass"
 
+    def test_abbreviated_flag_refused_not_beaten_by_config(self, tmp_path, capsys):
+        """Flags are spelled in full: an abbreviation exits 2 naming it,
+        where it once parsed as --max-records and the config's value, which
+        only full spellings override, replaced it (15 datasets, not 70)."""
+        config = tmp_path / "verify.json"
+        config.write_text(json.dumps({"max-records": 2}), encoding="utf-8")
+        argv = ["verify", "--sweep", "--domain", "1,2,2", "--p-values", "1/2", "--config", config]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--max-rec", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-rec 4" in capsys.readouterr().err
+        assert run_cli(argv + ["--max-records", "4"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2].startswith("datasets=70 ")
+
     @pytest.mark.parametrize(
         "argv, entry",
         [

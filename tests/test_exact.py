@@ -401,15 +401,16 @@ class TestMeasuredOptimal:
         """Two b = 10 ratio-witness strata: each stratum's 126**2 * 11 pair
         counts are within the guard, but 126**2 tables make
         C(126**2, 2) > 10**7 pairs, and the pair guard refuses before one
-        d_Ham is computed.  One record per diagonal cell of 1x7x7: the
-        pair counts of its 5,040 tables refuse at the first table's
-        universe, before any pair."""
+        d_Ham or pair count is computed.  One record per diagonal cell of
+        1x7x7: the pair counts of its 5,040 tables refuse at the first
+        table's universe, before any pair."""
         stratum = [(0, 0), (1, 1)] + [(2, 2)] * 4 + [(3, 3)] * 4
         x = make_dataset([(m, h, s) for m in range(2) for h, s in stratum], (2, 4, 4))
         universe = enumerate_universe(x)
         assert len(universe) == 126**2
         calls = []
-        monkeypatch.setattr(exact, "_key_distance", lambda *keys: calls.append(keys) or 1)
+        for name in ("_universe_optima", "_pair_tensor", "_pair_kernel"):
+            monkeypatch.setattr(exact, name, lambda *args, _name=name: calls.append(_name))
         pairs = math.comb(126**2, 2)
         with pytest.raises(EnumerationBudgetError, match=f"^{pairs} table pairs exceed the budget of 10000000$"):
             measured_optimal_epsilon(universe, Fraction(96, 125))
@@ -422,15 +423,28 @@ class TestMeasuredOptimal:
     def test_pair_guard_refuses_before_any_pair(self, monkeypatch):
         """Three two-record strata: 8 tables whose laws sum over 2**3
         permutations, within a budget of 10, but C(8, 2) = 28 pairs are
-        not.  At a budget of 28 the value is the unguarded one."""
+        not.  At a budget of 28 the value is the unguarded one, from one
+        measurer call that gives d_Ham of each of the 28 pairs once.  At 27
+        the guard refuses before one d_Ham or pair count is computed."""
         x = make_dataset([(m, h, h) for m in range(3) for h in range(2)], (3, 2, 2))
         universe = enumerate_universe(x)
         assert len(universe) == 8
         measured = measured_optimal_epsilon(universe, Fraction(1, 3))
         assert measured == pytest.approx(math.log(2), abs=1e-12)
-        assert measured_optimal_epsilon(universe, Fraction(1, 3), max_permutations=28) == measured
         calls = []
-        monkeypatch.setattr(exact, "_key_distance", lambda *keys: calls.append(keys) or 1)
+        optima = exact._universe_optima
+
+        def counted(*args):
+            checked, d_ham = optima(*args)
+            calls.append(d_ham.tolist())
+            return checked, d_ham
+
+        monkeypatch.setattr(exact, "_universe_optima", counted)
+        assert measured_optimal_epsilon(universe, Fraction(1, 3), max_permutations=28) == measured
+        assert calls == [[hamming_distance(*pair) for pair in itertools.combinations(universe, 2)]]
+        calls = []
+        for name in ("_universe_optima", "_pair_tensor", "_pair_kernel"):
+            monkeypatch.setattr(exact, name, lambda *args, _name=name: calls.append(_name))
         with pytest.raises(EnumerationBudgetError, match="^28 table pairs exceed the budget of 27$"):
             measured_optimal_epsilon(universe, Fraction(1, 3), max_permutations=27)
         assert calls == []
@@ -834,9 +848,9 @@ class TestSweep:
         exits the CLI with code 3."""
         from permuswap.cli import main
 
-        def off_by_one(blocks, _moves=exact._first_moves):
-            moves = _moves(blocks)
-            return [[k if i == j else k + 1 for j, k in enumerate(row)] for i, row in enumerate(moves)]
+        def off_by_one(strata, _moves=exact._first_moves):
+            moves = _moves(strata)
+            return moves + 1 - np.eye(len(moves), dtype=moves.dtype)
 
         monkeypatch.setattr(exact, "_first_moves", off_by_one)
         report = dp_sweep(Domain(*domain), 3, [Fraction(1, 2)])
@@ -859,7 +873,8 @@ class TestSweep:
         pair of tables and one polynomial per pair of hold rows and
         stratum size, shared by the laws and the connecting minimum
         through one pair tensor per universe of at least two tables,
-        measured at every rate at once, no per-table stratum rows, no
+        measured at every rate at once, whose one d_Ham per pair the
+        connecting check reads too, no per-table stratum rows, no
         brute force, no composite law, one SwapInvariants for all strata
         and none per orbit, and no dataset, connecting permutation or
         tabulated table at all.
@@ -889,7 +904,6 @@ class TestSweep:
 
         calls = {
             "_check_universe": [],
-            "_key_distance": [],
             "hamming_distance": [],
             "_stratum_rows": [],
             "_pair_tensor": [],
@@ -910,6 +924,15 @@ class TestSweep:
                 return _fn(*args)
 
             monkeypatch.setattr(exact, name, counted)
+        # the measurer gives d_Ham, one int64 per pair of each universe it measures
+        distances = []
+
+        def measured(*args, _fn=exact._universe_optima):
+            checked, d_ham = _fn(*args)
+            distances.append(d_ham)
+            return checked, d_ham
+
+        monkeypatch.setattr(exact, "_universe_optima", measured)
         # the weight rows are held for the process; an earlier run may have built them
         exact._weight_row.cache_clear()
         rates = [Fraction(1, 10), Fraction(1, 2)]
@@ -921,12 +944,12 @@ class TestSweep:
         assert len({id(u) for u in report.universes}) == len(firsts)
         checked = [len(tables) for tables in singles.values()]
         assert len(calls["_check_universe"]) == len(singles)
-        assert len(calls["_key_distance"]) == sum(math.comb(n, 2) for n in checked)
+        assert sorted(map(len, distances)) == sorted(math.comb(n, 2) for n in checked if n > 1)
         assert calls["hamming_distance"] == []
         assert calls["_stratum_rows"] == []
         measured = [sorted(t.canonical_key() for t in tables) for tables in singles.values() if len(tables) > 1]
         assert sorted(list(keys) for keys, _, _ in calls["_pair_tensor"]) == sorted(measured)
-        assert [len(keys) for [(keys, _, _)], *_ in calls["_universe_optima"]] == [len(keys) for keys, _, _ in calls["_pair_tensor"]]
+        assert [len(keys) for [(keys, *_)], *_ in calls["_universe_optima"]] == [len(keys) for keys, _, _ in calls["_pair_tensor"]]
         assert all(list(scanned) == rates for _, scanned, *_ in calls["_universe_optima"])
         assert calls["_law"] == []
         assert len(calls["SwapInvariants"]) == 1
@@ -1143,11 +1166,12 @@ class TestUniverseOptima:
         assert floats[0, 2] < exacts[0, 2]
         tensor = np.zeros((3, 3, n + 1), dtype=np.int64)
         tensor[:, :, n] = rows
-        distances = [[0 if i == j else 1 for j in range(3)] for i in range(3)]
         budget = (floats[0, 2] + exacts[0, 2]) / 2 - exact.LOG_SLACK
         assert exacts[0, 1] < budget + exact.LOG_SLACK < exacts[0, 2]
-        stratum = [(0,), (1,), (2,)], tensor, np.arange(3)
-        (checked,) = exact._universe_optima([stratum], [Fraction(1)], [budget], distances, {})
+        # one record in a different cell each: every pair is at d_Ham 1
+        stratum = [(0, 0, 1), (0, 1, 0), (1, 0, 0)], tensor, np.arange(3), np.arange(3)
+        (checked,), d_ham = exact._universe_optima([stratum], [Fraction(1)], [budget], {})
+        assert d_ham.tolist() == [1, 1, 1]
         assert checked == (exacts[0, 2], [], [(0, 2, exacts[0, 2]), (1, 2, exacts[1, 2])])
 
     def test_universe_report_memory_stays_near_the_tensor(self):
@@ -1176,15 +1200,14 @@ class TestUniverseOptima:
         """On the first K = 1,000 tables of the b = 6 witness twice (two
         strata of U = 58 tables of 6 records) measured_optimal_epsilon
         holds one float per (pair, rate), _upper's two indices per pair,
-        _distances' K x K matrix as lists and as one int64 array, a
-        handful of scan blocks of at most _SCAN_FLOATS floats, and 2 MiB
-        for the strata's rows, the keys and the rest: about 34 MB here,
-        where a scan over every pair at once would take C(K, 2) U floats,
-        232 MB."""
+        one int64 d_Ham per pair, a handful of scan blocks of at most
+        _SCAN_FLOATS floats, and 2 MiB for the strata's rows, the keys
+        and the rest: about 22 MB here, where a scan over every pair at
+        once would take C(K, 2) U floats, 232 MB."""
         x, _ = load_fixture("witness_ratio_b6_two_strata")
         universe = enumerate_universe(x)[:1000]
-        size, pairs, per_stratum = 1000, math.comb(1000, 2), 58
-        bound = 2 * size * size * 8 + pairs * (2 + 1) * 8 + 8 * exact._SCAN_FLOATS * 8 + 2**21
+        pairs, per_stratum = math.comb(1000, 2), 58
+        bound = pairs * (2 + 1 + 1) * 8 + 8 * exact._SCAN_FLOATS * 8 + 2**21
         assert 6 * bound < pairs * per_stratum * 8
         tracemalloc.start()
         try:

@@ -1630,9 +1630,9 @@ def test_stratum_rows_and_connecting_minima_match_the_per_pair_path(table):
     inv, rates = swap_invariants(table), COMPOSITE_RATES
     floats = [float(rate) for rate in rates]
     witness = exact._universe_witness(inv)
-    with mock.patch.object(exact, "_first_moves", lambda blocks: seen.append(first_moves(blocks)) or seen[-1]):
+    with mock.patch.object(exact, "_first_moves", lambda strata: seen.append(first_moves(strata)) or seen[-1]):
         found = exact._check_universe(keys, domain, witness, rates, floats, DEFAULT_ENUMERATION_BUDGET, cache, {})
-    assert seen == ([ref_fewest_moves(keys, domain, own)] if len(keys) > 1 else [])
+    assert [_or_none(moves) for moves in seen] == ([ref_fewest_moves(keys, domain, own)] if len(keys) > 1 else [])
     ref_cache = {}
     assert found == ref_check_universe(inv, universe, rates, DEFAULT_ENUMERATION_BUDGET, ref_cache, {})
     check, _ = found
@@ -1643,6 +1643,79 @@ def test_stratum_rows_and_connecting_minima_match_the_per_pair_path(table):
     found = exact._check_universe(keys, domain, witness, rates, floats, DEFAULT_ENUMERATION_BUDGET, {}, dict(halved))
     assert found == ref_check_universe(inv, universe, rates, DEFAULT_ENUMERATION_BUDGET, ref_cache, dict(halved))
     assert any(failure.startswith("budget exceeded") for failure in found[1]) == (len(keys) > 1)
+
+
+def _or_none(moves):
+    """A _first_moves array as nested lists, None where no permutation connects."""
+    return [[None if k < 0 else k for k in row] for row in moves.tolist()]
+
+
+def _pair_readers_match_the_key_loops(keys, domain, cache):
+    """The measurer's d_Ham of every pair i < j of distinct tables of one
+    universe, and _first_moves of every ordered pair, read per stratum by
+    table index, are the key loop's d_Ham and the per-pair path's
+    connecting minima; so with the tables' stratum rows, and, on a whole
+    one-stratum universe, with its pair tensor."""
+    strata = [exact._held_rows(exact._stratum_rows(keys, domain, DEFAULT_ENUMERATION_BUDGET, cache))]
+    if domain.match == 1 and strata[0][0][0] == keys:
+        whole = np.arange(len(keys))
+        strata.append([(keys, exact._pair_tensor(keys, domain.swap, cache), whole, whole)])
+    distances, fewest = ref_distances(keys), ref_fewest_moves(keys, domain, {})
+    for held in strata:
+        found, d_ham = exact._universe_optima(held, [], [], {})
+        assert found == [] and d_ham.tolist() == ref_pair_order(distances)
+        assert _or_none(exact._first_moves(held)) == fewest
+    assert fewest == distances
+
+
+@st.composite
+def spread_tables(draw):
+    """One to three strata over H in 1..3 and S in 2..3, with 2 to 6
+    records each, so that most universes hold several tables."""
+    domain = Domain(draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 3)))
+    cells = domain.hold * domain.swap
+    key = []
+    for _ in range(domain.match):
+        picks = draw(st.lists(st.integers(0, cells - 1), min_size=2, max_size=6))
+        key += [picks.count(c) for c in range(cells)]
+    return ContingencyTable(np.array(key, dtype=np.int64).reshape(domain.shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spread_tables())
+@example(_tables((2, 2, 2), (2, 1, 0, 2, 1, 0, 0, 2))[0])
+@example(_tables((1, 2, 3), (1, 1, 0, 0, 1, 1))[0])
+def test_pair_readers_match_the_key_loops_on_drawn_universes(table):
+    """On drawn universes of one to three strata, of two to 60 tables,
+    and on every other table of each, where a table's position among the
+    rows held and its index in its stratum universe can differ."""
+    try:
+        universe = enumerate_universe(table, max_tables=60)
+    except EnumerationBudgetError:
+        return
+    keys = [t.canonical_key() for t in universe]
+    for part in (keys, keys[1::2]):
+        if len(part) > 1:
+            _pair_readers_match_the_key_loops(part, table.domain, {})
+
+
+def test_pair_readers_match_the_key_loops_on_the_witnesses():
+    """On the 42 tables of the pair over two 2x3x3 strata, and on 96 of
+    the 3,364 tables of the b = 6 witness twice: those whose first
+    stratum is table 1, 6, ..., 56 of its 58 and whose second is table
+    2, 9, ..., 51, so that each table's index in a stratum universe
+    differs from its position among the rows held."""
+    domain = Domain(2, 3, 3)
+    x = Dataset([(0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 2, 2)], domain)
+    keys = [t.canonical_key() for t in enumerate_universe(x)]
+    assert len(keys) == 42
+    _pair_readers_match_the_key_loops(keys, domain, {})
+    x, _ = load_fixture("witness_ratio_b6_two_strata")
+    universe = [t.canonical_key() for t in enumerate_universe(x)]
+    assert len(universe) == 58 * 58
+    keys = [universe[58 * i + j] for i in range(1, 58, 5) for j in range(2, 58, 7)]
+    assert len(keys) == 96
+    _pair_readers_match_the_key_loops(keys, x.domain, {})
 
 
 @st.composite
@@ -2439,6 +2512,25 @@ def test_out_of_domain_record_named_by_index(bad):
 # one pair-count tensor per stratum universe against the per-rate pair loop
 
 
+def ref_key_distance(key, other):
+    """d_Ham of two equal-size tables given as flattened counts."""
+    return sum(map(abs, map(operator.sub, key, other))) // 2
+
+
+def ref_distances(keys):
+    """d_Ham of every pair of ``keys`` as a symmetric matrix, each
+    unordered pair computed once by ref_key_distance."""
+    matrix = [[0] * len(keys) for _ in keys]
+    for i, j in itertools.combinations(range(len(keys)), 2):
+        matrix[i][j] = matrix[j][i] = ref_key_distance(keys[i], keys[j])
+    return matrix
+
+
+def ref_pair_order(matrix):
+    """The entries of a symmetric matrix at each pair i < j, in pair order."""
+    return [matrix[i][j] for i, j in itertools.combinations(range(len(matrix)), 2)]
+
+
 def ref_universe_optima(tables, swap_levels, rates, budgets, distances):
     """_universe_optima's answers as the per-rate loop gave them: each
     table's ref_pair_count_law row at each rate, and every pair compared
@@ -2463,23 +2555,27 @@ def ref_universe_optima(tables, swap_levels, rates, budgets, distances):
 
 def ref_optima_at(swap_levels):
     """ref_universe_optima in _universe_optima's place, for strata of
-    ``swap_levels`` swap values."""
+    ``swap_levels`` swap values, with ref_distances' d_Ham of each pair."""
 
-    def optima(strata, rates, budgets, distances, cache):
-        [(tables, _, _)] = strata
-        return ref_universe_optima(tables, swap_levels, rates, budgets, distances)
+    def optima(strata, rates, budgets, cache):
+        [(tables, *_)] = strata
+        distances = ref_distances(tables)
+        found = ref_universe_optima(tables, swap_levels, rates, budgets, distances)
+        return found, np.array(ref_pair_order(distances), dtype=np.int64)
 
     return optima
 
 
 def _optima(hold, swap, rates, budgets):
     """_universe_optima on the stratum universe of the given margins, and
-    the per-rate loop's answers."""
+    the per-rate loop's answers; its d_Ham of each pair is ref_distances'."""
     cache = {}
     tables = exact._universe(tuple(hold), tuple(swap), DEFAULT_ENUMERATION_BUDGET, cache)
     tensor = exact._pair_tensor(tables, len(swap), cache)
-    distances = exact._distances(tables)
-    found = exact._universe_optima([(tables, tensor, np.arange(len(tables)))], rates, budgets, distances, cache)
+    whole = np.arange(len(tables))
+    found, d_ham = exact._universe_optima([(tables, tensor, whole, whole)], rates, budgets, cache)
+    distances = ref_distances(tables)
+    assert d_ham.tolist() == ref_pair_order(distances)
     return found, ref_universe_optima(tables, len(swap), rates, budgets, distances)
 
 
